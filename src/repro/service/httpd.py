@@ -140,17 +140,17 @@ class BenchmarkRequestHandler(BaseHTTPRequestHandler):
         parts = [p for p in self.path.split("?")[0].split("/") if p]
         try:
             if parts == ["healthz"]:
-                jobs = service.jobs()
+                by_state = service.jobs_by_state()
                 doc = {
                     "status": "ok",
                     "worker_kind": service.worker_kind,
                     "worker_transport": getattr(
                         service._workers, "transport", "inline"
                     ),
-                    "jobs": len(jobs),
-                    "in_flight": sum(
-                        1 for j in jobs
-                        if j["state"] in ("pending", "running")
+                    "jobs": sum(by_state.values()),
+                    "in_flight": (
+                        by_state.get("pending", 0)
+                        + by_state.get("running", 0)
                     ),
                     "queue_depth": service.queue_depth(),
                     "workers": service.workers_health(),

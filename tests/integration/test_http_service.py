@@ -245,6 +245,16 @@ class TestObservabilityEndpoints:
         assert doc["queue_depth"] == 0
         assert doc["workers"] == {}
 
+    def test_healthz_job_counts_match_job_listing(self, served):
+        _, empty = _get(f"{served}/healthz")
+        assert empty["jobs"] == 0 and empty["in_flight"] == 0
+        _, doc = _post(f"{served}/jobs", {"scenario": "smoke"})
+        _poll_terminal(served, doc["job_id"])
+        _, health = _get(f"{served}/healthz")
+        _, listing = _get(f"{served}/jobs")
+        assert health["jobs"] == len(listing["jobs"]) == 1
+        assert health["in_flight"] == 0
+
     def test_metrics_before_any_job(self, served):
         status, content_type, text = self._get_text(f"{served}/metrics")
         assert status == 200

@@ -2,13 +2,32 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.edgeio.format as fmt
 from repro.edgeio.dataset import EdgeDataset, shard_slices
-from repro.edgeio.format import decode_edges, encode_edges
+from repro.edgeio.errors import CorruptEdgeFileError
+from repro.edgeio.format import (
+    _decode_edges_fast,
+    _decode_edges_split,
+    _encode_edges_strings,
+    decode_edges,
+    encode_edges,
+)
 
 labels = st.integers(min_value=0, max_value=2**40)
+
+# Labels whose decimal width is uniform over 1..18 digits, so narrow
+# and wide tokens mix in one payload (uniform integers are almost
+# always full width).
+any_width_labels = st.integers(min_value=1, max_value=18).flatmap(
+    lambda width: st.integers(min_value=0, max_value=10**width - 1)
+)
+whitespace = st.text(alphabet=" \t\n\r\x0b\x0c", min_size=1, max_size=3)
 
 
 @st.composite
@@ -49,6 +68,53 @@ class TestFormatRoundTrip:
         u, v = edges
         payload = encode_edges(u, v)
         assert payload.count(b"\n") == len(u)
+
+
+class TestFastPathsMatchReferences:
+    """The dense paths against the string-kernel references, with the
+    internal block shrunk so a few dozen tokens span several blocks."""
+
+    @given(
+        pairs=st.lists(st.tuples(any_width_labels, any_width_labels),
+                       min_size=1, max_size=40),
+        base=st.sampled_from([0, 1]),
+        block=st.integers(min_value=40, max_value=400),
+    )
+    def test_encode_equals_string_kernels(self, pairs, base, block):
+        u = np.array([p[0] for p in pairs], dtype=np.int64)
+        v = np.array([p[1] for p in pairs], dtype=np.int64)
+        with mock.patch.object(fmt, "_BLOCK_BYTES", block):
+            payload = encode_edges(u, v, vertex_base=base)
+        assert payload == _encode_edges_strings(u + base, v + base)
+
+    @given(
+        tokens=st.lists(any_width_labels, min_size=1, max_size=60),
+        gaps=st.lists(whitespace, min_size=61, max_size=61),
+        lead=st.booleans(),
+        trail=st.booleans(),
+        block=st.integers(min_value=1, max_value=200),
+    )
+    def test_decode_equals_split_tokenizer(self, tokens, gaps, lead, trail,
+                                           block):
+        text = gaps[0] if lead else ""
+        text += "".join(
+            f"{token}{gap}" for token, gap in zip(tokens[:-1], gaps[1:])
+        )
+        text += str(tokens[-1]) + (gaps[-1] if trail else "")
+        payload = text.encode("ascii")
+        with mock.patch.object(fmt, "_BLOCK_BYTES", block):
+            if len(tokens) % 2:
+                for parse in (_decode_edges_fast, _decode_edges_split):
+                    with pytest.raises(CorruptEdgeFileError,
+                                       match=rf"tokens \({len(tokens)}\)"):
+                        parse(payload)
+                return
+            fast = _decode_edges_fast(payload)
+        legacy = _decode_edges_split(payload)
+        assert fast is not None
+        for got, want in zip(fast, legacy):
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert np.array_equal(got, want)
 
 
 class TestShardSlicesProperties:

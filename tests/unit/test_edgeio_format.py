@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.edgeio.format as fmt
 from repro.edgeio.errors import CorruptEdgeFileError
 from repro.edgeio.format import (
     _decode_edges_fast,
@@ -188,6 +189,129 @@ class TestBufferLevelDecode:
         monkeypatch.setattr(fmt, "_decode_edges_split", boom)
         u, v = decode_edges(b"12\t34\n56\t78\n")
         assert u.tolist() == [12, 56] and v.tolist() == [34, 78]
+
+
+def _assert_codec_parity(u, v, *, vertex_base=0):
+    """Fast encode == string kernels, fast decode == split tokenizer."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    payload = encode_edges(u, v, vertex_base=vertex_base)
+    assert payload == _encode_edges_strings(u + vertex_base, v + vertex_base)
+    _assert_decode_parity(payload)
+    ru, rv = decode_edges(payload, vertex_base=vertex_base)
+    assert np.array_equal(ru, u) and np.array_equal(rv, v)
+
+
+def _assert_decode_parity(payload, *, fast_declines=False):
+    legacy = _decode_edges_split(payload)
+    fast = _decode_edges_fast(payload)
+    if fast_declines:
+        assert fast is None
+        fast = decode_edges(payload)
+    for got, want in zip(fast, legacy):
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+
+class TestDenseCodecEdges:
+    """Width, dtype and block boundaries of the dense fast paths."""
+
+    @pytest.mark.parametrize("power", range(1, 19))
+    def test_every_width_boundary(self, power):
+        below, at = 10**power - 1, 10**power
+        _assert_codec_parity([below, 0, below], [0, below, below])
+        # 10**18 is the first 19-digit label: encode still takes the
+        # fast path, decode hands the payload to the split tokenizer.
+        payload = encode_edges(np.array([at, 1]), np.array([below, at]))
+        assert payload == f"{at}\t{below}\n1\t{at}\n".encode()
+        _assert_decode_parity(payload, fast_declines=power == 18)
+
+    def test_all_widths_in_one_payload(self):
+        labels = [0] + [10**k - 1 for k in range(1, 19)] + [10**k for k in range(1, 18)]
+        _assert_codec_parity(labels, labels[::-1])
+
+    @pytest.mark.parametrize("top", [2**32 - 1, 2**32])
+    def test_uint32_uint64_division_switch(self, top):
+        _assert_codec_parity([top, 7, top - 1], [3, top, 0])
+        _assert_codec_parity([5, 7], [top, 0])  # only v is wide
+
+    @pytest.mark.parametrize("top", [10**9 - 1, 10**9])
+    def test_int32_int64_accumulator_switch(self, top):
+        _assert_codec_parity([top, 1, 42], [0, top, top])
+        _assert_codec_parity([top, top], [1, 2])  # only u is wide
+
+    @pytest.mark.parametrize("base", [0, 1])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_shard_at_the_internal_block_size(self, base, extra):
+        # One-digit labels: 4 bytes a line, so this many lines fill a
+        # block to the byte.
+        lines = fmt._BLOCK_BYTES // 4 + extra
+        u = np.arange(lines, dtype=np.int64) % (9 - base)
+        v = (u * 7 + 3) % (9 - base)
+        assert len(encode_edges(u, v, vertex_base=base)) == 4 * lines
+        _assert_codec_parity(u, v, vertex_base=base)
+
+    @pytest.mark.parametrize("block", [11, 12, 33, 64, 100])
+    def test_small_blocks_cut_anywhere(self, monkeypatch, block):
+        # Lines are at most 6 + 1 + 3 + 1 = 11 bytes: from one line a
+        # block upwards, with cuts landing on every residue.
+        monkeypatch.setattr(fmt, "_BLOCK_BYTES", block)
+        rng = np.random.default_rng(block)
+        u = rng.integers(0, 10**6 - 1, 200, dtype=np.int64)
+        v = rng.integers(0, 10**3 - 1, 200, dtype=np.int64)
+        _assert_codec_parity(u, v)
+        _assert_codec_parity(u, v, vertex_base=1)
+
+    def test_blocks_that_start_mid_pair(self, monkeypatch):
+        # Tokens pair up across lines, so a cut after a newline can
+        # fall between the two labels of one edge.
+        monkeypatch.setattr(fmt, "_BLOCK_BYTES", 8)
+        payload = b"1\n2 3\n4\n5\n6 7 8\n9 10\n11\n12\n" * 5
+        _assert_decode_parity(payload)
+        with pytest.raises(CorruptEdgeFileError,
+                           match=r"odd number of tokens \(11\)"):
+            decode_edges(b"1\n2 3\n" * 3 + b"4 5\n")
+
+    def test_block_without_a_newline_takes_the_rest(self, monkeypatch):
+        monkeypatch.setattr(fmt, "_BLOCK_BYTES", 8)
+        _assert_decode_parity(b"10 11 12 13 14 15 16 17 18 19 20 21")
+        _assert_decode_parity(b"1 2\n" + b"3 4 5 6 7 8 9 10 11 12")
+
+    def test_bad_byte_in_a_later_block_defers(self, monkeypatch):
+        monkeypatch.setattr(fmt, "_BLOCK_BYTES", 8)
+        payload = b"1\t2\n" * 6 + b"-3\t4\n"
+        assert _decode_edges_fast(payload) is None
+        u, v = decode_edges(payload)
+        assert u[-1] == -3 and v[-1] == 4
+
+    def test_single_edge_and_empty(self):
+        _assert_codec_parity([0], [0])
+        _assert_codec_parity([12345], [6])
+        assert encode_edges(np.array([], dtype=np.int64),
+                            np.array([], dtype=np.int64),
+                            vertex_base=1) == b""
+
+    @pytest.mark.parametrize("payload", [
+        b"12\t345",                      # one edge, no terminator
+        b"1\t2\n3\t4",                   # last line unterminated
+        b"1\t2\r\n30\t4\r\n",           # CRLF
+        b"1\t2\r\n30\t4\r",              # CRLF, cut before the LF
+        b"   1    2   \n\n\n  3 \t 4",   # runs of spaces, blank lines
+        b"\n\n7\t8\n\n",                 # blank lines around
+        b"1 2 3 4\n",                     # two edges on one line
+        b"123456789\t1000000000\n5\t6",   # 9- and 10-digit tokens
+        b"000\t007\n",                   # zero-padded labels
+    ])
+    def test_separator_layouts_match_split(self, payload):
+        _assert_decode_parity(payload)
+
+    def test_too_long_token_after_clean_ones_defers(self):
+        payload = b"1\t2\n" + b"1" * 19 + b"\t3\n"
+        _assert_decode_parity(payload, fast_declines=True)
+
+    def test_vertex_base_one_mixed_widths(self):
+        _assert_codec_parity([0, 8, 9, 98, 99, 2**32 - 2],
+                             [9, 0, 99, 9, 999, 2**32 - 1], vertex_base=1)
 
 
 class TestParseEdgeLine:

@@ -101,6 +101,66 @@ class TestStability:
         assert np.array_equal(sv, [20, 40, 10, 30])
 
 
+def _assert_matches_stable_argsort(u, v):
+    order = np.argsort(u, kind="stable")
+    su, sv = numpy_sort_edges(u, v)
+    assert su.dtype == u.dtype and sv.dtype == v.dtype
+    assert np.array_equal(su, u[order])
+    assert np.array_equal(sv, v[order])
+
+
+class TestNumpySortDigitPasses:
+    """The 16-bit-digit passes must reproduce numpy's own stable
+    argsort exactly at every key-width switch."""
+
+    @pytest.mark.parametrize("top", [
+        1, 2**16 - 1, 2**16, 2**16 + 1, 2**18, 2**32 - 1, 2**32, 2**32 + 1,
+        2**40, 2**62,
+    ])
+    def test_key_width_boundaries(self, top):
+        rng = np.random.default_rng(top % 1000)
+        u = rng.integers(0, top, size=4000, endpoint=True, dtype=np.int64)
+        u[::97] = top  # the width-deciding key is present
+        v = np.arange(len(u), dtype=np.int64)
+        _assert_matches_stable_argsort(u, v)
+
+    def test_high_digit_only_keys(self):
+        # Keys that differ only above bit 16: the low pass is a no-op
+        # and the order rests on the high pass alone.
+        u = (np.arange(3000, dtype=np.int64) * 7919 % 40) << 16
+        _assert_matches_stable_argsort(u, np.arange(len(u), dtype=np.int64))
+
+    def test_heavy_duplicates(self, rng):
+        u = rng.integers(0, 3, size=5000).astype(np.int64) * 70000
+        _assert_matches_stable_argsort(u, np.arange(len(u), dtype=np.int64))
+
+    @pytest.mark.parametrize("top", [100, 2**20])
+    def test_already_sorted_and_reversed(self, top):
+        u = np.sort(np.random.default_rng(3).integers(0, top, 2000))
+        v = np.arange(len(u), dtype=np.int64)
+        _assert_matches_stable_argsort(u, v)
+        _assert_matches_stable_argsort(u[::-1].copy(), v)
+
+    @pytest.mark.parametrize("low", [-1, -2**16, -2**40])
+    def test_negative_keys(self, low):
+        rng = np.random.default_rng(5)
+        u = rng.integers(low, 2**17, size=3000, dtype=np.int64)
+        u[7] = low
+        _assert_matches_stable_argsort(u, np.arange(len(u), dtype=np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.uint64])
+    def test_other_integer_dtypes(self, dtype):
+        rng = np.random.default_rng(9)
+        u = rng.integers(0, 2**31 - 1, size=3000).astype(dtype)
+        _assert_matches_stable_argsort(u, np.arange(len(u), dtype=np.int64))
+
+    def test_single_and_empty(self):
+        empty = np.array([], dtype=np.int64)
+        _assert_matches_stable_argsort(empty, empty.copy())
+        one = np.array([2**20], dtype=np.int64)
+        _assert_matches_stable_argsort(one, one.copy())
+
+
 class TestValidation:
     def test_counting_needs_num_vertices(self):
         u = np.array([0], dtype=np.int64)
