@@ -200,7 +200,7 @@ class AsyncExecutor(Executor):
             ctx, verify, codec_lane, payload_via, shm_stats
         )
         lane_pool = (
-            ProcessLanePool(DEFAULT_LANE_WORKERS, payload_via=payload_via)
+            ProcessLanePool(DEFAULT_LANE_WORKERS)
             if codec_lane == "process" else None
         )
         if lane_pool is not None:
@@ -210,7 +210,7 @@ class AsyncExecutor(Executor):
             # first dispatch that still beats the spawn just blocks on
             # the checkout queue (the wait is excluded from its busy
             # time).  Failures surface on the dispatch path as
-            # LaneWorkerCrashError; shutdown() joins the warm-up.
+            # WorkerCrashError; shutdown() joins the warm-up.
             lane_pool.prestart(block=False)
         try:
             schedule = graph.run(

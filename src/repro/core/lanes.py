@@ -5,10 +5,10 @@ overlapped work releases the GIL — numpy kernels and file I/O do, but
 the TSV codec's digit assembly holds it, so a thread encoding shard
 ``i+1`` steals exactly the cycles the K2 filter needed.  This module
 supplies the missing lane kind: a :class:`ProcessLanePool` of
-long-lived worker *processes* (the same pipe-driven, crash-replacing
-shape as :class:`repro.service.pool.ProcessWorkerPool`, scaled down to
-per-task granularity) that the :class:`~repro.core.scheduler.TaskGraph`
-dispatches ``lane="process"`` tasks to.
+long-lived worker *processes* — the shared pipe-driven, crash-replacing
+runtime of :mod:`repro.core.procpool`, configured with the codec op
+table — that the :class:`~repro.core.scheduler.TaskGraph` dispatches
+``lane="process"`` tasks to.
 
 The contract is deliberately narrow:
 
@@ -19,16 +19,12 @@ The contract is deliberately narrow:
   ops themselves are tiny named wrappers over :mod:`repro.edgeio`
   (encode-and-write a shard, read-and-decode a shard), so a lane worker
   produces byte-identical files and arrays to in-process execution.
-* **Requests ride the pipe as ``(op, payload)``; replies come back as
-  ``("ok", result)`` or ``("error", type_name, message)``** — the same
-  marshalling discipline as the service's worker pipe, so an exception
-  in a lane worker surfaces with its original type name
-  (:class:`RemoteLaneError`) and an unpicklable error can never poison
-  the parent.
-* **Crash means replace.**  A worker that dies mid-op raises
-  :class:`LaneWorkerCrashError` on the dispatching thread (failing that
-  one task; the scheduler's normal failure path drains the graph) and
-  its slot respawns lazily on next use.
+* **Only ``(op, payload)`` rides the pipe**, and an exception in a
+  lane worker surfaces with its original type name
+  (:class:`~repro.core.procpool.RemoteOpError`).  A worker that dies
+  mid-op raises :class:`~repro.core.procpool.WorkerCrashError` on the
+  dispatching thread, failing that one task; the scheduler's normal
+  failure path drains the graph.
 
 When offload pays: a lane ships the payload over the pipe (a pickled
 int64 array copy, ~GB/s) to buy back the codec's GIL time (tens of
@@ -40,37 +36,17 @@ why the async executor only marks TSV codec tasks as process-lane.
 
 from __future__ import annotations
 
-import multiprocessing
-import queue
-import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from repro.core import trace
+from repro.core.procpool import ProcessPool, run_op
 
 #: Lane kinds a task can be scheduled on (see TaskSpec.lane).
 LANE_KINDS = ("thread", "process")
 
 #: Default lane-worker process count for the async executor.
 DEFAULT_LANE_WORKERS = 2
-
-
-class LaneWorkerCrashError(RuntimeError):
-    """A lane worker process died (or was terminated) mid-operation."""
-
-
-class RemoteLaneError(RuntimeError):
-    """A lane operation raised inside a worker process.
-
-    Carries the original exception's type name so scheduler failure
-    messages read the same whether the op ran in-process or remotely.
-    """
-
-    def __init__(self, error_type: str, message: str) -> None:
-        super().__init__(f"{error_type}: {message}")
-        self.error_type = error_type
 
 
 def _op_encode_shard(payload: Mapping[str, object]):
@@ -175,367 +151,26 @@ class LaneTask:
 
 
 def run_lane_op(op: str, payload: Mapping[str, object]) -> object:
-    """Execute one lane op locally (worker body and in-thread fallback)."""
-    try:
-        fn = LANE_OPS[op]
-    except KeyError:
-        raise ValueError(
-            f"unknown lane op {op!r}; known: {sorted(LANE_OPS)}"
-        ) from None
-    return fn(payload)
+    """Execute one lane op in this process (the in-thread fallback)."""
+    return run_op(LANE_OPS, op, payload)
 
 
-def lane_worker_main(conn) -> None:
-    """Lane-worker process loop: serve ops until shutdown or EOF.
+class ProcessLanePool(ProcessPool):
+    """:class:`~repro.core.procpool.ProcessPool` serving :data:`LANE_OPS`.
 
-    Mirrors :func:`repro.service.worker.worker_main`: SIGINT is
-    ignored (the pool owns shutdown; a ``^C`` to the process group must
-    not race it), errors are marshalled by type name and message (never
-    pickled), and a dead parent reads as EOF so workers cannot outlive
-    the run.
-    """
-    import signal
-
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
-    # Warm the ops' import graph (numpy, the edgeio stack, and the shm
-    # plane) before serving: a ``spawn``-started interpreter would
-    # otherwise pay it inside the first op, whose timing the scheduler
-    # attributes to a kernel.  Warm-up pings block until this completes.
-    import repro.core.shmplane  # noqa: F401  (side-effect import)
-    import repro.edgeio.dataset  # noqa: F401  (side-effect import)
-
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break  # parent died or closed the pipe
-        if not message or message[0] == "shutdown":
-            break
-        if message[0] == "ping":
-            # The reply carries this process's perf_counter so the
-            # parent can compute a clock offset (the span re-anchoring
-            # handshake — see repro.core.trace.clock_offset).
-            try:
-                conn.send(("ok", "pong", time.perf_counter()))
-            except (BrokenPipeError, OSError):
-                break
-            continue
-        # Requests are ("run", op, payload) or, when the parent's run
-        # is traced, ("run", op, payload, True) — the worker then wraps
-        # the op in a raw-clock span and ships the span docs back in
-        # the reply for the parent to re-anchor onto its own clock.
-        if len(message) == 4:
-            _, op, payload, want_trace = message
-        else:
-            _, op, payload = message
-            want_trace = False
-        span_docs: Optional[List[Dict[str, object]]] = None
-        try:
-            if want_trace:
-                collector = trace.TraceCollector(
-                    label=multiprocessing.current_process().name,
-                    raw_clock=True,
-                )
-                with trace.activate(collector), \
-                        trace.span(f"lane-op:{op}", cat="lane"):
-                    result = run_lane_op(op, payload)
-                span_docs = collector.span_docs()
-            else:
-                result = run_lane_op(op, payload)
-        except (KeyboardInterrupt, SystemExit):
-            raise  # die; the dispatching thread sees a crash
-        except BaseException as exc:  # noqa: BLE001 - marshalled to parent
-            try:
-                conn.send(("error", type(exc).__name__, str(exc)))
-            except (BrokenPipeError, OSError):
-                break
-        else:
-            try:
-                if span_docs is not None:
-                    conn.send(("ok", result, span_docs))
-                else:
-                    conn.send(("ok", result))
-            except (BrokenPipeError, OSError):
-                break
-    try:
-        conn.close()
-    except OSError:
-        pass
-
-
-class _LaneWorkerHandle:
-    """One long-lived lane worker plus the parent end of its pipe."""
-
-    def __init__(self, ctx, index: int) -> None:
-        self.index = index
-        #: Worker perf_counter → parent perf_counter correction, from
-        #: the warm-up ping handshake (see :func:`repro.core.trace.
-        #: clock_offset`).  On Linux both clocks read the same
-        #: CLOCK_MONOTONIC, so this is ~the pipe transit error.
-        self.clock_offset = 0.0
-        self.conn, child_conn = ctx.Pipe()
-        # Daemonic: lane ops never spawn processes of their own (unlike
-        # service jobs, which may select parallel_executor="mp"), so
-        # daemon=True is safe and guarantees cleanup if the parent dies
-        # without running shutdown.
-        self.process = ctx.Process(
-            target=lane_worker_main,
-            args=(child_conn,),
-            name=f"repro-lane-{index}",
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()  # the parent keeps only its own end
-
-    def run(
-        self, op: str, payload: Mapping[str, object], *,
-        want_trace: bool = False,
-    ) -> Tuple[object, Optional[List[Dict[str, object]]]]:
-        """Ship one op; returns ``(result, span_docs)``.
-
-        ``span_docs`` is the worker-side span list (raw perf_counter
-        starts) when ``want_trace`` was set, else ``None``.
-        """
-        try:
-            if want_trace:
-                self.conn.send(("run", op, payload, True))
-            else:
-                self.conn.send(("run", op, payload))
-            reply = self.conn.recv()
-        except (EOFError, BrokenPipeError, OSError) as exc:
-            raise LaneWorkerCrashError(
-                f"lane worker {self.process.name} (pid {self.process.pid}) "
-                f"died mid-op {op!r}: {type(exc).__name__}"
-            ) from None
-        if reply[0] == "ok":
-            return reply[1], (reply[2] if len(reply) > 2 else None)
-        _tag, error_type, message = reply
-        raise RemoteLaneError(error_type, message)
-
-    def ping(self) -> None:
-        """Block until the worker's loop is serving (imports warmed).
-
-        The round-trip also performs the trace clock handshake: the
-        reply carries the worker's perf_counter reading, and bracketing
-        it with the parent's own samples yields :attr:`clock_offset`
-        for re-anchoring worker-side spans onto the parent's clock.
-        The handshake uses a *second* round trip: the first ping's
-        window spans the worker's interpreter/numpy start-up (hundreds
-        of milliseconds, all before the reply), so its midpoint is a
-        terrible clock estimate — only a warm round trip (~µs) is
-        symmetric enough to trust.
-        """
-        for warm_up in (True, False):
-            try:
-                t_send = time.perf_counter()
-                self.conn.send(("ping",))
-                reply = self.conn.recv()
-                t_recv = time.perf_counter()
-            except (EOFError, BrokenPipeError, OSError) as exc:
-                raise LaneWorkerCrashError(
-                    f"lane worker {self.process.name} "
-                    f"(pid {self.process.pid}) died during start-up: "
-                    f"{type(exc).__name__}"
-                ) from None
-            if reply[:2] != ("ok", "pong"):  # pragma: no cover - defensive
-                raise LaneWorkerCrashError(
-                    f"lane worker {self.process.name} sent an unexpected "
-                    f"start-up reply: {reply!r}"
-                )
-            if not warm_up and len(reply) > 2:
-                self.clock_offset = trace.clock_offset(
-                    t_send, t_recv, reply[2]
-                )
-
-    def stop(self, timeout: float = 5.0) -> None:
-        """Polite shutdown; escalates to terminate if the worker hangs."""
-        try:
-            self.conn.send(("shutdown",))
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(timeout=timeout)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=timeout)
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-    def kill(self) -> None:
-        if self.process.is_alive():
-            self.process.terminate()
-
-
-class ProcessLanePool:
-    """A fixed-size pool of reusable lane worker processes.
-
-    Parameters
-    ----------
-    workers:
-        Worker-process count (one in-flight op per worker; dispatching
-        threads block in :meth:`run` until a slot frees up).
-    start_method:
-        ``multiprocessing`` start method: ``forkserver`` where
-        available, else ``spawn`` — never plain ``fork``, since the
-        scheduler that drives this pool is itself threaded.  Workers
-        are long-lived and spawned lazily on first use, so interpreter
-        start-up is paid once per worker, not per shard.
-    payload_via:
-        How shard payloads reach the workers: ``"pipe"`` (pickled
-        arrays over the worker pipe, the default) or ``"shm"``
-        (shared-memory :class:`~repro.core.shmplane.ShardBuffer`
-        segments; only names cross the pipe).  The request is
-        *negotiated* — ``"shm"`` silently degrades to ``"pipe"`` (one
-        warning per process) when no segment can be created, e.g. a
-        permissions-restricted ``/dev/shm`` — and the resolved value is
-        exposed as :attr:`payload_via` so graph builders pick the
-        matching ops.  Results are bit-identical either way.
+    Daemonic: lane ops never start processes of their own, so the
+    workers can be guaranteed to die with a parent that never reached
+    ``shutdown``.  They import numpy, the edgeio stack and the shm
+    plane before serving, so no op's busy time — which the scheduler
+    attributes to a kernel — includes that start-up; the async executor
+    hides it behind the K0 generate task with ``prestart(block=False)``.
     """
 
-    def __init__(
-        self, workers: int = DEFAULT_LANE_WORKERS, *,
-        start_method: Optional[str] = None,
-        payload_via: str = "pipe",
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if start_method is None:
-            available = multiprocessing.get_all_start_methods()
-            start_method = (
-                "forkserver" if "forkserver" in available else "spawn"
-            )
-        from repro.core.shmplane import resolve_payload_via
-
-        self.payload_via = resolve_payload_via(payload_via)
-        self.workers = workers
-        self._ctx = multiprocessing.get_context(start_method)
-        self._lock = threading.Lock()
-        self._handles: list = []
-        self._next_index = 0
-        self._terminated = False
-        self._prestart_thread: Optional[threading.Thread] = None
-        # Tokens, not processes: None means "spawn lazily on first use".
-        self._idle: "queue.Queue[Optional[_LaneWorkerHandle]]" = queue.Queue()
-        for _ in range(workers):
-            self._idle.put(None)
-
-    # ------------------------------------------------------------------
-    def _checkout(self) -> _LaneWorkerHandle:
-        handle = self._idle.get()
-        with self._lock:
-            if self._terminated:
-                self._idle.put(handle)
-                raise LaneWorkerCrashError("lane pool is terminated")
-            if handle is not None and handle.process.is_alive():
-                return handle
-            if handle is not None:  # died unnoticed; forget the corpse
-                try:
-                    self._handles.remove(handle)
-                except ValueError:
-                    pass
-            index = self._next_index
-            self._next_index += 1
-        # Spawn outside the lock: interpreter start-up takes hundreds
-        # of milliseconds and must not serialize concurrent first uses.
-        try:
-            fresh = _LaneWorkerHandle(self._ctx, index)
-        except Exception as exc:
-            self._idle.put(None)
-            raise LaneWorkerCrashError(
-                f"could not start a lane worker process: "
-                f"{type(exc).__name__}: {exc}"
-            ) from None
-        with self._lock:
-            if self._terminated:  # shutdown raced the spawn
-                fresh.kill()
-                self._idle.put(None)
-                raise LaneWorkerCrashError("lane pool is terminated")
-            self._handles.append(fresh)
-        # Warm the fresh worker before handing it out: a lazily (re)
-        # spawned worker that went straight to an op would pay its
-        # interpreter + numpy import cost inside that op's measured
-        # busy time — cold-start cost billed to a kernel.  The ping
-        # blocks until the worker loop serves (imports done), and this
-        # whole wait sits inside the checkout window, which run_timed
-        # already excludes from busy attribution.
-        try:
-            fresh.ping()
-        except BaseException:
-            # Token back as a lazy-respawn None; broken worker culled.
-            self._checkin(fresh, dead=True)
-            raise
-        return fresh
-
-    def _checkin(self, handle: _LaneWorkerHandle, *, dead: bool = False) -> None:
-        with self._lock:
-            if dead:
-                try:
-                    self._handles.remove(handle)
-                except ValueError:
-                    pass
-                handle.kill()
-                handle = None  # respawn lazily on next checkout
-        self._idle.put(handle)
-
-    # ------------------------------------------------------------------
-    def run(self, op: str, payload: Mapping[str, object]) -> object:
-        """Ship one op to a lane worker and return its result.
-
-        Blocks the calling (scheduler) thread until a worker is free
-        and the op completes; the block is a pipe ``recv``, which
-        releases the GIL — that is the whole point of the lane.
-        """
-        return self.run_timed(op, payload)[0]
-
-    def run_timed(
-        self, op: str, payload: Mapping[str, object]
-    ) -> Tuple[object, float]:
-        """As :meth:`run`, also returning the seconds spent *waiting*
-        for a worker (idle-queue wait plus any lazy respawn) before the
-        op was dispatched.
-
-        Callers that account busy time must exclude that wait: it is
-        queuing, not compute — counting it would bill one worker's
-        compute to every dispatch that queued behind it.
-        """
-        collector = trace.current()
-        waited_from = time.perf_counter()
-        handle = self._checkout()
-        queue_wait = time.perf_counter() - waited_from
-        dispatch = trace.span(
-            f"lane-dispatch:{op}", cat="lane",
-            lane=handle.process.name, queue_wait=queue_wait,
+    def __init__(self, workers: int = DEFAULT_LANE_WORKERS) -> None:
+        super().__init__(
+            workers, LANE_OPS, name="lane", daemon=True,
+            warm=("repro.core.shmplane", "repro.edgeio.dataset"),
         )
-        try:
-            with dispatch:
-                result, span_docs = handle.run(
-                    op, payload, want_trace=collector is not None,
-                )
-        except RemoteLaneError:
-            self._checkin(handle)  # worker is fine; the op raised
-            raise
-        except BaseException:
-            # Crash or anything unexpected: the worker's state is
-            # unknown, discard it.  The slot token MUST return to the
-            # idle queue either way or the pool shrinks forever.
-            self._checkin(handle, dead=True)
-            raise
-        self._checkin(handle)
-        if collector is not None and span_docs:
-            # Worker spans arrive on the worker's raw perf_counter;
-            # the handshake offset re-anchors them onto this process's
-            # clock, nested under the dispatch span just closed.
-            collector.merge(
-                span_docs,
-                offset=handle.clock_offset - collector.t0,
-                proc=handle.process.name,
-                parent_id=dispatch.span_id,
-            )
-        return result, queue_wait
 
     def run_task(self, task: LaneTask) -> object:
         """Dispatch a :class:`LaneTask` descriptor."""
@@ -543,98 +178,5 @@ class ProcessLanePool:
 
     def run_task_timed(self, task: LaneTask) -> Tuple[object, float]:
         """Dispatch a descriptor, returning ``(result, queue_wait)``
-        (the scheduler hook — see :meth:`run_timed`)."""
+        (the scheduler hook — see :meth:`ProcessPool.run_timed`)."""
         return self.run_timed(task.op, task.payload)
-
-    def prestart(self, block: bool = True) -> None:
-        """Spawn every worker now, concurrently, instead of on first use.
-
-        Interpreter start-up takes hundreds of milliseconds per worker;
-        paying it lazily inside the first dispatched tasks would be
-        charged to those tasks' busy time and pollute the overlap
-        accounting the async executor reports.  Callers that measure
-        should prestart outside their timed region — or pass
-        ``block=False`` to warm up on a background thread concurrent
-        with their own work (the async executor hides spawn behind the
-        K0 generate task this way).  The background form swallows
-        warm-up errors: a failed slot respawns lazily and the next
-        dispatch surfaces :class:`LaneWorkerCrashError`.
-
-        Every slot token returns to the idle queue no matter what: a
-        worker that fails its warm-up is discarded (``dead`` check-in,
-        token preserved) so a later dispatch respawns the slot instead
-        of blocking forever on a leaked token.  Blocking calls
-        re-raise the first warm-up failure.
-        """
-        if not block:
-            thread = threading.Thread(
-                target=self._prestart_quietly,
-                name="lane-prestart", daemon=True,
-            )
-            # Remembered so shutdown() can join it first: stopping a
-            # handle whose pipe the warm-up is still pinging would
-            # drive one Connection from two threads at once.
-            self._prestart_thread = thread
-            thread.start()
-            return
-        self._prestart()
-
-    def _prestart_quietly(self) -> None:
-        try:
-            self._prestart()
-        except Exception:  # noqa: BLE001 - dispatch path re-surfaces
-            pass
-
-    def _prestart(self) -> None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def spawn_and_warm(_index: int) -> None:
-            # _checkout pings the fresh worker before returning it (a
-            # warm-up failure culls the worker and preserves its slot
-            # token), so spawning and checking straight back in is the
-            # entire warm-up.
-            self._checkin(self._checkout())
-
-        with ThreadPoolExecutor(max_workers=self.workers) as spawner:
-            futures = [
-                spawner.submit(spawn_and_warm, index)
-                for index in range(self.workers)
-            ]
-            first_error: Optional[BaseException] = None
-            for future in futures:
-                error = future.exception()
-                if error is not None and first_error is None:
-                    first_error = error
-        if first_error is not None:
-            raise first_error
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop workers; ``wait=False`` kills instead of asking.
-
-        A background ``prestart(block=False)`` is joined first: its
-        warm-up pings drive the same pipes ``stop()`` would send the
-        shutdown message on, and :class:`multiprocessing.connection`
-        objects are not thread-safe.  The join is bounded — a hung
-        spawn degrades to ``kill()`` on whatever exists.
-        """
-        thread = self._prestart_thread
-        if wait and thread is not None \
-                and thread is not threading.current_thread():
-            # Only the polite path sends on the pipes; kill() never
-            # touches a Connection, so wait=False need not block here.
-            thread.join(timeout=10.0)
-        with self._lock:
-            self._terminated = True
-            handles = list(self._handles)
-            self._handles.clear()
-        for handle in handles:
-            if wait and thread is not None and thread.is_alive():
-                handle.kill()  # warm-up may still own this pipe
-            elif wait:
-                handle.stop()
-            else:
-                handle.kill()
-
-    def terminate(self) -> None:
-        """Kill every lane worker immediately."""
-        self.shutdown(wait=False)

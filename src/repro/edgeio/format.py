@@ -27,9 +27,8 @@ The string-kernel paths are kept as private functions: they back the
 corruption diagnostics (exact error messages, line numbers via
 :func:`parse_edge_line`), handle exotic but legal inputs the fast path
 declines (signed labels, ``+`` prefixes, >18-digit tokens), and serve
-as the reference implementation that ``tools/bench_codec.py`` measures
-the fast path against.  The fast and legacy paths are asserted
-byte-identical by the test suite.
+as the reference implementation the test suite asserts the fast path
+byte-identical to.
 
 The paper's Matlab reference is 1-based; this library is 0-based
 internally.  ``vertex_base`` selects the on-disk convention (default 0)
@@ -109,7 +108,7 @@ def _encode_edges_strings(u_out: np.ndarray, v_out: np.ndarray) -> bytes:
     """Reference encoder via numpy's string kernels (slow, general).
 
     Builds one Python string object per line; kept for negative labels
-    and as the baseline ``tools/bench_codec.py`` measures against.
+    and as the reference the tests compare the fast path against.
     """
     u_txt = np.char.mod("%d", u_out)
     v_txt = np.char.mod("%d", v_out)

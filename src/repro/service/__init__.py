@@ -18,15 +18,14 @@ serve``) lets many remote clients drive one service.
 
 from __future__ import annotations
 
+from repro.core.procpool import RemoteOpError, WorkerCrashError
 from repro.service.agent import WorkerAgent, run_worker
 from repro.service.framing import FrameChannel, FrameError
 from repro.service.jobs import Job, JobState, JobStore, load_events
 from repro.service.pool import (
     WORKER_KINDS,
     ProcessWorkerPool,
-    RemoteJobError,
     ThreadWorkerPool,
-    WorkerCrashError,
 )
 from repro.service.remote import RemoteWorkerPool
 from repro.service.service import (
@@ -55,7 +54,7 @@ __all__ = [
     "JobState",
     "JobStore",
     "ProcessWorkerPool",
-    "RemoteJobError",
+    "RemoteOpError",
     "RemoteWorkerPool",
     "ThreadWorkerPool",
     "UnknownJobError",

@@ -102,6 +102,9 @@ class WorkerAgent:
         self._stop = threading.Event()
         self._channel: Optional[FrameChannel] = None
         self._busy = False
+        #: The current session's artifact-sync base URL (from its
+        #: ``registered`` frame); ``None`` until one arrives.
+        self._artifact_base: Optional[str] = None
 
     # ------------------------------------------------------------------
     def _log(self, message: str) -> None:
@@ -172,6 +175,9 @@ class WorkerAgent:
         """One connection's lifetime; returns why it ended."""
         channel = FrameChannel(sock)
         self._channel = channel
+        # A reconnect must not sync against the previous service's base
+        # before the new ``registered`` frame names this one's.
+        self._artifact_base = None
         session_live = threading.Event()
         session_live.set()
         try:
@@ -286,7 +292,7 @@ class WorkerAgent:
         from repro.api.spec import RunSpec
 
         sync_summary = None
-        base = getattr(self, "_artifact_base", None)
+        base = self._artifact_base
         spec: Optional[RunSpec] = None
         if base and self.cache_dir is not None:
             from repro.core.artifacts import ArtifactCache

@@ -12,14 +12,12 @@ implement that contract:
   :class:`~repro.api.runner.RunOutcome` so in-process callers keep
   rank-vector access.
 * :class:`ProcessWorkerPool` — a fixed set of long-lived worker
-  *processes* (``forkserver`` start method where available, else
-  ``spawn`` — either is safe beside the service's HTTP threads; plain
-  ``fork`` never is), each driven over a pipe.  Workers are spawned lazily on
-  first use and reused across jobs; a worker that dies mid-job is
-  replaced and the job fails with :class:`WorkerCrashError`.
-  :meth:`ProcessWorkerPool.terminate` kills every child immediately —
-  the ``^C`` path, so in-flight jobs fail fast instead of outliving the
-  service as zombies.
+  *processes*: the shared runtime of :mod:`repro.core.procpool` serving
+  one ``run-spec`` op.  Workers are spawned lazily on first use and
+  reused across jobs; a worker that dies mid-job is replaced and the
+  job fails with :class:`~repro.core.procpool.WorkerCrashError`.
+  ``terminate()`` kills every child immediately — the ``^C`` path, so
+  in-flight jobs fail fast instead of outliving the service as zombies.
 
 A third pool, :class:`~repro.service.remote.RemoteWorkerPool`
 (``worker_kind="remote"``), lives in :mod:`repro.service.remote`: it
@@ -36,35 +34,16 @@ thread-pooled one — asserted by ``tests/unit/test_worker_pool.py``
 
 from __future__ import annotations
 
-import multiprocessing
-import queue
-import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.api.runner import RunOutcome
-from repro.service.worker import run_spec_job_with_outcome, worker_main
+from repro.core.procpool import ProcessPool
+from repro.service.worker import WORKER_OPS, run_spec_job_with_outcome
 
 #: Accepted ``worker_kind`` values for the service/CLI.  ``"remote"``
 #: dispatches over TCP to ``repro worker --connect`` agents (see
 #: :mod:`repro.service.remote`).
 WORKER_KINDS = ("thread", "process", "remote")
-
-
-class WorkerCrashError(RuntimeError):
-    """A worker process died (or was terminated) mid-job."""
-
-
-class RemoteJobError(RuntimeError):
-    """The job raised inside a worker process.
-
-    Carries the original exception's type name so the service can
-    format the failure exactly as a thread worker's would be
-    (``"{type}: {message}"``).
-    """
-
-    def __init__(self, error_type: str, message: str) -> None:
-        super().__init__(message)
-        self.error_type = error_type
 
 
 class ThreadWorkerPool:
@@ -103,171 +82,22 @@ class ThreadWorkerPool:
         """Threads cannot be killed; in-flight jobs run to completion."""
 
 
-class _WorkerHandle:
-    """One long-lived worker process plus the parent end of its pipe."""
+class ProcessWorkerPool(ProcessPool):
+    """:class:`~repro.core.procpool.ProcessPool` serving ``run-spec``.
 
-    def __init__(self, ctx, index: int) -> None:
-        self.conn, child_conn = ctx.Pipe()
-        # NOT a daemon: a spec selecting parallel_executor="mp" spawns
-        # rank processes *inside* the worker, which multiprocessing
-        # forbids for daemonic processes — daemon=True would break the
-        # thread/process parity contract for those specs.  Orphan
-        # safety comes from the pipe instead: when the service process
-        # dies, the worker's recv() sees EOF and the loop exits.
-        self.process = ctx.Process(
-            target=worker_main,
-            args=(child_conn,),
-            name=f"repro-worker-{index}",
-            daemon=False,
-        )
-        self.process.start()
-        child_conn.close()  # the parent keeps only its own end
-
-    def run(
-        self, spec_doc: Dict[str, object], cache_dir: Optional[str]
-    ) -> Dict[str, object]:
-        try:
-            self.conn.send(("run", spec_doc, cache_dir))
-            reply = self.conn.recv()
-        except (EOFError, BrokenPipeError, OSError) as exc:
-            raise WorkerCrashError(
-                f"worker {self.process.name} (pid {self.process.pid}) died "
-                f"mid-job: {type(exc).__name__}"
-            ) from None
-        if reply[0] == "ok":
-            return reply[1]
-        _tag, error_type, message = reply
-        raise RemoteJobError(error_type, message)
-
-    def stop(self, timeout: float = 5.0) -> None:
-        """Polite shutdown; escalates to terminate if the worker hangs."""
-        try:
-            self.conn.send(("shutdown",))
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(timeout=timeout)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=timeout)
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-    def kill(self) -> None:
-        if self.process.is_alive():
-            self.process.terminate()
-
-
-class ProcessWorkerPool:
-    """A fixed-size pool of reusable worker processes.
-
-    Parameters
-    ----------
-    workers:
-        Worker-process count (one in-flight job per worker).
-    start_method:
-        ``multiprocessing`` start method.  Default: ``forkserver``
-        where available (POSIX), else ``spawn`` — never plain ``fork``:
-        the service runs HTTP and scheduler threads, and forking a
-        threaded process is undefined behaviour waiting to happen.
-        Both non-fork methods re-import the caller's ``__main__`` in
-        the worker, so embedding scripts need the standard
-        ``if __name__ == "__main__":`` guard (and stdin/REPL-driven
-        code cannot host a process pool — the CLI entry points are
-        guarded).  Workers are long-lived either way, so interpreter
-        start-up is paid once per worker, not per job.
+    NOT daemonic: a spec selecting ``parallel_executor="mp"`` spawns
+    rank processes *inside* the worker, which multiprocessing forbids
+    for daemonic processes — ``daemon=True`` would break the
+    thread/process parity contract for those specs.  Orphan safety
+    comes from the pipe instead: when the service process dies, the
+    worker's ``recv()`` sees EOF and its loop exits.
     """
 
     kind = "process"
     transport = "pipe"
 
-    def __init__(
-        self, workers: int, *, start_method: Optional[str] = None
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if start_method is None:
-            available = multiprocessing.get_all_start_methods()
-            start_method = (
-                "forkserver" if "forkserver" in available else "spawn"
-            )
-        self._ctx = multiprocessing.get_context(start_method)
-        self._lock = threading.Lock()
-        self._handles: list = []
-        self._next_index = 0
-        self._terminated = False
-        # Lifecycle counters for the service's /metrics endpoint.
-        self._spawned = 0
-        self._crashed = 0
-        # Tokens, not processes: a None token means "spawn lazily on
-        # first use", so a thread-kind-sized test suite never pays for
-        # interpreters it does not run jobs on.
-        self._idle: "queue.Queue[Optional[_WorkerHandle]]" = queue.Queue()
-        for _ in range(workers):
-            self._idle.put(None)
-
-    # ------------------------------------------------------------------
-    def _checkout(self) -> _WorkerHandle:
-        handle = self._idle.get()
-        with self._lock:
-            if self._terminated:
-                # Put the token back for symmetry and refuse the job.
-                self._idle.put(handle)
-                raise WorkerCrashError("worker pool is terminated")
-            if handle is not None and handle.process.is_alive():
-                return handle
-            if handle is not None:  # died unnoticed; forget the corpse
-                try:
-                    self._handles.remove(handle)
-                except ValueError:
-                    pass
-            index = self._next_index
-            self._next_index += 1
-        # Spawn outside the lock: interpreter start-up takes hundreds
-        # of milliseconds, and holding the lock would serialize
-        # first-use spawns and block terminate() for the duration.
-        try:
-            fresh = _WorkerHandle(self._ctx, index)
-        except Exception as exc:
-            # Spawning can fail when the multiprocessing machinery
-            # itself is dying (e.g. the forkserver caught the
-            # terminal's ^C).  That is a worker-infrastructure death,
-            # not a job failure — it must be retryable on the next
-            # start.
-            self._idle.put(None)
-            raise WorkerCrashError(
-                f"could not start a worker process: "
-                f"{type(exc).__name__}: {exc}"
-            ) from None
-        with self._lock:
-            if self._terminated:  # terminate() raced the spawn
-                fresh.kill()
-                self._idle.put(None)
-                raise WorkerCrashError("worker pool is terminated")
-            self._handles.append(fresh)
-            self._spawned += 1
-        return fresh
-
-    def _checkin(self, handle: _WorkerHandle, *, dead: bool = False) -> None:
-        with self._lock:
-            if dead:
-                try:
-                    self._handles.remove(handle)
-                except ValueError:
-                    pass
-                handle.kill()
-                handle = None  # respawn lazily next checkout
-                self._crashed += 1
-        self._idle.put(handle)
-
-    def stats(self) -> Dict[str, int]:
-        """Worker lifecycle counters (spawns include crash respawns)."""
-        with self._lock:
-            return {
-                "workers_spawned": self._spawned,
-                "workers_crashed": self._crashed,
-            }
+    def __init__(self, workers: int) -> None:
+        super().__init__(workers, WORKER_OPS, name="worker", daemon=False)
 
     def workers_view(self) -> List[Dict[str, object]]:
         """No per-worker health rows: pipe workers have no heartbeat
@@ -275,7 +105,6 @@ class ProcessWorkerPool:
         view covers them."""
         return []
 
-    # ------------------------------------------------------------------
     def run_spec(
         self,
         spec_doc: Dict[str, object],
@@ -286,47 +115,7 @@ class ProcessWorkerPool:
         """Ship one spec to a worker; payload only (the rank vector
         stays in the worker — its digest rides in the payload)."""
         del job_id  # provenance labelling is the remote pool's concern
-        handle = self._checkout()
-        try:
-            payload = handle.run(spec_doc, cache_dir)
-        except RemoteJobError:
-            self._checkin(handle)
-            raise
-        except BaseException:
-            # WorkerCrashError — or anything unexpected (a malformed
-            # reply, an unpickling failure): the worker's state is
-            # unknown, so discard it.  Either way the slot token MUST
-            # return to the idle queue, or the pool shrinks by one
-            # worker forever and eventually deadlocks checkout.
-            self._checkin(handle, dead=True)
-            raise
-        self._checkin(handle)
-        return payload, None
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop idle workers politely; ``wait=False`` escalates."""
-        with self._lock:
-            self._terminated = True
-            handles = list(self._handles)
-            self._handles.clear()
-        for handle in handles:
-            if wait:
-                handle.stop()
-            else:
-                handle.kill()
-
-    def terminate(self) -> None:
-        """Kill every worker process immediately (the ``^C`` path).
-
-        Scheduler threads blocked in :meth:`run_spec` wake with
-        :class:`WorkerCrashError` and the service marks their jobs
-        FAILED — never left RUNNING for a replay to resurrect.
-        """
-        with self._lock:
-            self._terminated = True
-            handles = list(self._handles)
-        for handle in handles:
-            handle.kill()
+        return self.run("run-spec", (spec_doc, cache_dir)), None
 
 
 def make_worker_pool(kind: str, workers: int, **remote_options):

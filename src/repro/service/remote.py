@@ -24,7 +24,7 @@ Liveness is heartbeat-driven and *subsumes* EOF detection: a worker is
 lost when its socket dies (EOF, reset, torn frame) **or** when its
 heartbeat age exceeds ``heartbeat_timeout`` — whichever fires first.
 Losing a worker fails its in-flight dispatch with
-:class:`~repro.service.pool.WorkerCrashError`, which the service's
+:class:`~repro.core.procpool.WorkerCrashError`, which the service's
 requeue loop (and the job store's replay machinery) already treats as
 retryable: at-least-once semantics, same event vocabulary as a crashed
 process worker.  A worker that reconnects simply registers again as a
@@ -43,8 +43,8 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.procpool import RemoteOpError, WorkerCrashError
 from repro.service.framing import FrameChannel, FrameError
-from repro.service.pool import RemoteJobError, WorkerCrashError
 
 #: Handshake budget: a connection that does not produce a ``register``
 #: frame within this window is dropped (port scanners, half-open TCP).
@@ -300,7 +300,7 @@ class RemoteWorkerPool:
                     f"payload"
                 ))
         else:
-            dispatch.fail(RemoteJobError(
+            dispatch.fail(RemoteOpError(
                 str(doc.get("error_type") or "RuntimeError"),
                 str(doc.get("error") or "remote job failed"),
             ))

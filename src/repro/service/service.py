@@ -51,6 +51,7 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.api.runner import RunOutcome, sweep_cells
 from repro.api.spec import RunSpec, SweepSpec
+from repro.core.procpool import RemoteOpError, WorkerCrashError
 from repro.service.jobs import (
     PAYLOAD_KEYS,
     Job,
@@ -59,7 +60,7 @@ from repro.service.jobs import (
     load_events,
 )
 from repro.service.metrics import ServiceMetrics
-from repro.service.pool import RemoteJobError, WorkerCrashError, make_worker_pool
+from repro.service.pool import make_worker_pool
 
 #: Default worker count (scheduler threads == workers for both kinds).
 DEFAULT_WORKERS = 2
@@ -503,10 +504,10 @@ class BenchmarkService:
                     )
                     continue
                 break
-        except RemoteJobError as exc:
-            # A worker-side job failure, formatted exactly as the
-            # in-process exception would have been.
-            error = f"{exc.error_type}: {exc}"
+        except RemoteOpError as exc:
+            # A worker-side job failure, already worded exactly as the
+            # in-process exception would have been ("{type}: {message}").
+            error = str(exc)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
         if error is None:

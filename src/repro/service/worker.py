@@ -8,12 +8,9 @@ and process workers interchangeable: :func:`run_spec_job` is the single
 execution body for both kinds, so a ``worker_kind="process"`` service
 produces byte-for-byte the result documents a thread-pooled one does.
 
-:func:`worker_main` is the process-worker entry point: a loop over a
-``multiprocessing`` pipe speaking ``("run", spec_doc, cache_dir)`` /
-``("shutdown",)`` requests and ``("ok", payload)`` /
-``("error", type_name, message)`` replies.  It is a module-level
-function so the pool can use the ``spawn`` start method (safe to mix
-with the service's HTTP threads, unlike ``fork``).
+:data:`WORKER_OPS` is the op table process workers serve through the
+shared runtime in :mod:`repro.core.procpool`: one ``run-spec`` op over
+that same body.
 """
 
 from __future__ import annotations
@@ -111,51 +108,10 @@ def run_spec_job_with_outcome(
     return outcome_payload(outcome), outcome
 
 
-def worker_main(conn) -> None:
-    """Process-worker loop: serve run requests until shutdown or EOF.
+def _op_run_spec(payload) -> Dict[str, object]:
+    """``(spec_doc, cache_dir)`` in, result document out."""
+    return run_spec_job(*payload)
 
-    Exceptions never cross the pipe as pickles — only their type name
-    and message — so the parent cannot be poisoned by an unpicklable
-    error, and the service formats failures identically for thread and
-    process workers.
 
-    The worker ignores SIGINT: a terminal ``^C`` signals the whole
-    foreground process group, and the *service* owns the shutdown
-    protocol (terminate → EOF → ``WorkerCrashError``, which replay
-    treats as retryable).  A KeyboardInterrupt that slips through
-    anyway (or SystemExit) kills the worker rather than being
-    marshalled as a job failure — a job interrupted by shutdown must
-    never be durably FAILED as if its own code raised.
-    """
-    import signal
-
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break  # parent died or closed the pipe
-        if not message or message[0] == "shutdown":
-            break
-        _, spec_doc, cache_dir = message
-        try:
-            payload = run_spec_job(spec_doc, cache_dir)
-        except (KeyboardInterrupt, SystemExit):
-            raise  # die; the parent sees EOF and retries the job
-        except BaseException as exc:  # noqa: BLE001 - marshalled to parent
-            try:
-                conn.send(("error", type(exc).__name__, str(exc)))
-            except (BrokenPipeError, OSError):
-                break
-        else:
-            try:
-                conn.send(("ok", payload))
-            except (BrokenPipeError, OSError):
-                break
-    try:
-        conn.close()
-    except OSError:
-        pass
+#: The op table of a service process worker.
+WORKER_OPS = {"run-spec": _op_run_spec}

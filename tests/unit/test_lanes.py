@@ -1,9 +1,11 @@
-"""Unit tests for the process-lane pool behind the async executor.
+"""Unit tests for the lane configuration of the process-worker runtime.
 
-The pool's promises: lane workers produce byte-identical artifacts to
-in-process execution, op failures come back with their original type
-name, a crashed worker is replaced without poisoning the pool, and
-shutdown leaves no processes behind.
+What is specific to lanes: the codec ops produce byte-identical
+artifacts to in-process execution (over the pipe and over shared
+memory), ``LaneTask`` descriptors dispatch, and the spans carry the
+``lane-`` names.  The runtime itself (crash → replace, tokens,
+prestart, shutdown, span merging) is covered once in
+``test_procpool.py``.
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ from repro.core.lanes import (
     DEFAULT_LANE_WORKERS,
     LANE_OPS,
     LaneTask,
-    LaneWorkerCrashError,
     ProcessLanePool,
-    RemoteLaneError,
     run_lane_op,
 )
+from repro.core.procpool import RemoteOpError
 from repro.core.shmplane import ShardBuffer, shm_available
 from repro.edgeio.dataset import read_shard_file, write_shard
 
@@ -56,7 +57,7 @@ class TestLaneOps:
         assert set(LANE_OPS) >= {"encode-shard", "decode-shard"}
 
     def test_run_lane_op_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown lane op"):
+        with pytest.raises(ValueError, match="unknown op"):
             run_lane_op("nope", {})
 
     def test_encode_op_matches_write_shard(self, tmp_path):
@@ -174,38 +175,6 @@ class TestShmLaneOps:
             buffer.release()
 
 
-class TestPayloadViaNegotiation:
-    def test_default_is_pipe(self):
-        lane_pool = ProcessLanePool(1)
-        try:
-            assert lane_pool.payload_via == "pipe"
-        finally:
-            lane_pool.shutdown()
-
-    @needs_shm
-    def test_shm_negotiated_when_available(self):
-        lane_pool = ProcessLanePool(1, payload_via="shm")
-        try:
-            assert lane_pool.payload_via == "shm"
-        finally:
-            lane_pool.shutdown()
-
-    def test_unknown_plane_rejected(self):
-        with pytest.raises(ValueError, match="payload_via must be one of"):
-            ProcessLanePool(1, payload_via="telepathy")
-
-    def test_unavailable_shm_degrades_to_pipe(self, monkeypatch):
-        from repro.core import shmplane as shmplane_module
-
-        monkeypatch.setattr(shmplane_module, "shm_available", lambda: False)
-        monkeypatch.setattr(shmplane_module, "_fallback_warned", True)
-        lane_pool = ProcessLanePool(1, payload_via="shm")
-        try:
-            assert lane_pool.payload_via == "pipe"
-        finally:
-            lane_pool.shutdown()
-
-
 class TestProcessLanePool:
     def test_round_trip_bit_identical(self, pool, tmp_path):
         u, v = _edges()
@@ -233,205 +202,40 @@ class TestProcessLanePool:
         )
         assert info.num_edges == len(u)
 
-    def test_remote_error_carries_type_name(self, pool, tmp_path):
-        with pytest.raises(RemoteLaneError) as excinfo:
-            pool.run(
+    def test_remote_error_fails_the_task_with_its_type_name(
+        self, pool, tmp_path
+    ):
+        with pytest.raises(RemoteOpError, match="^FileNotFoundError: "):
+            pool.run_task(LaneTask(
                 "decode-shard",
                 dict(path=str(tmp_path / "missing.tsv"),
                      fmt="tsv", vertex_base=0),
-            )
-        assert excinfo.value.error_type == "FileNotFoundError"
-        # The worker survives a job-level failure and serves on.
-        assert pool.run(
-            "encode-shard", _encode_payload(tmp_path, 2, *_edges(seed=7))
-        ).num_edges == 200
+            ))
 
-    def test_crashed_worker_is_replaced(self, pool, tmp_path):
-        u, v = _edges(seed=9)
-        pool.run("encode-shard", _encode_payload(tmp_path, 3, u, v))
-        for handle in list(pool._handles):
-            handle.process.terminate()
-            handle.process.join()
-        # Every slot respawns lazily; both must serve again.
-        for index in (4, 5):
-            info = pool.run(
-                "encode-shard", _encode_payload(tmp_path, index, u, v)
-            )
-            assert info.num_edges == len(u)
-
-    def test_lazy_respawn_warms_replacement(self, monkeypatch, tmp_path):
-        # A replacement spawned after a worker crash must be pinged
-        # (imports warmed) before its first op, exactly like a
-        # prestarted worker — otherwise the respawn's interpreter +
-        # numpy start-up would be billed to that op's busy time.
-        from repro.core import lanes as lanes_module
-
-        lane_pool = ProcessLanePool(1)
-        try:
-            lane_pool.run(
-                "encode-shard", _encode_payload(tmp_path, 0, *_edges())
-            )
-            for handle in list(lane_pool._handles):
-                handle.process.terminate()
-                handle.process.join()
-            pings = []
-            original = lanes_module._LaneWorkerHandle.ping
-
-            def counting_ping(self):
-                pings.append(True)
-                return original(self)
-
-            monkeypatch.setattr(
-                lanes_module._LaneWorkerHandle, "ping", counting_ping
-            )
-            info = lane_pool.run(
-                "encode-shard", _encode_payload(tmp_path, 1, *_edges())
-            )
-            assert info.num_edges == 200
-            assert pings, "replacement worker was not warmed before its op"
-        finally:
-            lane_pool.shutdown()
-
-    def test_prestart_spawns_and_warms_all_workers(self, tmp_path):
-        lane_pool = ProcessLanePool(2)
-        try:
-            lane_pool.prestart()
-            assert len(lane_pool._handles) == 2
-            assert all(
-                h.process.is_alive() for h in lane_pool._handles
-            )
-            u, v = _edges(seed=11)
-            info = lane_pool.run(
-                "encode-shard", _encode_payload(tmp_path, 0, u, v)
-            )
-            assert info.num_edges == len(u)
-            assert len(lane_pool._handles) == 2  # reused, not respawned
-        finally:
-            lane_pool.shutdown()
-
-    def test_prestart_failure_preserves_slot_tokens(self, monkeypatch,
-                                                    tmp_path):
-        # A worker that dies during warm-up must not leak its idle-queue
-        # token: the failure is re-raised, every slot survives as a
-        # lazy-respawn token, and a later dispatch recovers.
-        from repro.core import lanes as lanes_module
-
-        lane_pool = ProcessLanePool(2)
-        try:
-            monkeypatch.setattr(
-                lanes_module._LaneWorkerHandle, "ping",
-                lambda self: (_ for _ in ()).throw(
-                    LaneWorkerCrashError("warm-up died")
-                ),
-            )
-            with pytest.raises(LaneWorkerCrashError, match="warm-up died"):
-                lane_pool.prestart()
-            assert lane_pool._idle.qsize() == 2  # no token leaked
-            assert lane_pool._handles == []      # broken workers culled
-            monkeypatch.undo()
-            info = lane_pool.run(
-                "encode-shard", _encode_payload(tmp_path, 0, *_edges())
-            )
-            assert info.num_edges == 200
-        finally:
-            lane_pool.shutdown()
-
-    def test_background_prestart_then_immediate_shutdown(self):
-        # shutdown() must join the warm-up thread before stopping
-        # handles (two threads must never drive one pipe), then leave
-        # no live workers behind.
-        import time as time_module
-
-        lane_pool = ProcessLanePool(2)
-        lane_pool.prestart(block=False)
-        started = time_module.monotonic()
-        lane_pool.shutdown()
-        assert time_module.monotonic() - started < 15.0
-        thread = lane_pool._prestart_thread
-        assert thread is not None and not thread.is_alive()
-        assert lane_pool._handles == []
-
-    def test_run_timed_reports_queue_wait(self, pool, tmp_path):
-        result, queue_wait = pool.run_timed(
-            "encode-shard", _encode_payload(tmp_path, 9, *_edges())
+    def test_run_task_timed_reports_queue_wait(self, pool, tmp_path):
+        result, queue_wait = pool.run_task_timed(
+            LaneTask("encode-shard", _encode_payload(tmp_path, 9, *_edges()))
         )
         assert result.num_edges == 200
         assert queue_wait >= 0.0
 
-    def test_terminated_pool_refuses_work(self, tmp_path):
-        lane_pool = ProcessLanePool(1)
-        lane_pool.terminate()
-        with pytest.raises(LaneWorkerCrashError, match="terminated"):
-            lane_pool.run(
-                "encode-shard",
-                _encode_payload(tmp_path, 0, *_edges()),
-            )
-
-    def test_shutdown_stops_workers(self):
-        lane_pool = ProcessLanePool(1)
-        lane_pool.prestart()
-        handles = list(lane_pool._handles)
-        lane_pool.shutdown()
-        for handle in handles:
-            handle.process.join(timeout=5)
-            assert not handle.process.is_alive()
-
-    def test_worker_count_validated(self):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            ProcessLanePool(0)
-
-    def test_default_worker_count_sane(self):
+    def test_workers_are_daemonic(self, pool):
+        # Lane ops never start processes, so the workers may (and do)
+        # die with a parent that never reached shutdown().
+        pool.prestart()
+        assert pool.workers == 2 == len(pool._handles)
+        assert all(h.process.daemon for h in pool._handles)
         assert DEFAULT_LANE_WORKERS >= 1
 
-
-class TestTracedLaneDispatch:
-    """Worker-side spans ship back and re-anchor onto the parent clock."""
-
-    def test_untraced_dispatch_ships_no_spans(self, pool, tmp_path):
-        from repro.core import trace
-
-        assert trace.current() is None
-        info = pool.run(
-            "encode-shard", _encode_payload(tmp_path, 20, *_edges())
-        )
-        assert info.num_edges == 200  # plain 2-tuple reply path
-
-    def test_worker_spans_merge_under_the_dispatch_span(
-        self, pool, tmp_path
-    ):
+    def test_traced_dispatch_uses_the_lane_span_names(self, pool, tmp_path):
         from repro.core import trace
 
         collector = trace.TraceCollector()
         with trace.activate(collector):
-            _, queue_wait = pool.run_timed(
-                "encode-shard", _encode_payload(tmp_path, 21, *_edges())
-            )
+            pool.run("encode-shard", _encode_payload(tmp_path, 21, *_edges()))
         spans = {s.name: s for s in collector.spans()}
-        assert "lane-dispatch:encode-shard" in spans
-        assert "lane-op:encode-shard" in spans
-        dispatch = spans["lane-dispatch:encode-shard"]
+        assert set(spans) >= {"lane-dispatch:encode-shard",
+                              "lane-op:encode-shard"}
         op = spans["lane-op:encode-shard"]
-        assert dispatch.args["queue_wait"] == queue_wait
-        assert op.parent_id == dispatch.span_id
-        assert op.proc.startswith("repro-lane-") or op.proc != dispatch.proc
-        # Re-anchoring: the worker's op interval must land inside the
-        # parent's dispatch interval (5ms slack for handshake skew).
-        assert op.start >= dispatch.start - 0.005
-        assert (
-            op.start + op.dur
-            <= dispatch.start + dispatch.dur + 0.005
-        )
-        assert op.dur <= dispatch.dur + 0.005
-
-    def test_merged_span_ids_stay_unique(self, pool, tmp_path):
-        from repro.core import trace
-
-        collector = trace.TraceCollector()
-        with trace.activate(collector):
-            for index in (22, 23):
-                pool.run_timed(
-                    "encode-shard",
-                    _encode_payload(tmp_path, index, *_edges()),
-                )
-        ids = [s.span_id for s in collector.spans()]
-        assert len(ids) == len(set(ids))
+        assert op.cat == "lane" and op.proc.startswith("repro-lane-")
+        assert op.parent_id == spans["lane-dispatch:encode-shard"].span_id

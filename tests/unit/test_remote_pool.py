@@ -18,7 +18,7 @@ import pytest
 
 from repro.api import RunSpec
 from repro.service.agent import WorkerAgent
-from repro.service.pool import RemoteJobError, WorkerCrashError
+from repro.core.procpool import RemoteOpError, WorkerCrashError
 from repro.service.remote import RemoteWorkerPool
 
 from tests.unit.test_worker_pool import SPEC, _comparable
@@ -74,7 +74,7 @@ class TestParity:
         agent, thread = start_agent(pool)
         bad = RunSpec(scale=6, backend="graphblas", execution="parallel")
         try:
-            with pytest.raises(RemoteJobError) as excinfo:
+            with pytest.raises(RemoteOpError) as excinfo:
                 pool.run_spec(bad.to_dict(), None)
             assert excinfo.value.error_type == "ExecutorCapabilityError"
             # The session survives a job failure: the agent is reusable.
@@ -243,6 +243,29 @@ class TestLifecycle:
         pool.shutdown()
         thread.join(timeout=10)
         assert exit_code == [0]  # shutdown frame, not a torn connection
+
+    def test_new_session_forgets_the_previous_artifact_base(self):
+        """A reconnect must not sync against the previous service's
+        base: until this session's ``registered`` frame arrives, a
+        ``run`` frame sees no artifact base at all."""
+        from repro.service.framing import FrameChannel
+
+        agent = WorkerAgent("127.0.0.1", 1, quiet=True)
+        assert agent._artifact_base is None
+        agent._artifact_base = "http://previous-service"
+        seen = []
+        agent._serve_job = lambda channel, doc: seen.append(
+            agent._artifact_base
+        )
+        ours, theirs = socket.socketpair()
+        service_end = FrameChannel(theirs)
+        try:
+            service_end.send({"type": "run", "seq": 1, "spec": {}})
+            service_end.send({"type": "shutdown"})
+            assert agent._session(ours) == "shutdown"
+        finally:
+            service_end.close()
+        assert seen == [None]
 
     def test_reconnect_after_service_restart(self):
         """An agent outlives the pool: when a new pool binds, the agent

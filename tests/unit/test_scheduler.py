@@ -279,7 +279,7 @@ class TestProcessLaneTasks:
         graph.add(
             "bad", lambda r: LaneTask("no-such-op", {}), lane="process"
         )
-        with pytest.raises(SchedulerError, match="unknown lane op"):
+        with pytest.raises(SchedulerError, match="unknown op"):
             graph.run()
 
 

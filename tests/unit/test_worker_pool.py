@@ -1,16 +1,19 @@
-"""Worker pools: thread/process parity, crash isolation, lifecycle."""
+"""Worker pools: thread/process parity and the pool factory.
+
+The process pool's runtime (worker reuse, crash → replace, slot tokens,
+terminate, shutdown) is the shared one, covered in ``test_procpool.py``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.api import RunSpec
+from repro.core.procpool import RemoteOpError
 from repro.service.pool import (
     WORKER_KINDS,
     ProcessWorkerPool,
-    RemoteJobError,
     ThreadWorkerPool,
-    WorkerCrashError,
     make_worker_pool,
 )
 from repro.service.worker import outcome_payload, run_spec_job
@@ -63,87 +66,29 @@ class TestProcessWorkerPool:
         via_thread, _ = ThreadWorkerPool(1).run_spec(SPEC.to_dict(), None)
         assert _comparable(via_process) == _comparable(via_thread)
 
-    def test_worker_is_reused_across_jobs(self):
-        pool = ProcessWorkerPool(1)
-        try:
-            pool.run_spec(SPEC.to_dict(), None)
-            pid_first = pool._handles[0].process.pid
-            pool.run_spec(SPEC.with_overrides(seed=2).to_dict(), None)
-            assert pool._handles[0].process.pid == pid_first
-            assert len(pool._handles) == 1
-        finally:
-            pool.shutdown()
-
-    def test_remote_failure_carries_original_type_name(self):
+    def test_remote_failure_reads_as_the_in_process_one_would(self):
+        """The service stores ``str(error)`` in the job document, so it
+        must read ``"{type}: {message}"`` exactly as a thread worker's
+        failure is formatted."""
         pool = ProcessWorkerPool(1)
         bad = RunSpec(scale=6, backend="graphblas", execution="parallel")
         try:
-            with pytest.raises(RemoteJobError) as excinfo:
+            with pytest.raises(Exception) as local:
+                ThreadWorkerPool(1).run_spec(bad.to_dict(), None)
+            with pytest.raises(RemoteOpError) as excinfo:
                 pool.run_spec(bad.to_dict(), None)
             assert excinfo.value.error_type == "ExecutorCapabilityError"
-            assert "parallel" in str(excinfo.value)
+            assert str(excinfo.value) == (
+                f"{type(local.value).__name__}: {local.value}"
+            )
             # The pool survives a job failure: the worker is reusable.
             payload, _ = pool.run_spec(SPEC.to_dict(), None)
             assert payload["rank_sha256"]
+            assert pool.stats() == {
+                "workers_spawned": 1, "workers_crashed": 0,
+            }
         finally:
             pool.shutdown()
-
-    def test_killed_worker_is_replaced(self):
-        pool = ProcessWorkerPool(1)
-        try:
-            pool.run_spec(SPEC.to_dict(), None)
-            victim = pool._handles[0]
-            victim.process.terminate()
-            victim.process.join(timeout=10)
-            with pytest.raises(WorkerCrashError):
-                # The dead worker is detected at checkout and replaced;
-                # force the crash path by talking to the corpse.
-                victim.run(SPEC.to_dict(), None)
-            payload, _ = pool.run_spec(SPEC.to_dict(), None)
-            assert payload["rank_sha256"]
-            assert pool._handles[-1].process.pid != victim.process.pid
-        finally:
-            pool.shutdown()
-
-    def test_unexpected_run_error_returns_the_slot(self):
-        """Any exception escaping a worker conversation must give the
-        slot token back — a leaked token shrinks the pool forever."""
-        pool = ProcessWorkerPool(1)
-        try:
-            pool.run_spec(SPEC.to_dict(), None)
-            victim = pool._handles[0]
-            original_run = victim.run
-            victim.run = lambda *a: (_ for _ in ()).throw(
-                ValueError("malformed reply")
-            )
-            with pytest.raises(ValueError, match="malformed reply"):
-                pool.run_spec(SPEC.to_dict(), None)
-            victim.run = original_run
-            # The slot came back (a fresh worker spawns on demand).
-            payload, _ = pool.run_spec(SPEC.to_dict(), None)
-            assert payload["rank_sha256"]
-        finally:
-            pool.shutdown()
-
-    def test_terminate_refuses_new_work(self):
-        pool = ProcessWorkerPool(1)
-        pool.run_spec(SPEC.to_dict(), None)
-        handles = list(pool._handles)
-        pool.terminate()
-        with pytest.raises(WorkerCrashError, match="terminated"):
-            pool.run_spec(SPEC.to_dict(), None)
-        for handle in handles:
-            handle.process.join(timeout=10)
-            assert not handle.process.is_alive()
-
-    def test_shutdown_stops_worker_processes(self):
-        pool = ProcessWorkerPool(2)
-        pool.run_spec(SPEC.to_dict(), None)
-        handles = list(pool._handles)
-        assert handles
-        pool.shutdown()
-        for handle in handles:
-            assert not handle.process.is_alive()
 
 
 class TestFactory:
