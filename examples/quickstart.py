@@ -14,24 +14,24 @@ from __future__ import annotations
 
 import sys
 
-from repro import KernelName, PipelineConfig, run_pipeline
+from repro import RunSpec, execute_spec
 
 
 def main() -> int:
     scale = int(sys.argv[1]) if len(sys.argv) > 1 else 12
 
-    config = PipelineConfig(
+    spec = RunSpec(
         scale=scale,          # N = 2**scale vertices
         edge_factor=16,       # M = 16 * N edges (paper default)
         seed=42,              # fully reproducible run
         backend="scipy",      # try: python | numpy | scipy | dataframe | graphblas
         num_files=4,          # the benchmark's free file-count parameter
-        validate=True,        # eigenvector cross-check after Kernel 3
+        validation="full",    # contracts + eigenvector cross-check after Kernel 3
     )
-    print(f"Running PageRank pipeline: N={config.num_vertices:,} "
+    result = execute_spec(spec).result
+    config = result.config
+    print(f"Ran PageRank pipeline: N={config.num_vertices:,} "
           f"M={config.num_edges:,} backend={config.backend}")
-
-    result = run_pipeline(config)
 
     print(f"\n{'kernel':<14}{'seconds':>10}{'edges/s':>16}")
     for kernel in result.kernels:
@@ -39,7 +39,6 @@ def main() -> int:
         print(f"{kernel.kernel.value:<14}{kernel.seconds:>10.4f}"
               f"{kernel.edges_per_second:>16,.0f}{marker}")
 
-    k3 = result.kernel(KernelName.K3_PAGERANK)
     print(f"\nrank vector: sum={result.rank.sum():.6f} "
           f"(mass leaks by design — eliminated columns + dangling rows)")
     print(f"top vertex: {result.rank.argmax()} "

@@ -25,8 +25,8 @@ Quickstart
 
 The declarative surface (`repro.api`: `RunSpec`, scenarios,
 `execute_spec`; `repro.service`: `BenchmarkService`, `repro serve`) is
-the public entry point; `Pipeline`/`run_pipeline` remain as
-compatibility shims.  The subpackages (`repro.generators`,
+the public entry point; `run_pipeline` is the engine underneath it.
+The subpackages (`repro.generators`,
 `repro.edgeio`, `repro.sort`, `repro.grb`, `repro.frame`,
 `repro.backends`, `repro.pagerank`, `repro.parallel`,
 `repro.perfmodel`, `repro.harness`) expose the full substrate APIs.
@@ -43,7 +43,7 @@ from repro.api import (
     scenario_names,
 )
 from repro.core.config import KernelName, PipelineConfig
-from repro.core.pipeline import Pipeline, run_pipeline
+from repro.core.pipeline import run_pipeline
 from repro.core.results import KernelResult, PipelineResult
 from repro.backends.registry import available_backends, get_backend
 
@@ -52,7 +52,6 @@ __version__ = "1.0.0"
 __all__ = [
     "KernelName",
     "KernelResult",
-    "Pipeline",
     "PipelineConfig",
     "PipelineResult",
     "RunSpec",

@@ -12,9 +12,8 @@ One way in for every kind of work:
   concurrent job service (re-exported here lazily to avoid an import
   cycle; ``from repro.api import BenchmarkService`` works).
 
-The older imperative surface (:class:`repro.core.pipeline.Pipeline`,
-:func:`repro.core.pipeline.run_pipeline`) remains as a compatibility
-shim; new code should hand specs to this package instead.
+:func:`repro.core.pipeline.run_pipeline` is the engine underneath, for
+callers that already hold a :class:`~repro.core.config.PipelineConfig`.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from repro.api.runner import (
     execute_sweep,
     rank_sha256,
     sweep_cells,
-    sweep_plan,
 )
 
 __all__ = [
@@ -63,7 +61,6 @@ __all__ = [
     "rank_sha256",
     "scenario_names",
     "sweep_cells",
-    "sweep_plan",
 ]
 
 

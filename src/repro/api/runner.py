@@ -6,15 +6,17 @@
 programmatic callers all land here, so repeat discipline, contract
 gating, and cache routing cannot drift between surfaces.
 
-:func:`execute_sweep` lowers a :class:`~repro.api.spec.SweepSpec` onto
-the existing sweep harness (capability-aware cell skipping, best-time
-repeat policy) rather than reimplementing it.
+:func:`execute_sweep` is that function looped over
+:func:`sweep_cells` — the lowering the service's sweep fan-out uses too
+— so a CLI ``sweep``/``figures``/``report`` and a service sweep share
+one skip rule and one repeat discipline.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields as dataclass_fields
+import logging
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
@@ -26,8 +28,10 @@ from repro.core.pipeline import run_pipeline
 from repro.core.results import PipelineResult
 from repro.harness.records import MeasurementRecord, best_records
 
-#: Progress callback signature shared with the sweep harness:
-#: ``fn(config, repeat_index)`` before each pipeline run.
+logger = logging.getLogger("repro.api")
+
+#: Progress callback: ``fn(config, repeat_index)`` before each pipeline
+#: run.
 ProgressFn = Callable[[PipelineConfig, int], None]
 
 
@@ -139,54 +143,24 @@ def spec_cache_fields(spec: RunSpec):
     }
 
 
-def sweep_plan(sweep: SweepSpec, cache_dir: Optional[Path] = None):
-    """Lower a :class:`SweepSpec` to the harness's ``SweepPlan``.
-
-    Every non-swept pipeline field of ``sweep.base`` rides along as a
-    config override, so a sweep cell differs from the base spec only on
-    the grid axes.
-    """
-    from repro.harness.sweep import SweepPlan
-
-    base_config = sweep.base.to_config(cache_dir)
-    swept = {"scale", "edge_factor", "seed", "backend", "execution",
-             "cache_dir"}
-    overrides = {
-        f.name: getattr(base_config, f.name)
-        for f in dataclass_fields(PipelineConfig)
-        if f.name not in swept
-    }
-    return SweepPlan(
-        scales=list(sweep.scales),
-        backends=list(sweep.backends),
-        edge_factor=base_config.edge_factor,
-        seed=base_config.seed,
-        repeats=sweep.repeats,
-        execution=base_config.execution,
-        cache_dir=base_config.cache_dir,
-        config_overrides=overrides,
-    )
-
-
 def sweep_cells(
     sweep: SweepSpec,
 ) -> List[Tuple[str, int, Optional[RunSpec]]]:
-    """Lower a sweep grid to per-cell RunSpecs, in harness order.
+    """Lower a sweep grid to per-cell RunSpecs.
 
     Returns ``(backend, scale, spec)`` triples, backend-major then
-    scale order — exactly the cells :func:`execute_sweep` would run.
+    scale order — exactly the cells :func:`execute_sweep` runs.
     Cells whose backend lacks the execution strategy's capability get
-    ``spec=None`` (the harness's skip-with-warning semantics, made
-    declarative so the service can record the skip in the sweep table).
-    The sweep-level ``repeats`` moves onto each cell spec, where
-    :func:`execute_spec`'s repeat loop applies the same best-per-kernel
-    discipline the harness does.
+    ``spec=None`` (e.g. ``python`` under ``execution="streaming"``), so
+    the default backend grid still works with non-serial strategies
+    and the service can record the skip in its sweep table.  The
+    sweep-level ``repeats`` moves onto each cell spec, where
+    :func:`execute_spec`'s repeat loop keeps the best time per kernel.
 
     Raises
     ------
     ValueError
-        When no backend in the grid supports the execution strategy
-        (parity with :func:`repro.harness.sweep.run_sweep`).
+        When no backend in the grid supports the execution strategy.
     """
     from repro.backends.registry import get_backend
     from repro.core.executor import get_executor
@@ -220,16 +194,36 @@ def execute_sweep(
 ) -> List[MeasurementRecord]:
     """Run a sweep grid and return its per-kernel records.
 
-    Delegates to :func:`repro.harness.sweep.run_sweep` — cells whose
-    backend lacks the execution strategy's capability are skipped with
-    a warning, and contract checks follow ``sweep.base.validation``
-    (default ``"contracts"``; sweeps meant for measurement should set
-    ``"off"``, as the CLI does).
-    """
-    from repro.harness.sweep import run_sweep
+    One :func:`execute_spec` per :func:`sweep_cells` cell, records
+    concatenated backend-major.  Unsupported cells are skipped with a
+    warning.  Contract checks follow ``sweep.base.validation`` (default
+    ``"contracts"``; sweeps meant for measurement should set ``"off"``,
+    as the CLI does — the checks re-read files and would perturb I/O
+    caching between kernels).
 
-    return run_sweep(
-        sweep_plan(sweep, cache_dir),
-        verify=sweep.base.verify,
-        progress=progress,
-    )
+    A kept record with ``cached=True`` means every repeat of that cell
+    hit the artifact cache (see
+    :func:`repro.harness.records.best_records`); a warning is logged,
+    because its edges/second is cache-read speed, not throughput.
+    """
+    records: List[MeasurementRecord] = []
+    for backend, scale, spec in sweep_cells(sweep):
+        if spec is None:
+            logger.warning(
+                "skipping backend=%s at scale=%d: it does not support "
+                "execution=%s",
+                backend, scale, sweep.base.execution,
+            )
+            continue
+        for record in execute_spec(
+            spec, cache_dir=cache_dir, progress=progress
+        ).records:
+            if record.cached:
+                logger.warning(
+                    "kept record for backend=%s scale=%d %s is an "
+                    "artifact-cache read (every repeat hit); its "
+                    "edges/second is not %s throughput",
+                    backend, scale, record.kernel, record.kernel,
+                )
+            records.append(record)
+    return records

@@ -15,9 +15,9 @@ Design rules:
 * **Round-trippable**: ``RunSpec.from_dict(spec.to_dict()) == spec``,
   always.  Unknown fields are *rejected*, not ignored — a typo'd field
   must fail loudly, not silently benchmark the wrong thing.
-* **Versioned**: every serialised spec carries ``spec_version``.  Old
-  documents are upgraded through :data:`_MIGRATIONS` on load; documents
-  from the future are refused.
+* **Versioned**: every serialised spec carries ``spec_version``.  One
+  version is read — the current one; an unstamped document is taken as
+  current, any other stamp is refused by name.
 * **Environment-free**: a spec never names a cache root.  The *policy*
   ("may this run use the shared artifact cache?") is spec;
   the *location* belongs to the executing environment (CLI flag,
@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import (
     DEFAULT_DAMPING,
@@ -43,8 +43,8 @@ from repro.core.config import (
     PipelineConfig,
 )
 
-#: Current serialisation version (see :data:`_MIGRATIONS`).
-SPEC_VERSION = 5
+#: The one serialisation version :meth:`RunSpec.from_dict` reads.
+SPEC_VERSION = 6
 
 #: How a run may interact with the environment's artifact cache.
 CACHE_POLICIES = ("shared", "off")
@@ -57,53 +57,6 @@ CACHE_POLICIES = ("shared", "off")
 #: file reads would perturb I/O caches but the endpoint check is
 #: still wanted).
 VALIDATION_MODES = ("off", "contracts", "full", "validate-only")
-
-
-def _migrate_v1(doc: Dict[str, object]) -> Dict[str, object]:
-    """v1 → v2: boolean ``validate`` became the three-state
-    ``validation``; ``parallel_executor`` and ``cache_policy`` were
-    introduced (defaults match the old behaviour)."""
-    doc = dict(doc)
-    if "validate" in doc:
-        doc["validation"] = "full" if doc.pop("validate") else "contracts"
-    doc["spec_version"] = 2
-    return doc
-
-
-def _migrate_v2(doc: Dict[str, object]) -> Dict[str, object]:
-    """v2 → v3: ``async_lanes`` was introduced (the default,
-    ``"thread"``, matches the old behaviour — no field rewriting)."""
-    doc = dict(doc)
-    doc["spec_version"] = 3
-    return doc
-
-
-def _migrate_v3(doc: Dict[str, object]) -> Dict[str, object]:
-    """v3 → v4: ``shard_plane`` and ``cache_mmap`` were introduced
-    (defaults ``"pipe"``/``False`` match the old behaviour — no field
-    rewriting)."""
-    doc = dict(doc)
-    doc["spec_version"] = 4
-    return doc
-
-
-def _migrate_v4(doc: Dict[str, object]) -> Dict[str, object]:
-    """v4 → v5: ``trace`` was introduced (the default, ``False``,
-    matches the old behaviour — no field rewriting)."""
-    doc = dict(doc)
-    doc["spec_version"] = 5
-    return doc
-
-
-#: Upgrade hooks: ``_MIGRATIONS[v]`` rewrites a version-``v`` document
-#: to version ``v+1``.  Loading applies them in sequence up to
-#: :data:`SPEC_VERSION`.
-_MIGRATIONS: Dict[int, Callable[[Dict[str, object]], Dict[str, object]]] = {
-    1: _migrate_v1,
-    2: _migrate_v2,
-    3: _migrate_v3,
-    4: _migrate_v4,
-}
 
 
 @dataclass(frozen=True)
@@ -162,7 +115,6 @@ class RunSpec:
     streaming_batch_edges: int = DEFAULT_STREAMING_BATCH_EDGES
     async_lanes: str = "thread"
     shard_plane: str = "pipe"
-    cache_mmap: bool = False
     trace: bool = False
     data_dir: Optional[str] = None
     repeats: int = 1
@@ -174,8 +126,7 @@ class RunSpec:
         if self.spec_version != SPEC_VERSION:
             raise ValueError(
                 f"RunSpec is version {SPEC_VERSION}; got spec_version="
-                f"{self.spec_version} (serialised documents are migrated "
-                f"by RunSpec.from_dict, not the constructor)"
+                f"{self.spec_version}"
             )
         if not isinstance(self.repeats, int) or self.repeats < 1:
             raise ValueError(f"repeats must be an int >= 1, got {self.repeats!r}")
@@ -213,41 +164,20 @@ class RunSpec:
             spec's ``cache_policy`` is ``"off"``.
         """
         return PipelineConfig(
-            scale=self.scale,
-            edge_factor=self.edge_factor,
-            seed=self.seed,
-            num_files=self.num_files,
-            backend=self.backend,
-            generator=self.generator,
-            damping=self.damping,
-            iterations=self.iterations,
+            **{name: getattr(self, name) for name in SHARED_FIELDS},
             data_dir=Path(self.data_dir) if self.data_dir else None,
-            vertex_base=self.vertex_base,
-            file_format=self.file_format,
-            sort_algorithm=self.sort_algorithm,
-            sort_by_end_vertex=self.sort_by_end_vertex,
-            external_sort=self.external_sort,
-            formula=self.formula,
-            validate=self.validation in ("full", "validate-only"),
             keep_files=self.data_dir is not None,
-            execution=self.execution,
+            validate=self.validation in ("full", "validate-only"),
             cache_dir=(
-                Path(cache_dir)
+                cache_dir
                 if cache_dir is not None and self.cache_policy == "shared"
                 else None
             ),
-            parallel_ranks=self.parallel_ranks,
-            parallel_executor=self.parallel_executor,
-            streaming_batch_edges=self.streaming_batch_edges,
-            async_lanes=self.async_lanes,
-            shard_plane=self.shard_plane,
-            cache_mmap=self.cache_mmap,
-            trace=self.trace,
         )
 
     @classmethod
     def from_config(cls, config: PipelineConfig, **api_fields: object) -> "RunSpec":
-        """Lift a legacy :class:`PipelineConfig` into a spec.
+        """Lift a :class:`PipelineConfig` into a spec.
 
         ``validate``/``cache_dir`` map onto ``validation``/
         ``cache_policy``; extra keyword fields (``repeats``, …) pass
@@ -260,28 +190,7 @@ class RunSpec:
             "cache_policy", "shared" if config.cache_dir is not None else "off"
         )
         return cls(
-            scale=config.scale,
-            edge_factor=config.edge_factor,
-            seed=config.seed,
-            num_files=config.num_files,
-            backend=config.backend,
-            generator=config.generator,
-            damping=config.damping,
-            iterations=config.iterations,
-            vertex_base=config.vertex_base,
-            file_format=config.file_format,
-            sort_algorithm=config.sort_algorithm,
-            sort_by_end_vertex=config.sort_by_end_vertex,
-            external_sort=config.external_sort,
-            formula=config.formula,
-            execution=config.execution,
-            parallel_ranks=config.parallel_ranks,
-            parallel_executor=config.parallel_executor,
-            streaming_batch_edges=config.streaming_batch_edges,
-            async_lanes=config.async_lanes,
-            shard_plane=config.shard_plane,
-            cache_mmap=config.cache_mmap,
-            trace=config.trace,
+            **{name: getattr(config, name) for name in SHARED_FIELDS},
             data_dir=str(config.data_dir) if config.data_dir else None,
             **api_fields,  # type: ignore[arg-type]
         )
@@ -299,18 +208,17 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, doc: Dict[str, object]) -> "RunSpec":
-        """Parse a spec document, migrating old versions.
+        """Parse a spec document (unstamped means current version).
 
         Raises
         ------
         ValueError
-            On an unknown ``spec_version`` (including documents newer
-            than this library) or any unknown field.
+            On any ``spec_version`` but the current one, or any unknown
+            field.
         """
         if not isinstance(doc, dict):
             raise ValueError(f"RunSpec document must be an object, got {doc!r}")
-        doc = dict(doc)
-        version = doc.get("spec_version", 1)
+        version = doc.get("spec_version", SPEC_VERSION)
         if not isinstance(version, int) or version < 1:
             raise ValueError(f"invalid spec_version {version!r}")
         if version > SPEC_VERSION:
@@ -318,9 +226,12 @@ class RunSpec:
                 f"spec_version {version} is newer than this library "
                 f"understands (max {SPEC_VERSION})"
             )
-        while version < SPEC_VERSION:
-            doc = _MIGRATIONS[version](doc)
-            version = doc["spec_version"]
+        if version < SPEC_VERSION:
+            raise ValueError(
+                f"spec_version {version} is older than version "
+                f"{SPEC_VERSION}, the only one this library reads; old "
+                f"documents are not upgraded"
+            )
         known = {f.name for f in dataclass_fields(cls)}
         unknown = sorted(set(doc) - known)
         if unknown:
@@ -360,11 +271,20 @@ class RunSpec:
         return replace(self, **changes)  # type: ignore[arg-type]
 
 
+#: The pipeline fields :class:`RunSpec` and :class:`PipelineConfig`
+#: declare under one name with one meaning; the two bridges copy these
+#: and spell out only what differs (``data_dir`` is ``str`` here, ``Path``
+#: there).
+SHARED_FIELDS = tuple(
+    f.name for f in dataclass_fields(PipelineConfig)
+    if f.name in RunSpec.__dataclass_fields__ and f.name != "data_dir"
+)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A grid of RunSpecs: one base spec swept over backends × scales.
 
-    The declarative form of :class:`repro.harness.sweep.SweepPlan` —
     JSON round-trippable and scenario-registrable.  Grid cells inherit
     every field of ``base`` except the swept axes.
 

@@ -3,11 +3,11 @@
 Every benchmark-executing command builds a declarative
 :class:`~repro.api.spec.RunSpec`/:class:`~repro.api.spec.SweepSpec`
 (possibly from a ``--scenario`` name) and hands it to the API layer —
-no command constructs a ``Pipeline`` or plumbs config fields into the
-executors directly.  Output discipline: requested payloads (``--json``,
-tables, reports) go to **stdout**; progress and diagnostics go to
-**stderr**; exit codes are 0 success, 1 benchmark-level failure
-(contract violation, validation mismatch), 2 usage error.
+no command plumbs config fields into the executors directly.  Output
+discipline: requested payloads (``--json``, tables, reports) go to
+**stdout**; progress and diagnostics go to **stderr**; exit codes are
+0 success, 1 benchmark-level failure (contract violation, validation
+mismatch), 2 usage error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict
 
 from repro.api import (
     RunSpec,
@@ -85,35 +84,12 @@ def _print_kernel_report(result) -> None:
             )
 
 
-#: ``run`` argument → :class:`RunSpec` field (identity unless renamed).
-_RUN_SPEC_ARGS = {
-    "scale": "scale",
-    "edge_factor": "edge_factor",
-    "seed": "seed",
-    "num_files": "num_files",
-    "backend": "backend",
-    "generator": "generator",
-    "damping": "damping",
-    "iterations": "iterations",
-    "file_format": "file_format",
-    "sort_algorithm": "sort_algorithm",
-    "external_sort": "external_sort",
-    "formula": "formula",
-    "execution": "execution",
-    "ranks": "parallel_ranks",
-    "parallel_executor": "parallel_executor",
-    "batch_edges": "streaming_batch_edges",
-    "async_lanes": "async_lanes",
-    "shard_plane": "shard_plane",
-    "cache_mmap": "cache_mmap",
-    "data_dir": "data_dir",
-    "repeats": "repeats",
-}
+#: ``run`` without ``--scale`` or ``--scenario`` runs this scale (the
+#: one field :class:`RunSpec` has no default for).
+DEFAULT_RUN_SCALE = 12
 
 
-def _validation_mode(
-    args: argparse.Namespace, base: str = "contracts"
-) -> str:
+def _validation_mode(args: argparse.Namespace, base: str) -> str:
     """Compose the two independent flag pairs over a base mode.
 
     ``--validate``/``--no-validate`` toggle the eigenvector check and
@@ -134,60 +110,31 @@ def _validation_mode(
     return "contracts" if contracts else "off"
 
 
-def _explicit_run_flags(args: argparse.Namespace) -> Dict[str, object]:
-    """Spec fields whose flags the user actually set.
-
-    A flag counts as explicit when its token appears on the original
-    command line (``--repeats 1`` overrides a scenario even though 1
-    equals the parser default) *or* its parsed value differs from the
-    parser default (the fallback for library callers handing in a bare
-    namespace, and for exotic spellings the token scan misses, e.g.
-    argparse prefix abbreviations).
-    """
-    argv = getattr(args, "_argv", None) or []
-    present = {
-        arg
-        for arg in _RUN_SPEC_ARGS
-        for opt in ("--" + arg.replace("_", "-"),)
-        if any(tok == opt or tok.startswith(opt + "=") for tok in argv)
-    }
-    parser: argparse.ArgumentParser = args.run_parser
-    return {
-        spec_field: getattr(args, arg)
-        for arg, spec_field in _RUN_SPEC_ARGS.items()
-        if arg in present or getattr(args, arg) != parser.get_default(arg)
-    }
-
-
 def run_spec_from_args(args: argparse.Namespace) -> RunSpec:
     """Build the job spec the ``run`` command submits.
 
-    Without ``--scenario``, every flag maps straight onto a spec field.
-    With it, the scenario provides the spec and any flag present on the
-    command line overrides the matching field (so ``repro run
+    The spec-shaping flags are registered without defaults under their
+    :class:`RunSpec` field names (``cli.main._spec_flag``), so the
+    namespace keys that are RunSpec fields are exactly what the user
+    typed.  They overlay the ``--scenario``'s fields (``repro run
     --scenario paper-s18 --seed 9`` reseeds the scenario without
-    disturbing its shape).
+    disturbing its shape) or, without one, RunSpec's own defaults.
     """
+    typed = {
+        name: value for name, value in vars(args).items()
+        if name in RunSpec.__dataclass_fields__
+    }
     # --trace takes a *path* but the spec field is a bool; the path
     # itself stays CLI-side (cmd_run writes the export there).
-    want_trace = getattr(args, "trace", None) is not None
+    if args.trace_path is not None:
+        typed["trace"] = True
     if args.scenario is None:
-        overrides: Dict[str, object] = {
-            spec_field: getattr(args, arg)
-            for arg, spec_field in _RUN_SPEC_ARGS.items()
-        }
-        overrides["validation"] = _validation_mode(args)
-        if want_trace:
-            overrides["trace"] = True
-        return RunSpec(**overrides)  # type: ignore[arg-type]
-    spec = get_scenario(args.scenario, **_explicit_run_flags(args))
-    if args.validate or args.no_validate or args.no_verify:
-        spec = spec.with_overrides(
-            validation=_validation_mode(args, base=spec.validation)
-        )
-    if want_trace:
-        spec = spec.with_overrides(trace=True)
-    return spec
+        spec = RunSpec(**{"scale": DEFAULT_RUN_SCALE, **typed})
+    else:
+        spec = get_scenario(args.scenario, **typed)
+    return spec.with_overrides(
+        validation=_validation_mode(args, base=spec.validation)
+    )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -206,14 +153,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
     )
     result = outcome.result
-    trace_path = getattr(args, "trace", None)
-    if trace_path and result.trace is not None:
+    if args.trace_path and result.trace is not None:
         from repro.core.trace import chrome_trace
 
-        Path(trace_path).write_text(
+        Path(args.trace_path).write_text(
             json.dumps(chrome_trace(result.trace), sort_keys=True)
         )
-        _diag(f"trace written to {trace_path} (open in Perfetto / "
+        _diag(f"trace written to {args.trace_path} (open in Perfetto / "
               f"chrome://tracing)")
     failed = result.validation is not None and not result.validation["passed"]
     if args.json:
@@ -257,8 +203,7 @@ def sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
     """Build the grid spec behind ``sweep``/``report``.
 
     Measurement sweeps run with contracts off (their extra file reads
-    would perturb I/O caching between kernels) — matching the harness's
-    historical default.
+    would perturb I/O caching between kernels).
     """
     base = RunSpec(
         scale=args.scales[0],
@@ -287,7 +232,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         progress=_sweep_progress,
     )
     rows = [
-        [r.backend, r.scale, r.kernel, f"{r.seconds:.4f}", f"{r.edges_per_second:,.0f}"]
+        [r.backend, r.scale, r.kernel, f"{r.seconds:.4f}",
+         # A cache read's speed is not the kernel's throughput.
+         "-" if r.cached else f"{r.edges_per_second:,.0f}"]
         for r in records
     ]
     print(render_table(["backend", "scale", "kernel", "seconds", "edges/s"], rows))

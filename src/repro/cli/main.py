@@ -3,22 +3,19 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import List, Optional
 
 from repro.cli import commands
 from repro.core.artifacts import ArtifactCache
-from repro.core.config import (
-    ASYNC_LANES,
-    DEFAULT_PARALLEL_RANKS,
-    DEFAULT_STREAMING_BATCH_EDGES,
-    EXECUTION_MODES,
-    KernelName,
-    PARALLEL_EXECUTORS,
-    SHARD_PLANES,
-)
+from repro.core.config import FIELD_CHOICES, KernelName
 from repro.core.exceptions import ExecutorCapabilityError, PipelineError
+from repro.harness.experiments import (
+    DEFAULT_FIGURE_BACKENDS,
+    DEFAULT_FIGURE_SCALES,
+)
 from repro.service.pool import WORKER_KINDS
 
 
@@ -56,6 +53,33 @@ def _size_bytes(text: str) -> int:
     return int(value * multiplier)
 
 
+def _spec_flag(run: argparse.ArgumentParser, flag: str,
+               dest: Optional[str] = None, **kwargs) -> None:
+    """Register a ``run`` flag that sets one :class:`RunSpec` field.
+
+    ``dest`` is the field's name, an enum field's ``choices`` come from
+    the config's table, and no default is stored: the parsed namespace
+    holds only what the user typed, and defaults live on RunSpec alone.
+    """
+    dest = dest or flag[2:].replace("-", "_")
+    if dest in FIELD_CHOICES:
+        kwargs["choices"] = FIELD_CHOICES[dest]
+    run.add_argument(flag, dest=dest, default=argparse.SUPPRESS, **kwargs)
+
+
+def _grid_flags(parser: argparse.ArgumentParser, scales: List[int]) -> None:
+    """The (backend x scale) grid block ``sweep``/``figures``/``report``
+    share."""
+    parser.add_argument("--scales", type=_csv_ints, default=scales)
+    parser.add_argument("--backends", type=_csv_strs,
+                        default=DEFAULT_FIGURE_BACKENDS)
+    parser.add_argument("--repeats", type=int, default=1)
+    parser.add_argument("--execution", default="serial",
+                        choices=FIELD_CHOICES["execution"])
+    parser.add_argument("--cache-dir", default=None,
+                        help="reuse kernel 0/1 outputs across cells/repeats")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the full argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -70,76 +94,60 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the pipeline once and report")
     run.add_argument("--scenario", default=None,
                      help="named workload from the scenario registry "
-                          "(see `repro-pipeline info`); other flags act "
-                          "as overrides when they differ from their "
-                          "defaults")
-    run.add_argument("--scale", type=int, default=12, help="Graph500 scale S")
-    run.add_argument("--edge-factor", type=int, default=16)
-    run.add_argument("--backend", default="scipy")
-    run.add_argument("--generator", default="kronecker")
-    run.add_argument("--seed", type=int, default=1)
-    run.add_argument("--num-files", type=int, default=1,
-                     help="shard count for kernel 0/1 output files")
-    run.add_argument("--iterations", type=int, default=20)
-    run.add_argument("--damping", type=float, default=0.85)
-    run.add_argument("--sort-algorithm", default="numpy",
-                     choices=["numpy", "counting", "radix"])
-    run.add_argument("--external-sort", action="store_true",
-                     help="force the out-of-core sort path in kernel 1")
-    run.add_argument("--file-format", default="tsv",
-                     choices=["tsv", "npy", "tsv.gz"])
-    run.add_argument("--formula", default="appendix",
-                     choices=["appendix", "paper-body"],
-                     help="kernel 3 update form (paper-body documents "
-                          "the body text's typo)")
-    run.add_argument("--data-dir", default=None,
-                     help="keep kernel files here instead of a temp dir")
-    run.add_argument("--execution", default="serial",
-                     choices=list(EXECUTION_MODES),
-                     help="execution strategy: serial (in-memory), "
-                          "streaming (out-of-core kernel 2), parallel "
-                          "(sharded kernels 2+3), or async (overlap stage "
-                          "I/O with compute; per-kernel times report busy "
-                          "time and the recovered wall-clock is reported "
-                          "as overlap_saved_s)")
+                          "(see `repro-pipeline info`); any other flag "
+                          "given overrides the scenario's field")
+    spec_flag = functools.partial(_spec_flag, run)
+    spec_flag("--scale", type=int,
+              help=f"Graph500 scale S (default {commands.DEFAULT_RUN_SCALE})")
+    spec_flag("--edge-factor", type=int)
+    spec_flag("--backend")
+    spec_flag("--generator")
+    spec_flag("--seed", type=int)
+    spec_flag("--num-files", type=int,
+              help="shard count for kernel 0/1 output files")
+    spec_flag("--iterations", type=int)
+    spec_flag("--damping", type=float)
+    spec_flag("--sort-algorithm", choices=["numpy", "counting", "radix"])
+    spec_flag("--external-sort", action="store_true",
+              help="force the out-of-core sort path in kernel 1")
+    spec_flag("--file-format")
+    spec_flag("--formula",
+              help="kernel 3 update form (paper-body documents the body "
+                   "text's typo)")
+    spec_flag("--data-dir",
+              help="keep kernel files here instead of a temp dir")
+    spec_flag("--execution",
+              help="execution strategy: serial (in-memory), streaming "
+                   "(out-of-core kernel 2), parallel (sharded kernels "
+                   "2+3), or async (overlap stage I/O with compute; "
+                   "per-kernel times report busy time and the recovered "
+                   "wall-clock is reported as overlap_saved_s)")
+    spec_flag("--ranks", dest="parallel_ranks", type=int,
+              help="rank count for --execution parallel")
+    spec_flag("--parallel-executor",
+              help="communicator for --execution parallel: sim (threads, "
+                   "traffic-accounted) or mp (real processes)")
+    spec_flag("--batch-edges", dest="streaming_batch_edges", type=int,
+              help="pass-1 batch size for --execution streaming")
+    spec_flag("--async-lanes",
+              help="for --execution async: run the GIL-bound TSV codec "
+                   "tasks on scheduler threads (thread) or offload them "
+                   "to lane worker processes (process); results are "
+                   "bit-identical, K3 details report per-lane busy time")
+    spec_flag("--shard-plane",
+              help="for --async-lanes process: hand edge arrays to lane "
+                   "workers over their pipes (pipe) or through "
+                   "shared-memory ShardBuffer segments (shm, zero-copy; "
+                   "falls back to pipe with a warning where /dev/shm is "
+                   "unavailable); results are bit-identical, K3 details "
+                   "report handoff_mode and shm_bytes_saved")
+    spec_flag("--repeats", type=int,
+              help="repeat the run; per-kernel records keep the best time")
     run.add_argument("--cache-dir", default=None,
                      help="reuse kernel 0/1 outputs from this artifact "
                           "cache (created on first use); the cached "
                           "kernel files then live under the cache, not "
                           "--data-dir")
-    run.add_argument("--ranks", type=int, default=DEFAULT_PARALLEL_RANKS,
-                     help="rank count for --execution parallel")
-    run.add_argument("--parallel-executor", default="sim",
-                     choices=list(PARALLEL_EXECUTORS),
-                     help="communicator for --execution parallel: sim "
-                          "(threads, traffic-accounted) or mp (real "
-                          "processes)")
-    run.add_argument("--batch-edges", type=int,
-                     default=DEFAULT_STREAMING_BATCH_EDGES,
-                     help="pass-1 batch size for --execution streaming")
-    run.add_argument("--async-lanes", default="thread",
-                     choices=list(ASYNC_LANES),
-                     help="for --execution async: run the GIL-bound TSV "
-                          "codec tasks on scheduler threads (thread) or "
-                          "offload them to lane worker processes "
-                          "(process); results are bit-identical, K3 "
-                          "details report per-lane busy time")
-    run.add_argument("--shard-plane", default="pipe",
-                     choices=list(SHARD_PLANES),
-                     help="for --async-lanes process: hand edge arrays "
-                          "to lane workers over their pipes (pipe) or "
-                          "through shared-memory ShardBuffer segments "
-                          "(shm, zero-copy; falls back to pipe with a "
-                          "warning where /dev/shm is unavailable); "
-                          "results are bit-identical, K3 details report "
-                          "handoff_mode and shm_bytes_saved")
-    run.add_argument("--cache-mmap", action="store_true",
-                     help="serve npy shard payloads from --cache-dir as "
-                          "read-only memory-mapped views so concurrent "
-                          "runs share one page-cache copy")
-    run.add_argument("--repeats", type=int, default=1,
-                     help="repeat the run; per-kernel records keep the "
-                          "best time")
     run.add_argument("--validate", action="store_true",
                      help="run the eigenvector cross-check after kernel 3")
     run.add_argument("--no-validate", action="store_true",
@@ -149,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="skip the inter-kernel contract checks "
                           "(benchmark loops only; validation is separate, "
                           "see --no-validate)")
-    run.add_argument("--trace", metavar="PATH", default=None,
+    run.add_argument("--trace", dest="trace_path", metavar="PATH",
+                     default=None,
                      help="record a span trace of the run (executor "
                           "stages, scheduler tasks, lane ops, shm "
                           "segments) and write it here as a Chrome/"
@@ -157,20 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", action="store_true",
                      help="emit the JSON result on stdout (diagnostics "
                           "go to stderr)")
-    # The subparser rides along so cmd_run can tell explicit flags from
-    # defaults when composing them over a --scenario.
-    run.set_defaults(func=commands.cmd_run, run_parser=run)
+    run.set_defaults(func=commands.cmd_run)
 
     sweep = sub.add_parser("sweep", help="run a (backend x scale) grid")
-    sweep.add_argument("--scales", type=_csv_ints, default=[10, 12, 14])
-    sweep.add_argument("--backends", type=_csv_strs,
-                       default=["python", "numpy", "scipy", "dataframe", "graphblas"])
-    sweep.add_argument("--repeats", type=int, default=1)
+    _grid_flags(sweep, DEFAULT_FIGURE_SCALES)
     sweep.add_argument("--seed", type=int, default=1)
-    sweep.add_argument("--execution", default="serial",
-                       choices=list(EXECUTION_MODES))
-    sweep.add_argument("--cache-dir", default=None,
-                       help="reuse kernel 0/1 outputs across cells/repeats")
     sweep.add_argument("--output", default=None,
                        help="write records to this .json/.csv file")
     sweep.set_defaults(func=commands.cmd_sweep)
@@ -178,13 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     figures = sub.add_parser("figures", help="regenerate paper figures 4-7")
     figures.add_argument("--id", dest="experiment_id", default="fig7",
                          choices=["fig4", "fig5", "fig6", "fig7"])
-    figures.add_argument("--scales", type=_csv_ints, default=None)
-    figures.add_argument("--backends", type=_csv_strs, default=None)
-    figures.add_argument("--repeats", type=int, default=1)
-    figures.add_argument("--execution", default="serial",
-                         choices=list(EXECUTION_MODES))
-    figures.add_argument("--cache-dir", default=None,
-                         help="reuse kernel 0/1 outputs across cells/repeats")
+    _grid_flags(figures, DEFAULT_FIGURE_SCALES)
     figures.add_argument("--output", default=None,
                          help="also write records to this .json/.csv file")
     figures.set_defaults(func=commands.cmd_figures)
@@ -232,16 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report", help="run sweeps and emit a paper-vs-measured markdown report"
     )
-    report.add_argument("--scales", type=_csv_ints, default=[10, 12])
-    report.add_argument("--backends", type=_csv_strs,
-                        default=["python", "numpy", "scipy", "dataframe",
-                                 "graphblas"])
-    report.add_argument("--repeats", type=int, default=1)
+    _grid_flags(report, [10, 12])
     report.add_argument("--seed", type=int, default=1)
-    report.add_argument("--execution", default="serial",
-                        choices=list(EXECUTION_MODES))
-    report.add_argument("--cache-dir", default=None,
-                        help="reuse kernel 0/1 outputs across cells/repeats")
     report.add_argument("--output", default=None,
                         help="write the markdown report here (stdout otherwise)")
     report.set_defaults(func=commands.cmd_report)
@@ -404,9 +390,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    # The raw argv rides along so `run --scenario` can tell which flags
-    # were actually typed (see cli.commands._explicit_run_flags).
-    args._argv = list(argv) if argv is not None else sys.argv[1:]
     try:
         return args.func(args)
     except ExecutorCapabilityError as exc:

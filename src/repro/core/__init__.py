@@ -30,7 +30,7 @@ from repro.core.executor import (
     available_executions,
     get_executor,
 )
-from repro.core.pipeline import Pipeline, run_pipeline
+from repro.core.pipeline import run_pipeline
 from repro.core.results import KernelResult, PipelineResult
 from repro.core.scheduler import ScheduleResult, SchedulerError, TaskGraph
 from repro.core.stages import Contract, ExecutionPlan, Stage, default_plan
@@ -46,7 +46,6 @@ __all__ = [
     "KernelContractError",
     "KernelName",
     "KernelResult",
-    "Pipeline",
     "PipelineConfig",
     "PipelineError",
     "PipelineResult",

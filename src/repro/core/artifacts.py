@@ -252,15 +252,8 @@ class ArtifactCache:
     #: Artifact namespaces the cache knows how to enumerate.
     KINDS = ("k0", "k1", "k2")
 
-    def __init__(self, root: Path, *, mmap: bool = False) -> None:
+    def __init__(self, root: Path) -> None:
         self.root = Path(root)
-        #: Open cached ``npy`` datasets with memory-mapped shard reads
-        #: (``config.cache_mmap``): N concurrent workers on one host
-        #: then share one page-cache-resident copy of a warm entry
-        #: instead of N private decodes.  Views are read-only; the
-        #: shared-lock-for-the-run discipline below already guarantees
-        #: no eviction can unmap pages mid-read.
-        self.mmap = bool(mmap)
         if self.root.exists() and not self.root.is_dir():
             raise ValueError(
                 f"cache_dir {self.root} exists and is not a directory"
@@ -283,6 +276,12 @@ class ArtifactCache:
         hold: Optional[List[EntryLock]] = None,
     ) -> Tuple[EdgeDataset, Details]:
         """Return the cached dataset for ``fields``, producing on miss.
+
+        Published entries open with memory-mapped shard reads: ``npy``
+        payloads come back as read-only views, so concurrent readers
+        on one host share one page-cache copy of a warm entry (text
+        formats always decode into private arrays).  The shared lock
+        keeps eviction from unmapping pages mid-read.
 
         Parameters
         ----------
@@ -357,7 +356,7 @@ class ArtifactCache:
             # Evicted between publish and reopen (possible but absurd —
             # a prune racing a brand-new entry); the staging copy is
             # gone, so reopening the entry path is all we have.
-            return EdgeDataset.open(entry, mmap=self.mmap), details
+            return EdgeDataset.open(entry, mmap=True), details
         finally:
             if discard_staging:
                 shutil.rmtree(staging, ignore_errors=True)
@@ -416,7 +415,7 @@ class ArtifactCache:
         if not (entry / "manifest.json").exists():
             return None
         try:
-            dataset = EdgeDataset.open(entry, mmap=self.mmap)
+            dataset = EdgeDataset.open(entry, mmap=True)
         except (EdgeIOError, ValueError, KeyError):
             # Corruption the verifier detected (missing shard, size or
             # CRC mismatch, unparseable manifest).  Transient I/O

@@ -43,22 +43,23 @@ DEFAULT_DAMPING = 0.85
 DEFAULT_ITERATIONS = 20
 #: Execution strategies understood by :mod:`repro.core.executor`.
 EXECUTION_MODES = ("serial", "streaming", "parallel", "async")
-#: Default rank count for the "parallel" strategy (config and CLI).
+#: Default rank count for the "parallel" strategy.
 DEFAULT_PARALLEL_RANKS = 4
-#: Communicators selectable by the "parallel" strategy.
-PARALLEL_EXECUTORS = ("sim", "mp")
-#: Default pass-1 batch size for the "streaming" strategy (config, CLI,
-#: and :func:`repro.core.streaming.streaming_kernel2`).
+#: Default pass-1 batch size for the "streaming" strategy (config and
+#: :func:`repro.core.streaming.streaming_kernel2`).
 DEFAULT_STREAMING_BATCH_EDGES = 1 << 18
-#: Lane kinds for the "async" strategy's codec tasks (config and CLI):
-#: "thread" keeps TSV encode/decode on the scheduler's thread pool,
-#: "process" offloads them to a :class:`repro.core.lanes.ProcessLanePool`.
-ASYNC_LANES = ("thread", "process")
-# Shard hand-off planes for process lanes (config and CLI): "pipe"
-# pickles arrays over the worker pipes, "shm" shares them through
-# ShardBuffer segments (zero-copy; only segment names cross the pipe).
-# SHARD_PLANES itself lives in repro.core.shmplane (the single source
-# of truth) and is re-exported via the import at the top of this module.
+#: Enum-valued fields and their legal values: the one table
+#: :class:`PipelineConfig` validates against and the CLI reads for
+#: ``choices=``.  (``SHARD_PLANES`` lives in :mod:`repro.core.shmplane`,
+#: which also negotiates the plane.)
+FIELD_CHOICES = {
+    "file_format": ("tsv", "npy", "tsv.gz"),
+    "formula": ("appendix", "paper-body"),
+    "execution": EXECUTION_MODES,
+    "parallel_executor": ("sim", "mp"),
+    "async_lanes": ("thread", "process"),
+    "shard_plane": SHARD_PLANES,
+}
 
 
 @dataclass(frozen=True)
@@ -139,12 +140,6 @@ class PipelineConfig:
         segment names cross the pipe).  Degrades to ``"pipe"`` with a
         warning when shared memory is unavailable; results are
         bit-identical either way.
-    cache_mmap:
-        Serve ``.npy`` shard payloads from the artifact cache as
-        read-only memory-mapped views instead of private copies, so
-        concurrent readers on one host share one page-cache-resident
-        warm cache.  Views are copy-on-read at mutation seams (see
-        ARCHITECTURE.md's shard-plane section).
     trace:
         Record a span trace of the run (:mod:`repro.core.trace`): stage
         phases, scheduler tasks, lane ops, shm segment lifecycle, and
@@ -178,7 +173,6 @@ class PipelineConfig:
     streaming_batch_edges: int = DEFAULT_STREAMING_BATCH_EDGES
     async_lanes: str = "thread"
     shard_plane: str = "pipe"
-    cache_mmap: bool = False
     trace: bool = False
 
     def __post_init__(self) -> None:
@@ -191,37 +185,14 @@ class PipelineConfig:
         check_nonneg_int("vertex_base", self.vertex_base)
         if self.vertex_base not in (0, 1):
             raise ValueError(f"vertex_base must be 0 or 1, got {self.vertex_base}")
-        if self.file_format not in ("tsv", "npy", "tsv.gz"):
-            raise ValueError(
-                "file_format must be 'tsv', 'npy', or 'tsv.gz', "
-                f"got {self.file_format!r}"
-            )
-        if self.formula not in ("appendix", "paper-body"):
-            raise ValueError(
-                f"formula must be 'appendix' or 'paper-body', got {self.formula!r}"
-            )
-        if self.execution not in EXECUTION_MODES:
-            raise ValueError(
-                f"execution must be one of {EXECUTION_MODES}, "
-                f"got {self.execution!r}"
-            )
+        for name, choices in FIELD_CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValueError(
+                    f"{name} must be one of {choices}, "
+                    f"got {getattr(self, name)!r}"
+                )
         check_positive_int("parallel_ranks", self.parallel_ranks)
-        if self.parallel_executor not in PARALLEL_EXECUTORS:
-            raise ValueError(
-                f"parallel_executor must be one of {PARALLEL_EXECUTORS}, "
-                f"got {self.parallel_executor!r}"
-            )
         check_positive_int("streaming_batch_edges", self.streaming_batch_edges)
-        if self.async_lanes not in ASYNC_LANES:
-            raise ValueError(
-                f"async_lanes must be one of {ASYNC_LANES}, "
-                f"got {self.async_lanes!r}"
-            )
-        if self.shard_plane not in SHARD_PLANES:
-            raise ValueError(
-                f"shard_plane must be one of {SHARD_PLANES}, "
-                f"got {self.shard_plane!r}"
-            )
         if self.data_dir is not None:
             object.__setattr__(self, "data_dir", Path(self.data_dir))
         if self.cache_dir is not None:

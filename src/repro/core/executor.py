@@ -232,9 +232,7 @@ class Executor:
         lazily, and a concurrent ``prune`` must not evict them
         mid-read."""
         if ctx.config.cache_dir is not None:
-            cache = ArtifactCache(
-                ctx.config.cache_dir, mmap=ctx.config.cache_mmap
-            )
+            cache = ArtifactCache(ctx.config.cache_dir)
             return cache.dataset(kind, fields, producer, hold=ctx.held_locks)
         return producer(ctx.base_dir / kind)
 

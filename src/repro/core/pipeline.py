@@ -1,19 +1,13 @@
-"""The pipeline façade: a configured benchmark run, ready to execute.
+"""Run one configured benchmark pipeline.
 
-.. deprecated::
-    ``Pipeline`` and :func:`run_pipeline` are compatibility shims for
-    the pre-:mod:`repro.api` imperative surface.  They keep working
-    (and are what the API runner itself calls), but new code should
-    describe work as a :class:`repro.api.RunSpec` and hand it to
-    :func:`repro.api.execute_spec` or a
-    :class:`repro.service.BenchmarkService` — one declarative surface
-    for runs, sweeps, and concurrent clients.
+:func:`run_pipeline` builds the benchmark's default
+:class:`~repro.core.stages.ExecutionPlan` and hands it to the execution
+strategy named by ``config.execution`` (serial / streaming / parallel /
+async — see :mod:`repro.core.executor` and
+:mod:`repro.core.async_executor`).  It is the engine under
+:func:`repro.api.execute_spec`; describe work as a
+:class:`repro.api.RunSpec` unless you already hold a config.
 
-``Pipeline`` is a thin shim over the stage-graph machinery: it
-builds the benchmark's default :class:`~repro.core.stages.ExecutionPlan`
-and hands it to the execution strategy named by ``config.execution``
-(serial / streaming / parallel / async — see
-:mod:`repro.core.executor` and :mod:`repro.core.async_executor`).
 Sequencing ("each kernel in the pipeline must be fully completed before
 the next kernel can begin"), per-kernel timing, and the four
 inter-kernel contracts all live in the plan and executors, so every
@@ -33,15 +27,20 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.backends.base import Backend
-from repro.backends.registry import get_backend
 from repro.core.config import PipelineConfig
 from repro.core.executor import get_executor
 from repro.core.results import PipelineResult
-from repro.core.stages import ExecutionPlan, default_plan
+from repro.core.stages import ExecutionPlan
 
 
-class Pipeline:
-    """One configured benchmark pipeline, ready to run.
+def run_pipeline(
+    config: PipelineConfig,
+    *,
+    backend: Optional[Backend] = None,
+    verify: bool = True,
+    plan: Optional[ExecutionPlan] = None,
+) -> PipelineResult:
+    """Execute Kernels 0–3 and return the aggregated result.
 
     Parameters
     ----------
@@ -50,50 +49,13 @@ class Pipeline:
         strategy.
     backend:
         Backend instance; resolved from ``config.backend`` when omitted.
+    verify:
+        Run the inter-kernel contract checks (recommended; disable
+        only inside tight benchmark loops where the checks' extra
+        file reads would perturb I/O caches).
     plan:
         Stage graph override (defaults to the benchmark's four-stage
         plan with all contracts attached).
-
-    Examples
-    --------
-    >>> from repro.core.config import PipelineConfig
-    >>> result = Pipeline(PipelineConfig(scale=6, seed=3)).run()
-    >>> len(result.kernels)
-    4
-    """
-
-    def __init__(
-        self,
-        config: PipelineConfig,
-        backend: Optional[Backend] = None,
-        plan: Optional[ExecutionPlan] = None,
-    ) -> None:
-        self.config = config
-        self.backend = backend if backend is not None else get_backend(config.backend)
-        self.plan = plan if plan is not None else default_plan()
-
-    # ------------------------------------------------------------------
-    def run(self, *, verify: bool = True) -> PipelineResult:
-        """Execute Kernels 0–3 and return the aggregated result.
-
-        Parameters
-        ----------
-        verify:
-            Run the inter-kernel contract checks (recommended; disable
-            only inside tight benchmark loops where the checks' extra
-            file reads would perturb I/O caches).
-        """
-        executor = get_executor(self.config.execution, self.plan)
-        return executor.execute(self.config, self.backend, verify=verify)
-
-
-def run_pipeline(
-    config: PipelineConfig,
-    *,
-    backend: Optional[Backend] = None,
-    verify: bool = True,
-) -> PipelineResult:
-    """Convenience wrapper: build a :class:`Pipeline` and run it.
 
     Examples
     --------
@@ -102,4 +64,5 @@ def run_pipeline(
     >>> res.kernel(KernelName.K3_PAGERANK).edges_processed
     20480
     """
-    return Pipeline(config, backend=backend).run(verify=verify)
+    executor = get_executor(config.execution, plan)
+    return executor.execute(config, backend, verify=verify)

@@ -1,9 +1,9 @@
-"""Benchmark harness: sweeps, tables, figures, experiment registry.
+"""Benchmark harness: records, tables, figures, experiment registry.
 
 Everything needed to regenerate the paper's evaluation artifacts:
 
-* :mod:`repro.harness.sweep` — run (backend x scale) grids and collect
-  :class:`MeasurementRecord` rows;
+* :mod:`repro.harness.records` — the :class:`MeasurementRecord` rows
+  sweeps produce (:func:`repro.api.execute_sweep` runs the grids);
 * :mod:`repro.harness.sloc` — source-lines-of-code counting (Table I);
 * :mod:`repro.harness.tables` — Table I / Table II renderers;
 * :mod:`repro.harness.figures` — Figures 4–7 series builders + ASCII
@@ -15,7 +15,6 @@ Everything needed to regenerate the paper's evaluation artifacts:
 from __future__ import annotations
 
 from repro.harness.records import MeasurementRecord, load_records, save_records
-from repro.harness.sweep import SweepPlan, run_sweep
 from repro.harness.sloc import backend_sloc_table, count_sloc
 from repro.harness.tables import render_table, run_sizes_rows, sloc_rows
 from repro.harness.figures import FigureSeries, build_figure_series, render_figure
@@ -35,7 +34,6 @@ __all__ = [
     "MeasurementRecord",
     "SizeScalingStudy",
     "StrongScalingStudy",
-    "SweepPlan",
     "size_scaling",
     "strong_scaling",
     "available_experiments",
@@ -50,7 +48,6 @@ __all__ = [
     "render_table",
     "run_experiment",
     "run_sizes_rows",
-    "run_sweep",
     "save_records",
     "sloc_rows",
 ]

@@ -14,7 +14,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.harness.figures import FIGURE_KERNELS, build_figure_series, render_figure
 from repro.harness.records import MeasurementRecord
-from repro.harness.sweep import SweepPlan, run_sweep
 from repro.harness.tables import render_run_sizes, render_sloc
 
 #: Scales used by default for figure sweeps — small enough for a laptop,
@@ -61,14 +60,24 @@ def _figure_runner(figure_id: str) -> Callable[..., ExperimentOutput]:
     def run(scales: Optional[List[int]], backends: Optional[List[str]],
             repeats: int, execution: str,
             cache_dir: Optional[Path]) -> ExperimentOutput:
-        plan = SweepPlan(
-            scales=scales or DEFAULT_FIGURE_SCALES,
-            backends=backends or DEFAULT_FIGURE_BACKENDS,
+        # Imported here: repro.api.runner imports repro.harness.records,
+        # and importing that runs this package's __init__ first.
+        from repro.api.runner import execute_sweep
+        from repro.api.spec import RunSpec, SweepSpec
+
+        scales = scales or DEFAULT_FIGURE_SCALES
+        sweep = SweepSpec(
+            base=RunSpec(
+                scale=scales[0],
+                execution=execution,
+                validation="off",
+                cache_policy="shared" if cache_dir else "off",
+            ),
+            scales=tuple(scales),
+            backends=tuple(backends or DEFAULT_FIGURE_BACKENDS),
             repeats=repeats,
-            execution=execution,
-            cache_dir=cache_dir,
         )
-        records = run_sweep(plan)
+        records = execute_sweep(sweep, cache_dir=cache_dir)
         figure = build_figure_series(figure_id, records)
         return ExperimentOutput(figure_id, render_figure(figure), records)
 

@@ -82,12 +82,12 @@ def best_records(
     The record kept for each kernel is the one with the smallest
     measured time — except that an artifact-cache *hit* never displaces
     a real measurement: a cache read times the manifest load, not the
-    kernel's work.  Hit timings survive only when every run hit (the
-    caller is expected to flag those records — see
-    :func:`repro.harness.sweep.run_sweep`).
+    kernel's work.  Hit timings survive only when every run hit; such
+    records carry ``cached=True`` (:func:`repro.api.execute_sweep` logs
+    a warning for each).
 
-    Shared by the sweep harness and :func:`repro.api.execute_spec` so
-    the repeat discipline cannot drift between the two surfaces.
+    :func:`repro.api.execute_spec` is the one caller: every run and
+    every sweep cell gets its repeat discipline from here.
     """
     best: Dict[str, MeasurementRecord] = {}
     for records in runs:

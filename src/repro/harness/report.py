@@ -105,7 +105,7 @@ def build_report(
     Parameters
     ----------
     records:
-        Output of :func:`repro.harness.sweep.run_sweep` (any grid).
+        Output of :func:`repro.api.execute_sweep` (any grid).
     title:
         Document heading.
     include_tables:

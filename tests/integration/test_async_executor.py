@@ -353,25 +353,26 @@ class TestShardPlane:
         assert details["shm_bytes_saved"] == 0
 
     def test_mmap_cache_reads_bit_identical(self, tmp_path):
-        cache = tmp_path / "c"
-        cold = run_pipeline(_config("scipy", "async", cache_dir=cache))
-        warm = run_pipeline(
-            _config("scipy", "async", cache_dir=cache, cache_mmap=True)
-        )
+        # npy entries are read back as memory-mapped views.
+        config = _config("scipy", "async", file_format="npy",
+                         cache_dir=tmp_path / "c")
+        cold = run_pipeline(config)
+        warm = run_pipeline(config)
         assert (warm.kernel(KernelName.K0_GENERATE)
                 .details["artifact_cache"] == "hit")
         np.testing.assert_array_equal(warm.rank, cold.rank)
 
     def test_mmap_cache_with_shm_plane(self, tmp_path):
-        # Both knobs together: mmap reads reroute K0/K1 coarse, so the
-        # lane pool never spins up, and the ranks still match serial.
-        cache = tmp_path / "c"
+        # Mapped npy reads under the shm plane: a cache dir reroutes
+        # K0/K1 coarse, so the lane pool never spins up, and the ranks
+        # still match serial — cold and warm.
         serial = run_pipeline(_config("scipy", "serial"))
-        result = run_pipeline(
-            _config("scipy", "async", async_lanes="process",
-                    shard_plane="shm", cache_dir=cache, cache_mmap=True)
-        )
-        np.testing.assert_array_equal(result.rank, serial.rank)
+        config = _config("scipy", "async", async_lanes="process",
+                         shard_plane="shm", file_format="npy",
+                         cache_dir=tmp_path / "c")
+        for _ in range(2):
+            np.testing.assert_array_equal(run_pipeline(config).rank,
+                                          serial.rank)
 
     def test_no_leaked_segments_after_shm_runs(self):
         # Must run after the shm cases above (pytest preserves file
@@ -445,11 +446,12 @@ class TestProcessLanePerf:
 
 class TestSweepIntegration:
     def test_sweep_runs_async_and_skips_python(self):
-        from repro.harness.sweep import SweepPlan, run_sweep
+        from repro.api import RunSpec, SweepSpec, execute_sweep
 
-        plan = SweepPlan(scales=[6], backends=["python", "scipy"],
-                         execution="async")
-        records = run_sweep(plan)
+        records = execute_sweep(SweepSpec(
+            base=RunSpec(scale=6, execution="async", validation="off"),
+            scales=(6,), backends=("python", "scipy"),
+        ))
         assert {record.backend for record in records} == {"scipy"}
         assert len(records) == 4
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import RunSpec, SweepSpec, execute_sweep
 from repro.backends.registry import get_backend
 from repro.core.config import KernelName, PipelineConfig
 from repro.core.exceptions import ExecutorCapabilityError, KernelContractError
@@ -33,6 +34,13 @@ def _config(backend: str, execution: str, scale: int = 8) -> PipelineConfig:
         execution=execution,
         parallel_ranks=3,
         streaming_batch_edges=512,  # force multiple pass-1 batches
+    )
+
+
+def _sweep(backends, execution, repeats=1) -> SweepSpec:
+    return SweepSpec(
+        base=RunSpec(scale=6, execution=execution, validation="off"),
+        scales=(6,), backends=backends, repeats=repeats,
     )
 
 
@@ -121,20 +129,12 @@ class TestCapabilityGating:
                                         execution="parallel"))
 
     def test_sweep_skips_unsupported_backends(self):
-        from repro.harness.sweep import SweepPlan, run_sweep
-
-        plan = SweepPlan(scales=[6], backends=["python", "scipy"],
-                         execution="streaming")
-        records = run_sweep(plan)
+        records = execute_sweep(_sweep(["python", "scipy"], "streaming"))
         assert {r.backend for r in records} == {"scipy"}
 
     def test_sweep_with_no_capable_backend_raises(self):
-        from repro.harness.sweep import SweepPlan, run_sweep
-
-        plan = SweepPlan(scales=[6], backends=["python"],
-                         execution="parallel")
         with pytest.raises(ValueError, match="supports execution"):
-            run_sweep(plan)
+            execute_sweep(_sweep(["python"], "parallel"))
 
     def test_capability_error_is_value_error(self):
         # The CLI maps ValueError to exit code 2; keep that contract.
@@ -200,6 +200,44 @@ class TestArtifactCache:
         assert (streamed.kernel(KernelName.K1_SORT)
                 .details["artifact_cache"] == "hit")
 
+    @pytest.mark.parametrize("execution", ["serial", "streaming", "async"])
+    @pytest.mark.parametrize("backend", CSR_CAPABLE_BACKENDS)
+    def test_npy_cache_reads_are_mapped_and_bit_identical(
+            self, tmp_path, backend, execution):
+        # Cached npy shards always come back as read-only mapped views.
+        # Force both reads of them — K1 recomputed from a K0 hit, K2
+        # recomputed from a K1 hit — and hold every rank to the cold one.
+        # (The python backend writes tsv only, so it never reads a map.)
+        import shutil
+
+        cache = tmp_path / "artifacts"
+        config = PipelineConfig(
+            scale=8, seed=11, backend=backend, iterations=10, num_files=3,
+            file_format="npy", execution=execution, cache_dir=cache,
+            streaming_batch_edges=512,
+        )
+        cold = run_pipeline(config)
+        shutil.rmtree(cache / "k1")
+        shutil.rmtree(cache / "k2", ignore_errors=True)
+        from_k0 = run_pipeline(config)
+        assert (from_k0.kernel(KernelName.K0_GENERATE)
+                .details["artifact_cache"] == "hit")
+        assert (from_k0.kernel(KernelName.K1_SORT)
+                .details["artifact_cache"] == "miss")
+        shutil.rmtree(cache / "k2", ignore_errors=True)
+        from_k1 = run_pipeline(config)
+        assert (from_k1.kernel(KernelName.K1_SORT)
+                .details["artifact_cache"] == "hit")
+        np.testing.assert_array_equal(from_k0.rank, cold.rank)
+        np.testing.assert_array_equal(from_k1.rank, cold.rank)
+        # And the reads really are mapped, not private copies.
+        from repro.core.artifacts import ArtifactCache, k1_cache_fields
+
+        dataset, _ = ArtifactCache(cache).dataset(
+            "k1", k1_cache_fields(config, backend), None)
+        u, v = dataset.read_shard(0)
+        assert isinstance(u.base, np.memmap) and not u.flags.writeable
+
     def test_key_distinguishes_seed_and_scale(self, tmp_path):
         cache = tmp_path / "artifacts"
         base = PipelineConfig(scale=6, seed=1, cache_dir=cache)
@@ -208,12 +246,9 @@ class TestArtifactCache:
         assert (other.kernel(KernelName.K0_GENERATE)
                 .details["artifact_cache"] == "miss")
 
-    def test_run_sweep_repeats_reuse_artifacts(self, tmp_path):
-        from repro.harness.sweep import SweepPlan, run_sweep
-
-        plan = SweepPlan(scales=[6], backends=["scipy"], repeats=3,
-                         cache_dir=tmp_path / "artifacts")
-        records = run_sweep(plan)
+    def test_sweep_repeats_reuse_artifacts(self, tmp_path):
+        records = execute_sweep(_sweep(["scipy"], "serial", repeats=3),
+                                cache_dir=tmp_path / "artifacts")
         assert len(records) == 4  # one best record per kernel
         # The cache directory was populated by the first repeat.
         assert any((tmp_path / "artifacts" / "k0").iterdir())

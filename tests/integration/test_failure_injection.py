@@ -20,7 +20,7 @@ from repro.backends.base import Backend
 from repro.backends.scipy_backend import ScipyBackend
 from repro.core.config import PipelineConfig
 from repro.core.exceptions import KernelContractError
-from repro.core.pipeline import Pipeline
+from repro.core.pipeline import run_pipeline
 from repro.edgeio.dataset import EdgeDataset
 from repro.edgeio.errors import CorruptEdgeFileError, DatasetLayoutError
 
@@ -29,29 +29,25 @@ class TestContractEnforcement:
     CONFIG = PipelineConfig(scale=6, seed=1)
 
     def test_k0_edge_count_violation(self):
-        pipeline = Pipeline(self.CONFIG, backend=_BrokenK0())
         with pytest.raises(KernelContractError, match="spec requires"):
-            pipeline.run()
+            run_pipeline(self.CONFIG, backend=_BrokenK0())
 
     def test_k1_unsorted_output(self):
-        pipeline = Pipeline(self.CONFIG, backend=_UnsortedK1())
         with pytest.raises(KernelContractError, match="not sorted"):
-            pipeline.run()
+            run_pipeline(self.CONFIG, backend=_UnsortedK1())
 
     def test_k2_entry_sum_violation(self):
-        pipeline = Pipeline(self.CONFIG, backend=_LossyK2())
         with pytest.raises(KernelContractError, match="sum"):
-            pipeline.run()
+            run_pipeline(self.CONFIG, backend=_LossyK2())
 
     def test_k3_non_finite_rank(self):
-        pipeline = Pipeline(self.CONFIG, backend=_NaNK3())
         with pytest.raises(KernelContractError, match="non-finite"):
-            pipeline.run()
+            run_pipeline(self.CONFIG, backend=_NaNK3())
 
     def test_verify_false_does_not_hide_k3_shape_errors(self):
         # verify=False skips checks entirely — document that trade-off.
-        pipeline = Pipeline(self.CONFIG, backend=_UnsortedK1())
-        result = pipeline.run(verify=False)  # no error, caller opted out
+        result = run_pipeline(self.CONFIG, backend=_UnsortedK1(),
+                              verify=False)  # no error, caller opted out
         assert result.rank is not None
 
 
@@ -130,6 +126,6 @@ class TestBadWorkspace:
                                 keep_files=True)
         try:
             with pytest.raises(PermissionError):
-                Pipeline(config).run()
+                run_pipeline(config)
         finally:
             target.chmod(0o700)

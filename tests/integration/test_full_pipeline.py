@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import KernelName, PipelineConfig
-from repro.core.pipeline import Pipeline, run_pipeline
+from repro.core.pipeline import run_pipeline
 
 ALL_BACKENDS = ["python", "numpy", "scipy", "dataframe", "graphblas"]
 
@@ -122,16 +122,23 @@ class TestConfigurations:
         assert k3.edges_processed == 7 * config.num_edges
 
 
-class TestPipelineObject:
+class TestRunPipelineArguments:
     def test_explicit_backend_instance(self):
         from repro.backends.scipy_backend import ScipyBackend
 
-        pipeline = Pipeline(PipelineConfig(scale=6, seed=1),
-                            backend=ScipyBackend())
-        result = pipeline.run()
+        result = run_pipeline(PipelineConfig(scale=6, seed=1),
+                              backend=ScipyBackend())
         assert result.rank is not None
 
     def test_verify_false_skips_checks(self):
         # Still runs fine; just no re-reading of K1 output.
-        result = Pipeline(PipelineConfig(scale=6, seed=1)).run(verify=False)
+        result = run_pipeline(PipelineConfig(scale=6, seed=1), verify=False)
         assert len(result.kernels) == 4
+
+    def test_explicit_plan(self):
+        from repro.core.stages import ExecutionPlan, default_plan
+
+        plan = ExecutionPlan(stages=default_plan().stages[:2])
+        result = run_pipeline(PipelineConfig(scale=6, seed=1), plan=plan)
+        assert [k.kernel for k in result.kernels] == [
+            KernelName.K0_GENERATE, KernelName.K1_SORT]

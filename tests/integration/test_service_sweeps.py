@@ -46,7 +46,7 @@ def _record_dicts(records):
 
 
 class TestSweepCells:
-    def test_grid_order_matches_harness(self):
+    def test_grid_order_is_backend_major(self):
         cells = sweep_cells(SWEEP)
         assert [(backend, scale) for backend, scale, _spec in cells] == [
             ("numpy", 6), ("numpy", 7), ("scipy", 6), ("scipy", 7),
@@ -75,6 +75,68 @@ class TestSweepCells:
         )
         with pytest.raises(ValueError, match="streaming"):
             sweep_cells(sweep)
+
+
+class TestExecuteSweep:
+    """``execute_sweep`` is ``execute_spec`` over ``sweep_cells`` — the
+    same lowering the service fans out — and nothing else."""
+
+    SKIPPING = SweepSpec(
+        base=BASE.with_overrides(execution="streaming"),
+        scales=(6, 7), backends=("python", "scipy", "numpy"), repeats=2,
+    )
+
+    def test_records_are_the_cells_outcomes_concatenated(self, monkeypatch):
+        from repro.api import runner
+
+        outcomes = []
+
+        def spy(spec, **kwargs):
+            outcomes.append(runner_execute_spec(spec, **kwargs))
+            return outcomes[-1]
+
+        runner_execute_spec = runner.execute_spec
+        monkeypatch.setattr(runner, "execute_spec", spy)
+        records = execute_sweep(self.SKIPPING)
+        runnable = [spec for _b, _s, spec in sweep_cells(self.SKIPPING)
+                    if spec is not None]
+        assert len(runnable) == 4  # python's two cells are skipped
+        assert [o.spec for o in outcomes] == runnable
+        assert records == [r for o in outcomes for r in o.records]
+        assert {r.backend for r in records} == {"scipy", "numpy"}
+
+    def test_progress_fires_per_cell_per_repeat(self):
+        calls = []
+        execute_sweep(
+            self.SKIPPING,
+            progress=lambda cfg, rep: calls.append(
+                (cfg.backend, cfg.scale, rep)),
+        )
+        assert calls == [
+            (backend, scale, repeat)
+            for backend in ("scipy", "numpy") for scale in (6, 7)
+            for repeat in (0, 1)
+        ]
+
+    def test_service_sweep_table_has_the_same_cells_in_order(self):
+        with BenchmarkService(workers=2) as service:
+            doc = service.result(service.submit_sweep(self.SKIPPING),
+                                 timeout=240)
+        cells = sweep_cells(self.SKIPPING)
+        assert [(c["backend"], c["scale"], c["state"] == "skipped")
+                for c in doc["cells"]] == \
+            [(b, s, spec is None) for b, s, spec in cells]
+        direct = _record_dicts(execute_sweep(self.SKIPPING))
+        assert [_strip_timing(r) for r in doc["records"]] == \
+            [_strip_timing(r) for r in direct]
+
+    def test_no_capable_backend_raises_before_running(self):
+        sweep = SweepSpec(
+            base=BASE.with_overrides(execution="streaming"),
+            scales=(6,), backends=("python",),
+        )
+        with pytest.raises(ValueError, match="supports execution"):
+            execute_sweep(sweep, progress=lambda *_: pytest.fail("ran"))
 
 
 class TestSweepJobs:

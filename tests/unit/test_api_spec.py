@@ -2,38 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.api.spec import (
     CACHE_POLICIES,
+    SHARED_FIELDS,
     SPEC_VERSION,
     VALIDATION_MODES,
     RunSpec,
     SweepSpec,
 )
-from repro.core.config import PipelineConfig
+from repro.core.config import FIELD_CHOICES, PipelineConfig
 
 
 class TestRunSpecRoundTrip:
     def test_dict_round_trip_defaults(self):
         spec = RunSpec(scale=8)
         assert RunSpec.from_dict(spec.to_dict()) == spec
-
-    def test_json_round_trip_every_field_nondefault(self):
-        spec = RunSpec(
-            scale=9, edge_factor=8, seed=3, num_files=2, backend="numpy",
-            generator="kronecker", damping=0.9, iterations=7,
-            vertex_base=1, file_format="npy", sort_algorithm="counting",
-            sort_by_end_vertex=True, external_sort=True,
-            formula="paper-body", execution="parallel", parallel_ranks=3,
-            parallel_executor="mp", streaming_batch_edges=1 << 10,
-            async_lanes="process", shard_plane="shm", cache_mmap=True,
-            data_dir="/tmp/somewhere", repeats=2,
-            cache_policy="off", validation="full",
-        )
-        assert RunSpec.from_json(spec.to_json()) == spec
 
     def test_to_dict_is_json_safe(self):
         json.dumps(RunSpec(scale=8, data_dir="/tmp/x").to_dict())
@@ -48,18 +36,32 @@ class TestRunSpecRoundTrip:
 
 
 class TestRunSpecVersioning:
-    def test_v1_document_migrates(self):
-        # v1 carried a boolean `validate` and no spec_version stamping
-        # of the three-state `validation`.
-        spec = RunSpec.from_dict(
-            {"scale": 6, "validate": True, "spec_version": 1}
-        )
-        assert spec.validation == "full"
+    def test_unstamped_document_is_current_version(self):
+        # The HTTP `{"spec": {...}}` path: hand-written documents carry
+        # no stamp and mean "the version this library reads".
+        spec = RunSpec.from_dict({"scale": 6})
         assert spec.spec_version == SPEC_VERSION
+        assert spec == RunSpec(scale=6)
 
-    def test_v1_without_version_stamp_migrates(self):
-        spec = RunSpec.from_dict({"scale": 6, "validate": False})
-        assert spec.validation == "contracts"
+    @pytest.mark.parametrize("version", range(1, SPEC_VERSION))
+    def test_old_version_refused_naming_both_versions(self, version):
+        with pytest.raises(ValueError) as err:
+            RunSpec.from_dict({"scale": 6, "spec_version": version})
+        message = str(err.value)
+        assert f"spec_version {version} is older" in message
+        assert f"version {SPEC_VERSION}" in message
+
+    def test_old_version_reported_before_its_unknown_fields(self):
+        # A v1 document's `validate` is an unknown field today; the
+        # version is the cause worth naming.
+        with pytest.raises(ValueError, match="is older than version"):
+            RunSpec.from_dict(
+                {"scale": 6, "validate": True, "spec_version": 1}
+            )
+
+    def test_removed_field_in_unstamped_document_names_the_field(self):
+        with pytest.raises(ValueError, match="unknown RunSpec field.*validate"):
+            RunSpec.from_dict({"scale": 6, "validate": True})
 
     def test_future_version_refused(self):
         with pytest.raises(ValueError, match="newer than this library"):
@@ -69,58 +71,63 @@ class TestRunSpecVersioning:
         with pytest.raises(ValueError, match="invalid spec_version"):
             RunSpec.from_dict({"scale": 6, "spec_version": "two"})
 
-    def test_v2_document_migrates(self):
-        # v2 predates async_lanes; the migration only restamps — the
-        # new field's default reproduces the old behaviour.
-        spec = RunSpec.from_dict(
-            {"scale": 6, "execution": "async", "spec_version": 2}
-        )
-        assert spec.spec_version == SPEC_VERSION
-        assert spec.async_lanes == "thread"
-
-    def test_v1_chains_through_v2(self):
-        spec = RunSpec.from_dict(
-            {"scale": 6, "validate": True, "spec_version": 1}
-        )
-        assert spec.validation == "full"
-        assert spec.async_lanes == "thread"
-
-    def test_v3_document_migrates(self):
-        # v3 predates the shard plane and mmap cache reads; the
-        # migration only restamps — both defaults ("pipe", off)
-        # reproduce the old hand-off behaviour exactly.
-        spec = RunSpec.from_dict({
-            "scale": 6, "execution": "async",
-            "async_lanes": "process", "spec_version": 3,
-        })
-        assert spec.spec_version == SPEC_VERSION
-        assert spec.async_lanes == "process"
-        assert spec.shard_plane == "pipe"
-        assert spec.cache_mmap is False
-
-    def test_v4_document_migrates(self):
-        # v4 predates the trace plane; the migration only restamps —
-        # tracing defaults off, reproducing v4 behaviour exactly.
-        spec = RunSpec.from_dict({
-            "scale": 6, "execution": "async",
-            "shard_plane": "shm", "spec_version": 4,
-        })
-        assert spec.spec_version == SPEC_VERSION
-        assert spec.shard_plane == "shm"
-        assert spec.trace is False
-
-    def test_v1_chains_to_current(self):
-        spec = RunSpec.from_dict(
-            {"scale": 6, "validate": True, "spec_version": 1}
-        )
-        assert spec.spec_version == SPEC_VERSION
-        assert spec.shard_plane == "pipe"
-        assert spec.cache_mmap is False
-        assert spec.trace is False
-
     def test_constructor_refuses_stale_version(self):
-        with pytest.raises(ValueError, match="migrated"):
+        with pytest.raises(ValueError, match=f"RunSpec is version {SPEC_VERSION}"):
             RunSpec(scale=6, spec_version=1)
+
+
+def _non_default(name):
+    """A legal value of shared field ``name`` that is not its default,
+    derived from the declaration so a future field needs no edit here
+    (unless it is a free-form string, which must be listed)."""
+    default = PipelineConfig.__dataclass_fields__[name].default
+    if name in FIELD_CHOICES:
+        return next(c for c in FIELD_CHOICES[name] if c != default)
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, int):
+        return default + 1
+    if isinstance(default, float):
+        return default / 2
+    return {"scale": 7, "backend": "numpy", "generator": "erdos-renyi",
+            "sort_algorithm": "counting"}[name]
+
+
+class TestSharedFieldTable:
+    """One pipeline field = one line in each dataclass; the bridges
+    and the JSON form are derived, so they hold for every field."""
+
+    def test_table_is_every_common_field_but_data_dir(self):
+        common = (set(PipelineConfig.__dataclass_fields__)
+                  & set(RunSpec.__dataclass_fields__))
+        assert set(SHARED_FIELDS) == common - {"data_dir"}
+        # What the config has and the spec spells differently.
+        assert set(PipelineConfig.__dataclass_fields__) - common == {
+            "validate", "keep_files", "cache_dir"}
+
+    @pytest.mark.parametrize("name", SHARED_FIELDS)
+    def test_defaults_agree(self, name):
+        # `scale` has no default on either side (both MISSING).
+        assert (RunSpec.__dataclass_fields__[name].default
+                == PipelineConfig.__dataclass_fields__[name].default)
+
+    @pytest.mark.parametrize("name", SHARED_FIELDS)
+    def test_non_default_value_survives_both_round_trips(self, name):
+        value = _non_default(name)
+        spec = RunSpec(**{"scale": 6, name: value})
+        config = spec.to_config()
+        assert getattr(config, name) == value
+        assert RunSpec.from_config(config, cache_policy="shared") == spec
+        assert RunSpec.from_dict(json.loads(spec.to_json())) == spec
+
+    def test_api_fields_round_trip_through_json(self):
+        spec = RunSpec(scale=6, data_dir="/tmp/somewhere", repeats=2,
+                       cache_policy="off", validation="full")
+        assert RunSpec.from_json(spec.to_json()) == spec
+
+    def test_field_counts(self):
+        assert len(dataclasses.fields(PipelineConfig)) == 25
+        assert len(dataclasses.fields(RunSpec)) == 26
 
 
 class TestRunSpecValidation:
@@ -163,23 +170,6 @@ class TestConfigBridge:
         assert RunSpec(
             scale=6, validation="validate-only"
         ).to_config().validate is True
-
-    def test_async_lanes_reaches_config_and_back(self):
-        spec = RunSpec(scale=6, execution="async", async_lanes="process")
-        config = spec.to_config()
-        assert config.async_lanes == "process"
-        assert RunSpec.from_config(config).async_lanes == "process"
-
-    def test_shard_plane_reaches_config_and_back(self):
-        spec = RunSpec(scale=6, execution="async",
-                       async_lanes="process", shard_plane="shm",
-                       cache_mmap=True)
-        config = spec.to_config()
-        assert config.shard_plane == "shm"
-        assert config.cache_mmap is True
-        back = RunSpec.from_config(config)
-        assert back.shard_plane == "shm"
-        assert back.cache_mmap is True
 
     def test_invalid_shard_plane_rejected(self):
         with pytest.raises(ValueError, match="shard_plane"):
@@ -248,6 +238,9 @@ class TestSweepSpec:
             SweepSpec(base=RunSpec(scale=1), scales=(), backends=("scipy",))
         with pytest.raises(ValueError, match="at least one backend"):
             SweepSpec(base=RunSpec(scale=1), scales=(6,), backends=())
+        with pytest.raises(ValueError, match="repeats"):
+            SweepSpec(base=RunSpec(scale=1), scales=(6,),
+                      backends=("scipy",), repeats=0)
 
     def test_base_repeats_must_be_one(self):
         with pytest.raises(ValueError, match="base.repeats"):

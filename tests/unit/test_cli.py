@@ -6,7 +6,23 @@ import json
 
 import pytest
 
+from repro.api import RunSpec
+from repro.cli.commands import run_spec_from_args
 from repro.cli.main import build_parser, main
+from repro.core.config import FIELD_CHOICES
+
+
+def _run_spec(*argv):
+    return run_spec_from_args(build_parser().parse_args(["run", *argv]))
+
+
+def _sweep_rows(table):
+    """Rows of a one-cell ``sweep`` table, keyed by kernel."""
+    lines = [[cell.strip() for cell in line.strip("|").split("|")]
+             for line in table.splitlines() if line.startswith("|")]
+    header = lines[0]
+    return {row[header.index("kernel")]: dict(zip(header, row))
+            for row in lines[2:]}
 
 
 class TestParser:
@@ -14,10 +30,45 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_run_defaults(self):
+    def test_run_defaults_are_runspec_defaults(self):
+        # The parser stores no default for a spec-shaping flag, so the
+        # only copy of each default is the RunSpec dataclass.
         args = build_parser().parse_args(["run"])
-        assert args.scale == 12
-        assert args.backend == "scipy"
+        assert not set(vars(args)) & set(RunSpec.__dataclass_fields__)
+        assert _run_spec() == RunSpec(scale=12)
+
+    def test_every_run_flag_lands_on_its_spec_field(self):
+        spec = _run_spec(
+            "--scale", "7", "--edge-factor", "8", "--backend", "numpy",
+            "--generator", "ring", "--seed", "3", "--num-files", "2",
+            "--iterations", "5", "--damping", "0.5",
+            "--sort-algorithm", "radix", "--external-sort",
+            "--file-format", "npy", "--formula", "paper-body",
+            "--data-dir", "/tmp/d", "--execution", "parallel",
+            "--ranks", "3", "--parallel-executor", "mp",
+            "--batch-edges", "1024", "--async-lanes", "process",
+            "--shard-plane", "shm", "--repeats", "2",
+            "--validate", "--trace", "/tmp/t.json",
+        )
+        assert spec == RunSpec(
+            scale=7, edge_factor=8, backend="numpy", generator="ring",
+            seed=3, num_files=2, iterations=5, damping=0.5,
+            sort_algorithm="radix", external_sort=True, file_format="npy",
+            formula="paper-body", data_dir="/tmp/d", execution="parallel",
+            parallel_ranks=3, parallel_executor="mp",
+            streaming_batch_edges=1024, async_lanes="process",
+            shard_plane="shm", repeats=2, validation="full", trace=True,
+        )
+
+    @pytest.mark.parametrize("field", FIELD_CHOICES)
+    def test_enum_flags_accept_exactly_the_config_tables_values(
+            self, field):
+        flag = "--" + field.replace("_", "-")
+        for choice in FIELD_CHOICES[field]:
+            args = build_parser().parse_args(["run", flag, choice])
+            assert getattr(args, field) == choice
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", flag, "bogus"])
 
     def test_sweep_csv_parsing(self):
         args = build_parser().parse_args(
@@ -233,6 +284,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "scipy" in out and "numpy" in out
 
+    def test_sweep_dashes_out_cache_read_speed(self, tmp_path, capsys):
+        # Warm cache: K0-K2 of the second sweep are cache reads in every
+        # repeat, so their kept records are `cached` and the table shows
+        # no throughput for them — the same rule `run` applies.
+        argv = ["sweep", "--scales", "6", "--backends", "scipy",
+                "--cache-dir", str(tmp_path / "c")]
+        assert main(argv) == 0
+        cold = _sweep_rows(capsys.readouterr().out)
+        assert all(row["edges/s"] != "-" for row in cold.values())
+        assert main(argv) == 0
+        warm = _sweep_rows(capsys.readouterr().out)
+        for kernel in ("k0-generate", "k1-sort", "k2-filter"):
+            assert warm[kernel]["edges/s"] == "-"
+        assert warm["k3-pagerank"]["edges/s"] != "-"
+
     def test_run_keeps_files_in_data_dir(self, tmp_path, capsys):
         assert main(["run", "--scale", "6", "--data-dir", str(tmp_path)]) == 0
         assert (tmp_path / "k0" / "manifest.json").exists()
@@ -377,22 +443,37 @@ class TestExitCodeDiscipline:
             pytest.skip("validation unexpectedly passed at this config")
         assert code == 1
 
-    def test_scenario_override_equal_to_parser_default_still_wins(self):
-        from repro.cli.commands import run_spec_from_args
-
+    def test_scenario_override_equal_to_spec_default_still_wins(self):
         # cache-warm sets repeats=3; an explicit `--repeats 1` must
-        # override even though 1 equals the parser default (presence on
+        # override even though 1 equals the RunSpec default (presence on
         # the command line is what counts, not value inequality).
-        argv = ["run", "--scenario", "cache-warm", "--repeats", "1"]
-        args = build_parser().parse_args(argv)
-        args._argv = argv
-        assert run_spec_from_args(args).repeats == 1
+        assert _run_spec("--scenario", "cache-warm",
+                         "--repeats", "1").repeats == 1
         # Omitted flags keep the scenario's values.
-        argv = ["run", "--scenario", "cache-warm"]
-        args = build_parser().parse_args(argv)
-        args._argv = argv
-        spec = run_spec_from_args(args)
+        spec = _run_spec("--scenario", "cache-warm")
         assert spec.repeats == 3 and spec.scale == 10
+
+    @pytest.mark.parametrize("argv,field,value", [
+        # An int, a choice and a store_true flag, each typed with a
+        # value equal to what used to be the parser default, in the two
+        # spellings a scan of argv for the literal flag token missed.
+        (["--scenario", "smoke", "--scal", "12"], "scale", 12),
+        (["--scenario", "smoke", "--sca=12"], "scale", 12),
+        (["--scenario", "async-overlap-proc", "--async-lane", "thread"],
+         "async_lanes", "thread"),
+        (["--scenario", "async-overlap-proc", "--async-lanes=thread"],
+         "async_lanes", "thread"),
+        (["--scenario", "parallel-mp", "--rank", "4"], "parallel_ranks", 4),
+        (["--scenario", "smoke", "--external-sor"], "external_sort", True),
+    ])
+    def test_abbreviated_and_joined_flags_override_scenario(
+            self, argv, field, value):
+        assert getattr(_run_spec(*argv), field) == value
+
+    def test_abbreviated_scale_reaches_the_run(self, capsys):
+        assert main(["run", "--scenario", "smoke", "--scal", "7",
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["scale"] == 7
 
     def test_scenario_cache_warm_without_cache_dir_warns(self, capsys):
         assert main(["run", "--scenario", "cache-warm", "--scale", "6"]) == 0
@@ -400,19 +481,12 @@ class TestExitCodeDiscipline:
         assert "no --cache-dir" in err
 
     def test_scenario_no_verify_keeps_scenario_validation(self):
-        from repro.cli.commands import run_spec_from_args
-        from repro.cli.main import build_parser
-
         # --no-verify drops only the contracts: a scenario with full
         # validation degrades to validate-only, never silently to off.
-        args = build_parser().parse_args(
-            ["run", "--scenario", "validated", "--no-verify"]
-        )
-        assert run_spec_from_args(args).validation == "validate-only"
-        args = build_parser().parse_args(
-            ["run", "--scenario", "validated", "--no-validate"]
-        )
-        assert run_spec_from_args(args).validation == "contracts"
+        assert _run_spec("--scenario", "validated",
+                         "--no-verify").validation == "validate-only"
+        assert _run_spec("--scenario", "validated",
+                         "--no-validate").validation == "contracts"
 
     def test_cache_rm_distinguishes_busy_from_absent(self, tmp_path, capsys):
         from repro.core.artifacts import ArtifactCache

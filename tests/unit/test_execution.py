@@ -168,10 +168,16 @@ class TestConfigExecutionFields:
 
 
 class TestSweepCachePreference:
+    @staticmethod
+    def _sweep(repeats):
+        from repro.api import RunSpec, SweepSpec
+
+        return SweepSpec(base=RunSpec(scale=6, validation="off"),
+                         scales=(6,), backends=("scipy",), repeats=repeats)
+
     def test_best_of_prefers_uncached_timings(self, monkeypatch):
+        from repro.api import execute_sweep, runner
         from repro.core.results import KernelResult, PipelineResult
-        from repro.harness import sweep as sweep_mod
-        from repro.harness.sweep import SweepPlan
 
         calls = {"n": 0}
 
@@ -194,10 +200,8 @@ class TestSweepCachePreference:
                 )
             return result
 
-        monkeypatch.setattr(sweep_mod, "run_pipeline", fake_run_pipeline)
-        plan = SweepPlan(scales=[6], backends=["scipy"], repeats=3,
-                         cache_dir=Path("unused"))
-        records = {r.kernel: r for r in sweep_mod.run_sweep(plan)}
+        monkeypatch.setattr(runner, "run_pipeline", fake_run_pipeline)
+        records = {r.kernel: r for r in execute_sweep(self._sweep(3))}
         # Cached K1 reads never displace the real sort measurement...
         assert records["k1-sort"].seconds == 0.5
         assert not records["k1-sort"].cached
@@ -211,9 +215,8 @@ class TestSweepCachePreference:
         # tell cache-read speed from real throughput.
         import logging
 
+        from repro.api import execute_sweep, runner
         from repro.core.results import KernelResult, PipelineResult
-        from repro.harness import sweep as sweep_mod
-        from repro.harness.sweep import SweepPlan
 
         def fake_run_pipeline(config, verify=False):
             result = PipelineResult(config=config)
@@ -230,11 +233,9 @@ class TestSweepCachePreference:
                 )
             return result
 
-        monkeypatch.setattr(sweep_mod, "run_pipeline", fake_run_pipeline)
-        plan = SweepPlan(scales=[6], backends=["scipy"], repeats=2,
-                         cache_dir=Path("warm"))
-        with caplog.at_level(logging.WARNING, logger="repro.harness"):
-            records = {r.kernel: r for r in sweep_mod.run_sweep(plan)}
+        monkeypatch.setattr(runner, "run_pipeline", fake_run_pipeline)
+        with caplog.at_level(logging.WARNING, logger="repro.api"):
+            records = {r.kernel: r for r in execute_sweep(self._sweep(2))}
         assert records["k1-sort"].cached
         assert not records["k2-filter"].cached
         assert any("artifact-cache read" in m for m in caplog.messages)
@@ -308,7 +309,7 @@ class TestArtifactCacheUnit:
                 != cache_key(k1_cache_fields(config)))
 
     def test_key_tracks_executing_backend_not_config(self):
-        # Pipeline(config, backend=instance) may run a backend other
+        # run_pipeline(config, backend=instance) may run a backend other
         # than config.backend; the cache must key on what actually ran.
         config = PipelineConfig(scale=6, backend="numpy")
         assert (cache_key(k0_cache_fields(config, "python"))

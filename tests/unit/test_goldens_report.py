@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import RunSpec, SweepSpec, execute_sweep
 from repro.core.config import PipelineConfig
 from repro.harness.goldens import GoldenRecord, golden_for_config
 from repro.harness.report import build_report
-from repro.harness.sweep import SweepPlan, run_sweep
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +71,10 @@ class TestGoldenRecord:
 class TestReport:
     @pytest.fixture(scope="class")
     def records(self):
-        plan = SweepPlan(scales=[6], backends=["python", "scipy"], seed=4)
-        return run_sweep(plan)
+        return execute_sweep(SweepSpec(
+            base=RunSpec(scale=6, seed=4, validation="off"),
+            scales=(6,), backends=("python", "scipy"),
+        ))
 
     def test_contains_all_sections(self, records):
         document = build_report(records)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import RunSpec, SweepSpec, execute_sweep
 from repro.core.config import KernelName, PipelineConfig
 from repro.core.pipeline import run_pipeline
 from repro.harness.experiments import available_experiments, run_experiment
@@ -17,7 +18,6 @@ from repro.harness.records import (
     save_records,
 )
 from repro.harness.sloc import backend_sloc_table, count_sloc
-from repro.harness.sweep import SweepPlan, run_sweep
 from repro.harness.tables import (
     PAPER_TABLE1,
     render_run_sizes,
@@ -120,45 +120,39 @@ class TestRecords:
         assert set(grouped) == {"numpy"}
 
 
+def _measurement_sweep(scales, backends, *, repeats=1, seed=1):
+    """A contracts-off grid, as the CLI's ``sweep`` builds it."""
+    return SweepSpec(
+        base=RunSpec(scale=scales[0], seed=seed, validation="off"),
+        scales=scales, backends=backends, repeats=repeats,
+    )
+
+
 class TestSweep:
-    def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            SweepPlan(scales=[], backends=["scipy"])
-        with pytest.raises(ValueError):
-            SweepPlan(scales=[6], backends=[])
-        with pytest.raises(ValueError):
-            SweepPlan(scales=[6], backends=["scipy"], repeats=0)
-
-    def test_configs_grid(self):
-        plan = SweepPlan(scales=[6, 7], backends=["scipy", "numpy"])
-        configs = plan.configs()
-        assert len(configs) == 4
-        assert {(c.backend, c.scale) for c in configs} == {
-            ("scipy", 6), ("scipy", 7), ("numpy", 6), ("numpy", 7),
-        }
-
-    def test_run_sweep_produces_grid_records(self):
-        plan = SweepPlan(scales=[6], backends=["scipy", "numpy"], seed=3)
-        records = run_sweep(plan)
+    def test_execute_sweep_produces_grid_records(self):
+        records = execute_sweep(
+            _measurement_sweep([6], ["scipy", "numpy"], seed=3))
         assert len(records) == 8  # 2 backends x 4 kernels
         assert {r.backend for r in records} == {"scipy", "numpy"}
 
     def test_repeats_keep_fastest(self):
-        plan = SweepPlan(scales=[6], backends=["scipy"], repeats=2, seed=3)
-        records = run_sweep(plan)
+        records = execute_sweep(
+            _measurement_sweep([6], ["scipy"], repeats=2, seed=3))
         assert len(records) == 4  # still one per kernel
 
     def test_progress_callback(self):
         calls = []
-        plan = SweepPlan(scales=[6], backends=["scipy"], seed=3)
-        run_sweep(plan, progress=lambda cfg, rep: calls.append((cfg.backend, rep)))
+        execute_sweep(
+            _measurement_sweep([6], ["scipy"], seed=3),
+            progress=lambda cfg, rep: calls.append((cfg.backend, rep)),
+        )
         assert calls == [("scipy", 0)]
 
 
 class TestFigures:
     def _records(self):
-        plan = SweepPlan(scales=[6, 7], backends=["scipy", "numpy"], seed=2)
-        return run_sweep(plan)
+        return execute_sweep(
+            _measurement_sweep([6, 7], ["scipy", "numpy"], seed=2))
 
     def test_build_series_shape(self):
         figure = build_figure_series("fig7", self._records())

@@ -227,6 +227,43 @@ class TestReplayDegraded:
             assert doc["sweep"] is None  # the unparseable part, flagged
 
 
+    @pytest.mark.parametrize("stale", [
+        {"scale": 6, "spec_version": 4},  # a version no longer read
+        {"scale": 6, "validate": True},   # a v1 field, unstamped
+    ])
+    def test_store_with_unreadable_run_specs_still_replays(
+        self, tmp_path, stale
+    ):
+        """A spec document RunSpec.from_dict refuses costs the store
+        only what cannot be had without it: a finished job restores
+        from its terminal event, an unfinished one is dropped."""
+        store = tmp_path / "jobs.jsonl"
+        with _service(store) as service:
+            done = service.submit(SPEC)
+            lost = service.submit(SPEC.with_overrides(seed=2))
+            service.result(done, timeout=120)
+            service.result(lost, timeout=120)
+            original = service.result_doc(done)
+        with pytest.raises(ValueError):
+            RunSpec.from_dict(stale)
+        _drop_events(store, lambda e: e["job_id"] == lost
+                     and e["event"] == "succeeded")
+        rewritten = [dict(e, spec=stale) if e["event"] == "submitted" else e
+                     for e in load_events(store)]
+        store.write_text(
+            "".join(json.dumps(e, sort_keys=True) + "\n"
+                    for e in rewritten),
+            encoding="utf-8",
+        )
+        with _service(store) as replayed:
+            assert [j["job_id"] for j in replayed.jobs()] == [done]
+            doc = replayed.result_doc(done)
+            assert doc["state"] == "succeeded"
+            assert doc["records"] == original["records"]
+            assert doc["rank_sha256"] == original["rank_sha256"]
+        assert "requeued" not in [e["event"] for e in load_events(store)]
+
+
 class TestCompaction:
     def test_compacted_store_replays_to_identical_state(self, tmp_path):
         store = tmp_path / "jobs.jsonl"
