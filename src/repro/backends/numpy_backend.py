@@ -3,7 +3,7 @@
 Where the scipy backend delegates sparse algebra to compiled CSR
 routines, this backend keeps the adjacency matrix as *coordinate
 triples* ``(rows, cols, vals)`` and implements every kernel with numpy
-primitives directly: ``lexsort`` + run-collapse for duplicate
+primitives directly: pair ordering + run-collapse for duplicate
 accumulation, ``bincount`` for degree reductions and the SpMV scatter.
 It is a genuinely different code path (COO scatter-style SpMV vs CSR
 segment-style), which is exactly the kind of implementation spread the
@@ -13,7 +13,6 @@ paper's language comparison measures.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,7 +23,7 @@ from repro.core.config import PipelineConfig
 from repro.edgeio.dataset import EdgeDataset
 from repro.generators.registry import get_generator
 from repro.sort.external import ExternalSortConfig, external_sort_dataset
-from repro.sort.inmemory import sort_edges
+from repro.sort.inmemory import collapse_duplicates, sort_edges
 
 
 class CooAdjacency(AdjacencyHandle):
@@ -62,25 +61,6 @@ class CooAdjacency(AdjacencyHandle):
         ).tocsr()
 
 
-def _collapse_duplicates(
-    u: np.ndarray, v: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort COO coordinates and sum duplicate ``(u, v)`` pairs.
-
-    Returns deduplicated ``(rows, cols, counts)`` in row-major order —
-    the ``sparse(u, v, 1, N, N)`` construction without scipy.
-    """
-    if len(u) == 0:
-        return u, v, np.empty(0, dtype=np.float64)
-    order = np.lexsort((v, u))
-    su = u[order]
-    sv = v[order]
-    new_pair = np.r_[True, (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])]
-    group_id = np.cumsum(new_pair) - 1
-    counts = np.bincount(group_id).astype(np.float64)
-    return su[new_pair], sv[new_pair], counts
-
-
 class NumpyBackend(Backend):
     """Hand-rolled numpy implementation of all four kernels."""
 
@@ -89,7 +69,7 @@ class NumpyBackend(Backend):
 
     def adjacency_from_csr(self, matrix, pre_filter_total):
         # CSR -> COO yields row-major triples, the same order
-        # _collapse_duplicates produces, so Kernel 3's bincount
+        # collapse_duplicates produces, so Kernel 3's bincount
         # summation order (and thus its float64 result) is preserved.
         coo = matrix.tocoo()
         return CooAdjacency(
@@ -178,7 +158,7 @@ class NumpyBackend(Backend):
             u, v = source.read_all()
 
         with timings.measure("construct"):
-            rows, cols, vals = _collapse_duplicates(u, v)
+            rows, cols, vals = collapse_duplicates(u, v)
             pre_filter_total = float(vals.sum())
 
         with timings.measure("filter"):

@@ -348,6 +348,7 @@ def adopt_streamed_matrix(ctx: StageContext, streamed) -> StageOutput:
         streamed.matrix, streamed.pre_filter_entry_total
     )
     details: Details = {
+        "phases": dict(streamed.phases),
         "batch_edges": ctx.config.streaming_batch_edges,
         "batches": streamed.batches,
         "unique_triples": streamed.unique_triples,

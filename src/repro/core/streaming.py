@@ -7,13 +7,14 @@ axis.  Because Kernel 1 sorted the edges by start vertex, Kernel 2 can
 stream:
 
 * **pass 1** — stream batches, deduplicate within each batch (safe: a
-  duplicate pair can only span batches at a row boundary, handled by a
-  carry buffer), accumulate the in-degree vector and spill deduplicated
-  triples to a compact binary scratch file;
+  duplicate pair can only span batches at a row boundary, handled by
+  carrying each batch's last row into the next), accumulate the
+  in-degree vector and spill deduplicated ``(row, col, count)`` records
+  to a binary scratch file;
 * **decide** — compute the elimination mask from the full in-degree;
-* **pass 2** — stream the scratch triples, drop eliminated columns,
-  accumulate out-degrees (rows arrive contiguously, so each row
-  finishes before the next begins), normalise and emit CSR pieces.
+* **pass 2** — stream the scratch records, drop eliminated columns,
+  count the rows' surviving entries and assemble the CSR, then scale
+  each row by its inverse out-degree in place.
 
 Peak memory is O(batch + N) instead of O(M + N).
 """
@@ -24,18 +25,19 @@ import queue
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.shmplane import mapped_view
-
-from repro._util import check_positive_int
+from repro._util import Timings, check_positive_int
+from repro.core import trace
 from repro.core.config import DEFAULT_STREAMING_BATCH_EDGES
+from repro.core.shmplane import mapped_view
 from repro.edgeio.dataset import EdgeDataset
+from repro.sort.inmemory import collapse_duplicates
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,12 @@ class StreamingKernel2Result:
         Deduplicated ``(row, col, count)`` triples spilled by pass 1 and
         re-read by pass 2 — the actual matrix-assembly work, which batch
         deduplication makes smaller than ``M``.
+    phases:
+        Seconds per phase: ``ingest`` (reading batches), ``dedup``
+        (pass-1 compute), ``spill`` (pass-1 writes), ``decide``,
+        ``pass2`` (filter + CSR assembly), ``normalize``.  With
+        ``overlap_io`` the first three are per-lane busy times that ran
+        concurrently, so the sum is busy time, not wall-clock.
     io_overlap:
         Present only when ``overlap_io=True``: per-role busy seconds
         (``ingest`` read, ``compute`` dedup, ``spill`` write, serial
@@ -71,26 +79,24 @@ class StreamingKernel2Result:
     eliminated_columns: int
     batches: int
     unique_triples: int = 0
+    phases: Dict[str, float] = field(default_factory=dict)
     io_overlap: Optional[Dict[str, float]] = None
 
 
-def _dedup_sorted_batch(
-    u: np.ndarray, v: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse duplicates in a batch that is already sorted by ``u``.
+#: One spilled triple.  Rows and columns stay integers and counts stay
+#: float64 end to end, so pass 2 reads each field back without a cast.
+_SPILL_DTYPE = np.dtype(
+    [("row", np.int64), ("col", np.int64), ("count", np.float64)]
+)
 
-    Within a batch, ties in ``u`` may appear in any ``v`` order, so the
-    batch is lexsorted before run-collapsing — O(batch log batch), not
-    O(M log M).
-    """
-    if len(u) == 0:
-        return u, v, np.empty(0, dtype=np.float64)
-    order = np.lexsort((v, u))
-    su, sv = u[order], v[order]
-    new_pair = np.r_[True, (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])]
-    group = np.cumsum(new_pair) - 1
-    counts = np.bincount(group).astype(np.float64)
-    return su[new_pair], sv[new_pair], counts
+_BACKWARD_ROW = (
+    "streaming_kernel2 requires input sorted by start vertex "
+    "(kernel 1 output); found a backward row"
+)
+
+
+def _join(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    return np.concatenate([head, tail]) if len(head) else tail
 
 
 def _stream_dedup(
@@ -98,41 +104,51 @@ def _stream_dedup(
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield deduplicated (rows, cols, counts) runs in row order.
 
-    A carry buffer holds the final row of each batch so duplicates that
-    straddle a batch boundary (possible only for the boundary row, since
-    input is sorted by row) are merged before emission.  ``batches`` is
-    any ``(u, v)`` iterable — a dataset's :meth:`iter_batches` or a
-    hand-off queue fed by a background reader thread.
+    Ties in ``u`` may appear in any ``v`` order, so each batch is
+    ordered and run-collapsed on its own — O(batch), not O(M log M).
+    The final row of each batch is held back as a carry: input is
+    sorted by row, so it is the only row whose duplicates can continue
+    in the next batch.  That batch's entries of the carried row (a
+    prefix of its collapsed output) are merged into the carry — two
+    sorted column runs, one stable merge — and nothing else of the
+    batch is touched again.  ``batches`` is any ``(u, v)`` iterable — a
+    dataset's :meth:`iter_batches` or a hand-off queue fed by a
+    background reader thread.
     """
-    carry_u = np.empty(0, dtype=np.int64)
-    carry_v = np.empty(0, dtype=np.int64)
+    carry_u = carry_v = np.empty(0, dtype=np.int64)
     carry_c = np.empty(0, dtype=np.float64)
     for u, v in batches:
         if len(u) > 1 and np.any(u[1:] < u[:-1]):
-            raise ValueError(
-                "streaming_kernel2 requires input sorted by start vertex "
-                "(kernel 1 output); found a backward row within a batch"
-            )
-        du, dv, dc = _dedup_sorted_batch(u, v)
-        if len(carry_u):
-            du = np.concatenate([carry_u, du])
-            dv = np.concatenate([carry_v, dv])
-            dc = np.concatenate([carry_c, dc])
-            # Re-collapse: carry rows may repeat pairs from this batch.
-            order = np.lexsort((dv, du))
-            du, dv, dc = du[order], dv[order], dc[order]
-            new_pair = np.r_[True, (du[1:] != du[:-1]) | (dv[1:] != dv[:-1])]
-            group = np.cumsum(new_pair) - 1
-            sums = np.bincount(group, weights=dc)
-            du, dv, dc = du[new_pair], dv[new_pair], sums
+            raise ValueError(_BACKWARD_ROW + " within a batch")
+        du, dv, dc = collapse_duplicates(u, v)
         if len(du) == 0:
             continue
-        last_row = du[-1]
-        boundary = int(np.searchsorted(du, last_row, side="left"))
-        emit_u, emit_v, emit_c = du[:boundary], dv[:boundary], dc[:boundary]
+        merged = 0  # leading entries of this batch that belong to the carry
+        if len(carry_u):
+            row = carry_u[0]
+            if du[0] < row:
+                raise ValueError(_BACKWARD_ROW)
+            merged = int(np.searchsorted(du, row, side="right"))
+        if merged:
+            cols = np.concatenate([carry_v, dv[:merged]])
+            counts = np.concatenate([carry_c, dc[:merged]])
+            order = np.argsort(cols, kind="stable")
+            cols, counts = cols[order], counts[order]
+            first = np.flatnonzero(np.r_[True, cols[1:] != cols[:-1]])
+            carry_v, carry_c = cols[first], np.add.reduceat(counts, first)
+            carry_u = np.full(len(first), row)
+            if merged == len(du):
+                continue  # the carried row is still open
+        # The carried row is complete; so is every row of this batch
+        # but its last, which becomes the next carry.
+        boundary = int(np.searchsorted(du, du[-1], side="left"))
+        if len(carry_u) or boundary:
+            yield (
+                _join(carry_u, du[merged:boundary]),
+                _join(carry_v, dv[merged:boundary]),
+                _join(carry_c, dc[merged:boundary]),
+            )
         carry_u, carry_v, carry_c = du[boundary:], dv[boundary:], dc[boundary:]
-        if len(emit_u):
-            yield emit_u, emit_v, emit_c
     if len(carry_u):
         yield carry_u, carry_v, carry_c
 
@@ -140,44 +156,66 @@ def _stream_dedup(
 class _Pass1State:
     """Accumulator shared by the serial and pipelined pass-1 drivers."""
 
-    __slots__ = ("din", "total", "batches", "triples", "last_row_seen")
+    __slots__ = ("din", "total", "batches", "triples")
 
     def __init__(self, n: int) -> None:
         self.din = np.zeros(n, dtype=np.float64)
         self.total = 0.0
         self.batches = 0
         self.triples = 0
-        self.last_row_seen = -1
 
     def absorb(self, rows, cols, counts) -> np.ndarray:
         """Fold one dedup run into the accumulators; return spill block."""
-        if rows[0] < self.last_row_seen:
-            raise ValueError(
-                "streaming_kernel2 requires input sorted by start "
-                "vertex (kernel 1 output); found a backward row"
-            )
-        self.last_row_seen = int(rows[-1])
         self.din += np.bincount(cols, weights=counts, minlength=len(self.din))
         self.total += counts.sum()
-        stacked = np.empty((len(rows), 3), dtype=np.float64)
-        stacked[:, 0] = rows
-        stacked[:, 1] = cols
-        stacked[:, 2] = counts
+        block = np.empty(len(rows), dtype=_SPILL_DTYPE)
+        block["row"] = rows
+        block["col"] = cols
+        block["count"] = counts
         self.triples += len(rows)
         self.batches += 1
-        return stacked
+        return block
+
+
+def _timed(batches, timing: Dict[str, float], key: str):
+    """Iterate ``batches``, adding the time each ``next`` takes to
+    ``timing[key]`` — what the consumer spent waiting on its source."""
+    timing.setdefault(key, 0.0)
+    iterator = iter(batches)
+    while True:
+        t0 = time.perf_counter()
+        try:
+            item = next(iterator)
+        except StopIteration:
+            return
+        finally:
+            timing[key] += time.perf_counter() - t0
+        yield item
 
 
 def _pass1_serial(
     batches: Iterable[Tuple[np.ndarray, np.ndarray]],
     spill_path: Path,
     n: int,
+    timing: Dict[str, float],
 ) -> _Pass1State:
     """The original single-threaded pass 1: read, dedup, spill in turn."""
     state = _Pass1State(n)
+    spill_seconds = 0.0
+    wall0 = time.perf_counter()
     with open(spill_path, "wb") as spill:
-        for rows, cols, counts in _stream_dedup(batches):
-            state.absorb(rows, cols, counts).tofile(spill)
+        for rows, cols, counts in _stream_dedup(
+            _timed(batches, timing, "ingest_seconds")
+        ):
+            block = state.absorb(rows, cols, counts)
+            t0 = time.perf_counter()
+            block.tofile(spill)
+            spill_seconds += time.perf_counter() - t0
+    timing["spill_seconds"] = spill_seconds
+    timing["pass1_wall_seconds"] = time.perf_counter() - wall0
+    timing["compute_seconds"] = (
+        timing["pass1_wall_seconds"] - timing["ingest_seconds"] - spill_seconds
+    )
     return state
 
 
@@ -216,23 +254,13 @@ def _pass1_pipelined(
     writer_error: list = []
 
     def _reader() -> None:
-        busy = 0.0
         try:
-            iterator = iter(batches)
-            while not cancel.is_set():
-                t0 = time.perf_counter()
-                try:
-                    batch = next(iterator)
-                except StopIteration:
-                    break
-                finally:
-                    busy += time.perf_counter() - t0
+            for batch in _timed(batches, timing, "ingest_seconds"):
                 if not _queue_put(in_q, batch, cancel):
                     return
         except BaseException as exc:  # noqa: BLE001 - re-raised by consumer
             reader_error.append(exc)
         finally:
-            timing["ingest_seconds"] = busy
             _queue_put(in_q, None, cancel)
 
     def _writer() -> None:
@@ -254,31 +282,27 @@ def _pass1_pipelined(
 
     def _batches_from_queue() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         while True:
-            t0 = time.perf_counter()
-            while True:
-                try:
-                    item = in_q.get(timeout=0.05)
-                    break
-                except queue.Empty:
-                    # A dead writer sets ``cancel`` and the reader then
-                    # gives up without delivering its end-of-stream
-                    # marker; surface the failure instead of waiting
-                    # for a batch that will never come.
-                    if cancel.is_set():
-                        if writer_error:
-                            raise writer_error[0]
-                        raise RuntimeError(
-                            "streaming pass 1 cancelled mid-ingest"
-                        )
-            timing["wait_ingest_seconds"] += time.perf_counter() - t0
+            try:
+                item = in_q.get(timeout=0.05)
+            except queue.Empty:
+                # A dead writer sets ``cancel`` and the reader then
+                # gives up without delivering its end-of-stream
+                # marker; surface the failure instead of waiting
+                # for a batch that will never come.
+                if cancel.is_set():
+                    if writer_error:
+                        raise writer_error[0]
+                    raise RuntimeError(
+                        "streaming pass 1 cancelled mid-ingest"
+                    )
+                continue
             if item is None:
                 if reader_error:
                     raise reader_error[0]
                 return
             yield item
 
-    timing.setdefault("wait_ingest_seconds", 0.0)
-    timing.setdefault("wait_spill_seconds", 0.0)
+    timing["wait_spill_seconds"] = 0.0
     state = _Pass1State(n)
     reader = threading.Thread(target=_reader, name="k2-ingest", daemon=True)
     writer = threading.Thread(target=_writer, name="k2-spill", daemon=True)
@@ -286,7 +310,9 @@ def _pass1_pipelined(
     reader.start()
     writer.start()
     try:
-        for rows, cols, counts in _stream_dedup(_batches_from_queue()):
+        for rows, cols, counts in _stream_dedup(
+            _timed(_batches_from_queue(), timing, "wait_ingest_seconds")
+        ):
             block = state.absorb(rows, cols, counts)
             t0 = time.perf_counter()
             delivered = _queue_put(out_q, block, cancel)
@@ -390,67 +416,68 @@ def streaming_kernel2(
             if batch_source is not None
             else dataset.iter_batches(batch_edges)
         )
-        overlap_timing: Dict[str, float] = {}
-        if overlap_io:
-            state = _pass1_pipelined(batches, spill_path, n, overlap_timing)
-        else:
-            state = _pass1_serial(batches, spill_path, n)
+        timing: Dict[str, float] = {}
+        with trace.span("k2:pass1", cat="k2") as pass1_span:
+            if overlap_io:
+                state = _pass1_pipelined(batches, spill_path, n, timing)
+            else:
+                state = _pass1_serial(batches, spill_path, n, timing)
+            pass1_span.set(batches=state.batches, triples=state.triples)
         din = state.din
-        total = state.total
-        batches = state.batches
         triples = state.triples
+        phases = Timings({
+            "ingest": timing["ingest_seconds"],
+            "dedup": timing["compute_seconds"],
+            "spill": timing["spill_seconds"],
+        })
         tail0 = time.perf_counter()
 
         # ---- decide elimination -------------------------------------
-        max_in = din.max() if n else 0.0
-        if max_in > 0:
-            eliminate = (din == max_in) | (din == 1)
-        else:
-            eliminate = np.zeros(n, dtype=bool)
+        with phases.measure("decide"):
+            max_in = din.max() if n else 0.0
+            if max_in > 0:
+                eliminate = (din == max_in) | (din == 1)
+            else:
+                eliminate = np.zeros(n, dtype=bool)
 
-        # ---- pass 2: filter + normalise + assemble CSR --------------
+        # ---- pass 2: filter + assemble CSR --------------------------
         indptr = np.zeros(n + 1, dtype=np.int64)
         kept_cols = []
         kept_vals = []
-        if triples:
-            with mapped_view(
-                spill_path, np.float64, (triples, 3)
-            ) as mm:
-                cursor = 0
-                while cursor < triples:
-                    end = min(cursor + batch_edges, triples)
-                    # Force-copy the block out of the mapping: vals
-                    # slices survive in kept_vals past the unmap below
-                    # (the spill file is deleted right after this
-                    # pass, which strict-unlink filesystems refuse
-                    # while mapped).
-                    block = np.array(mm[cursor:end])
-                    cursor = end
-                    rows = block[:, 0].astype(np.int64)
-                    cols = block[:, 1].astype(np.int64)
-                    vals = block[:, 2]
-                    keep = ~eliminate[cols]
-                    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-                    if len(rows) == 0:
-                        continue
-                    # Rows are contiguous in the stream; row degrees
-                    # can be accumulated into indptr counts directly.
-                    np.add.at(indptr, rows + 1, 1)
-                    kept_cols.append(cols)
-                    kept_vals.append(vals)
+        with phases.measure("pass2"), trace.span(
+            "k2:pass2", cat="k2", triples=triples
+        ):
+            if triples:
+                with mapped_view(spill_path, _SPILL_DTYPE, (triples,)) as mm:
+                    for cursor in range(0, triples, batch_edges):
+                        block = mm[cursor:cursor + batch_edges]
+                        # Mask-indexing copies the kept entries out of
+                        # the mapping, so they outlive the unmap below
+                        # (the spill file is deleted right after this
+                        # pass, which strict-unlink filesystems refuse
+                        # while mapped).
+                        keep = ~eliminate[block["col"]]
+                        rows = block["row"][keep]
+                        indptr[1:] += np.bincount(rows, minlength=n)
+                        kept_cols.append(block["col"][keep])
+                        kept_vals.append(block["count"][keep])
+            col_idx = (np.concatenate(kept_cols) if kept_cols
+                       else np.empty(0, dtype=np.int64))
+            values = (np.concatenate(kept_vals) if kept_vals
+                      else np.empty(0, dtype=np.float64))
+            np.cumsum(indptr, out=indptr)
+            matrix = sp.csr_matrix((values, col_idx, indptr), shape=(n, n))
 
-        col_idx = (np.concatenate(kept_cols) if kept_cols
-                   else np.empty(0, dtype=np.int64))
-        values = (np.concatenate(kept_vals) if kept_vals
-                  else np.empty(0, dtype=np.float64))
-        np.cumsum(indptr, out=indptr)
-
-        matrix = sp.csr_matrix((values, col_idx, indptr), shape=(n, n))
-        dout = np.asarray(matrix.sum(axis=1)).ravel()
-        inv = np.ones(n)
-        nonzero = dout > 0
-        inv[nonzero] = 1.0 / dout[nonzero]
-        matrix = (sp.diags(inv) @ matrix).tocsr()
+        # ---- normalise rows in place --------------------------------
+        # One product per entry, inv[row] * count: the products of
+        # diags(inv) @ matrix, without the sparse mat-mat and with each
+        # row's column order kept.
+        with phases.measure("normalize"):
+            dout = np.asarray(matrix.sum(axis=1)).ravel()
+            inv = np.ones(n)
+            nonzero = dout > 0
+            inv[nonzero] = 1.0 / dout[nonzero]
+            matrix.data *= np.repeat(inv, np.diff(matrix.indptr))
 
         io_overlap: Optional[Dict[str, float]] = None
         if overlap_io:
@@ -458,13 +485,11 @@ def streaming_kernel2(
             # recovered wall-clock is entirely a pass-1 property.
             tail_seconds = time.perf_counter() - tail0
             busy = (
-                overlap_timing.get("ingest_seconds", 0.0)
-                + overlap_timing.get("compute_seconds", 0.0)
-                + overlap_timing.get("spill_seconds", 0.0)
-                + tail_seconds
+                timing["ingest_seconds"] + timing["compute_seconds"]
+                + timing["spill_seconds"] + tail_seconds
             )
-            wall = overlap_timing.get("pass1_wall_seconds", 0.0) + tail_seconds
-            io_overlap = dict(overlap_timing)
+            wall = timing["pass1_wall_seconds"] + tail_seconds
+            io_overlap = dict(timing)
             io_overlap["tail_seconds"] = tail_seconds
             io_overlap["busy_seconds"] = busy
             io_overlap["wall_seconds"] = wall
@@ -472,10 +497,11 @@ def streaming_kernel2(
 
         return StreamingKernel2Result(
             matrix=matrix,
-            pre_filter_entry_total=float(total),
+            pre_filter_entry_total=float(state.total),
             eliminated_columns=int(eliminate.sum()),
-            batches=batches,
+            batches=state.batches,
             unique_triples=triples,
+            phases=phases.as_dict(),
             io_overlap=io_overlap,
         )
     finally:

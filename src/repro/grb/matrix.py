@@ -23,6 +23,7 @@ import numpy as np
 
 from repro._util import check_nonneg_int, check_positive_int, check_same_length
 from repro.grb.semiring import Monoid, PLUS
+from repro.sort.inmemory import pair_order
 
 
 class Matrix:
@@ -115,7 +116,7 @@ class Matrix:
                 )
 
         # Sort by (row, col) so duplicates become adjacent, then collapse.
-        order = np.lexsort((cols, rows))
+        order = pair_order(rows, cols)
         r = rows[order]
         c = cols[order]
         w = values[order]

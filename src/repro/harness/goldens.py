@@ -32,6 +32,7 @@ import numpy as np
 from repro.backends.base import AdjacencyHandle
 from repro.core.config import PipelineConfig
 from repro.edgeio.dataset import EdgeDataset
+from repro.sort.inmemory import pair_order
 
 
 def _digest_array(values: np.ndarray, *, decimals: int = 9) -> str:
@@ -155,7 +156,7 @@ def golden_from_outputs(
     u, v = k1_dataset.read_all()
     start_crc = zlib.crc32(np.ascontiguousarray(u).tobytes())
     # Canonicalise tie order so the record is implementation-neutral.
-    order = np.lexsort((v, u))
+    order = pair_order(u, v)
     canonical = np.column_stack([u[order], v[order]])
     canonical_crc = zlib.crc32(np.ascontiguousarray(canonical).tobytes())
 

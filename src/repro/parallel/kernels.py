@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.parallel.comm import Communicator
 from repro.parallel.partition import RowPartition
+from repro.sort.inmemory import collapse_duplicates
 
 EdgePair = Tuple[np.ndarray, np.ndarray]
 
@@ -140,19 +141,6 @@ class LocalMatrix:
         return len(self.vals)
 
 
-def _collapse_duplicates(u: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major dedup with counts (same arithmetic as the numpy backend)."""
-    if len(u) == 0:
-        return u, v, np.empty(0, dtype=np.float64)
-    order = np.lexsort((v, u))
-    su = u[order]
-    sv = v[order]
-    new_pair = np.r_[True, (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])]
-    group_id = np.cumsum(new_pair) - 1
-    counts = np.bincount(group_id).astype(np.float64)
-    return su[new_pair], sv[new_pair], counts
-
-
 def parallel_kernel2(
     comm: Communicator,
     partition: RowPartition,
@@ -180,7 +168,7 @@ def parallel_kernel2(
     n = partition.num_vertices
 
     # Local construction: dedup this rank's rows.
-    rows, cols, vals = _collapse_duplicates(local_u, local_v)
+    rows, cols, vals = collapse_duplicates(local_u, local_v)
     local_total = float(vals.sum())
     global_total = float(comm.allreduce(local_total, op="sum"))
 

@@ -19,9 +19,11 @@ one of the open questions in the paper's "next steps" section.
 from __future__ import annotations
 
 from repro.sort.inmemory import (
+    collapse_duplicates,
     counting_sort_edges,
     is_sorted_by_start,
     numpy_sort_edges,
+    pair_order,
     radix_sort_edges,
     sort_edges,
 )
@@ -29,10 +31,12 @@ from repro.sort.external import ExternalSortConfig, external_sort_dataset
 
 __all__ = [
     "ExternalSortConfig",
+    "collapse_duplicates",
     "counting_sort_edges",
     "external_sort_dataset",
     "is_sorted_by_start",
     "numpy_sort_edges",
+    "pair_order",
     "radix_sort_edges",
     "sort_edges",
 ]

@@ -14,11 +14,15 @@ ordered by start vertex:
   HPC distribution sort and exercised by the sort ablation bench.
 
 :func:`sort_edges` dispatches by algorithm name.
+
+:func:`pair_order` is the one ``(u, v)`` lexicographic ordering every
+kernel uses (``np.lexsort((v, u))``, by radix), and
+:func:`collapse_duplicates` the one duplicate run-collapse on top of it.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +40,25 @@ def is_sorted_by_start(u: np.ndarray) -> bool:
     return bool(np.all(u[1:] >= u[:-1]))
 
 
+def _radix_top(keys: np.ndarray) -> Optional[int]:
+    """``max(keys)`` if 16-bit digit passes can order ``keys`` (integers
+    in ``[0, 2**32)``, at least one of them), else ``None``."""
+    if keys.dtype.kind not in "iu" or len(keys) == 0 or int(keys.min()) < 0:
+        return None
+    top = int(keys.max())
+    return top if top < 2**32 else None
+
+
+def _digit_order(keys: np.ndarray, top: int) -> np.ndarray:
+    """Stable permutation of ``keys <= top``: one or two
+    least-significant-digit-first passes over ``uint16`` digits."""
+    order = np.argsort(keys.astype(np.uint16), kind="stable")  # low digit
+    if top >= 2**16:
+        high = (keys >> 16).astype(np.uint16)[order]
+        order = order[np.argsort(high, kind="stable")]
+    return order
+
+
 def _stable_order(keys: np.ndarray) -> np.ndarray:
     """The stable sorting permutation of ``keys``.
 
@@ -47,16 +70,47 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     result equals ``np.argsort(keys, kind="stable")`` exactly; wider or
     negative keys take that call.
     """
-    if keys.dtype.kind not in "iu" or len(keys) == 0 or int(keys.min()) < 0:
+    top = _radix_top(keys)
+    if top is None:
         return np.argsort(keys, kind="stable")
-    top = int(keys.max())
-    if top >= 2**32:
-        return np.argsort(keys, kind="stable")
-    order = np.argsort(keys.astype(np.uint16), kind="stable")  # low digit
-    if top >= 2**16:
-        high = (keys >> 16).astype(np.uint16)[order]
-        order = order[np.argsort(high, kind="stable")]
-    return order
+    return _digit_order(keys, top)
+
+
+def pair_order(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The stable lexicographic ``(u, v)`` sorting permutation.
+
+    The one way this package orders edge pairs: a stable pass over
+    ``v`` then a stable pass over ``u`` taken in that order, each pass
+    the 16-bit-digit radix sort of :func:`_stable_order`.  A stable
+    sorting permutation is unique, so the result equals
+    ``np.lexsort((v, u))`` exactly; that call (a comparison sort,
+    several times slower) remains for keys outside ``[0, 2**32)`` and
+    non-integer keys.
+    """
+    u_top, v_top = _radix_top(u), _radix_top(v)
+    if u_top is None or v_top is None:
+        return np.lexsort((v, u))
+    order = _digit_order(v, v_top)
+    return order[_digit_order(u[order], u_top)]
+
+
+def collapse_duplicates(
+    u: np.ndarray, v: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort COO coordinates and count duplicate ``(u, v)`` pairs.
+
+    Returns the distinct ``(rows, cols)`` in row-major order with each
+    pair's multiplicity as ``float64`` — the ``sparse(u, v, 1, N, N)``
+    construction without scipy.
+    """
+    if len(u) == 0:
+        return u, v, np.empty(0, dtype=np.float64)
+    order = pair_order(u, v)
+    su, sv = u[order], v[order]
+    new_pair = np.r_[True, (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])]
+    first = np.flatnonzero(new_pair)
+    counts = np.diff(first, append=len(su)).astype(np.float64)
+    return su[first], sv[first], counts
 
 
 def numpy_sort_edges(
@@ -81,7 +135,7 @@ def numpy_sort_edges(
     """
     check_same_length("u", u, "v", v)
     if by_end_vertex:
-        order = np.lexsort((v, u))
+        order = pair_order(u, v)
     elif stable:
         order = _stable_order(u)
     else:

@@ -77,6 +77,52 @@ class TestStreamingValidation:
         result = streaming_kernel2(ds, batch_edges=7)
         assert result.pre_filter_entry_total == 100.0
 
+    def test_long_row_carry_matches_in_memory(self, tmp_path):
+        # Row 5 spans six batches of 8 with duplicate columns inside and
+        # across batches; batch 0 is exactly row 2, so it ends on a row
+        # boundary and its carry meets a batch holding none of its row.
+        row_lengths = {2: 8, 5: 45, 9: 3, 10: 1, 31: 14}
+        u = np.repeat(np.fromiter(row_lengths, dtype=np.int64),
+                      list(row_lengths.values()))
+        v = (np.arange(len(u), dtype=np.int64) * 7) % 11 + 20
+        ds = EdgeDataset.write(tmp_path / "longrow", u, v, num_vertices=64)
+        config = PipelineConfig(scale=6, seed=1)
+        reference, _ = get_backend("scipy").kernel2(config, ds)
+        expected = reference.to_scipy_csr()
+        assert expected.nnz > 0
+        for overlap_io in (False, True):
+            result = streaming_kernel2(ds, batch_edges=8,
+                                       overlap_io=overlap_io)
+            assert (result.matrix != expected).nnz == 0
+            assert result.pre_filter_entry_total == len(u)
+            assert result.matrix.has_canonical_format
+
+    def test_dedup_runs_equal_whole_stream_collapse(self):
+        from repro.core.streaming import _stream_dedup
+        from repro.sort.inmemory import collapse_duplicates
+
+        u = np.repeat(np.array([0, 3, 4, 9], dtype=np.int64), [5, 23, 1, 6])
+        v = (np.arange(len(u), dtype=np.int64) * 5) % 7
+        for size in (1, 2, 5, 6, 11, len(u)):
+            runs = list(_stream_dedup(
+                (u[s:s + size], v[s:s + size]) for s in range(0, len(u), size)
+            ))
+            for got, want in zip(map(np.concatenate, zip(*runs)),
+                                 collapse_duplicates(u, v)):
+                np.testing.assert_array_equal(got, want)
+            # Only completed rows are emitted: no row appears in two runs.
+            firsts = [run[0][0] for run in runs]
+            lasts = [run[0][-1] for run in runs]
+            assert all(a < b for a, b in zip(lasts, firsts[1:]))
+
+    def test_rejects_backward_row_after_single_row_batch(self):
+        # The first batch is all row 5, so nothing had been emitted when
+        # rows 3 and 4 arrive: the carry is the only witness.
+        batches = [(np.array([5, 5]), np.array([1, 2])),
+                   (np.array([3, 4]), np.array([0, 0]))]
+        with pytest.raises(ValueError, match="backward row"):
+            streaming_kernel2(batch_source=iter(batches), num_vertices=8)
+
     def test_scratch_cleanup(self, tmp_path, sorted_dataset):
         scratch = tmp_path / "scratch"
         streaming_kernel2(sorted_dataset, batch_edges=256,
@@ -162,3 +208,38 @@ class TestOverlappedPass1:
         with pytest.raises(OSError, match="disk full"):
             streaming_kernel2(sorted_dataset, batch_edges=128,
                               overlap_io=overlap_io)
+
+
+class TestKernel2Observability:
+    PHASES = {"ingest", "dedup", "spill", "decide", "pass2", "normalize"}
+
+    @pytest.mark.parametrize("overlap_io", [False, True])
+    def test_phase_seconds_reported(self, sorted_dataset, overlap_io):
+        result = streaming_kernel2(sorted_dataset, batch_edges=500,
+                                   overlap_io=overlap_io)
+        assert set(result.phases) == self.PHASES
+        assert all(seconds >= 0.0 for seconds in result.phases.values())
+
+    @pytest.mark.parametrize("execution", ["streaming", "async"])
+    def test_executors_publish_phases(self, execution):
+        from repro.core.pipeline import run_pipeline
+
+        result = run_pipeline(PipelineConfig(scale=6, seed=3,
+                                             execution=execution))
+        assert set(result.kernels[2].details["phases"]) == self.PHASES
+
+    def test_pass_spans_only_under_a_collector(self, sorted_dataset):
+        from repro.core import trace
+
+        collector = trace.TraceCollector()
+        with trace.activate(collector):
+            with trace.span("task:k2-filter", cat="task") as task:
+                streaming_kernel2(sorted_dataset, batch_edges=500)
+        spans = {s.name: s for s in collector.spans()}
+        assert spans["k2:pass1"].parent_id == task.span_id
+        assert spans["k2:pass2"].parent_id == task.span_id
+        assert spans["k2:pass1"].args["triples"] == spans["k2:pass2"].args["triples"]
+
+        assert trace.current() is None
+        streaming_kernel2(sorted_dataset, batch_edges=500)
+        assert len(collector.spans()) == len(spans)

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sort.inmemory import (
+    collapse_duplicates,
     counting_sort_edges,
     numpy_sort_edges,
+    pair_order,
     radix_sort_edges,
 )
 
@@ -103,3 +105,109 @@ class TestExternalSortProperty:
         assert np.array_equal(su, ref_u)
         assert np.array_equal(np.sort(su * N_MAX + sv),
                               np.sort(u * N_MAX + v))
+
+
+# Key ranges around the digit-pass boundaries of the pair-ordering
+# primitive: one pass (< 2**16), two passes (< 2**32), lexsort fallback.
+_TOPS = (3, 2**16 - 1, 2**16, 2**16 + 9, 2**32 - 1, 2**32, 2**40)
+
+
+@st.composite
+def keys(draw, m):
+    top = draw(st.sampled_from(_TOPS))
+    # A narrow window under ``top`` gives heavy duplicates; -4 exercises
+    # the negative-key fallback.
+    low = draw(st.sampled_from((0, max(0, top - 3), -4)))
+    dtype = draw(st.sampled_from([
+        d for d in (np.int32, np.uint32, np.int64)
+        if top <= np.iinfo(d).max and low >= np.iinfo(d).min
+    ]))
+    values = draw(st.lists(st.integers(low, top), min_size=m, max_size=m))
+    return np.array(values, dtype=dtype)
+
+
+@st.composite
+def key_pairs(draw, max_len=200):
+    m = draw(st.integers(min_value=0, max_value=max_len))
+    u, v = draw(keys(m)), draw(keys(m))
+    layout = draw(st.sampled_from(("as-drawn", "sorted", "reversed")))
+    if layout != "as-drawn":
+        order = np.lexsort((v, u))
+        if layout == "reversed":
+            order = order[::-1]
+        u, v = u[order], v[order]
+    if draw(st.booleans()):  # shm-style read-only views
+        u.setflags(write=False)
+        v.setflags(write=False)
+    return u, v
+
+
+def _collapse_by_lexsort(u, v):
+    """The run-collapse the three former copies spelled out."""
+    if len(u) == 0:
+        return u, v, np.empty(0, dtype=np.float64)
+    order = np.lexsort((v, u))
+    su, sv = u[order], v[order]
+    new_pair = np.r_[True, (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])]
+    counts = np.bincount(np.cumsum(new_pair) - 1).astype(np.float64)
+    return su[new_pair], sv[new_pair], counts
+
+
+class TestPairOrdering:
+    @settings(deadline=None, max_examples=300)
+    @given(pair=key_pairs())
+    def test_pair_order_is_lexsort(self, pair):
+        u, v = pair
+        order = pair_order(u, v)
+        assert order.dtype == np.intp
+        assert np.array_equal(order, np.lexsort((v, u)))
+
+    @settings(deadline=None, max_examples=200)
+    @given(pair=key_pairs())
+    def test_collapse_duplicates_matches_lexsort_body(self, pair):
+        u, v = pair
+        for got, want in zip(collapse_duplicates(u, v),
+                             _collapse_by_lexsort(u, v)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_single_element(self):
+        one = np.array([7], dtype=np.int64)
+        assert pair_order(one, one).tolist() == [0]
+        rows, cols, counts = collapse_duplicates(one, one)
+        assert (rows.tolist(), cols.tolist(), counts.tolist()) == ([7], [7], [1.0])
+
+    def test_non_integer_keys_fall_back(self):
+        u = np.array([0.5, 0.25, 0.5])
+        v = np.array([2.0, 1.0, 1.0])
+        assert pair_order(u, v).tolist() == [1, 2, 0]
+
+
+class TestStreamingKernel2Property:
+    """Streaming Kernel 2 equals the in-memory one at any batch size."""
+
+    N = 16
+
+    @settings(deadline=None, max_examples=25)
+    @given(edges=edge_lists(max_edges=120, num_vertices=16))
+    def test_equals_scipy_kernel2(self, tmp_path_factory, edges):
+        from repro.backends.registry import get_backend
+        from repro.core.config import PipelineConfig
+        from repro.core.streaming import streaming_kernel2
+        from repro.edgeio.dataset import EdgeDataset
+
+        u, v = numpy_sort_edges(*edges)
+        m = len(u)
+        base = tmp_path_factory.mktemp("prop-streamk2")
+        ds = EdgeDataset.write(base / "k1", u, v, num_vertices=self.N)
+        reference, _ = get_backend("scipy").kernel2(
+            PipelineConfig(scale=4, seed=1), ds
+        )
+        expected = reference.to_scipy_csr()
+        for batch_edges in (1, 2, 3, 257, max(m, 1), 4 * max(m, 1)):
+            for overlap_io in (False, True):
+                got = streaming_kernel2(
+                    ds, batch_edges=batch_edges, overlap_io=overlap_io
+                )
+                assert got.pre_filter_entry_total == m
+                assert (got.matrix != expected).nnz == 0
