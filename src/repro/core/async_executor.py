@@ -804,6 +804,21 @@ class AsyncExecutor(Executor):
                 busy = group_busy.get(stage.kernel.value, 0.0)
                 busy -= contract_seconds
             stage_busy[stage.kernel.value] = float(busy)
+            if (
+                stage.kernel is KernelName.K0_GENERATE
+                and "k0:generate" in schedule.timings
+            ):
+                # Fine-grained Kernel 0: its phases are its tasks, under
+                # the names the serial backends publish (write = summed
+                # shard-write busy time, wherever the writes overlapped).
+                details["phases"] = {
+                    phase: sum(
+                        timing.seconds
+                        for name, timing in schedule.timings.items()
+                        if name.startswith(f"k0:{phase}")
+                    )
+                    for phase in ("generate", "write")
+                }
             outputs[stage.provides] = (output, details)
 
         # Contracts are real (overlappable) work but not kernel work:

@@ -48,7 +48,13 @@ def parallel_kernel0(
     processors": the edge stream is cut into blocks with independent
     derived seeds (see :func:`repro.generators.kronecker.kronecker_blocks`)
     and blocks are dealt round-robin to ranks.  The union over ranks is
-    exactly the serial generator's multiset; no messages are exchanged.
+    exactly the multiset one process gets by iterating ``kronecker_blocks``
+    with the same ``seed`` and ``block_edges``, whatever the rank count; no
+    messages are exchanged.  It is not ``kronecker_edges``'s edge list —
+    block seeding draws different variates from the same distribution —
+    so the pipeline's ``execution=parallel``, which shares goldens with
+    serial, takes its edges from the backend's single-stream Kernel 0 and
+    not from this function.
 
     Returns this rank's ``(u, v)`` share.
     """

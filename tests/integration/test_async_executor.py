@@ -130,6 +130,25 @@ class TestTimingAttribution:
         doc = result.to_dict()
         assert doc["wall_seconds"] == result.wall_seconds
 
+    def test_k0_reports_generate_and_write_phases(self, tmp_path):
+        # Same vocabulary as the serial backends' Kernel 0, so a K0 change
+        # is attributable on the async path without a profiler.
+        serial = run_pipeline(_config("scipy", "serial"))
+        k0 = run_pipeline(_config("scipy", "async")).kernel(
+            KernelName.K0_GENERATE)
+        phases = k0.details["phases"]
+        assert set(phases) == set(
+            serial.kernel(KernelName.K0_GENERATE).details["phases"])
+        assert phases["generate"] > 0.0 and phases["write"] > 0.0
+        # The tasks behind the phases are part of the stage's busy time
+        # (the rest is the manifest write).
+        assert sum(phases.values()) <= k0.seconds + 1e-9
+        # A cache hit runs no generate task: nothing to attribute.
+        cache = tmp_path / "c"
+        run_pipeline(_config("scipy", "async", cache_dir=cache))
+        warm = run_pipeline(_config("scipy", "async", cache_dir=cache))
+        assert "phases" not in warm.kernel(KernelName.K0_GENERATE).details
+
     def test_k2_reports_streaming_style_details(self):
         result = run_pipeline(_config("scipy", "async"))
         k2 = result.kernel(KernelName.K2_FILTER)

@@ -2,15 +2,224 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro._util import derive_seed
+from repro.generators import kronecker
 from repro.generators.base import GeneratorSpec, validate_edge_list
 from repro.generators.kronecker import (
     KroneckerParams,
     kronecker_blocks,
     kronecker_edges,
 )
+
+
+# --- Frozen reference -------------------------------------------------------
+# The generator as it stood before it was sliced: one pass per level over all
+# ``num_edges`` draws, int64 throughout.  It defines the random stream every
+# golden and rank digest was cut from; the library must reproduce it bit for
+# bit.  Do not "tidy" it.
+
+
+def _reference_block(scale, num_edges, params, rng):
+    ab = params.a + params.b
+    c_norm = params.c / (1.0 - ab)
+    a_norm = params.a / ab
+
+    u = np.zeros(num_edges, dtype=np.int64)
+    v = np.zeros(num_edges, dtype=np.int64)
+    for level in range(scale):
+        ii_bit = rng.random(num_edges) > ab
+        threshold = np.where(ii_bit, c_norm, a_norm)
+        jj_bit = rng.random(num_edges) > threshold
+        u += ii_bit.astype(np.int64) << level
+        v += jj_bit.astype(np.int64) << level
+    return u, v
+
+
+def _reference_edges(scale, edge_factor, *, params, rng, num_edges=None):
+    m = edge_factor << scale if num_edges is None else num_edges
+    u, v = _reference_block(scale, m, params, rng)
+    if params.permute_edges:
+        order = rng.permutation(m)
+        u, v = u[order], v[order]
+    if params.permute_vertices:
+        relabel = rng.permutation(1 << scale).astype(np.int64)
+        u, v = relabel[u], relabel[v]
+    return u, v
+
+
+def _reference_blocks(scale, edge_factor, *, block_edges, params, seed):
+    relabel = None
+    if params.permute_vertices:
+        label_rng = np.random.default_rng(derive_seed(seed, 0xFACE))
+        relabel = label_rng.permutation(1 << scale).astype(np.int64)
+    remaining = edge_factor << scale
+    block_index = 0
+    while remaining > 0:
+        m = min(block_edges, remaining)
+        rng = np.random.default_rng(derive_seed(seed, block_index))
+        u, v = _reference_block(scale, m, params, rng)
+        if params.permute_edges:
+            order = rng.permutation(m)
+            u, v = u[order], v[order]
+        if relabel is not None:
+            u, v = relabel[u], relabel[v]
+        yield u, v
+        remaining -= m
+        block_index += 1
+
+
+def _assert_same_edges(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64 and g.flags.c_contiguous
+        np.testing.assert_array_equal(g, w)
+
+
+#: sha256 of ``u.tobytes() + v.tobytes()`` for ``kronecker_edges(14, 16, seed=1)``.
+PINNED_S14_SEED1_SHA256 = (
+    "d23ccfcaa27cc9a150571e85a3576ea0b4088db0f5f213e43936ea351fbf12b4"
+)
+
+_PARAMS = st.builds(
+    KroneckerParams,
+    permute_vertices=st.booleans(),
+    permute_edges=st.booleans(),
+)
+# How ``_sliced`` cuts a stream of M edges: 0 full slices means M < slice;
+# (1, 0) is M == slice; (k, 1) is M = k * slice + 1 whenever k divides M - 1.
+_FULL_SLICES = st.sampled_from([0, 1, 2, 3, 5])
+_TAIL = st.sampled_from([0, 1])
+
+
+@contextlib.contextmanager
+def _sliced(num_edges, full_slices, tail):
+    """Patch ``_SLICE_EDGES`` so ``num_edges`` is ``full_slices`` slices
+    plus about ``tail`` edges (a context manager: Hypothesis re-runs the
+    test body, so a function-scoped ``monkeypatch`` fixture will not do)."""
+    if full_slices == 0:
+        slice_edges = num_edges + 1
+    else:
+        slice_edges = max(1, (num_edges - tail) // full_slices)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kronecker, "_SLICE_EDGES", slice_edges)
+        yield
+
+
+class TestStreamIsUnchanged:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scale=st.integers(1, 12),
+        edge_factor=st.integers(1, 16),
+        seed=st.integers(0, 2**32),
+        params=_PARAMS,
+        num_edges=st.one_of(st.none(), st.integers(1, 5000)),
+        full_slices=_FULL_SLICES,
+        tail=_TAIL,
+    )
+    def test_edges_equal_reference(
+        self, scale, edge_factor, seed, params, num_edges, full_slices, tail
+    ):
+        m = num_edges or edge_factor << scale
+        with _sliced(m, full_slices, tail):
+            got = kronecker_edges(scale, edge_factor, params=params,
+                                  seed=seed, num_edges=num_edges)
+        want = _reference_edges(scale, edge_factor, params=params,
+                                rng=np.random.default_rng(seed),
+                                num_edges=num_edges)
+        _assert_same_edges(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scale=st.integers(1, 10),
+        edge_factor=st.integers(1, 8),
+        seed=st.integers(0, 2**20),
+        params=_PARAMS,
+        block_edges=st.integers(1, 600),
+        full_slices=_FULL_SLICES,
+        tail=_TAIL,
+    )
+    def test_every_block_equals_reference(
+        self, scale, edge_factor, seed, params, block_edges, full_slices, tail
+    ):
+        # At most ~40 blocks an example, however large the graph drawn.
+        block_edges = max(block_edges, (edge_factor << scale) // 40)
+        with _sliced(block_edges, full_slices, tail):
+            got = list(kronecker_blocks(scale, edge_factor, params=params,
+                                        seed=seed, block_edges=block_edges))
+        want = list(_reference_blocks(scale, edge_factor, params=params,
+                                      seed=seed, block_edges=block_edges))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_edges(g, w)
+
+    def test_default_slice_is_crossed_at_benchmark_scale(self):
+        # No monkeypatch: scale 13 is 2 * _SLICE_EDGES edges, so the shipped
+        # constant's jump-ahead path runs against the reference as is.
+        assert 16 << 13 > kronecker._SLICE_EDGES
+        got = kronecker_edges(13, 16, seed=3)
+        want = _reference_edges(13, 16, params=KroneckerParams(),
+                                rng=np.random.default_rng(3))
+        _assert_same_edges(got, want)
+
+    def test_wide_scale_accumulates_in_int64(self, monkeypatch):
+        # Above scale 32 a label no longer fits the uint32 accumulator.
+        monkeypatch.setattr(kronecker, "_SLICE_EDGES", 16)
+        params = KroneckerParams(permute_vertices=False)
+        got = kronecker_edges(34, 1, params=params, seed=2, num_edges=50)
+        want = _reference_edges(34, 1, params=params,
+                                rng=np.random.default_rng(2), num_edges=50)
+        _assert_same_edges(got, want)
+        assert got[0].max() >= 1 << 32
+
+    def test_pinned_digest(self):
+        # A numpy release that moves PCG64, ``Generator.random`` or
+        # ``permutation`` changes every golden and rank digest in the repo;
+        # fail here, loudly, rather than there.
+        u, v = kronecker_edges(14, 16, seed=1)
+        digest = hashlib.sha256(u.tobytes() + v.tobytes()).hexdigest()
+        assert digest == PINNED_S14_SEED1_SHA256
+
+
+class TestCallerGenerator:
+    """``seed`` may be the caller's own ``Generator``: it must be left where
+    the reference leaves it, whatever the bit generator can or cannot do."""
+
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+         np.random.MT19937, np.random.SFC64],
+    )
+    @pytest.mark.parametrize("cached_half_draw", [False, True])
+    @pytest.mark.parametrize("permute", [False, True])
+    def test_edges_and_end_state_equal_reference(
+        self, monkeypatch, bit_generator, cached_half_draw, permute
+    ):
+        monkeypatch.setattr(kronecker, "_SLICE_EDGES", 100)
+        ours = np.random.Generator(bit_generator(42))
+        theirs = np.random.Generator(bit_generator(42))
+        if cached_half_draw:
+            # One 32-bit draw leaves the other half of the 64-bit output
+            # cached in the bit generator for the next 32-bit draw: one of
+            # the permutation's, or the caller's after we return.
+            for rng in (ours, theirs):
+                rng.integers(0, 1 << 20, dtype=np.uint32)
+
+        params = KroneckerParams(permute_vertices=permute,
+                                 permute_edges=permute)
+        got = kronecker_edges(6, 16, params=params, seed=ours)
+        want = _reference_edges(6, 16, params=params, rng=theirs)
+        _assert_same_edges(got, want)
+        np.testing.assert_array_equal(
+            ours.integers(0, 1 << 20, size=3, dtype=np.uint32),
+            theirs.integers(0, 1 << 20, size=3, dtype=np.uint32),
+        )
+        np.testing.assert_array_equal(ours.random(8), theirs.random(8))
 
 
 class TestGeneratorSpec:
