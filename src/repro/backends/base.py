@@ -1,9 +1,23 @@
-"""Backend interface: the four kernels as abstract methods.
+"""Backend interface: the four kernels.
 
 A backend owns *how* each kernel is computed; the pipeline driver owns
 sequencing, timing, and contract verification.  Backends communicate
 through the filesystem (Kernels 0→1→2, as the benchmark requires) and
 through :class:`AdjacencyHandle` (Kernel 2→3, in memory).
+
+Kernels 2 and 3 are abstract: they are where the implementation
+technologies differ.  Kernels 0 and 1 are defined once, here, as a
+sequence of steps::
+
+    kernel0:  generate_edges → write_shard per shard → publish_kernel0
+    kernel1:  read → sort_edges → write_shard per shard → publish_kernel1
+
+of which a backend may replace two — :meth:`Backend.generate_edges` and
+:meth:`Backend.sort_edges`.  The serial executors run the steps in
+order (:meth:`Backend.kernel0`, :meth:`Backend.kernel1`); the async
+executor schedules *the same functions* as tasks.  A backend that
+replaces a whole kernel instead (the stdlib ``python`` backend does) is
+run through its own kernel by every executor.
 
 Every kernel method returns ``(output, details)`` where ``details`` is a
 JSON-safe dict of free-form metrics folded into the
@@ -14,13 +28,18 @@ from __future__ import annotations
 
 import abc
 from pathlib import Path
-from typing import Dict, Tuple, TypeVar
+from typing import Dict, List, Tuple, TypeVar
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro._util import Timings, derive_seed, resolve_rng
 from repro.core.config import PipelineConfig
-from repro.edgeio.dataset import EdgeDataset
+from repro.edgeio.dataset import EdgeDataset, write_shards
+from repro.edgeio.manifest import ShardInfo
+from repro.generators.registry import get_generator
+from repro.sort.external import ExternalSortConfig, external_sort_dataset
+from repro.sort.inmemory import sort_edges as sort_edge_arrays
 
 #: Free-form kernel metrics.
 Details = Dict[str, object]
@@ -70,24 +89,42 @@ class Backend(abc.ABC):
     #: Execution strategies this backend's kernels compose with
     #: (see :mod:`repro.core.executor`):
     #:
-    #: * ``"serial"`` — always supported (the four abstract kernels);
+    #: * ``"serial"`` — always supported (the four kernels);
     #: * ``"streaming"`` — the out-of-core Kernel 2 can hand this
     #:   backend a scipy CSR matrix via :meth:`adjacency_from_csr` and
-    #:   its Kernel 3 will accept the resulting handle;
+    #:   its Kernel 3 will accept the resulting handle.  The streaming
+    #:   *and* async strategies require it (async pipelines the same
+    #:   out-of-core Kernel 2; its Kernel 0/1 tasks are this backend's
+    #:   own steps, so they need no promise of their own);
     #: * ``"parallel"`` — the sharded K2+K3 path produces rank vectors
-    #:   numerically matching this backend's serial output;
-    #: * ``"async"`` — the overlapped executor's generic Kernel 0/1
-    #:   tasks reproduce this backend's serial kernel output (true for
-    #:   the shared-generator numpy-family backends, not for the
-    #:   pure-python backend with its own random stream), and
-    #:   :meth:`adjacency_from_csr` is implemented for the pipelined
-    #:   Kernel 2 hand-off.
+    #:   numerically matching this backend's serial output.
     capabilities: frozenset = frozenset({"serial"})
+
+    # ------------------------------------------------------------------
+    # Kernel 0/1 steps a backend may replace
+    # ------------------------------------------------------------------
+    def generate_edges(
+        self, config: PipelineConfig
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Kernel 0's edge list ``(u, v)`` from the configured generator."""
+        generator = get_generator(config.generator)
+        return generator(config.scale, config.edge_factor, seed=config.seed)
+
+    def sort_edges(
+        self, config: PipelineConfig, u: np.ndarray, v: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Kernel 1's in-memory sort of ``(u, v)`` by start vertex."""
+        return sort_edge_arrays(
+            u,
+            v,
+            algorithm=config.sort_algorithm,
+            num_vertices=config.num_vertices,
+            by_end_vertex=config.sort_by_end_vertex,
+        )
 
     # ------------------------------------------------------------------
     # Kernel 0 — Generate
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def kernel0(
         self, config: PipelineConfig, out_dir: Path
     ) -> KernelOutput[EdgeDataset]:
@@ -98,16 +135,51 @@ class Backend(abc.ABC):
         both inside the measured region (the paper's Figure 4 measures
         Kernel 0 end-to-end even though it is officially untimed).
         """
+        timings = Timings()
+        with timings.measure("generate"):
+            u, v = self.generate_edges(config)
+        with timings.measure("write"):
+            shards = _write_run_shards(config, out_dir, u, v)
+            dataset, details = publish_kernel0(config, out_dir, shards)
+        return dataset, {"phases": timings.as_dict(), **details}
 
     # ------------------------------------------------------------------
     # Kernel 1 — Sort
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def kernel1(
         self, config: PipelineConfig, source: EdgeDataset, out_dir: Path
     ) -> KernelOutput[EdgeDataset]:
         """Read ``source`` edge files, sort by start vertex, write the
-        sorted dataset to ``out_dir`` in the same format."""
+        sorted dataset to ``out_dir`` in the same format.
+
+        With ``config.external_sort`` the whole kernel is the
+        out-of-core merge sort instead (no in-memory steps to schedule,
+        so the async executor runs it as one task too).
+        """
+        timings = Timings()
+        if config.external_sort:
+            with timings.measure("external_sort"):
+                dataset = external_sort_dataset(
+                    source,
+                    out_dir,
+                    config=ExternalSortConfig(algorithm=config.sort_algorithm),
+                    num_shards=config.num_files,
+                    by_end_vertex=config.sort_by_end_vertex,
+                )
+            details: Details = {
+                "algorithm": "external", "num_shards": dataset.num_shards,
+            }
+        else:
+            with timings.measure("read"):
+                u, v = source.read_all()
+            with timings.measure("sort"):
+                u, v = self.sort_edges(config, u, v)
+            with timings.measure("write"):
+                shards = _write_run_shards(config, out_dir, u, v)
+                dataset, details = publish_kernel1(
+                    self, config, out_dir, shards
+                )
+        return dataset, {"phases": timings.as_dict(), **details}
 
     # ------------------------------------------------------------------
     # Kernel 2 — Filter
@@ -172,11 +244,67 @@ class Backend(abc.ABC):
         start point is identical across backends, then 1-norm
         normalised (``r = rand(1, N); r = r ./ norm(r, 1)``).
         """
-        from repro._util import derive_seed, resolve_rng
-
         rng = resolve_rng(derive_seed(config.seed, 3))
         r = rng.random(config.num_vertices)
         return r / np.abs(r).sum()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<backend {self.name!r}>"
+
+
+# ----------------------------------------------------------------------
+# Kernel 0/1 steps shared by every schedule (not replaceable)
+# ----------------------------------------------------------------------
+def _write_run_shards(
+    config: PipelineConfig, out_dir: Path, u: np.ndarray, v: np.ndarray
+) -> List[ShardInfo]:
+    """Write ``(u, v)`` to ``out_dir`` in the run's shard layout."""
+    return write_shards(
+        out_dir, u, v, num_shards=config.num_files, fmt=config.file_format,
+        vertex_base=config.vertex_base, checksums=True,
+    )
+
+
+def _publish(config, out_dir, shards, extra) -> EdgeDataset:
+    return EdgeDataset.publish(
+        out_dir, shards, num_vertices=config.num_vertices,
+        vertex_base=config.vertex_base, fmt=config.file_format, extra=extra,
+    )
+
+
+def publish_kernel0(
+    config: PipelineConfig, out_dir: Path, shards: List[ShardInfo]
+) -> KernelOutput[EdgeDataset]:
+    """Kernel 0's last step: the dataset over its written shards."""
+    dataset = _publish(
+        config, out_dir, shards,
+        {"kernel": "k0", "generator": config.generator},
+    )
+    details: Details = {
+        "num_edges": dataset.num_edges,
+        "num_shards": dataset.num_shards,
+        "bytes_written": dataset.total_bytes(),
+    }
+    return dataset, details
+
+
+def publish_kernel1(
+    backend: Backend,
+    config: PipelineConfig,
+    out_dir: Path,
+    shards: List[ShardInfo],
+) -> KernelOutput[EdgeDataset]:
+    """Kernel 1's last step: the sorted dataset over its written shards.
+
+    ``algorithm`` names what actually sorted: the configured algorithm
+    unless the backend replaced :meth:`Backend.sort_edges`.
+    """
+    dataset = _publish(
+        config, out_dir, shards, {"kernel": "k1", "sorted_by": "u"}
+    )
+    own_sort = type(backend).sort_edges is not Backend.sort_edges
+    details: Details = {
+        "algorithm": f"{backend.name}-sort" if own_sort else config.sort_algorithm,
+        "num_shards": dataset.num_shards,
+    }
+    return dataset, details

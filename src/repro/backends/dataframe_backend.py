@@ -9,8 +9,6 @@ table, and Kernel 3's SpMV is the classic dataframe formulation:
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -19,8 +17,6 @@ from repro.backends.base import AdjacencyHandle, Backend, Details, KernelOutput
 from repro.core.config import PipelineConfig
 from repro.edgeio.dataset import EdgeDataset
 from repro.frame import Frame
-from repro.generators.registry import get_generator
-from repro.sort.external import ExternalSortConfig, external_sort_dataset
 
 
 class FrameAdjacency(AdjacencyHandle):
@@ -57,7 +53,7 @@ class DataframeBackend(Backend):
     """Columnar-dataframe implementation of all four kernels."""
 
     name = "dataframe"
-    capabilities = frozenset({"serial", "streaming", "async"})
+    capabilities = frozenset({"serial", "streaming"})
 
     def adjacency_from_csr(self, matrix, pre_filter_total):
         # CSR -> COO yields row-major (u, then v) triples — the same
@@ -72,70 +68,10 @@ class DataframeBackend(Backend):
         return FrameAdjacency(matrix.shape[0], edges, pre_filter_total)
 
     # ------------------------------------------------------------------
-    def kernel0(self, config: PipelineConfig, out_dir: Path) -> KernelOutput[EdgeDataset]:
-        timings = Timings()
-        generator = get_generator(config.generator)
-        with timings.measure("generate"):
-            u, v = generator(config.scale, config.edge_factor, seed=config.seed)
-        with timings.measure("frame"):
-            frame = Frame({"u": u, "v": v})
-        with timings.measure("write"):
-            dataset = EdgeDataset.write(
-                out_dir,
-                frame.column("u"),
-                frame.column("v"),
-                num_vertices=config.num_vertices,
-                num_shards=config.num_files,
-                vertex_base=config.vertex_base,
-                fmt=config.file_format,
-                extra={"kernel": "k0", "generator": config.generator},
-            )
-        details: Details = {
-            "phases": timings.as_dict(),
-            "num_edges": dataset.num_edges,
-            "num_shards": dataset.num_shards,
-            "bytes_written": dataset.total_bytes(),
-        }
-        return dataset, details
-
-    # ------------------------------------------------------------------
-    def kernel1(
-        self, config: PipelineConfig, source: EdgeDataset, out_dir: Path
-    ) -> KernelOutput[EdgeDataset]:
-        timings = Timings()
-        if config.external_sort:
-            with timings.measure("external_sort"):
-                dataset = external_sort_dataset(
-                    source,
-                    out_dir,
-                    config=ExternalSortConfig(algorithm="numpy"),
-                    num_shards=config.num_files,
-                    by_end_vertex=config.sort_by_end_vertex,
-                )
-        else:
-            with timings.measure("read"):
-                u, v = source.read_all()
-                frame = Frame({"u": u, "v": v})
-            with timings.measure("sort"):
-                keys = ["u", "v"] if config.sort_by_end_vertex else "u"
-                frame = frame.sort_values(keys)
-            with timings.measure("write"):
-                dataset = EdgeDataset.write(
-                    out_dir,
-                    frame.column("u"),
-                    frame.column("v"),
-                    num_vertices=source.num_vertices,
-                    num_shards=config.num_files,
-                    vertex_base=config.vertex_base,
-                    fmt=config.file_format,
-                    extra={"kernel": "k1", "sorted_by": "u"},
-                )
-        details: Details = {
-            "phases": timings.as_dict(),
-            "algorithm": "external" if config.external_sort else "frame-sort",
-            "num_shards": dataset.num_shards,
-        }
-        return dataset, details
+    def sort_edges(self, config: PipelineConfig, u, v):
+        keys = ["u", "v"] if config.sort_by_end_vertex else "u"
+        frame = Frame({"u": u, "v": v}).sort_values(keys)
+        return frame.column("u"), frame.column("v")
 
     # ------------------------------------------------------------------
     def kernel2(

@@ -9,8 +9,6 @@ GraphBLAS-vocabulary operation (``build``, ``reduce_columns``,
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -18,10 +16,7 @@ from repro._util import Timings
 from repro.backends.base import AdjacencyHandle, Backend, Details, KernelOutput
 from repro.core.config import PipelineConfig
 from repro.edgeio.dataset import EdgeDataset
-from repro.generators.registry import get_generator
 from repro.grb import Matrix, PLUS_TIMES, Vector, vxm
-from repro.sort.external import ExternalSortConfig, external_sort_dataset
-from repro.sort.inmemory import sort_edges
 
 
 class GrbAdjacency(AdjacencyHandle):
@@ -55,7 +50,7 @@ class GraphBlasBackend(Backend):
     """GraphBLAS-lite implementation of all four kernels."""
 
     name = "graphblas"
-    capabilities = frozenset({"serial", "streaming", "async"})
+    capabilities = frozenset({"serial", "streaming"})
 
     def adjacency_from_csr(self, matrix, pre_filter_total):
         # scipy CSR and repro.grb.Matrix share the same storage layout,
@@ -69,74 +64,6 @@ class GraphBlasBackend(Backend):
             csr.data.astype(np.float64),
         )
         return GrbAdjacency(adopted, pre_filter_total)
-
-    # ------------------------------------------------------------------
-    def kernel0(self, config: PipelineConfig, out_dir: Path) -> KernelOutput[EdgeDataset]:
-        timings = Timings()
-        generator = get_generator(config.generator)
-        with timings.measure("generate"):
-            u, v = generator(config.scale, config.edge_factor, seed=config.seed)
-        with timings.measure("write"):
-            dataset = EdgeDataset.write(
-                out_dir,
-                u,
-                v,
-                num_vertices=config.num_vertices,
-                num_shards=config.num_files,
-                vertex_base=config.vertex_base,
-                fmt=config.file_format,
-                extra={"kernel": "k0", "generator": config.generator},
-            )
-        details: Details = {
-            "phases": timings.as_dict(),
-            "num_edges": dataset.num_edges,
-            "num_shards": dataset.num_shards,
-            "bytes_written": dataset.total_bytes(),
-        }
-        return dataset, details
-
-    # ------------------------------------------------------------------
-    def kernel1(
-        self, config: PipelineConfig, source: EdgeDataset, out_dir: Path
-    ) -> KernelOutput[EdgeDataset]:
-        timings = Timings()
-        if config.external_sort:
-            with timings.measure("external_sort"):
-                dataset = external_sort_dataset(
-                    source,
-                    out_dir,
-                    config=ExternalSortConfig(algorithm=config.sort_algorithm),
-                    num_shards=config.num_files,
-                    by_end_vertex=config.sort_by_end_vertex,
-                )
-        else:
-            with timings.measure("read"):
-                u, v = source.read_all()
-            with timings.measure("sort"):
-                u, v = sort_edges(
-                    u,
-                    v,
-                    algorithm=config.sort_algorithm,
-                    num_vertices=source.num_vertices,
-                    by_end_vertex=config.sort_by_end_vertex,
-                )
-            with timings.measure("write"):
-                dataset = EdgeDataset.write(
-                    out_dir,
-                    u,
-                    v,
-                    num_vertices=source.num_vertices,
-                    num_shards=config.num_files,
-                    vertex_base=config.vertex_base,
-                    fmt=config.file_format,
-                    extra={"kernel": "k1", "sorted_by": "u"},
-                )
-        details: Details = {
-            "phases": timings.as_dict(),
-            "algorithm": "external" if config.external_sort else config.sort_algorithm,
-            "num_shards": dataset.num_shards,
-        }
-        return dataset, details
 
     # ------------------------------------------------------------------
     def kernel2(

@@ -18,7 +18,6 @@ Kernel 0 distributionally.
 from __future__ import annotations
 
 import random
-import zlib
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -28,8 +27,13 @@ import scipy.sparse as sp
 from repro._util import Timings
 from repro.backends.base import AdjacencyHandle, Backend, Details, KernelOutput
 from repro.core.config import PipelineConfig
-from repro.edgeio.dataset import EdgeDataset, shard_slices
-from repro.edgeio.manifest import DatasetManifest, ShardInfo
+from repro.edgeio.dataset import (
+    EdgeDataset,
+    shard_file_name,
+    shard_slices,
+    store_text_shard,
+)
+from repro.edgeio.manifest import ShardInfo
 
 
 class PyAdjacency(AdjacencyHandle):
@@ -72,7 +76,13 @@ class PyAdjacency(AdjacencyHandle):
 
 
 class PythonBackend(Backend):
-    """Pure standard-library implementation of all four kernels."""
+    """Pure standard-library implementation of all four kernels.
+
+    The one backend that replaces Kernels 0 and 1 whole rather than the
+    ``generate_edges``/``sort_edges`` steps: lists of tuples and
+    line-by-line file I/O *are* its implementation, so it shares only
+    the manifest (:meth:`EdgeDataset.publish`) with the others.
+    """
 
     name = "python"
 
@@ -146,33 +156,16 @@ class PythonBackend(Backend):
         for index, (start, end) in enumerate(
             shard_slices(len(edges), config.num_files)
         ):
-            name = f"part-{index:05d}.tsv"
             lines = [
                 f"{u + base}\t{v + base}\n" for u, v in edges[start:end]
             ]
             payload = "".join(lines).encode("ascii")
-            path = out_dir / name
-            tmp = path.with_name(path.name + ".tmp")
-            tmp.write_bytes(payload)
-            tmp.replace(path)
-            shards.append(
-                ShardInfo(
-                    name=name,
-                    num_edges=end - start,
-                    crc32=zlib.crc32(payload),
-                    num_bytes=len(payload),
-                )
-            )
-        manifest = DatasetManifest(
-            num_vertices=config.num_vertices,
-            num_edges=len(edges),
-            vertex_base=base,
-            shards=shards,
-            fmt="tsv",
-            extra=extra,
+            path = out_dir / shard_file_name(index, "tsv")
+            shards.append(store_text_shard(path, payload, end - start, True))
+        return EdgeDataset.publish(
+            out_dir, shards, num_vertices=config.num_vertices,
+            vertex_base=base, fmt="tsv", extra=extra,
         )
-        manifest.save(out_dir)
-        return EdgeDataset(out_dir, manifest)
 
     @staticmethod
     def _read_edges(source: EdgeDataset) -> List[Tuple[int, int]]:

@@ -67,10 +67,17 @@ Fidelity note: results are bit-identical to the streaming executor (and,
 for the scipy/numpy backends, to serial execution) because overlap only
 reorders *independent* work — per-shard ordering, FIFO hand-off queues,
 and the exactness of integer-valued count arithmetic preserve every
-value-affecting order.  When the artifact cache or external sort
-reroutes Kernel 0/1 I/O, those stages fall back to single coarse tasks
-(a cache hit is already just a manifest read); Kernel 2's internal
-overlap still applies.
+value-affecting order.
+
+**Kernels 0 and 1 are the backend's, not this module's.**  The
+fine-grained tasks run the steps :mod:`repro.backends.base` defines the
+kernels from — ``ctx.backend.generate_edges`` / ``sort_edges``,
+``write_shard`` per shard, ``publish_kernel0`` / ``publish_kernel1`` —
+so they cannot compute anything the serial kernels would not.  When the
+artifact cache or external sort reroutes Kernel 0/1 I/O, or the backend
+replaced ``kernel0``/``kernel1`` whole, those stages run as single
+coarse tasks through the backend's own kernels (a cache hit is already
+just a manifest read); Kernel 2's internal overlap still applies.
 """
 
 from __future__ import annotations
@@ -78,28 +85,33 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from typing import Dict, List, Optional, Tuple
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.base import Details
+from repro.backends.base import (
+    Backend,
+    Details,
+    publish_kernel0,
+    publish_kernel1,
+)
 from repro.core import trace
 from repro.core.config import KernelName, PipelineConfig
 from repro.core.exceptions import KernelContractError
-from repro.core.executor import Executor, StageOutput
+from repro.core.executor import Executor, StageOutput, stream_filter
 from repro.core.lanes import DEFAULT_LANE_WORKERS, LaneTask, ProcessLanePool
 from repro.core.results import KernelResult, PipelineResult
 from repro.core.scheduler import ScheduleResult, SchedulerError, TaskGraph
 from repro.core.shmplane import ShardBuffer, resolve_payload_via
-from repro.core.stages import ARTIFACT_K1, ExecutionPlan, Stage, StageContext
+from repro.core.stages import ExecutionPlan, Stage, StageContext
 from repro.edgeio.dataset import (
-    EdgeDataset,
     read_shard_file,
     shard_file_name,
     shard_slices,
     write_shard,
 )
-from repro.edgeio.manifest import DatasetManifest
+from repro.edgeio.manifest import ShardInfo
 
 #: Scheduler pool width: one lane per concurrently-active role (a shard
 #: write chain, a shard read chain, the K2 task and its two internal
@@ -138,32 +150,39 @@ class ShmEdgePair(tuple):
         return cls(*buffer.arrays(), buffer)
 
     @classmethod
-    def adopt(cls, name: str, stats: Optional["_ShmStats"] = None):
+    def adopt(cls, name: str, route: "_CodecRoute"):
         """Take ownership of a segment a lane worker exported to us."""
         buffer = ShardBuffer.attach(name, owner=True)
-        if stats is not None:
-            stats.add(buffer.nbytes)
+        route.add_saved(buffer.nbytes)
         return cls(*buffer.arrays(), buffer)
 
 
-class _ShmStats:
-    """Thread-safe tally of payload bytes the shm plane kept off pipes.
+class _CodecRoute:
+    """Where one run's shard codec tasks execute and how arrays reach them.
 
-    Counted where serialisation would otherwise happen: each shm shard
-    *encode* adds its slice's payload bytes (the pickle the pipe plane
-    would have shipped to the worker), each shm shard *decode* adds the
-    adopted segment's payload bytes (the pickle the worker would have
-    shipped back).  In-parent hand-offs (K1 sort → K2 ingest) were
-    already zero-copy under the pipe plane and are not counted.
+    ``lane`` is ``"thread"`` or ``"process"`` (:meth:`AsyncExecutor._codec_lane`),
+    ``payload_via`` ``"pipe"`` or ``"shm"``; both are decided once per
+    run, before the graph is built, and baked into the task bodies.
+
+    ``shm_bytes_saved`` is a thread-safe tally of payload bytes the shm
+    plane kept off pipes, counted where serialisation would otherwise
+    happen: each shm shard *encode* adds its slice's payload bytes (the
+    pickle the pipe plane would have shipped to the worker), each shm
+    shard *decode* adds the adopted segment's payload bytes (the pickle
+    the worker would have shipped back).  In-parent hand-offs (K1 sort →
+    K2 ingest) were already zero-copy under the pipe plane and are not
+    counted.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, lane: str, payload_via: str) -> None:
+        self.lane = lane
+        self.payload_via = payload_via
         self._lock = threading.Lock()
-        self.total = 0
+        self.shm_bytes_saved = 0
 
-    def add(self, nbytes: int) -> None:
+    def add_saved(self, nbytes: int) -> None:
         with self._lock:
-            self.total += int(nbytes)
+            self.shm_bytes_saved += int(nbytes)
 
 
 class AsyncExecutor(Executor):
@@ -180,7 +199,7 @@ class AsyncExecutor(Executor):
     """
 
     name = "async"
-    required_capability = "async"
+    required_capability = "streaming"
     k2_cache_variant = "streaming-csr"
 
     def __init__(
@@ -195,18 +214,17 @@ class AsyncExecutor(Executor):
     def _run_plan(
         self, ctx: StageContext, result: PipelineResult, *, verify: bool
     ) -> None:
-        codec_lane = self._codec_lane(ctx.config)
+        fine = self._fine_grained(ctx)
+        codec_lane = self._codec_lane(ctx.config, fine)
         # Negotiate the shard plane before building the graph: the task
         # bodies bake the decision in (shm only pays where the codec is
         # lane-offloaded; otherwise nothing crosses a pipe to save).
-        payload_via = (
+        route = _CodecRoute(
+            codec_lane,
             resolve_payload_via(ctx.config.shard_plane)
-            if codec_lane == "process" else "pipe"
+            if codec_lane == "process" else "pipe",
         )
-        shm_stats = _ShmStats()
-        graph, artifact_tasks = self._build_graph(
-            ctx, verify, codec_lane, payload_via, shm_stats
-        )
+        graph, artifact_tasks = self._build_graph(ctx, verify, fine, route)
         lane_pool = (
             ProcessLanePool(DEFAULT_LANE_WORKERS)
             if codec_lane == "process" else None
@@ -235,11 +253,9 @@ class AsyncExecutor(Executor):
             if lane_pool is not None:
                 lane_pool.shutdown()
         self._record_stage_spans(schedule)
-        records = self._assemble(
-            ctx, schedule, artifact_tasks, payload_via, shm_stats
+        result.kernels.extend(
+            self._assemble(ctx, schedule, artifact_tasks, route)
         )
-        for _, kernel_result in records:
-            result.kernels.append(kernel_result)
 
     @staticmethod
     def _record_stage_spans(schedule: ScheduleResult) -> None:
@@ -279,16 +295,35 @@ class AsyncExecutor(Executor):
                 args={"tasks": len(timings), "busy_seconds": busy},
             )
 
-    def _codec_lane(self, config: PipelineConfig) -> str:
+    @staticmethod
+    def _fine_grained(ctx: StageContext) -> bool:
+        """Whether Kernels 0/1 expand into per-shard tasks for this run.
+
+        Only when nothing reroutes their I/O (artifact cache, external
+        sort) and the backend runs the shared kernels: the tasks are the
+        steps of :meth:`Backend.kernel0`/:meth:`Backend.kernel1`, so a
+        backend that replaced either kernel gets its own kernel, coarse.
+        The one predicate behind both the graph's shape and the codec
+        lane, so the two cannot disagree.
+        """
+        config, backend_type = ctx.config, type(ctx.backend)
+        return (
+            config.cache_dir is None
+            and not config.external_sort
+            and backend_type.kernel0 is Backend.kernel0
+            and backend_type.kernel1 is Backend.kernel1
+        )
+
+    @staticmethod
+    def _codec_lane(config: PipelineConfig, fine: bool) -> str:
         """Which lane the TSV codec tasks run on for this config.
 
         Process offload applies only where it pays and where per-shard
-        tasks exist at all: the fine-grained expansion (no artifact
-        cache, no external sort) of a text format whose encode/decode
-        is GIL-bound.  ``npy`` shards are raw buffer writes — the pipe
+        tasks exist at all: the fine-grained expansion
+        (:meth:`_fine_grained`) of a text format whose encode/decode is
+        GIL-bound.  ``npy`` shards are raw buffer writes — the pipe
         transfer would cost more than the GIL time it buys back.
         """
-        fine = config.cache_dir is None and not config.external_sort
         if (
             config.async_lanes == "process"
             and fine
@@ -296,49 +331,6 @@ class AsyncExecutor(Executor):
         ):
             return "process"
         return "thread"
-
-    @staticmethod
-    def _shard_write_fn(
-        out_dir, index: int, source_task: str, config: PipelineConfig,
-        codec_lane: str, payload_via: str = "pipe",
-        shm_stats: Optional[_ShmStats] = None,
-    ):
-        """Body of one shard-write task reading arrays from ``source_task``.
-
-        The single source of truth for the codec write: slice the
-        source arrays to this shard, then either write in-thread or
-        return the lane descriptor for the identical operation.  On the
-        shm plane the descriptor carries only the segment name and the
-        slice bounds — the worker maps the same pages the parent holds.
-        """
-        def write(results: Dict[str, object]):
-            source = results[source_task]
-            u, v = source
-            start, end = shard_slices(len(u), config.num_files)[index]
-            if codec_lane == "process":
-                if payload_via == "shm" and isinstance(source, ShmEdgePair):
-                    if shm_stats is not None:
-                        # 16 bytes/edge (two int64s) that would have
-                        # been pickled over the worker pipe.
-                        shm_stats.add((end - start) * 16)
-                    return LaneTask("encode-shard-shm", dict(
-                        directory=str(out_dir), index=index,
-                        shm=source.buffer.name, start=start, end=end,
-                        fmt=config.file_format,
-                        vertex_base=config.vertex_base,
-                    ))
-                return LaneTask("encode-shard", dict(
-                    directory=str(out_dir), index=index,
-                    u=u[start:end], v=v[start:end],
-                    fmt=config.file_format,
-                    vertex_base=config.vertex_base,
-                ))
-            return write_shard(
-                out_dir, index, u[start:end], v[start:end],
-                fmt=config.file_format, vertex_base=config.vertex_base,
-            )
-
-        return write
 
     @staticmethod
     def _chain_deps(
@@ -371,7 +363,7 @@ class AsyncExecutor(Executor):
         stage.contract.check(ctx)
         details["contract_seconds"] = time.perf_counter() - t0
 
-    def _pool_width(self, codec_lane: str = "thread") -> int:
+    def _pool_width(self, codec_lane: str) -> int:
         if self.max_workers is not None:
             return max(1, self.max_workers)
         if codec_lane == "process":
@@ -385,21 +377,20 @@ class AsyncExecutor(Executor):
     # Graph construction
     # ------------------------------------------------------------------
     def _build_graph(
-        self, ctx: StageContext, verify: bool, codec_lane: str = "thread",
-        payload_via: str = "pipe", shm_stats: Optional[_ShmStats] = None,
+        self, ctx: StageContext, verify: bool, fine: bool, route: _CodecRoute,
     ) -> Tuple[TaskGraph, Dict[str, str]]:
         """Expand the plan's stages into a task graph.
 
         Returns the graph plus a map from each stage's ``provides`` key
         to the name of its *artifact task* (the task whose result is
-        that stage's ``(output, details)`` pair).  Fine-grained
-        expansion applies when neither the artifact cache nor the
-        external sort reroutes Kernel 0/1 I/O; otherwise stages run as
-        one task each, still scheduled as early as dependencies allow.
-        ``codec_lane="process"`` marks the shard encode/decode tasks
+        that stage's ``(output, details)`` pair).  With ``fine``
+        (:meth:`_fine_grained`) Kernels 0/1 expand into their steps;
+        otherwise stages run as one task each, still scheduled as early
+        as dependencies allow.
+        ``route.lane == "process"`` marks the shard encode/decode tasks
         for lane-pool dispatch (see :meth:`_codec_lane`);
-        ``payload_via="shm"`` additionally routes their edge arrays
-        through :class:`~repro.core.shmplane.ShardBuffer` segments.
+        ``route.payload_via == "shm"`` additionally routes their edge
+        arrays through :class:`~repro.core.shmplane.ShardBuffer` segments.
 
         Contracts run inside each artifact task; a contract that reads
         an *earlier* stage's artifact is safe because every artifact
@@ -407,28 +398,22 @@ class AsyncExecutor(Executor):
         of the stages it requires — the default plan's contracts read
         nothing beyond that.
         """
-        config = ctx.config
         graph = TaskGraph()
         artifact_tasks: Dict[str, str] = {}
-        fine = config.cache_dir is None and not config.external_sort
-        k0_write_tasks: Optional[List[str]] = None
+        # A plan is dependency-closed, so its K1 stage follows the K0
+        # stage that fills this.
+        k0_write_tasks: List[str] = []
         k1_sort_task: Optional[str] = None
 
         for stage in self.plan.stages:
             deps = tuple(artifact_tasks[key] for key in stage.requires)
             if stage.kernel is KernelName.K0_GENERATE and fine:
                 task, k0_write_tasks = self._expand_generate(
-                    graph, ctx, stage, verify, codec_lane, payload_via,
-                    shm_stats,
+                    graph, ctx, stage, verify, route
                 )
-            elif (
-                stage.kernel is KernelName.K1_SORT
-                and fine
-                and k0_write_tasks is not None
-            ):
+            elif stage.kernel is KernelName.K1_SORT and fine:
                 task, k1_sort_task = self._expand_sort(
-                    graph, ctx, stage, k0_write_tasks, deps, verify,
-                    codec_lane, payload_via, shm_stats,
+                    graph, ctx, stage, k0_write_tasks, deps, verify, route
                 )
             elif stage.kernel is KernelName.K2_FILTER:
                 task = self._expand_filter(
@@ -460,10 +445,9 @@ class AsyncExecutor(Executor):
 
     def _expand_generate(
         self, graph: TaskGraph, ctx: StageContext, stage: Stage, verify: bool,
-        codec_lane: str = "thread", payload_via: str = "pipe",
-        shm_stats: Optional[_ShmStats] = None,
+        route: _CodecRoute,
     ) -> Tuple[str, List[str]]:
-        """Kernel 0 as generate → shard writes → manifest.
+        """Kernel 0 as generate → shard writes → publish.
 
         On the thread lane, writes chain (encode is GIL-bound; parallel
         encodes would contend, not overlap) and the overlap comes from
@@ -472,69 +456,25 @@ class AsyncExecutor(Executor):
         lane workers encode independent shards concurrently, so shard
         *i+1*'s encode overlaps shard *i*'s write as well.
         """
-        from repro.generators.registry import get_generator
-
         config = ctx.config
         out_dir = ctx.base_dir / "k0"
-        group = stage.kernel.value
 
         def generate(results: Dict[str, object]):
-            generator = get_generator(config.generator)
-            u, v = generator(config.scale, config.edge_factor, seed=config.seed)
+            u, v = ctx.backend.generate_edges(config)
             out_dir.mkdir(parents=True, exist_ok=True)
             u = np.asarray(u, dtype=np.int64)
             v = np.asarray(v, dtype=np.int64)
-            if payload_via == "shm":
+            if route.payload_via == "shm":
                 # One segment for the whole stage output; every shard
                 # write ships only (name, start, end) over its pipe.
                 return ShmEdgePair.wrap(u, v)
             return u, v
 
-        gen_task = graph.add("k0:generate", generate, group=group)
-
-        write_tasks: List[str] = []
-        previous: Optional[str] = None
-        for index in range(config.num_files):
-            # gen is the data-dependency anchor (its arrays must stay
-            # alive); on the thread lane the previous write rides along
-            # as an ordering-only chain link.
-            previous = graph.add(
-                f"k0:write:{index}",
-                self._shard_write_fn(out_dir, index, gen_task, config,
-                                     codec_lane, payload_via, shm_stats),
-                deps=self._chain_deps(codec_lane, gen_task, previous),
-                group=group, lane=codec_lane,
-            )
-            write_tasks.append(previous)
-
-        def publish(results: Dict[str, object]) -> StageOutput:
-            u, _ = results[gen_task]
-            manifest = DatasetManifest(
-                num_vertices=config.num_vertices,
-                num_edges=len(u),
-                vertex_base=config.vertex_base,
-                shards=[results[name] for name in write_tasks],
-                fmt=config.file_format,
-                extra={"kernel": "k0", "generator": config.generator},
-            )
-            manifest.save(out_dir)
-            dataset = EdgeDataset(out_dir, manifest)
-            details: Details = {
-                "num_edges": dataset.num_edges,
-                "num_shards": dataset.num_shards,
-                "bytes_written": dataset.total_bytes(),
-                "generator": config.generator,
-            }
-            ctx.artifacts[stage.provides] = dataset
-            self._check_contract(stage, ctx, details, verify)
-            return dataset, details
-
-        publish_task = graph.add(
-            "k0:dataset", publish,
-            deps=tuple(write_tasks) + (gen_task,), group=group,
-            retain=True,
+        gen_task = graph.add("k0:generate", generate, group=stage.kernel.value)
+        return self._write_and_publish(
+            graph, ctx, stage, verify, route, out_dir, gen_task, (),
+            lambda shards: publish_kernel0(config, out_dir, shards),
         )
-        return publish_task, write_tasks
 
     def _expand_sort(
         self,
@@ -544,11 +484,9 @@ class AsyncExecutor(Executor):
         k0_write_tasks: List[str],
         artifact_deps: Tuple[str, ...],
         verify: bool,
-        codec_lane: str = "thread",
-        payload_via: str = "pipe",
-        shm_stats: Optional[_ShmStats] = None,
+        route: _CodecRoute,
     ) -> Tuple[str, str]:
-        """Kernel 1 as shard reads → sort → shard writes.
+        """Kernel 1 as shard reads → sort → shard writes → publish.
 
         Each read task depends only on *its* Kernel 0 shard write — not
         on the whole Kernel 0 stage — which is where the K0-write /
@@ -558,46 +496,35 @@ class AsyncExecutor(Executor):
         On the process lane, reads (TSV decode) and writes (TSV encode)
         are lane-pool tasks and the encode chain is dropped.
         """
-        from repro.sort.inmemory import sort_edges
-
         config = ctx.config
         src_dir = ctx.base_dir / "k0"
         out_dir = ctx.base_dir / "k1"
         group = stage.kernel.value
+        codec = dict(fmt=config.file_format, vertex_base=config.vertex_base)
 
         read_tasks: List[str] = []
         previous: Optional[str] = None
         for index, write_task in enumerate(k0_write_tasks):
             def read(results: Dict[str, object], index: int = index):
                 path = src_dir / shard_file_name(index, config.file_format)
-                if codec_lane == "process":
-                    if payload_via == "shm":
-                        # The worker decodes into a fresh segment and
-                        # exports it; only the name crosses the pipe
-                        # back, and the parent-side post hook adopts
-                        # ownership (the scheduler frees the result →
-                        # the segment unlinks).
-                        return LaneTask(
-                            "decode-shard-shm",
-                            dict(path=str(path), fmt=config.file_format,
-                                 vertex_base=config.vertex_base),
-                            post=lambda name: ShmEdgePair.adopt(
-                                name, shm_stats
-                            ),
-                        )
-                    return LaneTask("decode-shard", dict(
-                        path=str(path), fmt=config.file_format,
-                        vertex_base=config.vertex_base,
-                    ))
-                return read_shard_file(
-                    path, fmt=config.file_format,
-                    vertex_base=config.vertex_base,
-                )
+                if route.lane != "process":
+                    return read_shard_file(path, **codec)
+                if route.payload_via == "shm":
+                    # The worker decodes into a fresh segment and
+                    # exports it; only the name crosses the pipe back,
+                    # and the parent-side post hook adopts ownership
+                    # (the scheduler frees the result → the segment
+                    # unlinks).
+                    return LaneTask(
+                        "decode-shard-shm", dict(path=str(path), **codec),
+                        post=lambda name: ShmEdgePair.adopt(name, route),
+                    )
+                return LaneTask("decode-shard", dict(path=str(path), **codec))
 
             previous = graph.add(
                 f"k1:read:{index}", read,
-                deps=self._chain_deps(codec_lane, write_task, previous),
-                group=group, lane=codec_lane,
+                deps=self._chain_deps(route.lane, write_task, previous),
+                group=group, lane=route.lane,
             )
             read_tasks.append(previous)
 
@@ -605,13 +532,8 @@ class AsyncExecutor(Executor):
             u = np.concatenate([results[name][0] for name in read_tasks])
             v = np.concatenate([results[name][1] for name in read_tasks])
             out_dir.mkdir(parents=True, exist_ok=True)
-            sorted_u, sorted_v = sort_edges(
-                u, v,
-                algorithm=config.sort_algorithm,
-                num_vertices=config.num_vertices,
-                by_end_vertex=config.sort_by_end_vertex,
-            )
-            if payload_via == "shm":
+            sorted_u, sorted_v = ctx.backend.sort_edges(config, u, v)
+            if route.payload_via == "shm":
                 # The K1 shard writes *and* the K1→K2 hand-off all read
                 # from this one segment (zero-copy fan-out).
                 return ShmEdgePair.wrap(sorted_u, sorted_v)
@@ -620,48 +542,91 @@ class AsyncExecutor(Executor):
         sort_task = graph.add(
             "k1:sort", sort, deps=tuple(read_tasks), group=group
         )
+        # artifact_deps (the K0 dataset task) is an ordering dependency:
+        # the sort contract re-reads the K0 artifact from ctx.
+        publish_task, _ = self._write_and_publish(
+            graph, ctx, stage, verify, route, out_dir, sort_task,
+            artifact_deps,
+            lambda shards: publish_kernel1(
+                ctx.backend, config, out_dir, shards
+            ),
+        )
+        return publish_task, sort_task
+
+    def _write_and_publish(
+        self,
+        graph: TaskGraph,
+        ctx: StageContext,
+        stage: Stage,
+        verify: bool,
+        route: _CodecRoute,
+        out_dir: Path,
+        source_task: str,
+        order_deps: Tuple[str, ...],
+        publish: Callable[[List[ShardInfo]], StageOutput],
+    ) -> Tuple[str, List[str]]:
+        """The tail Kernels 0 and 1 share: ``source_task``'s ``(u, v)``
+        → one ``write_shard`` task per shard → the publishing artifact
+        task.  Returns the artifact task and the write tasks.
+
+        The write body is the single source of truth for the codec
+        write: slice the source arrays to this shard, then either write
+        in-thread or return the lane descriptor for the identical
+        operation.  On the shm plane the descriptor carries only the
+        segment name and the slice bounds — the worker maps the same
+        pages the parent holds.
+        """
+        config = ctx.config
+        group = stage.kernel.value
+        prefix = out_dir.name  # "k0" / "k1": run sub-directory and task prefix
+        codec = dict(fmt=config.file_format, vertex_base=config.vertex_base)
 
         write_tasks: List[str] = []
-        previous = None
+        previous: Optional[str] = None
         for index in range(config.num_files):
+            def write(results: Dict[str, object], index: int = index):
+                source = results[source_task]
+                u, v = source
+                start, end = shard_slices(len(u), config.num_files)[index]
+                if route.lane != "process":
+                    return write_shard(
+                        out_dir, index, u[start:end], v[start:end], **codec
+                    )
+                target = dict(directory=str(out_dir), index=index, **codec)
+                if route.payload_via == "shm" and isinstance(source, ShmEdgePair):
+                    # 16 bytes/edge (two int64s) that would have been
+                    # pickled over the worker pipe.
+                    route.add_saved((end - start) * 16)
+                    return LaneTask("encode-shard-shm", dict(
+                        shm=source.buffer.name, start=start, end=end, **target
+                    ))
+                return LaneTask("encode-shard", dict(
+                    u=u[start:end], v=v[start:end], **target
+                ))
+
+            # The source task is the data-dependency anchor (its arrays
+            # must stay alive); on the thread lane the previous write
+            # rides along as an ordering-only chain link.
             previous = graph.add(
-                f"k1:write:{index}",
-                self._shard_write_fn(out_dir, index, sort_task, config,
-                                     codec_lane, payload_via, shm_stats),
-                deps=self._chain_deps(codec_lane, sort_task, previous),
-                group=group, lane=codec_lane,
+                f"{prefix}:write:{index}", write,
+                deps=self._chain_deps(route.lane, source_task, previous),
+                group=group, lane=route.lane,
             )
             write_tasks.append(previous)
 
-        def publish(results: Dict[str, object]) -> StageOutput:
-            u, _ = results[sort_task]
-            manifest = DatasetManifest(
-                num_vertices=config.num_vertices,
-                num_edges=len(u),
-                vertex_base=config.vertex_base,
-                shards=[results[name] for name in write_tasks],
-                fmt=config.file_format,
-                extra={"kernel": "k1", "sorted_by": "u"},
+        def fn(results: Dict[str, object]) -> StageOutput:
+            dataset, details = publish(
+                [results[name] for name in write_tasks]
             )
-            manifest.save(out_dir)
-            dataset = EdgeDataset(out_dir, manifest)
-            details: Details = {
-                "algorithm": config.sort_algorithm,
-                "num_shards": dataset.num_shards,
-            }
             ctx.artifacts[stage.provides] = dataset
             self._check_contract(stage, ctx, details, verify)
             return dataset, details
 
-        # artifact_deps (the K0 dataset task) is an ordering dependency:
-        # the sort contract re-reads the K0 artifact from ctx.
         publish_task = graph.add(
-            "k1:dataset", publish,
-            deps=tuple(write_tasks) + (sort_task,) + artifact_deps,
-            group=group,
-            retain=True,
+            f"{prefix}:dataset", fn, deps=tuple(write_tasks) + order_deps,
+            group=group, retain=True,
         )
-        return publish_task, sort_task
+        return publish_task, write_tasks
 
     def _expand_filter(
         self,
@@ -688,8 +653,9 @@ class AsyncExecutor(Executor):
         def fn(results: Dict[str, object]) -> StageOutput:
             t0 = time.perf_counter()
             if pierced:
-                u, v = results[k1_sort_task]
-                handle, details = self._compute_filter_from_arrays(ctx, u, v)
+                handle, details = stream_filter(
+                    ctx, overlap_io=True, handoff=results[k1_sort_task]
+                )
             else:
                 handle, details = self._filter_with_cache(
                     ctx, self._compute_filter
@@ -713,60 +679,7 @@ class AsyncExecutor(Executor):
 
     def _compute_filter(self, ctx: StageContext) -> StageOutput:
         """Dataset-fed out-of-core Kernel 2 (coarse/cached path)."""
-        from repro.core.executor import adopt_streamed_matrix
-        from repro.core.streaming import streaming_kernel2
-
-        streamed = streaming_kernel2(
-            ctx.require(ARTIFACT_K1),
-            batch_edges=ctx.config.streaming_batch_edges,
-            scratch_dir=ctx.base_dir / "k2-scratch",
-            overlap_io=True,
-        )
-        handle, details = adopt_streamed_matrix(ctx, streamed)
-        details["ingest_source"] = "dataset"
-        return handle, details
-
-    def _compute_filter_from_arrays(
-        self, ctx: StageContext, u: np.ndarray, v: np.ndarray
-    ) -> StageOutput:
-        """Hand-off Kernel 2: ingest the sorted stream in memory chunks.
-
-        The sorted arrays arrive straight from the Kernel 1 sort task
-        over the scheduler (no redundant decode of bytes Kernel 1
-        produced microseconds earlier); the ingest lane chunks them into
-        the bounded hand-off queue, so filtering runs while Kernel 1's
-        shard writes persist the same data.  The batch partition differs
-        from the dataset's shard/batch layout, which cannot change the
-        result — dedup emits only completed rows and every accumulator
-        sums integer-valued float64 counts, which is exact.
-
-        Attribution caveat, flagged as ``ingest_source: "k1-handoff"``
-        in the details: this path never re-reads the Kernel 1 files, so
-        its busy time *excludes* the dataset read/decode the serial and
-        streaming Kernel 2s pay — its edges/second reflects the
-        pipelined design and must not be compared head-to-head with a
-        file-fed Kernel 2 figure.
-        """
-        from repro.core.executor import adopt_streamed_matrix
-        from repro.core.streaming import streaming_kernel2
-
-        config = ctx.config
-        batch_edges = config.streaming_batch_edges
-
-        def chunks():
-            for start in range(0, len(u), batch_edges):
-                yield u[start:start + batch_edges], v[start:start + batch_edges]
-
-        streamed = streaming_kernel2(
-            batch_source=chunks(),
-            num_vertices=config.num_vertices,
-            batch_edges=batch_edges,
-            scratch_dir=ctx.base_dir / "k2-scratch",
-            overlap_io=True,
-        )
-        handle, details = adopt_streamed_matrix(ctx, streamed)
-        details["ingest_source"] = "k1-handoff"
-        return handle, details
+        return stream_filter(ctx, overlap_io=True, handoff=None)
 
     # ------------------------------------------------------------------
     # Result assembly
@@ -776,9 +689,8 @@ class AsyncExecutor(Executor):
         ctx: StageContext,
         schedule: ScheduleResult,
         artifact_tasks: Dict[str, str],
-        payload_via: str = "pipe",
-        shm_stats: Optional[_ShmStats] = None,
-    ) -> List[Tuple[Stage, KernelResult]]:
+        route: _CodecRoute,
+    ) -> List[KernelResult]:
         """Turn the schedule into per-kernel results in plan order.
 
         Per-kernel ``seconds`` is the stage's busy time (its tasks'
@@ -790,10 +702,10 @@ class AsyncExecutor(Executor):
         config = ctx.config
         group_busy = schedule.group_busy_seconds()
         stage_busy: Dict[str, float] = {}
-        outputs: Dict[str, Tuple[object, Details]] = {}
+        stage_details: Dict[str, Details] = {}
         verification_seconds = 0.0
         for stage in self.plan.stages:
-            output, details = schedule.results[artifact_tasks[stage.provides]]
+            _, details = schedule.results[artifact_tasks[stage.provides]]
             details = dict(details)
             contract_seconds = float(details.get("contract_seconds", 0.0))
             verification_seconds += contract_seconds
@@ -804,72 +716,66 @@ class AsyncExecutor(Executor):
                 busy = group_busy.get(stage.kernel.value, 0.0)
                 busy -= contract_seconds
             stage_busy[stage.kernel.value] = float(busy)
-            if (
-                stage.kernel is KernelName.K0_GENERATE
-                and "k0:generate" in schedule.timings
-            ):
-                # Fine-grained Kernel 0: its phases are its tasks, under
-                # the names the serial backends publish (write = summed
-                # shard-write busy time, wherever the writes overlapped).
-                details["phases"] = {
-                    phase: sum(
-                        timing.seconds
-                        for name, timing in schedule.timings.items()
-                        if name.startswith(f"k0:{phase}")
-                    )
-                    for phase in ("generate", "write")
-                }
-            outputs[stage.provides] = (output, details)
+            # A fine-grained stage's phases are its step tasks
+            # ``k<i>:<phase>[:n]`` (every task of its group but the
+            # publishing artifact task), under the names the serial
+            # kernels publish — e.g. write = summed shard-write busy
+            # time, wherever the writes overlapped.
+            phases: Dict[str, float] = {}
+            for name, timing in schedule.timings.items():
+                if (
+                    timing.group == stage.kernel.value
+                    and name != artifact_tasks[stage.provides]
+                ):
+                    phase = name.split(":")[1]
+                    phases[phase] = phases.get(phase, 0.0) + timing.seconds
+            if phases:
+                details["phases"] = phases
+            stage_details[stage.provides] = details
 
         # Contracts are real (overlappable) work but not kernel work:
         # they count toward the pipeline totals, never toward a stage.
         total_busy = sum(stage_busy.values()) + verification_seconds
         overlap_saved = total_busy - schedule.wall_seconds
 
-        records: List[Tuple[Stage, KernelResult]] = []
+        records: List[KernelResult] = []
         last = self.plan.stages[-1]
         for stage in self.plan.stages:
-            output, details = outputs[stage.provides]
+            details = stage_details[stage.provides]
             seconds = stage_busy[stage.kernel.value]
             details["execution"] = "async"
             details["busy_seconds"] = seconds
             if stage is last:
-                codec_lane = self._codec_lane(config)
                 details["overlap_saved_s"] = overlap_saved
                 details["pipeline_wall_seconds"] = schedule.wall_seconds
                 details["pipeline_busy_seconds"] = total_busy
                 details["stage_busy_seconds"] = dict(stage_busy)
                 details["verification_seconds"] = verification_seconds
-                details["max_workers"] = self._pool_width(codec_lane)
+                details["max_workers"] = self._pool_width(route.lane)
                 # Lane attribution: the configured knob, the lane the
                 # codec actually ran on (coarse/npy runs stay on
                 # threads regardless of the knob), and busy time per
                 # lane so the offload's share is measurable.
                 details["async_lanes"] = config.async_lanes
-                details["codec_lane"] = codec_lane
+                details["codec_lane"] = route.lane
                 details["lane_busy_seconds"] = schedule.lane_busy_seconds()
                 # Shard-plane attribution: the configured knob, the
                 # plane the hand-off actually used (pipe when shm was
                 # unavailable or the codec stayed on threads), and the
                 # payload bytes shm kept off the worker pipes.
                 details["shard_plane"] = config.shard_plane
-                details["handoff_mode"] = payload_via
-                details["shm_bytes_saved"] = (
-                    shm_stats.total if shm_stats is not None else 0
-                )
+                details["handoff_mode"] = route.payload_via
+                details["shm_bytes_saved"] = route.shm_bytes_saved
             edges = int(
                 details.get("edges_processed", stage.nominal_edges(config))
             )
             records.append(
-                (
-                    stage,
-                    KernelResult(
-                        kernel=stage.kernel,
-                        seconds=seconds,
-                        edges_processed=edges,
-                        officially_timed=stage.officially_timed,
-                        details=details,
-                    ),
+                KernelResult(
+                    kernel=stage.kernel,
+                    seconds=seconds,
+                    edges_processed=edges,
+                    officially_timed=stage.officially_timed,
+                    details=details,
                 )
             )
         return records

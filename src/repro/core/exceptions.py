@@ -13,11 +13,6 @@ class KernelContractError(PipelineError):
     summing to M, rank vector containing non-finite values)."""
 
 
-class ValidationError(PipelineError):
-    """The PageRank result failed the eigenvector cross-check of paper
-    Section IV.D."""
-
-
 class ExecutorCapabilityError(PipelineError, ValueError):
     """The selected execution strategy needs a capability the backend
     does not declare (e.g. ``--execution streaming`` with a backend that

@@ -2,19 +2,22 @@
 
 One :class:`~repro.core.stages.ExecutionPlan` — four ways to run it:
 
-* :class:`SerialExecutor` — every kernel through the backend's serial
-  implementation, fully in memory (the original ``Pipeline.run``);
+* :class:`SerialExecutor` — every kernel through the backend, fully in
+  memory: Kernels 0/1 as :class:`~repro.backends.base.Backend` defines
+  them (their steps run in order), Kernels 2/3 as the backend
+  implements them;
 * :class:`StreamingExecutor` — Kernel 2 through the out-of-core
-  :func:`repro.core.streaming.streaming_kernel2`, memory bounded by
-  ``O(batch + N)``;
+  :func:`repro.core.streaming.streaming_kernel2` (:func:`stream_filter`),
+  memory bounded by ``O(batch + N)``;
 * :class:`ShardParallelExecutor` — Kernels 2+3 through the distributed
   :func:`repro.parallel.driver.run_parallel_pipeline`, with the
   communication :class:`~repro.parallel.traffic.TrafficLog` merged into
   the Kernel 3 result details;
 * :class:`~repro.core.async_executor.AsyncExecutor` — stages decomposed
   into a dependency-aware task graph (:mod:`repro.core.scheduler`) so
-  stage I/O overlaps with compute (registered lazily to avoid a module
-  cycle).
+  stage I/O overlaps with compute: the same Kernel 0/1 steps scheduled
+  as tasks, the same :func:`stream_filter` Kernel 2 (registered lazily
+  to avoid a module cycle).
 
 The base class owns everything strategy-independent: scratch-directory
 lifecycle, per-stage wall-clock timing, artifact-cache routing for
@@ -336,20 +339,60 @@ class Executor:
         return ctx.backend.kernel3(ctx.config, ctx.require(ARTIFACT_ADJACENCY))
 
 
-def adopt_streamed_matrix(ctx: StageContext, streamed) -> StageOutput:
-    """Adopt a :func:`~repro.core.streaming.streaming_kernel2` result
-    into the backend's adjacency handle, with the standard detail set.
+def stream_filter(
+    ctx: StageContext,
+    *,
+    overlap_io: bool,
+    handoff: Optional[Tuple[np.ndarray, np.ndarray]],
+) -> StageOutput:
+    """Out-of-core Kernel 2, adopted into the backend's adjacency handle.
 
-    Shared by the streaming and async executors so Kernel 2's reported
-    metrics cannot drift between them; callers add strategy-specific
-    keys on top.
+    The one Kernel 2 of the streaming and async executors, so its
+    reported metrics cannot drift between them; they differ only in
+    ``overlap_io`` (ingest/dedup/spill on overlapped lanes) and in where
+    the sorted stream comes from.
+
+    With ``handoff=None`` it is read back from the Kernel 1 dataset
+    (``ingest_source: "dataset"``).  With ``handoff`` — the sorted
+    ``(u, v)`` arrays straight from the async executor's Kernel 1 sort
+    task — the ingest lane chunks them in memory, so filtering runs
+    while Kernel 1's shard writes persist the same data.  The batch
+    partition then differs from the dataset's shard/batch layout, which
+    cannot change the result — dedup emits only completed rows and every
+    accumulator sums integer-valued float64 counts, which is exact.
+
+    Attribution caveat, flagged as ``ingest_source: "k1-handoff"``: the
+    hand-off never re-reads the Kernel 1 files, so its busy time
+    *excludes* the dataset read/decode a file-fed Kernel 2 pays — its
+    edges/second reflects the pipelined design and must not be compared
+    head-to-head with a file-fed figure.
     """
+    from repro.core.streaming import streaming_kernel2
+
+    batch_edges = ctx.config.streaming_batch_edges
+    if handoff is None:
+        source = {"dataset": ctx.require(ARTIFACT_K1)}
+    else:
+        u, v = handoff
+        source = {
+            "batch_source": (
+                (u[start:start + batch_edges], v[start:start + batch_edges])
+                for start in range(0, len(u), batch_edges)
+            ),
+            "num_vertices": ctx.config.num_vertices,
+        }
+    streamed = streaming_kernel2(
+        batch_edges=batch_edges,
+        scratch_dir=ctx.base_dir / "k2-scratch",
+        overlap_io=overlap_io,
+        **source,
+    )
     handle = ctx.backend.adjacency_from_csr(
         streamed.matrix, streamed.pre_filter_entry_total
     )
     details: Details = {
         "phases": dict(streamed.phases),
-        "batch_edges": ctx.config.streaming_batch_edges,
+        "batch_edges": batch_edges,
         "batches": streamed.batches,
         "unique_triples": streamed.unique_triples,
         "eliminated_columns": streamed.eliminated_columns,
@@ -359,6 +402,7 @@ def adopt_streamed_matrix(ctx: StageContext, streamed) -> StageOutput:
         # config.num_edges when contracts are disabled and the
         # dataset does not hold exactly M edges.
         "edges_processed": int(streamed.pre_filter_entry_total),
+        "ingest_source": "dataset" if handoff is None else "k1-handoff",
     }
     if streamed.io_overlap is not None:
         details["io_overlap"] = dict(streamed.io_overlap)
@@ -369,7 +413,6 @@ class SerialExecutor(Executor):
     """Current behaviour: all four kernels through the serial backend."""
 
     name = "serial"
-    required_capability = "serial"
 
 
 class StreamingExecutor(Executor):
@@ -387,14 +430,7 @@ class StreamingExecutor(Executor):
     k2_cache_variant = "streaming-csr"
 
     def _compute_filter(self, ctx: StageContext) -> StageOutput:
-        from repro.core.streaming import streaming_kernel2
-
-        streamed = streaming_kernel2(
-            ctx.require(ARTIFACT_K1),
-            batch_edges=ctx.config.streaming_batch_edges,
-            scratch_dir=ctx.base_dir / "k2-scratch",
-        )
-        handle, details = adopt_streamed_matrix(ctx, streamed)
+        handle, details = stream_filter(ctx, overlap_io=False, handoff=None)
         details["execution"] = "streaming"
         return handle, details
 

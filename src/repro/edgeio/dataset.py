@@ -9,6 +9,7 @@ parallel.
 Key operations::
 
     ds = EdgeDataset.write(dir, u, v, num_vertices=N, num_shards=4)
+    ds = EdgeDataset.publish(dir, shards, ...)  # manifest over written shards
     ds = EdgeDataset.open(dir)              # verify + load manifest
     u, v = ds.read_all()                    # concatenate every shard
     for u, v in ds.iter_shards(): ...       # stream shard-at-a-time
@@ -60,8 +61,9 @@ def shard_slices(num_edges: int, num_shards: int) -> List[Tuple[int, int]]:
     return slices
 
 
-def _shard_name(index: int, fmt: str) -> str:
-    return _SHARD_TEMPLATE.format(index=index, ext=_EXTENSIONS[fmt])
+def _check_fmt(fmt: str) -> None:
+    if fmt not in _EXTENSIONS:
+        raise ValueError(f"fmt must be one of {sorted(_EXTENSIONS)}, got {fmt!r}")
 
 
 def shard_file_name(index: int, fmt: str) -> str:
@@ -70,9 +72,8 @@ def shard_file_name(index: int, fmt: str) -> str:
     Exposed so out-of-band producers/consumers (the async executor's
     per-shard tasks) can address shard files before a manifest exists.
     """
-    if fmt not in _EXTENSIONS:
-        raise ValueError(f"fmt must be one of {sorted(_EXTENSIONS)}, got {fmt!r}")
-    return _shard_name(index, fmt)
+    _check_fmt(fmt)
+    return _SHARD_TEMPLATE.format(index=index, ext=_EXTENSIONS[fmt])
 
 
 def write_shard(
@@ -89,15 +90,12 @@ def write_shard(
 
     This is the single-shard core of :meth:`EdgeDataset.write`, split
     out so shard writes can be scheduled as independent tasks; the
-    caller is responsible for eventually assembling the ``ShardInfo``
-    list into a manifest (shards without a manifest read as an
-    incomplete dataset, by design).
+    caller is responsible for eventually handing the ``ShardInfo`` list
+    to :meth:`EdgeDataset.publish` (shards without a manifest read as
+    an incomplete dataset, by design).
     """
-    if fmt not in _EXTENSIONS:
-        raise ValueError(f"fmt must be one of {sorted(_EXTENSIONS)}, got {fmt!r}")
-    directory = Path(directory)
-    name = _shard_name(index, fmt)
-    path = directory / name
+    name = shard_file_name(index, fmt)
+    path = Path(directory) / name
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     if fmt in ("tsv", "tsv.gz"):
@@ -106,15 +104,51 @@ def write_shard(
             import gzip
 
             payload = gzip.compress(payload, compresslevel=6)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(payload)
-        tmp.replace(path)
-        crc = zlib.crc32(payload) if checksums else None
-        return ShardInfo(
-            name=name, num_edges=len(u), crc32=crc, num_bytes=len(payload)
-        )
+        return store_text_shard(path, payload, len(u), checksums)
     nbytes = write_binary_shard(path, u, v)
     return ShardInfo(name=name, num_edges=len(u), crc32=None, num_bytes=nbytes)
+
+
+def store_text_shard(
+    path: Path, payload: bytes, num_edges: int, checksums: bool
+) -> ShardInfo:
+    """Atomically store an encoded text shard; return its manifest entry."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(payload)
+    tmp.replace(path)
+    crc = zlib.crc32(payload) if checksums else None
+    return ShardInfo(
+        name=path.name, num_edges=num_edges, crc32=crc, num_bytes=len(payload)
+    )
+
+
+def write_shards(
+    directory: Path,
+    u: np.ndarray,
+    v: np.ndarray,
+    *,
+    num_shards: int,
+    fmt: str,
+    vertex_base: int,
+    checksums: bool,
+) -> List[ShardInfo]:
+    """Write full edge arrays as ``num_shards`` shard files, in order.
+
+    The serial schedule of :func:`write_shard` over
+    :func:`shard_slices` (the async executor schedules the same calls as
+    tasks); hand the result to :meth:`EdgeDataset.publish`.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    return [
+        write_shard(
+            directory, index, u[start:end], v[start:end],
+            fmt=fmt, vertex_base=vertex_base, checksums=checksums,
+        )
+        for index, (start, end) in enumerate(shard_slices(len(u), num_shards))
+    ]
 
 
 def read_shard_file(
@@ -131,22 +165,27 @@ def read_shard_file(
     already holds the arrays, and contracts re-verify the published
     dataset).
     """
-    if fmt not in _EXTENSIONS:
-        raise ValueError(f"fmt must be one of {sorted(_EXTENSIONS)}, got {fmt!r}")
+    _check_fmt(fmt)
     path = Path(path)
     if fmt in ("tsv", "tsv.gz"):
-        payload = path.read_bytes()
-        if fmt == "tsv.gz":
-            import gzip
-
-            try:
-                payload = gzip.decompress(payload)
-            except (OSError, EOFError, zlib.error) as exc:
-                raise CorruptEdgeFileError(
-                    f"{path}: gzip decompression failed: {exc}"
-                ) from exc
-        return decode_edges(payload, vertex_base=vertex_base)
+        return _decode_text_shard(path, path.read_bytes(), fmt, vertex_base)
     return read_binary_shard(path)
+
+
+def _decode_text_shard(
+    path: Path, payload: bytes, fmt: str, vertex_base: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Decode a ``tsv``/``tsv.gz`` shard's file bytes into ``(u, v)``."""
+    if fmt == "tsv.gz":
+        import gzip
+
+        try:
+            payload = gzip.decompress(payload)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise CorruptEdgeFileError(
+                f"{path}: gzip decompression failed: {exc}"
+            ) from exc
+    return decode_edges(payload, vertex_base=vertex_base)
 
 
 class EdgeDataset:
@@ -244,28 +283,42 @@ class EdgeDataset:
         extra:
             Free-form metadata stored in the manifest.
         """
-        if fmt not in _EXTENSIONS:
-            raise ValueError(f"fmt must be one of {sorted(_EXTENSIONS)}, got {fmt!r}")
+        _check_fmt(fmt)
         check_positive_int("num_vertices", num_vertices)
+        shards = write_shards(
+            directory, u, v, num_shards=num_shards,
+            fmt=fmt, vertex_base=vertex_base, checksums=checksums,
+        )
+        return cls.publish(
+            directory, shards, num_vertices=num_vertices,
+            vertex_base=vertex_base, fmt=fmt, extra=extra,
+        )
+
+    @classmethod
+    def publish(
+        cls,
+        directory: Path,
+        shards: List[ShardInfo],
+        *,
+        num_vertices: int,
+        vertex_base: int,
+        fmt: str,
+        extra: Optional[dict],
+    ) -> "EdgeDataset":
+        """Turn already-written shard files into a dataset.
+
+        Writes the manifest that makes ``directory`` openable — the one
+        place a :class:`DatasetManifest` is assembled, whoever wrote the
+        shards (:meth:`write`, the streaming writer, the pure-python
+        backend, the async executor's per-shard tasks).  ``shards`` are
+        the :func:`write_shard` results in shard order.
+        """
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        shards: List[ShardInfo] = []
-        for index, (start, end) in enumerate(shard_slices(len(u), num_shards)):
-            shards.append(
-                write_shard(
-                    directory, index, u[start:end], v[start:end],
-                    fmt=fmt, vertex_base=vertex_base, checksums=checksums,
-                )
-            )
-
         manifest = DatasetManifest(
             num_vertices=num_vertices,
-            num_edges=len(u),
+            num_edges=sum(shard.num_edges for shard in shards),
             vertex_base=vertex_base,
-            shards=shards,
+            shards=list(shards),
             fmt=fmt,
             extra=dict(extra or {}),
         )
@@ -343,16 +396,9 @@ class EdgeDataset:
                         f"{path}: CRC mismatch (manifest {info.crc32:#x}, "
                         f"file {actual:#x})"
                     )
-            if self.fmt == "tsv.gz":
-                import gzip
-
-                try:
-                    payload = gzip.decompress(payload)
-                except (OSError, EOFError, zlib.error) as exc:
-                    raise CorruptEdgeFileError(
-                        f"{path}: gzip decompression failed: {exc}"
-                    ) from exc
-            u, v = decode_edges(payload, vertex_base=self.manifest.vertex_base)
+            u, v = _decode_text_shard(
+                path, payload, self.fmt, self.manifest.vertex_base
+            )
         else:
             u, v = read_binary_shard(path, mmap=self.mmap)
         if len(u) != info.num_edges:
@@ -433,8 +479,7 @@ class EdgeDatasetWriter:
         edges_per_shard: int,
         extra: Optional[dict],
     ) -> None:
-        if fmt not in _EXTENSIONS:
-            raise ValueError(f"fmt must be one of {sorted(_EXTENSIONS)}, got {fmt!r}")
+        _check_fmt(fmt)
         check_positive_int("num_vertices", num_vertices)
         check_positive_int("edges_per_shard", edges_per_shard)
         self.directory = Path(directory)
@@ -448,7 +493,6 @@ class EdgeDatasetWriter:
         self._buffer_v: List[np.ndarray] = []
         self._buffered = 0
         self._shards: List[ShardInfo] = []
-        self._total_edges = 0
         self._closed = False
 
     def __enter__(self) -> "EdgeDatasetWriter":
@@ -488,7 +532,6 @@ class EdgeDatasetWriter:
             fmt=self.fmt, vertex_base=self.vertex_base,
         )
         self._shards.append(info)
-        self._total_edges += len(take_u)
         self._buffer_u = [rest_u]
         self._buffer_v = [rest_v]
         self._buffered = len(rest_u)
@@ -499,16 +542,10 @@ class EdgeDatasetWriter:
             return self._result
         if self._buffered or not self._shards:
             self._flush_shard(self._buffered)
-        manifest = DatasetManifest(
-            num_vertices=self.num_vertices,
-            num_edges=self._total_edges,
-            vertex_base=self.vertex_base,
-            shards=self._shards,
-            fmt=self.fmt,
-            extra=self.extra,
+        self._result = EdgeDataset.publish(
+            self.directory, self._shards, num_vertices=self.num_vertices,
+            vertex_base=self.vertex_base, fmt=self.fmt, extra=self.extra,
         )
-        manifest.save(self.directory)
-        self._result = EdgeDataset(self.directory, manifest)
         self._closed = True
         return self._result
 

@@ -13,7 +13,7 @@ with 0-based vertex labels, matching the library-wide convention.
 
 from __future__ import annotations
 
-from repro.generators.base import EdgeList, GeneratorSpec, edge_list_memory_bytes
+from repro.generators.base import EdgeList, GeneratorSpec
 from repro.generators.kronecker import (
     KroneckerParams,
     kronecker_blocks,
@@ -47,7 +47,6 @@ __all__ = [
     "bter_edges",
     "complete_graph_edges",
     "degree_histogram",
-    "edge_list_memory_bytes",
     "erdos_renyi_edges",
     "get_generator",
     "in_degrees",

@@ -86,10 +86,3 @@ def validate_edge_list(u: np.ndarray, v: np.ndarray, num_vertices: int) -> None:
                 f"{name} labels out of range [0, {num_vertices}): "
                 f"min={lo}, max={hi}"
             )
-
-
-def edge_list_memory_bytes(num_edges: int, bytes_per_edge: int = BYTES_PER_EDGE) -> int:
-    """Edge-data memory footprint used for Table II's ``~Memory`` column."""
-    if num_edges < 0:
-        raise ValueError(f"num_edges must be >= 0, got {num_edges}")
-    return num_edges * bytes_per_edge

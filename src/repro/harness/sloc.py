@@ -6,6 +6,15 @@ Here the "languages" are backend modules; :func:`backend_sloc_table`
 counts each backend's implementation file the same way the paper's
 convention does: non-blank, non-comment source lines (docstrings count
 as comments, since they are documentation, not code).
+
+What a backend's file holds is what that backend implements *itself*:
+its Kernel 2 and Kernel 3 (and adjacency handle), plus whichever Kernel
+0/1 steps it replaces — ``dataframe`` its sort, ``python`` both kernels
+whole.  Kernels 0 and 1 as such are defined once, in
+:mod:`repro.backends.base`, and are counted with the shared substrate,
+like the paper's common generator specification — so the scipy
+"Matlab analogue" lands beside the paper's Matlab row (102) instead of
+carrying a private copy of the file plumbing.
 """
 
 from __future__ import annotations
@@ -91,9 +100,10 @@ def backend_sloc_table(backends: List[str] | None = None) -> Dict[str, int]:
     """SLOC per backend implementation module (Table I analogue).
 
     Returns a mapping ``backend name -> source lines`` in registry
-    order.  Shared substrate code (edgeio, sort, grb, frame) is *not*
-    attributed to backends — the paper's per-language counts likewise
-    exclude the common generator specification.
+    order.  Shared substrate code (edgeio, sort, grb, frame, and the
+    Kernel 0/1 definitions in ``backends/base.py``) is *not* attributed
+    to backends — the paper's per-language counts likewise exclude the
+    common generator specification.
     """
     names = backends if backends is not None else available_backends()
     return {name: count_file_sloc(_backend_module_path(name)) for name in names}

@@ -10,7 +10,7 @@ sizes, and owner lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -54,10 +54,6 @@ class RowPartition:
         """Number of rows owned by ``rank``."""
         start, end = self.bounds(rank)
         return end - start
-
-    def all_bounds(self) -> List[Tuple[int, int]]:
-        """Bounds for every rank, rank-ordered."""
-        return [self.bounds(rank) for rank in range(self.size)]
 
     def owner_of(self, vertices: np.ndarray) -> np.ndarray:
         """Owning rank of each vertex (vectorised).

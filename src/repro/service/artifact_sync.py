@@ -23,7 +23,6 @@ never to a failed job.
 
 from __future__ import annotations
 
-import json
 import urllib.error
 import urllib.request
 from typing import Dict, List, Optional
@@ -66,19 +65,6 @@ def push_entry(base: str, kind: str, key: str, data: bytes) -> bool:
             return 200 <= response.status < 300
     except (urllib.error.URLError, OSError, ValueError):
         return False
-
-
-def list_entries(base: str) -> Optional[List[Dict[str, object]]]:
-    """The service's published-entry index; ``None`` on failure."""
-    try:
-        with urllib.request.urlopen(
-            f"{base.rstrip('/')}/artifacts", timeout=SYNC_TIMEOUT_SECONDS
-        ) as response:
-            doc = json.loads(response.read().decode("utf-8"))
-    except (urllib.error.URLError, OSError, ValueError):
-        return None
-    entries = doc.get("entries")
-    return entries if isinstance(entries, list) else None
 
 
 def spec_sync_keys(spec: RunSpec) -> Dict[str, str]:

@@ -1042,11 +1042,6 @@ class BenchmarkService:
                 if job.state is JobState.PENDING
             )
 
-    def running_jobs_by_worker(self) -> Dict[str, str]:
-        """Scheduler-thread name → the job id it is currently driving."""
-        with self._lock:
-            return dict(self._running_jobs)
-
     @property
     def worker_address(self) -> Optional[Tuple[str, int]]:
         """The remote pool's worker-listen address (``None`` for local

@@ -138,11 +138,6 @@ class _RunReader:
         self._mm = np.empty((0, 2), dtype=np.int64)
         self._stack.close()
 
-    @property
-    def exhausted(self) -> bool:
-        """True when both the file and the buffer are drained."""
-        return self._cursor >= self.run.num_edges and len(self.buf_u) == 0
-
     def refill(self) -> None:
         """Top the buffer up with the next file block, if any."""
         if len(self.buf_u) > 0 or self._cursor >= self.run.num_edges:

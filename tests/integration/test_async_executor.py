@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import rank_sha256
 from repro.core.async_executor import AsyncExecutor
 from repro.core.config import KernelName, PipelineConfig
 from repro.core.exceptions import KernelContractError
@@ -149,6 +150,34 @@ class TestTimingAttribution:
         warm = run_pipeline(_config("scipy", "async", cache_dir=cache))
         assert "phases" not in warm.kernel(KernelName.K0_GENERATE).details
 
+    @pytest.mark.parametrize(
+        "kernel", [KernelName.K0_GENERATE, KernelName.K1_SORT])
+    @pytest.mark.parametrize("backend", ["scipy", "dataframe"])
+    def test_k0_k1_details_keys_match_serial(self, backend, kernel):
+        # Serial and async build these records from the same helpers, so
+        # the only keys async may add are its own attribution.
+        serial = run_pipeline(_config(backend, "serial")).kernel(kernel)
+        overlapped = run_pipeline(_config(backend, "async")).kernel(kernel)
+        async_only = {"execution", "busy_seconds", "contract_seconds"}
+        assert set(overlapped.details) - async_only == set(serial.details)
+        assert (set(overlapped.details["phases"])
+                == set(serial.details["phases"]))
+
+    def test_k1_phases_are_its_step_tasks(self):
+        result = run_pipeline(_config("scipy", "async", trace=True))
+        phases = result.kernel(KernelName.K1_SORT).details["phases"]
+        assert set(phases) == {"read", "sort", "write"}
+        # Each phase is the summed busy time of its k1:<phase>[:n] tasks
+        # (the publishing k1:dataset task is the stage's remainder).
+        busy = {}
+        for span in result.trace["spans"]:
+            if span["cat"] == "task" and span["name"].startswith("task:k1:"):
+                phase = span["name"].split(":")[2]
+                busy[phase] = (busy.get(phase, 0.0) + span["dur"]
+                               - span["args"].get("queue_wait", 0.0))
+        assert busy.pop("dataset") > 0.0
+        assert phases == pytest.approx(busy, abs=1e-9)
+
     def test_k2_reports_streaming_style_details(self):
         result = run_pipeline(_config("scipy", "async"))
         k2 = result.kernel(KernelName.K2_FILTER)
@@ -184,12 +213,14 @@ class TestContractsAndFailures:
         assert result.rank is not None
 
     def test_task_failure_surfaces_as_scheduler_error(self, monkeypatch):
-        from repro.generators import registry
+        # The k0:generate task is the backend's own step, so breaking the
+        # step breaks the task.
+        from repro.backends.scipy_backend import ScipyBackend
 
-        def broken(name):
-            raise RuntimeError("generator registry down")
+        def broken(self, config):
+            raise RuntimeError("generator down")
 
-        monkeypatch.setattr(registry, "get_generator", broken)
+        monkeypatch.setattr(ScipyBackend, "generate_edges", broken)
         with pytest.raises(SchedulerError, match="k0:generate"):
             run_pipeline(_config("scipy", "async"))
 
@@ -198,6 +229,67 @@ class TestContractsAndFailures:
         result = AsyncExecutor(plan).execute(_config("scipy", "async"))
         assert [k.kernel for k in result.kernels] == [KernelName.K0_GENERATE]
         assert result.rank is None
+
+
+class TestBackendOwnsKernels:
+    """Async schedules the backend's steps; it never substitutes its own."""
+
+    def test_replaced_kernel_runs_coarse_on_threads(self):
+        from repro.backends.scipy_backend import ScipyBackend
+
+        class OwnK0(ScipyBackend):
+            def kernel0(self, config, out_dir):
+                dataset, details = super().kernel0(config, out_dir)
+                return dataset, {**details, "own_kernel0": True}
+
+        result = run_pipeline(
+            _config("scipy", "async", async_lanes="process", trace=True),
+            backend=OwnK0(),
+        )
+        tasks = {s["name"] for s in result.trace["spans"] if s["cat"] == "task"}
+        assert "task:k0-generate" in tasks
+        assert not any(name.startswith(("task:k0:", "task:k1:"))
+                       for name in tasks)
+        assert result.kernel(KernelName.K0_GENERATE).details["own_kernel0"]
+        # No per-shard tasks, so nothing to offload: the lane decision
+        # follows the graph's shape.
+        k3 = result.kernel(KernelName.K3_PAGERANK).details
+        assert k3["codec_lane"] == "thread"
+        np.testing.assert_array_equal(
+            result.rank, run_pipeline(_config("scipy", "serial")).rank)
+
+    def test_dataframe_sorts_through_its_own_step(self, monkeypatch, tmp_path):
+        from repro.backends.dataframe_backend import DataframeBackend
+
+        calls = []
+        own_sort = DataframeBackend.sort_edges
+
+        def spy(self, config, u, v):
+            calls.append(len(u))
+            return own_sort(self, config, u, v)
+
+        monkeypatch.setattr(DataframeBackend, "sort_edges", spy)
+        runs = {}
+        for execution in ("serial", "async"):
+            config = _config("dataframe", execution, keep_files=True,
+                             data_dir=tmp_path / execution)
+            runs[execution] = run_pipeline(config)
+        assert calls == [config.num_edges] * 2
+        for record in runs.values():
+            k1 = record.kernel(KernelName.K1_SORT).details
+            assert k1["algorithm"] == "dataframe-sort"
+        # The step's output, as published: same sorted dataset either way.
+        published = sorted((tmp_path / "serial" / "k1").iterdir())
+        assert len(published) == 1 + config.num_files  # manifest + shards
+        for path in published:
+            assert (path.read_bytes()
+                    == (tmp_path / "async" / "k1" / path.name).read_bytes())
+        # Kernel 2 is the streaming one under async, so the rank matches
+        # streaming bit for bit and serial to float tolerance.
+        streaming = run_pipeline(_config("dataframe", "streaming"))
+        assert rank_sha256(runs["async"].rank) == rank_sha256(streaming.rank)
+        np.testing.assert_allclose(runs["async"].rank, runs["serial"].rank,
+                                   rtol=1e-12, atol=1e-15)
 
 
 class TestCacheFallback:

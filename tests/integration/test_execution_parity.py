@@ -91,11 +91,7 @@ class TestRankParity:
 class TestContractParityAcrossExecutors:
     """The same violation must be caught identically by every strategy."""
 
-    # ``async`` is absent here by design: its fine-grained Kernel 0/1
-    # tasks bypass the (deliberately broken) backend kernels, so these
-    # injections cannot fire; its contract enforcement is pinned by
-    # tests/integration/test_async_executor.py instead.
-    @pytest.mark.parametrize("execution", ["serial", "streaming", "parallel"])
+    @pytest.mark.parametrize("execution", available_executions())
     def test_k0_count_violation_caught(self, execution, tmp_path):
         from broken_backends import BrokenK0
 
@@ -103,7 +99,7 @@ class TestContractParityAcrossExecutors:
         with pytest.raises(KernelContractError, match="spec requires"):
             run_pipeline(config, backend=BrokenK0())
 
-    @pytest.mark.parametrize("execution", ["serial", "streaming", "parallel"])
+    @pytest.mark.parametrize("execution", available_executions())
     def test_k1_unsorted_caught(self, execution):
         from broken_backends import UnsortedK1
 

@@ -56,6 +56,21 @@ class TestRegistry:
             register_backend(NoName)
 
 
+class TestKernelOwnership:
+    def test_only_the_python_backend_replaces_kernels_0_and_1(self):
+        # Kernels 0/1 are defined once, in Backend; the numpy-family
+        # backends may replace the generate/sort steps, never a kernel
+        # (the async executor would then have to run it coarse).
+        replacing = {
+            name
+            for name in available_backends()
+            for kernel in ("kernel0", "kernel1")
+            if getattr(type(get_backend(name)), kernel)
+            is not getattr(Backend, kernel)
+        }
+        assert replacing == {"python"}
+
+
 class TestInitialRank:
     def test_unit_norm_and_deterministic(self):
         config = PipelineConfig(scale=6, seed=9)
