@@ -14,8 +14,7 @@ Everything else is an extra:
   fallback ships in :mod:`repro.frame`);
 * ``graphblas`` — real SuiteSparse bindings for the graphblas backend
   (a pure-python semiring shim ships in :mod:`repro.grb`);
-* ``test`` — the tier-1 test toolchain (pytest + hypothesis);
-* ``bench`` — pytest-benchmark for the ``benchmarks/`` suite.
+* ``test`` — the tier-1 test toolchain (pytest + hypothesis).
 """
 
 from setuptools import find_packages, setup
@@ -24,9 +23,8 @@ EXTRAS = {
     "pandas": ["pandas>=1.3"],
     "graphblas": ["python-graphblas>=2023.1"],
     "test": ["pytest>=7.0", "hypothesis>=6.0"],
-    "bench": ["pytest-benchmark>=4.0"],
 }
-#: "all" covers feature extras only; "dev" adds the test/bench tooling.
+#: "all" covers feature extras only; "dev" adds the test tooling.
 EXTRAS["all"] = sorted(EXTRAS["pandas"] + EXTRAS["graphblas"])
 EXTRAS["dev"] = sorted({dep for deps in EXTRAS.values() for dep in deps})
 

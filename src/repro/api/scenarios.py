@@ -177,13 +177,13 @@ def default_registry() -> ScenarioRegistry:
     )
     registry.register(
         "parallel-sim",
-        "sharded K2+K3 over 4 simulated ranks with traffic accounting",
+        "sharded K2+K3 over 4 thread ranks with traffic accounting",
         scale=10, backend="scipy", execution="parallel", parallel_ranks=4,
     )
     registry.register(
         "parallel-mp",
-        "sharded K2+K3 over 2 real processes (multiprocessing "
-        "communicator; no aggregated traffic log)",
+        "sharded K2+K3 over 2 process ranks (same communicator and "
+        "traffic accounting, true process parallelism)",
         scale=10, backend="scipy", execution="parallel", parallel_ranks=2,
         parallel_executor="mp",
     )

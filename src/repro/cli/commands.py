@@ -290,11 +290,10 @@ def cmd_parallel(args: argparse.Namespace) -> int:
     )
     print(f"  rank vector sum: {result.rank_vector.sum():.6f}")
     print(f"  per-rank nnz (load balance): {result.local_nnz}")
-    if result.traffic:
-        print(f"  traffic: {result.traffic['total_bytes']:,} bytes "
-              f"in {result.traffic['total_messages']:,} messages")
-        for op, nbytes in sorted(result.traffic["bytes_by_op"].items()):
-            print(f"    {op:10s} {nbytes:,} bytes")
+    print(f"  traffic: {result.traffic['total_bytes']:,} bytes "
+          f"in {result.traffic['total_messages']:,} messages")
+    for op, nbytes in sorted(result.traffic["bytes_by_op"].items()):
+        print(f"    {op:10s} {nbytes:,} bytes")
     prediction = predict_parallel_kernel3(
         LAPTOP_CLASS, len(u), num_vertices, args.ranks,
         iterations=args.iterations,

@@ -125,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     spec_flag("--ranks", dest="parallel_ranks", type=int,
               help="rank count for --execution parallel")
     spec_flag("--parallel-executor",
-              help="communicator for --execution parallel: sim (threads, "
-                   "traffic-accounted) or mp (real processes)")
+              help="ranks for --execution parallel run as threads (sim) "
+                   "or OS processes (mp); same digest and traffic log")
     spec_flag("--batch-edges", dest="streaming_batch_edges", type=int,
               help="pass-1 batch size for --execution streaming")
     spec_flag("--async-lanes",
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     tables.set_defaults(func=commands.cmd_tables)
 
     parallel = sub.add_parser(
-        "parallel", help="distributed K2+K3 demo (simulated ranks)"
+        "parallel", help="distributed K2+K3 demo with traffic accounting"
     )
     parallel.add_argument("--scale", type=int, default=12)
     parallel.add_argument("--edge-factor", type=int, default=16)

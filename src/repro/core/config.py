@@ -119,10 +119,9 @@ class PipelineConfig:
     parallel_ranks:
         Rank count for the ``"parallel"`` execution strategy.
     parallel_executor:
-        Communicator for the ``"parallel"`` strategy: ``"sim"``
-        (threads, traffic-accounted) or ``"mp"`` (multiprocessing, true
-        process parallelism; traffic is logged per process and not
-        aggregated).
+        How the ``"parallel"`` strategy launches its ranks: ``"sim"``
+        (threads) or ``"mp"`` (OS processes, true process parallelism).
+        Same communicator, rank digest and traffic log either way.
     streaming_batch_edges:
         Pass-1 batch size (the memory knob) for the ``"streaming"``
         strategy.

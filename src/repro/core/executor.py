@@ -438,7 +438,7 @@ class StreamingExecutor(Executor):
 class _ParallelAdjacency(AdjacencyHandle):
     """Contract/validation view over the distributed Kernel 2 output.
 
-    The distributed matrix lives sharded across (simulated) ranks and is
+    The distributed matrix lives sharded across the ranks and is
     never gathered; this handle exposes the aggregate facts the
     :class:`~repro.core.stages.FilterContract` needs, and rebuilds the
     matrix out-of-core only if validation explicitly asks for it.
@@ -475,7 +475,7 @@ class _ParallelAdjacency(AdjacencyHandle):
 
 
 class ShardParallelExecutor(Executor):
-    """Kernels 2+3 through the distributed (simulated-rank) driver.
+    """Kernels 2+3 through the distributed (thread- or process-rank) driver.
 
     The driver runs exchange → Kernel 2 → Kernel 3 as one fused per-rank
     program during the Kernel 2 stage; per-rank phase clocks split the

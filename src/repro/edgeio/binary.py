@@ -2,7 +2,7 @@
 
 The paper's pipeline is specified over text files, and Kernel 0/1 cost is
 partly string formatting/parsing.  To let benchmarks isolate that cost
-(`benchmarks/bench_ablation_shards.py`), datasets can also be written as
+(``--file-format npy``), datasets can also be written as
 ``.npy`` shards holding an ``(m, 2) int64`` array per shard.  The dataset
 manifest records which format a directory uses; both formats share all
 other machinery.

@@ -9,13 +9,15 @@ that Kernel 3 is network-communication dominated.
 
 This package reproduces that design without requiring MPI:
 
-* :class:`Communicator` — the abstract message-passing interface
-  (send/recv, bcast, allreduce, allgather, alltoall) with byte-accurate
-  traffic accounting;
-* :class:`SimCommunicator` — threads in one process, deterministic,
-  used for tests and for *measuring* communication volumes;
-* :class:`MpCommunicator` — the same rank programs under
-  ``multiprocessing`` for true-parallel integration tests;
+* :class:`Communicator` — the one message-passing implementation
+  (send/recv over per-pair queues; barrier, bcast, allreduce, allgather
+  and alltoall as a star through rank 0) with byte-accurate traffic
+  accounting;
+* :func:`run_rank_programs` — runs a rank program on ``size`` ranks, as
+  threads (deterministic, debuggable) or, with ``processes=True``, as
+  OS processes (true parallelism); either way it returns the same
+  values and fills the same :class:`TrafficLog`, the instrument behind
+  the "network-limited" Kernel 3 analysis;
 * :mod:`repro.parallel.kernels` — row-block parallel Kernel 2/3 whose
   results are bit-compatible with the serial backends;
 * :func:`run_parallel_pipeline` — end-to-end parallel K2+K3 driver.
@@ -23,10 +25,8 @@ This package reproduces that design without requiring MPI:
 
 from __future__ import annotations
 
-from repro.parallel.comm import Communicator
+from repro.parallel.comm import Communicator, run_rank_programs
 from repro.parallel.traffic import TrafficLog, TrafficRecord
-from repro.parallel.sim import SimCommunicator, run_rank_programs
-from repro.parallel.mp import run_rank_programs_mp
 from repro.parallel.partition import RowPartition
 from repro.parallel.kernels import (
     exchange_edges_by_owner,
@@ -39,10 +39,8 @@ from repro.parallel.driver import ParallelRunResult, run_parallel_pipeline
 
 __all__ = [
     "Communicator",
-    "MpCommunicator",
     "ParallelRunResult",
     "RowPartition",
-    "SimCommunicator",
     "TrafficLog",
     "TrafficRecord",
     "exchange_edges_by_owner",
@@ -52,7 +50,4 @@ __all__ = [
     "parallel_kernel3",
     "run_parallel_pipeline",
     "run_rank_programs",
-    "run_rank_programs_mp",
 ]
-
-from repro.parallel.mp import MpCommunicator  # noqa: E402  (circular-safe)

@@ -1,10 +1,10 @@
 """End-to-end parallel K2+K3 driver.
 
 ``run_parallel_pipeline`` takes an edge list (typically a Kernel 1
-output read back from disk), distributes it over ``num_ranks`` simulated
-or real ranks, runs the distributed Kernel 2 and Kernel 3, and returns
-the rank vector plus the measured communication traffic — ready to feed
-the performance models.
+output read back from disk), distributes it over ``num_ranks`` thread
+or process ranks, runs the distributed Kernel 2 and Kernel 3, and
+returns the rank vector plus the measured communication traffic — ready
+to feed the performance models.
 """
 
 from __future__ import annotations
@@ -15,15 +15,13 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.parallel.comm import Communicator
+from repro.parallel.comm import Communicator, run_rank_programs
 from repro.parallel.kernels import (
     exchange_edges_by_owner,
     parallel_kernel2,
     parallel_kernel3,
 )
-from repro.parallel.mp import run_rank_programs_mp
 from repro.parallel.partition import RowPartition
-from repro.parallel.sim import run_rank_programs
 from repro.parallel.traffic import TrafficLog
 
 
@@ -38,8 +36,8 @@ class ParallelRunResult:
     num_ranks:
         Group size used.
     traffic:
-        Traffic summary (``total_bytes``, ``bytes_by_op``, …); only
-        populated by the simulated executor, where the log is shared.
+        Traffic summary (``total_bytes``, ``total_messages``,
+        ``bytes_by_op``) of every rank's log, merged.
     kernel2_details:
         Rank-0 metrics from the distributed Kernel 2.
     local_nnz:
@@ -121,9 +119,9 @@ def run_parallel_pipeline(
     initial_rank:
         Kernel 3 start vector; uniform ``1/N`` when omitted.
     executor:
-        ``"sim"`` (threads, traffic-accounted) or ``"mp"``
-        (multiprocessing, true process parallelism; traffic is logged
-        per process and not aggregated).
+        ``"sim"`` (ranks are threads) or ``"mp"`` (ranks are OS
+        processes, true process parallelism).  Same communicator, same
+        rank vector, same traffic log.
 
     Examples
     --------
@@ -140,13 +138,11 @@ def run_parallel_pipeline(
         initial_rank = np.full(num_vertices, 1.0 / num_vertices)
 
     args = (u, v, num_vertices, initial_rank, damping, iterations, formula)
-    if executor == "sim":
-        traffic = TrafficLog()
-        outputs = run_rank_programs(_rank_program, num_ranks, *args, traffic=traffic)
-        traffic_summary = traffic.summary()
-    else:
-        outputs = run_rank_programs_mp(_rank_program, num_ranks, *args)
-        traffic_summary = {}
+    traffic = TrafficLog()
+    outputs = run_rank_programs(
+        _rank_program, num_ranks, *args,
+        processes=executor == "mp", traffic=traffic,
+    )
 
     rank_vectors = [out[0] for out in outputs]
     for other in rank_vectors[1:]:
@@ -155,7 +151,7 @@ def run_parallel_pipeline(
     return ParallelRunResult(
         rank_vector=rank_vectors[0],
         num_ranks=num_ranks,
-        traffic=traffic_summary,
+        traffic=traffic.summary(),
         kernel2_details=outputs[0][1],
         local_nnz=[out[2] for out in outputs],
         kernel2_seconds=max(out[3] for out in outputs),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,11 @@ class TrafficLog:
                 TrafficRecord(op=op, bytes_moved=int(bytes_moved),
                               messages=int(messages), rank=rank)
             )
+
+    def extend(self, records: Iterable[TrafficRecord]) -> None:
+        """Append events recorded elsewhere (one rank's own log)."""
+        with self._lock:
+            self._records.extend(records)
 
     @property
     def records(self) -> List[TrafficRecord]:

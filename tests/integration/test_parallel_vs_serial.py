@@ -68,6 +68,20 @@ class TestMpExecutor:
         )
         assert np.allclose(result.rank_vector, serial_rank, atol=1e-12)
 
+    @pytest.mark.parametrize("ranks", [2, 3])
+    def test_same_rank_vector_and_traffic_as_thread_ranks(self, problem, ranks):
+        u, v, n = problem
+        runs = [
+            run_parallel_pipeline(u, v, n, num_ranks=ranks, iterations=12,
+                                  executor=executor)
+            for executor in ("sim", "mp")
+        ]
+        assert np.array_equal(runs[0].rank_vector, runs[1].rank_vector)
+        assert runs[0].traffic == runs[1].traffic
+        assert runs[1].traffic["bytes_by_op"]["allreduce"] == (
+            2 * (ranks - 1) * (13 * 8 * n + 8)
+        )
+
     def test_rejects_unknown_executor(self, problem):
         u, v, n = problem
         with pytest.raises(ValueError, match="executor"):

@@ -309,10 +309,11 @@ class TestCommands:
         assert "PASS" in capsys.readouterr().out
 
     def test_parallel_command(self, capsys):
-        assert main(["parallel", "--scale", "7", "--ranks", "2",
-                     "--iterations", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "traffic" in out and "allreduce" in out
+        for executor in ("sim", "mp"):
+            assert main(["parallel", "--scale", "7", "--ranks", "2",
+                         "--iterations", "3", "--executor", executor]) == 0
+            out = capsys.readouterr().out
+            assert "traffic:" in out and "allreduce" in out
 
     def test_figures_command_small(self, capsys, tmp_path):
         out_file = tmp_path / "records.json"
@@ -405,6 +406,8 @@ class TestScenarioAndSpecSurface:
         doc = json.loads(capsys.readouterr().out)
         k2 = next(k for k in doc["kernels"] if k["kernel"] == "k2-filter")
         assert k2["details"]["parallel_executor"] == "mp"
+        k3 = next(k for k in doc["kernels"] if k["kernel"] == "k3-pagerank")
+        assert k3["details"]["traffic"]["total_bytes"] > 0
 
     def test_run_repeats_flag(self, tmp_path, capsys):
         assert main(["run", "--scale", "6", "--repeats", "2",

@@ -1,5 +1,6 @@
-"""Unit tests for the multiprocessing communicator (star collectives)
-and the sanity of per-rank phase clocks under real processes."""
+"""Process ranks end to end: the sanity of per-rank phase clocks under
+real processes, and the ``parallel_executor`` knob (the collectives
+themselves are tested under both launches in ``test_parallel.py``)."""
 
 from __future__ import annotations
 
@@ -8,84 +9,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.parallel.mp import run_rank_programs_mp
+from repro.parallel.comm import run_rank_programs
 
 
-# Rank programs must be module-level (picklable) for multiprocessing.
-
-def _allreduce_program(comm):
-    return comm.allreduce(np.array([float(comm.rank + 1)]))
-
-
-def _bcast_program(comm):
-    payload = {"origin": comm.rank} if comm.rank == 1 else None
-    return comm.bcast(payload, root=1)
-
-
-def _allgather_program(comm):
-    return comm.allgather(comm.rank * 3)
-
-
-def _alltoall_program(comm):
-    payloads = [f"{comm.rank}->{dest}" for dest in range(comm.size)]
-    return comm.alltoall(payloads)
-
-
-def _send_recv_program(comm):
-    if comm.rank == 0:
-        comm.send(1, np.arange(4))
-        return None
-    return int(comm.recv(0).sum())
-
-
-def _barrier_program(comm):
-    comm.barrier()
-    return comm.rank
-
-
-def _failing_program(comm):
-    if comm.rank == 1:
-        raise ValueError("rank 1 exploded")
-    comm.barrier()  # would deadlock without failure marshalling
-    return comm.rank
-
-
-class TestMpCollectives:
-    def test_allreduce_sum(self):
-        results = run_rank_programs_mp(_allreduce_program, 3)
-        assert all(r[0] == 6.0 for r in results)
-
-    def test_bcast_nonzero_root(self):
-        results = run_rank_programs_mp(_bcast_program, 3)
-        assert results == [{"origin": 1}] * 3
-
-    def test_allgather(self):
-        results = run_rank_programs_mp(_allgather_program, 3)
-        assert results == [[0, 3, 6]] * 3
-
-    def test_alltoall(self):
-        results = run_rank_programs_mp(_alltoall_program, 3)
-        assert results[2] == ["0->2", "1->2", "2->2"]
-
-    def test_send_recv(self):
-        results = run_rank_programs_mp(_send_recv_program, 2)
-        assert results[1] == 6
-
-    def test_barrier_completes(self):
-        assert run_rank_programs_mp(_barrier_program, 4) == [0, 1, 2, 3]
-
-    def test_single_rank(self):
-        results = run_rank_programs_mp(_allreduce_program, 1)
-        assert results[0][0] == 1.0
-
-    def test_rank_failure_reported(self):
-        with pytest.raises(RuntimeError, match="rank 1"):
-            run_rank_programs_mp(_failing_program, 2, timeout=30.0)
-
-    def test_size_validation(self):
-        with pytest.raises(ValueError):
-            run_rank_programs_mp(_barrier_program, 0)
-
+# Rank programs are module-level so process ranks can pickle them.
 
 def _skewed_clock_program(comm):
     """Phase clocks under deliberate per-rank startup skew.
@@ -122,9 +49,9 @@ class TestMpPhaseClockSanity:
         u, v = kronecker_edges(7, 4, seed=3)
         n = 128
         initial = np.full(n, 1.0 / n)
-        outputs = run_rank_programs_mp(
+        outputs = run_rank_programs(
             _rank_program, 2, u, v, n, initial, 0.85, 4, "appendix",
-            timeout=120.0,
+            processes=True, timeout=120.0,
         )
         for _, _, _, k2_seconds, k3_seconds in outputs:
             assert np.isfinite(k2_seconds) and np.isfinite(k3_seconds)
@@ -142,16 +69,15 @@ class TestMpPhaseClockSanity:
         assert result.kernel3_seconds >= 0.0
         assert np.isfinite(result.kernel2_seconds)
         assert np.isfinite(result.kernel3_seconds)
-        # The rank vector still matches the simulated executor's.
+        # The rank vector still matches the thread ranks', bit for bit.
         sim = run_parallel_pipeline(u, v, 128, num_ranks=2, iterations=3,
                                     executor="sim")
-        np.testing.assert_allclose(result.rank_vector, sim.rank_vector,
-                                   rtol=1e-12, atol=1e-15)
+        assert np.array_equal(result.rank_vector, sim.rank_vector)
 
     def test_startup_skew_absorbed_at_first_sync(self):
         size = 3
-        outputs = run_rank_programs_mp(_skewed_clock_program, size,
-                                       timeout=120.0)
+        outputs = run_rank_programs(_skewed_clock_program, size,
+                                    processes=True, timeout=120.0)
         phase1 = [out[0] for out in outputs]
         phase2 = [out[1] for out in outputs]
         # Clocks start after each rank's own (skewed) startup, so no
@@ -167,8 +93,8 @@ class TestMpPhaseClockSanity:
 
 
 class TestMpConfigKnob:
-    """`PipelineConfig.parallel_executor` routes the parallel strategy
-    through the real multiprocessing communicator."""
+    """`PipelineConfig.parallel_executor` launches the parallel
+    strategy's ranks as threads (``sim``) or processes (``mp``)."""
 
     def test_config_validates_executor_name(self):
         from repro.core.config import PipelineConfig
@@ -177,20 +103,25 @@ class TestMpConfigKnob:
             PipelineConfig(scale=6, parallel_executor="gpu")
 
     def test_mp_execution_matches_sim_bit_for_bit(self):
+        from repro.api.runner import rank_sha256
         from repro.core.config import PipelineConfig
         from repro.core.pipeline import run_pipeline
+
+        def k3_traffic(result):
+            k3 = [k for k in result.kernels
+                  if k.kernel.value == "k3-pagerank"][0]
+            return k3.details["traffic"]
 
         base = dict(scale=6, seed=3, execution="parallel",
                     parallel_ranks=2, iterations=3)
         sim = run_pipeline(PipelineConfig(parallel_executor="sim", **base))
         mp_run = run_pipeline(PipelineConfig(parallel_executor="mp", **base))
-        np.testing.assert_allclose(mp_run.rank, sim.rank,
-                                   rtol=1e-12, atol=1e-15)
+        assert rank_sha256(mp_run.rank) == rank_sha256(sim.rank)
         k2 = [k for k in mp_run.kernels if k.kernel.value == "k2-filter"][0]
         assert k2.details["parallel_executor"] == "mp"
-        # mp ranks keep their own traffic logs; no aggregated summary.
-        k3 = [k for k in mp_run.kernels if k.kernel.value == "k3-pagerank"][0]
-        assert k3.details["traffic"] == {}
+        # Both launches report what the run moved: the same document.
+        assert k3_traffic(mp_run) == k3_traffic(sim)
+        assert k3_traffic(mp_run)["total_bytes"] > 0
 
     def test_runspec_carries_the_knob(self):
         from repro.api import RunSpec
