@@ -79,6 +79,11 @@ class AdjacencyHandle(abc.ABC):
     def to_scipy_csr(self) -> sp.csr_matrix:
         """Materialise the normalised matrix as scipy CSR (float64)."""
 
+    def compressed(self) -> sp.spmatrix:
+        """The matrix as the Kernel 2 cache stores it: CSR, or the CSC
+        a backend's :meth:`Backend.adjacency_from_csr` adopts as is."""
+        return self.to_scipy_csr()
+
 
 class Backend(abc.ABC):
     """One complete serial implementation of the four-kernel pipeline."""
@@ -220,13 +225,13 @@ class Backend(abc.ABC):
     def adjacency_from_csr(
         self, matrix: sp.csr_matrix, pre_filter_total: float
     ) -> AdjacencyHandle:
-        """Adopt an externally built (row-normalised) CSR matrix as this
-        backend's Kernel 2 output handle.
+        """Adopt an externally built (row-normalised) CSR or CSC matrix
+        as this backend's Kernel 2 output handle.
 
         The streaming executor builds the filtered matrix out-of-core
-        (:func:`repro.core.streaming.streaming_kernel2`) and needs to
-        hand it to the backend's Kernel 3.  Backends declaring the
-        ``"streaming"`` capability must override this.
+        (:func:`repro.core.streaming.streaming_kernel2`) and the Kernel 2
+        cache reloads one; both hand it to the backend's Kernel 3.
+        Backends declaring the ``"streaming"`` capability must override this.
         """
         raise NotImplementedError(
             f"backend {self.name!r} cannot adopt an external CSR matrix; "
@@ -247,6 +252,60 @@ class Backend(abc.ABC):
         rng = resolve_rng(derive_seed(config.seed, 3))
         r = rng.random(config.num_vertices)
         return r / np.abs(r).sum()
+
+    @staticmethod
+    def filter_triples(
+        timings: Timings, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Details]:
+        """Kernel 2 after construction, for backends that hold
+        ``sparse(u, v, 1, N, N)`` as triples (any order, which is kept):
+        drop the super-node and leaf columns, scale each row by ``1/dout``;
+        returns the details too.  ``timings`` gains ``filter``/``normalize``."""
+        with timings.measure("filter"):
+            din = np.bincount(cols, weights=vals, minlength=n)
+            max_in = din.max() if n else 0.0
+            supernode = (din == max_in) & (max_in > 0)  # no edges, no super-node
+            leaf = din == 1
+            eliminate = supernode | leaf
+            keep = ~eliminate[cols]
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        with timings.measure("normalize"):
+            dout = np.bincount(rows, weights=vals, minlength=n)
+            nonzero = dout > 0
+            inv = np.ones(n, dtype=np.float64)
+            inv[nonzero] = 1.0 / dout[nonzero]
+            vals *= inv[rows]  # in place: the compress above made vals ours
+        return rows, cols, vals, {
+            "max_in_degree": float(max_in),
+            "supernode_columns": int(supernode.sum()),
+            "leaf_columns": int(leaf.sum()),
+            # Not the sum of the two: at max in-degree 1 they are one set.
+            "eliminated_columns": int(eliminate.sum()),
+            "nonzero_rows": int(nonzero.sum()),
+        }
+
+    def fixed_iterations(
+        self, config: PipelineConfig, timings: Timings, product
+    ) -> KernelOutput[np.ndarray]:
+        """Kernel 3 around a backend's ``r*A`` product: ``timings`` gains
+        the initial rank under ``setup`` (beside whatever the operand
+        cost) and the ``r <- c*product(r) + teleport`` steps as ``iterate``."""
+        with timings.measure("setup"):
+            n, c = config.num_vertices, config.damping
+            r = self.initial_rank(config)
+            scale_by_n = config.formula == "appendix"
+        with timings.measure("iterate"):
+            for _ in range(config.iterations):
+                teleport = (1.0 - c) * r.sum()
+                if scale_by_n:
+                    teleport /= n
+                r = c * product(r) + teleport
+        return r, {
+            "phases": timings.as_dict(),
+            "iterations": config.iterations,
+            "damping": c,
+            "rank_sum": float(r.sum()),
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<backend {self.name!r}>"

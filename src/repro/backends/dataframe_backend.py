@@ -59,7 +59,7 @@ class DataframeBackend(Backend):
         # CSR -> COO yields row-major (u, then v) triples — the same
         # order the serial Kernel 2's key-groupby produces, so Kernel
         # 3's per-edge contribution sums see an identical ordering.
-        coo = matrix.tocoo()
+        coo = matrix.tocsr().tocoo()
         edges = Frame({
             "u": coo.row.astype(np.int64),
             "v": coo.col.astype(np.int64),
@@ -149,21 +149,12 @@ class DataframeBackend(Backend):
         src = edges.column("u")
         dst = edges.column("v")
         weight = edges.column("weight")
-        c = config.damping
-        r = self.initial_rank(config)
-        scale_by_n = config.formula == "appendix"
-        for _ in range(config.iterations):
+
+        def product(r):
             contrib_frame = Frame({"v": dst, "contribution": r[src] * weight})
             spread_frame = contrib_frame.groupby_sum("v", "contribution")
             spread = np.zeros(n, dtype=np.float64)
             spread[spread_frame.column("v")] = spread_frame.column("contribution_sum")
-            teleport = (1.0 - c) * r.sum()
-            if scale_by_n:
-                teleport /= n
-            r = c * spread + teleport
-        details: Details = {
-            "iterations": config.iterations,
-            "damping": c,
-            "rank_sum": float(r.sum()),
-        }
-        return r, details
+            return spread
+
+        return self.fixed_iterations(config, Timings(), product)

@@ -66,8 +66,9 @@ class NumpyBackend(Backend):
     def adjacency_from_csr(self, matrix, pre_filter_total):
         # CSR -> COO yields row-major triples, the same order
         # collapse_duplicates produces, so Kernel 3's bincount
-        # summation order (and thus its float64 result) is preserved.
-        coo = matrix.tocoo()
+        # summation order (and thus its float64 result) is preserved
+        # (a CSC matrix is made CSR first for the same reason).
+        coo = matrix.tocsr().tocoo()
         return CooAdjacency(
             matrix.shape[0],
             coo.row.astype(np.int64),
@@ -89,36 +90,13 @@ class NumpyBackend(Backend):
             rows, cols, vals = collapse_duplicates(u, v)
             pre_filter_total = float(vals.sum())
 
-        with timings.measure("filter"):
-            din = np.bincount(cols, weights=vals, minlength=n)
-            max_in = din.max() if n else 0.0
-            supernode_count = 0
-            leaf_count = 0
-            if max_in > 0:
-                supernode_mask = din == max_in
-                leaf_mask = din == 1
-                eliminate = supernode_mask | leaf_mask
-                supernode_count = int(supernode_mask.sum())
-                leaf_count = int(leaf_mask.sum())
-                keep = ~eliminate[cols]
-                rows, cols, vals = rows[keep], cols[keep], vals[keep]
-
-        with timings.measure("normalize"):
-            dout = np.bincount(rows, weights=vals, minlength=n)
-            nonzero = dout > 0
-            inv = np.ones(n, dtype=np.float64)
-            inv[nonzero] = 1.0 / dout[nonzero]
-            vals = vals * inv[rows]
-
+        rows, cols, vals, stats = self.filter_triples(timings, n, rows, cols, vals)
         handle = CooAdjacency(n, rows, cols, vals, pre_filter_total)
         details: Details = {
             "phases": timings.as_dict(),
             "nnz": handle.nnz,
             "pre_filter_entry_total": pre_filter_total,
-            "max_in_degree": float(max_in),
-            "supernode_columns": supernode_count,
-            "leaf_columns": leaf_count,
-            "nonzero_rows": int(nonzero.sum()),
+            **stats,
         }
         return handle, details
 
@@ -132,19 +110,7 @@ class NumpyBackend(Backend):
             )
         n = matrix.num_vertices
         rows, cols, vals = matrix.rows, matrix.cols, matrix.vals
-        c = config.damping
-        r = self.initial_rank(config)
-        scale_by_n = config.formula == "appendix"
-        for _ in range(config.iterations):
-            contributions = r[rows] * vals
-            spread = np.bincount(cols, weights=contributions, minlength=n)
-            teleport = (1.0 - c) * r.sum()
-            if scale_by_n:
-                teleport /= n
-            r = c * spread + teleport
-        details: Details = {
-            "iterations": config.iterations,
-            "damping": c,
-            "rank_sum": float(r.sum()),
-        }
-        return r, details
+        return self.fixed_iterations(
+            config, Timings(),
+            lambda r: np.bincount(cols, weights=r[rows] * vals, minlength=n),
+        )

@@ -2,19 +2,29 @@
 
 This is the reference high-performance implementation — the analogue of
 the paper's Matlab/Julia codes, whose kernels are one-liner sparse
-operations.  Kernel 2 is a direct transcription of the paper's
-Matlab listing into scipy:
+operations.  Each line of the paper's listing is computed once, on
+column-major triples (the middle four in ``Backend.filter_triples``):
 
-====================================  =================================
-paper (Matlab)                        here (scipy)
-====================================  =================================
-``A = sparse(u,v,1,N,N)``             ``coo_matrix((1s,(u,v))).tocsr()``
-``din = sum(A,1)``                    ``A.sum(axis=0)``
-``A(:,din==max(din)) = 0``            right-multiply by column selector
-``A(:,din==1) = 0``                   right-multiply by column selector
-``dout = sum(A,2)``                   ``A.sum(axis=1)``
-``A(i,:) = A(i,:) ./ dout(i)``        left-multiply by ``diag(1/dout)``
-====================================  =================================
+================================  ==========================================
+paper (Matlab)                    here
+================================  ==========================================
+``A = sparse(u,v,1,N,N)``         ``cols, rows, vals = collapse_duplicates(v, u)``
+``din = sum(A,1)``                ``np.bincount(cols, weights=vals)``
+``A(:,din==max(din)) = 0``        one boolean compress of the triples,
+``A(:,din==1) = 0``               ``~eliminate[cols]``, for both masks
+``dout = sum(A,2)``               ``np.bincount(rows, weights=vals)``
+``A(i,:) = A(i,:) ./ dout(i)``    ``vals * inv[rows]``, then
+                                  ``sp.csc_matrix((vals, rows, indptr))``
+``r = c*(r*A) + (1-c)*sum(r)/N``  ``c * (A.T @ r) + teleport``, ``A.T`` a view
+================================  ==========================================
+
+Matlab's ``sparse`` is compressed-column, so ``r*A`` walks the matrix as
+stored and Kernel 3 is only the products.  CSC is the faithful layout:
+its arrays are byte for byte the CSR arrays of ``Aᵀ``, so ``A.T`` is a
+view and ``A.T @ r`` one ``csr_matvec`` over what Kernel 2 built (a CSR
+``A`` needs a transposed copy per run).  Counts are exact integers and
+each value is the one product ``count * (1/dout[row])``: bit for bit the
+literal scipy transcription (``tests/unit/test_kernel2_oracle.py``).
 """
 
 from __future__ import annotations
@@ -26,13 +36,15 @@ from repro._util import Timings
 from repro.backends.base import AdjacencyHandle, Backend, Details, KernelOutput
 from repro.core.config import PipelineConfig
 from repro.edgeio.dataset import EdgeDataset
+from repro.sort.inmemory import collapse_duplicates
 
 
 class ScipyAdjacency(AdjacencyHandle):
-    """Kernel 2 output as a scipy CSR matrix."""
+    """Kernel 2 output as a scipy CSC matrix — Kernel 3's operand
+    (any other format is converted once, here, inside Kernel 2)."""
 
-    def __init__(self, matrix: sp.csr_matrix, pre_filter_total: float) -> None:
-        self._matrix = matrix.tocsr()
+    def __init__(self, matrix: sp.spmatrix, pre_filter_total: float) -> None:
+        self._matrix = matrix.tocsc()
         self._pre_filter_total = float(pre_filter_total)
 
     @property
@@ -48,12 +60,15 @@ class ScipyAdjacency(AdjacencyHandle):
         return self._pre_filter_total
 
     @property
-    def matrix(self) -> sp.csr_matrix:
-        """The underlying CSR matrix (not copied)."""
+    def matrix(self) -> sp.csc_matrix:
+        """The underlying CSC matrix (not copied)."""
         return self._matrix
 
     def to_scipy_csr(self) -> sp.csr_matrix:
-        return self._matrix.copy()
+        return self._matrix.tocsr()
+
+    def compressed(self) -> sp.csc_matrix:
+        return self._matrix
 
 
 class ScipyBackend(Backend):
@@ -75,43 +90,22 @@ class ScipyBackend(Backend):
             u, v = source.read_all()
 
         with timings.measure("construct"):
-            ones = np.ones(len(u), dtype=np.float64)
-            adjacency = sp.coo_matrix((ones, (u, v)), shape=(n, n)).tocsr()
-            pre_filter_total = float(adjacency.sum())
+            # Column-major: sorted by (v, u), which is CSC's entry order.
+            cols, rows, vals = collapse_duplicates(v, u)
+            del u, v  # or the raw edges sit under the filter's memory peak
+            pre_filter_total = float(vals.sum())
 
-        with timings.measure("filter"):
-            din = np.asarray(adjacency.sum(axis=0)).ravel()
-            max_in = din.max() if len(din) else 0.0
-            eliminate = np.zeros(n, dtype=bool)
-            supernode_count = 0
-            leaf_count = 0
-            if max_in > 0:
-                supernode_mask = din == max_in
-                leaf_mask = din == 1
-                eliminate = supernode_mask | leaf_mask
-                supernode_count = int(supernode_mask.sum())
-                leaf_count = int(leaf_mask.sum())
-                keep_diag = sp.diags((~eliminate).astype(np.float64))
-                adjacency = (adjacency @ keep_diag).tocsr()
-                adjacency.eliminate_zeros()
-
+        rows, cols, vals, stats = self.filter_triples(timings, n, rows, cols, vals)
         with timings.measure("normalize"):
-            dout = np.asarray(adjacency.sum(axis=1)).ravel()
-            inv = np.ones(n, dtype=np.float64)
-            nonzero = dout > 0
-            inv[nonzero] = 1.0 / dout[nonzero]
-            adjacency = sp.diags(inv) @ adjacency
-            adjacency = adjacency.tocsr()
+            indptr = np.r_[0, np.cumsum(np.bincount(cols, minlength=n))]
+            adjacency = sp.csc_matrix((vals, rows, indptr), shape=(n, n))
 
         handle = ScipyAdjacency(adjacency, pre_filter_total)
         details: Details = {
             "phases": timings.as_dict(),
             "nnz": handle.nnz,
             "pre_filter_entry_total": pre_filter_total,
-            "max_in_degree": float(max_in),
-            "supernode_columns": supernode_count,
-            "leaf_columns": leaf_count,
-            "nonzero_rows": int(nonzero.sum()),
+            **stats,
         }
         return handle, details
 
@@ -123,20 +117,7 @@ class ScipyBackend(Backend):
             raise TypeError(
                 f"scipy backend needs ScipyAdjacency, got {type(matrix).__name__}"
             )
-        a = matrix.matrix
-        at = a.T.tocsr()  # one transposed copy; r@A == (A.T @ r)
-        n = matrix.num_vertices
-        c = config.damping
-        r = self.initial_rank(config)
-        scale_by_n = config.formula == "appendix"
-        for _ in range(config.iterations):
-            teleport = (1.0 - c) * r.sum()
-            if scale_by_n:
-                teleport /= n
-            r = c * (at @ r) + teleport
-        details: Details = {
-            "iterations": config.iterations,
-            "damping": c,
-            "rank_sum": float(r.sum()),
-        }
-        return r, details
+        timings = Timings()
+        with timings.measure("setup"):
+            at = matrix.matrix.T  # CSC of A read as CSR of Aᵀ: a view
+        return self.fixed_iterations(config, timings, at.__matmul__)

@@ -241,7 +241,7 @@ class ArtifactCache:
 
         <root>/k0/<key>/manifest.json + shards + cache-entry.json
         <root>/k1/<key>/...
-        <root>/k2/<key>/csr.npz + meta.json + cache-entry.json
+        <root>/k2/<key>/csr.npz (CSR or CSC) + meta.json + cache-entry.json
 
     ``cache-entry.json`` records the key's input fields for inspection
     (``repro`` never reads it back — the key *is* the address).  Every
@@ -444,8 +444,8 @@ class ArtifactCache:
     # ------------------------------------------------------------------
     def load_csr(
         self, kind: str, fields: Dict[str, object]
-    ) -> Optional[Tuple[sp.csr_matrix, Dict[str, object]]]:
-        """Load a cached CSR matrix, or ``None`` on miss.
+    ) -> Optional[Tuple[sp.spmatrix, Dict[str, object]]]:
+        """Load a cached matrix (CSR or CSC, as stored), or ``None`` on miss.
 
         Returns ``(matrix, meta)`` where ``meta`` is whatever
         :meth:`store_csr` recorded (e.g. ``pre_filter_entry_total``).
@@ -468,7 +468,10 @@ class ArtifactCache:
                     meta = json.loads(meta_path.read_text(encoding="utf-8"))
                     with np.load(payload) as archive:
                         shape = tuple(int(x) for x in archive["shape"])
-                        matrix = sp.csr_matrix(
+                        # The marker is a member's name: nothing to read,
+                        # and an entry without it predates it (CSR).
+                        csc = "csc" in archive.files
+                        matrix = (sp.csc_matrix if csc else sp.csr_matrix)(
                             (archive["data"], archive["indices"],
                              archive["indptr"]),
                             shape=shape,
@@ -490,10 +493,11 @@ class ArtifactCache:
         self,
         kind: str,
         fields: Dict[str, object],
-        matrix: sp.csr_matrix,
+        matrix: sp.spmatrix,
         meta: Dict[str, object],
     ) -> str:
-        """Publish a CSR matrix entry atomically; returns the entry key.
+        """Publish a matrix entry (CSR or CSC, as handed) atomically;
+        returns the entry key.
 
         Losing a publish race is fine — the winner's entry is
         value-identical by construction (same fields, pure function).
@@ -506,13 +510,16 @@ class ArtifactCache:
         ))
         try:
             with trace.span(f"cache:{kind}:store", cat="cache", key=key):
-                matrix = matrix.tocsr()
+                if matrix.format not in ("csr", "csc"):
+                    matrix = matrix.tocsr()
+                marker = {"csc": np.empty(0)} if matrix.format == "csc" else {}
                 np.savez(
                     staging / "csr.npz",
                     indptr=matrix.indptr,
                     indices=matrix.indices,
                     data=matrix.data,
                     shape=np.asarray(matrix.shape, dtype=np.int64),
+                    **marker,
                 )
                 (staging / "meta.json").write_text(
                     json.dumps(meta, indent=2, sort_keys=True),

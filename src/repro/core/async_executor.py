@@ -4,13 +4,10 @@ The pipeline's kernels are alternately I/O-bound (Kernel 0 writes edge
 files, Kernel 1 reads and rewrites them) and compute-bound (Kernel 2
 filters, Kernel 3 iterates).  Overlap recovers only what is off the
 critical path, and the ``k2-filter`` task is on it (between the Kernel 1
-sort and Kernel 3, with four ~3 ms shard writes to overlap): measured at
-scale 14 (``bench/run.py --workload cold-async``), the task was 68 ms of
-a 169 ms wall while its dedup was a comparison ``lexsort`` — the run was
-then slower than the serial executor's 0.146 s — and is ~37 ms of a
-~0.15 s wall with :func:`repro.sort.inmemory.pair_order` and the
-in-place streaming hot loop (traced ``k2_busy_s`` 0.081 → 0.037 s,
-``run_wall_s`` 0.179 → 0.149 s over ten alternating pairs).
+sort and Kernel 3, with four ~3 ms shard writes to overlap), so its
+dedup is :func:`repro.sort.inmemory.collapse_duplicates`' packed-key
+value sort: at scale 14 (``bench/run.py --workload cold-async``) the
+traced ``k2_busy_s`` reads 25-33 ms of a 0.11-0.15 s wall (27-42 before it).
 :class:`AsyncExecutor`
 decomposes each stage of the :class:`~repro.core.stages.ExecutionPlan`
 into finer tasks on a :class:`~repro.core.scheduler.TaskGraph` and

@@ -313,8 +313,8 @@ class Executor:
         compute_seconds = watch.stop()
         details = dict(details)
         details.setdefault("measured_seconds", compute_seconds)
-        # Streaming computes report eliminated_columns directly; serial
-        # backends report the two elimination classes separately.
+        # Backends that only report the two elimination classes get
+        # their sum (which counts a column twice when max in-degree is 1).
         eliminated = details.get("eliminated_columns")
         if eliminated is None and "supernode_columns" in details:
             eliminated = int(details["supernode_columns"]) + int(
@@ -324,7 +324,7 @@ class Executor:
         cache.store_csr(
             "k2",
             fields,
-            handle.to_scipy_csr(),
+            handle.compressed(),
             {
                 "pre_filter_entry_total": float(handle.pre_filter_entry_total),
                 "eliminated_columns": eliminated,

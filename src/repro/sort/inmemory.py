@@ -17,7 +17,8 @@ ordered by start vertex:
 
 :func:`pair_order` is the one ``(u, v)`` lexicographic ordering every
 kernel uses (``np.lexsort((v, u))``, by radix), and
-:func:`collapse_duplicates` the one duplicate run-collapse on top of it.
+:func:`collapse_duplicates` the one duplicate run-collapse: a value
+sort of packed keys, on top of it for labels no key can hold.
 """
 
 from __future__ import annotations
@@ -94,23 +95,59 @@ def pair_order(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return order[_digit_order(u[order], u_top)]
 
 
+def _pack_pairs(u: np.ndarray, v: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
+    """``((u << shift) | v, shift)``, one unsigned key per pair: ``uint32``
+    when the labels' bit lengths sum to <= 32 (every scale <= 16), ``uint64``
+    up to 64; ``None`` for non-integer, negative or wider labels."""
+    if (u.dtype.kind not in "iu" or v.dtype.kind not in "iu"
+            or int(u.min()) < 0 or int(v.min()) < 0):
+        return None
+    shift = int(v.max()).bit_length()
+    bits = int(u.max()).bit_length() + shift
+    if bits > 64:
+        return None
+    key = np.dtype(np.uint32 if bits <= 32 else np.uint64)
+    keys = u.astype(key)
+    keys <<= key.type(shift)  # a scalar of the key dtype: an int would promote
+    np.bitwise_or(keys, v, out=keys, dtype=key, casting="unsafe")  # no M-long copy
+    return keys, shift
+
+
 def collapse_duplicates(
     u: np.ndarray, v: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort COO coordinates and count duplicate ``(u, v)`` pairs.
 
-    Returns the distinct ``(rows, cols)`` in row-major order with each
-    pair's multiplicity as ``float64`` — the ``sparse(u, v, 1, N, N)``
-    construction without scipy.
-    """
+    Returns the distinct ``(rows, cols)`` in row-major order, in the
+    input dtypes, with each pair's multiplicity as ``float64`` — the
+    ``sparse(u, v, 1, N, N)`` construction without scipy (column-major
+    as ``collapse_duplicates(v, u)``).  Equal packed keys are identical
+    pairs, so this is a *value* sort (no permutation, stability or
+    gathers); labels no key can hold go through :func:`pair_order`."""
     if len(u) == 0:
         return u, v, np.empty(0, dtype=np.float64)
-    order = pair_order(u, v)
-    su, sv = u[order], v[order]
-    new_pair = np.r_[True, (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])]
+    packed = _pack_pairs(u, v)
+    if packed is None:
+        order = pair_order(u, v)
+        su, sv = u[order], v[order]
+        new_pair = np.r_[True, (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])]
+        first = np.flatnonzero(new_pair)
+        counts = np.diff(first, append=len(su)).astype(np.float64)
+        return su[first], sv[first], counts
+    keys, shift = packed
+    keys.sort()
+    new_pair = np.r_[True, keys[1:] != keys[:-1]]
     first = np.flatnonzero(new_pair)
-    counts = np.diff(first, append=len(su)).astype(np.float64)
-    return su[first], sv[first], counts
+    counts = np.empty(len(first), dtype=np.float64)
+    np.subtract(first[1:], first[:-1], out=counts[:-1])
+    counts[-1] = len(keys) - first[-1]
+    del first  # its block is what the distinct keys take; the M-long array goes
+    keys = keys[new_pair]
+    kd = keys.dtype.type
+    cols = np.bitwise_and(keys, kd((1 << shift) - 1), out=np.empty(len(keys), v.dtype))
+    keys >>= kd(shift)  # in place: the distinct keys become the rows
+    same_width = keys.itemsize == u.dtype.itemsize
+    return keys.view(u.dtype) if same_width else keys.astype(u.dtype), cols, counts
 
 
 def numpy_sort_edges(

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.edgeio.dataset import EdgeDataset
 from repro.generators.kronecker import kronecker_edges
+
+# One profile for every @given test: no per-example deadline (a shared
+# host stalls for longer than any honest one) and the same examples on
+# every run, so tier-1 is green or red deterministically.
+settings.register_profile("repro", deadline=None, derandomize=True)
+settings.load_profile("repro")
 
 
 @pytest.fixture

@@ -113,8 +113,13 @@ class _RemoteRig:
         self.server.shutdown()
         self.server.server_close()
         self.service.close(wait=False)
+        # Without stop() the reconnect loop outlives the service by
+        # design and each join just runs out its 5 s.
+        for agent in self.agents:
+            agent.stop()
         for thread in self.threads:
             thread.join(timeout=5)
+            assert not thread.is_alive()
 
 
 @pytest.fixture()

@@ -135,7 +135,7 @@ class TestShardSlicesProperties:
 
 
 class TestDatasetRoundTrip:
-    @settings(deadline=None, max_examples=30)
+    @settings(max_examples=30)
     @given(
         edges=edge_arrays(max_edges=150),
         shards=st.integers(min_value=1, max_value=6),
@@ -153,7 +153,7 @@ class TestDatasetRoundTrip:
         assert np.array_equal(v, rv)
         assert ds.num_edges == len(u)
 
-    @settings(deadline=None, max_examples=20)
+    @settings(max_examples=20)
     @given(
         edges=edge_arrays(max_edges=150),
         batch=st.integers(min_value=1, max_value=64),

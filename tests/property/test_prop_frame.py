@@ -80,7 +80,7 @@ class TestFilterTakeProperties:
 
 
 class TestIoRoundTrip:
-    @settings(deadline=None, max_examples=30)
+    @settings(max_examples=30)
     @given(f=frames(max_rows=60))
     def test_tsv_round_trip(self, tmp_path_factory, f):
         path = tmp_path_factory.mktemp("prop-frame") / "f.tsv"

@@ -11,7 +11,7 @@ from repro.generators.simple import erdos_renyi_edges
 
 
 class TestKroneckerProperties:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         scale=st.integers(min_value=2, max_value=9),
         edge_factor=st.integers(min_value=1, max_value=8),
@@ -24,7 +24,7 @@ class TestKroneckerProperties:
         assert u.min() >= 0 and u.max() < n
         assert v.min() >= 0 and v.max() < n
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(
         scale=st.integers(min_value=3, max_value=8),
         block=st.integers(min_value=16, max_value=257),
@@ -40,7 +40,7 @@ class TestKroneckerProperties:
 
 
 class TestPPLProperties:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         n=st.integers(min_value=4, max_value=2000),
         exponent=st.floats(min_value=1.2, max_value=3.0),
@@ -51,7 +51,7 @@ class TestPPLProperties:
         assert (seq >= 0).all()
         assert np.all(np.diff(seq.astype(np.int64)) <= 0)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(
         n=st.integers(min_value=4, max_value=300),
         seed=st.integers(min_value=0, max_value=2**20),
@@ -65,7 +65,7 @@ class TestPPLProperties:
 
 
 class TestErdosRenyiProperties:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         n=st.integers(min_value=1, max_value=500),
         m=st.integers(min_value=0, max_value=2000),

@@ -104,7 +104,7 @@ class TestProductsAgainstDense:
 
 
 class TestMxmAgainstDense:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(a=coo_triples(max_entries=50), b=coo_triples(max_entries=50))
     def test_mxm_matches_dense_product(self, a, b):
         from repro.grb.mxm import mxm
@@ -115,7 +115,7 @@ class TestMxmAgainstDense:
         want = ma.to_dense() @ mb.to_dense()
         assert np.allclose(got, want, atol=1e-8)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(triples=coo_triples(max_entries=50))
     def test_ewise_add_matches_dense_sum(self, triples):
         from repro.grb.mxm import ewise_add
@@ -125,7 +125,7 @@ class TestMxmAgainstDense:
         got = ewise_add(m, t).to_dense()
         assert np.allclose(got, m.to_dense() + t.to_dense(), atol=1e-9)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(a=coo_triples(max_entries=50), b=coo_triples(max_entries=50))
     def test_ewise_mult_matches_dense_hadamard(self, a, b):
         from repro.grb.mxm import ewise_mult
@@ -138,7 +138,7 @@ class TestMxmAgainstDense:
         # stores nothing (dense also gives 0 there) — identical result.
         assert np.allclose(got, ma.to_dense() * mb.to_dense(), atol=1e-9)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(a=coo_triples(max_entries=40), mask=coo_triples(max_entries=40))
     def test_mask_and_complement_partition(self, a, mask):
         from repro.grb.mxm import apply_mask, ewise_add

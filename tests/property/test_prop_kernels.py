@@ -36,14 +36,14 @@ def _run_kernel2(tmp_path_factory, u, v, backend_name="numpy"):
 
 
 class TestKernel2Contracts:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(edges=edge_lists())
     def test_entries_sum_to_m(self, tmp_path_factory, edges):
         u, v = edges
         handle, _ = _run_kernel2(tmp_path_factory, u, v)
         assert handle.pre_filter_entry_total == len(u)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(edges=edge_lists())
     def test_eliminated_columns_are_empty(self, tmp_path_factory, edges):
         u, v = edges
@@ -55,7 +55,7 @@ class TestKernel2Contracts:
         col_sums = np.asarray(matrix.sum(axis=0)).ravel()
         assert np.all(col_sums[eliminate] == 0.0)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(edges=edge_lists())
     def test_surviving_rows_stochastic(self, tmp_path_factory, edges):
         u, v = edges
@@ -65,7 +65,7 @@ class TestKernel2Contracts:
             np.isclose(row_sums, 1.0) | np.isclose(row_sums, 0.0)
         )
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(edges=edge_lists())
     def test_values_are_valid_probabilities(self, tmp_path_factory, edges):
         u, v = edges
@@ -74,7 +74,7 @@ class TestKernel2Contracts:
         assert (matrix.data > 0).all()
         assert (matrix.data <= 1.0 + 1e-12).all()
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(edges=edge_lists(max_edges=60))
     def test_backends_agree(self, tmp_path_factory, edges):
         u, v = edges
@@ -86,7 +86,7 @@ class TestKernel2Contracts:
 
 
 class TestKernel3Property:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(edges=edge_lists(max_edges=80))
     def test_rank_finite_nonnegative_bounded(self, tmp_path_factory, edges):
         u, v = edges

@@ -43,13 +43,13 @@ def initial_ranks(draw, dim=DIM):
 
 
 class TestBenchmarkKernelProperties:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(a=random_adjacency(), r0=initial_ranks())
     def test_rank_non_negative(self, a, r0):
         r = benchmark_pagerank(a, r0, iterations=10)
         assert (r >= 0).all()
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(a=random_adjacency(), r0=initial_ranks())
     def test_mass_monotonically_non_increasing(self, a, r0):
         # Sub-stochastic matrix + teleport: within one run, total mass
@@ -62,14 +62,14 @@ class TestBenchmarkKernelProperties:
         for earlier, later in zip(sums, sums[1:]):
             assert later <= earlier + 1e-12
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(a=random_adjacency(), r0=initial_ranks())
     def test_scale_invariance_of_initial_vector(self, a, r0):
         r1 = benchmark_pagerank(a, r0, iterations=8)
         r2 = benchmark_pagerank(a, 7.5 * r0, iterations=8)
         assert np.allclose(r1, r2, atol=1e-12)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(a=random_adjacency(), r0=initial_ranks())
     def test_long_run_forgets_initial_vector(self, a, r0):
         other = np.roll(r0, 3) + 0.1
@@ -79,7 +79,7 @@ class TestBenchmarkKernelProperties:
         n2 = r2 / np.abs(r2).sum()
         assert np.allclose(n1, n2, atol=1e-6)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(a=random_adjacency())
     def test_converged_rank_passes_validation(self, a):
         r = benchmark_pagerank(a, np.full(DIM, 1.0 / DIM), iterations=400)
@@ -87,7 +87,7 @@ class TestBenchmarkKernelProperties:
         report = validate_rank(a, r, tolerance=1e-4)
         assert report.passed
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(a=random_adjacency())
     def test_matches_dense_google_matrix_iteration(self, a):
         g = google_matrix(a, 0.85)
@@ -100,7 +100,7 @@ class TestBenchmarkKernelProperties:
 
 
 class TestVariantProperties:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(a=random_adjacency())
     def test_strongly_preferential_is_distribution(self, a):
         result = pagerank_strongly_preferential(a, tol=1e-12)
@@ -108,13 +108,13 @@ class TestVariantProperties:
         assert np.isclose(result.rank.sum(), 1.0, atol=1e-8)
         assert (result.rank >= 0).all()
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(a=random_adjacency())
     def test_sink_mass_bounded_by_one(self, a):
         result = pagerank_sink(a, tol=1e-12)
         assert result.rank.sum() <= 1.0 + 1e-9
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(a=random_adjacency())
     def test_variants_agree_when_no_dangling(self, a):
         dout = np.asarray(a.sum(axis=1)).ravel()
@@ -125,7 +125,7 @@ class TestVariantProperties:
 
 
 class TestDenseOracleProperties:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(a=random_adjacency())
     def test_power_iteration_is_fixed_point(self, a):
         g = google_matrix(a, 0.85)

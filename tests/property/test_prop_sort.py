@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sort.inmemory import (
+    _pack_pairs,
     collapse_duplicates,
     counting_sort_edges,
     numpy_sort_edges,
@@ -81,7 +82,7 @@ class TestSortProperties:
 
 
 class TestExternalSortProperty:
-    @settings(deadline=None, max_examples=25)
+    @settings(max_examples=25)
     @given(
         edges=edge_lists(max_edges=500),
         batch=st.integers(min_value=7, max_value=100),
@@ -154,7 +155,7 @@ def _collapse_by_lexsort(u, v):
 
 
 class TestPairOrdering:
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(pair=key_pairs())
     def test_pair_order_is_lexsort(self, pair):
         u, v = pair
@@ -162,7 +163,7 @@ class TestPairOrdering:
         assert order.dtype == np.intp
         assert np.array_equal(order, np.lexsort((v, u)))
 
-    @settings(deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(pair=key_pairs())
     def test_collapse_duplicates_matches_lexsort_body(self, pair):
         u, v = pair
@@ -170,6 +171,76 @@ class TestPairOrdering:
                              _collapse_by_lexsort(u, v)):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+    # (bit length of max(u), of max(v)): the packed key is uint32 up to
+    # a sum of 32, uint64 up to 64, and past that pair_order takes over.
+    @pytest.mark.parametrize("u_bits,v_bits", [
+        (15, 16), (31, 0), (16, 16), (0, 32), (17, 16), (1, 32),
+        (31, 32), (63, 0), (32, 32), (1, 63), (0, 64), (33, 32), (2, 63),
+    ])
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_collapse_at_the_packing_edges(self, data, u_bits, v_bits):
+        dtype = data.draw(st.sampled_from([
+            d for d in (np.int32, np.uint32, np.int64, np.uint64)
+            if np.iinfo(d).max >= (1 << max(u_bits, v_bits)) - 1
+        ]))
+        m = data.draw(st.integers(1, 40))
+
+        def labels(bits):
+            top = (1 << bits) - 1
+            near = st.integers(max(0, top - 2), top)  # a window: duplicates
+            drawn = data.draw(st.lists(near | st.integers(0, top),
+                                       min_size=m, max_size=m))
+            return np.array([top] + drawn, dtype=dtype)
+
+        u, v = labels(u_bits), labels(v_bits)
+        packed = _pack_pairs(u, v)
+        if u_bits + v_bits > 64:
+            assert packed is None
+        else:
+            wide = u_bits + v_bits > 32
+            assert packed[0].dtype == (np.uint64 if wide else np.uint32)
+        for a, b in ((u, v), (v, u)):
+            for got, want in zip(collapse_duplicates(a, b),
+                                 _collapse_by_lexsort(a, b)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_negative_labels_take_the_fallback(self, dtype):
+        u = np.array([3, -1, 3, -1, 0], dtype=dtype)
+        v = np.array([2, 5, 2, -7, 0], dtype=dtype)
+        for got, want in zip(collapse_duplicates(u, v),
+                             _collapse_by_lexsort(u, v)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.int64])
+    def test_collapse_degenerate_shapes(self, dtype):
+        empty = np.empty(0, dtype=dtype)
+        rows, cols, counts = collapse_duplicates(empty, empty)
+        assert rows.dtype == cols.dtype == dtype and counts.dtype == np.float64
+        assert len(rows) == len(cols) == len(counts) == 0
+        same_u, same_v = np.full(9, 5, dtype=dtype), np.full(9, 2, dtype=dtype)
+        rows, cols, counts = collapse_duplicates(same_u, same_v)  # all duplicates
+        assert (rows.tolist(), cols.tolist(), counts.tolist()) == ([5], [2], [9.0])
+        u = np.arange(12, dtype=dtype)[::-1].copy()  # no duplicates
+        rows, cols, counts = collapse_duplicates(u, u // 3)
+        assert rows.tolist() == list(range(12)) and rows.dtype == dtype
+        assert cols.tolist() == [i // 3 for i in range(12)]
+        assert counts.tolist() == [1.0] * 12 and counts.dtype == np.float64
+
+    @given(pair=key_pairs())
+    def test_swapped_collapse_is_the_column_major_twin(self, pair):
+        u, v = pair
+        rows, cols, counts = collapse_duplicates(u, v)
+        twin_cols, twin_rows, twin_counts = collapse_duplicates(v, u)
+        # Same triples; the twin is ordered by (col, row).
+        order = np.lexsort((rows, cols))
+        assert np.array_equal(twin_rows, rows[order])
+        assert np.array_equal(twin_cols, cols[order])
+        assert np.array_equal(twin_counts, counts[order])
 
     def test_single_element(self):
         one = np.array([7], dtype=np.int64)
@@ -188,7 +259,7 @@ class TestStreamingKernel2Property:
 
     N = 16
 
-    @settings(deadline=None, max_examples=25)
+    @settings(max_examples=25)
     @given(edges=edge_lists(max_edges=120, num_vertices=16))
     def test_equals_scipy_kernel2(self, tmp_path_factory, edges):
         from repro.backends.registry import get_backend

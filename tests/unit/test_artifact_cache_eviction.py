@@ -126,6 +126,38 @@ class TestCsrArtifacts:
         leftovers = [p for p in entry.parent.iterdir() if ".tmp-" in p.name]
         assert leftovers == []
 
+    @pytest.mark.parametrize("layout", ["csr", "csc"])
+    def test_round_trip_keeps_the_layout_it_was_handed(self, tmp_path, layout):
+        cache = ArtifactCache(tmp_path / "c")
+        stored = self._matrix().asformat(layout)
+        cache.store_csr("k2", {"kernel": "k2"}, stored, {})
+        matrix, _ = cache.load_csr("k2", {"kernel": "k2"})
+        assert matrix.format == layout
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(matrix, name),
+                                          getattr(stored, name))
+
+    def test_other_formats_are_stored_as_csr(self, tmp_path):
+        cache = ArtifactCache(tmp_path / "c")
+        cache.store_csr("k2", {"kernel": "k2"}, self._matrix().tocoo(), {})
+        matrix, _ = cache.load_csr("k2", {"kernel": "k2"})
+        assert matrix.format == "csr"
+        np.testing.assert_array_equal(matrix.toarray(), self._matrix().toarray())
+
+    def test_entry_without_a_layout_marker_is_csr(self, tmp_path):
+        # What store_csr wrote before entries carried a marker.
+        cache = ArtifactCache(tmp_path / "c")
+        fields = {"kernel": "k2"}
+        key = cache.store_csr("k2", fields, self._matrix(), {"m": 1})
+        reference = self._matrix()
+        np.savez(cache.entry_dir("k2", key) / "csr.npz",
+                 indptr=reference.indptr, indices=reference.indices,
+                 data=reference.data,
+                 shape=np.asarray(reference.shape, dtype=np.int64))
+        matrix, meta = cache.load_csr("k2", fields)
+        assert matrix.format == "csr" and meta == {"m": 1}
+        np.testing.assert_array_equal(matrix.toarray(), reference.toarray())
+
     def test_load_missing_is_none(self, tmp_path):
         cache = ArtifactCache(tmp_path / "c")
         assert cache.load_csr("k2", {"kernel": "k2"}) is None

@@ -111,7 +111,7 @@ class TestVectorizedEncodeParity:
         v = np.array([2, -1], dtype=np.int64)
         assert encode_edges(u, v) == b"-3\t2\n5\t-1\n"
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(
         st.lists(
             st.tuples(

@@ -112,7 +112,7 @@ def _sliced(num_edges, full_slices, tail):
 
 
 class TestStreamIsUnchanged:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         scale=st.integers(1, 12),
         edge_factor=st.integers(1, 16),
@@ -134,7 +134,7 @@ class TestStreamIsUnchanged:
                                 num_edges=num_edges)
         _assert_same_edges(got, want)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         scale=st.integers(1, 10),
         edge_factor=st.integers(1, 8),
