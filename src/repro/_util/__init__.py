@@ -13,7 +13,6 @@ from repro._util.checks import (
     check_in_range,
     check_nonneg_int,
     check_positive_int,
-    check_probability,
     check_same_length,
 )
 from repro._util.rng import derive_seed, resolve_rng
@@ -26,7 +25,6 @@ __all__ = [
     "check_in_range",
     "check_nonneg_int",
     "check_positive_int",
-    "check_probability",
     "check_same_length",
     "derive_seed",
     "resolve_rng",

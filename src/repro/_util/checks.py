@@ -30,17 +30,6 @@ def check_nonneg_int(name: str, value: Any) -> int:
     return int(value)
 
 
-def check_probability(name: str, value: Any) -> float:
-    """Validate that ``value`` lies in [0, 1] and return it as ``float``."""
-    try:
-        out = float(value)
-    except (TypeError, ValueError) as exc:
-        raise TypeError(f"{name} must be a number, got {type(value).__name__}") from exc
-    if not 0.0 <= out <= 1.0:
-        raise ValueError(f"{name} must be within [0, 1], got {out}")
-    return out
-
-
 def check_in_range(name: str, value: float, lo: float, hi: float) -> float:
     """Validate ``lo <= value <= hi`` and return ``value`` as ``float``."""
     out = float(value)

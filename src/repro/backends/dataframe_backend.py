@@ -101,12 +101,12 @@ class DataframeBackend(Backend):
             din_frame = dedup.groupby_sum("v", "weight")
             din_vals = din_frame.column("weight_sum")
             max_in = din_vals.max() if len(din_vals) else 0.0
-            supernode_count = 0
-            leaf_count = 0
+            supernode_count = leaf_count = eliminated_count = 0
             if max_in > 0:
                 bad_mask = (din_vals == max_in) | (din_vals == 1)
                 supernode_count = int((din_vals == max_in).sum())
                 leaf_count = int((din_vals == 1).sum())
+                eliminated_count = int(bad_mask.sum())
                 bad_vertices = din_frame.column("v")[bad_mask]
                 eliminate = np.zeros(n, dtype=bool)
                 eliminate[bad_vertices] = True
@@ -132,6 +132,7 @@ class DataframeBackend(Backend):
             "max_in_degree": float(max_in),
             "supernode_columns": supernode_count,
             "leaf_columns": leaf_count,
+            "eliminated_columns": eliminated_count,
             "nonzero_rows": nonzero_rows,
         }
         return handle, details

@@ -81,14 +81,14 @@ class GraphBlasBackend(Backend):
         with timings.measure("filter"):
             din = adjacency.reduce_columns()
             max_in = din.max() if n else 0.0
-            supernode_count = 0
-            leaf_count = 0
+            supernode_count = leaf_count = eliminated_count = 0
             if max_in > 0:
                 supernode_mask = din == max_in
                 leaf_mask = din == 1
                 eliminate = supernode_mask | leaf_mask
                 supernode_count = int(supernode_mask.sum())
                 leaf_count = int(leaf_mask.sum())
+                eliminated_count = int(eliminate.sum())
                 adjacency = adjacency.clear_columns(eliminate)
 
         with timings.measure("normalize"):
@@ -106,6 +106,7 @@ class GraphBlasBackend(Backend):
             "max_in_degree": float(max_in),
             "supernode_columns": supernode_count,
             "leaf_columns": leaf_count,
+            "eliminated_columns": eliminated_count,
             "nonzero_rows": int(nonzero.sum()),
         }
         return handle, details

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -230,8 +230,8 @@ class PythonBackend(Backend):
             max_in = max(din.values()) if din else 0.0
             supernode_count = 0
             leaf_count = 0
+            eliminate: Set[int] = set()
             if max_in > 0:
-                eliminate = set()
                 for vertex, degree in din.items():
                     if degree == max_in:
                         eliminate.add(vertex)
@@ -259,6 +259,7 @@ class PythonBackend(Backend):
             "max_in_degree": float(max_in),
             "supernode_columns": supernode_count,
             "leaf_columns": leaf_count,
+            "eliminated_columns": len(eliminate),
             "nonzero_rows": len(rows),
         }
         return handle, details

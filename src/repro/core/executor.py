@@ -313,13 +313,6 @@ class Executor:
         compute_seconds = watch.stop()
         details = dict(details)
         details.setdefault("measured_seconds", compute_seconds)
-        # Backends that only report the two elimination classes get
-        # their sum (which counts a column twice when max in-degree is 1).
-        eliminated = details.get("eliminated_columns")
-        if eliminated is None and "supernode_columns" in details:
-            eliminated = int(details["supernode_columns"]) + int(
-                details.get("leaf_columns", 0)
-            )
         spill_watch = StopWatch().start()
         cache.store_csr(
             "k2",
@@ -327,7 +320,7 @@ class Executor:
             handle.compressed(),
             {
                 "pre_filter_entry_total": float(handle.pre_filter_entry_total),
-                "eliminated_columns": eliminated,
+                "eliminated_columns": details.get("eliminated_columns"),
             },
         )
         details["artifact_cache"] = "miss"

@@ -4,8 +4,9 @@ The benchmark's Kernel 0 uses the Graph500 Kronecker generator
 (:func:`kronecker_edges`).  The paper (Section IV.A and V) also points at
 alternative generators that may ease validation — block two-level
 Erdős–Rényi (BTER, Seshadhri et al. 2012) and the perfect power law (PPL,
-Kepner 2012) — both of which are implemented here, along with small
-deterministic graphs used throughout the test suite.
+Kepner 2012) — both of which are implemented here and, with a uniform
+random multigraph and a deterministic ring, selectable by name through
+:func:`get_generator` (``--generator``).
 
 All generators return edge lists as a pair of ``int64`` arrays ``(u, v)``
 with 0-based vertex labels, matching the library-wide convention.
@@ -14,27 +15,10 @@ with 0-based vertex labels, matching the library-wide convention.
 from __future__ import annotations
 
 from repro.generators.base import EdgeList, GeneratorSpec
-from repro.generators.kronecker import (
-    KroneckerParams,
-    kronecker_blocks,
-    kronecker_edges,
-)
+from repro.generators.kronecker import KroneckerParams, kronecker_edges
 from repro.generators.bter import BTERParams, bter_edges
 from repro.generators.ppl import PPLParams, ppl_degree_sequence, ppl_edges
-from repro.generators.simple import (
-    complete_graph_edges,
-    erdos_renyi_edges,
-    path_graph_edges,
-    ring_graph_edges,
-    self_loop_edges,
-    star_graph_edges,
-)
-from repro.generators.degree import (
-    degree_histogram,
-    in_degrees,
-    out_degrees,
-    power_law_exponent,
-)
+from repro.generators.simple import erdos_renyi_edges, ring_graph_edges
 from repro.generators.registry import available_generators, get_generator
 
 __all__ = [
@@ -45,19 +29,10 @@ __all__ = [
     "PPLParams",
     "available_generators",
     "bter_edges",
-    "complete_graph_edges",
-    "degree_histogram",
     "erdos_renyi_edges",
     "get_generator",
-    "in_degrees",
-    "kronecker_blocks",
     "kronecker_edges",
-    "out_degrees",
-    "path_graph_edges",
-    "power_law_exponent",
     "ppl_degree_sequence",
     "ppl_edges",
     "ring_graph_edges",
-    "self_loop_edges",
-    "star_graph_edges",
 ]

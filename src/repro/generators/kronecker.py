@@ -14,31 +14,21 @@ one uniform variate for the row bit and one for the column bit with the
 conditional probability depending on the row bit — reproduced exactly
 here (same recurrence, same conditional form) so distributions match.
 
-Two properties the paper leans on are preserved:
-
-* **communication-free parallelism** — :func:`kronecker_blocks` derives an
-  independent child seed per block, so shards can be generated on
-  different workers with no shared state and reproduce, block for block,
-  what iterating :func:`kronecker_blocks` serially with the same seed and
-  block size yields.  That is a *different* edge list from
-  :func:`kronecker_edges` (one stream for all ``M`` edges): same
-  distribution, different draws, hence different goldens and digests;
-* **scalability** — memory is bounded by the block size, not ``M``.
-
-Inside one stream, generation is cut into slices of ``_SLICE_EDGES`` edges
-positioned by PCG64 jump-ahead (see the constant), so the temporaries of a
-slice stay cache-resident whatever ``M`` is and the output is bit-for-bit
-what a single unsliced pass over the stream produces.
+All ``M`` edges come from one random stream.  Generation is cut into
+slices of ``_SLICE_EDGES`` edges positioned by PCG64 jump-ahead (see the
+constant), so the temporaries of a slice stay cache-resident whatever ``M``
+is and the output is bit-for-bit what a single unsliced pass over the
+stream produces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro._util import check_positive_int, derive_seed, resolve_rng
+from repro._util import check_positive_int, resolve_rng
 from repro._util.rng import SeedLike
 from repro.generators.base import EdgeList, GeneratorSpec
 
@@ -112,7 +102,7 @@ def _kronecker_block(
     """Generate ``num_edges`` Kronecker edges without permutations.
 
     Returns narrow labels (``uint32`` up to scale 32, else ``int64``); the
-    callers widen once, after their gathers.  Leaves ``rng`` exactly
+    caller widens once, after its gathers.  Leaves ``rng`` exactly
     ``2 * scale * num_edges`` draws past where it was, cached 32-bit half
     included, as the level-major pass over the whole stream does.
     """
@@ -177,20 +167,6 @@ def _kronecker_block(
     return u, v
 
 
-def _permute(
-    u: np.ndarray,
-    v: np.ndarray,
-    order: Optional[np.ndarray],
-    relabel: Optional[np.ndarray],
-) -> EdgeList:
-    """Apply the edge order and vertex relabelling; return ``int64`` labels."""
-    if order is not None:
-        u, v = u[order], v[order]
-    if relabel is None:
-        return u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
-    return relabel.take(u), relabel.take(v)
-
-
 def kronecker_edges(
     scale: int,
     edge_factor: int = 16,
@@ -214,7 +190,7 @@ def kronecker_edges(
         Seed or generator for reproducible output.
     num_edges:
         Override the edge count (defaults to ``edge_factor * 2**scale``);
-        used by the block generator and by tests.
+        used by tests.
 
     Returns
     -------
@@ -233,56 +209,10 @@ def kronecker_edges(
     m = spec.num_edges if num_edges is None else check_positive_int("num_edges", num_edges)
 
     u, v = _kronecker_block(scale, m, params, rng)
-    order = rng.permutation(m) if params.permute_edges else None
-    relabel = None
-    if params.permute_vertices:
-        relabel = rng.permutation(spec.num_vertices).astype(np.int64, copy=False)
-    return _permute(u, v, order, relabel)
-
-
-def kronecker_blocks(
-    scale: int,
-    edge_factor: int = 16,
-    *,
-    block_edges: int = 1 << 20,
-    params: Optional[KroneckerParams] = None,
-    seed: int = 0,
-) -> Iterator[EdgeList]:
-    """Yield the edge list in independent blocks of ``block_edges`` edges.
-
-    Each block draws from a child seed derived from ``seed`` and the block
-    index, so blocks can be produced out of order or on different workers
-    and still reproduce what this iterator yields serially for the same
-    ``seed`` and ``block_edges`` — the "run in parallel without requiring
-    communication between processors" property the paper highlights for
-    the Graph500 generator.  The union of the blocks is *not* the edge
-    list of :func:`kronecker_edges` (which draws all ``M`` edges from one
-    stream), and it changes with ``block_edges``.
-
-    Vertex permutation is applied per-block from a *shared* relabelling
-    derived from ``seed`` so all blocks agree on the final labels.
-
-    Yields
-    ------
-    (u, v):
-        Edge blocks; all blocks are full-size except possibly the last.
-    """
-    spec = GeneratorSpec(scale=scale, edge_factor=edge_factor)
-    check_positive_int("block_edges", block_edges)
-    params = params or DEFAULT_PARAMS
-
-    relabel: Optional[np.ndarray] = None
-    if params.permute_vertices:
-        label_rng = resolve_rng(derive_seed(seed, 0xFACE))
-        relabel = label_rng.permutation(spec.num_vertices).astype(np.int64, copy=False)
-
-    remaining = spec.num_edges
-    block_index = 0
-    while remaining > 0:
-        m = min(block_edges, remaining)
-        rng = resolve_rng(derive_seed(seed, block_index))
-        u, v = _kronecker_block(scale, m, params, rng)
-        order = rng.permutation(m) if params.permute_edges else None
-        yield _permute(u, v, order, relabel)
-        remaining -= m
-        block_index += 1
+    if params.permute_edges:
+        order = rng.permutation(m)
+        u, v = u[order], v[order]
+    if not params.permute_vertices:
+        return u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
+    relabel = rng.permutation(spec.num_vertices).astype(np.int64, copy=False)
+    return relabel.take(u), relabel.take(v)

@@ -1,38 +1,21 @@
-"""Small deterministic and classical random graphs.
+"""Classical random and deterministic graphs for the generator registry.
 
 The paper's "next steps" section asks whether "a more deterministic
 generator [should] be used in kernel 0 to facilitate validation of all
-kernels".  These generators serve exactly that role in this repository:
-they have closed-form degree structure, so Kernel 2's super-node / leaf
-elimination and Kernel 3's fixed point can be checked analytically.
-All return the library-standard ``(u, v)`` int64 edge arrays.
+kernels".  The ring answers it: its degree structure is closed-form, so
+Kernel 2's elimination and Kernel 3's fixed point can be checked
+analytically.  The uniform random multigraph is the structure-free
+baseline beside the power-law generators.  Both return the
+library-standard ``(u, v)`` int64 edge arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro._util import check_nonneg_int, check_positive_int, check_probability, resolve_rng
+from repro._util import check_nonneg_int, check_positive_int, resolve_rng
 from repro._util.rng import SeedLike
 from repro.generators.base import EdgeList
-
-
-def _empty() -> EdgeList:
-    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-
-
-def path_graph_edges(num_vertices: int) -> EdgeList:
-    """Directed path ``0 -> 1 -> ... -> N-1``.
-
-    Every interior vertex has in-degree 1 (a "leaf" column under
-    Kernel 2's filter), making the path the canonical worst case for
-    the leaf-elimination step.
-    """
-    check_positive_int("num_vertices", num_vertices)
-    if num_vertices == 1:
-        return _empty()
-    u = np.arange(num_vertices - 1, dtype=np.int64)
-    return u, u + 1
 
 
 def ring_graph_edges(num_vertices: int) -> EdgeList:
@@ -46,40 +29,6 @@ def ring_graph_edges(num_vertices: int) -> EdgeList:
     u = np.arange(num_vertices, dtype=np.int64)
     v = np.roll(u, -1)
     return u, v.copy()
-
-
-def star_graph_edges(num_vertices: int) -> EdgeList:
-    """Star: every vertex ``1..N-1`` points at vertex 0.
-
-    Vertex 0 is the unambiguous super-node (max in-degree), so Kernel 2
-    must zero its column; the remaining matrix is empty.
-    """
-    check_positive_int("num_vertices", num_vertices)
-    if num_vertices == 1:
-        return _empty()
-    u = np.arange(1, num_vertices, dtype=np.int64)
-    v = np.zeros(num_vertices - 1, dtype=np.int64)
-    return u, v
-
-
-def complete_graph_edges(num_vertices: int, include_self_loops: bool = False) -> EdgeList:
-    """All ordered pairs ``(i, j)``, optionally including ``i == j``."""
-    check_positive_int("num_vertices", num_vertices)
-    idx = np.arange(num_vertices, dtype=np.int64)
-    u, v = np.meshgrid(idx, idx, indexing="ij")
-    u = u.ravel()
-    v = v.ravel()
-    if not include_self_loops:
-        mask = u != v
-        u, v = u[mask], v[mask]
-    return u.copy(), v.copy()
-
-
-def self_loop_edges(num_vertices: int) -> EdgeList:
-    """One self-loop per vertex — degenerate input for failure testing."""
-    check_positive_int("num_vertices", num_vertices)
-    u = np.arange(num_vertices, dtype=np.int64)
-    return u, u.copy()
 
 
 def erdos_renyi_edges(
@@ -99,22 +48,3 @@ def erdos_renyi_edges(
     u = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
     v = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
     return u, v
-
-
-def bernoulli_edges(
-    num_vertices: int,
-    probability: float,
-    *,
-    seed: SeedLike = None,
-) -> EdgeList:
-    """G(n, p) directed graph: each ordered pair kept with ``probability``.
-
-    Materialises the full pair grid, so intended for small ``n`` in tests.
-    """
-    check_positive_int("num_vertices", num_vertices)
-    check_probability("probability", probability)
-    rng = resolve_rng(seed)
-    grid = rng.random((num_vertices, num_vertices)) < probability
-    np.fill_diagonal(grid, False)
-    u, v = np.nonzero(grid)
-    return u.astype(np.int64), v.astype(np.int64)

@@ -2,16 +2,17 @@
 
 The paper (Sections I and IV): "The linear algebraic nature of PageRank
 makes it well suited to being implemented using the GraphBLAS standard."
-This package provides the subset of GraphBLAS needed to express the
-whole pipeline — and enough generality (semirings, monoids, element-wise
-ops, select) to write other graph algorithms against it:
+This package provides the subset of GraphBLAS that Kernels 2 and 3 need,
+and nothing beyond it:
 
 * :class:`Matrix` — CSR sparse matrix with duplicate-accumulating
-  ``build`` (exactly Matlab's ``sparse(u,v,1,N,N)`` semantics);
+  ``build`` (exactly Matlab's ``sparse(u,v,1,N,N)`` semantics),
+  ``reduce_rows``/``reduce_columns``, ``clear_columns`` and
+  ``scale_rows``;
 * :class:`Vector` — dense vector with monoid reductions;
 * :mod:`repro.grb.semiring` — ``plus_times``, ``min_plus``,
   ``max_times``, ``lor_land`` semirings over float64;
-* ``mxv`` / ``vxm`` — matrix-vector products under any registered
+* ``vxm`` — the row-vector-matrix product under any registered
   semiring, with a fast path for ``plus_times``.
 
 The implementation is pure numpy (bincount / reduceat segment kernels);
@@ -33,14 +34,7 @@ from repro.grb.semiring import (
 )
 from repro.grb.vector import Vector
 from repro.grb.matrix import Matrix
-from repro.grb.ops import mxv, vxm
-from repro.grb.mxm import apply_mask, ewise_add, ewise_mult, mxm
-from repro.grb.algorithms import (
-    bfs_levels,
-    connected_components,
-    pagerank_grb,
-    triangle_count,
-)
+from repro.grb.ops import vxm
 
 __all__ = [
     "LOR_LAND",
@@ -51,16 +45,7 @@ __all__ = [
     "PLUS_TIMES",
     "Semiring",
     "Vector",
-    "apply_mask",
     "available_semirings",
-    "bfs_levels",
-    "connected_components",
-    "ewise_add",
-    "ewise_mult",
     "get_semiring",
-    "mxm",
-    "mxv",
-    "pagerank_grb",
-    "triangle_count",
     "vxm",
 ]

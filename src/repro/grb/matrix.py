@@ -9,7 +9,7 @@ and Kernel 3 need, in GraphBLAS vocabulary:
 * ``reduce_rows`` / ``reduce_columns`` — out-degree / in-degree;
 * ``clear_columns`` — the super-node / leaf elimination;
 * ``scale_rows`` — row normalisation by out-degree;
-* ``mxv`` / ``vxm`` (in :mod:`repro.grb.ops`) — the PageRank product.
+* ``vxm`` (in :mod:`repro.grb.ops`) — the PageRank product.
 
 Construction is a counting sort on row indices (the CSR row-pointer
 build), all O(nnz + n); no scipy involved.
@@ -156,19 +156,6 @@ class Matrix:
             ncols=dense.shape[1],
         )
 
-    @classmethod
-    def empty(cls, nrows: int, ncols: int) -> "Matrix":
-        """All-zero matrix with no stored entries."""
-        check_positive_int("nrows", nrows)
-        check_positive_int("ncols", ncols)
-        return cls(
-            nrows,
-            ncols,
-            np.zeros(nrows + 1, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -192,13 +179,6 @@ class Matrix:
         row_of = np.repeat(np.arange(self.nrows), self.row_degrees())
         np.add.at(dense, (row_of, self.col_idx), self.values)
         return dense
-
-    def extract_row(self, row: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Column indices and values of one row (views, no copy)."""
-        if not 0 <= row < self.nrows:
-            raise IndexError(f"row {row} outside [0, {self.nrows})")
-        lo, hi = self.row_ptr[row], self.row_ptr[row + 1]
-        return self.col_idx[lo:hi], self.values[lo:hi]
 
     def isclose(self, other: "Matrix", *, rtol: float = 1e-9, atol: float = 1e-12) -> bool:
         """Structural + numeric equality up to tolerance (after pruning)."""
@@ -291,30 +271,3 @@ class Matrix:
             self.nrows, self.ncols, self.row_ptr, self.col_idx,
             self.values * expanded,
         )
-
-    def apply(self, fn) -> "Matrix":
-        """Apply an element-wise function to the stored values."""
-        new_vals = np.asarray(fn(self.values.copy()), dtype=np.float64)
-        if new_vals.shape != self.values.shape:
-            raise ValueError("apply must preserve the number of entries")
-        return Matrix(self.nrows, self.ncols, self.row_ptr, self.col_idx, new_vals)
-
-    def select(self, predicate) -> "Matrix":
-        """Keep entries where ``predicate(values) -> bool mask`` holds."""
-        keep = np.asarray(predicate(self.values), dtype=bool)
-        if keep.shape != self.values.shape:
-            raise ValueError("select predicate must return a mask per entry")
-        return self._filter_entries(keep)
-
-    def transpose(self) -> "Matrix":
-        """Return ``A.T`` as a new CSR matrix (counting-sort transpose)."""
-        row_of = np.repeat(np.arange(self.nrows), self.row_degrees())
-        return Matrix.build(
-            self.col_idx, row_of, self.values,
-            nrows=self.ncols, ncols=self.nrows,
-        )
-
-    def to_coo(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """COO view: (rows, cols, values), row-major ordered."""
-        row_of = np.repeat(np.arange(self.nrows), self.row_degrees())
-        return row_of, self.col_idx.copy(), self.values.copy()

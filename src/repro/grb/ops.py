@@ -1,10 +1,9 @@
-"""Matrix-vector products under a semiring.
+"""Matrix-vector product under a semiring.
 
 ``vxm`` (row-vector times matrix) is the PageRank workhorse:
-``r' = r @ A`` distributes each rank share along out-edges.  ``mxv`` is
-the column-vector form.  Both have an O(nnz) fast path for the
-``plus_times`` semiring (bincount / segment-sum) and a generic path
-using ``ufunc.at`` scatter-reduction for any other monoid.
+``r' = r @ A`` distributes each rank share along out-edges.  It has an
+O(nnz) fast path for the ``plus_times`` semiring (bincount) and a
+generic path using ``ufunc.at`` scatter-reduction for any other monoid.
 """
 
 from __future__ import annotations
@@ -49,24 +48,4 @@ def vxm(x: Vector, a: Matrix, semiring: Semiring = PLUS_TIMES) -> Vector:
     else:
         out = np.full(a.ncols, semiring.add.identity, dtype=np.float64)
         semiring.add.ufunc.at(out, a.col_idx, contributions)
-    return Vector(out)
-
-
-def mxv(a: Matrix, x: Vector, semiring: Semiring = PLUS_TIMES) -> Vector:
-    """Matrix-column-vector product ``y = A ⊕.⊗ x``.
-
-    ``y[i] = add.reduce_j( multiply(A[i, j], x[j]) )``
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> a = Matrix.from_dense(np.array([[0.0, 2.0], [0.0, 0.0]]))
-    >>> mxv(a, Vector.from_dense([5.0, 7.0])).to_dense().tolist()
-    [14.0, 0.0]
-    """
-    if x.size != a.ncols:
-        raise ValueError(f"vector size {x.size} != matrix ncols {a.ncols}")
-    xv = x.values
-    contributions = semiring.multiply(a.values, xv[a.col_idx])
-    out = semiring.add.segment_reduce(contributions, a.row_ptr)
     return Vector(out)

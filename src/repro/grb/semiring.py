@@ -2,8 +2,8 @@
 
 A *monoid* is an associative binary operator with an identity; a
 *semiring* pairs an additive monoid with a multiplicative binary op.
-Matrix-vector products are defined over a semiring:
-``y[i] = add.reduce_j( mult(A[i, j], x[j]) )``.
+The vector-matrix product is defined over a semiring:
+``y[j] = add.reduce_i( mult(x[i], A[i, j]) )``.
 
 Only float64 carriers are supported (GraphBLAS type polymorphism is out
 of scope); boolean semantics (``lor_land``) are expressed over 0.0/1.0.
@@ -78,7 +78,7 @@ class Monoid:
 
 @dataclass(frozen=True)
 class Semiring:
-    """An (add-monoid, multiply-op) pair defining ``mxv``/``vxm``.
+    """An (add-monoid, multiply-op) pair defining ``vxm``.
 
     Attributes
     ----------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -149,7 +149,7 @@ def golden_from_outputs(
         Kernel 3 output vector.
     k2_details:
         The kernel's details dict (for the eliminated-column count);
-        recomputed from the matrix when omitted.
+        recorded as -1 when omitted, the other fields still compared.
     top_k:
         Number of leading vertices to record.
     """
@@ -168,12 +168,7 @@ def golden_from_outputs(
         values, counts = np.unique(degrees[degrees > 0], return_counts=True)
         return {str(int(d)): int(c) for d, c in zip(values, counts)}
 
-    if k2_details and "supernode_columns" in k2_details:
-        eliminated = int(k2_details["supernode_columns"]) + int(
-            k2_details["leaf_columns"]
-        )
-    else:
-        eliminated = -1  # unknown; structure fields still compared
+    eliminated = int((k2_details or {}).get("eliminated_columns", -1))
 
     top_order = np.lexsort((np.arange(len(rank)), -rank))[:top_k]
 

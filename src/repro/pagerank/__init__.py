@@ -5,8 +5,11 @@ standalone function over any scipy CSR matrix.  Beyond the benchmark,
 the paper's appendix sketches a taxonomy of PageRank variants (strongly
 preferential, weakly preferential, sink) distinguished by their
 dangling-node handling; :mod:`repro.pagerank.variants` implements them
-plus a convergence-tested iteration, and :mod:`repro.pagerank.validate`
-implements Section IV.D's eigenvector cross-check.
+plus a convergence-tested iteration (the oracles the Kernel 3 tests
+compare against, with :mod:`repro.pagerank.dense`),
+:mod:`repro.pagerank.validate` implements Section IV.D's eigenvector
+cross-check, and :mod:`repro.pagerank.compare` measures how far two rank
+vectors disagree.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from repro.pagerank.variants import (
 )
 from repro.pagerank.dense import dense_power_iteration, google_matrix
 from repro.pagerank.validate import ValidationReport, spectral_rank, validate_rank
-from repro.pagerank.gauss_seidel import pagerank_gauss_seidel
 from repro.pagerank.compare import (
     DisplacementSummary,
     kendall_tau,
@@ -40,7 +42,6 @@ __all__ = [
     "google_matrix",
     "kendall_tau",
     "pagerank_converged",
-    "pagerank_gauss_seidel",
     "pagerank_sink",
     "pagerank_strongly_preferential",
     "pagerank_weakly_preferential",

@@ -30,8 +30,6 @@ from repro.parallel.traffic import TrafficLog, TrafficRecord
 from repro.parallel.partition import RowPartition
 from repro.parallel.kernels import (
     exchange_edges_by_owner,
-    parallel_kernel0,
-    parallel_kernel1,
     parallel_kernel2,
     parallel_kernel3,
 )
@@ -44,8 +42,6 @@ __all__ = [
     "TrafficLog",
     "TrafficRecord",
     "exchange_edges_by_owner",
-    "parallel_kernel0",
-    "parallel_kernel1",
     "parallel_kernel2",
     "parallel_kernel3",
     "run_parallel_pipeline",

@@ -33,77 +33,6 @@ from repro.sort.inmemory import collapse_duplicates
 EdgePair = Tuple[np.ndarray, np.ndarray]
 
 
-def parallel_kernel0(
-    comm: Communicator,
-    scale: int,
-    edge_factor: int = 16,
-    *,
-    seed: int = 0,
-    block_edges: int = 1 << 18,
-) -> EdgePair:
-    """Distributed Kernel 0: each rank generates its share of edges.
-
-    Exploits the property the paper highlights — the Graph500 generator
-    "can be run in parallel without requiring communication between
-    processors": the edge stream is cut into blocks with independent
-    derived seeds (see :func:`repro.generators.kronecker.kronecker_blocks`)
-    and blocks are dealt round-robin to ranks.  The union over ranks is
-    exactly the multiset one process gets by iterating ``kronecker_blocks``
-    with the same ``seed`` and ``block_edges``, whatever the rank count; no
-    messages are exchanged.  It is not ``kronecker_edges``'s edge list —
-    block seeding draws different variates from the same distribution —
-    so the pipeline's ``execution=parallel``, which shares goldens with
-    serial, takes its edges from the backend's single-stream Kernel 0 and
-    not from this function.
-
-    Returns this rank's ``(u, v)`` share.
-    """
-    from repro.generators.kronecker import kronecker_blocks
-
-    parts_u = []
-    parts_v = []
-    for index, (u, v) in enumerate(
-        kronecker_blocks(scale, edge_factor, block_edges=block_edges,
-                         seed=seed)
-    ):
-        if index % comm.size == comm.rank:
-            parts_u.append(u)
-            parts_v.append(v)
-    if parts_u:
-        return np.concatenate(parts_u), np.concatenate(parts_v)
-    return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-
-
-def parallel_kernel1(
-    comm: Communicator,
-    partition: RowPartition,
-    local_u: np.ndarray,
-    local_v: np.ndarray,
-    *,
-    algorithm: str = "numpy",
-) -> EdgePair:
-    """Distributed Kernel 1: range-partitioned sample sort.
-
-    The paper expects parallel Kernel 1 performance to be "dominated by
-    a combination of the storage I/O time and the communication required
-    to sort the data".  The communication part is one personalised
-    all-to-all routing every edge to the rank owning its start-vertex
-    range; a local in-memory sort then makes rank r's block globally
-    ordered before rank r+1's (concatenating rank outputs yields the
-    serial Kernel 1 result, up to tie order).
-
-    Returns this rank's sorted block.
-    """
-    from repro.sort.inmemory import sort_edges
-
-    routed_u, routed_v = exchange_edges_by_owner(comm, partition, local_u, local_v)
-    return sort_edges(
-        routed_u, routed_v,
-        algorithm=algorithm,
-        num_vertices=partition.num_vertices,
-    )
-
-
 def exchange_edges_by_owner(
     comm: Communicator,
     partition: RowPartition,

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from repro.frame import Frame, read_tsv_frame, write_tsv_frame
+from repro.frame import Frame
 
 values = st.integers(min_value=-1000, max_value=1000)
 
@@ -77,16 +77,3 @@ class TestFilterTakeProperties:
     @given(f=frames())
     def test_concat_preserves_rows(self, f):
         assert f.concat(f).num_rows == 2 * f.num_rows
-
-
-class TestIoRoundTrip:
-    @settings(max_examples=30)
-    @given(f=frames(max_rows=60))
-    def test_tsv_round_trip(self, tmp_path_factory, f):
-        path = tmp_path_factory.mktemp("prop-frame") / "f.tsv"
-        write_tsv_frame(f, path)
-        out = read_tsv_frame(path, names=["a", "b"])
-        if f.num_rows == 0:
-            assert out.num_rows == 0
-        else:
-            assert f.equals(out)

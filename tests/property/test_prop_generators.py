@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.generators.kronecker import kronecker_blocks, kronecker_edges
+from repro.generators.kronecker import kronecker_edges
 from repro.generators.ppl import ppl_degree_sequence, ppl_edges
 from repro.generators.simple import erdos_renyi_edges
 
@@ -23,20 +23,6 @@ class TestKroneckerProperties:
         assert len(u) == edge_factor * n
         assert u.min() >= 0 and u.max() < n
         assert v.min() >= 0 and v.max() < n
-
-    @settings(max_examples=15)
-    @given(
-        scale=st.integers(min_value=3, max_value=8),
-        block=st.integers(min_value=16, max_value=257),
-        seed=st.integers(min_value=0, max_value=2**20),
-    )
-    def test_blocks_always_cover_m(self, scale, block, seed):
-        blocks = list(kronecker_blocks(scale, 4, block_edges=block, seed=seed))
-        n = 1 << scale
-        total = sum(len(b[0]) for b in blocks)
-        assert total == 4 * n
-        for u, v in blocks:
-            assert u.max(initial=0) < n and v.max(initial=0) < n
 
 
 class TestPPLProperties:

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from repro.grb import Matrix, PLUS_TIMES, Vector, mxv, vxm
+from repro.grb import Matrix, PLUS_TIMES, Vector, available_semirings, vxm
+from repro.grb.semiring import LOR, MAX, MIN, PLUS
 
 DIM = 12
+MONOIDS = [PLUS, MIN, MAX, LOR]
 
 
 @st.composite
@@ -31,6 +36,19 @@ def coo_triples(draw, max_entries=80, dim=DIM):
 
 def _scipy_of(rows, cols, vals):
     return sp.coo_matrix((vals, (rows, cols)), shape=(DIM, DIM)).tocsr()
+
+
+def _fold(monoid, values):
+    """Left fold from the identity: the plain-Python account of a reduction."""
+    return float(reduce(monoid.ufunc, values, monoid.identity))
+
+
+def _stored_entries(rows, cols, vals, dup=PLUS):
+    """``{(i, j): value}`` with duplicate coordinates folded by ``dup``."""
+    groups = {}
+    for i, j, w in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        groups.setdefault((i, j), []).append(w)
+    return {key: _fold(dup, ws) for key, ws in groups.items()}
 
 
 class TestBuildAgainstScipy:
@@ -57,11 +75,60 @@ class TestBuildAgainstScipy:
         assert np.allclose(ours.reduce_columns(),
                            np.asarray(theirs.sum(axis=0)).ravel())
 
+    @pytest.mark.parametrize("dup", MONOIDS, ids=lambda m: m.name)
     @given(triples=coo_triples())
-    def test_transpose_involution(self, triples):
+    def test_dup_monoid_folds_each_coordinate(self, dup, triples):
+        rows, cols, vals = triples
+        ours = Matrix.build(rows, cols, vals, nrows=DIM, ncols=DIM, dup=dup)
+        entries = _stored_entries(rows, cols, vals, dup)
+        assert ours.nvals == len(entries)
+        want = np.zeros((DIM, DIM))
+        for (i, j), w in entries.items():
+            want[i, j] = w
+        assert np.allclose(ours.to_dense(), want)
+
+
+class TestMonoidReductions:
+    @pytest.mark.parametrize("monoid", MONOIDS, ids=lambda m: m.name)
+    @given(
+        values=st.lists(st.floats(-10, 10, allow_nan=False), max_size=40),
+        cuts=st.lists(st.integers(0, 40), max_size=10),
+    )
+    def test_segment_reduce_matches_fold(self, monoid, values, cuts):
+        values = np.array(values, dtype=np.float64)
+        # Any non-decreasing cut points, empty segments included.
+        offsets = np.array(
+            [0] + sorted(min(c, len(values)) for c in cuts) + [len(values)]
+        )
+        got = monoid.segment_reduce(values, offsets)
+        want = [
+            _fold(monoid, values[lo:hi]) for lo, hi in zip(offsets, offsets[1:])
+        ]
+        assert np.allclose(got, want)
+
+    @pytest.mark.parametrize("monoid", MONOIDS, ids=lambda m: m.name)
+    @given(triples=coo_triples())
+    def test_row_reduction_matches_fold(self, monoid, triples):
         rows, cols, vals = triples
         ours = Matrix.build(rows, cols, vals, nrows=DIM, ncols=DIM)
-        assert ours.transpose().transpose().isclose(ours.prune())
+        entries = _stored_entries(rows, cols, vals)
+        want = [
+            _fold(monoid, [w for (i, _), w in entries.items() if i == row])
+            for row in range(DIM)
+        ]
+        assert np.allclose(ours.reduce_rows(monoid), want)
+
+    @pytest.mark.parametrize("monoid", MONOIDS, ids=lambda m: m.name)
+    @given(triples=coo_triples())
+    def test_column_reduction_matches_fold(self, monoid, triples):
+        rows, cols, vals = triples
+        ours = Matrix.build(rows, cols, vals, nrows=DIM, ncols=DIM)
+        entries = _stored_entries(rows, cols, vals)
+        want = [
+            _fold(monoid, [w for (_, j), w in entries.items() if j == col])
+            for col in range(DIM)
+        ]
+        assert np.allclose(ours.reduce_columns(monoid), want)
 
 
 class TestProductsAgainstDense:
@@ -79,76 +146,44 @@ class TestProductsAgainstDense:
         want = xv @ ours.to_dense()
         assert np.allclose(got, want, atol=1e-9)
 
-    @settings(max_examples=60)
+    @pytest.mark.parametrize("name", sorted(available_semirings()))
     @given(
         triples=coo_triples(),
         x=st.lists(st.floats(-5, 5, allow_nan=False, allow_infinity=False),
                    min_size=DIM, max_size=DIM),
     )
-    def test_mxv_matches_dense(self, triples, x):
+    def test_vxm_matches_fold_over_stored_entries(self, name, triples, x):
+        # y[j] = add over stored A[i, j] of multiply(x[i], A[i, j]);
+        # a column without stored entries holds the additive identity.
+        semiring = available_semirings()[name]
         rows, cols, vals = triples
         ours = Matrix.build(rows, cols, vals, nrows=DIM, ncols=DIM)
-        xv = np.array(x)
-        got = mxv(ours, Vector(xv), PLUS_TIMES).to_dense()
-        want = ours.to_dense() @ xv
+        entries = _stored_entries(rows, cols, vals)
+        want = [
+            _fold(semiring.add, [
+                semiring.multiply(x[i], w)
+                for (i, j), w in entries.items() if j == col
+            ])
+            for col in range(DIM)
+        ]
+        got = vxm(Vector(np.array(x)), ours, semiring).to_dense()
         assert np.allclose(got, want, atol=1e-9)
 
-    @given(triples=coo_triples())
-    def test_vxm_equals_mxv_of_transpose(self, triples):
+    @given(triples=coo_triples(),
+           x=st.lists(st.floats(0, 5, allow_nan=False),
+                      min_size=DIM, max_size=DIM))
+    def test_normalised_product_keeps_mass_of_non_dangling_rows(self, triples, x):
+        # Kernel 2's normalisation then Kernel 3's product: each row with
+        # out-edges passes on exactly its share, a dangling row loses it.
         rows, cols, vals = triples
-        ours = Matrix.build(rows, cols, vals, nrows=DIM, ncols=DIM)
-        x = Vector(np.linspace(-1, 1, DIM))
-        a = vxm(x, ours).to_dense()
-        b = mxv(ours.transpose(), x).to_dense()
-        assert np.allclose(a, b, atol=1e-9)
-
-
-class TestMxmAgainstDense:
-    @settings(max_examples=40)
-    @given(a=coo_triples(max_entries=50), b=coo_triples(max_entries=50))
-    def test_mxm_matches_dense_product(self, a, b):
-        from repro.grb.mxm import mxm
-
-        ma = Matrix.build(*a, nrows=DIM, ncols=DIM)
-        mb = Matrix.build(*b, nrows=DIM, ncols=DIM)
-        got = mxm(ma, mb).to_dense()
-        want = ma.to_dense() @ mb.to_dense()
-        assert np.allclose(got, want, atol=1e-8)
-
-    @settings(max_examples=30)
-    @given(triples=coo_triples(max_entries=50))
-    def test_ewise_add_matches_dense_sum(self, triples):
-        from repro.grb.mxm import ewise_add
-
-        m = Matrix.build(*triples, nrows=DIM, ncols=DIM)
-        t = m.transpose()
-        got = ewise_add(m, t).to_dense()
-        assert np.allclose(got, m.to_dense() + t.to_dense(), atol=1e-9)
-
-    @settings(max_examples=30)
-    @given(a=coo_triples(max_entries=50), b=coo_triples(max_entries=50))
-    def test_ewise_mult_matches_dense_hadamard(self, a, b):
-        from repro.grb.mxm import ewise_mult
-
-        ma = Matrix.build(*a, nrows=DIM, ncols=DIM)
-        mb = Matrix.build(*b, nrows=DIM, ncols=DIM)
-        got = ewise_mult(ma, mb).to_dense()
-        # eWiseMult over the pattern intersection == dense Hadamard,
-        # except where one side stores an explicit value and the other
-        # stores nothing (dense also gives 0 there) — identical result.
-        assert np.allclose(got, ma.to_dense() * mb.to_dense(), atol=1e-9)
-
-    @settings(max_examples=25)
-    @given(a=coo_triples(max_entries=40), mask=coo_triples(max_entries=40))
-    def test_mask_and_complement_partition(self, a, mask):
-        from repro.grb.mxm import apply_mask, ewise_add
-
-        ma = Matrix.build(*a, nrows=DIM, ncols=DIM)
-        mm = Matrix.build(*mask, nrows=DIM, ncols=DIM)
-        kept = apply_mask(ma, mm)
-        dropped = apply_mask(ma, mm, complement=True)
-        recombined = ewise_add(kept, dropped)
-        assert np.allclose(recombined.to_dense(), ma.to_dense(), atol=1e-12)
+        counts = Matrix.build(rows, cols, np.abs(vals) + 1.0,
+                              nrows=DIM, ncols=DIM)
+        dout = counts.reduce_rows()
+        factors = np.ones(DIM)
+        factors[dout > 0] = 1.0 / dout[dout > 0]
+        xv = np.array(x)
+        spread = vxm(Vector(xv), counts.scale_rows(factors)).to_dense()
+        assert np.isclose(spread.sum(), xv[dout > 0].sum())
 
 
 class TestStructuralOps:

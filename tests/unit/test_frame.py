@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.frame import Frame, read_tsv_frame, write_tsv_frame
+from repro.frame import Frame
 
 
 class TestConstruction:
@@ -139,51 +139,3 @@ class TestEquality:
         assert a.equals(Frame({"x": [1, 2]}))
         assert not a.equals(Frame({"x": [1, 3]}))
         assert not a.equals(Frame({"y": [1, 2]}))
-
-
-class TestTsvIO:
-    def test_round_trip_headerless(self, tmp_path):
-        f = Frame({"u": np.array([1, 2], dtype=np.int64),
-                   "v": np.array([3, 4], dtype=np.int64)})
-        write_tsv_frame(f, tmp_path / "t.tsv")
-        out = read_tsv_frame(tmp_path / "t.tsv", names=["u", "v"])
-        assert f.equals(out)
-
-    def test_round_trip_with_header_and_floats(self, tmp_path):
-        f = Frame({"name_len": np.array([3, 4], dtype=np.int64),
-                   "score": np.array([0.5, 1.25])})
-        write_tsv_frame(f, tmp_path / "t.tsv", header=True)
-        out = read_tsv_frame(
-            tmp_path / "t.tsv", header=True,
-            dtypes=[np.dtype(np.int64), np.dtype(np.float64)],
-        )
-        assert out.column("score").tolist() == [0.5, 1.25]
-
-    def test_matches_edge_file_format(self, tmp_path):
-        from repro.edgeio.format import decode_edges
-
-        f = Frame({"u": np.array([0, 5], dtype=np.int64),
-                   "v": np.array([1, 2], dtype=np.int64)})
-        write_tsv_frame(f, tmp_path / "edges.tsv")
-        u, v = decode_edges((tmp_path / "edges.tsv").read_bytes())
-        assert u.tolist() == [0, 5] and v.tolist() == [1, 2]
-
-    def test_ragged_rejected(self, tmp_path):
-        (tmp_path / "bad.tsv").write_text("1\t2\n3\n")
-        with pytest.raises(ValueError, match="ragged"):
-            read_tsv_frame(tmp_path / "bad.tsv", names=["a", "b"])
-
-    def test_bad_dtype_rejected(self, tmp_path):
-        (tmp_path / "bad.tsv").write_text("1\tx\n")
-        with pytest.raises(ValueError, match="convert"):
-            read_tsv_frame(tmp_path / "bad.tsv", names=["a", "b"])
-
-    def test_names_required_without_header(self, tmp_path):
-        (tmp_path / "t.tsv").write_text("1\t2\n")
-        with pytest.raises(ValueError, match="names"):
-            read_tsv_frame(tmp_path / "t.tsv")
-
-    def test_empty_file_with_names(self, tmp_path):
-        (tmp_path / "t.tsv").write_text("")
-        out = read_tsv_frame(tmp_path / "t.tsv", names=["a"])
-        assert out.num_rows == 0

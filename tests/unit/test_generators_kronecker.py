@@ -9,14 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro._util import derive_seed
 from repro.generators import kronecker
 from repro.generators.base import GeneratorSpec, validate_edge_list
-from repro.generators.kronecker import (
-    KroneckerParams,
-    kronecker_blocks,
-    kronecker_edges,
-)
+from repro.generators.kronecker import KroneckerParams, kronecker_edges
 
 
 # --- Frozen reference -------------------------------------------------------
@@ -52,27 +47,6 @@ def _reference_edges(scale, edge_factor, *, params, rng, num_edges=None):
         relabel = rng.permutation(1 << scale).astype(np.int64)
         u, v = relabel[u], relabel[v]
     return u, v
-
-
-def _reference_blocks(scale, edge_factor, *, block_edges, params, seed):
-    relabel = None
-    if params.permute_vertices:
-        label_rng = np.random.default_rng(derive_seed(seed, 0xFACE))
-        relabel = label_rng.permutation(1 << scale).astype(np.int64)
-    remaining = edge_factor << scale
-    block_index = 0
-    while remaining > 0:
-        m = min(block_edges, remaining)
-        rng = np.random.default_rng(derive_seed(seed, block_index))
-        u, v = _reference_block(scale, m, params, rng)
-        if params.permute_edges:
-            order = rng.permutation(m)
-            u, v = u[order], v[order]
-        if relabel is not None:
-            u, v = relabel[u], relabel[v]
-        yield u, v
-        remaining -= m
-        block_index += 1
 
 
 def _assert_same_edges(got, want):
@@ -133,30 +107,6 @@ class TestStreamIsUnchanged:
                                 rng=np.random.default_rng(seed),
                                 num_edges=num_edges)
         _assert_same_edges(got, want)
-
-    @settings(max_examples=30)
-    @given(
-        scale=st.integers(1, 10),
-        edge_factor=st.integers(1, 8),
-        seed=st.integers(0, 2**20),
-        params=_PARAMS,
-        block_edges=st.integers(1, 600),
-        full_slices=_FULL_SLICES,
-        tail=_TAIL,
-    )
-    def test_every_block_equals_reference(
-        self, scale, edge_factor, seed, params, block_edges, full_slices, tail
-    ):
-        # At most ~40 blocks an example, however large the graph drawn.
-        block_edges = max(block_edges, (edge_factor << scale) // 40)
-        with _sliced(block_edges, full_slices, tail):
-            got = list(kronecker_blocks(scale, edge_factor, params=params,
-                                        seed=seed, block_edges=block_edges))
-        want = list(_reference_blocks(scale, edge_factor, params=params,
-                                      seed=seed, block_edges=block_edges))
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            _assert_same_edges(g, w)
 
     def test_default_slice_is_crossed_at_benchmark_scale(self):
         # No monkeypatch: scale 13 is 2 * _SLICE_EDGES edges, so the shipped
@@ -308,25 +258,3 @@ class TestKroneckerEdges:
         u, v = kronecker_edges(8, 16, seed=2)
         pairs = u * (1 << 8) + v
         assert len(np.unique(pairs)) < len(pairs)
-
-
-class TestKroneckerBlocks:
-    def test_blocks_cover_total(self):
-        blocks = list(kronecker_blocks(7, 4, block_edges=100, seed=1))
-        total = sum(len(b[0]) for b in blocks)
-        assert total == 4 * 128
-        assert all(len(b[0]) == 100 for b in blocks[:-1])
-
-    def test_blocks_reproducible_and_order_independent(self):
-        first = list(kronecker_blocks(7, 4, block_edges=128, seed=5))
-        second = list(kronecker_blocks(7, 4, block_edges=128, seed=5))
-        for (u1, v1), (u2, v2) in zip(first, second):
-            assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
-
-    def test_block_size_independent_distribution_bounds(self):
-        for u, v in kronecker_blocks(6, 4, block_edges=64, seed=3):
-            validate_edge_list(u, v, 64)
-
-    def test_rejects_bad_block_size(self):
-        with pytest.raises(ValueError):
-            list(kronecker_blocks(6, 4, block_edges=0, seed=1))

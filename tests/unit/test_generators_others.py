@@ -1,4 +1,4 @@
-"""Unit tests for BTER, PPL, simple generators, degree analysis, registry."""
+"""Unit tests for BTER, PPL, the simple generators and the registry."""
 
 from __future__ import annotations
 
@@ -7,23 +7,9 @@ import pytest
 
 from repro.generators.base import validate_edge_list
 from repro.generators.bter import BTERParams, bter_edges
-from repro.generators.degree import (
-    degree_histogram,
-    in_degrees,
-    out_degrees,
-    power_law_exponent,
-)
 from repro.generators.ppl import PPLParams, ppl_degree_sequence, ppl_edges
 from repro.generators.registry import available_generators, get_generator
-from repro.generators.simple import (
-    bernoulli_edges,
-    complete_graph_edges,
-    erdos_renyi_edges,
-    path_graph_edges,
-    ring_graph_edges,
-    self_loop_edges,
-    star_graph_edges,
-)
+from repro.generators.simple import erdos_renyi_edges, ring_graph_edges
 
 
 class TestPPL:
@@ -34,7 +20,7 @@ class TestPPL:
 
     def test_histogram_is_power_law_shaped(self):
         seq = ppl_degree_sequence(2000, exponent=2.0, max_degree=50)
-        values, counts = degree_histogram(seq[seq > 0])
+        values, counts = np.unique(seq[seq > 0], return_counts=True)
         # Counts must be non-increasing in degree for a power law.
         assert counts[0] == counts.max()
         assert counts[-1] <= counts[0]
@@ -99,74 +85,41 @@ class TestBTER:
 
 
 class TestSimpleGenerators:
-    def test_path(self):
-        u, v = path_graph_edges(5)
-        assert np.array_equal(u, [0, 1, 2, 3])
-        assert np.array_equal(v, [1, 2, 3, 4])
-
-    def test_path_single_vertex_is_empty(self):
-        u, v = path_graph_edges(1)
-        assert len(u) == 0
-
     def test_ring_closes(self):
         u, v = ring_graph_edges(4)
         assert np.array_equal(v, [1, 2, 3, 0])
-
-    def test_star_all_point_to_hub(self):
-        u, v = star_graph_edges(5)
-        assert np.all(v == 0)
-        assert np.array_equal(np.sort(u), [1, 2, 3, 4])
-
-    def test_complete_counts(self):
-        u, v = complete_graph_edges(4)
-        assert len(u) == 12  # n*(n-1)
-        u2, _ = complete_graph_edges(4, include_self_loops=True)
-        assert len(u2) == 16
-
-    def test_self_loops(self):
-        u, v = self_loop_edges(3)
-        assert np.array_equal(u, v)
 
     def test_erdos_renyi_multigraph(self):
         u, v = erdos_renyi_edges(10, 50, seed=1)
         assert len(u) == 50
         validate_edge_list(u, v, 10)
 
-    def test_bernoulli_density(self):
-        u, _ = bernoulli_edges(50, 0.5, seed=1)
-        expected = 0.5 * 50 * 49
-        assert 0.7 * expected < len(u) < 1.3 * expected
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_ring_is_a_permutation(self, n):
+        # Out- and in-degree 1 everywhere (n = 1 is a self-loop), so the
+        # normalised matrix is a permutation and PageRank is uniform.
+        u, v = ring_graph_edges(n)
+        validate_edge_list(u, v, n)
+        assert np.array_equal(np.bincount(u, minlength=n), np.ones(n))
+        assert np.array_equal(np.bincount(v, minlength=n), np.ones(n))
 
-    def test_bernoulli_no_self_loops(self):
-        u, v = bernoulli_edges(20, 1.0, seed=1)
-        assert np.all(u != v)
+    def test_erdos_renyi_reproducible_per_seed(self):
+        first = erdos_renyi_edges(16, 40, seed=3)
+        again = erdos_renyi_edges(16, 40, seed=3)
+        other = erdos_renyi_edges(16, 40, seed=4)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        assert not all(np.array_equal(a, b) for a, b in zip(first, other))
 
+    def test_erdos_renyi_zero_edges(self):
+        u, v = erdos_renyi_edges(5, 0, seed=1)
+        assert len(u) == len(v) == 0
+        assert u.dtype == v.dtype == np.int64
 
-class TestDegreeAnalysis:
-    def test_in_out_degrees(self):
-        u = np.array([0, 0, 1], dtype=np.int64)
-        v = np.array([1, 1, 2], dtype=np.int64)
-        assert np.array_equal(out_degrees(u, v, 3), [2, 1, 0])
-        assert np.array_equal(in_degrees(u, v, 3), [0, 2, 1])
-
-    def test_histogram(self):
-        values, counts = degree_histogram(np.array([1, 1, 2, 5]))
-        assert np.array_equal(values, [1, 2, 5])
-        assert np.array_equal(counts, [2, 1, 1])
-
-    def test_histogram_empty(self):
-        values, counts = degree_histogram(np.array([]))
-        assert len(values) == 0 and len(counts) == 0
-
-    def test_power_law_exponent_recovers_alpha(self, rng):
-        # Pareto(1.5) has density exponent alpha = 2.5; estimate in the
-        # tail (d >= 10) where integer discretisation is negligible.
-        degrees = np.floor(rng.pareto(1.5, size=200000) + 1).astype(int)
-        alpha = power_law_exponent(degrees, d_min=10)
-        assert 2.3 < alpha < 2.7
-
-    def test_power_law_exponent_degenerate(self):
-        assert np.isnan(power_law_exponent(np.array([1])))
+    @pytest.mark.parametrize("args", [(0, 4), (4, -1)],
+                             ids=["no-vertices", "negative-edges"])
+    def test_erdos_renyi_rejects_bad_sizes(self, args):
+        with pytest.raises(ValueError):
+            erdos_renyi_edges(*args, seed=1)
 
 
 class TestRegistry:

@@ -17,7 +17,10 @@ import pytest
 import scipy.sparse as sp
 
 from repro.api import rank_sha256
+from repro.backends.dataframe_backend import DataframeBackend
+from repro.backends.graphblas_backend import GraphBlasBackend
 from repro.backends.numpy_backend import NumpyBackend
+from repro.backends.python_backend import PythonBackend
 from repro.backends.registry import get_backend
 from repro.backends.scipy_backend import ScipyBackend
 from repro.core.artifacts import ArtifactCache
@@ -226,20 +229,43 @@ class _FixedNumpy(_FixedEdges, NumpyBackend):
     pass
 
 
+class _FixedGraphblas(_FixedEdges, GraphBlasBackend):
+    pass
+
+
+class _FixedDataframe(_FixedEdges, DataframeBackend):
+    pass
+
+
+class _FixedPython(_FixedEdges, PythonBackend):
+    """Replaces Kernel 0 whole, so it writes the fixed graph itself."""
+
+    def kernel0(self, config, out_dir):
+        u, v = self.generate_edges(config)
+        edges = list(zip(u.tolist(), v.tolist()))
+        return self._write_dataset(out_dir, edges, config, extra={}), {}
+
+
 class TestEliminatedColumnsWhenMaxInDegreeIsOne:
     """Columns 1 and 3 are super-node *and* leaf: two columns, not four."""
 
-    @pytest.mark.parametrize("backend", [_FixedScipy, _FixedNumpy])
+    @pytest.mark.parametrize("backend", [
+        _FixedScipy, _FixedNumpy, _FixedGraphblas, _FixedDataframe, _FixedPython,
+    ])
     def test_serial_miss_hit_and_streaming_agree(self, tmp_path, backend):
         config = PipelineConfig(scale=2, cache_dir=tmp_path / "cache")
+        executors = (SerialExecutor(), SerialExecutor(), StreamingExecutor())
+        states = ["miss", "hit", "miss"]
+        if "streaming" not in backend.capabilities:
+            # Serial only, and the K2 cache needs the streaming capability.
+            executors, states = executors[:1], [None]
         runs = [
             executor.execute(config, backend(), verify=False)
-            for executor in (SerialExecutor(), SerialExecutor(),
-                             StreamingExecutor())
+            for executor in executors
         ]
         k2 = [run.kernels[2].details for run in runs]
-        assert [d["artifact_cache"] for d in k2] == ["miss", "hit", "miss"]
+        assert [d.get("artifact_cache") for d in k2] == states
         assert k2[0]["supernode_columns"] == k2[0]["leaf_columns"] == 2
-        assert [d["eliminated_columns"] for d in k2] == [2, 2, 2]
+        assert [d["eliminated_columns"] for d in k2] == [2] * len(k2)
         k1 = _dataset(tmp_path, [0, 2], [1, 3], 4)
         assert streaming_kernel2(k1).eliminated_columns == 2

@@ -158,6 +158,29 @@ class TestVariants:
                 dangling_matrix, teleport=np.zeros(3)
             )
 
+    @pytest.mark.parametrize(
+        "variant", ["strongly-preferential", "weakly-preferential", "sink"]
+    )
+    def test_self_loops_without_dangling_match_dense_oracle(self, variant):
+        # No row dangles, so every variant is the dense Google-matrix
+        # eigenvector; the self-loops must count as ordinary out-edges.
+        a = sp.csr_matrix(np.array(
+            [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [1 / 3, 1 / 3, 1 / 3]]
+        ))
+        res = pagerank_converged(a, variant=variant, tol=1e-14)
+        dense, _, _ = dense_power_iteration(google_matrix(a, 0.85))
+        assert res.converged
+        assert np.allclose(res.rank, dense, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "variant", ["strongly-preferential", "weakly-preferential"]
+    )
+    def test_all_dangling_gives_uniform_rank(self, variant):
+        res = pagerank_converged(sp.csr_matrix((3, 3)), variant=variant,
+                                 tol=1e-12)
+        assert res.converged
+        assert np.allclose(res.rank, 1.0 / 3)
+
 
 class TestDenseOracle:
     def test_google_matrix_rows_sum_to_one_for_stochastic_input(self):

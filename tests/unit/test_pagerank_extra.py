@@ -1,10 +1,9 @@
-"""Unit tests for Gauss-Seidel PageRank and rank-comparison utilities."""
+"""Unit tests for the rank-comparison utilities."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.pagerank.compare import (
     kendall_tau,
@@ -13,62 +12,6 @@ from repro.pagerank.compare import (
     top_k,
     top_k_overlap,
 )
-from repro.pagerank.gauss_seidel import pagerank_gauss_seidel
-from repro.pagerank.variants import pagerank_strongly_preferential
-
-
-def _random_normalised(rng, n=25, density=0.25):
-    mask = rng.random((n, n)) < density
-    counts = mask * rng.integers(1, 4, (n, n))
-    dout = counts.sum(axis=1)
-    return sp.csr_matrix(
-        counts / np.where(dout[:, None] > 0, dout[:, None], 1.0)
-    )
-
-
-class TestGaussSeidel:
-    def test_matches_power_iteration(self, rng):
-        a = _random_normalised(rng)
-        gs = pagerank_gauss_seidel(a, tol=1e-12)
-        power = pagerank_strongly_preferential(a, tol=1e-13)
-        assert gs.converged
-        assert np.allclose(gs.rank, power.rank, atol=1e-9)
-
-    def test_fewer_iterations_than_power(self, rng):
-        a = _random_normalised(rng, n=40)
-        gs = pagerank_gauss_seidel(a, tol=1e-10)
-        power = pagerank_strongly_preferential(a, tol=1e-10)
-        assert gs.iterations < power.iterations
-
-    def test_unit_mass(self, rng):
-        a = _random_normalised(rng)
-        result = pagerank_gauss_seidel(a, tol=1e-12)
-        assert result.rank.sum() == pytest.approx(1.0)
-
-    def test_handles_self_loops(self):
-        dense = np.array([[0.5, 0.5], [0.0, 1.0]])
-        a = sp.csr_matrix(dense)
-        gs = pagerank_gauss_seidel(a, tol=1e-13)
-        power = pagerank_strongly_preferential(a, tol=1e-14)
-        assert np.allclose(gs.rank, power.rank, atol=1e-8)
-
-    def test_handles_all_dangling(self):
-        a = sp.csr_matrix((3, 3))
-        result = pagerank_gauss_seidel(a, tol=1e-12)
-        assert np.allclose(result.rank, 1.0 / 3)
-
-    def test_iteration_cap(self, rng):
-        a = _random_normalised(rng)
-        result = pagerank_gauss_seidel(a, tol=1e-30, max_iterations=2)
-        assert not result.converged
-        assert result.iterations == 2
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError, match="square"):
-            pagerank_gauss_seidel(sp.csr_matrix((2, 3)))
-        a = _random_normalised(rng)
-        with pytest.raises(ValueError, match="all-zero"):
-            pagerank_gauss_seidel(a, initial_rank=np.zeros(25))
 
 
 class TestTopK:

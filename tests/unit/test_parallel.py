@@ -390,6 +390,42 @@ class TestExchangeAndKernels:
         counts = run_rank_programs(program, 4, u, v)
         assert sum(counts) == 200
 
+    @pytest.mark.parametrize("ranks", [1, 2, 3, 5])
+    def test_exchange_keeps_every_edge_intact(self, ranks):
+        # The shuffle only moves edges: the union over ranks is the input
+        # multiset, each (u, v) pair still together.
+        n = 23
+
+        def program(comm, u, v):
+            partition = RowPartition(num_vertices=n, size=comm.size)
+            mine = slice(comm.rank, None, comm.size)
+            return exchange_edges_by_owner(comm, partition, u[mine], v[mine])
+
+        rng = np.random.default_rng(ranks)
+        u = rng.integers(0, n, size=150).astype(np.int64)
+        v = rng.integers(0, n, size=150).astype(np.int64)
+        parts = run_rank_programs(program, ranks, u, v)
+        got = sorted(zip(np.concatenate([p[0] for p in parts]).tolist(),
+                         np.concatenate([p[1] for p in parts]).tolist()))
+        assert got == sorted(zip(u.tolist(), v.tolist()))
+
+    @pytest.mark.parametrize("ranks", [1, 2, 3])
+    def test_parallel_kernel2_counts_each_eliminated_column_once(self, ranks):
+        # Maximum in-degree 1: columns 1 and 3 are super-node *and* leaf.
+        n = 4
+        u = np.array([0, 2], dtype=np.int64)
+        v = np.array([1, 3], dtype=np.int64)
+
+        def program(comm):
+            partition = RowPartition(num_vertices=n, size=comm.size)
+            mask = partition.owner_of(u) == comm.rank
+            matrix, details = parallel_kernel2(comm, partition, u[mask], v[mask])
+            return details["eliminated_columns"], matrix.nnz
+
+        results = run_rank_programs(program, ranks)
+        assert [eliminated for eliminated, _ in results] == [2] * ranks
+        assert sum(nnz for _, nnz in results) == 0
+
     def test_parallel_kernel2_reports_global_total(self):
         n = 8
         u = np.array([0, 0, 5, 7], dtype=np.int64)

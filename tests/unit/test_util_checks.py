@@ -10,7 +10,6 @@ from repro._util.checks import (
     check_in_range,
     check_nonneg_int,
     check_positive_int,
-    check_probability,
     check_same_length,
 )
 
@@ -46,21 +45,6 @@ class TestNonnegInt:
             check_nonneg_int("n", -1)
 
 
-class TestProbability:
-    @pytest.mark.parametrize("value", [0.0, 0.5, 1.0, 1])
-    def test_accepts_unit_interval(self, value):
-        assert check_probability("p", value) == float(value)
-
-    @pytest.mark.parametrize("value", [-0.01, 1.01, 5])
-    def test_rejects_outside(self, value):
-        with pytest.raises(ValueError):
-            check_probability("p", value)
-
-    def test_rejects_non_numeric(self):
-        with pytest.raises(TypeError):
-            check_probability("p", "half")
-
-
 class TestInRange:
     def test_bounds_inclusive(self):
         assert check_in_range("x", 1.0, 1.0, 2.0) == 1.0
@@ -69,6 +53,25 @@ class TestInRange:
     def test_rejects_outside(self):
         with pytest.raises(ValueError):
             check_in_range("x", 2.5, 1.0, 2.0)
+
+    # The unit interval is how damping factors are validated.
+    @pytest.mark.parametrize("value", [0.0, 0.5, 1.0, 1])
+    def test_accepts_unit_interval(self, value):
+        out = check_in_range("damping", value, 0.0, 1.0)
+        assert out == float(value) and isinstance(out, float)
+
+    @pytest.mark.parametrize("value", [-0.01, 1.01, 5])
+    def test_rejects_outside_unit_interval(self, value):
+        with pytest.raises(ValueError, match=r"damping must be within \[0.0, 1.0\]"):
+            check_in_range("damping", value, 0.0, 1.0)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="damping"):
+            check_in_range("damping", float("nan"), 0.0, 1.0)
+
+    def test_rejects_non_numeric(self):
+        with pytest.raises(TypeError):
+            check_in_range("damping", None, 0.0, 1.0)
 
 
 class TestSameLength:
