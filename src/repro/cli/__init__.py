@@ -4,9 +4,8 @@ Subcommands::
 
     repro-pipeline run       # one pipeline run, per-kernel report
     repro-pipeline sweep     # (backend x scale) measurement grid
-    repro-pipeline figures   # regenerate paper figures 4-7
+    repro-pipeline figures   # paper figures 4-7, or the K2+K3 ranks table
     repro-pipeline tables    # regenerate paper tables I / II
-    repro-pipeline parallel  # distributed K2+K3 demo with traffic + model
     repro-pipeline validate  # eigenvector cross-check of Kernel 3
     repro-pipeline info      # list backends / generators / experiments
 """

@@ -26,7 +26,6 @@ from repro.api import (
     BUILTIN_SCENARIOS,
 )
 from repro.backends.registry import available_backends
-from repro.core.config import KernelName, PipelineConfig
 from repro.generators.registry import available_generators
 from repro.harness.experiments import available_experiments, run_experiment
 from repro.harness.records import save_records
@@ -62,6 +61,17 @@ def _print_kernel_report(result) -> None:
         )
     )
     if result.kernels:
+        traffic = result.kernels[-1].details.get("traffic")
+        if traffic is not None:
+            # Parallel strategy: what the communicator moved, and how
+            # K2 split the matrix across ranks.
+            nnz = result.kernels[-2].details["local_nnz"]
+            print(f"parallel: {len(nnz)} ranks, per-rank nnz "
+                  f"(load balance) {nnz}")
+            print(f"  traffic: {traffic['total_bytes']:,} bytes "
+                  f"in {traffic['total_messages']:,} messages")
+            for op, nbytes in sorted(traffic["bytes_by_op"].items()):
+                print(f"    {op:10s} {nbytes:,} bytes")
         overlap = result.kernels[-1].details.get("overlap_saved_s")
         if overlap is not None:
             # Async strategy: kernel seconds above are busy time; the
@@ -245,7 +255,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    """Regenerate one of the paper's figures."""
+    """Regenerate one of the paper's figures (or the ranks table)."""
     output = run_experiment(
         args.experiment_id,
         scales=args.scales,
@@ -253,6 +263,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
         repeats=args.repeats,
         execution=args.execution,
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
+        ranks=args.ranks,
+        parallel_executor=args.parallel_executor,
     )
     print(output.text)
     if args.output:
@@ -265,44 +277,6 @@ def cmd_tables(args: argparse.Namespace) -> int:
     """Regenerate one of the paper's tables."""
     output = run_experiment(args.experiment_id, scales=args.scales)
     print(output.text)
-    return 0
-
-
-def cmd_parallel(args: argparse.Namespace) -> int:
-    """Distributed K2+K3 with traffic accounting and model comparison."""
-    from repro.generators import kronecker_edges
-    from repro.parallel import run_parallel_pipeline
-    from repro.perfmodel import LAPTOP_CLASS, predict_parallel_kernel3
-
-    num_vertices = 1 << args.scale
-    u, v = kronecker_edges(args.scale, args.edge_factor, seed=args.seed)
-    result = run_parallel_pipeline(
-        u,
-        v,
-        num_vertices,
-        num_ranks=args.ranks,
-        iterations=args.iterations,
-        executor=args.executor,
-    )
-    print(
-        f"parallel K2+K3: scale={args.scale} ranks={args.ranks} "
-        f"executor={args.executor}"
-    )
-    print(f"  rank vector sum: {result.rank_vector.sum():.6f}")
-    print(f"  per-rank nnz (load balance): {result.local_nnz}")
-    print(f"  traffic: {result.traffic['total_bytes']:,} bytes "
-          f"in {result.traffic['total_messages']:,} messages")
-    for op, nbytes in sorted(result.traffic["bytes_by_op"].items()):
-        print(f"    {op:10s} {nbytes:,} bytes")
-    prediction = predict_parallel_kernel3(
-        LAPTOP_CLASS, len(u), num_vertices, args.ranks,
-        iterations=args.iterations,
-    )
-    print(
-        f"  alpha-beta model (laptop-class): k3 ~{prediction.edges_per_second:,.0f}"
-        f" edges/s; dominant term: "
-        f"{max(prediction.terms, key=prediction.terms.get)}"
-    )
     return 0
 
 
@@ -329,9 +303,8 @@ def cmd_golden(args: argparse.Namespace) -> int:
     """Produce or verify a golden correctness record."""
     from repro.harness.goldens import GoldenRecord, golden_for_config
 
-    config = PipelineConfig(scale=args.scale, seed=args.seed,
-                            backend=args.backend)
-    record = golden_for_config(config)
+    spec = RunSpec(scale=args.scale, seed=args.seed, backend=args.backend)
+    record = golden_for_config(spec.to_config(None))
     if args.save:
         record.save(Path(args.save))
         print(f"golden record written to {args.save}")
@@ -389,33 +362,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
         print(f"\nscale {scale} (N={1 << scale:,}, M={16 << scale:,}):")
         print(render_comparison(comparisons))
     print(f"\nworst error factor: {study.worst_error():.2f}x")
-    return 0
-
-
-def cmd_scaling(args: argparse.Namespace) -> int:
-    """Run a size- or strong-scaling study and print the table."""
-    from repro.harness.scaling import (
-        render_size_scaling,
-        render_strong_scaling,
-        size_scaling,
-        strong_scaling,
-    )
-
-    if args.mode == "size":
-        kernel = KernelName(args.kernel)
-        study = size_scaling(
-            args.scales, backend=args.backend, kernel=kernel, seed=args.seed
-        )
-        print(render_size_scaling(study))
-        return 0
-    study = strong_scaling(
-        args.ranks, scale=args.scale, iterations=args.iterations,
-        seed=args.seed,
-    )
-    print(render_strong_scaling(study))
-    print("note: simulated ranks share one GIL; the load-bearing columns "
-          "are allreduce bytes and the per-rank balance, not wall-clock "
-          "speedup")
     return 0
 
 

@@ -10,7 +10,7 @@ from typing import List, Optional
 
 from repro.cli import commands
 from repro.core.artifacts import ArtifactCache
-from repro.core.config import FIELD_CHOICES, KernelName
+from repro.core.config import FIELD_CHOICES
 from repro.core.exceptions import ExecutorCapabilityError, PipelineError
 from repro.harness.experiments import (
     DEFAULT_FIGURE_BACKENDS,
@@ -175,10 +175,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write records to this .json/.csv file")
     sweep.set_defaults(func=commands.cmd_sweep)
 
-    figures = sub.add_parser("figures", help="regenerate paper figures 4-7")
+    figures = sub.add_parser(
+        "figures",
+        help="regenerate paper figures 4-7 (edges/s vs M, with each "
+             "series' log-log slope) or the K2+K3 ranks table",
+    )
     figures.add_argument("--id", dest="experiment_id", default="fig7",
-                         choices=["fig4", "fig5", "fig6", "fig7"])
+                         choices=["fig4", "fig5", "fig6", "fig7", "ranks"])
     _grid_flags(figures, DEFAULT_FIGURE_SCALES)
+    figures.add_argument("--ranks", type=_csv_ints, default=None,
+                         help="rank counts for --id ranks (1, the "
+                              "speedup baseline, is always added; "
+                              "default 1,2,4)")
+    figures.add_argument("--parallel-executor", default="sim",
+                         choices=FIELD_CHOICES["parallel_executor"],
+                         help="--id ranks runs ranks as threads (sim) "
+                              "or OS processes (mp)")
     figures.add_argument("--output", default=None,
                          help="also write records to this .json/.csv file")
     figures.set_defaults(func=commands.cmd_figures)
@@ -189,24 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
     tables.add_argument("--scales", type=_csv_ints, default=None)
     tables.set_defaults(func=commands.cmd_tables)
 
-    parallel = sub.add_parser(
-        "parallel", help="distributed K2+K3 demo with traffic accounting"
-    )
-    parallel.add_argument("--scale", type=int, default=12)
-    parallel.add_argument("--edge-factor", type=int, default=16)
-    parallel.add_argument("--ranks", type=int, default=4)
-    parallel.add_argument("--iterations", type=int, default=20)
-    parallel.add_argument("--seed", type=int, default=1)
-    parallel.add_argument("--executor", default="sim", choices=["sim", "mp"])
-    parallel.set_defaults(func=commands.cmd_parallel)
-
     validate = sub.add_parser(
         "validate", help="eigenvector cross-check of a pipeline run"
     )
     validate.add_argument("--scale", type=int, default=10)
     validate.add_argument("--backend", default="scipy")
     validate.add_argument("--seed", type=int, default=1)
-    validate.add_argument("--tolerance", type=float, default=0.05)
     validate.set_defaults(func=commands.cmd_validate)
 
     golden = sub.add_parser(
@@ -243,25 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--backend", default="scipy")
     predict.add_argument("--seed", type=int, default=1)
     predict.set_defaults(func=commands.cmd_predict)
-
-    scaling = sub.add_parser(
-        "scaling",
-        help="throughput-vs-size or strong-scaling (ranks) study",
-    )
-    scaling.add_argument("--mode", default="size",
-                         choices=["size", "strong"])
-    scaling.add_argument("--scales", type=_csv_ints, default=[8, 10, 12],
-                         help="scales for --mode size")
-    scaling.add_argument("--backend", default="scipy")
-    scaling.add_argument("--kernel", default="k3-pagerank",
-                         choices=[k.value for k in KernelName])
-    scaling.add_argument("--scale", type=int, default=12,
-                         help="problem size for --mode strong")
-    scaling.add_argument("--ranks", type=_csv_ints, default=[2, 4, 8],
-                         help="rank counts for --mode strong")
-    scaling.add_argument("--iterations", type=int, default=20)
-    scaling.add_argument("--seed", type=int, default=1)
-    scaling.set_defaults(func=commands.cmd_scaling)
 
     cache = sub.add_parser(
         "cache",

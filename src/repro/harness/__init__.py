@@ -6,10 +6,11 @@ Everything needed to regenerate the paper's evaluation artifacts:
   sweeps produce (:func:`repro.api.execute_sweep` runs the grids);
 * :mod:`repro.harness.sloc` — source-lines-of-code counting (Table I);
 * :mod:`repro.harness.tables` — Table I / Table II renderers;
-* :mod:`repro.harness.figures` — Figures 4–7 series builders + ASCII
-  log-log charts;
+* :mod:`repro.harness.figures` — Figures 4–7 series builders, ASCII
+  log-log charts with per-series slopes, and the K2+K3 ranks table;
 * :mod:`repro.harness.experiments` — the experiment registry keyed by
-  paper artifact id (``table1``, ``table2``, ``fig4`` … ``fig7``).
+  paper artifact id (``table1``, ``table2``, ``fig4`` … ``fig7``,
+  ``ranks``).
 """
 
 from __future__ import annotations
@@ -21,21 +22,11 @@ from repro.harness.figures import FigureSeries, build_figure_series, render_figu
 from repro.harness.experiments import available_experiments, run_experiment
 from repro.harness.goldens import GoldenRecord, golden_for_config, golden_from_outputs
 from repro.harness.report import build_report
-from repro.harness.scaling import (
-    SizeScalingStudy,
-    StrongScalingStudy,
-    size_scaling,
-    strong_scaling,
-)
 
 __all__ = [
     "FigureSeries",
     "GoldenRecord",
     "MeasurementRecord",
-    "SizeScalingStudy",
-    "StrongScalingStudy",
-    "size_scaling",
-    "strong_scaling",
     "available_experiments",
     "backend_sloc_table",
     "build_figure_series",

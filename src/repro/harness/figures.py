@@ -3,8 +3,9 @@
 Each figure plots *edges per second* against *number of edges* on
 log-log axes, one series per implementation.  ``build_figure_series``
 reshapes sweep records into that form; ``render_figure`` draws an ASCII
-log-log chart plus the underlying numbers (the numbers are the real
-deliverable — the chart is for quick reading in a terminal).
+log-log chart plus the underlying numbers and each series' log-log
+slope (the numbers are the real deliverable — the chart is for quick
+reading in a terminal).
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.config import KernelName
 from repro.harness.records import MeasurementRecord
@@ -140,15 +143,79 @@ def render_figure(
     lines.append(legend)
 
     lines.append("")
-    header = ["backend"] + [
-        f"M={m}" for m in sorted({p[0] for p in all_points})
-    ]
+    edge_counts = sorted({p[0] for p in all_points})
+    header = ["backend"] + [f"M={m}" for m in edge_counts] + ["slope"]
     lines.append(" | ".join(header))
     for backend, points in figure.series.items():
         by_m = dict(points)
+        slope = "-"  # d log10(edges/s) / d log10 M; ~0 is a flat curve
+        if len(points) >= 2:
+            xs, ys = np.log10(np.maximum(points, 1e-12)).T
+            slope = f"{np.polyfit(xs, ys, 1)[0]:+.3f}"
         cells = [backend] + [
-            f"{by_m[m]:.3g}" if m in by_m else "-"
-            for m in sorted({p[0] for p in all_points})
-        ]
+            f"{by_m[m]:.3g}" if m in by_m else "-" for m in edge_counts
+        ] + [slope]
         lines.append(" | ".join(cells))
     return "\n".join(lines)
+
+
+def allreduce_closed_form(ranks: int, num_vertices: int, iterations: int) -> int:
+    """Allreduce bytes the parallel K2+K3 must move on ``ranks`` ranks.
+
+    Kernel 2 allreduces the 8N-byte in-degree vector and one 8-byte
+    scalar, Kernel 3 one 8N-byte rank vector per iteration; the star
+    allreduce moves ``2·(p−1)·payload``.
+
+    Examples
+    --------
+    >>> allreduce_closed_form(2, 4096, 20)
+    1376272
+    """
+    return 2 * (ranks - 1) * ((iterations + 1) * 8 * num_vertices + 8)
+
+
+def render_ranks(outcomes: Sequence) -> str:
+    """Strong-scaling table for one (backend, scale): one row per rank
+    count, from the :class:`~repro.api.runner.RunOutcome` of one
+    ``execution="parallel"`` spec per count (paper Section IV.D).
+
+    Seconds are the best-of-repeats K2/K3 records; speedup and
+    efficiency compare K2+K3 against the first (1-rank) outcome.  The
+    allreduce bytes are what the communicator logged, beside the
+    closed form; ``local nnz`` is K2's per-rank share of the matrix.
+    """
+    from repro.harness.tables import render_table
+
+    rows = []
+    baseline = None
+    for outcome in outcomes:
+        seconds = {r.kernel: r.seconds for r in outcome.records}
+        k2 = seconds[KernelName.K2_FILTER.value]
+        k3 = seconds[KernelName.K3_PAGERANK.value]
+        if baseline is None:
+            baseline = k2 + k3
+        speedup = baseline / (k2 + k3)
+        result = outcome.result
+        ranks = result.config.parallel_ranks
+        nnz = result.kernel(KernelName.K2_FILTER).details["local_nnz"]
+        traffic = result.kernel(KernelName.K3_PAGERANK).details["traffic"]
+        expected = allreduce_closed_form(
+            ranks, result.config.num_vertices, result.config.iterations
+        )
+        rows.append([
+            ranks, f"{k2:.4f}", f"{k3:.4f}",
+            f"{speedup:.2f}", f"{speedup / ranks:.2f}",
+            f"{traffic['bytes_by_op'].get('allreduce', 0):,}",
+            f"{expected:,}",
+            str(nnz), f"{max(nnz) * len(nnz) / sum(nnz):.2f}",
+        ])
+    config = outcomes[0].result.config
+    return render_table(
+        ["ranks", "K2 s", "K3 s", "speedup", "efficiency",
+         "allreduce bytes", "closed form", "local nnz", "max/mean"],
+        rows,
+        title=(f"K2+K3 over ranks: scale={config.scale} "
+               f"backend={config.backend} "
+               f"executor={config.parallel_executor} "
+               f"iterations={config.iterations}"),
+    )

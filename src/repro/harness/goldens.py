@@ -192,7 +192,12 @@ def golden_from_outputs(
 
 
 def golden_for_config(config: PipelineConfig, *, top_k: int = 10) -> GoldenRecord:
-    """Run the pipeline (via its backend) and produce the golden record."""
+    """Run the pipeline (via its backend) and produce the golden record.
+
+    Deliberately backend-direct — the four kernels called in order,
+    with no executor, cache or contracts — so it stays the independent
+    reference the golden tests compare the executors' runs against.
+    """
     import tempfile
     from pathlib import Path as _Path
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.config import KernelName, PipelineConfig
-from repro.core.pipeline import run_pipeline
+from repro.api.runner import execute_spec
+from repro.api.spec import RunSpec
+from repro.core.config import KernelName
 from repro.core.results import PipelineResult
 from repro.perfmodel.calibrate import calibrate_from_run
 from repro.perfmodel.hardware import HardwareModel, LAPTOP_CLASS
@@ -123,9 +124,9 @@ def extrapolation_study(
 ) -> ExtrapolationStudy:
     """Calibrate on one scale and score predictions at other scales.
 
-    Runs the pipeline once at ``calibration_scale`` to fit the model,
-    then once per entry of ``predicted_scales`` to measure the model's
-    extrapolation error.
+    Runs the benchmark (:func:`repro.api.execute_spec`) once at
+    ``calibration_scale`` to fit the model, then once per entry of
+    ``predicted_scales`` to measure the model's extrapolation error.
 
     Examples
     --------
@@ -135,19 +136,16 @@ def extrapolation_study(
     True
     """
     predicted_scales = predicted_scales or [calibration_scale + 2]
-    calibration_run = run_pipeline(
-        PipelineConfig(scale=calibration_scale, seed=seed, backend=backend),
-        verify=False,
-    )
-    hw = calibrate_from_run(calibration_run, base)
 
-    comparisons: Dict[int, List[KernelComparison]] = {}
-    for scale in predicted_scales:
-        run = run_pipeline(
-            PipelineConfig(scale=scale, seed=seed, backend=backend),
-            verify=False,
-        )
-        comparisons[scale] = compare_run(run, hw)
+    def measure(scale: int) -> PipelineResult:
+        spec = RunSpec(scale=scale, seed=seed, backend=backend,
+                       validation="off")
+        return execute_spec(spec).result
+
+    hw = calibrate_from_run(measure(calibration_scale), base)
+    comparisons = {
+        scale: compare_run(measure(scale), hw) for scale in predicted_scales
+    }
     return ExtrapolationStudy(
         calibration_scale=calibration_scale,
         hardware=hw,

@@ -94,3 +94,47 @@ class TestLoadBalance:
         result = run_parallel_pipeline(u, v, n, num_ranks=4, iterations=2)
         assert len(result.local_nnz) == 4
         assert sum(result.local_nnz) > 0
+
+
+class TestThroughExecuteSpec:
+    """The benchmark's own parallel path (K0/K1 files, executor, cache
+    routing) moves exactly the closed-form allreduce bytes."""
+
+    SERIAL_DIGEST = "574908b8d4f0"  # scale 12, seed 1, serial scipy
+
+    @pytest.fixture(scope="class")
+    def outcomes(self):
+        from repro.api import RunSpec, execute_spec
+
+        return {
+            (executor, ranks): execute_spec(RunSpec(
+                scale=12, seed=1, execution="parallel",
+                parallel_ranks=ranks, parallel_executor=executor,
+                validation="off",
+            ))
+            for executor in ("sim", "mp") for ranks in (1, 2, 3, 4)
+        }
+
+    def test_allreduce_bytes_equal_closed_form(self, outcomes):
+        from repro.harness.figures import allreduce_closed_form
+
+        for (executor, ranks), outcome in outcomes.items():
+            traffic = outcome.result.kernels[-1].details["traffic"]
+            measured = traffic["bytes_by_op"].get("allreduce", 0)
+            assert measured == allreduce_closed_form(ranks, 1 << 12, 20)
+        measured = {
+            ranks: outcomes["sim", ranks].result.kernels[-1]
+            .details["traffic"]["bytes_by_op"].get("allreduce", 0)
+            for ranks in (1, 2, 4)
+        }
+        assert measured == {1: 0, 2: 1_376_272, 4: 4_128_816}
+
+    def test_one_rank_matches_serial_digest(self, outcomes):
+        for executor in ("sim", "mp"):
+            digest = outcomes[executor, 1].rank_digest
+            assert digest.startswith(self.SERIAL_DIGEST)
+
+    def test_launches_agree_per_rank_count(self, outcomes):
+        for ranks in (1, 2, 3, 4):
+            assert (outcomes["sim", ranks].rank_digest
+                    == outcomes["mp", ranks].rank_digest)

@@ -308,12 +308,40 @@ class TestCommands:
         assert main(["validate", "--scale", "6", "--backend", "scipy"]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_parallel_command(self, capsys):
-        for executor in ("sim", "mp"):
-            assert main(["parallel", "--scale", "7", "--ranks", "2",
-                         "--iterations", "3", "--executor", executor]) == 0
-            out = capsys.readouterr().out
-            assert "traffic:" in out and "allreduce" in out
+    def test_validate_has_no_tolerance_flag(self, capsys):
+        # The check's tolerance is a constant; a flag that parsed a
+        # value and then ignored it is gone, so typing it is misuse.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["validate", "--scale", "6", "--tolerance", "0.5"])
+        assert excinfo.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("executor", ["sim", "mp"])
+    def test_run_parallel_prints_traffic(self, executor, capsys):
+        assert main(["run", "--scale", "7", "--execution", "parallel",
+                     "--ranks", "2", "--iterations", "3",
+                     "--parallel-executor", executor]) == 0
+        out = capsys.readouterr().out
+        assert "traffic:" in out and "allreduce" in out
+        assert "per-rank nnz" in out
+
+    def test_removed_subcommands_are_usage_errors(self, capsys):
+        for argv in (["parallel"], ["scaling"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+
+    def test_figures_ranks_command(self, capsys):
+        assert main(["figures", "--id", "ranks", "--scales", "6",
+                     "--backends", "numpy", "--ranks", "2",
+                     "--parallel-executor", "mp"]) == 0
+        out = capsys.readouterr().out
+        assert "executor=mp" in out and "allreduce bytes" in out
+
+    def test_figures_ranks_zero_is_usage_error(self, capsys):
+        assert main(["figures", "--id", "ranks", "--scales", "6",
+                     "--backends", "numpy", "--ranks", "0"]) == 2
+        assert "error" in capsys.readouterr().err
 
     def test_figures_command_small(self, capsys, tmp_path):
         out_file = tmp_path / "records.json"
