@@ -119,19 +119,23 @@ class GraphBlasBackend(Backend):
             raise TypeError(
                 f"graphblas backend needs GrbAdjacency, got {type(matrix).__name__}"
             )
-        a = matrix.matrix
-        n = matrix.num_vertices
-        c = config.damping
-        r = Vector(self.initial_rank(config))
-        scale_by_n = config.formula == "appendix"
-        for _ in range(config.iterations):
-            spread = vxm(r, a, PLUS_TIMES)
-            teleport = (1.0 - c) * r.reduce()
-            if scale_by_n:
-                teleport /= n
-            r = spread.scale(c).ewise_add(Vector.full(n, teleport))
-        rank = r.to_dense()
+        timings = Timings()
+        with timings.measure("setup"):
+            a = matrix.matrix
+            n = matrix.num_vertices
+            c = config.damping
+            r = Vector(self.initial_rank(config))
+            scale_by_n = config.formula == "appendix"
+        with timings.measure("iterate"):
+            for _ in range(config.iterations):
+                spread = vxm(r, a, PLUS_TIMES)
+                teleport = (1.0 - c) * r.reduce()
+                if scale_by_n:
+                    teleport /= n
+                r = spread.scale(c).ewise_add(Vector.full(n, teleport))
+            rank = r.to_dense()
         details: Details = {
+            "phases": timings.as_dict(),
             "iterations": config.iterations,
             "damping": c,
             "rank_sum": float(rank.sum()),

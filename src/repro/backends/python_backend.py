@@ -274,25 +274,29 @@ class PythonBackend(Backend):
             raise TypeError(
                 f"python backend needs PyAdjacency, got {type(matrix).__name__}"
             )
-        n = matrix.num_vertices
-        c = config.damping
-        r: List[float] = self.initial_rank(config).tolist()
-        scale_by_n = config.formula == "appendix"
-        rows = matrix.rows
-        for _ in range(config.iterations):
-            teleport = (1.0 - c) * sum(r)
-            if scale_by_n:
-                teleport /= n
-            nxt = [teleport] * n
-            for u, row in rows.items():
-                ru = c * r[u]
-                if ru == 0.0:
-                    continue
-                for v, w in row:
-                    nxt[v] += ru * w
-            r = nxt
-        rank = np.array(r, dtype=np.float64)
+        timings = Timings()
+        with timings.measure("setup"):
+            n = matrix.num_vertices
+            c = config.damping
+            r: List[float] = self.initial_rank(config).tolist()
+            scale_by_n = config.formula == "appendix"
+            rows = matrix.rows
+        with timings.measure("iterate"):
+            for _ in range(config.iterations):
+                teleport = (1.0 - c) * sum(r)
+                if scale_by_n:
+                    teleport /= n
+                nxt = [teleport] * n
+                for u, row in rows.items():
+                    ru = c * r[u]
+                    if ru == 0.0:
+                        continue
+                    for v, w in row:
+                        nxt[v] += ru * w
+                r = nxt
+            rank = np.array(r, dtype=np.float64)
         details: Details = {
+            "phases": timings.as_dict(),
             "iterations": config.iterations,
             "damping": c,
             "rank_sum": float(rank.sum()),

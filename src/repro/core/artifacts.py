@@ -68,6 +68,16 @@ DatasetProducer = Callable[[Path], Tuple[EdgeDataset, Details]]
 #: :meth:`ArtifactCache._open_entry`).
 _CORRUPT = object()
 
+#: On-disk layout version of each artifact kind, hashed into that kind's
+#: cache key (``"layout"`` in ``k*_cache_fields``).  Bump a kind's number
+#: in the change that alters what its entry's files mean for the same
+#: fields — a new file, member, dtype or matrix orientation — so that a
+#: program reading another layout *misses* the entry instead of misreading
+#: it (a wrong rank with no error).  Only the changed kind is bumped; the
+#: fields of k1 and k2 build on k0's, but each carries its own number.
+#: k2 is at 2: its ``csr.npz`` became the CSC that Kernel 3 multiplies by.
+LAYOUT_VERSIONS: Dict[str, int] = {"k0": 1, "k1": 1, "k2": 2}
+
 
 def k0_cache_fields(
     config: PipelineConfig, backend_name: Optional[str] = None
@@ -82,6 +92,7 @@ def k0_cache_fields(
     """
     return {
         "kernel": "k0",
+        "layout": LAYOUT_VERSIONS["k0"],
         "scale": config.scale,
         "edge_factor": config.edge_factor,
         "seed": config.seed,
@@ -101,6 +112,7 @@ def k1_cache_fields(
     fields.update(
         {
             "kernel": "k1",
+            "layout": LAYOUT_VERSIONS["k1"],
             "sort_algorithm": config.sort_algorithm,
             "sort_by_end_vertex": config.sort_by_end_vertex,
             "external_sort": config.external_sort,
@@ -130,6 +142,7 @@ def k2_cache_fields(
     """
     fields = k1_cache_fields(config, backend_name)
     fields["kernel"] = "k2"
+    fields["layout"] = LAYOUT_VERSIONS["k2"]
     fields["variant"] = variant
     return fields
 
@@ -469,7 +482,7 @@ class ArtifactCache:
                     with np.load(payload) as archive:
                         shape = tuple(int(x) for x in archive["shape"])
                         # The marker is a member's name: nothing to read,
-                        # and an entry without it predates it (CSR).
+                        # and an entry without it is CSR.
                         csc = "csc" in archive.files
                         matrix = (sp.csc_matrix if csc else sp.csr_matrix)(
                             (archive["data"], archive["indices"],

@@ -87,6 +87,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro._util.heap import minor_faults
 from repro.backends.base import (
     Backend,
     Details,
@@ -211,6 +212,7 @@ class AsyncExecutor(Executor):
     def _run_plan(
         self, ctx: StageContext, result: PipelineResult, *, verify: bool
     ) -> None:
+        faults = minor_faults()
         fine = self._fine_grained(ctx)
         codec_lane = self._codec_lane(ctx.config, fine)
         # Negotiate the shard plane before building the graph: the task
@@ -249,9 +251,11 @@ class AsyncExecutor(Executor):
         finally:
             if lane_pool is not None:
                 lane_pool.shutdown()
+        if faults is not None:
+            faults = minor_faults() - faults
         self._record_stage_spans(schedule)
         result.kernels.extend(
-            self._assemble(ctx, schedule, artifact_tasks, route)
+            self._assemble(ctx, schedule, artifact_tasks, route, faults)
         )
 
     @staticmethod
@@ -687,14 +691,17 @@ class AsyncExecutor(Executor):
         schedule: ScheduleResult,
         artifact_tasks: Dict[str, str],
         route: _CodecRoute,
+        faults: Optional[int],
     ) -> List[KernelResult]:
         """Turn the schedule into per-kernel results in plan order.
 
         Per-kernel ``seconds`` is the stage's busy time (its tasks'
         summed durations, plus any interior lane time Kernel 2 reports),
         keeping throughput comparable to serial.  The pipeline-level
-        overlap summary — wall-clock, total busy, and the wall-clock the
-        overlap recovered — lands in the final stage's details.
+        overlap summary — wall-clock, total busy, the wall-clock the
+        overlap recovered, and the run's minor page faults (stages
+        overlap, so faults are not attributable to one) — lands in the
+        final stage's details.
         """
         config = ctx.config
         group_busy = schedule.group_busy_seconds()
@@ -745,6 +752,8 @@ class AsyncExecutor(Executor):
             if stage is last:
                 details["overlap_saved_s"] = overlap_saved
                 details["pipeline_wall_seconds"] = schedule.wall_seconds
+                if faults is not None:
+                    details["minor_faults"] = faults
                 details["pipeline_busy_seconds"] = total_busy
                 details["stage_busy_seconds"] = dict(stage_busy)
                 details["verification_seconds"] = verification_seconds

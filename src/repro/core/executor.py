@@ -20,7 +20,8 @@ One :class:`~repro.core.stages.ExecutionPlan` — four ways to run it:
   to avoid a module cycle).
 
 The base class owns everything strategy-independent: scratch-directory
-lifecycle, per-stage wall-clock timing, artifact-cache routing for
+lifecycle, per-stage wall-clock timing and minor-fault counts
+(``details["minor_faults"]``), artifact-cache routing for
 Kernels 0/1 (and the Kernel 2 CSR spill), contract enforcement (outside
 timed regions), throughput attribution, and the optional eigenvector
 validation.  A subclass only decides *how* each stage's kernel is
@@ -39,6 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro._util import StopWatch
+from repro._util.heap import minor_faults
 from repro.core import trace
 from repro.backends.base import AdjacencyHandle, Backend, Details
 from repro.backends.registry import get_backend
@@ -169,9 +171,15 @@ class Executor:
         """
         for stage in self.plan.stages:
             with trace.span(f"stage:{stage.kernel.value}", cat="stage") as sp:
+                faults = minor_faults()
                 watch = StopWatch().start()
                 output, details = self._run_stage(stage, ctx)
                 seconds = watch.stop()
+                if faults is not None:
+                    # Pages first touched inside the stage (see
+                    # repro._util.heap); this process's only — process
+                    # ranks fault in their own.
+                    details["minor_faults"] = minor_faults() - faults
                 # A strategy that cannot be timed from outside (the
                 # shard-parallel K2/K3 phases run fused inside one
                 # per-rank program) reports its own clock instead.

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro._util.heap import keep_heap
 from repro.backends.base import Backend
 from repro.core.config import PipelineConfig
 from repro.core.executor import get_executor
@@ -64,5 +65,11 @@ def run_pipeline(
     >>> res.kernel(KernelName.K3_PAGERANK).edges_processed
     20480
     """
+    # First, before any kernel allocates: the allocator policy every
+    # run is measured under (repro._util.heap), reported with the last
+    # stage (Kernel 3; a plan has at least one stage).
+    heap_policy = keep_heap()
     executor = get_executor(config.execution, plan)
-    return executor.execute(config, backend, verify=verify)
+    result = executor.execute(config, backend, verify=verify)
+    result.kernels[-1].details["heap_policy"] = heap_policy
+    return result

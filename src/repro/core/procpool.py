@@ -35,6 +35,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro._util.heap import keep_heap
 from repro.core import trace
 
 #: An op table: name -> ``fn(payload)``.  The functions must be
@@ -86,6 +87,9 @@ def serve(conn, ops: OpTable, warm: Sequence[str], name: str) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
+    # Lane ops and service jobs allocate like the kernels they run: the
+    # same heap policy as run_pipeline, set before any op allocates.
+    keep_heap()
     # Warm the ops' import graph before serving: a fresh interpreter
     # would otherwise pay it inside the first op, whose time the caller
     # attributes to that op.  The start-up ping blocks until this is done.

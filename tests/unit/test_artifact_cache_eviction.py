@@ -10,8 +10,10 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core.artifacts import (
+    LAYOUT_VERSIONS,
     ArtifactCache,
     cache_key,
+    k0_cache_fields,
     k1_cache_fields,
     k2_cache_fields,
 )
@@ -200,6 +202,54 @@ class TestK2CacheFields:
         assert (cache_key(k2_cache_fields(base))
                 != cache_key(k2_cache_fields(base.with_overrides(
                     sort_by_end_vertex=True))))
+
+
+class TestLayoutVersions:
+    FIELDS = {"k0": k0_cache_fields, "k1": k1_cache_fields,
+              "k2": k2_cache_fields}
+
+    def test_a_bump_moves_only_its_own_kinds_key(self, monkeypatch):
+        config = PipelineConfig(scale=6)
+
+        def keys():
+            return {kind: cache_key(fields(config))
+                    for kind, fields in self.FIELDS.items()}
+
+        before = keys()
+        for kind in LAYOUT_VERSIONS:
+            with monkeypatch.context() as patch:
+                patch.setitem(LAYOUT_VERSIONS, kind, LAYOUT_VERSIONS[kind] + 1)
+                after = keys()
+            assert {k for k in after if after[k] != before[k]} == {kind}
+
+    def test_entry_of_another_layout_is_a_miss_not_a_misread(
+            self, tmp_path, monkeypatch):
+        config = PipelineConfig(scale=7, seed=4, backend="scipy",
+                                cache_dir=tmp_path / "c")
+        right = run_pipeline(config)
+        cache = ArtifactCache(config.cache_dir)
+        fields = k2_cache_fields(config, variant="backend-serial")
+        matrix, meta = cache.load_csr("k2", fields)
+        assert matrix.format == "csc"
+        cache.remove(cache_key(fields), kind="k2")
+        # The same config's entry as a program with the older layout
+        # wrote it: these arrays read as CSR, i.e. the transpose.
+        older = dict(fields, layout=fields["layout"] - 1)
+        cache.store_csr("k2", older, sp.csr_matrix(
+            (matrix.data, matrix.indices, matrix.indptr),
+            shape=matrix.shape), meta)
+
+        again = run_pipeline(config)
+        assert (again.kernel(KernelName.K2_FILTER)
+                .details["artifact_cache"] == "miss")
+        np.testing.assert_array_equal(again.rank, right.rank)
+        # What the version prevents: under one key that entry reads back
+        # without an error, as a wrong rank.
+        monkeypatch.setitem(LAYOUT_VERSIONS, "k2", older["layout"])
+        misread = run_pipeline(config)
+        assert (misread.kernel(KernelName.K2_FILTER)
+                .details["artifact_cache"] == "hit")
+        assert not np.array_equal(misread.rank, right.rank)
 
 
 class TestK2WarmRuns:

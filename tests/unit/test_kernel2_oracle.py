@@ -154,14 +154,17 @@ class TestKernel3OnTheCscHandle:
             assert np.shares_memory(getattr(at, name),
                                     getattr(handle.matrix, name))
 
-    @pytest.mark.parametrize("backend", ["scipy", "numpy"])
+    @pytest.mark.parametrize("backend",
+                             ["scipy", "numpy", "graphblas", "python"])
     def test_phases_account_for_the_kernel(self, tmp_path, backend):
         # Scale 14, not 12: the fixed ~0.1 ms of seeding the initial rank
-        # is a tenth of scale 12's whole iterate phase.
-        config = PipelineConfig(scale=14, seed=1)
+        # is a tenth of scale 12's whole iterate phase.  The interpreted
+        # loops of the python backend iterate for long enough at 10.
+        scale = 10 if backend == "python" else 14
+        config = PipelineConfig(scale=scale, seed=1)
         impl = get_backend(backend)
-        u, v = kronecker_edges(14, 16, seed=1)
-        handle, _ = impl.kernel2(config, _dataset(tmp_path, u, v, 2**14))
+        u, v = kronecker_edges(scale, 16, seed=1)
+        handle, _ = impl.kernel2(config, _dataset(tmp_path, u, v, 2**scale))
         impl.kernel3(config, handle)  # warm-up
 
         def timed():
@@ -208,6 +211,9 @@ class TestCacheHitHandsKernel3TheLoadedArrays:
         assert loaded[0] is None
         matrix, _ = loaded[1]
         assert matrix.format == "csc"
+        # scipy narrows both index arrays when N < 2**31, built or loaded.
+        assert {str(getattr(op.matrix, name).dtype) for op in operands
+                for name in ("indices", "indptr")} == {"int32"}
         for name in ("data", "indices", "indptr"):
             assert np.shares_memory(getattr(operands[1].matrix, name),
                                     getattr(matrix, name))
