@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.edgeio import EdgeDataset
 from repro.generators import kronecker_edges
-from repro.sort import ExternalSortConfig, external_sort_dataset, numpy_sort_edges
+from repro.sort import ExternalSortConfig, external_sort_dataset, sort_edges
 
 
 def main() -> int:
@@ -71,7 +71,7 @@ def main() -> int:
 
         t0 = time.perf_counter()
         mu, mv = dataset.read_all()
-        numpy_sort_edges(mu, mv)
+        sort_edges(mu, mv)
         in_memory_seconds = time.perf_counter() - t0
         print(f"  in-memory path: {in_memory_seconds:.2f}s "
               f"({num_edges / in_memory_seconds:,.0f} edges/s)")

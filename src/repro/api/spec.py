@@ -44,7 +44,7 @@ from repro.core.config import (
 )
 
 #: The one serialisation version :meth:`RunSpec.from_dict` reads.
-SPEC_VERSION = 6
+SPEC_VERSION = 7
 
 #: How a run may interact with the environment's artifact cache.
 CACHE_POLICIES = ("shared", "off")
@@ -105,7 +105,6 @@ class RunSpec:
     iterations: int = DEFAULT_ITERATIONS
     vertex_base: int = 0
     file_format: str = "tsv"
-    sort_algorithm: str = "numpy"
     sort_by_end_vertex: bool = False
     external_sort: bool = False
     formula: str = "appendix"
@@ -166,7 +165,6 @@ class RunSpec:
         return PipelineConfig(
             **{name: getattr(self, name) for name in SHARED_FIELDS},
             data_dir=Path(self.data_dir) if self.data_dir else None,
-            keep_files=self.data_dir is not None,
             validate=self.validation in ("full", "validate-only"),
             cache_dir=(
                 cache_dir

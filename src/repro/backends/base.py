@@ -38,8 +38,8 @@ from repro.core.config import PipelineConfig
 from repro.edgeio.dataset import EdgeDataset, write_shards
 from repro.edgeio.manifest import ShardInfo
 from repro.generators.registry import get_generator
-from repro.sort.external import ExternalSortConfig, external_sort_dataset
-from repro.sort.inmemory import sort_edges as sort_edge_arrays
+from repro.sort.external import external_sort_dataset
+from repro.sort.inmemory import sort_edges as sort_edge_arrays, sorted_by
 
 #: Free-form kernel metrics.
 Details = Dict[str, object]
@@ -119,13 +119,7 @@ class Backend(abc.ABC):
         self, config: PipelineConfig, u: np.ndarray, v: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Kernel 1's in-memory sort of ``(u, v)`` by start vertex."""
-        return sort_edge_arrays(
-            u,
-            v,
-            algorithm=config.sort_algorithm,
-            num_vertices=config.num_vertices,
-            by_end_vertex=config.sort_by_end_vertex,
-        )
+        return sort_edge_arrays(u, v, by_end_vertex=config.sort_by_end_vertex)
 
     # ------------------------------------------------------------------
     # Kernel 0 — Generate
@@ -167,7 +161,6 @@ class Backend(abc.ABC):
                 dataset = external_sort_dataset(
                     source,
                     out_dir,
-                    config=ExternalSortConfig(algorithm=config.sort_algorithm),
                     num_shards=config.num_files,
                     by_end_vertex=config.sort_by_end_vertex,
                 )
@@ -347,6 +340,11 @@ def publish_kernel0(
     return dataset, details
 
 
+def kernel1_manifest(config: PipelineConfig) -> Dict[str, object]:
+    """The manifest fields of a Kernel 1 dataset: its kernel and order."""
+    return {"kernel": "k1", "sorted_by": sorted_by(config.sort_by_end_vertex)}
+
+
 def publish_kernel1(
     backend: Backend,
     config: PipelineConfig,
@@ -355,15 +353,13 @@ def publish_kernel1(
 ) -> KernelOutput[EdgeDataset]:
     """Kernel 1's last step: the sorted dataset over its written shards.
 
-    ``algorithm`` names what actually sorted: the configured algorithm
-    unless the backend replaced :meth:`Backend.sort_edges`.
+    ``algorithm`` names what actually sorted: ``numpy`` (the one
+    in-memory sort) unless the backend replaced :meth:`Backend.sort_edges`.
     """
-    dataset = _publish(
-        config, out_dir, shards, {"kernel": "k1", "sorted_by": "u"}
-    )
+    dataset = _publish(config, out_dir, shards, kernel1_manifest(config))
     own_sort = type(backend).sort_edges is not Backend.sort_edges
     details: Details = {
-        "algorithm": f"{backend.name}-sort" if own_sort else config.sort_algorithm,
+        "algorithm": f"{backend.name}-sort" if own_sort else "numpy",
         "num_shards": dataset.num_shards,
     }
     return dataset, details

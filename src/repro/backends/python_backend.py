@@ -25,7 +25,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro._util import Timings
-from repro.backends.base import AdjacencyHandle, Backend, Details, KernelOutput
+from repro.backends.base import (
+    AdjacencyHandle,
+    Backend,
+    Details,
+    KernelOutput,
+    kernel1_manifest,
+)
 from repro.core.config import PipelineConfig
 from repro.edgeio.dataset import (
     EdgeDataset,
@@ -197,7 +203,7 @@ class PythonBackend(Backend):
                 edges.sort(key=lambda e: e[0])
         with timings.measure("write"):
             dataset = self._write_dataset(
-                out_dir, edges, config, extra={"kernel": "k1", "sorted_by": "u"}
+                out_dir, edges, config, extra=kernel1_manifest(config)
             )
         details: Details = {
             "phases": timings.as_dict(),

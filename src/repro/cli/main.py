@@ -107,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
               help="shard count for kernel 0/1 output files")
     spec_flag("--iterations", type=int)
     spec_flag("--damping", type=float)
-    spec_flag("--sort-algorithm", choices=["numpy", "counting", "radix"])
     spec_flag("--external-sort", action="store_true",
               help="force the out-of-core sort path in kernel 1")
     spec_flag("--file-format")

@@ -13,7 +13,6 @@ principles.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -86,16 +85,17 @@ class PipelineConfig:
     iterations:
         Fixed PageRank iteration count.
     data_dir:
-        Directory for kernel files; ``None`` means a temporary directory
-        cleaned up after the run.
+        Directory for kernel files, kept after the run; ``None`` means a
+        temporary directory, always removed after the run (on success
+        or failure).
     vertex_base:
         On-disk vertex label base (0, or 1 for Matlab convention).
     file_format:
         ``"tsv"`` (paper) or ``"npy"`` (binary ablation).
-    sort_algorithm:
-        In-memory sort used by Kernel 1 (``numpy``/``counting``/``radix``).
     sort_by_end_vertex:
-        Also order ties by end vertex (paper's open question).
+        Also order ties by end vertex (paper's open question).  Kernel 1
+        has one in-memory sort, :func:`repro.sort.inmemory.sort_edges`
+        (stable), which the out-of-core path also forms its runs with.
     external_sort:
         Force the out-of-core sort path in Kernel 1 regardless of size.
     formula:
@@ -104,8 +104,6 @@ class PipelineConfig:
         documentation of the divergence).
     validate:
         Run the eigenvector cross-check after Kernel 3 (small scales).
-    keep_files:
-        Keep kernel files after the run even in a temp dir.
     execution:
         Execution strategy: ``"serial"`` (in-memory, the default),
         ``"streaming"`` (out-of-core Kernel 2), ``"parallel"``
@@ -159,12 +157,10 @@ class PipelineConfig:
     data_dir: Optional[Path] = None
     vertex_base: int = 0
     file_format: str = "tsv"
-    sort_algorithm: str = "numpy"
     sort_by_end_vertex: bool = False
     external_sort: bool = False
     formula: str = "appendix"
     validate: bool = False
-    keep_files: bool = False
     execution: str = "serial"
     cache_dir: Optional[Path] = None
     parallel_ranks: int = DEFAULT_PARALLEL_RANKS
@@ -225,19 +221,6 @@ class PipelineConfig:
             if doc[key] is not None:
                 doc[key] = str(doc[key])
         return doc
-
-    def to_json(self) -> str:
-        """Stable JSON encoding."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, object]) -> "PipelineConfig":
-        """Inverse of :meth:`to_dict`."""
-        doc = dict(doc)
-        for key in ("data_dir", "cache_dir"):
-            if doc.get(key):
-                doc[key] = Path(str(doc[key]))
-        return cls(**doc)  # type: ignore[arg-type]
 
     def with_overrides(self, **changes: object) -> "PipelineConfig":
         """Functional update (delegates to ``dataclasses.replace``)."""

@@ -141,7 +141,7 @@ class Executor:
             return result
         finally:
             ctx.release_locks()
-            if own_dir and not config.keep_files:
+            if own_dir:
                 shutil.rmtree(base_dir, ignore_errors=True)
 
     def _resolve_backend(

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.config import KernelName, PipelineConfig
 from repro.core.exceptions import KernelContractError
-from repro.sort.inmemory import is_sorted_by_start
+from repro.sort.inmemory import is_sorted_by_pair, is_sorted_by_start
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.backends.base import Backend
@@ -128,7 +128,8 @@ class GenerateContract(Contract):
 
 
 class SortContract(Contract):
-    """K1: edge count preserved; output sorted by start vertex."""
+    """K1: edge count preserved; output sorted by start vertex, or by
+    ``(u, v)`` when the config sets ``sort_by_end_vertex``."""
 
     name = "k1-sorted"
 
@@ -140,20 +141,24 @@ class SortContract(Contract):
                 f"Kernel 1 changed the edge count: {source.num_edges} -> "
                 f"{output.num_edges}"
             )
+        by_pair = ctx.config.sort_by_end_vertex
+        key = "(u, v)" if by_pair else "start vertex"
+        width = 2 if by_pair else 1  # how much of (u, v) the order compares
         previous_last = None
-        for u, _ in output.iter_shards():
+        for u, v in output.iter_shards():
             if len(u) == 0:
                 continue
-            if not is_sorted_by_start(u):
+            if not (is_sorted_by_pair(u, v) if by_pair else is_sorted_by_start(u)):
                 raise KernelContractError(
-                    "Kernel 1 output is not sorted by start vertex within "
-                    "a shard"
+                    f"Kernel 1 output is not sorted by {key} within a shard"
                 )
-            if previous_last is not None and u[0] < previous_last:
+            first = (int(u[0]), int(v[0]))[:width]
+            if previous_last is not None and first < previous_last:
                 raise KernelContractError(
-                    "Kernel 1 output is not sorted across shard boundaries"
+                    f"Kernel 1 output is not sorted by {key} across shard "
+                    f"boundaries"
                 )
-            previous_last = int(u[-1])
+            previous_last = (int(u[-1]), int(v[-1]))[:width]
 
 
 class FilterContract(Contract):

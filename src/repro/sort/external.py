@@ -21,7 +21,6 @@ regardless of dataset size.
 from __future__ import annotations
 
 import contextlib
-import heapq
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ import numpy as np
 from repro._util import check_positive_int
 from repro.core.shmplane import mapped_view
 from repro.edgeio.dataset import EdgeDataset
-from repro.sort.inmemory import sort_edges
+from repro.sort.inmemory import sort_edges, sorted_by
 
 
 @dataclass(frozen=True)
@@ -48,9 +47,6 @@ class ExternalSortConfig:
         Maximum runs merged simultaneously (phase 2 width).
     merge_block_edges:
         Edges read per run per refill during merging.
-    algorithm:
-        In-memory sort used for run generation (see
-        :func:`repro.sort.inmemory.sort_edges`).
     tmp_dir:
         Spill directory; defaults to a fresh ``tempfile.mkdtemp``.
     """
@@ -58,7 +54,6 @@ class ExternalSortConfig:
     batch_edges: int = 1 << 18
     fan_in: int = 16
     merge_block_edges: int = 1 << 15
-    algorithm: str = "numpy"
     tmp_dir: Optional[Path] = None
 
     def __post_init__(self) -> None:
@@ -278,13 +273,7 @@ def external_sort_dataset(
     try:
         # ---- Phase 1: run generation --------------------------------
         for u, v in dataset.iter_batches(config.batch_edges):
-            su, sv = sort_edges(
-                u,
-                v,
-                algorithm=config.algorithm,
-                num_vertices=dataset.num_vertices,
-                by_end_vertex=by_end_vertex,
-            )
+            su, sv = sort_edges(u, v, by_end_vertex=by_end_vertex)
             writer = _RunWriter(tmp_dir / f"run-{run_counter:06d}.bin")
             writer.append(su, sv)
             runs.append(writer.close())
@@ -317,7 +306,7 @@ def external_sort_dataset(
             vertex_base=dataset.manifest.vertex_base,
             fmt=dataset.fmt,
             edges_per_shard=edges_per_shard,
-            extra={"sorted_by": "(u,v)" if by_end_vertex else "u",
+            extra={"sorted_by": sorted_by(by_end_vertex),
                    "source": str(dataset.directory)},
         ) as writer:
             if runs:
@@ -333,33 +322,3 @@ def external_sort_dataset(
             run.delete()
         if own_tmp:
             shutil.rmtree(tmp_dir, ignore_errors=True)
-
-
-def merge_sorted_arrays(
-    arrays: List[Tuple[np.ndarray, np.ndarray]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge already-sorted in-memory edge arrays into one sorted pair.
-
-    A convenience for tests and the parallel substrate (merging per-rank
-    sorted partitions).  Uses a heap over array heads — O(M log k).
-    """
-    for u, _ in arrays:
-        if len(u) >= 2 and np.any(u[1:] < u[:-1]):
-            raise ValueError("merge_sorted_arrays requires sorted inputs")
-    total = sum(len(u) for u, _ in arrays)
-    out_u = np.empty(total, dtype=np.int64)
-    out_v = np.empty(total, dtype=np.int64)
-    heap: List[Tuple[int, int, int]] = []
-    for idx, (u, _) in enumerate(arrays):
-        if len(u):
-            heapq.heappush(heap, (int(u[0]), idx, 0))
-    pos = 0
-    while heap:
-        key, idx, offset = heapq.heappop(heap)
-        u, v = arrays[idx]
-        out_u[pos] = key
-        out_v[pos] = v[offset]
-        pos += 1
-        if offset + 1 < len(u):
-            heapq.heappush(heap, (int(u[offset + 1]), idx, offset + 1))
-    return out_u, out_v

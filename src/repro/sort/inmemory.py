@@ -1,19 +1,9 @@
 """In-memory edge sorts.
 
-Three interchangeable algorithms, all returning new ``(u, v)`` arrays
-ordered by start vertex:
-
-* :func:`numpy_sort_edges` — numpy ``argsort``; the general-purpose
-  baseline.  Its stable sort is keyed on 16-bit digits of ``u`` (see
-  :func:`_stable_order`), which numpy sorts by radix.
-* :func:`counting_sort_edges` — O(M + N) counting sort exploiting the
-  bounded key range ``u < N``; the natural choice for Kernel 1 since the
-  benchmark fixes ``N = 2**scale`` and ``M = 16N``.
-* :func:`radix_sort_edges` — LSD radix sort over fixed-width digits;
-  O(M · ceil(bits/digit)) with no comparison, included as the classic
-  HPC distribution sort and exercised by the sort ablation bench.
-
-:func:`sort_edges` dispatches by algorithm name.
+:func:`sort_edges` is Kernel 1's one in-memory sort: a stable sort of
+``(u, v)`` by start vertex, keyed on 16-bit digits of ``u`` (see
+:func:`_stable_order`), which numpy sorts by radix; with
+``by_end_vertex`` it orders by ``(u, v)`` instead.
 
 :func:`pair_order` is the one ``(u, v)`` lexicographic ordering every
 kernel uses (``np.lexsort((v, u))``, by radix), and
@@ -27,11 +17,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro._util import check_positive_int, check_same_length
+from repro._util import check_same_length
 
 EdgePair = Tuple[np.ndarray, np.ndarray]
 
-_ALGORITHMS = ("numpy", "counting", "radix")
+
+def sorted_by(by_end_vertex: bool) -> str:
+    """The ``sorted_by`` a Kernel 1 dataset's manifest records."""
+    return "(u,v)" if by_end_vertex else "u"
 
 
 def is_sorted_by_start(u: np.ndarray) -> bool:
@@ -39,6 +32,14 @@ def is_sorted_by_start(u: np.ndarray) -> bool:
     if len(u) < 2:
         return True
     return bool(np.all(u[1:] >= u[:-1]))
+
+
+def is_sorted_by_pair(u: np.ndarray, v: np.ndarray) -> bool:
+    """True when the pairs ``(u, v)`` are in lexicographic order."""
+    if len(u) < 2:
+        return True
+    head, tail = u[:-1], u[1:]
+    return bool(np.all((tail > head) | ((tail == head) & (v[1:] >= v[:-1]))))
 
 
 def _radix_top(keys: np.ndarray) -> Optional[int]:
@@ -150,198 +151,38 @@ def collapse_duplicates(
     return keys.view(u.dtype) if same_width else keys.astype(u.dtype), cols, counts
 
 
-def numpy_sort_edges(
+def sort_edges(
     u: np.ndarray,
     v: np.ndarray,
     *,
     by_end_vertex: bool = False,
-    stable: bool = True,
+    algorithm: str = "numpy",
+    num_vertices: int = 0,
 ) -> EdgePair:
-    """Sort edges by ``u`` using numpy's ``argsort``.
+    """Kernel 1's in-memory sort: the edges ordered by start vertex.
+
+    The sort is stable — edges with equal ``u`` keep their input order —
+    so it equals indexing by ``np.argsort(u, kind="stable")``.
 
     Parameters
     ----------
     u, v:
         Edge arrays.
     by_end_vertex:
-        Also order ties by ``v`` (lexicographic ``(u, v)`` sort) — the
-        paper's "should the end vertices also be sorted?" option.
-    stable:
-        Preserve input order among equal keys.  Ignored when
-        ``by_end_vertex`` is set (the secondary key defines tie order).
-    """
-    check_same_length("u", u, "v", v)
-    if by_end_vertex:
-        order = pair_order(u, v)
-    elif stable:
-        order = _stable_order(u)
-    else:
-        order = np.argsort(u)
-    return u[order], v[order]
-
-
-def counting_sort_edges(
-    u: np.ndarray,
-    v: np.ndarray,
-    *,
-    num_vertices: int,
-    by_end_vertex: bool = False,
-) -> EdgePair:
-    """Counting sort by start vertex: O(M + N), always stable.
-
-    Builds the output offsets from a histogram of ``u`` (exactly the
-    CSR row-pointer construction), then scatters edges to their slots.
-
-    Parameters
-    ----------
-    num_vertices:
-        Exclusive upper bound on vertex labels (the histogram length).
-    by_end_vertex:
-        Apply a second counting pass on ``v`` first so the final order
-        is lexicographic ``(u, v)``; stability of the second pass makes
-        this a classic LSD two-pass sort.
-    """
-    check_same_length("u", u, "v", v)
-    check_positive_int("num_vertices", num_vertices)
-    if len(u) and (u.min() < 0 or u.max() >= num_vertices):
-        raise ValueError(
-            f"u labels outside [0, {num_vertices}): min={u.min()}, max={u.max()}"
-        )
-
-    if by_end_vertex:
-        u, v = counting_sort_edges(v, u, num_vertices=num_vertices)[::-1]
-        # After sorting by v (stable), sort by u (stable) => (u, v) order.
-
-    counts = np.bincount(u, minlength=num_vertices)
-    offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    position = offsets[u].copy()
-    # Stable scatter: edges with equal u are placed in input order by
-    # bumping each key's cursor as we assign.  Vectorised via argsort of
-    # the (already computed) destination start plus per-key sequence no.
-    seq = _per_key_sequence(u, num_vertices)
-    dest = position + seq
-    out_u = np.empty_like(u)
-    out_v = np.empty_like(v)
-    out_u[dest] = u
-    out_v[dest] = v
-    return out_u, out_v
-
-
-def _per_key_sequence(keys: np.ndarray, num_keys: int) -> np.ndarray:
-    """For each element, its 0-based occurrence index among equal keys.
-
-    E.g. ``[3, 1, 3, 3, 1] -> [0, 0, 1, 2, 1]``.  Vectorised with a
-    stable argsort + segmented arange.
-    """
-    m = len(keys)
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    # Position within each equal-key run of the sorted array.
-    run_start = np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
-    run_ids = np.cumsum(run_start) - 1
-    first_index_of_run = np.flatnonzero(run_start)
-    within_run = np.arange(m, dtype=np.int64) - first_index_of_run[run_ids]
-    seq = np.empty(m, dtype=np.int64)
-    seq[order] = within_run
-    return seq
-
-
-def radix_sort_edges(
-    u: np.ndarray,
-    v: np.ndarray,
-    *,
-    digit_bits: int = 11,
-    by_end_vertex: bool = False,
-) -> EdgePair:
-    """LSD radix sort by start vertex over ``digit_bits``-wide digits.
-
-    Only the digits needed to cover ``max(u)`` are processed, so cost
-    adapts to the actual key width.  Each pass is a stable counting sort
-    on one digit, implemented with ``bincount`` + prefix sums.
-
-    Parameters
-    ----------
-    digit_bits:
-        Width of each radix digit (default 2**11 buckets per pass —
-        a good cache/bucket-count balance for int64 keys).
-    by_end_vertex:
-        Sort lexicographically by ``(u, v)`` by radix-sorting ``v``
-        first (LSD composition of stable passes).
-    """
-    check_same_length("u", u, "v", v)
-    check_positive_int("digit_bits", digit_bits)
-    if digit_bits > 24:
-        raise ValueError(f"digit_bits too large ({digit_bits}); max 24")
-    if len(u) == 0:
-        return u.copy(), v.copy()
-    if u.min() < 0:
-        raise ValueError("radix sort requires non-negative keys")
-
-    if by_end_vertex:
-        v, u = radix_sort_edges(v, u, digit_bits=digit_bits)
-        # Stable u-passes below preserve the v order among equal u.
-
-    mask = (1 << digit_bits) - 1
-    max_key = int(u.max())
-    shift = 0
-    out_u = u.copy()
-    out_v = v.copy()
-    while (max_key >> shift) > 0 or shift == 0:
-        digits = (out_u >> shift) & mask
-        counts = np.bincount(digits, minlength=mask + 1)
-        offsets = np.zeros(mask + 2, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        seq = _per_key_sequence(digits, mask + 1)
-        dest = offsets[digits] + seq
-        next_u = np.empty_like(out_u)
-        next_v = np.empty_like(out_v)
-        next_u[dest] = out_u
-        next_v[dest] = out_v
-        out_u, out_v = next_u, next_v
-        shift += digit_bits
-        if shift >= 63:
-            break
-    return out_u, out_v
-
-
-def sort_edges(
-    u: np.ndarray,
-    v: np.ndarray,
-    *,
-    algorithm: str = "numpy",
-    num_vertices: int = 0,
-    by_end_vertex: bool = False,
-) -> EdgePair:
-    """Dispatch to a named in-memory sort.
-
-    Parameters
-    ----------
+        Also order ties by ``v``: the lexicographic ``(u, v)`` order of
+        :func:`pair_order`, the paper's "should the end vertices also be
+        sorted?" option.
     algorithm:
-        ``"numpy"``, ``"counting"``, or ``"radix"``.
+        Kept for callers that still name the sort: ``"numpy"`` is the
+        only accepted value; any other raises :class:`ValueError`.
     num_vertices:
-        Required by the counting sort (histogram length).
-    by_end_vertex:
-        Lexicographic ``(u, v)`` ordering.
-
-    Raises
-    ------
-    ValueError
-        For unknown algorithm names, or counting sort without
-        ``num_vertices``.
+        Kept for the same callers; ignored.
     """
-    if algorithm == "numpy":
-        return numpy_sort_edges(u, v, by_end_vertex=by_end_vertex)
-    if algorithm == "counting":
-        if num_vertices <= 0:
-            raise ValueError("counting sort requires num_vertices > 0")
-        return counting_sort_edges(
-            u, v, num_vertices=num_vertices, by_end_vertex=by_end_vertex
+    if algorithm != "numpy":
+        raise ValueError(
+            f"unknown sort algorithm {algorithm!r}; the one in-memory sort "
+            f"is 'numpy'"
         )
-    if algorithm == "radix":
-        return radix_sort_edges(u, v, by_end_vertex=by_end_vertex)
-    raise ValueError(
-        f"unknown sort algorithm {algorithm!r}; expected one of {_ALGORITHMS}"
-    )
+    check_same_length("u", u, "v", v)
+    order = pair_order(u, v) if by_end_vertex else _stable_order(u)
+    return u[order], v[order]

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.backends.scipy_backend import ScipyBackend
 from repro.edgeio.dataset import EdgeDataset
+from repro.sort.inmemory import sort_edges
 
 
 class BrokenK0(ScipyBackend):
@@ -46,6 +47,15 @@ class UnsortedK1(ScipyBackend):
         return dataset, {}
 
 
+class StartOnlyK1(ScipyBackend):
+    """Sorts by start vertex only, ignoring ``sort_by_end_vertex``."""
+
+    name = "start-only-k1"
+
+    def sort_edges(self, config, u, v):
+        return sort_edges(u, v)
+
+
 class LossyK2(ScipyBackend):
     """Drops edges before counting, breaking sum(A) == M."""
 
@@ -55,6 +65,15 @@ class LossyK2(ScipyBackend):
         handle, details = super().kernel2(config, source)
         handle._pre_filter_total -= 3.0  # simulate lost edges
         return handle, details
+
+
+class FailingK2(ScipyBackend):
+    """Raises inside Kernel 2."""
+
+    name = "failing-k2"
+
+    def kernel2(self, config, source):
+        raise RuntimeError("kernel 2 failed")
 
 
 class NaNK3(ScipyBackend):

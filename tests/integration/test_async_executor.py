@@ -273,7 +273,7 @@ class TestBackendOwnsKernels:
         monkeypatch.setattr(DataframeBackend, "sort_edges", spy)
         runs = {}
         for execution in ("serial", "async"):
-            config = _config("dataframe", execution, keep_files=True,
+            config = _config("dataframe", execution,
                              data_dir=tmp_path / execution)
             runs[execution] = run_pipeline(config)
         assert calls == [config.num_edges] * 2
@@ -392,12 +392,9 @@ class TestProcessLanes:
         # on-disk artifacts must not depend on where encoding ran.
         thread_dir = tmp_path / "thread"
         process_dir = tmp_path / "process"
+        run_pipeline(_config("scipy", "async", data_dir=thread_dir))
         run_pipeline(_config(
-            "scipy", "async", data_dir=thread_dir, keep_files=True,
-        ))
-        run_pipeline(_config(
-            "scipy", "async", async_lanes="process",
-            data_dir=process_dir, keep_files=True,
+            "scipy", "async", async_lanes="process", data_dir=process_dir,
         ))
         for kernel_dir in ("k0", "k1"):
             thread_shards = sorted(

@@ -110,6 +110,60 @@ class TestContractParityAcrossExecutors:
             # either way the violation surfaces loudly.
             run_pipeline(config, backend=UnsortedK1())
 
+    @pytest.mark.parametrize("execution", available_executions())
+    def test_k1_end_vertex_order_checked(self, execution):
+        from broken_backends import StartOnlyK1
+
+        config = _config("scipy", execution, scale=6)
+        # Sorted by u alone is all the default order asks for ...
+        run_pipeline(config, backend=StartOnlyK1())
+        # ... but not when the config asks for (u, v).
+        with pytest.raises(KernelContractError, match=r"sorted by \(u, v\)"):
+            run_pipeline(config.with_overrides(sort_by_end_vertex=True),
+                         backend=StartOnlyK1())
+
+
+class TestSortByEndVertex:
+    """Every Kernel 1 path honours ``sort_by_end_vertex``: it writes its
+    Kernel 0 edges in ``(u, v)`` order and says so in its manifest."""
+
+    PATHS = {
+        "serial": {},
+        "async": {"execution": "async"},
+        "external_sort": {"external_sort": True},
+        "dataframe": {"backend": "dataframe"},
+        "python": {"backend": "python"},
+    }
+    #: The paths whose Kernels 2 and 3 are the scipy serial arithmetic
+    #: or the CSR assembly it is bit-identical to.
+    SAME_RANK_BITS = ("serial", "async", "external_sort")
+
+    def test_every_path_writes_and_records_pair_order(self, tmp_path):
+        from repro.api import execute_spec
+        from repro.edgeio.dataset import EdgeDataset
+
+        outcomes = {}
+        for name, changes in self.PATHS.items():
+            spec = RunSpec(scale=6, seed=1, num_files=2,
+                           sort_by_end_vertex=True,
+                           data_dir=str(tmp_path / name), **changes)
+            outcomes[name] = execute_spec(spec)
+            k1 = EdgeDataset.open(tmp_path / name / "k1")
+            assert k1.manifest.extra["sorted_by"] == "(u,v)", name
+            # The python backend draws its own edges; each path must
+            # write its own Kernel 0 output in lexsort order.
+            u, v = EdgeDataset.open(tmp_path / name / "k0").read_all()
+            order = np.lexsort((v, u))
+            sorted_u, sorted_v = k1.read_all()
+            np.testing.assert_array_equal(sorted_u, u[order], err_msg=name)
+            np.testing.assert_array_equal(sorted_v, v[order], err_msg=name)
+        digests = {outcomes[name].rank_digest for name in self.SAME_RANK_BITS}
+        assert len(digests) == 1
+        # The pair order reaches the same rank as the default order.
+        default = execute_spec(RunSpec(scale=6, seed=1, num_files=2))
+        np.testing.assert_allclose(outcomes["serial"].rank, default.rank,
+                                   rtol=1e-12, atol=1e-15)
+
 
 class TestCapabilityGating:
     @pytest.mark.parametrize("execution", ["streaming", "async"])

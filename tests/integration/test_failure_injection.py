@@ -122,8 +122,7 @@ class TestBadWorkspace:
         target = tmp_path / "readonly"
         target.mkdir()
         target.chmod(0o500)
-        config = PipelineConfig(scale=6, seed=1, data_dir=target,
-                                keep_files=True)
+        config = PipelineConfig(scale=6, seed=1, data_dir=target)
         try:
             with pytest.raises(PermissionError):
                 run_pipeline(config)

@@ -22,7 +22,7 @@ from repro.pagerank.variants import (
     pagerank_strongly_preferential,
     pagerank_weakly_preferential,
 )
-from repro.sort.inmemory import numpy_sort_edges
+from repro.sort.inmemory import sort_edges
 
 
 def _normalised_matrix(g):
@@ -93,7 +93,7 @@ def _kernel2_details(tmp_path, backend: str, g) -> dict:
     """Run ``backend``'s Kernel 2 on ``g``'s edges, written as Kernel 1 would."""
     u = np.array([e[0] for e in g.edges()], dtype=np.int64)
     v = np.array([e[1] for e in g.edges()], dtype=np.int64)
-    u, v = numpy_sort_edges(u, v)
+    u, v = sort_edges(u, v)
     dataset = EdgeDataset.write(
         tmp_path / "k1", u, v, num_vertices=g.number_of_nodes()
     )

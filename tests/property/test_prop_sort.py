@@ -9,10 +9,8 @@ from hypothesis import given, settings, strategies as st
 from repro.sort.inmemory import (
     _pack_pairs,
     collapse_duplicates,
-    counting_sort_edges,
-    numpy_sort_edges,
     pair_order,
-    radix_sort_edges,
+    sort_edges,
 )
 
 N_MAX = 64
@@ -32,53 +30,42 @@ def edge_lists(draw, max_edges=300, num_vertices=N_MAX):
 
 class TestSortProperties:
     @given(edges=edge_lists())
-    def test_output_sorted_all_algorithms(self, edges):
+    def test_output_sorted(self, edges):
         u, v = edges
-        for sorted_u, _ in (
-            numpy_sort_edges(u, v),
-            counting_sort_edges(u, v, num_vertices=N_MAX),
-            radix_sort_edges(u, v),
-        ):
-            assert np.all(np.diff(sorted_u) >= 0)
+        sorted_u, _ = sort_edges(u, v)
+        assert np.all(np.diff(sorted_u) >= 0)
 
     @given(edges=edge_lists())
     def test_permutation_property(self, edges):
         u, v = edges
-        key_before = np.sort(u * N_MAX + v)
-        for sorted_u, sorted_v in (
-            numpy_sort_edges(u, v),
-            counting_sort_edges(u, v, num_vertices=N_MAX),
-            radix_sort_edges(u, v),
-        ):
-            key_after = np.sort(sorted_u * N_MAX + sorted_v)
-            assert np.array_equal(key_before, key_after)
+        sorted_u, sorted_v = sort_edges(u, v)
+        assert np.array_equal(np.sort(u * N_MAX + v),
+                              np.sort(sorted_u * N_MAX + sorted_v))
 
     @given(edges=edge_lists())
-    def test_algorithms_agree_exactly(self, edges):
-        # All three sorts are stable, so full (u, v) streams must match.
+    def test_equals_stable_argsort(self, edges):
+        # The sort is stable, so the full (u, v) stream is determined.
         u, v = edges
-        ref_u, ref_v = numpy_sort_edges(u, v)
-        for sorted_u, sorted_v in (
-            counting_sort_edges(u, v, num_vertices=N_MAX),
-            radix_sort_edges(u, v),
-        ):
-            assert np.array_equal(sorted_u, ref_u)
-            assert np.array_equal(sorted_v, ref_v)
+        order = np.argsort(u, kind="stable")
+        sorted_u, sorted_v = sort_edges(u, v)
+        assert np.array_equal(sorted_u, u[order])
+        assert np.array_equal(sorted_v, v[order])
 
     @given(edges=edge_lists())
     def test_idempotent(self, edges):
         u, v = edges
-        once_u, once_v = numpy_sort_edges(u, v)
-        twice_u, twice_v = numpy_sort_edges(once_u, once_v)
+        once_u, once_v = sort_edges(u, v)
+        twice_u, twice_v = sort_edges(once_u, once_v)
         assert np.array_equal(once_u, twice_u)
         assert np.array_equal(once_v, twice_v)
 
     @given(edges=edge_lists())
-    def test_lexicographic_mode(self, edges):
+    def test_lexicographic_mode_equals_lexsort(self, edges):
         u, v = edges
-        su, sv = numpy_sort_edges(u, v, by_end_vertex=True)
-        keys = su * N_MAX + sv
-        assert np.all(np.diff(keys) >= 0)
+        order = np.lexsort((v, u))
+        su, sv = sort_edges(u, v, by_end_vertex=True)
+        assert np.array_equal(su, u[order])
+        assert np.array_equal(sv, v[order])
 
 
 class TestExternalSortProperty:
@@ -102,7 +89,7 @@ class TestExternalSortProperty:
                                       merge_block_edges=16),
         )
         su, sv = out.read_all()
-        ref_u, _ = numpy_sort_edges(u, v)
+        ref_u, _ = sort_edges(u, v)
         assert np.array_equal(su, ref_u)
         assert np.array_equal(np.sort(su * N_MAX + sv),
                               np.sort(u * N_MAX + v))
@@ -267,7 +254,7 @@ class TestStreamingKernel2Property:
         from repro.core.streaming import streaming_kernel2
         from repro.edgeio.dataset import EdgeDataset
 
-        u, v = numpy_sort_edges(*edges)
+        u, v = sort_edges(*edges)
         m = len(u)
         base = tmp_path_factory.mktemp("prop-streamk2")
         ds = EdgeDataset.write(base / "k1", u, v, num_vertices=self.N)

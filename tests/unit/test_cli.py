@@ -41,8 +41,7 @@ class TestParser:
         spec = _run_spec(
             "--scale", "7", "--edge-factor", "8", "--backend", "numpy",
             "--generator", "ring", "--seed", "3", "--num-files", "2",
-            "--iterations", "5", "--damping", "0.5",
-            "--sort-algorithm", "radix", "--external-sort",
+            "--iterations", "5", "--damping", "0.5", "--external-sort",
             "--file-format", "npy", "--formula", "paper-body",
             "--data-dir", "/tmp/d", "--execution", "parallel",
             "--ranks", "3", "--parallel-executor", "mp",
@@ -53,7 +52,7 @@ class TestParser:
         assert spec == RunSpec(
             scale=7, edge_factor=8, backend="numpy", generator="ring",
             seed=3, num_files=2, iterations=5, damping=0.5,
-            sort_algorithm="radix", external_sort=True, file_format="npy",
+            external_sort=True, file_format="npy",
             formula="paper-body", data_dir="/tmp/d", execution="parallel",
             parallel_ranks=3, parallel_executor="mp",
             streaming_batch_edges=1024, async_lanes="process",
@@ -112,6 +111,14 @@ class TestParser:
             )
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache", "ls"])  # --cache-dir required
+
+    def test_removed_sort_flag_is_a_usage_error(self, capsys):
+        # Kernel 1 has one in-memory sort; the flag that chose among
+        # three is gone and argparse refuses it (exit 2).
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--sort-algorithm", "radix"])
+        assert exit_info.value.code == 2
+        assert "--sort-algorithm" in capsys.readouterr().err
 
     def test_run_verify_and_validate_flags_are_independent(self):
         args = build_parser().parse_args(

@@ -73,8 +73,7 @@ class TestExecutionPlan:
 
 
 class TestContracts:
-    def _ctx(self, **artifacts):
-        config = PipelineConfig(scale=6, seed=1)
+    def _ctx(self, config=PipelineConfig(scale=6, seed=1), **artifacts):
         ctx = StageContext(config=config, backend=get_backend("scipy"),
                            base_dir=Path("/nonexistent"))
         ctx.artifacts.update(artifacts)
@@ -110,6 +109,24 @@ class TestContracts:
         ctx = self._ctx(**{ARTIFACT_ADJACENCY: _NaNHandle()})
         with pytest.raises(KernelContractError, match="non-finite"):
             FilterContract().check(ctx)
+
+    def test_sort_contract_checks_pairs_across_shards_when_asked(
+            self, tmp_path):
+        from repro.core.stages import ARTIFACT_K1, SortContract
+        from repro.edgeio.dataset import EdgeDataset
+
+        # Each shard is in (u, v) order; the step between them, (1, 5)
+        # then (1, 2), is in start-vertex order only.
+        u = np.array([0, 1, 1, 2], dtype=np.int64)
+        v = np.array([0, 5, 2, 3], dtype=np.int64)
+        dataset = EdgeDataset.write(tmp_path / "k1", u, v, num_vertices=64,
+                                    num_shards=2)
+        artifacts = {ARTIFACT_K0: dataset, ARTIFACT_K1: dataset}
+        SortContract().check(self._ctx(**artifacts))  # no raise
+        pairs = PipelineConfig(scale=6, seed=1, sort_by_end_vertex=True)
+        with pytest.raises(KernelContractError,
+                           match=r"\(u, v\) across shard boundaries"):
+            SortContract().check(self._ctx(config=pairs, **artifacts))
 
 
 class TestExecutorRegistry:
@@ -158,13 +175,6 @@ class TestConfigExecutionFields:
             PipelineConfig(scale=6, parallel_ranks=0)
         with pytest.raises(ValueError):
             PipelineConfig(scale=6, streaming_batch_edges=0)
-
-    def test_round_trip_with_cache_dir(self, tmp_path):
-        config = PipelineConfig(scale=6, execution="streaming",
-                                cache_dir=tmp_path / "c", parallel_ranks=2)
-        restored = PipelineConfig.from_dict(config.to_dict())
-        assert restored == config
-        assert isinstance(restored.cache_dir, Path)
 
 
 class TestSweepCachePreference:
@@ -319,12 +329,13 @@ class TestArtifactCacheUnit:
 
     def test_k1_key_tracks_sort_settings(self):
         base = PipelineConfig(scale=6)
-        radix = base.with_overrides(sort_algorithm="radix")
-        assert (cache_key(k1_cache_fields(base))
-                != cache_key(k1_cache_fields(radix)))
-        # K0 does not depend on the sort algorithm.
-        assert (cache_key(k0_cache_fields(base))
-                == cache_key(k0_cache_fields(radix)))
+        for changes in ({"sort_by_end_vertex": True}, {"external_sort": True}):
+            other = base.with_overrides(**changes)
+            assert (cache_key(k1_cache_fields(base))
+                    != cache_key(k1_cache_fields(other)))
+            # K0 does not depend on how Kernel 1 sorts.
+            assert (cache_key(k0_cache_fields(base))
+                    == cache_key(k0_cache_fields(other)))
 
     def test_miss_then_hit(self, tmp_path, tiny_dataset):
         cache = ArtifactCache(tmp_path / "cache")

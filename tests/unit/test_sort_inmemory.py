@@ -1,19 +1,11 @@
-"""Unit tests for the in-memory sorts (Kernel 1)."""
+"""Unit tests for Kernel 1's in-memory sort."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.sort.inmemory import (
-    counting_sort_edges,
-    is_sorted_by_start,
-    numpy_sort_edges,
-    radix_sort_edges,
-    sort_edges,
-)
-
-ALGORITHMS = ["numpy", "counting", "radix"]
+from repro.sort.inmemory import is_sorted_by_pair, is_sorted_by_start, sort_edges
 
 
 def _random_edges(rng, m=500, n=64):
@@ -26,84 +18,91 @@ class TestIsSorted:
     def test_empty_and_single(self):
         assert is_sorted_by_start(np.array([], dtype=np.int64))
         assert is_sorted_by_start(np.array([5]))
+        assert is_sorted_by_pair(np.array([], dtype=np.int64),
+                                 np.array([], dtype=np.int64))
+        assert is_sorted_by_pair(np.array([5]), np.array([1]))
 
     def test_detects_order(self):
         assert is_sorted_by_start(np.array([1, 1, 2, 9]))
         assert not is_sorted_by_start(np.array([2, 1]))
 
+    def test_pair_order_compares_ends_on_ties_only(self):
+        u = np.array([1, 1, 2, 2], dtype=np.int64)
+        assert is_sorted_by_pair(u, np.array([3, 5, 0, 0]))
+        assert not is_sorted_by_pair(u, np.array([5, 3, 0, 0]))
+        # A falling end vertex across a start-vertex step is in order.
+        assert is_sorted_by_pair(u, np.array([3, 9, 1, 4]))
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-class TestAllAlgorithms:
-    def test_sorts_by_start_vertex(self, algorithm, rng):
+
+def _reference(u, v, by_end_vertex):
+    order = np.lexsort((v, u)) if by_end_vertex else np.argsort(u, kind="stable")
+    return u[order], v[order]
+
+
+# Both key modes of the one sort: start vertex only, and (u, v).
+@pytest.mark.parametrize("by_end_vertex", [False, True], ids=["by_u", "by_uv"])
+class TestSortEdges:
+    def test_sorts_by_start_vertex(self, rng, by_end_vertex):
         u, v = _random_edges(rng)
-        su, sv = sort_edges(u, v, algorithm=algorithm, num_vertices=64)
+        su, sv = sort_edges(u, v, by_end_vertex=by_end_vertex)
         assert is_sorted_by_start(su)
+        if by_end_vertex:
+            assert is_sorted_by_pair(su, sv)
 
-    def test_preserves_edge_multiset(self, algorithm, rng):
+    def test_preserves_edge_multiset(self, rng, by_end_vertex):
         u, v = _random_edges(rng)
-        su, sv = sort_edges(u, v, algorithm=algorithm, num_vertices=64)
-        before = np.sort(u * 64 + v)
-        after = np.sort(su * 64 + sv)
-        assert np.array_equal(before, after)
+        su, sv = sort_edges(u, v, by_end_vertex=by_end_vertex)
+        assert np.array_equal(np.sort(u * 64 + v), np.sort(su * 64 + sv))
 
-    def test_empty_input(self, algorithm):
+    def test_empty_input(self, by_end_vertex):
         empty = np.array([], dtype=np.int64)
-        su, sv = sort_edges(empty, empty.copy(), algorithm=algorithm,
-                            num_vertices=4)
-        assert len(su) == 0
+        su, sv = sort_edges(empty, empty.copy(), by_end_vertex=by_end_vertex)
+        assert len(su) == len(sv) == 0
+        assert su.dtype == sv.dtype == np.int64
 
-    def test_already_sorted_unchanged_keys(self, algorithm):
+    def test_already_sorted_unchanged(self, by_end_vertex):
         u = np.array([0, 1, 2, 3], dtype=np.int64)
         v = np.array([3, 2, 1, 0], dtype=np.int64)
-        su, sv = sort_edges(u, v, algorithm=algorithm, num_vertices=4)
+        su, sv = sort_edges(u, v, by_end_vertex=by_end_vertex)
         assert np.array_equal(su, u)
         assert np.array_equal(sv, v)
 
-    def test_all_equal_keys(self, algorithm):
+    def test_all_equal_keys(self, by_end_vertex):
+        # One start vertex: by u the input order stands, by (u, v) the
+        # end vertices come out ascending.
         u = np.zeros(10, dtype=np.int64)
-        v = np.arange(10, dtype=np.int64)
-        su, sv = sort_edges(u, v, algorithm=algorithm, num_vertices=4)
-        assert np.array_equal(np.sort(sv), np.arange(10))
+        v = np.arange(10, dtype=np.int64)[::-1].copy()
+        su, sv = sort_edges(u, v, by_end_vertex=by_end_vertex)
+        assert np.array_equal(su, u)
+        assert np.array_equal(sv, np.sort(v) if by_end_vertex else v)
 
-    def test_by_end_vertex_lexicographic(self, algorithm, rng):
+    def test_matches_reference(self, rng, by_end_vertex):
         u, v = _random_edges(rng, m=300, n=16)
-        su, sv = sort_edges(u, v, algorithm=algorithm, num_vertices=16,
-                            by_end_vertex=True)
-        keys = su * 16 + sv
-        assert np.all(np.diff(keys) >= 0)
-
-    def test_agrees_with_numpy_reference(self, algorithm, rng):
-        if algorithm == "numpy":
-            pytest.skip("reference itself")
-        u, v = _random_edges(rng, m=400, n=32)
-        ref_u, _ = numpy_sort_edges(u, v)
-        got_u, _ = sort_edges(u, v, algorithm=algorithm, num_vertices=32)
-        assert np.array_equal(ref_u, got_u)
+        su, sv = sort_edges(u, v, by_end_vertex=by_end_vertex)
+        ref_u, ref_v = _reference(u, v, by_end_vertex)
+        assert np.array_equal(su, ref_u)
+        assert np.array_equal(sv, ref_v)
 
 
-class TestStability:
-    def test_numpy_stable(self):
+class TestSortEdgesOrder:
+    def test_stable(self):
         u = np.array([1, 0, 1, 0], dtype=np.int64)
         v = np.array([10, 20, 30, 40], dtype=np.int64)
-        _, sv = numpy_sort_edges(u, v, stable=True)
+        _, sv = sort_edges(u, v)
         assert np.array_equal(sv, [20, 40, 10, 30])
 
-    def test_counting_stable(self):
-        u = np.array([1, 0, 1, 0], dtype=np.int64)
-        v = np.array([10, 20, 30, 40], dtype=np.int64)
-        _, sv = counting_sort_edges(u, v, num_vertices=2)
-        assert np.array_equal(sv, [20, 40, 10, 30])
-
-    def test_radix_stable(self):
-        u = np.array([1, 0, 1, 0], dtype=np.int64)
-        v = np.array([10, 20, 30, 40], dtype=np.int64)
-        _, sv = radix_sort_edges(u, v)
-        assert np.array_equal(sv, [20, 40, 10, 30])
+    def test_by_end_vertex_is_lexsort(self, rng):
+        u, v = _random_edges(rng, m=300, n=16)
+        su, sv = sort_edges(u, v, by_end_vertex=True)
+        assert is_sorted_by_pair(su, sv)
+        order = np.lexsort((v, u))
+        assert np.array_equal(su, u[order])
+        assert np.array_equal(sv, v[order])
 
 
 def _assert_matches_stable_argsort(u, v):
     order = np.argsort(u, kind="stable")
-    su, sv = numpy_sort_edges(u, v)
+    su, sv = sort_edges(u, v)
     assert su.dtype == u.dtype and sv.dtype == v.dtype
     assert np.array_equal(su, u[order])
     assert np.array_equal(sv, v[order])
@@ -161,37 +160,57 @@ class TestNumpySortDigitPasses:
         _assert_matches_stable_argsort(one, one.copy())
 
 
+class TestPairModeDigitPasses:
+    """With ``by_end_vertex`` the digit passes run over ``v`` and then
+    ``u``; the result must be ``np.lexsort((v, u))`` exactly whichever
+    of the two keys crosses a width switch."""
+
+    @staticmethod
+    def _keys(rng, top, m=4000, distinct=60):
+        # Few distinct values reaching ``top``: many ties, so the order
+        # within a start vertex rests on the end vertices.
+        pool = rng.integers(0, top, size=distinct, endpoint=True, dtype=np.int64)
+        pool[0] = top
+        return pool[rng.integers(0, distinct, size=m)]
+
+    @pytest.mark.parametrize("top", [
+        1, 2**16 - 1, 2**16, 2**16 + 1, 2**32 - 1, 2**32, 2**40,
+    ])
+    @pytest.mark.parametrize("wide", ["u", "v"])
+    def test_key_width_boundaries(self, top, wide):
+        rng = np.random.default_rng(top % 1000)
+        u = self._keys(rng, top if wide == "u" else 100)
+        v = self._keys(rng, top if wide == "v" else 100)
+        su, sv = sort_edges(u, v, by_end_vertex=True)
+        ref_u, ref_v = _reference(u, v, True)
+        assert np.array_equal(su, ref_u)
+        assert np.array_equal(sv, ref_v)
+
+    def test_negative_end_vertices(self):
+        rng = np.random.default_rng(11)
+        u = rng.integers(0, 50, size=2000, dtype=np.int64)
+        v = rng.integers(-2**17, 2**17, size=2000, dtype=np.int64)
+        su, sv = sort_edges(u, v, by_end_vertex=True)
+        ref_u, ref_v = _reference(u, v, True)
+        assert np.array_equal(su, ref_u)
+        assert np.array_equal(sv, ref_v)
+
+
 class TestValidation:
-    def test_counting_needs_num_vertices(self):
-        u = np.array([0], dtype=np.int64)
-        with pytest.raises(ValueError, match="num_vertices"):
-            sort_edges(u, u.copy(), algorithm="counting")
-
-    def test_counting_rejects_out_of_range(self):
-        u = np.array([9], dtype=np.int64)
-        with pytest.raises(ValueError, match="outside"):
-            counting_sort_edges(u, u.copy(), num_vertices=4)
-
-    def test_radix_rejects_negative(self):
-        u = np.array([-1], dtype=np.int64)
-        with pytest.raises(ValueError, match="non-negative"):
-            radix_sort_edges(u, u.copy())
-
-    def test_radix_digit_bits_bounds(self):
-        u = np.array([1], dtype=np.int64)
-        with pytest.raises(ValueError):
-            radix_sort_edges(u, u.copy(), digit_bits=30)
-
     def test_unknown_algorithm(self):
         u = np.array([0], dtype=np.int64)
-        with pytest.raises(ValueError, match="unknown sort algorithm"):
-            sort_edges(u, u.copy(), algorithm="quantum")
+        for algorithm in ("quantum", "counting", "radix"):
+            with pytest.raises(ValueError, match="unknown sort algorithm"):
+                sort_edges(u, u.copy(), algorithm=algorithm)
 
+    def test_numpy_algorithm_and_num_vertices_are_accepted(self, rng):
+        # Older callers name the sort and pass N; both change nothing.
+        u, v = _random_edges(rng)
+        plain_u, plain_v = sort_edges(u, v)
+        named_u, named_v = sort_edges(u, v, algorithm="numpy", num_vertices=1)
+        assert np.array_equal(named_u, plain_u)
+        assert np.array_equal(named_v, plain_v)
 
-class TestRadixWideKeys:
-    def test_keys_beyond_one_digit(self, rng):
-        u = rng.integers(0, 2**40, size=200).astype(np.int64)
-        v = rng.integers(0, 100, size=200).astype(np.int64)
-        su, sv = radix_sort_edges(u, v, digit_bits=11)
-        assert np.all(np.diff(su) >= 0)
-        assert np.array_equal(np.sort(u), su)
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            sort_edges(np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64))
