@@ -5,19 +5,24 @@ sequencing, timing, and contract verification.  Backends communicate
 through the filesystem (Kernels 0→1→2, as the benchmark requires) and
 through :class:`AdjacencyHandle` (Kernel 2→3, in memory).
 
-Kernels 2 and 3 are abstract: they are where the implementation
-technologies differ.  Kernels 0 and 1 are defined once, here, as a
-sequence of steps::
+Kernel 3 is abstract, and so is Kernel 2's build: they are where the
+implementation technologies differ.  Kernels 0, 1 and 2 are defined
+once, here, as a sequence of steps::
 
     kernel0:  generate_edges → write_shard per shard → publish_kernel0
     kernel1:  read → sort_edges → write_shard per shard → publish_kernel1
+    kernel2:  read → build_adjacency
 
-of which a backend may replace two — :meth:`Backend.generate_edges` and
-:meth:`Backend.sort_edges`.  The serial executors run the steps in
-order (:meth:`Backend.kernel0`, :meth:`Backend.kernel1`); the async
-executor schedules *the same functions* as tasks.  A backend that
-replaces a whole kernel instead (the stdlib ``python`` backend does) is
-run through its own kernel by every executor.
+of which a backend may replace :meth:`Backend.generate_edges` and
+:meth:`Backend.sort_edges` and must supply
+:meth:`Backend.build_adjacency` (construct, filter and normalize on the
+sorted ``(u, v)``).  The serial executors run the steps in order
+(:meth:`Backend.kernel0`, :meth:`Backend.kernel1`,
+:meth:`Backend.kernel2`); the async executor schedules *the same
+functions* as tasks, its Kernel 2 building from the Kernel 1 sort's
+arrays instead of the ``read``.  A backend that replaces a whole kernel
+instead (the stdlib ``python`` backend replaces all three) is run
+through its own kernel by every executor.
 
 Every kernel method returns ``(output, details)`` where ``details`` is a
 JSON-safe dict of free-form metrics folded into the
@@ -98,9 +103,9 @@ class Backend(abc.ABC):
     #: * ``"streaming"`` — the out-of-core Kernel 2 can hand this
     #:   backend a scipy CSR matrix via :meth:`adjacency_from_csr` and
     #:   its Kernel 3 will accept the resulting handle.  The streaming
-    #:   *and* async strategies require it (async pipelines the same
-    #:   out-of-core Kernel 2; its Kernel 0/1 tasks are this backend's
-    #:   own steps, so they need no promise of their own);
+    #:   *and* async strategies require it (async runs this backend's
+    #:   own Kernel 0/1/2 steps, but a backend that replaces the
+    #:   kernels whole would give it nothing to overlap);
     #: * ``"parallel"`` — the sharded K2+K3 path produces rank vectors
     #:   numerically matching this backend's serial output.
     capabilities: frozenset = frozenset({"serial"})
@@ -182,18 +187,43 @@ class Backend(abc.ABC):
     # ------------------------------------------------------------------
     # Kernel 2 — Filter
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def kernel2(
         self, config: PipelineConfig, source: EdgeDataset
     ) -> KernelOutput[AdjacencyHandle]:
-        """Read the sorted edge files and produce the filtered,
-        row-normalised adjacency matrix:
+        """Read the sorted edge files, then :meth:`build_adjacency`."""
+        timings = Timings()
+        with timings.measure("read"):
+            edges = list(source.read_all())
+        # Popped, not unpacked: the build holds the only references, so
+        # it can free the raw edges before its filter's memory peak.
+        return self.build_adjacency(
+            config, edges.pop(0), edges.pop(0), source.num_vertices, timings
+        )
+
+    def build_adjacency(
+        self, config: PipelineConfig, u: np.ndarray, v: np.ndarray, n: int,
+        timings: Timings,
+    ) -> KernelOutput[AdjacencyHandle]:
+        """Kernel 2's build step: the filtered, row-normalised adjacency
+        matrix of the sorted edges ``(u, v)`` over ``n`` vertices:
 
         1. ``A = sparse(u, v, 1, N, N)`` (duplicates accumulate);
         2. ``din = sum(A, 1)``;
         3. ``A[:, din == max(din)] = 0`` and ``A[:, din == 1] = 0``;
         4. rows with ``dout > 0`` divided by their ``dout``.
+
+        ``timings`` gains ``construct``/``filter``/``normalize`` and is
+        published as the details' ``phases``.  Everything after the
+        read belongs here, the backend's own container included (the
+        dataframe backend builds its ``Frame`` here), so the async
+        hand-off skips exactly the read.  ``u`` and ``v`` must be
+        left as they are: under the async executor the Kernel 1 shard
+        writes encode the same arrays while this step runs.  Only a
+        backend that replaces :meth:`kernel2` whole may leave it out.
         """
+        raise NotImplementedError(
+            f"backend {self.name!r} defines no Kernel 2 build step"
+        )
 
     # ------------------------------------------------------------------
     # Kernel 3 — PageRank

@@ -15,7 +15,6 @@ import scipy.sparse as sp
 from repro._util import Timings
 from repro.backends.base import AdjacencyHandle, Backend, Details, KernelOutput
 from repro.core.config import PipelineConfig
-from repro.edgeio.dataset import EdgeDataset
 from repro.frame import Frame
 
 
@@ -74,16 +73,12 @@ class DataframeBackend(Backend):
         return frame.column("u"), frame.column("v")
 
     # ------------------------------------------------------------------
-    def kernel2(
-        self, config: PipelineConfig, source: EdgeDataset
+    def build_adjacency(
+        self, config: PipelineConfig, u: np.ndarray, v: np.ndarray, n: int,
+        timings: Timings,
     ) -> KernelOutput[AdjacencyHandle]:
-        timings = Timings()
-        n = source.num_vertices
-        with timings.measure("read"):
-            u, v = source.read_all()
-            edges = Frame({"u": u, "v": v})
-
         with timings.measure("construct"):
+            edges = Frame({"u": u, "v": v})
             # Duplicate accumulation: count rows per (u, v) pair via a
             # composite key groupby — the dataframe idiom for sparse().
             key = edges.column("u") * n + edges.column("v")

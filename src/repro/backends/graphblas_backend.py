@@ -15,7 +15,6 @@ import scipy.sparse as sp
 from repro._util import Timings
 from repro.backends.base import AdjacencyHandle, Backend, Details, KernelOutput
 from repro.core.config import PipelineConfig
-from repro.edgeio.dataset import EdgeDataset
 from repro.grb import Matrix, PLUS_TIMES, Vector, vxm
 
 
@@ -66,14 +65,10 @@ class GraphBlasBackend(Backend):
         return GrbAdjacency(adopted, pre_filter_total)
 
     # ------------------------------------------------------------------
-    def kernel2(
-        self, config: PipelineConfig, source: EdgeDataset
+    def build_adjacency(
+        self, config: PipelineConfig, u: np.ndarray, v: np.ndarray, n: int,
+        timings: Timings,
     ) -> KernelOutput[AdjacencyHandle]:
-        timings = Timings()
-        n = source.num_vertices
-        with timings.measure("read"):
-            u, v = source.read_all()
-
         with timings.measure("construct"):
             adjacency = Matrix.build(u, v, nrows=n, ncols=n)
             pre_filter_total = adjacency.reduce_scalar()

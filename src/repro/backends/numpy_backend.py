@@ -18,7 +18,6 @@ import scipy.sparse as sp
 from repro._util import Timings
 from repro.backends.base import AdjacencyHandle, Backend, Details, KernelOutput
 from repro.core.config import PipelineConfig
-from repro.edgeio.dataset import EdgeDataset
 from repro.sort.inmemory import collapse_duplicates
 
 
@@ -78,14 +77,10 @@ class NumpyBackend(Backend):
         )
 
     # ------------------------------------------------------------------
-    def kernel2(
-        self, config: PipelineConfig, source: EdgeDataset
+    def build_adjacency(
+        self, config: PipelineConfig, u: np.ndarray, v: np.ndarray, n: int,
+        timings: Timings,
     ) -> KernelOutput[AdjacencyHandle]:
-        timings = Timings()
-        n = source.num_vertices
-        with timings.measure("read"):
-            u, v = source.read_all()
-
         with timings.measure("construct"):
             rows, cols, vals = collapse_duplicates(u, v)
             pre_filter_total = float(vals.sum())

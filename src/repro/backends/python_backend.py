@@ -84,10 +84,11 @@ class PyAdjacency(AdjacencyHandle):
 class PythonBackend(Backend):
     """Pure standard-library implementation of all four kernels.
 
-    The one backend that replaces Kernels 0 and 1 whole rather than the
-    ``generate_edges``/``sort_edges`` steps: lists of tuples and
-    line-by-line file I/O *are* its implementation, so it shares only
-    the manifest (:meth:`EdgeDataset.publish`) with the others.
+    The one backend that replaces Kernels 0, 1 and 2 whole rather than
+    the ``generate_edges``/``sort_edges``/``build_adjacency`` steps:
+    lists of tuples and line-by-line file I/O *are* its implementation,
+    so it shares only the manifest (:meth:`EdgeDataset.publish`) with
+    the others.
     """
 
     name = "python"

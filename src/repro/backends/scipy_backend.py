@@ -35,7 +35,6 @@ import scipy.sparse as sp
 from repro._util import Timings
 from repro.backends.base import AdjacencyHandle, Backend, Details, KernelOutput
 from repro.core.config import PipelineConfig
-from repro.edgeio.dataset import EdgeDataset
 from repro.sort.inmemory import collapse_duplicates
 
 
@@ -81,14 +80,10 @@ class ScipyBackend(Backend):
         return ScipyAdjacency(matrix, pre_filter_total)
 
     # ------------------------------------------------------------------
-    def kernel2(
-        self, config: PipelineConfig, source: EdgeDataset
+    def build_adjacency(
+        self, config: PipelineConfig, u: np.ndarray, v: np.ndarray, n: int,
+        timings: Timings,
     ) -> KernelOutput[AdjacencyHandle]:
-        timings = Timings()
-        n = source.num_vertices
-        with timings.measure("read"):
-            u, v = source.read_all()
-
         with timings.measure("construct"):
             # Column-major: sorted by (v, u), which is CSC's entry order.
             cols, rows, vals = collapse_duplicates(v, u)

@@ -134,10 +134,13 @@ def k2_cache_fields(
     serial kernel may normalise with a division where the CSR-assembly
     path multiplies by a reciprocal — different in the last ulp (the
     dataframe backend does exactly this).  ``variant`` names that path
-    (``"backend-serial"`` for the backend's own kernel2,
-    ``"streaming-csr"`` for the out-of-core assembly shared by the
-    streaming and async executors), so a warm cache can never change a
-    run's bits relative to a cold one.
+    (``"backend-serial"`` for the backend's own Kernel 2 build, which
+    the serial and async executors share; ``"streaming-csr"`` for the
+    streaming executor's out-of-core assembly alone), so a warm cache
+    can never change a run's bits relative to a cold one.  An async run
+    that finds only ``"streaming-csr"`` entries (stored by programs
+    whose async Kernel 2 was the out-of-core one) misses once; what an
+    entry's files mean is unchanged, so ``LAYOUT_VERSIONS`` is too.
     """
     fields = k1_cache_fields(config, backend_name)
     fields["kernel"] = "k2"

@@ -2,36 +2,27 @@
 
 The pipeline's kernels are alternately I/O-bound (Kernel 0 writes edge
 files, Kernel 1 reads and rewrites them) and compute-bound (Kernel 2
-filters, Kernel 3 iterates).  Overlap recovers only what is off the
-critical path, and the ``k2-filter`` task is on it (between the Kernel 1
-sort and Kernel 3, with four ~3 ms shard writes to overlap), so its
-dedup is :func:`repro.sort.inmemory.collapse_duplicates`' packed-key
-value sort: at scale 14 (``bench/run.py --workload cold-async``) the
-traced ``k2_busy_s`` reads 25-33 ms of a 0.11-0.15 s wall (27-42 before it).
-:class:`AsyncExecutor`
-decomposes each stage of the :class:`~repro.core.stages.ExecutionPlan`
-into finer tasks on a :class:`~repro.core.scheduler.TaskGraph` and
-overlaps work *across* stage boundaries while keeping each stage's own
-GIL-bound hot loop serial:
+filters, Kernel 3 iterates).  :class:`AsyncExecutor` decomposes each
+stage of the :class:`~repro.core.stages.ExecutionPlan` into finer tasks
+on a :class:`~repro.core.scheduler.TaskGraph` and overlaps work *across*
+stage boundaries while keeping each stage's own GIL-bound hot loop
+serial:
 
 * Kernel 0's shard writes run as a sequential chain (TSV encoding is
   CPU-bound — parallel encodes would fight over the GIL, not overlap),
   but Kernel 1's read of shard *i* starts the moment shard *i* is on
   disk, while Kernel 0 is still encoding shard *i+1*;
-* the sorted stream is handed from the Kernel 1 sort task straight to
-  Kernel 2's ingest lane in chunks
-  (:func:`repro.core.streaming.streaming_kernel2`'s ``batch_source``),
-  so pass-1 filtering runs while Kernel 1's chained shard writes
-  persist the same data — which the contracts re-verify from disk
-  afterwards;
-* inside Kernel 2, ingest chunking, dedup compute, and spill writes
-  proceed on three lanes joined by bounded hand-off queues
-  (``overlap_io=True``);
+* the sorted arrays are handed from the Kernel 1 sort task straight to
+  Kernel 2, which builds the matrix from them with the backend's own
+  build step while Kernel 1's chained shard writes persist the same
+  arrays — which the contracts re-verify from disk afterwards;
+* Kernel 3 waits for everything else, shard writes included, so the
+  timed kernel runs without contention (see :meth:`AsyncExecutor._build_graph`);
 * with ``config.async_lanes="process"``, the GIL-bound TSV codec tasks
   — Kernel 0/1 shard encodes and Kernel 1 shard decodes — are marked
   ``lane="process"`` and dispatched to a
   :class:`~repro.core.lanes.ProcessLanePool`, so encoding shard *i+1*
-  genuinely overlaps the write of shard *i* and Kernel 2/3 compute
+  genuinely overlaps the write of shard *i* and the Kernel 2 build
   instead of contending for the parent's GIL (the per-stage write
   chains that exist to serialise GIL-bound encodes are dropped: lane
   workers encode independent shards concurrently);
@@ -50,31 +41,31 @@ is its *busy* time — the sum of time its tasks actually spent working,
 with time spent blocked on upstream stages excluded — so Kernel 0/1/3
 throughput (edges/second) remains comparable to the serial baseline.
 Kernel 2 is the deliberate exception: the hand-off feeds it the sorted
-stream in memory, so its busy time omits the dataset read/decode the
+arrays in memory, so its busy time omits the dataset read/decode the
 file-fed Kernel 2s pay; its details carry ``ingest_source:
 "k1-handoff"`` so downstream consumers can tell the two figures apart.
 The wall-clock the overlap recovered is reported separately:
-``overlap_saved_s`` (with the end-to-end ``pipeline_wall_seconds``) in
-the Kernel 3 details, and
+``overlap_saved_s`` (with the end-to-end ``pipeline_wall_seconds`` and
+the ``dispatch_wait_seconds`` ready tasks spent waiting for a pool
+thread) in the Kernel 3 details, and
 :attr:`~repro.core.results.PipelineResult.wall_seconds` on the result.
 Contracts are enforced exactly as in the other three executors, outside
 all timed regions.
 
-Fidelity note: results are bit-identical to the streaming executor (and,
-for the scipy/numpy backends, to serial execution) because overlap only
-reorders *independent* work — per-shard ordering, FIFO hand-off queues,
-and the exactness of integer-valued count arithmetic preserve every
-value-affecting order.
+Fidelity note: results are bit-identical to serial execution on every
+backend, because every task is a step of the serial kernels and overlap
+only reorders *independent* work.
 
-**Kernels 0 and 1 are the backend's, not this module's.**  The
+**Kernels 0, 1 and 2 are the backend's, not this module's.**  The
 fine-grained tasks run the steps :mod:`repro.backends.base` defines the
-kernels from — ``ctx.backend.generate_edges`` / ``sort_edges``,
-``write_shard`` per shard, ``publish_kernel0`` / ``publish_kernel1`` —
-so they cannot compute anything the serial kernels would not.  When the
-artifact cache or external sort reroutes Kernel 0/1 I/O, or the backend
-replaced ``kernel0``/``kernel1`` whole, those stages run as single
-coarse tasks through the backend's own kernels (a cache hit is already
-just a manifest read); Kernel 2's internal overlap still applies.
+kernels from — ``ctx.backend.generate_edges`` / ``sort_edges`` /
+``build_adjacency``, ``write_shard`` per shard, ``publish_kernel0`` /
+``publish_kernel1`` — so they cannot compute anything the serial
+kernels would not.  When the artifact cache or external sort reroutes
+Kernel 0/1 I/O, or the backend replaced a kernel whole, those stages run
+as single coarse tasks through the backend's own kernels (a cache hit
+is already just a manifest read), and a coarse Kernel 2 is the serial
+one, its cache entries included.
 """
 
 from __future__ import annotations
@@ -87,6 +78,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro._util import Timings
 from repro._util.heap import minor_faults
 from repro.backends.base import (
     Backend,
@@ -97,7 +89,7 @@ from repro.backends.base import (
 from repro.core import trace
 from repro.core.config import KernelName, PipelineConfig
 from repro.core.exceptions import KernelContractError
-from repro.core.executor import Executor, StageOutput, stream_filter
+from repro.core.executor import Executor, StageOutput
 from repro.core.lanes import DEFAULT_LANE_WORKERS, LaneTask, ProcessLanePool
 from repro.core.results import KernelResult, PipelineResult
 from repro.core.scheduler import ScheduleResult, SchedulerError, TaskGraph
@@ -111,9 +103,9 @@ from repro.edgeio.dataset import (
 )
 from repro.edgeio.manifest import ShardInfo
 
-#: Scheduler pool width: one lane per concurrently-active role (a shard
-#: write chain, a shard read chain, the K2 task and its two internal
-#: lanes) — more threads would only add GIL contention.
+#: Scheduler pool width: one lane per concurrently-active role (the K0
+#: write chain, the K1 read chain, the K1 write chain and the K2 build)
+#: — more threads would only add GIL contention.
 DEFAULT_MAX_WORKERS = 4
 
 
@@ -168,7 +160,7 @@ class _CodecRoute:
     pickle the pipe plane would have shipped to the worker), each shm
     shard *decode* adds the adopted segment's payload bytes (the pickle
     the worker would have shipped back).  In-parent hand-offs (K1 sort →
-    K2 ingest) were already zero-copy under the pipe plane and are not
+    K2 build) were already zero-copy under the pipe plane and are not
     counted.
     """
 
@@ -198,7 +190,6 @@ class AsyncExecutor(Executor):
 
     name = "async"
     required_capability = "streaming"
-    k2_cache_variant = "streaming-csr"
 
     def __init__(
         self,
@@ -385,19 +376,26 @@ class AsyncExecutor(Executor):
         Returns the graph plus a map from each stage's ``provides`` key
         to the name of its *artifact task* (the task whose result is
         that stage's ``(output, details)`` pair).  With ``fine``
-        (:meth:`_fine_grained`) Kernels 0/1 expand into their steps;
-        otherwise stages run as one task each, still scheduled as early
-        as dependencies allow.
+        (:meth:`_fine_grained`) Kernels 0/1 expand into their steps and
+        Kernel 2 builds from the sort hand-off (:meth:`_expand_filter`)
+        unless the backend replaced ``kernel2``; otherwise stages run as
+        one task each, still scheduled as early as dependencies allow.
         ``route.lane == "process"`` marks the shard encode/decode tasks
         for lane-pool dispatch (see :meth:`_codec_lane`);
         ``route.payload_via == "shm"`` additionally routes their edge
         arrays through :class:`~repro.core.shmplane.ShardBuffer` segments.
 
+        Kernel 3 runs alone: its task depends on *every* earlier
+        artifact task, so no shard write or contract check still runs
+        when it starts.  It is the paper's timed kernel, and its
+        edges/second is measured without contention, as on the serial
+        path.
+
         Contracts run inside each artifact task; a contract that reads
         an *earlier* stage's artifact is safe because every artifact
         task depends (directly or transitively) on the artifact tasks
-        of the stages it requires — the default plan's contracts read
-        nothing beyond that.
+        of the stages it requires — the hand-off Kernel 2 depends on the
+        sort instead, and its contract reads only its own matrix.
         """
         graph = TaskGraph()
         artifact_tasks: Dict[str, str] = {}
@@ -405,9 +403,12 @@ class AsyncExecutor(Executor):
         # stage that fills this.
         k0_write_tasks: List[str] = []
         k1_sort_task: Optional[str] = None
+        own_build = type(ctx.backend).kernel2 is Backend.kernel2
 
         for stage in self.plan.stages:
             deps = tuple(artifact_tasks[key] for key in stage.requires)
+            if stage.kernel is KernelName.K3_PAGERANK:
+                deps = tuple(artifact_tasks.values())
             if stage.kernel is KernelName.K0_GENERATE and fine:
                 task, k0_write_tasks = self._expand_generate(
                     graph, ctx, stage, verify, route
@@ -416,24 +417,29 @@ class AsyncExecutor(Executor):
                 task, k1_sort_task = self._expand_sort(
                     graph, ctx, stage, k0_write_tasks, deps, verify, route
                 )
-            elif stage.kernel is KernelName.K2_FILTER:
+            elif (stage.kernel is KernelName.K2_FILTER and own_build
+                  and k1_sort_task is not None):
                 task = self._expand_filter(
-                    graph, ctx, stage, deps, k1_sort_task, verify
+                    graph, ctx, stage, k1_sort_task, verify
                 )
             else:
-                task = self._coarse_stage(graph, ctx, stage, deps, verify)
+                task = self._stage_task(
+                    graph, ctx, stage, deps, verify,
+                    lambda results, stage=stage: self._run_stage(stage, ctx),
+                )
             artifact_tasks[stage.provides] = task
         return graph, artifact_tasks
 
-    def _coarse_stage(
+    def _stage_task(
         self, graph: TaskGraph, ctx: StageContext, stage: Stage, deps,
-        verify: bool,
+        verify: bool, compute: Callable[[Dict[str, object]], StageOutput],
     ) -> str:
-        """One stage as one task, routed through the base handlers
-        (which include the Kernel 0/1 artifact-cache paths)."""
+        """One stage as one task: ``compute`` (for a coarse stage, the
+        base handlers, which include the artifact-cache paths), then the
+        stage's contract."""
 
         def fn(results: Dict[str, object]) -> StageOutput:
-            output, details = self._run_stage(stage, ctx)
+            output, details = compute(results)
             details = dict(details)
             ctx.artifacts[stage.provides] = output
             self._check_contract(stage, ctx, details, verify)
@@ -492,8 +498,8 @@ class AsyncExecutor(Executor):
         Each read task depends only on *its* Kernel 0 shard write — not
         on the whole Kernel 0 stage — which is where the K0-write /
         K1-read overlap comes from.  The sort task's result doubles as
-        the hand-off to Kernel 2's ingest lane, so the shard writes that
-        persist the sorted dataset run concurrently with the filter.
+        the hand-off to Kernel 2's build, so the shard writes that persist
+        the sorted dataset run concurrently with the filter.
         On the process lane, reads (TSV decode) and writes (TSV encode)
         are lane-pool tasks and the encode chain is dropped.
         """
@@ -630,57 +636,32 @@ class AsyncExecutor(Executor):
         return publish_task, write_tasks
 
     def _expand_filter(
-        self,
-        graph: TaskGraph,
-        ctx: StageContext,
-        stage: Stage,
-        deps,
-        k1_sort_task: Optional[str],
-        verify: bool,
+        self, graph: TaskGraph, ctx: StageContext, stage: Stage,
+        k1_sort_task: str, verify: bool,
     ) -> str:
-        """Kernel 2 as one task whose *interior* is pipelined.
+        """Kernel 2 as the backend's build step on the sort hand-off.
 
-        With the fine-grained Kernel 1 in play, the task starts the
-        moment the sort lands — ingesting the sorted stream over the
-        chunked hand-off while Kernel 1's shard writes persist the same
-        data to disk (which the contracts re-verify afterwards).
-        Otherwise it waits for the published dataset.  Either way the
-        ingest/compute/spill lanes overlap inside
-        :func:`~repro.core.streaming.streaming_kernel2`.
+        The task starts the moment the sort lands and builds from its
+        arrays — :meth:`~repro.backends.base.Backend.build_adjacency`,
+        the step the serial Kernel 2 runs after its ``read`` — while
+        Kernel 1's shard writes persist the same arrays to disk (which
+        the contracts re-verify afterwards).  Skipping the read is the
+        one difference from serial, flagged as ``ingest_source:
+        "k1-handoff"``: this Kernel 2's busy time excludes the dataset
+        decode a file-fed one pays.
         """
-        pierced = k1_sort_task is not None
-        task_deps = (k1_sort_task,) if pierced else deps
+        config = ctx.config
 
-        def fn(results: Dict[str, object]) -> StageOutput:
-            t0 = time.perf_counter()
-            if pierced:
-                handle, details = stream_filter(
-                    ctx, overlap_io=True, handoff=results[k1_sort_task]
-                )
-            else:
-                handle, details = self._filter_with_cache(
-                    ctx, self._compute_filter
-                )
-            wall = time.perf_counter() - t0
-            details = dict(details)
-            io = details.get("io_overlap")
-            busy = float(details.get("measured_seconds", wall))
-            if io is not None:
-                busy += io["busy_seconds"] - io["wall_seconds"]
-            details["busy_seconds"] = busy
-            ctx.artifacts[stage.provides] = handle
-            # Contract runs after the busy window was captured.
-            self._check_contract(stage, ctx, details, verify)
-            return handle, details
+        def build(results: Dict[str, object]) -> StageOutput:
+            u, v = results[k1_sort_task]
+            handle, details = ctx.backend.build_adjacency(
+                config, u, v, config.num_vertices, Timings()
+            )
+            return handle, {**details, "ingest_source": "k1-handoff"}
 
-        return graph.add(
-            stage.kernel.value, fn, deps=task_deps, group=stage.kernel.value,
-            retain=True,
+        return self._stage_task(
+            graph, ctx, stage, (k1_sort_task,), verify, build
         )
-
-    def _compute_filter(self, ctx: StageContext) -> StageOutput:
-        """Dataset-fed out-of-core Kernel 2 (coarse/cached path)."""
-        return stream_filter(ctx, overlap_io=True, handoff=None)
 
     # ------------------------------------------------------------------
     # Result assembly
@@ -696,12 +677,14 @@ class AsyncExecutor(Executor):
         """Turn the schedule into per-kernel results in plan order.
 
         Per-kernel ``seconds`` is the stage's busy time (its tasks'
-        summed durations, plus any interior lane time Kernel 2 reports),
-        keeping throughput comparable to serial.  The pipeline-level
-        overlap summary — wall-clock, total busy, the wall-clock the
-        overlap recovered, and the run's minor page faults (stages
-        overlap, so faults are not attributable to one) — lands in the
-        final stage's details.
+        summed durations, or the ``measured_seconds`` a cache-missing
+        Kernel 2 reports without its cache store), keeping throughput
+        comparable to serial.  The pipeline-level overlap summary —
+        wall-clock, total busy, the wall-clock the overlap recovered,
+        the time ready tasks waited for a pool thread
+        (``dispatch_wait_seconds``), and the run's minor page faults
+        (stages overlap, so faults are not attributable to one) — lands
+        in the final stage's details.
         """
         config = ctx.config
         group_busy = schedule.group_busy_seconds()
@@ -713,7 +696,7 @@ class AsyncExecutor(Executor):
             details = dict(details)
             contract_seconds = float(details.get("contract_seconds", 0.0))
             verification_seconds += contract_seconds
-            busy = details.get("busy_seconds")
+            busy = details.get("measured_seconds")
             if busy is None:
                 # Group busy includes the in-task contract check; keep
                 # kernel seconds contract-free like the other executors.
@@ -752,6 +735,9 @@ class AsyncExecutor(Executor):
             if stage is last:
                 details["overlap_saved_s"] = overlap_saved
                 details["pipeline_wall_seconds"] = schedule.wall_seconds
+                details["dispatch_wait_seconds"] = (
+                    schedule.dispatch_wait_seconds
+                )
                 if faults is not None:
                     details["minor_faults"] = faults
                 details["pipeline_busy_seconds"] = total_busy

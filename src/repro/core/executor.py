@@ -3,9 +3,9 @@
 One :class:`~repro.core.stages.ExecutionPlan` — four ways to run it:
 
 * :class:`SerialExecutor` — every kernel through the backend, fully in
-  memory: Kernels 0/1 as :class:`~repro.backends.base.Backend` defines
-  them (their steps run in order), Kernels 2/3 as the backend
-  implements them;
+  memory: Kernels 0/1/2 as :class:`~repro.backends.base.Backend` defines
+  them (their steps run in order, Kernel 2's build the backend's own),
+  Kernel 3 as the backend implements it;
 * :class:`StreamingExecutor` — Kernel 2 through the out-of-core
   :func:`repro.core.streaming.streaming_kernel2` (:func:`stream_filter`),
   memory bounded by ``O(batch + N)``;
@@ -15,9 +15,10 @@ One :class:`~repro.core.stages.ExecutionPlan` — four ways to run it:
   the Kernel 3 result details;
 * :class:`~repro.core.async_executor.AsyncExecutor` — stages decomposed
   into a dependency-aware task graph (:mod:`repro.core.scheduler`) so
-  stage I/O overlaps with compute: the same Kernel 0/1 steps scheduled
-  as tasks, the same :func:`stream_filter` Kernel 2 (registered lazily
-  to avoid a module cycle).
+  stage I/O overlaps with compute: the same Kernel 0/1/2 steps
+  scheduled as tasks, Kernel 2 building from the Kernel 1 sort's arrays
+  while Kernel 1's shard writes run (registered lazily to avoid a
+  module cycle).
 
 The base class owns everything strategy-independent: scratch-directory
 lifecycle, per-stage wall-clock timing and minor-fault counts
@@ -340,53 +341,16 @@ class Executor:
         return ctx.backend.kernel3(ctx.config, ctx.require(ARTIFACT_ADJACENCY))
 
 
-def stream_filter(
-    ctx: StageContext,
-    *,
-    overlap_io: bool,
-    handoff: Optional[Tuple[np.ndarray, np.ndarray]],
-) -> StageOutput:
-    """Out-of-core Kernel 2, adopted into the backend's adjacency handle.
-
-    The one Kernel 2 of the streaming and async executors, so its
-    reported metrics cannot drift between them; they differ only in
-    ``overlap_io`` (ingest/dedup/spill on overlapped lanes) and in where
-    the sorted stream comes from.
-
-    With ``handoff=None`` it is read back from the Kernel 1 dataset
-    (``ingest_source: "dataset"``).  With ``handoff`` — the sorted
-    ``(u, v)`` arrays straight from the async executor's Kernel 1 sort
-    task — the ingest lane chunks them in memory, so filtering runs
-    while Kernel 1's shard writes persist the same data.  The batch
-    partition then differs from the dataset's shard/batch layout, which
-    cannot change the result — dedup emits only completed rows and every
-    accumulator sums integer-valued float64 counts, which is exact.
-
-    Attribution caveat, flagged as ``ingest_source: "k1-handoff"``: the
-    hand-off never re-reads the Kernel 1 files, so its busy time
-    *excludes* the dataset read/decode a file-fed Kernel 2 pays — its
-    edges/second reflects the pipelined design and must not be compared
-    head-to-head with a file-fed figure.
-    """
+def stream_filter(ctx: StageContext) -> StageOutput:
+    """Out-of-core Kernel 2 over the Kernel 1 dataset, adopted into the
+    backend's adjacency handle: the streaming executor's Kernel 2."""
     from repro.core.streaming import streaming_kernel2
 
     batch_edges = ctx.config.streaming_batch_edges
-    if handoff is None:
-        source = {"dataset": ctx.require(ARTIFACT_K1)}
-    else:
-        u, v = handoff
-        source = {
-            "batch_source": (
-                (u[start:start + batch_edges], v[start:start + batch_edges])
-                for start in range(0, len(u), batch_edges)
-            ),
-            "num_vertices": ctx.config.num_vertices,
-        }
     streamed = streaming_kernel2(
+        ctx.require(ARTIFACT_K1),
         batch_edges=batch_edges,
         scratch_dir=ctx.base_dir / "k2-scratch",
-        overlap_io=overlap_io,
-        **source,
     )
     handle = ctx.backend.adjacency_from_csr(
         streamed.matrix, streamed.pre_filter_entry_total
@@ -403,10 +367,8 @@ def stream_filter(
         # config.num_edges when contracts are disabled and the
         # dataset does not hold exactly M edges.
         "edges_processed": int(streamed.pre_filter_entry_total),
-        "ingest_source": "dataset" if handoff is None else "k1-handoff",
+        "execution": "streaming",
     }
-    if streamed.io_overlap is not None:
-        details["io_overlap"] = dict(streamed.io_overlap)
     return handle, details
 
 
@@ -431,9 +393,7 @@ class StreamingExecutor(Executor):
     k2_cache_variant = "streaming-csr"
 
     def _compute_filter(self, ctx: StageContext) -> StageOutput:
-        handle, details = stream_filter(ctx, overlap_io=False, handoff=None)
-        details["execution"] = "streaming"
-        return handle, details
+        return stream_filter(ctx)
 
 
 class _ParallelAdjacency(AdjacencyHandle):

@@ -4,8 +4,8 @@ The pipeline's stage graph (:class:`~repro.core.stages.ExecutionPlan`)
 says *what* must precede what; this module supplies the machinery that
 exploits the freedom left over: a :class:`TaskGraph` of named tasks with
 explicit dependencies, run on a thread pool so that independent I/O and
-compute overlap (K0 shard-writes against K1 shard-reads, spill writes
-against batch deduplication, …).
+compute overlap (K0 shard-writes against K1 shard-reads, K1 shard-writes
+against the K2 build, …).
 
 Two properties matter for a benchmark harness and are designed in:
 
@@ -98,6 +98,10 @@ class TaskTiming:
     #: dispatch that queued behind it, inflating group/lane busy sums
     #: and ``overlap_saved_seconds``.
     queue_wait: float = 0.0
+    #: The instant the task's last dependency finished (0 for a task
+    #: without dependencies); ``started - ready`` is how long the ready
+    #: task waited for a pool thread.
+    ready: float = 0.0
 
     @property
     def seconds(self) -> float:
@@ -157,6 +161,12 @@ class ScheduleResult:
     def busy_seconds(self) -> float:
         """Total busy time across all tasks (the "serial equivalent")."""
         return sum(t.seconds for t in self.timings.values())
+
+    @property
+    def dispatch_wait_seconds(self) -> float:
+        """Summed ``started - ready``: time ready tasks spent waiting
+        for a pool thread (the scheduler's own dispatch cost included)."""
+        return sum(t.started - t.ready for t in self.timings.values())
 
     @property
     def overlap_saved_seconds(self) -> float:
@@ -328,6 +338,12 @@ class TaskGraph:
                     finished=finished,
                     lane=spec.lane,
                     queue_wait=queue_wait,
+                    # Every dependency's timing was recorded before it
+                    # completed, hence before this task was submitted.
+                    ready=max(
+                        (result.timings[dep].finished for dep in spec.deps),
+                        default=0.0,
+                    ),
                 )
                 result.timings[spec.name] = timing
                 if handle is not None:

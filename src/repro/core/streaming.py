@@ -244,8 +244,7 @@ def _pass1_pipelined(
     writer preserve the exact byte order of the serial path, so the
     result is bit-identical; only the wall-clock changes.  ``timing``
     receives per-lane busy seconds (read/compute/write) measured around
-    the work itself, with queue blocking excluded — the attribution the
-    async executor reports as per-kernel busy time.
+    the work itself, with queue blocking excluded.
     """
     in_q: "queue.Queue" = queue.Queue(maxsize=4)
     out_q: "queue.Queue" = queue.Queue(maxsize=4)
@@ -374,8 +373,8 @@ def streaming_kernel2(
         then reports per-lane busy time and the wall-clock recovered.
     batch_source:
         Replace the dataset's batch iteration with an external ``(u, v)``
-        batch iterable (the async executor feeds shards here as its
-        Kernel 1 writes complete).  Requires ``num_vertices``.  The
+        batch iterable (say, chunks of sorted arrays already in
+        memory).  Requires ``num_vertices``.  The
         result does not depend on how the source partitions the sorted
         stream into batches: deduplication emits only completed rows
         (boundary rows ride the carry buffer) and every accumulator sums

@@ -21,6 +21,10 @@ from repro.core.scheduler import SchedulerError
 from repro.core.stages import Contract, Stage, default_plan, ExecutionPlan
 
 
+#: The backends whose Kernel 2 is a build step async schedules.
+BUILD_BACKENDS = ["scipy", "numpy", "dataframe", "graphblas"]
+
+
 def _config(backend: str = "scipy", execution: str = "async", **overrides):
     fields = dict(
         scale=8,
@@ -36,12 +40,21 @@ def _config(backend: str = "scipy", execution: str = "async", **overrides):
 
 
 class TestResultParity:
-    @pytest.mark.parametrize("backend", ["scipy", "numpy"])
+    @pytest.mark.parametrize("backend", BUILD_BACKENDS)
     def test_bit_identical_to_serial(self, backend):
         serial = run_pipeline(_config(backend, "serial"))
         overlapped = run_pipeline(_config(backend, "async"))
         # Not merely allclose: the same bits.
         np.testing.assert_array_equal(overlapped.rank, serial.rank)
+
+    @pytest.mark.parametrize("backend", BUILD_BACKENDS)
+    def test_bit_identical_to_serial_with_cache_dir(self, backend, tmp_path):
+        # Coarse stages and the serial Kernel 2, cold and warm.
+        serial = run_pipeline(_config(backend, "serial"))
+        config = _config(backend, "async", cache_dir=tmp_path / "c")
+        for _ in range(2):
+            np.testing.assert_array_equal(run_pipeline(config).rank,
+                                          serial.rank)
 
     def test_bit_identical_to_streaming(self):
         streaming = run_pipeline(_config("scipy", "streaming"))
@@ -180,14 +193,43 @@ class TestTimingAttribution:
         assert busy.pop("dataset") > 0.0
         assert phases == pytest.approx(busy, abs=1e-9)
 
-    def test_k2_reports_streaming_style_details(self):
-        result = run_pipeline(_config("scipy", "async"))
-        k2 = result.kernel(KernelName.K2_FILTER)
-        assert k2.edges_processed == result.config.num_edges
-        assert 0 < k2.details["unique_triples"] < result.config.num_edges
-        io = k2.details["io_overlap"]
-        assert io["busy_seconds"] >= 0.0
-        assert io["wall_seconds"] > 0.0
+    @pytest.mark.parametrize("backend", ["scipy", "dataframe"])
+    def test_k2_details_keys_match_serial(self, backend):
+        # The build step is the serial kernel's after its read; the
+        # hand-off says so, because its busy time has no decode in it.
+        serial = run_pipeline(_config(backend, "serial")).kernel(
+            KernelName.K2_FILTER)
+        overlapped = run_pipeline(_config(backend, "async")).kernel(
+            KernelName.K2_FILTER)
+        async_only = {"execution", "busy_seconds", "contract_seconds",
+                      "ingest_source"}
+        assert (set(overlapped.details) - async_only
+                == set(serial.details) - {"minor_faults"})
+        assert overlapped.details["ingest_source"] == "k1-handoff"
+        assert (set(overlapped.details["phases"])
+                == set(serial.details["phases"]) - {"read"}
+                == {"construct", "filter", "normalize"})
+        for key in ("nnz", "pre_filter_entry_total", "eliminated_columns"):
+            assert overlapped.details[key] == serial.details[key]
+        assert overlapped.edges_processed == serial.edges_processed
+
+    @pytest.mark.parametrize("lanes", ["thread", "process"])
+    def test_k3_starts_after_every_other_task(self, lanes):
+        # Kernel 3 is timed alone: no shard write or contract overlaps it.
+        result = run_pipeline(
+            _config("scipy", "async", async_lanes=lanes, trace=True))
+        tasks = {s["name"]: s for s in result.trace["spans"]
+                 if s["cat"] == "task"}
+        k3 = tasks.pop("task:k3-pagerank")
+        assert any(name.startswith("task:k1:write:") for name in tasks)
+        assert k3["start"] >= max(s["start"] + s["dur"]
+                                  for s in tasks.values())
+
+    def test_dispatch_wait_reported(self):
+        details = run_pipeline(_config("scipy", "async")).kernel(
+            KernelName.K3_PAGERANK).details
+        assert (0.0 <= details["dispatch_wait_seconds"]
+                <= details["pipeline_busy_seconds"])
 
 
 class TestContractsAndFailures:
@@ -286,12 +328,10 @@ class TestBackendOwnsKernels:
         for path in published:
             assert (path.read_bytes()
                     == (tmp_path / "async" / "k1" / path.name).read_bytes())
-        # Kernel 2 is the streaming one under async, so the rank matches
-        # streaming bit for bit and serial to float tolerance.
-        streaming = run_pipeline(_config("dataframe", "streaming"))
-        assert rank_sha256(runs["async"].rank) == rank_sha256(streaming.rank)
-        np.testing.assert_allclose(runs["async"].rank, runs["serial"].rank,
-                                   rtol=1e-12, atol=1e-15)
+        # Kernel 2 is the backend's own build under async too, so the
+        # rank matches serial bit for bit.
+        assert (rank_sha256(runs["async"].rank)
+                == rank_sha256(runs["serial"].rank))
 
 
 class TestCacheFallback:
@@ -349,10 +389,9 @@ class TestProcessLanes:
         lane_busy = details["lane_busy_seconds"]
         assert lane_busy["process"] > 0.0
         assert lane_busy["thread"] > 0.0
-        # Lane busy is raw task time; the stage totals adjust Kernel
-        # 2's interior lanes, so the two agree only approximately.
+        # Lane busy and the stage totals sum the same task times.
         assert sum(lane_busy.values()) == pytest.approx(
-            details["pipeline_busy_seconds"], rel=0.25
+            details["pipeline_busy_seconds"], abs=1e-6
         )
 
     def test_thread_lanes_report_no_process_busy(self):
@@ -411,6 +450,44 @@ class TestProcessLanes:
         )
         assert result.validation is not None
         assert result.validation["passed"]
+
+
+class TestHandoffSafety:
+    """The Kernel 1 shard writes encode the very arrays the Kernel 2
+    build reads, concurrently, so the build must not write to them."""
+
+    @pytest.mark.parametrize("backend", BUILD_BACKENDS)
+    def test_build_step_leaves_its_input_unchanged(self, backend):
+        from repro._util import Timings
+        from repro.backends.registry import get_backend
+        from repro.generators.registry import get_generator
+        from repro.sort.inmemory import sort_edges
+
+        config = _config(backend)
+        u, v = sort_edges(*get_generator(config.generator)(
+            config.scale, config.edge_factor, seed=config.seed))
+        before = (u.tobytes(), v.tobytes())
+        u.flags.writeable = v.flags.writeable = False  # a write raises
+        get_backend(backend).build_adjacency(
+            config, u, v, config.num_vertices, Timings())
+        assert (u.tobytes(), v.tobytes()) == before
+
+    @pytest.mark.parametrize(
+        "lanes", [{}, {"async_lanes": "process", "shard_plane": "shm"}],
+        ids=["thread", "process-shm"])
+    @pytest.mark.parametrize("backend", BUILD_BACKENDS)
+    def test_k1_shards_byte_identical_to_serial(self, backend, lanes,
+                                                tmp_path):
+        serial_dir, async_dir = tmp_path / "serial", tmp_path / "async"
+        serial = run_pipeline(_config(backend, "serial", data_dir=serial_dir))
+        result = run_pipeline(_config(backend, "async", data_dir=async_dir,
+                                      **lanes))
+        np.testing.assert_array_equal(result.rank, serial.rank)
+        shards = sorted((serial_dir / "k1").glob("part-*"))
+        assert len(shards) == result.config.num_files
+        for shard in shards:
+            assert shard.read_bytes() == (async_dir / "k1" / shard.name
+                                          ).read_bytes(), shard.name
 
 
 class TestShardPlane:
@@ -626,23 +703,11 @@ class TestTracedAsyncRun:
         for group, busy in stage_busy.items():
             assert derived[group] == pytest.approx(busy, abs=1e-6)
         for record in result.kernels:
-            span_busy = derived[record.kernel.value]
+            # seconds = group busy minus the in-task contract check.
             contract = record.details.get("contract_seconds", 0.0)
-            io = record.details.get("io_overlap")
-            if io is None:
-                # seconds = group busy minus the in-task contract check.
-                assert span_busy == pytest.approx(
-                    record.seconds + contract, abs=1e-6
-                )
-            else:
-                # Kernel 2 reports its own busy: the task body's wall
-                # plus the lane time its interior overlap hid.  That
-                # wall and the contract check are disjoint windows
-                # inside the one task span.
-                body_wall = record.seconds - (
-                    io["busy_seconds"] - io["wall_seconds"]
-                )
-                assert span_busy >= body_wall + contract - 1e-6
+            assert derived[record.kernel.value] == pytest.approx(
+                record.seconds + contract, abs=1e-6
+            )
 
     def test_trace_structure_deterministic_across_runs(self):
         def shape(result):

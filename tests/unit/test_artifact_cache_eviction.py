@@ -267,20 +267,20 @@ class TestK2WarmRuns:
         assert k2_second.cached
         np.testing.assert_array_equal(first.rank, second.rank)
 
-    def test_warm_matrix_shared_between_csr_strategies(self, tmp_path):
-        # Streaming and async share one arithmetic path, so they share
-        # K2 entries; the serial path keys separately (its kernel2 may
-        # differ in the last ulp on some backends).
+    def test_serial_and_async_share_k2_entries(self, tmp_path):
+        # Serial and async run the backend's own Kernel 2 build, so they
+        # share K2 entries; the streaming assembly keys separately (it
+        # may differ in the last ulp on some backends).
         cache = tmp_path / "c"
         base = PipelineConfig(scale=7, seed=9, backend="scipy",
-                              cache_dir=cache, execution="streaming")
+                              cache_dir=cache)
         cold = run_pipeline(base)
         warm = run_pipeline(base.with_overrides(execution="async"))
         assert (warm.kernel(KernelName.K2_FILTER)
                 .details["artifact_cache"] == "hit")
         np.testing.assert_array_equal(cold.rank, warm.rank)
-        serial = run_pipeline(base.with_overrides(execution="serial"))
-        assert (serial.kernel(KernelName.K2_FILTER)
+        streaming = run_pipeline(base.with_overrides(execution="streaming"))
+        assert (streaming.kernel(KernelName.K2_FILTER)
                 .details["artifact_cache"] == "miss")
 
     def test_warm_cache_never_changes_dataframe_bits(self, tmp_path):

@@ -58,13 +58,14 @@ class TestRegistry:
 
 class TestKernelOwnership:
     def test_only_the_python_backend_replaces_kernels_0_and_1(self):
-        # Kernels 0/1 are defined once, in Backend; the numpy-family
-        # backends may replace the generate/sort steps, never a kernel
-        # (the async executor would then have to run it coarse).
+        # Kernels 0/1/2 are defined once, in Backend; the numpy-family
+        # backends may replace the generate/sort steps and supply the
+        # Kernel 2 build, never a kernel (the async executor would then
+        # have to run it coarse).
         replacing = {
             name
             for name in available_backends()
-            for kernel in ("kernel0", "kernel1")
+            for kernel in ("kernel0", "kernel1", "kernel2")
             if getattr(type(get_backend(name)), kernel)
             is not getattr(Backend, kernel)
         }

@@ -157,6 +157,24 @@ class TestTimingAttribution:
         result = graph.run()
         assert "solo" in result.group_busy_seconds()
 
+    def test_ready_is_the_last_dependency_finish(self):
+        graph = TaskGraph()
+        graph.add("slow", lambda r: time.sleep(0.02))
+        graph.add("fast", lambda r: None)
+        graph.add("join", lambda r: None, deps=("slow", "fast"))
+        # One thread, roots taken in insertion order: "fast" is ready at
+        # once but waits out "slow" for the thread.
+        result = graph.run(max_workers=1)
+        timings = result.timings
+        assert timings["slow"].ready == timings["fast"].ready == 0.0
+        assert timings["join"].ready == max(
+            timings["slow"].finished, timings["fast"].finished)
+        for timing in timings.values():
+            assert timing.started >= timing.ready
+        assert result.dispatch_wait_seconds == pytest.approx(
+            sum(t.started - t.ready for t in timings.values()))
+        assert timings["fast"].started - timings["fast"].ready >= 0.02
+
 
 class TestProcessLaneTasks:
     """Lane marking, dispatch, and busy attribution for lane tasks."""
