@@ -343,7 +343,7 @@ def _write_run_shards(
     """Write ``(u, v)`` to ``out_dir`` in the run's shard layout."""
     return write_shards(
         out_dir, u, v, num_shards=config.num_files, fmt=config.file_format,
-        vertex_base=config.vertex_base, checksums=True,
+        vertex_base=config.vertex_base,
     )
 
 

@@ -168,7 +168,7 @@ class PythonBackend(Backend):
             ]
             payload = "".join(lines).encode("ascii")
             path = out_dir / shard_file_name(index, "tsv")
-            shards.append(store_text_shard(path, payload, end - start, True))
+            shards.append(store_text_shard(path, payload, end - start))
         return EdgeDataset.publish(
             out_dir, shards, num_vertices=config.num_vertices,
             vertex_base=base, fmt="tsv", extra=extra,

@@ -411,9 +411,9 @@ def cmd_cache_rm(args: argparse.Namespace) -> int:
         print(f"removed {entry.kind}/{entry.key} ({_human_bytes(entry.num_bytes)})")
     if not removed:
         # remove() skips entries whose shared lock a reader holds; an
-        # entry dir still on disk now means "in use", not "absent".
+        # entry still published now means "in use", not "absent".
         kinds = [args.kind] if args.kind else list(ArtifactCache.KINDS)
-        if any(cache.entry_dir(kind, args.key).exists() for kind in kinds):
+        if any(cache.published(kind, args.key) for kind in kinds):
             print(
                 f"error: cache entry {args.key!r} is in use by a "
                 f"concurrent reader; retry once its run finishes",

@@ -1,27 +1,25 @@
-"""Content-addressed artifact cache for Kernel 0/1 outputs.
+"""Content-addressed artifact cache for Kernel 0/1/2 outputs.
 
 Sweeps and repeated runs regenerate and re-sort the *same* graph over
 and over: the paper's Figures 4–7 grid runs every backend at every
 scale, and ``repeats > 1`` multiplies that again.  Kernel 0 and Kernel 1
-outputs are pure functions of a small set of config fields, so they can
-be cached on disk and reused — turning sweep repeats into (timed) cache
-reads and making the uncached cost visible exactly once.
+datasets and the Kernel 2 matrix are pure functions of a small set of
+config fields, so they can be cached on disk and reused — turning sweep
+repeats into (timed) cache reads and making the uncached cost visible
+exactly once.
 
 The cache is content-*addressed by inputs*: an entry key is the SHA-256
 of the canonical JSON of every config field that influences the bytes
 written (scale, seed, generator, shard count, format, …).  Any field
 change produces a new key; stale entries are never silently reused.
 
-Entries are produced in a producer-private staging directory (unique
-per attempt, so concurrent worker threads sharing one pid cannot
-collide) and published with an atomic rename, so concurrent runs
-sharing one cache root never observe a half-written entry: a racing
-producer that loses the rename simply discards its staging copy and
-reads the winner's.
-As a second line of defence, :class:`~repro.edgeio.dataset.EdgeDataset`
-writes its manifest last and ``open`` refuses a directory without one —
-an entry torn by a hard crash reads as a miss, is purged, and is
-regenerated.
+Every entry, whatever its kind, is published one way
+(:meth:`ArtifactCache._publish`: staging directory, :data:`MARKER`
+last, atomic rename), so concurrent runs sharing one cache root never
+observe a half-written entry, and read one way
+(:meth:`ArtifactCache._read`), under one corruption rule
+(:data:`CORRUPTION`): a torn entry reads as a miss and is purged, a
+transient ``OSError`` propagates and purges nothing.
 
 Eviction (``repro cache prune`` / :meth:`ArtifactCache.prune`) is made
 safe against concurrent readers by per-entry advisory lock files
@@ -43,10 +41,10 @@ import os
 import shutil
 import tarfile
 import tempfile
-from contextlib import contextmanager
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 try:  # POSIX advisory locks; the lock degrades to a no-op elsewhere
     import fcntl
@@ -60,13 +58,27 @@ from repro.backends.base import Details
 from repro.core import trace
 from repro.core.config import PipelineConfig
 from repro.edgeio.dataset import EdgeDataset
+from repro.edgeio.errors import EdgeIOError
 
 #: Producer callback: given the entry directory, build the dataset there.
 DatasetProducer = Callable[[Path], Tuple[EdgeDataset, Details]]
 
-#: Sentinel: an entry exists but is provably corrupt (see
-#: :meth:`ArtifactCache._open_entry`).
-_CORRUPT = object()
+T = TypeVar("T")
+
+#: The file every published entry carries, written last: the key's input
+#: fields as JSON.  Its presence is what "published" means.
+MARKER = "cache-entry.json"
+
+#: The one corruption rule: what reading a published entry raises when
+#: its files are torn or malformed — a format error (bad manifest, shard
+#: or archive) or a missing member or file.  Such an entry reads as a
+#: miss and is purged.  Every other ``OSError`` (``EMFILE``, ``EACCES``,
+#: ``EIO``, …) is no verdict on the entry: it propagates, and the entry
+#: stays for the next reader.
+CORRUPTION = (
+    EdgeIOError, ValueError, KeyError, EOFError, zipfile.BadZipFile,
+    FileNotFoundError,
+)
 
 #: On-disk layout version of each artifact kind, hashed into that kind's
 #: cache key (``"layout"`` in ``k*_cache_fields``).  Bump a kind's number
@@ -224,15 +236,6 @@ class EntryLock:
             self._fh.close()
             self._fh = None
 
-    @contextmanager
-    def shared(self) -> Iterator["EntryLock"]:
-        """Hold the lock in shared (reader) mode for the block."""
-        self.acquire(shared=True)
-        try:
-            yield self
-        finally:
-            self.release()
-
 
 @dataclass(frozen=True)
 class CacheEntry:
@@ -258,9 +261,10 @@ class ArtifactCache:
         <root>/k1/<key>/...
         <root>/k2/<key>/csr.npz (CSR or CSC) + meta.json + cache-entry.json
 
-    ``cache-entry.json`` records the key's input fields for inspection
-    (``repro`` never reads it back — the key *is* the address).  Every
-    hit bumps the entry directory's mtime, so :meth:`prune` evicting in
+    ``cache-entry.json`` (:data:`MARKER`) records the key's input fields;
+    written last, it marks the entry published, and :meth:`import_entry`
+    checks that its fields hash to the key it is filed under.  Every hit
+    bumps the entry directory's mtime, so :meth:`prune` evicting in
     mtime order implements size-budgeted LRU.
     """
 
@@ -281,6 +285,10 @@ class ArtifactCache:
     def entry_lock(self, kind: str, key: str) -> EntryLock:
         """The advisory lock guarding one entry against eviction."""
         return EntryLock(self.root / kind / f"{key}.lock")
+
+    def published(self, kind: str, key: str) -> bool:
+        """Whether ``kind``/``key`` is a published entry (has the marker)."""
+        return (self.entry_dir(kind, key) / MARKER).is_file()
 
     def dataset(
         self,
@@ -305,7 +313,7 @@ class ArtifactCache:
         fields:
             Input fields addressing the entry (see :func:`cache_key`).
         producer:
-            Invoked with the entry directory on a miss; must write the
+            Invoked with a staging directory on a miss; must write the
             dataset there and return ``(dataset, details)``.
         hold:
             When given, a shared :class:`EntryLock` on the entry is
@@ -322,93 +330,167 @@ class ArtifactCache:
             every :class:`~repro.core.results.KernelResult`.
         """
         key = cache_key(fields)
-        entry = self.entry_dir(kind, key)
-        probe = trace.span(f"cache:{kind}", cat="cache", key=key)
-        with probe:
-            hit = self._open_locked(kind, key, hold)
-            probe.set(outcome="hit" if hit is not None else "miss")
-        if hit is not None:
-            return hit
+        dataset = self._read(kind, key, _open_dataset, hold=hold)
+        if dataset is not None:
+            return dataset, {
+                "artifact_cache": "hit",
+                "artifact_cache_key": key,
+                "num_edges": dataset.num_edges,
+                "num_shards": dataset.num_shards,
+            }
+        details = dict(self._publish(
+            kind, fields, lambda staging: producer(staging)[1]
+        ))
+        details["artifact_cache"] = "miss"
+        details["artifact_cache_key"] = key
+        # Reopen what was published (ours, or a racing winner's): the
+        # returned dataset must live in the entry, under the lock.
+        dataset = self._read(kind, key, _open_dataset, hold=hold)
+        if dataset is None:
+            raise RuntimeError(
+                f"{kind} cache entry {key} was not readable right after "
+                f"it was published"
+            )
+        return dataset, details
 
-        # Miss: produce into a producer-private staging dir, then
-        # publish atomically so concurrent runs never see a half-written
-        # entry.  mkdtemp makes the staging name unique per *attempt* —
-        # concurrent producers in one process (the service's worker
-        # threads share a pid) must not collide on it.  The lock is not
-        # held while producing; publication is an atomic rename.
+    def load_csr(
+        self, kind: str, fields: Dict[str, object]
+    ) -> Optional[Tuple[sp.spmatrix, Dict[str, object]]]:
+        """Load a cached matrix (CSR or CSC, as stored), or ``None`` on miss.
+
+        Returns ``(matrix, meta)`` where ``meta`` is whatever
+        :meth:`store_csr` recorded (e.g. ``pre_filter_entry_total``).
+        A torn entry is purged and reads as a miss (see :meth:`_read`).
+        The entry's shared lock is held only for the load — the matrix
+        is fully materialised in memory before return, so eviction
+        cannot tear it afterwards.
+        """
+        return self._read(kind, cache_key(fields), _load_matrix)
+
+    def store_csr(
+        self,
+        kind: str,
+        fields: Dict[str, object],
+        matrix: sp.spmatrix,
+        meta: Dict[str, object],
+    ) -> str:
+        """Publish a matrix entry (CSR or CSC, as handed); returns the
+        entry key."""
+        key = cache_key(fields)
+        if matrix.format not in ("csr", "csc"):
+            matrix = matrix.tocsr()
+
+        def write(staging: Path) -> None:
+            # The layout marker is a member's name: nothing to read, and
+            # an entry without it is CSR.
+            marker = {"csc": np.empty(0)} if matrix.format == "csc" else {}
+            np.savez(
+                staging / "csr.npz",
+                indptr=matrix.indptr,
+                indices=matrix.indices,
+                data=matrix.data,
+                shape=np.asarray(matrix.shape, dtype=np.int64),
+                **marker,
+            )
+            (staging / "meta.json").write_text(
+                json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8"
+            )
+
+        with trace.span(f"cache:{kind}:store", cat="cache", key=key):
+            self._publish(kind, fields, write)
+        return key
+
+    # ------------------------------------------------------------------
+    # The one publish path and the one read path
+    # ------------------------------------------------------------------
+    def _publish(
+        self, kind: str, fields: Dict[str, object],
+        fill: Callable[[Path], T],
+    ) -> T:
+        """Publish one entry atomically; returns what ``fill`` returned.
+
+        ``fill(staging)`` writes the entry's files into a staging
+        directory unique per attempt (``mkdtemp``: the service's worker
+        threads share one pid).  The marker goes in last and one
+        ``os.replace`` publishes the directory, so no reader ever sees a
+        half-written entry.  Losing the rename to a concurrent publisher
+        is fine: the winner's entry is value-identical by construction
+        (same fields, pure function).  The staging directory is always
+        removed.
+        """
+        entry = self.entry_dir(kind, cache_key(fields))
         entry.parent.mkdir(parents=True, exist_ok=True)
         staging = Path(tempfile.mkdtemp(
             prefix=f"{entry.name}.tmp-", dir=entry.parent
         ))
-        discard_staging = True
         try:
-            dataset, details = producer(staging)
-            details = dict(details)
-            details["artifact_cache"] = "miss"
-            details["artifact_cache_key"] = key
-            if not (staging / "manifest.json").exists():
-                # The producer wrote its dataset elsewhere (possible with
-                # custom backends); nothing publishable — return as-is,
-                # keeping whatever the producer left behind.
-                discard_staging = False
-                return dataset, details
-            (staging / "cache-entry.json").write_text(
+            result = fill(staging)
+            (staging / MARKER).write_text(
                 json.dumps(fields, indent=2, sort_keys=True), encoding="utf-8"
             )
             try:
                 os.replace(staging, entry)
             except OSError:
-                # A racing producer published first; use its entry.
-                winner = self._open_locked(kind, key, hold)
-                if winner is not None:
-                    return winner[0], details
-                # Winner unreadable: fall back to our staging copy.
-                discard_staging = False
-                return dataset, details
-            published = self._open_locked(kind, key, hold)
-            if published is not None:
-                return published[0], details
-            # Evicted between publish and reopen (possible but absurd —
-            # a prune racing a brand-new entry); the staging copy is
-            # gone, so reopening the entry path is all we have.
-            return EdgeDataset.open(entry, mmap=True), details
+                pass  # a racing publisher won; its entry is identical
+            return result
         finally:
-            if discard_staging:
-                shutil.rmtree(staging, ignore_errors=True)
+            shutil.rmtree(staging, ignore_errors=True)
 
-    def _open_locked(
-        self, kind: str, key: str, hold: Optional[List[EntryLock]]
-    ):
-        """Open a published entry under its shared lock.
+    def _read(
+        self,
+        kind: str,
+        key: str,
+        read: Callable[[Path], T],
+        *,
+        hold: Optional[List[EntryLock]] = None,
+    ) -> Optional[T]:
+        """Read one entry under its shared lock; ``None`` on a miss.
 
-        On a clean hit the lock is either handed to ``hold`` or
-        released (the caller got its data).  A provably-corrupt entry
-        is purged *after* the shared lock is dropped and only if the
-        exclusive lock can be won — never out from under a concurrent
-        reader — and reads as a miss either way.
+        ``read(entry_dir)`` loads the entry's files.  No directory is a
+        plain miss.  A directory without the marker, or one whose
+        ``read`` raises a :data:`CORRUPTION` error, is torn: a miss too,
+        and purged after the shared lock is dropped — only if the
+        exclusive lock can be won, never out from under a concurrent
+        reader.  Any other error propagates and leaves the entry alone.
+        A hit touches the entry (the LRU signal) and appends the shared
+        lock to ``hold`` when given (the caller releases it), else
+        releases it.
         """
-        lock = self.entry_lock(kind, key)
-        lock.acquire(shared=True)
-        try:
-            opened = self._open_entry(self.entry_dir(kind, key), key)
-            if opened is not None and opened is not _CORRUPT:
-                if hold is not None:
-                    hold.append(lock)
-                    lock = None  # ownership transferred to the caller
-                return opened
-        finally:
-            if lock is not None:
-                lock.release()
-        if opened is _CORRUPT:
+        entry = self.entry_dir(kind, key)
+        probe = trace.span(f"cache:{kind}", cat="cache", key=key)
+        with probe:
+            lock = self.entry_lock(kind, key)
+            lock.acquire(shared=True)
+            try:
+                if not entry.is_dir():
+                    probe.set(outcome="miss")
+                    return None
+                try:
+                    if not self.published(kind, key):
+                        raise FileNotFoundError(errno.ENOENT, MARKER)
+                    value = read(entry)
+                except CORRUPTION:
+                    pass
+                else:
+                    self._touch(entry)
+                    if hold is not None:
+                        hold.append(lock)
+                        lock = None  # ownership passes to the caller
+                    probe.set(outcome="hit")
+                    return value
+            finally:
+                if lock is not None:
+                    lock.release()
+            probe.set(outcome="miss")
             self._purge_corrupt(kind, key)
-        return None
+            return None
 
     def _purge_corrupt(self, kind: str, key: str) -> None:
-        """Delete a provably-bad entry iff the exclusive lock is free.
+        """Delete a torn entry iff the exclusive lock is free.
 
         A busy lock means another process is mid-read; it will reach
-        the same corruption verdict itself (or finish with the old
-        bytes), so skipping is safe — the entry stays a miss for us.
+        the same verdict itself, so skipping is safe — the entry stays
+        a miss for us.
         """
         lock = self.entry_lock(kind, key)
         if not lock.acquire(shared=False, blocking=False):
@@ -417,34 +499,6 @@ class ArtifactCache:
             shutil.rmtree(self.entry_dir(kind, key), ignore_errors=True)
         finally:
             lock.release()
-
-    def _open_entry(self, entry: Path, key: str):
-        """Open a published entry; :data:`_CORRUPT` when provably bad.
-
-        The caller (:meth:`_open_locked`) owns purging — it happens
-        under the entry's *exclusive* lock, never from here where only
-        the shared lock is held.
-        """
-        from repro.edgeio.errors import EdgeIOError
-
-        if not (entry / "manifest.json").exists():
-            return None
-        try:
-            dataset = EdgeDataset.open(entry, mmap=True)
-        except (EdgeIOError, ValueError, KeyError):
-            # Corruption the verifier detected (missing shard, size or
-            # CRC mismatch, unparseable manifest).  Transient I/O
-            # errors (EMFILE, EACCES, …) propagate instead — deleting
-            # a shared entry that another process may be reading is
-            # never the answer to those.
-            return _CORRUPT
-        self._touch(entry)
-        return dataset, {
-            "artifact_cache": "hit",
-            "artifact_cache_key": key,
-            "num_edges": dataset.num_edges,
-            "num_shards": dataset.num_shards,
-        }
 
     @staticmethod
     def _touch(entry: Path) -> None:
@@ -455,108 +509,11 @@ class ArtifactCache:
             pass
 
     # ------------------------------------------------------------------
-    # CSR matrix artifacts (Kernel 2)
-    # ------------------------------------------------------------------
-    def load_csr(
-        self, kind: str, fields: Dict[str, object]
-    ) -> Optional[Tuple[sp.spmatrix, Dict[str, object]]]:
-        """Load a cached matrix (CSR or CSC, as stored), or ``None`` on miss.
-
-        Returns ``(matrix, meta)`` where ``meta`` is whatever
-        :meth:`store_csr` recorded (e.g. ``pre_filter_entry_total``).
-        A torn or unreadable entry is purged and reads as a miss.  The
-        entry's shared lock is held only for the load — the matrix is
-        fully materialised in memory before return, so eviction cannot
-        tear it afterwards.
-        """
-        key = cache_key(fields)
-        entry = self.entry_dir(kind, key)
-        payload = entry / "csr.npz"
-        meta_path = entry / "meta.json"
-        probe = trace.span(f"cache:{kind}", cat="cache", key=key)
-        with probe:
-            with self.entry_lock(kind, key).shared():
-                if not payload.exists() or not meta_path.exists():
-                    probe.set(outcome="miss")
-                    return None
-                try:
-                    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-                    with np.load(payload) as archive:
-                        shape = tuple(int(x) for x in archive["shape"])
-                        # The marker is a member's name: nothing to read,
-                        # and an entry without it is CSR.
-                        csc = "csc" in archive.files
-                        matrix = (sp.csc_matrix if csc else sp.csr_matrix)(
-                            (archive["data"], archive["indices"],
-                             archive["indptr"]),
-                            shape=shape,
-                        )
-                except (OSError, ValueError, KeyError, json.JSONDecodeError):
-                    matrix = None
-                else:
-                    self._touch(entry)
-            if matrix is None:
-                # Unreadable entry: purge only if the exclusive lock can
-                # be won (see _purge_corrupt) — never under a reader.
-                probe.set(outcome="miss")
-                self._purge_corrupt(kind, key)
-                return None
-            probe.set(outcome="hit")
-        return matrix, meta
-
-    def store_csr(
-        self,
-        kind: str,
-        fields: Dict[str, object],
-        matrix: sp.spmatrix,
-        meta: Dict[str, object],
-    ) -> str:
-        """Publish a matrix entry (CSR or CSC, as handed) atomically;
-        returns the entry key.
-
-        Losing a publish race is fine — the winner's entry is
-        value-identical by construction (same fields, pure function).
-        """
-        key = cache_key(fields)
-        entry = self.entry_dir(kind, key)
-        entry.parent.mkdir(parents=True, exist_ok=True)
-        staging = Path(tempfile.mkdtemp(
-            prefix=f"{entry.name}.tmp-", dir=entry.parent
-        ))
-        try:
-            with trace.span(f"cache:{kind}:store", cat="cache", key=key):
-                if matrix.format not in ("csr", "csc"):
-                    matrix = matrix.tocsr()
-                marker = {"csc": np.empty(0)} if matrix.format == "csc" else {}
-                np.savez(
-                    staging / "csr.npz",
-                    indptr=matrix.indptr,
-                    indices=matrix.indices,
-                    data=matrix.data,
-                    shape=np.asarray(matrix.shape, dtype=np.int64),
-                    **marker,
-                )
-                (staging / "meta.json").write_text(
-                    json.dumps(meta, indent=2, sort_keys=True),
-                    encoding="utf-8",
-                )
-                (staging / "cache-entry.json").write_text(
-                    json.dumps(fields, indent=2, sort_keys=True),
-                    encoding="utf-8",
-                )
-                try:
-                    os.replace(staging, entry)
-                except OSError:
-                    pass  # a racing producer published an identical entry
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
-        return key
-
-    # ------------------------------------------------------------------
     # Inspection and size-budgeted LRU eviction
     # ------------------------------------------------------------------
     def entries(self) -> List[CacheEntry]:
-        """Every published entry, oldest (least recently used) first.
+        """Every entry directory (staging excluded, torn ones included so
+        eviction can collect them), least recently used first.
 
         Tolerates concurrent mutation: an entry (or file inside it)
         deleted between listing and stat — another process pruning, or
@@ -662,87 +619,62 @@ class ArtifactCache:
     def export_entry(self, kind: str, key: str) -> Optional[bytes]:
         """Pack one published entry as an uncompressed tar archive.
 
-        Returns ``None`` when the entry does not exist (or is torn —
-        no manifest).  The entry's shared lock is held for the read so
-        a concurrent prune cannot delete files mid-pack; archive member
-        names are entry-relative, so :meth:`import_entry` on any host
-        reproduces the exact directory.  Keys are content-addressed by
-        the *producing config*, which is what makes a transplanted
-        entry safe: the receiving host would have produced the same
-        bytes under the same key.
+        Returns ``None`` when the entry is not published (or is torn,
+        see :meth:`_read`).  The entry's shared lock is held for the
+        read so a concurrent prune cannot delete files mid-pack;
+        archive member names are entry-relative, so :meth:`import_entry`
+        on any host reproduces the exact directory.  Keys are
+        content-addressed by the *producing config*, which is what makes
+        a transplanted entry safe: the receiving host would have
+        produced the same bytes under the same key.
         """
-        if kind not in self.KINDS:
-            raise ValueError(f"kind must be one of {self.KINDS}, got {kind!r}")
-        entry = self.entry_dir(kind, key)
-        lock = self.entry_lock(kind, key)
-        lock.acquire(shared=True)
-        try:
-            if not (entry / "manifest.json").is_file():
-                return None
-            buffer = io.BytesIO()
-            with tarfile.open(fileobj=buffer, mode="w") as archive:
-                for path in sorted(entry.rglob("*")):
-                    if path.is_file():
-                        archive.add(
-                            path, arcname=path.relative_to(entry).as_posix()
-                        )
-            self._touch(entry)
-            return buffer.getvalue()
-        except OSError:
-            return None  # entry vanished mid-pack; report a miss
-        finally:
-            lock.release()
+        _check_kind(kind)
+        return self._read(kind, key, _pack)
 
     def import_entry(self, kind: str, key: str, data: bytes) -> bool:
-        """Unpack an :meth:`export_entry` archive as a published entry.
+        """Publish an :meth:`export_entry` archive as entry ``key``.
 
         Extraction is defensive — only regular files, entry-relative
-        paths (no absolute members, no ``..`` traversal, no symlinks) —
-        into a private staging directory, published with the same
-        atomic rename the producers use.  Losing the rename race to a
-        concurrent producer/import counts as success (the winner's
-        bytes are equivalent by content addressing).  Returns ``False``
-        for a malformed or unsafe archive.
+        paths (no absolute members, no ``..`` traversal, no symlinks).
+        The archive's marker must parse and its fields must hash to
+        ``key``; the files are then published through the same path a
+        producer uses, losing the rename race counting as success (the
+        winner's bytes are equivalent by content addressing).  Returns
+        ``False`` for a malformed, unsafe or mis-keyed archive.
         """
-        if kind not in self.KINDS:
-            raise ValueError(f"kind must be one of {self.KINDS}, got {kind!r}")
-        entry = self.entry_dir(kind, key)
-        if (entry / "manifest.json").is_file():
-            self._touch(entry)
+        _check_kind(kind)
+        if self.published(kind, key):
+            self._touch(self.entry_dir(kind, key))
             return True  # already warm locally
-        entry.parent.mkdir(parents=True, exist_ok=True)
-        staging = Path(tempfile.mkdtemp(
-            prefix=f"{entry.name}.tmp-", dir=entry.parent
-        ))
         try:
             with tarfile.open(fileobj=io.BytesIO(data), mode="r") as archive:
-                for member in archive.getmembers():
-                    if not member.isfile():
-                        return False  # symlink/device/dir member: refuse
+                members = archive.getmembers()
+                fields = None
+                for member in members:
                     relative = Path(member.name)
-                    if relative.is_absolute() or ".." in relative.parts:
-                        return False
-                    target = staging / relative
-                    target.parent.mkdir(parents=True, exist_ok=True)
-                    source = archive.extractfile(member)
-                    if source is None:
-                        return False
-                    with open(target, "wb") as sink:
-                        shutil.copyfileobj(source, sink)
-            if not (staging / "manifest.json").is_file():
-                return False  # a torn entry must never publish
-            try:
-                os.replace(staging, entry)
-            except OSError:
-                # A concurrent producer or import won the rename; its
-                # entry is content-equivalent, so this import succeeded
-                # in effect.
-                pass
+                    if (not member.isfile() or relative.is_absolute()
+                            or ".." in relative.parts):
+                        return False  # symlink/device/dir or escaping path
+                    if relative == Path(MARKER):
+                        fields = json.load(archive.extractfile(member))
+                if not isinstance(fields, dict) or cache_key(fields) != key:
+                    return False  # unpublished or filed under another key
+
+                def unpack(staging: Path) -> None:
+                    for member in members:
+                        target = staging / member.name
+                        if target == staging / MARKER:
+                            continue  # _publish writes it, last
+                        target.parent.mkdir(parents=True, exist_ok=True)
+                        with open(target, "wb") as sink:
+                            shutil.copyfileobj(
+                                archive.extractfile(member), sink
+                            )
+
+                self._publish(kind, fields, unpack)
             return True
         except (tarfile.TarError, ValueError, OSError):
             return False
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
 
     def remove(self, key: str, kind: Optional[str] = None) -> List[CacheEntry]:
         """Delete entries matching ``key`` (optionally restricted to one
@@ -780,3 +712,38 @@ class ArtifactCache:
             total -= entry.num_bytes
             evicted.append(entry)
         return evicted
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in ArtifactCache.KINDS:
+        raise ValueError(
+            f"kind must be one of {ArtifactCache.KINDS}, got {kind!r}"
+        )
+
+
+def _open_dataset(entry: Path) -> EdgeDataset:
+    """Read half of a k0/k1 entry: the verified, memory-mapped dataset."""
+    return EdgeDataset.open(entry, mmap=True)
+
+
+def _load_matrix(entry: Path) -> Tuple[sp.spmatrix, Dict[str, object]]:
+    """Read half of a k2 entry: ``(matrix, meta)`` fully in memory."""
+    meta = json.loads((entry / "meta.json").read_text(encoding="utf-8"))
+    with np.load(entry / "csr.npz") as archive:
+        shape = tuple(int(x) for x in archive["shape"])
+        csc = "csc" in archive.files
+        matrix = (sp.csc_matrix if csc else sp.csr_matrix)(
+            (archive["data"], archive["indices"], archive["indptr"]),
+            shape=shape,
+        )
+    return matrix, meta
+
+
+def _pack(entry: Path) -> bytes:
+    """Every file of an entry as an uncompressed, entry-relative tar."""
+    buffer = io.BytesIO()
+    with tarfile.open(fileobj=buffer, mode="w") as archive:
+        for path in sorted(entry.rglob("*")):
+            if path.is_file():
+                archive.add(path, arcname=path.relative_to(entry).as_posix())
+    return buffer.getvalue()

@@ -347,13 +347,11 @@ def _pass1_pipelined(
 
 
 def streaming_kernel2(
-    dataset: Optional[EdgeDataset] = None,
+    dataset: EdgeDataset,
     *,
     batch_edges: int = DEFAULT_STREAMING_BATCH_EDGES,
     scratch_dir: Optional[Path] = None,
     overlap_io: bool = False,
-    batch_source: Optional[Iterable[Tuple[np.ndarray, np.ndarray]]] = None,
-    num_vertices: Optional[int] = None,
 ) -> StreamingKernel2Result:
     """Run Kernel 2 with memory bounded by ``O(batch_edges + N)``.
 
@@ -363,7 +361,10 @@ def streaming_kernel2(
         Kernel 1 output — **must** be sorted by start vertex (verified
         streamingly; a violation raises ``ValueError``).
     batch_edges:
-        Pass-1 batch size (the memory knob).
+        Pass-1 batch size (the memory knob).  The result does not depend
+        on it: deduplication emits only completed rows (boundary rows
+        ride the carry buffer) and every accumulator sums
+        integer-valued float64 counts, which is exact.
     scratch_dir:
         Where the deduplicated spill file lives; a temp dir by default.
     overlap_io:
@@ -371,17 +372,6 @@ def streaming_kernel2(
         (reader/writer threads plus bounded hand-off queues).  The
         result is bit-identical; :attr:`StreamingKernel2Result.io_overlap`
         then reports per-lane busy time and the wall-clock recovered.
-    batch_source:
-        Replace the dataset's batch iteration with an external ``(u, v)``
-        batch iterable (say, chunks of sorted arrays already in
-        memory).  Requires ``num_vertices``.  The
-        result does not depend on how the source partitions the sorted
-        stream into batches: deduplication emits only completed rows
-        (boundary rows ride the carry buffer) and every accumulator sums
-        integer-valued float64 counts, which is exact.
-    num_vertices:
-        Matrix dimension ``N`` when ``batch_source`` is used without a
-        dataset.
 
     Returns
     -------
@@ -394,12 +384,7 @@ def streaming_kernel2(
     >>> # see tests/integration/test_streaming_kernel2.py
     """
     check_positive_int("batch_edges", batch_edges)
-    if dataset is None and (batch_source is None or num_vertices is None):
-        raise ValueError(
-            "streaming_kernel2 needs a dataset, or batch_source plus "
-            "num_vertices"
-        )
-    n = int(num_vertices) if num_vertices is not None else dataset.num_vertices
+    n = dataset.num_vertices
 
     own_scratch = scratch_dir is None
     scratch = Path(scratch_dir) if scratch_dir else Path(
@@ -410,11 +395,7 @@ def streaming_kernel2(
 
     try:
         # ---- pass 1: dedup + in-degree + spill ----------------------
-        batches = (
-            batch_source
-            if batch_source is not None
-            else dataset.iter_batches(batch_edges)
-        )
+        batches = dataset.iter_batches(batch_edges)
         timing: Dict[str, float] = {}
         with trace.span("k2:pass1", cat="k2") as pass1_span:
             if overlap_io:

@@ -84,7 +84,6 @@ def write_shard(
     *,
     fmt: str = "tsv",
     vertex_base: int = DEFAULT_VERTEX_BASE,
-    checksums: bool = True,
 ) -> ShardInfo:
     """Write one shard file (atomically) and return its manifest entry.
 
@@ -104,21 +103,20 @@ def write_shard(
             import gzip
 
             payload = gzip.compress(payload, compresslevel=6)
-        return store_text_shard(path, payload, len(u), checksums)
+        return store_text_shard(path, payload, len(u))
     nbytes = write_binary_shard(path, u, v)
     return ShardInfo(name=name, num_edges=len(u), crc32=None, num_bytes=nbytes)
 
 
-def store_text_shard(
-    path: Path, payload: bytes, num_edges: int, checksums: bool
-) -> ShardInfo:
-    """Atomically store an encoded text shard; return its manifest entry."""
+def store_text_shard(path: Path, payload: bytes, num_edges: int) -> ShardInfo:
+    """Atomically store an encoded text shard; return its manifest entry
+    (with the payload's CRC32)."""
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(payload)
     tmp.replace(path)
-    crc = zlib.crc32(payload) if checksums else None
     return ShardInfo(
-        name=path.name, num_edges=num_edges, crc32=crc, num_bytes=len(payload)
+        name=path.name, num_edges=num_edges, crc32=zlib.crc32(payload),
+        num_bytes=len(payload),
     )
 
 
@@ -130,7 +128,6 @@ def write_shards(
     num_shards: int,
     fmt: str,
     vertex_base: int,
-    checksums: bool,
 ) -> List[ShardInfo]:
     """Write full edge arrays as ``num_shards`` shard files, in order.
 
@@ -145,7 +142,7 @@ def write_shards(
     return [
         write_shard(
             directory, index, u[start:end], v[start:end],
-            fmt=fmt, vertex_base=vertex_base, checksums=checksums,
+            fmt=fmt, vertex_base=vertex_base,
         )
         for index, (start, end) in enumerate(shard_slices(len(u), num_shards))
     ]
@@ -257,7 +254,6 @@ class EdgeDataset:
         num_shards: int = 1,
         vertex_base: int = DEFAULT_VERTEX_BASE,
         fmt: str = "tsv",
-        checksums: bool = True,
         extra: Optional[dict] = None,
     ) -> "EdgeDataset":
         """Write full in-memory edge arrays as a sharded dataset.
@@ -277,9 +273,6 @@ class EdgeDataset:
             On-disk label base.
         fmt:
             ``"tsv"`` (paper format) or ``"npy"``.
-        checksums:
-            Record CRC32 per shard (tsv only; npy relies on the npy
-            header for structure).
         extra:
             Free-form metadata stored in the manifest.
         """
@@ -287,7 +280,7 @@ class EdgeDataset:
         check_positive_int("num_vertices", num_vertices)
         shards = write_shards(
             directory, u, v, num_shards=num_shards,
-            fmt=fmt, vertex_base=vertex_base, checksums=checksums,
+            fmt=fmt, vertex_base=vertex_base,
         )
         return cls.publish(
             directory, shards, num_vertices=num_vertices,

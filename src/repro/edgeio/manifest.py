@@ -32,7 +32,7 @@ class ShardInfo:
     num_edges:
         Edge (line) count in the shard.
     crc32:
-        CRC32 of the file bytes; ``None`` when checksums were disabled.
+        CRC32 of the file bytes (text shards); ``None`` for binary ones.
     num_bytes:
         File size in bytes at write time.
     """

@@ -90,7 +90,7 @@ def sync_before_run(
     }
     for kind, key in spec_sync_keys(spec).items():
         label = f"{kind}/{key}"
-        if (cache.entry_dir(kind, key) / "manifest.json").is_file():
+        if cache.published(kind, key):
             summary["local"].append(label)
             continue
         data = fetch_entry(base, kind, key)

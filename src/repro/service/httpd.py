@@ -309,7 +309,7 @@ class BenchmarkRequestHandler(BaseHTTPRequestHandler):
             self._error(
                 400, "artifact archive was malformed or unsafe "
                      "(must be a tar of regular entry-relative files "
-                     "with a manifest.json)"
+                     "whose cache-entry marker hashes to the key)"
             )
 
     def do_POST(self) -> None:  # noqa: N802

@@ -111,13 +111,11 @@ class BenchmarkService:
         locks.
     store_path:
         JSONL job-store file; ``None`` keeps the service memory-only.
-        An existing store is replayed on startup (see ``replay``).
+        An existing store is replayed on startup: terminal jobs are
+        restored from their logged result documents and jobs that were
+        in flight when the previous process died are re-queued.
     dedup:
         Deduplicate in-flight submissions by spec hash (default on).
-    replay:
-        Replay an existing job store on startup: restore terminal jobs
-        from their logged result documents and re-queue jobs that were
-        in flight when the previous process died.  Default on.
     compact_on_start:
         Compact the store (before replaying it) on startup.
     compact_every:
@@ -151,7 +149,6 @@ class BenchmarkService:
         cache_dir: Optional[Path] = None,
         store_path: Optional[Path] = None,
         dedup: bool = True,
-        replay: bool = True,
         compact_on_start: bool = False,
         compact_every: Optional[int] = None,
         worker_listen: Optional[Tuple[str, int]] = None,
@@ -199,7 +196,7 @@ class BenchmarkService:
         self.store = JobStore(store_path, compact_every=compact_every)
         if self.store.path is not None and compact_on_start:
             self.store.compact()
-        if self.store.path is not None and replay:
+        if self.store.path is not None:
             self._replay_store()
 
     # ------------------------------------------------------------------

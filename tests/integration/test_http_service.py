@@ -129,6 +129,24 @@ class TestHTTPService:
         assert any(j["job_id"] == doc["job_id"] for j in listing["jobs"])
 
 
+class TestHTTPArtifacts:
+    def test_every_indexed_entry_answers_get(self, served):
+        # A local scipy run publishes k0, k1 and a k2 matrix entry; the
+        # index lists all three and each one exports.
+        spec = RunSpec(scale=6, seed=2, backend="scipy")
+        _, doc = _post(f"{served}/jobs", {"spec": spec.to_dict()})
+        assert _poll_terminal(served, doc["job_id"])["state"] == "succeeded"
+        status, index = _get(f"{served}/artifacts")
+        assert status == 200
+        entries = index["entries"]
+        assert {entry["kind"] for entry in entries} == {"k0", "k1", "k2"}
+        for entry in entries:
+            url = f"{served}/artifacts/{entry['kind']}/{entry['key']}"
+            with urllib.request.urlopen(url, timeout=30) as response:
+                assert response.status == 200
+                assert len(response.read()) >= entry["num_bytes"]
+
+
 class TestHTTPSweeps:
     def test_submit_sweepspec_document(self, served):
         sweep = {

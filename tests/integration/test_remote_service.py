@@ -24,7 +24,9 @@ import pytest
 
 import repro
 from repro.api import RunSpec, execute_spec
-from repro.core.artifacts import ArtifactCache, cache_key, k0_cache_fields
+from repro.core.artifacts import (
+    MARKER, ArtifactCache, cache_key, k0_cache_fields,
+)
 from repro.service import BenchmarkService, WorkerAgent, serve_in_thread
 from repro.service.jobs import load_events
 
@@ -264,13 +266,16 @@ class TestArtifactSync:
         """The tar transplant primitive underneath GET/PUT /artifacts."""
         config = SPEC.to_config(None)
         cache_a = ArtifactCache(tmp_path / "a")
-        key = cache_key(k0_cache_fields(config))
+        fields = k0_cache_fields(config)
+        key = cache_key(fields)
         entry = cache_a.entry_dir("k0", key)
         entry.mkdir(parents=True)
         (entry / "edges.tsv").write_text("1\t2\n")
         (entry / "manifest.json").write_text(
             json.dumps({"schema": 1, "shards": []})
         )
+        # What makes the entry published (see ArtifactCache._publish).
+        (entry / MARKER).write_text(json.dumps(fields))
         data = cache_a.export_entry("k0", key)
         assert data is not None
 
@@ -282,7 +287,7 @@ class TestArtifactSync:
         assert cache_b.import_entry("k0", key, data)
 
         # Unsafe archives are refused: absolute and traversal members,
-        # and archives with no manifest.
+        # and archives with no marker.
         import io
         import tarfile
 
@@ -303,7 +308,7 @@ class TestArtifactSync:
             "k0", bad_key, tar_of([("/abs.txt", b"x")])
         )
         assert not cache_b.import_entry(
-            "k0", bad_key, tar_of([("data.txt", b"x")])  # no manifest
+            "k0", bad_key, tar_of([("data.txt", b"x")])  # no marker
         )
         assert not cache_b.import_entry("k0", bad_key, b"not a tar")
         assert cache_b.export_entry("k0", bad_key) is None

@@ -116,12 +116,14 @@ class TestStreamingValidation:
             assert all(a < b for a, b in zip(lasts, firsts[1:]))
 
     def test_rejects_backward_row_after_single_row_batch(self):
+        from repro.core.streaming import _stream_dedup
+
         # The first batch is all row 5, so nothing had been emitted when
         # rows 3 and 4 arrive: the carry is the only witness.
         batches = [(np.array([5, 5]), np.array([1, 2])),
                    (np.array([3, 4]), np.array([0, 0]))]
         with pytest.raises(ValueError, match="backward row"):
-            streaming_kernel2(batch_source=iter(batches), num_vertices=8)
+            list(_stream_dedup(iter(batches)))
 
     def test_scratch_cleanup(self, tmp_path, sorted_dataset):
         scratch = tmp_path / "scratch"
@@ -133,9 +135,12 @@ class TestStreamingValidation:
         with pytest.raises(ValueError):
             streaming_kernel2(sorted_dataset, batch_edges=0)
 
-    def test_source_without_vertex_count_rejected(self):
-        with pytest.raises(ValueError, match="num_vertices"):
-            streaming_kernel2(batch_source=iter([]))
+    def test_empty_source_emits_no_runs(self):
+        from repro.core.streaming import _stream_dedup
+
+        empty = np.empty(0, dtype=np.int64)
+        assert list(_stream_dedup(iter([]))) == []
+        assert list(_stream_dedup(iter([(empty, empty)]))) == []
 
 
 class TestOverlappedPass1:
@@ -163,22 +168,17 @@ class TestOverlappedPass1:
             assert key in io
         assert io["wall_seconds"] > 0.0
 
-    def test_external_batch_source_matches_dataset(self, sorted_dataset):
-        u, v = sorted_dataset.read_all()
-
-        def chunks(size):
-            for start in range(0, len(u), size):
-                yield u[start:start + size], v[start:start + size]
-
+    @pytest.mark.parametrize("batch_edges", [1, 311, 4096])
+    def test_result_independent_of_batch_edges(self, sorted_dataset,
+                                               batch_edges):
+        # Any partition of the sorted stream into batches gives the
+        # identical matrix (exact arithmetic), overlapped or not.
         reference = streaming_kernel2(sorted_dataset, batch_edges=700)
-        # A source whose partition differs from the dataset's batching
-        # must still produce the identical matrix (exact arithmetic).
-        fed = streaming_kernel2(batch_source=chunks(311),
-                                num_vertices=sorted_dataset.num_vertices,
-                                batch_edges=700, overlap_io=True)
-        np.testing.assert_array_equal(fed.matrix.indptr,
-                                      reference.matrix.indptr)
-        np.testing.assert_array_equal(fed.matrix.data, reference.matrix.data)
+        fed = streaming_kernel2(sorted_dataset, batch_edges=batch_edges,
+                                overlap_io=True)
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(fed.matrix, name),
+                                          getattr(reference.matrix, name))
         assert fed.pre_filter_entry_total == reference.pre_filter_entry_total
 
     def test_overlapped_rejects_unsorted_input(self, tmp_path):

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 
 from repro.core.artifacts import (
     LAYOUT_VERSIONS,
+    MARKER,
     ArtifactCache,
     cache_key,
     k0_cache_fields,
@@ -172,6 +173,85 @@ class TestCsrArtifacts:
         assert cache.load_csr("k2", fields) is None
         assert not cache.entry_dir("k2", key).exists()
 
+    @pytest.mark.parametrize("member", ["csr.npz", "meta.json", MARKER])
+    def test_truncated_or_missing_member_is_purged(self, tmp_path, member):
+        cache = ArtifactCache(tmp_path / "c")
+        fields = {"kernel": "k2"}
+        key = cache.store_csr("k2", fields, self._matrix(), {"m": 1})
+        path = cache.entry_dir("k2", key) / member
+        if member == "csr.npz":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        else:
+            path.unlink()
+        assert cache.load_csr("k2", fields) is None
+        assert not cache.entry_dir("k2", key).exists()
+
+    def test_transient_os_error_propagates_and_keeps_entry(
+            self, tmp_path, monkeypatch):
+        import errno
+
+        from repro.core import artifacts
+
+        cache = ArtifactCache(tmp_path / "c")
+        fields = {"kernel": "k2"}
+        key = cache.store_csr("k2", fields, self._matrix(), {})
+
+        def out_of_descriptors(*args, **kwargs):
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(artifacts.np, "load", out_of_descriptors)
+            with pytest.raises(OSError) as excinfo:
+                cache.load_csr("k2", fields)
+        assert excinfo.value.errno == errno.EMFILE
+        assert cache.published("k2", key)
+        matrix, _ = cache.load_csr("k2", fields)
+        np.testing.assert_array_equal(matrix.toarray(),
+                                      self._matrix().toarray())
+
+    @pytest.mark.parametrize("layout", ["csr", "csc"])
+    def test_export_import_round_trip(self, tmp_path, layout):
+        source = ArtifactCache(tmp_path / "a")
+        fields = {"kernel": "k2", "scale": 6}
+        stored = self._matrix().asformat(layout)
+        meta = {"pre_filter_entry_total": 4.0, "eliminated_columns": 1}
+        key = source.store_csr("k2", fields, stored, meta)
+        archive = source.export_entry("k2", key)
+        assert archive is not None
+
+        target = ArtifactCache(tmp_path / "b")
+        assert target.import_entry("k2", key, archive)
+        matrix, loaded_meta = target.load_csr("k2", fields)
+        assert matrix.format == layout and loaded_meta == meta
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(matrix, name),
+                                          getattr(stored, name))
+        # The marker's fields must hash to the key the entry is filed
+        # under: the same archive under another key is refused.
+        assert not target.import_entry("k2", "f" * len(key), archive)
+
+    def test_marker_less_entry_directory_is_torn(self, tmp_path,
+                                                 tiny_dataset):
+        cache = ArtifactCache(tmp_path / "c")
+        fields = {"kernel": "k0", "tag": "torn"}
+
+        def producer(entry):
+            u, v = tiny_dataset.read_all()
+            from repro.edgeio.dataset import EdgeDataset
+
+            return EdgeDataset.write(entry, u, v, num_vertices=64), {}
+
+        cache.dataset("k0", fields, producer)
+        entry = cache.entry_dir("k0", cache_key(fields))
+        (entry / MARKER).unlink()
+        assert not cache.published("k0", cache_key(fields))
+        # A miss that purges the torn directory, so the new publish wins.
+        _, details = cache.dataset("k0", fields, producer)
+        assert details["artifact_cache"] == "miss"
+        assert cache.published("k0", cache_key(fields))
+        _, details = cache.dataset("k0", fields, producer)
+        assert details["artifact_cache"] == "hit"
+
 
 class TestK2CacheFields:
     def test_k2_key_differs_from_k1(self):
@@ -296,6 +376,30 @@ class TestK2WarmRuns:
                                              backend="dataframe",
                                              cache_dir=cache))
         np.testing.assert_array_equal(warmed.rank, cold.rank)
+
+    def test_torn_k2_entry_reads_as_a_miss_with_the_same_digest(
+            self, tmp_path):
+        # A half-written csr.npz (a torn disk, a killed copy) must not
+        # break later runs: it is purged, rebuilt, and the rank digest
+        # is the one the intact entry gave.
+        from repro.api import RunSpec, execute_spec
+
+        spec = RunSpec(scale=8, seed=1, backend="scipy")
+        cache_dir = tmp_path / "c"
+        cold = execute_spec(spec, cache_dir=cache_dir)
+        [payload] = (cache_dir / "k2").glob("*/csr.npz")
+        size = payload.stat().st_size
+        payload.write_bytes(payload.read_bytes()[: size // 2])
+
+        rerun = execute_spec(spec, cache_dir=cache_dir)
+        k2 = rerun.result.kernel(KernelName.K2_FILTER)
+        assert k2.details["artifact_cache"] == "miss"
+        assert rerun.rank_digest == cold.rank_digest
+        assert payload.stat().st_size == size
+        warm = execute_spec(spec, cache_dir=cache_dir)
+        assert (warm.result.kernel(KernelName.K2_FILTER)
+                .details["artifact_cache"] == "hit")
+        assert warm.rank_digest == cold.rank_digest
 
     def test_python_backend_skips_k2_cache(self, tmp_path):
         # No adjacency_from_csr => the cache must not be consulted.
