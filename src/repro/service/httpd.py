@@ -508,8 +508,7 @@ def run_server(
         worker_kind=worker_kind,
         cache_dir=cache_dir,
         store_path=store_path,
-        compact_on_start=compact,
-        compact_every=1000 if compact else None,
+        compact=compact,
         worker_listen=worker_listen,
         heartbeat_timeout=heartbeat_timeout,
     )

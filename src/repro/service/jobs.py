@@ -1,4 +1,4 @@
-"""Job records and the durable JSONL job store.
+"""Job records, the durable JSONL job store, and its replay.
 
 A *job* is one submitted workload moving through ``PENDING → RUNNING →
 {SUCCEEDED, FAILED, CANCELLED}``.  Two kinds exist: a ``"run"`` job is
@@ -11,13 +11,12 @@ lifecycle event, written under a lock, flushed immediately, so a crash
 loses at most the event being written and concurrent workers never
 interleave partial lines.
 
-Unlike the original audit-log design, the store is now read back in
-one place: :meth:`BenchmarkService._replay_store` reconstructs service
-state from it on startup (terminal jobs come back verbatim from their
-terminal event documents; jobs that were in flight at a crash are
-re-queued).  :meth:`JobStore.compact` keeps the log from growing
-without bound by rewriting it with only the lifecycle events replay
-needs.
+Everything that reads the log back lives here too, as pure functions
+of the event list: :func:`replay` folds it into the jobs a restarted
+service resumes from (terminal jobs verbatim from their terminal event
+documents; jobs in flight at a crash re-queued), :func:`compact_events`
+picks the events a compacted log keeps, and :func:`retryable` is the
+one worker-crash retry rule both of them — and the live service — use.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.api.runner import RunOutcome
 from repro.api.spec import RunSpec, SweepSpec
@@ -52,6 +51,31 @@ class JobState(str, enum.Enum):
 
 #: Event names that end a job's lifecycle in the store.
 TERMINAL_EVENTS = ("succeeded", "failed", "cancelled")
+
+#: Worker-crash retry budget.  A job whose worker died (process crash,
+#: remote heartbeat loss) produced no wrong result, so it is retried,
+#: each retry logged as one durable ``requeued`` event, while fewer
+#: than this many retries have been spent.  Live, the dispatch loop
+#: counts the retries of one dispatch (zero again after replay
+#: re-queues the job); replay counts the job's durable ``requeued``
+#: events.  A job that keeps killing its workers (e.g. OOM) therefore
+#: converges to FAILED instead of poisoning every restart.
+MAX_LIVE_REQUEUES = 2
+
+
+def retryable(terminal: Mapping[str, object], requeues: int) -> bool:
+    """Whether a terminal event is a worker crash still worth a retry.
+
+    ``terminal`` is a (would-be) terminal event document and
+    ``requeues`` the retries already spent against
+    :data:`MAX_LIVE_REQUEUES`.
+    """
+    return (
+        terminal.get("event") == "failed"
+        and str(terminal.get("error", "")).startswith("WorkerCrashError")
+        and requeues < MAX_LIVE_REQUEUES
+    )
+
 
 #: The JSON-safe result-payload keys a terminal event may carry (the
 #: subset of a result document that is *result*, not status) — used to
@@ -165,6 +189,14 @@ class JobStore:
         self._lock = threading.Lock()
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self.path.exists() and self.path.stat().st_size:
+                # A crash can leave a torn final line: end it, so the
+                # next event is not glued onto the fragment and lost
+                # with it.
+                with open(self.path, "rb+") as fh:
+                    fh.seek(-1, os.SEEK_END)
+                    if fh.read(1) != b"\n":
+                        fh.write(b"\n")
 
     def append(self, event: str, payload: Dict[str, object]) -> None:
         """Write one event line (no-op when the store is disabled)."""
@@ -191,17 +223,8 @@ class JobStore:
                 self._appended = 0
 
     def compact(self) -> int:
-        """Rewrite the log keeping only load-bearing lifecycle events.
-
-        For a job with a terminal event, everything between its
-        ``submitted`` (or ``sweep-submitted``) event and its *last*
-        terminal event is noise to replay: ``running``, ``requeued``,
-        ``deduplicated``, ``sweep-cells``, and superseded terminal
-        events are dropped.  Jobs still in flight keep their full event
-        trail.  Replaying a compacted store reconstructs exactly the
-        service state the original would (asserted by the replay test
-        suite).  Returns the number of events dropped.
-        """
+        """Rewrite the log keeping only the events :func:`compact_events`
+        keeps; returns the number of events dropped."""
         if self.path is None or not self.path.exists():
             return 0
         with self._lock:
@@ -209,36 +232,7 @@ class JobStore:
 
     def _compact_locked(self) -> int:
         events = load_events(self.path)
-        last_terminal: Dict[object, int] = {}
-        for index, event in enumerate(events):
-            if event.get("event") in TERMINAL_EVENTS:
-                last_terminal[event.get("job_id")] = index
-        # Jobs whose last terminal event is a worker-crash failure are
-        # retry candidates on replay; their 'requeued' trail carries
-        # the attempt count that caps the retries, so it must survive.
-        retryable = {
-            job_id for job_id, index in last_terminal.items()
-            if events[index].get("event") == "failed"
-            and str(events[index].get("error", "")).startswith(
-                "WorkerCrashError"
-            )
-        }
-        keep: List[Dict[str, object]] = []
-        for index, event in enumerate(events):
-            name = event.get("event")
-            job_id = event.get("job_id")
-            if name in ("submitted", "sweep-submitted"):
-                keep.append(event)
-            elif name in TERMINAL_EVENTS:
-                if last_terminal.get(job_id) == index:
-                    keep.append(event)
-            elif name == "deduplicated":
-                continue  # the count rides in the terminal/view doc
-            elif name == "requeued":
-                if job_id not in last_terminal or job_id in retryable:
-                    keep.append(event)
-            elif job_id not in last_terminal:
-                keep.append(event)  # in-flight job: keep its trail
+        keep = compact_events(events)
         staging = self.path.with_name(self.path.name + ".compact-tmp")
         with open(staging, "w", encoding="utf-8") as fh:
             for event in keep:
@@ -247,6 +241,207 @@ class JobStore:
             os.fsync(fh.fileno())
         os.replace(staging, self.path)
         return len(events) - len(keep)
+
+
+def compact_events(
+    events: List[Dict[str, object]]
+) -> List[Dict[str, object]]:
+    """The events of a log that :func:`replay` reads, in log order.
+
+    A job with a terminal event keeps its ``submitted`` (or
+    ``sweep-submitted``) event and its *last* terminal event, plus its
+    ``requeued`` trail when :func:`retryable` may retry that event (the
+    trail is the count that caps the retries) and its ``sweep-cells``
+    roster when that event carries none.  Jobs still in flight keep
+    their full trail; ``deduplicated`` events always go (the count
+    rides in the terminal doc).  ``replay(compact_events(events)) ==
+    replay(events)`` holds for every log.
+    """
+    last_terminal: Dict[object, int] = {}
+    for index, event in enumerate(events):
+        if event.get("event") in TERMINAL_EVENTS:
+            last_terminal[event.get("job_id")] = index
+    keep: List[Dict[str, object]] = []
+    for index, event in enumerate(events):
+        name = event.get("event")
+        last = last_terminal.get(event.get("job_id"))
+        if name in ("submitted", "sweep-submitted"):
+            keep.append(event)
+        elif name in TERMINAL_EVENTS:
+            if last == index:
+                keep.append(event)
+        elif name == "deduplicated":
+            continue
+        elif last is None:
+            keep.append(event)  # in-flight job: keep its trail
+        elif name == "requeued" and retryable(events[last], 0):
+            keep.append(event)
+        elif name == "sweep-cells" \
+                and not isinstance(events[last].get("cells"), list):
+            keep.append(event)
+    return keep
+
+
+@dataclass
+class Replay:
+    """The state a restarted service resumes from.
+
+    ``jobs`` holds every restorable job in submission order: terminal
+    ones final (``done`` set), the run jobs in ``requeue`` (id → reason)
+    PENDING, and sweep parents RUNNING — to ``rearm`` over their logged
+    cells, or to ``relower`` when the crash came before the roster.
+    ``next_id`` is above every job id the log names.
+    """
+
+    jobs: Dict[str, Job] = field(default_factory=dict)
+    requeue: Dict[str, str] = field(default_factory=dict)
+    rearm: List[str] = field(default_factory=list)
+    relower: List[str] = field(default_factory=list)
+    next_id: int = 1
+
+
+def replay(events: List[Dict[str, object]]) -> Replay:
+    """Fold an event log into the state a restarted service resumes.
+
+    Pure: it builds :class:`Job` objects and touches nothing else.
+    Terminal jobs restore verbatim from their last terminal event — the
+    stored records/digests *are* the result — unless :func:`retryable`
+    retries it; those, and jobs PENDING or RUNNING when the previous
+    process died, re-queue.  A FAILED sweep parent reopens (a) when any
+    of its cells is retried — otherwise they would complete as orphans
+    under a durably failed parent — or (b) when every cell in fact
+    succeeded (the crash landed between the last cell's terminal event
+    and the parent's, so the logged failure is stale).  Jobs with
+    neither a usable spec nor a terminal event are dropped.
+    """
+    infos: Dict[str, Dict[str, object]] = {}
+    state = Replay()
+    for event in events:
+        job_id = event.get("job_id")
+        # Burn every id the log names — dropped jobs and sweep cell
+        # references too — so none is reissued to an unrelated workload.
+        named = [job_id]
+        if isinstance(event.get("cells"), list):
+            named += [cell.get("job_id") for cell in event["cells"]
+                      if isinstance(cell, dict)]
+        for some_id in named:
+            tail = str(some_id).rsplit("-", 1)[-1]
+            if isinstance(some_id, str) and tail.isdecimal():
+                state.next_id = max(state.next_id, int(tail) + 1)
+        if not isinstance(job_id, str):
+            continue
+        name = event.get("event")
+        if name in ("submitted", "sweep-submitted"):
+            infos[job_id] = {"submitted": event, "cells": None,
+                             "requeues": 0, "terminal": None}
+        elif job_id not in infos:
+            continue
+        elif name == "sweep-cells":
+            infos[job_id]["cells"] = event.get("cells")
+        elif name == "requeued":
+            infos[job_id]["requeues"] += 1
+        elif name in TERMINAL_EVENTS:
+            infos[job_id]["terminal"] = event
+
+    for job_id, info in infos.items():
+        job = _replayed_job(job_id, info)
+        if job is None:
+            continue
+        state.jobs[job_id] = job
+        if job.state.terminal:
+            continue
+        if job.kind == "run":
+            crash = info["terminal"]  # a retryable worker crash, or None
+            state.requeue[job_id] = (
+                f"replay: {crash.get('error')}" if crash is not None
+                else "replay: unfinished when the store was last written"
+            )
+        elif isinstance(info["cells"], list):
+            job.cells = [dict(cell) for cell in info["cells"]]
+            state.rearm.append(job_id)
+        else:
+            state.relower.append(job_id)  # crashed mid-lowering
+
+    for job in state.jobs.values():
+        if job.kind != "sweep" or job.state is not JobState.FAILED:
+            continue
+        cell_ids = {
+            cell.get("job_id") for cell in job.cells if cell.get("job_id")
+        }
+        children = [state.jobs.get(cell_id) for cell_id in cell_ids]
+        if cell_ids & state.requeue.keys() or (
+            children and all(
+                child is not None and child.state is JobState.SUCCEEDED
+                for child in children
+            )
+        ):
+            job.state = JobState.RUNNING
+            job.error = job.finished_at = job.result_payload = None
+            state.rearm.append(job.job_id)
+    for job in state.jobs.values():
+        if job.state.terminal:
+            job.done.set()
+    return state
+
+
+def _replayed_job(job_id: str, info: Dict[str, object]) -> Optional[Job]:
+    """One logged job as replay restores it (``None`` when unusable)."""
+    submitted = info["submitted"]
+    terminal = info["terminal"]
+    run = submitted.get("event") == "submitted"
+    try:
+        parsed = (RunSpec if run else SweepSpec).from_dict(
+            submitted.get("spec" if run else "sweep"))
+    except (ValueError, TypeError):  # unreadable: e.g. another version's
+        parsed = None
+    if parsed is None and terminal is None:
+        return None  # nothing to re-run, no result
+    if run and parsed is not None and terminal is not None \
+            and retryable(terminal, info["requeues"]):
+        terminal = None
+    job = Job(
+        job_id=job_id, spec=parsed if run else None,
+        sweep=None if run else parsed, kind="run" if run else "sweep",
+        spec_hash=str(submitted.get("spec_hash")
+                      or (parsed.spec_hash() if parsed else "")),
+        state=JobState.PENDING if run else JobState.RUNNING,
+    )
+    submitted_at = submitted.get("time")
+    if isinstance(submitted_at, (int, float)):
+        job.submitted_at = float(submitted_at)
+    if terminal is None:
+        return job
+    job.state = JobState(terminal["event"])
+    job.error = terminal.get("error")
+    for attr in ("started_at", "finished_at"):
+        value = terminal.get(attr)
+        if isinstance(value, (int, float)):
+            setattr(job, attr, float(value))
+    if job.finished_at is None:
+        value = terminal.get("time")
+        if isinstance(value, (int, float)):
+            job.finished_at = float(value)
+    dupes = terminal.get("duplicate_submissions")
+    if isinstance(dupes, int):
+        job.duplicate_submissions = dupes
+    if job.kind == "sweep":
+        # view() carries cell *references* only; the full per-cell
+        # documents (digests) stay in the result payload, matching live
+        # parents' shape.  Fall back to the sweep-cells event for
+        # terminal docs that carry no cell roster.
+        cells = terminal.get("cells")
+        if not isinstance(cells, list):
+            cells = info["cells"]
+        if isinstance(cells, list):
+            job.cells = [
+                {key: cell.get(key)
+                 for key in ("backend", "scale", "job_id", "skipped")}
+                for cell in cells
+            ]
+    payload = {key: terminal[key] for key in PAYLOAD_KEYS if key in terminal}
+    if payload:
+        job.result_payload = payload
+    return job
 
 
 def load_events(path: Path) -> List[Dict[str, object]]:

@@ -33,8 +33,10 @@ grids:
   their terminal event documents (no re-execution), and jobs that were
   PENDING or RUNNING at a crash are re-queued exactly once.  A sweep
   interrupted mid-grid resumes: finished cells come back from the log,
-  the rest re-run, and the parent completes.  ``compact_on_start`` /
-  ``JobStore(compact_every=...)`` keep the log bounded.
+  the rest re-run, and the parent completes.  Replay itself is the
+  pure :func:`~repro.service.jobs.replay` fold; the service applies its
+  result through the same parent arming, cell fan-out and scheduler
+  submit the live path uses.  ``compact=True`` keeps the log bounded.
 
 The HTTP front end (:mod:`repro.service.httpd`) and the CLI are thin
 layers over this class.
@@ -42,6 +44,7 @@ layers over this class.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from concurrent.futures import TimeoutError as FuturesTimeout
@@ -53,25 +56,25 @@ from repro.api.runner import RunOutcome, sweep_cells
 from repro.api.spec import RunSpec, SweepSpec
 from repro.core.procpool import RemoteOpError, WorkerCrashError
 from repro.service.jobs import (
-    PAYLOAD_KEYS,
     Job,
     JobState,
     JobStore,
+    Replay,
     load_events,
+    replay,
+    retryable,
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.pool import make_worker_pool
 
+logger = logging.getLogger("repro.service")
+
 #: Default worker count (scheduler threads == workers for both kinds).
 DEFAULT_WORKERS = 2
 
-#: Live requeue budget per scheduler attempt: a job whose worker died
-#: (process crash, remote heartbeat loss) is retried this many times
-#: *within* the owning scheduler thread before converging to FAILED.
-#: Matches the replay cap — both count the job's durable ``requeued``
-#: events, so a job that keeps killing workers cannot retry forever
-#: across restarts either.
-MAX_LIVE_REQUEUES = 2
+#: With ``compact=True``, the store also compacts itself after this
+#: many appended events.
+COMPACT_EVERY = 1000
 
 
 class JobError(Exception):
@@ -114,12 +117,9 @@ class BenchmarkService:
         An existing store is replayed on startup: terminal jobs are
         restored from their logged result documents and jobs that were
         in flight when the previous process died are re-queued.
-    dedup:
-        Deduplicate in-flight submissions by spec hash (default on).
-    compact_on_start:
-        Compact the store (before replaying it) on startup.
-    compact_every:
-        Auto-compact the store after every N appended events.
+    compact:
+        Compact the store on startup (before replaying it) and then
+        after every :data:`COMPACT_EVERY` appended events.
     worker_listen:
         ``worker_kind="remote"`` only: the ``(host, port)`` the
         :class:`~repro.service.remote.RemoteWorkerPool` listens on for
@@ -148,16 +148,13 @@ class BenchmarkService:
         worker_kind: str = "thread",
         cache_dir: Optional[Path] = None,
         store_path: Optional[Path] = None,
-        dedup: bool = True,
-        compact_on_start: bool = False,
-        compact_every: Optional[int] = None,
+        compact: bool = False,
         worker_listen: Optional[Tuple[str, int]] = None,
         heartbeat_timeout: float = 10.0,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.dedup = dedup
         self.worker_kind = worker_kind
         if worker_kind == "remote":
             listen = worker_listen or ("127.0.0.1", 0)
@@ -187,17 +184,19 @@ class BenchmarkService:
         self._cell_parents: Dict[str, Set[str]] = {}
         #: parent sweep-job id -> child job ids not yet terminal.
         self._parent_waiting: Dict[str, Set[str]] = {}
-        self._counter = 0
+        self._next_id = 1
         self._closed = False
         #: True only during close(wait=False): child terminations it
         #: induces must not durably finalize sweep parents (the store
         #: keeps them open so a restart can resume the sweep).
         self._terminating = False
-        self.store = JobStore(store_path, compact_every=compact_every)
-        if self.store.path is not None and compact_on_start:
+        self.store = JobStore(
+            store_path, compact_every=COMPACT_EVERY if compact else None
+        )
+        if compact:
             self.store.compact()
         if self.store.path is not None:
-            self._replay_store()
+            self._resume(replay(load_events(self.store.path)))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -228,20 +227,21 @@ class BenchmarkService:
             self._workers.terminate()
         self._scheduler.shutdown(wait=wait, cancel_futures=not wait)
         if not wait:
+            # Queued jobs and open sweep parents are cancelled in memory
+            # only, so local waiters blocked in result() wake while the
+            # store keeps them open: a restart re-queues the jobs and
+            # resumes the sweeps (the _terminating gate already keeps
+            # shutdown-induced child terminations from closing parents).
             with self._lock:
                 cancelled = [
                     job for job in self._jobs.values()
-                    if job.state is JobState.PENDING
-                    and job.job_id in self._futures
-                    and self._futures[job.job_id].cancelled()
+                    if (job.kind == "sweep" and not job.state.terminal)
+                    or (job.state is JobState.PENDING
+                        and job.job_id in self._futures
+                        and self._futures[job.job_id].cancelled())
                 ]
-                for job in cancelled:
-                    job.state = JobState.CANCELLED
-                    job.finished_at = time.time()
-                    self._inflight.pop(job.spec_hash, None)
-                    job.done.set()
             for job in cancelled:
-                self._child_finished(job.job_id)
+                self._finish(job, JobState.CANCELLED, durable=False)
             if self._workers.kind in ("process", "remote"):
                 # Give in-flight scheduler threads a moment to append
                 # their terminal (FAILED) events before the process
@@ -253,17 +253,6 @@ class BenchmarkService:
                         job.done.wait(
                             timeout=max(0.0, deadline - time.monotonic())
                         )
-            with self._lock:
-                for job in self._jobs.values():
-                    if job.kind == "sweep" and not job.state.terminal:
-                        # The _terminating gate kept the parent's store
-                        # entry open (so a restart resumes the sweep),
-                        # but local waiters blocked in result() must
-                        # still wake: cancel the parent in memory only.
-                        job.state = JobState.CANCELLED
-                        job.finished_at = time.time()
-                        self._inflight.pop(job.spec_hash, None)
-                        job.done.set()
         self._workers.shutdown(wait=wait)
 
     def __enter__(self) -> "BenchmarkService":
@@ -280,8 +269,8 @@ class BenchmarkService:
 
         A dict is parsed through the strict
         :meth:`~repro.api.spec.RunSpec.from_dict` (unknown fields
-        refused).  With dedup on, an identical spec already pending or
-        running returns the in-flight job's id.
+        refused).  An identical spec already pending or running returns
+        the in-flight job's id.
         """
         if isinstance(spec, dict):
             spec = RunSpec.from_dict(spec)
@@ -303,9 +292,7 @@ class BenchmarkService:
                 {"job_id": job_id, "spec_hash": spec_hash,
                  "spec": spec.to_dict()},
             )
-            self._futures[job_id] = self._scheduler.submit(
-                self._run_job, job_id
-            )
+            self._enqueue_locked(job)
         return job_id
 
     def submit_sweep(
@@ -358,8 +345,6 @@ class BenchmarkService:
 
     def _deduplicate_locked(self, spec_hash: str) -> Optional[str]:
         """In-flight dedup by workload hash (caller holds the lock)."""
-        if not self.dedup:
-            return None
         primary_id = self._inflight.get(spec_hash)
         if primary_id is None:
             return None
@@ -374,8 +359,15 @@ class BenchmarkService:
         return primary_id
 
     def _next_job_id_locked(self) -> str:
-        self._counter += 1
-        return f"job-{self._counter:05d}"
+        job_id = f"job-{self._next_id:05d}"
+        self._next_id += 1
+        return job_id
+
+    def _enqueue_locked(self, job: Job) -> None:
+        """Hand a PENDING job to the scheduler (caller holds the lock)."""
+        self._futures[job.job_id] = self._scheduler.submit(
+            self._run_job, job.job_id
+        )
 
     def _attach_cells(
         self,
@@ -384,7 +376,6 @@ class BenchmarkService:
     ) -> None:
         """Submit a sweep's cells and wire up parent aggregation."""
         cells: List[Dict[str, object]] = []
-        child_ids: List[str] = []
         try:
             for backend, scale, cell_spec in cells_plan:
                 if cell_spec is None:
@@ -398,36 +389,40 @@ class BenchmarkService:
                     "backend": backend, "scale": scale,
                     "job_id": child_id, "skipped": False,
                 })
-                if child_id not in child_ids:
-                    child_ids.append(child_id)
         except RuntimeError:
             # The service closed mid-fan-out.  Unwind the parent in
             # memory (waiters must not block forever) but leave its
             # store entry open — without a sweep-cells event the next
             # start re-lowers the grid, deduplicating onto any cells
             # that did get submitted.
-            with self._lock:
-                parent.state = JobState.CANCELLED
-                parent.finished_at = time.time()
-                self._inflight.pop(parent.spec_hash, None)
-            parent.done.set()
+            self._finish(parent, JobState.CANCELLED, durable=False)
             raise
         with self._lock:
             parent.cells = cells
-            pending = {
-                child_id for child_id in child_ids
-                if not self._jobs[child_id].state.terminal
-            }
-            for child_id in pending:
-                self._cell_parents.setdefault(child_id, set()).add(
-                    parent.job_id
-                )
-            self._parent_waiting[parent.job_id] = pending
+        idle = self._arm_parent(parent)
         self.store.append(
             "sweep-cells", {"job_id": parent.job_id, "cells": cells}
         )
-        if not pending:
+        if idle:
             self._maybe_finalize_parent(parent.job_id)
+
+    def _arm_parent(self, parent: Job) -> bool:
+        """Make a sweep parent wait on its unfinished cells.
+
+        Returns True when no cell is left to wait on (the caller then
+        finalizes the parent).
+        """
+        with self._lock:
+            pending: Set[str] = set()
+            for cell in parent.cells:
+                child = self._jobs.get(cell.get("job_id"))
+                if child is not None and not child.state.terminal:
+                    pending.add(child.job_id)
+                    self._cell_parents.setdefault(child.job_id, set()).add(
+                        parent.job_id
+                    )
+            self._parent_waiting[parent.job_id] = pending
+        return not pending
 
     # ------------------------------------------------------------------
     # Execution
@@ -435,24 +430,17 @@ class BenchmarkService:
     def _run_job(self, job_id: str) -> None:
         """Scheduler-thread body: one job, cradle to grave."""
         job = self._jobs[job_id]
+        if self._terminating and self._workers.kind in ("process", "remote"):
+            # Dequeued in the race window between terminate() and
+            # cancel_futures: the workers are already dead, so running
+            # would only record a spurious failure.  Leave no durable
+            # trace (the job never ran) so the next start re-queues it.
+            # Thread workers instead run slipped-through jobs to
+            # completion (close never interrupts a pipeline mid-kernel).
+            self._finish(job, JobState.CANCELLED, durable=False)
+            return
         with self._lock:
             if job.state is not JobState.PENDING:  # cancelled meanwhile
-                return
-            if self._terminating and self._workers.kind in (
-                "process", "remote"
-            ):
-                # Dequeued in the race window between terminate() and
-                # cancel_futures: the workers are already dead, so
-                # running would only record a spurious failure.  Leave
-                # no durable trace (the job never ran) so the next
-                # start re-queues it; mark it cancelled in memory for
-                # any local waiters.  Thread workers instead run
-                # slipped-through jobs to completion (close never
-                # interrupts an in-process pipeline mid-kernel).
-                job.state = JobState.CANCELLED
-                job.finished_at = time.time()
-                self._inflight.pop(job.spec_hash, None)
-                job.done.set()
                 return
             job.state = JobState.RUNNING
             job.started_at = time.time()
@@ -481,24 +469,18 @@ class BenchmarkService:
                     # The *worker* died under the job (process crash,
                     # remote heartbeat loss, torn socket) — the job
                     # produced no wrong result.  Requeue it live on the
-                    # next available worker, with the same durable
-                    # ``requeued`` event (and cap) the restart-replay
-                    # path uses, so both failure paths share one
-                    # vocabulary.  During shutdown the retry would only
-                    # spin against a terminated pool: converge to
-                    # FAILED, which replay already treats as retryable.
-                    with self._lock:
-                        terminating = self._terminating
-                    if terminating or requeues >= MAX_LIVE_REQUEUES:
-                        error = f"WorkerCrashError: {exc}"
+                    # next available worker under the same rule (and
+                    # durable ``requeued`` event) replay uses.  During
+                    # shutdown the retry would only spin against a
+                    # terminated pool: converge to FAILED, which replay
+                    # retries on the next start.
+                    crash = {"event": "failed",
+                             "error": f"WorkerCrashError: {exc}"}
+                    if self._terminating or not retryable(crash, requeues):
+                        error = crash["error"]
                         break
                     requeues += 1
-                    self.metrics.record_requeue()
-                    self.store.append(
-                        "requeued",
-                        {"job_id": job_id, "spec_hash": job.spec_hash,
-                         "reason": f"WorkerCrashError: {exc}"},
-                    )
+                    self._requeue(job, crash["error"])
                     continue
                 break
         except RemoteOpError as exc:
@@ -526,31 +508,75 @@ class BenchmarkService:
                 job, payload, t_dispatched, t_received, requeues=requeues
             )
         with self._lock:
+            self._running_jobs.pop(threading.current_thread().name, None)
+        self._finish(
+            job, JobState.FAILED if error is not None else JobState.SUCCEEDED,
+            error=error, payload=payload, outcome=outcome,
+        )
+
+    def _requeue(self, job: Job, reason: str) -> None:
+        """Log one hand-back of ``job`` to the queue, live or on replay:
+        the durable ``requeued`` event, the counter, and one warning
+        joining the requeue to its cause."""
+        self.metrics.record_requeue()
+        self.store.append(
+            "requeued",
+            {"job_id": job.job_id, "spec_hash": job.spec_hash,
+             "reason": reason},
+        )
+        logger.warning(
+            "requeued job %s (spec %s): %s", job.job_id, job.spec_hash, reason
+        )
+
+    def _finish(
+        self,
+        job: Job,
+        state: JobState,
+        *,
+        error: Optional[str] = None,
+        payload: Optional[Dict[str, object]] = None,
+        outcome: Optional[RunOutcome] = None,
+        durable: bool = True,
+    ) -> bool:
+        """Make ``job`` terminal: the one place any job becomes so.
+
+        Releases its spec hash from dedup, wakes waiters and settles
+        waiting sweep parents; ``durable`` also counts it in the metrics
+        and appends its terminal event (shutdown paths leave it out, so
+        a restart resumes the job).  Returns False, changing nothing,
+        when the job already was terminal.  Call without the lock.
+        """
+        with self._lock:
+            if job.state.terminal:
+                return False
+            job.state = state
+            job.error = error
             job.finished_at = time.time()
             job.result_payload = payload
             job.outcome = outcome
-            if error is not None:
-                job.state = JobState.FAILED
-                job.error = error
-            else:
-                job.state = JobState.SUCCEEDED
-            self._inflight.pop(job.spec_hash, None)
-            self._running_jobs.pop(threading.current_thread().name, None)
-        self.metrics.record_job(job.state.value, payload)
-        try:
+            if self._inflight.get(job.spec_hash) == job.job_id:
+                self._inflight.pop(job.spec_hash)
             if payload is not None:
-                self.store.append(
-                    "failed" if error else "succeeded", job.result_doc()
-                )
+                doc = job.result_doc()
             else:
-                self.store.append(
-                    "failed", {"job_id": job_id, "error": error}
+                doc = {"job_id": job.job_id}
+                if error is not None:
+                    doc["error"] = error
+        try:
+            if durable:
+                # Sweep parents aggregate their cells' records; the
+                # cells already fed the metrics one by one, so only the
+                # state counter moves for them.
+                self.metrics.record_job(
+                    state.value, payload if job.kind == "run" else None
                 )
+                self.store.append(state.value, doc)
         finally:
             # A store failure (disk full, directory gone) must never
             # strand waiters: the job *is* terminal in memory.
             job.done.set()
-            self._child_finished(job_id)
+            self._child_finished(job.job_id)
+        return True
 
     def _append_job_spans(
         self,
@@ -645,9 +671,7 @@ class BenchmarkService:
         """Assemble the sweep table and close the parent job."""
         with self._lock:
             parent = self._jobs[parent_id]
-            if parent.state.terminal:
-                return
-            if self._terminating:
+            if parent.state.terminal or self._terminating:
                 # Shutdown-induced child terminations must not close
                 # the parent durably: its store entry stays open so a
                 # restart replays and resumes the sweep.
@@ -692,269 +716,49 @@ class BenchmarkService:
                         f"{cell['backend']}/s{cell['scale']} "
                         f"({child.state.value})"
                     )
-            parent.result_payload = {"cells": cell_docs, "records": records}
-            parent.finished_at = time.time()
-            if failures:
-                parent.state = JobState.FAILED
-                parent.error = (
-                    f"{len(failures)} of {len(parent.cells)} sweep cells "
-                    f"did not succeed: {', '.join(failures)}"
-                )
-            else:
-                parent.state = JobState.SUCCEEDED
-            self._inflight.pop(parent.spec_hash, None)
             self._parent_waiting.pop(parent_id, None)
-            event = "failed" if failures else "succeeded"
-            doc = parent.result_doc()
-        # Parents aggregate their cells' records; the cells already fed
-        # the metrics one by one, so only the state counter moves here.
-        self.metrics.record_job(parent.state.value, None)
-        try:
-            self.store.append(event, doc)
-        finally:
-            parent.done.set()
+            error = (
+                f"{len(failures)} of {len(parent.cells)} sweep cells "
+                f"did not succeed: {', '.join(failures)}"
+            ) if failures else None
+        self._finish(
+            parent, JobState.FAILED if failures else JobState.SUCCEEDED,
+            error=error, payload={"cells": cell_docs, "records": records},
+        )
 
     # ------------------------------------------------------------------
     # Replay
     # ------------------------------------------------------------------
-    def _replay_store(self) -> None:
-        """Reconstruct service state from the JSONL store on startup.
+    def _resume(self, state: Replay) -> None:
+        """Apply a :func:`~repro.service.jobs.replay` of the store.
 
-        Terminal jobs are restored verbatim from their terminal event
-        documents — no re-execution, the stored records/digests *are*
-        the result.  Jobs that were PENDING or RUNNING when the
-        previous process died are re-queued exactly once (a ``requeued``
-        event marks the hand-off).  Sweep parents re-arm aggregation
-        over their surviving cells; a parent that crashed mid-lowering
-        re-lowers its grid, deduplicating onto any requeued cells.
-        Tolerates a torn final line (the crash artifact).
+        Re-arms dedup and parent aggregation before any work starts,
+        then re-queues, re-lowers and finalizes through the live paths.
         """
-        events = load_events(self.store.path)
-        if not events:
-            return
-        infos: Dict[str, Dict[str, object]] = {}
-        for event in events:
-            name = event.get("event")
-            job_id = event.get("job_id")
-            if not isinstance(job_id, str):
-                continue
-            if name == "submitted":
-                infos[job_id] = {
-                    "kind": "run",
-                    "spec": event.get("spec"),
-                    "spec_hash": event.get("spec_hash"),
-                    "submitted_at": event.get("time"),
-                    "terminal": None,
-                }
-            elif name == "sweep-submitted":
-                infos[job_id] = {
-                    "kind": "sweep",
-                    "sweep": event.get("sweep"),
-                    "spec_hash": event.get("spec_hash"),
-                    "submitted_at": event.get("time"),
-                    "cells": None,
-                    "terminal": None,
-                }
-            elif name == "sweep-cells" and job_id in infos:
-                infos[job_id]["cells"] = event.get("cells")
-            elif name == "requeued" and job_id in infos:
-                infos[job_id]["requeues"] = (
-                    int(infos[job_id].get("requeues", 0)) + 1
-                )
-            elif name in ("succeeded", "failed", "cancelled") \
-                    and job_id in infos:
-                infos[job_id]["terminal"] = (name, event)
-
-        requeue: List[Job] = []
-        open_parents: List[Job] = []
-        relower: List[Job] = []
-        for job_id, info in infos.items():
-            terminal = info["terminal"]
-            if info["kind"] == "run":
-                spec_doc = info.get("spec")
-                try:
-                    spec = (
-                        RunSpec.from_dict(spec_doc)
-                        if isinstance(spec_doc, dict) else None
-                    )
-                except ValueError:
-                    spec = None
-                if spec is None and terminal is None:
-                    continue  # unusable: no spec to re-run, no result
-                if (
-                    spec is not None
-                    and terminal is not None
-                    and terminal[0] == "failed"
-                    and str(terminal[1].get("error", "")).startswith(
-                        "WorkerCrashError"
-                    )
-                    and int(info.get("requeues", 0)) < 2
-                ):
-                    # The *worker* died (shutdown terminate or a real
-                    # crash), the job produced no wrong result — retry
-                    # it instead of restoring the failure, so a ^C'd
-                    # sweep completes on the next start.  Capped at two
-                    # logged requeues: a job that keeps killing its
-                    # workers (e.g. OOM) must eventually converge to
-                    # FAILED instead of poisoning every restart.
-                    terminal = None
-                job = Job(
-                    job_id=job_id, spec=spec,
-                    spec_hash=str(info.get("spec_hash") or
-                                  (spec.spec_hash() if spec else "")),
-                )
-            else:
-                try:
-                    sweep = SweepSpec.from_dict(info["sweep"])
-                except (ValueError, TypeError):
-                    sweep = None
-                if sweep is None and terminal is None:
-                    continue  # unusable: nothing to re-lower, no result
-                job = Job(
-                    job_id=job_id, spec=None,
-                    spec_hash=str(info.get("spec_hash") or
-                                  (sweep.spec_hash() if sweep else "")),
-                    kind="sweep", sweep=sweep,
-                    state=JobState.RUNNING,
-                )
-            submitted_at = info.get("submitted_at")
-            if isinstance(submitted_at, (int, float)):
-                job.submitted_at = float(submitted_at)
-            if terminal is not None:
-                name, doc = terminal
-                job.state = JobState(name)
-                job.error = doc.get("error")
-                for attr in ("started_at", "finished_at"):
-                    value = doc.get(attr)
-                    if isinstance(value, (int, float)):
-                        setattr(job, attr, float(value))
-                if job.finished_at is None:
-                    value = doc.get("time")
-                    if isinstance(value, (int, float)):
-                        job.finished_at = float(value)
-                dupes = doc.get("duplicate_submissions")
-                if isinstance(dupes, int):
-                    job.duplicate_submissions = dupes
-                payload = {
-                    key: doc[key] for key in PAYLOAD_KEYS if key in doc
-                }
-                if job.kind == "sweep":
-                    # view() carries cell *references* only; the full
-                    # per-cell documents (digests) stay in the result
-                    # payload, matching live parents' shape.  Fall back
-                    # to the sweep-cells event for terminal docs that
-                    # carry no cell roster (e.g. an exception-path
-                    # failure).
-                    cells_doc = doc.get("cells")
-                    if not isinstance(cells_doc, list):
-                        cells_doc = info.get("cells")
-                    if isinstance(cells_doc, list):
-                        job.cells = [
-                            {key: cell.get(key)
-                             for key in ("backend", "scale", "job_id",
-                                         "skipped")}
-                            for cell in cells_doc
-                        ]
-                if payload:
-                    job.result_payload = payload
-                job.done.set()
-            elif job.kind == "run":
-                requeue.append(job)
-            else:
-                cells = info.get("cells")
-                if isinstance(cells, list):
-                    job.cells = [dict(c) for c in cells]
-                    open_parents.append(job)
-                else:
-                    relower.append(job)  # crashed mid-lowering
-            self._jobs[job_id] = job
-
-        # Resume the id counter over every id the log ever issued —
-        # including jobs replay had to drop — so no id is reissued to
-        # an unrelated workload (the store and sweep cell rosters key
-        # on job ids).
-        for job_id in infos:
-            tail = job_id.rsplit("-", 1)[-1]
-            if tail.isdigit():
-                self._counter = max(self._counter, int(tail))
-
-        # A parent that went FAILED only because workers were killed
-        # under it is reopened (a) when any of its cells is being
-        # retried — otherwise the retried cells would complete as
-        # orphans while the parent stayed durably failed — or (b) when
-        # every cell has in fact succeeded (a crash landed between the
-        # last cell's terminal event and the parent's fresh one, so the
-        # logged parent failure is stale).  Its eventual terminal event
-        # supersedes the old one on the next replay.
-        requeued_ids = {job.job_id for job in requeue}
-        for job in self._jobs.values():
-            if job.kind != "sweep" or job.state is not JobState.FAILED:
-                continue
-            cell_ids = {
-                cell.get("job_id") for cell in job.cells
-                if cell.get("job_id")
-            }
-            children = [self._jobs.get(cell_id) for cell_id in cell_ids]
-            reopen = bool(cell_ids & requeued_ids) or (
-                bool(children)
-                and all(
-                    child is not None
-                    and child.state is JobState.SUCCEEDED
-                    for child in children
-                )
-            )
-            if reopen:
-                job.state = JobState.RUNNING
-                job.error = None
-                job.finished_at = None
-                job.result_payload = None
-                job.done.clear()
-                open_parents.append(job)
-
-        # Re-arm dedup and parent aggregation before any work starts.
-        for job in requeue:
-            self._inflight.setdefault(job.spec_hash, job.job_id)
-        for parent in open_parents:
-            self._inflight.setdefault(parent.spec_hash, parent.job_id)
-            pending: Set[str] = set()
-            for cell in parent.cells:
-                child_id = cell.get("job_id")
-                child = self._jobs.get(child_id) if child_id else None
-                if child is not None and not child.state.terminal:
-                    pending.add(child_id)
-                    self._cell_parents.setdefault(child_id, set()).add(
-                        parent.job_id
-                    )
-            self._parent_waiting[parent.job_id] = pending
-
-        for job in requeue:
-            self.store.append(
-                "requeued",
-                {"job_id": job.job_id, "spec_hash": job.spec_hash},
-            )
-            self._futures[job.job_id] = self._scheduler.submit(
-                self._run_job, job.job_id
-            )
-        for parent in relower:
-            self._inflight.setdefault(parent.spec_hash, parent.job_id)
+        with self._lock:
+            self._jobs.update(state.jobs)
+            self._next_id = state.next_id
+            for job_id in [*state.requeue, *state.rearm, *state.relower]:
+                job = self._jobs[job_id]
+                self._inflight.setdefault(job.spec_hash, job_id)
+        idle = [
+            parent_id for parent_id in state.rearm
+            if self._arm_parent(self._jobs[parent_id])
+        ]
+        for job_id, reason in state.requeue.items():
+            self._requeue(self._jobs[job_id], reason)
+            with self._lock:
+                self._enqueue_locked(self._jobs[job_id])
+        for parent_id in state.relower:
+            parent = self._jobs[parent_id]
             try:
                 cells_plan = sweep_cells(parent.sweep)
             except ValueError as exc:
-                with self._lock:
-                    parent.state = JobState.FAILED
-                    parent.error = str(exc)
-                    parent.finished_at = time.time()
-                    self._inflight.pop(parent.spec_hash, None)
-                self.store.append(
-                    "failed",
-                    {"job_id": parent.job_id, "error": parent.error},
-                )
-                parent.done.set()
+                self._finish(parent, JobState.FAILED, error=str(exc))
                 continue
             self._attach_cells(parent, cells_plan)
-        for parent in open_parents:
-            if not self._parent_waiting.get(parent.job_id):
-                self._maybe_finalize_parent(parent.job_id)
+        for parent_id in idle:
+            self._maybe_finalize_parent(parent_id)
 
     # ------------------------------------------------------------------
     # Inspection
@@ -1115,13 +919,4 @@ class BenchmarkService:
             future = self._futures.get(job_id)
             if future is None or not future.cancel():
                 return False  # a worker grabbed it in between
-            job.state = JobState.CANCELLED
-            job.finished_at = time.time()
-            self._inflight.pop(job.spec_hash, None)
-        self.metrics.record_job(JobState.CANCELLED.value, None)
-        try:
-            self.store.append("cancelled", {"job_id": job_id})
-        finally:
-            job.done.set()
-            self._child_finished(job_id)
-        return True
+        return self._finish(job, JobState.CANCELLED)

@@ -84,15 +84,6 @@ class TestDeduplication:
         assert warm_by_kernel["k1-sort"].cached
         assert warm.rank_digest == cold.rank_digest
 
-    def test_dedup_can_be_disabled(self):
-        spec = RunSpec(scale=6, backend="numpy")
-        with BenchmarkService(workers=1, dedup=False) as service:
-            a = service.submit(spec)
-            b = service.submit(spec)
-            assert a != b
-            assert service.result(a).rank_digest == \
-                service.result(b).rank_digest
-
 
 class TestLifecycle:
     def test_status_and_jobs_views(self):

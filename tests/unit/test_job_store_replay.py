@@ -1,7 +1,7 @@
 """Job-store replay and compaction: crash recovery without zombies.
 
-The durable JSONL store is no longer just an audit log — the service
-replays it on startup.  These tests pin the three replay guarantees:
+The service replays its durable JSONL store on startup.  These tests
+pin the three replay guarantees:
 
 * terminal jobs restore **verbatim** from their terminal event
   documents (no re-execution);
@@ -14,11 +14,17 @@ replays it on startup.  These tests pin the three replay guarantees:
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 
 from repro.api import RunSpec, SweepSpec
-from repro.service import BenchmarkService, JobStore, load_events
+from repro.service import (
+    BenchmarkService,
+    JobStore,
+    WorkerCrashError,
+    load_events,
+)
 
 SPEC = RunSpec(scale=6, backend="numpy")
 
@@ -145,6 +151,41 @@ class TestReplayRequeue:
             # Either deduplicated onto the requeued job or (if it
             # already finished) resubmitted fresh; never a third state.
             assert dup in {j["job_id"] for j in replayed.jobs()}
+
+
+class TestRequeueCauses:
+    def test_live_and_replayed_requeues_log_their_cause(
+        self, tmp_path, caplog
+    ):
+        """Both requeue paths write one ``requeued`` event and one
+        ``repro.service`` warning naming the job, spec hash and cause."""
+        caplog.set_level(logging.WARNING, logger="repro.service")
+        store = tmp_path / "jobs.jsonl"
+        with _service(store, workers=1) as service:
+            run_spec = service._workers.run_spec
+            crashes = iter([WorkerCrashError("worker w-0 died: EOFError")])
+
+            def crash_once(*args, **kwargs):
+                for exc in crashes:
+                    raise exc
+                return run_spec(*args, **kwargs)
+
+            service._workers.run_spec = crash_once
+            job_id = service.submit(SPEC)
+            service.result(job_id, timeout=120)
+        _drop_events(store, lambda e: e["event"] == "succeeded")
+        with _service(store, workers=1) as replayed:
+            replayed.result(job_id, timeout=120)
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.name == "repro.service"]
+        requeued = [e for e in load_events(store) if e["event"] == "requeued"]
+        assert len(warnings) == len(requeued) == 2
+        live, replay = warnings
+        assert "WorkerCrashError: worker w-0 died" in live
+        assert "replay" in replay
+        for message, event in zip(warnings, requeued):
+            assert job_id in message and SPEC.spec_hash() in message
+            assert event["reason"] in message
 
 
 class TestReplayDegraded:
@@ -334,7 +375,7 @@ class TestCompaction:
         with _service(store) as service:
             service.result(service.submit(SPEC), timeout=120)
         size = len(load_events(store))
-        with _service(store, compact_on_start=True) as service:
+        with _service(store, compact=True) as service:
             assert len(load_events(store)) < size
             assert service.jobs()[0]["state"] == "succeeded"
 
