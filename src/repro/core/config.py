@@ -94,8 +94,11 @@ class PipelineConfig:
         ``"tsv"`` (paper) or ``"npy"`` (binary ablation).
     sort_by_end_vertex:
         Also order ties by end vertex (paper's open question).  Kernel 1
-        has one in-memory sort, :func:`repro.sort.inmemory.sort_edges`
-        (stable), which the out-of-core path also forms its runs with.
+        has one in-memory sort, :func:`repro.sort.inmemory.sort_edges`:
+        a value sort of packed ``(u, position)`` keys (stable), or of
+        ``(u, v)`` keys with this flag.  The out-of-core path forms its
+        runs and orders its merged batches with it, so both give the
+        same bytes.
     external_sort:
         Force the out-of-core sort path in Kernel 1 regardless of size.
     formula:

@@ -32,7 +32,7 @@ import numpy as np
 from repro.backends.base import AdjacencyHandle
 from repro.core.config import PipelineConfig
 from repro.edgeio.dataset import EdgeDataset
-from repro.sort.inmemory import pair_order
+from repro.sort.inmemory import sort_edges
 
 
 def _digest_array(values: np.ndarray, *, decimals: int = 9) -> str:
@@ -156,8 +156,7 @@ def golden_from_outputs(
     u, v = k1_dataset.read_all()
     start_crc = zlib.crc32(np.ascontiguousarray(u).tobytes())
     # Canonicalise tie order so the record is implementation-neutral.
-    order = pair_order(u, v)
-    canonical = np.column_stack([u[order], v[order]])
+    canonical = np.column_stack(sort_edges(u, v, by_end_vertex=True))
     canonical_crc = zlib.crc32(np.ascontiguousarray(canonical).tobytes())
 
     matrix = k2_handle.to_scipy_csr()

@@ -5,10 +5,11 @@ depend upon the scale parameter": in-memory when the edge list fits in
 RAM, out-of-core otherwise.  Both regimes are implemented:
 
 * :mod:`repro.sort.inmemory` — :func:`sort_edges`, one stable sort by
-  start vertex (16-bit digit passes, which numpy sorts by radix);
+  start vertex: a value sort of packed ``(u, position)`` keys;
 * :mod:`repro.sort.external` — run generation + k-way merge external
   sort whose memory use is bounded by a configurable batch size, for
-  datasets larger than RAM.
+  datasets larger than RAM; it sorts runs and merged batches with
+  :func:`sort_edges` and gives the same bytes.
 
 Both order edges by start vertex ``u``, ties in input order, with an
 option to sort by ``(u, v)`` — one of the open questions in the paper's

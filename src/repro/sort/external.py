@@ -9,10 +9,12 @@ textbook two-phase external sort with bounded memory:
    sorted *run* (raw int64 pairs on disk).
 2. **K-way merge** — merge up to ``fan_in`` runs at a time using a
    vectorised boundary merge: each round reads one block per run, finds
-   the smallest per-run block-maximum (the *safe boundary*), emits every
-   buffered edge with key <= boundary (their global order is fully
-   determined), and refills.  More runs than ``fan_in`` triggers
-   multi-pass merging.
+   the smallest per-run block-maximum (the *safe boundary*), takes the
+   buffered edges whose order is settled (see :func:`_merge_runs`),
+   sorts them with :func:`~repro.sort.inmemory.sort_edges` and refills.
+   More runs than ``fan_in`` triggers multi-pass merging.  The merge is
+   stable: the output equals the in-memory ``sort_edges`` byte for byte,
+   for labels up to ``int64``.
 
 Memory is bounded by ``O(batch_edges + fan_in * merge_block_edges)``
 regardless of dataset size.
@@ -90,9 +92,6 @@ class _Run:
     path: Path
     num_edges: int
 
-    def open_reader(self, block_edges: int, lex_mult: int = 0) -> "_RunReader":
-        return _RunReader(self, block_edges, lex_mult)
-
     def delete(self) -> None:
         self.path.unlink(missing_ok=True)
 
@@ -100,16 +99,14 @@ class _Run:
 class _RunReader:
     """Buffered block reader over a run file (memory-mapped).
 
-    ``lex_mult`` selects the merge key: 0 sorts on ``u`` alone; a
-    positive value sorts on the composite ``u * lex_mult + v`` (used for
-    lexicographic ``(u, v)`` merging — ties in ``u`` that span merge
-    batches would otherwise lose their ``v`` order).
+    The run is sorted by ``u``, or by ``(u, v)`` when ``by_end_vertex``;
+    :meth:`top` and :meth:`take` compare keys of that form.
     """
 
-    def __init__(self, run: _Run, block_edges: int, lex_mult: int = 0) -> None:
+    def __init__(self, run: _Run, block_edges: int, by_end_vertex: bool) -> None:
         self.run = run
         self.block_edges = block_edges
-        self.lex_mult = lex_mult
+        self.by_end_vertex = by_end_vertex
         self._stack = contextlib.ExitStack()
         if run.num_edges:
             self._mm = self._stack.enter_context(
@@ -120,7 +117,6 @@ class _RunReader:
         self._cursor = 0
         self.buf_u = np.empty(0, dtype=np.int64)
         self.buf_v = np.empty(0, dtype=np.int64)
-        self.buf_key = np.empty(0, dtype=np.int64)
 
     def close(self) -> None:
         """Unmap the run file *now* — not at garbage collection.
@@ -142,18 +138,25 @@ class _RunReader:
         self._cursor = end
         self.buf_u = block[:, 0].copy()
         self.buf_v = block[:, 1].copy()
-        if self.lex_mult:
-            self.buf_key = self.buf_u * self.lex_mult + self.buf_v
-        else:
-            self.buf_key = self.buf_u
 
-    def take_upto(self, boundary: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Remove and return buffered edges with ``key <= boundary``."""
-        cut = int(np.searchsorted(self.buf_key, boundary, side="right"))
-        take = (self.buf_u[:cut], self.buf_v[:cut], self.buf_key[:cut])
+    def top(self) -> Tuple[int, ...]:
+        """The key of the last buffered edge (the buffer's maximum)."""
+        if self.by_end_vertex:
+            return int(self.buf_u[-1]), int(self.buf_v[-1])
+        return (int(self.buf_u[-1]),)
+
+    def take(self, boundary: Tuple[int, ...], side: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Remove and return the buffered edges with key ``<= boundary``
+        (``side="right"``) or ``< boundary`` (``side="left"``)."""
+        if self.by_end_vertex:
+            lo, hi = (int(np.searchsorted(self.buf_u, boundary[0], side=s))
+                      for s in ("left", "right"))
+            cut = lo + int(np.searchsorted(self.buf_v[lo:hi], boundary[1], side=side))
+        else:
+            cut = int(np.searchsorted(self.buf_u, boundary[0], side=side))
+        take = (self.buf_u[:cut], self.buf_v[:cut])
         self.buf_u = self.buf_u[cut:]
         self.buf_v = self.buf_v[cut:]
-        self.buf_key = self.buf_key[cut:]
         return take
 
 
@@ -162,15 +165,18 @@ def _merge_runs(
     emit,
     *,
     block_edges: int,
-    lex_mult: int = 0,
+    by_end_vertex: bool,
 ) -> None:
     """Merge sorted runs, calling ``emit(u, v)`` with ordered batches.
 
-    Uses the boundary-merge scheme described in the module docstring;
-    each emitted batch is internally sorted and batches are emitted in
-    non-decreasing key order, so their concatenation is globally sorted.
+    Each round's boundary is the smallest buffered maximum.  Every edge
+    below it is buffered; more edges *at* it may follow in a later block
+    of a reader whose buffer ends there.  So the readers up to the first
+    such one take their edges at the boundary and the later readers
+    hold theirs back: ties leave in run order, and the stable
+    :func:`sort_edges` of each batch makes the merge stable.
     """
-    readers = [r.open_reader(block_edges, lex_mult) for r in runs]
+    readers = [_RunReader(r, block_edges, by_end_vertex) for r in runs]
     try:
         while True:
             active = []
@@ -180,23 +186,14 @@ def _merge_runs(
                     active.append(reader)
             if not active:
                 break
-            # Safe boundary: smallest of the per-reader buffered key
-            # maxima.
-            boundary = min(int(r.buf_key[-1]) for r in active)
-            parts_u: List[np.ndarray] = []
-            parts_v: List[np.ndarray] = []
-            parts_key: List[np.ndarray] = []
-            for reader in active:
-                pu, pv, pk = reader.take_upto(boundary)
-                if len(pu):
-                    parts_u.append(pu)
-                    parts_v.append(pv)
-                    parts_key.append(pk)
-            cat_u = np.concatenate(parts_u)
-            cat_v = np.concatenate(parts_v)
-            cat_key = np.concatenate(parts_key)
-            order = np.argsort(cat_key, kind="stable")
-            emit(cat_u[order], cat_v[order])
+            tops = [reader.top() for reader in active]
+            boundary = min(tops)
+            first = tops.index(boundary)
+            parts = [reader.take(boundary, "right" if i <= first else "left")
+                     for i, reader in enumerate(active)]
+            cat_u = np.concatenate([pu for pu, _ in parts])
+            cat_v = np.concatenate([pv for _, pv in parts])
+            emit(*sort_edges(cat_u, cat_v, by_end_vertex=by_end_vertex))
     finally:
         # Unmap before the caller deletes the run files (strict-unlink
         # filesystems refuse to remove a mapped file).
@@ -205,11 +202,12 @@ def _merge_runs(
 
 
 def _merge_to_run(
-    runs: List[_Run], path: Path, *, block_edges: int, lex_mult: int = 0
+    runs: List[_Run], path: Path, *, block_edges: int, by_end_vertex: bool
 ) -> _Run:
     """Merge ``runs`` into a single new run file."""
     writer = _RunWriter(path)
-    _merge_runs(runs, writer.append, block_edges=block_edges, lex_mult=lex_mult)
+    _merge_runs(runs, writer.append, block_edges=block_edges,
+                by_end_vertex=by_end_vertex)
     merged = writer.close()
     for run in runs:
         run.delete()
@@ -254,15 +252,6 @@ def external_sort_dataset(
     num_shards = num_shards if num_shards is not None else dataset.num_shards
     check_positive_int("num_shards", num_shards)
 
-    lex_mult = 0
-    if by_end_vertex:
-        if dataset.num_vertices > (1 << 31):
-            raise ValueError(
-                "by_end_vertex external sort supports at most 2**31 vertices "
-                "(composite int64 merge keys would overflow)"
-            )
-        lex_mult = dataset.num_vertices
-
     own_tmp = config.tmp_dir is None
     tmp_dir = Path(config.tmp_dir) if config.tmp_dir else Path(
         tempfile.mkdtemp(prefix="repro-extsort-")
@@ -291,7 +280,7 @@ def external_sort_dataset(
                     group,
                     tmp_dir / f"run-{run_counter:06d}.bin",
                     block_edges=config.merge_block_edges,
-                    lex_mult=lex_mult,
+                    by_end_vertex=by_end_vertex,
                 )
                 next_runs.append(merged)
                 run_counter += 1
@@ -314,7 +303,7 @@ def external_sort_dataset(
                     runs,
                     writer.append,
                     block_edges=config.merge_block_edges,
-                    lex_mult=lex_mult,
+                    by_end_vertex=by_end_vertex,
                 )
         return writer.result
     finally:

@@ -1,14 +1,14 @@
 """In-memory edge sorts.
 
-:func:`sort_edges` is Kernel 1's one in-memory sort: a stable sort of
-``(u, v)`` by start vertex, keyed on 16-bit digits of ``u`` (see
-:func:`_stable_order`), which numpy sorts by radix; with
-``by_end_vertex`` it orders by ``(u, v)`` instead.
-
-:func:`pair_order` is the one ``(u, v)`` lexicographic ordering every
-kernel uses (``np.lexsort((v, u))``, by radix), and
-:func:`collapse_duplicates` the one duplicate run-collapse: a value
-sort of packed keys, on top of it for labels no key can hold.
+Every sort here value-sorts one packed key per edge (:func:`_pack_pairs`),
+so numpy may use its fastest sort and the result is still exact:
+:func:`sort_edges` packs ``(u, position)`` — distinct keys, so the value
+order is the stable one — or, with ``by_end_vertex``, ``(u, v)`` — equal
+keys are identical pairs; :func:`pair_order` packs ``((u, v), position)``
+or takes two stable packed passes, and :func:`collapse_duplicates` counts
+equal ``(u, v)`` keys.  Labels no 64-bit key holds take numpy's
+reference (``np.argsort(kind="stable")`` or ``np.lexsort``), which the
+packed sorts equal bit for bit.
 """
 
 from __future__ import annotations
@@ -42,76 +42,69 @@ def is_sorted_by_pair(u: np.ndarray, v: np.ndarray) -> bool:
     return bool(np.all((tail > head) | ((tail == head) & (v[1:] >= v[:-1]))))
 
 
-def _radix_top(keys: np.ndarray) -> Optional[int]:
-    """``max(keys)`` if 16-bit digit passes can order ``keys`` (integers
-    in ``[0, 2**32)``, at least one of them), else ``None``."""
-    if keys.dtype.kind not in "iu" or len(keys) == 0 or int(keys.min()) < 0:
+def _pack_pairs(
+    a: np.ndarray, b: np.ndarray, spare: int = 0
+) -> Optional[Tuple[np.ndarray, int]]:
+    """``((a << shift) | b, shift)``, one unsigned key per pair: ``uint32``
+    when the labels' bit lengths sum to <= 32, ``uint64`` up to 64;
+    ``None`` for empty, non-integer, negative or wider labels, or when
+    ``spare`` more bits would not fit beside them."""
+    if (len(a) == 0 or a.dtype.kind not in "iu" or b.dtype.kind not in "iu"
+            or int(a.min()) < 0 or int(b.min()) < 0):
         return None
-    top = int(keys.max())
-    return top if top < 2**32 else None
+    shift = int(b.max()).bit_length()
+    bits = int(a.max()).bit_length() + shift
+    if bits + spare > 64:
+        return None
+    key = np.dtype(np.uint32 if bits <= 32 else np.uint64)
+    keys = a.astype(key)
+    keys <<= key.type(shift)  # a scalar of the key dtype: an int would promote
+    np.bitwise_or(keys, b, out=keys, dtype=key, casting="unsafe")  # no M-long copy
+    return keys, shift
 
 
-def _digit_order(keys: np.ndarray, top: int) -> np.ndarray:
-    """Stable permutation of ``keys <= top``: one or two
-    least-significant-digit-first passes over ``uint16`` digits."""
-    order = np.argsort(keys.astype(np.uint16), kind="stable")  # low digit
-    if top >= 2**16:
-        high = (keys >> 16).astype(np.uint16)[order]
-        order = order[np.argsort(high, kind="stable")]
-    return order
+def _sorted_pairs(a: np.ndarray, b: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
+    """:func:`_pack_pairs` with its keys value-sorted in place."""
+    packed = _pack_pairs(a, b)
+    if packed is not None:
+        packed[0].sort()
+    return packed
 
 
-def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """The stable sorting permutation of ``keys``.
+def _low(keys: np.ndarray, shift: int, dtype) -> np.ndarray:
+    """The ``b`` half of packed keys, as ``dtype``."""
+    mask = keys.dtype.type((1 << shift) - 1)
+    return np.bitwise_and(keys, mask, out=np.empty(len(keys), dtype))
 
-    numpy's ``kind="stable"`` is a radix sort for 16-bit integers and a
-    comparison merge sort (timsort, several times slower per element on
-    unordered keys) for wider ones, so keys below 2**32 are sorted as
-    one or two least-significant-digit-first passes over ``uint16``
-    digits.  The stable permutation of an array is unique, so the
-    result equals ``np.argsort(keys, kind="stable")`` exactly; wider or
-    negative keys take that call.
-    """
-    top = _radix_top(keys)
-    if top is None:
-        return np.argsort(keys, kind="stable")
-    return _digit_order(keys, top)
+
+def _high(keys: np.ndarray, shift: int, dtype) -> np.ndarray:
+    """The ``a`` half of packed keys, as ``dtype``; shifts ``keys`` in place."""
+    keys >>= keys.dtype.type(shift)
+    same_width = keys.itemsize == np.dtype(dtype).itemsize
+    return keys.view(dtype) if same_width else keys.astype(dtype)
+
+
+def _stable_order(keys: np.ndarray) -> Optional[np.ndarray]:
+    """``np.argsort(keys, kind="stable")`` as a value sort of distinct
+    ``(key, position)`` keys; ``None`` when no 64-bit key holds them."""
+    packed = _sorted_pairs(keys, np.arange(len(keys)))
+    return None if packed is None else _low(*packed, np.intp)
 
 
 def pair_order(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The stable lexicographic ``(u, v)`` sorting permutation.
 
-    The one way this package orders edge pairs: a stable pass over
-    ``v`` then a stable pass over ``u`` taken in that order, each pass
-    the 16-bit-digit radix sort of :func:`_stable_order`.  A stable
-    sorting permutation is unique, so the result equals
-    ``np.lexsort((v, u))`` exactly; that call (a comparison sort,
-    several times slower) remains for keys outside ``[0, 2**32)`` and
-    non-integer keys.
+    One stable packed pass over the ``(u, v)`` keys when ``(u, v,
+    position)`` fits 64 bits, else two, over ``v`` and then over ``u``
+    taken in that order.  The stable permutation is unique, so each
+    equals ``np.lexsort((v, u))``, the call for labels no key holds.
     """
-    u_top, v_top = _radix_top(u), _radix_top(v)
-    if u_top is None or v_top is None:
-        return np.lexsort((v, u))
-    order = _digit_order(v, v_top)
-    return order[_digit_order(u[order], u_top)]
-
-
-def _pack_pairs(u: np.ndarray, v: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
-    """``((u << shift) | v, shift)``, one unsigned key per pair: ``uint32``
-    when the labels' bit lengths sum to <= 32 (every scale <= 16), ``uint64``
-    up to 64; ``None`` for non-integer, negative or wider labels."""
-    if (u.dtype.kind not in "iu" or v.dtype.kind not in "iu"
-            or int(u.min()) < 0 or int(v.min()) < 0):
-        return None
-    shift = int(v.max()).bit_length()
-    bits = int(u.max()).bit_length() + shift
-    if bits > 64:
-        return None
-    key = np.dtype(np.uint32 if bits <= 32 else np.uint64)
-    keys = u.astype(key)
-    keys <<= key.type(shift)  # a scalar of the key dtype: an int would promote
-    np.bitwise_or(keys, v, out=keys, dtype=key, casting="unsafe")  # no M-long copy
-    return keys, shift
+    packed = _pack_pairs(u, v, spare=(len(u) - 1).bit_length())
+    if packed is not None:
+        return _stable_order(packed[0])
+    order = _stable_order(v)
+    second = None if order is None else _stable_order(u[order])
+    return np.lexsort((v, u)) if second is None else order[second]
 
 
 def collapse_duplicates(
@@ -127,7 +120,7 @@ def collapse_duplicates(
     gathers); labels no key can hold go through :func:`pair_order`."""
     if len(u) == 0:
         return u, v, np.empty(0, dtype=np.float64)
-    packed = _pack_pairs(u, v)
+    packed = _sorted_pairs(u, v)
     if packed is None:
         order = pair_order(u, v)
         su, sv = u[order], v[order]
@@ -136,7 +129,6 @@ def collapse_duplicates(
         counts = np.diff(first, append=len(su)).astype(np.float64)
         return su[first], sv[first], counts
     keys, shift = packed
-    keys.sort()
     new_pair = np.r_[True, keys[1:] != keys[:-1]]
     first = np.flatnonzero(new_pair)
     counts = np.empty(len(first), dtype=np.float64)
@@ -144,11 +136,8 @@ def collapse_duplicates(
     counts[-1] = len(keys) - first[-1]
     del first  # its block is what the distinct keys take; the M-long array goes
     keys = keys[new_pair]
-    kd = keys.dtype.type
-    cols = np.bitwise_and(keys, kd((1 << shift) - 1), out=np.empty(len(keys), v.dtype))
-    keys >>= kd(shift)  # in place: the distinct keys become the rows
-    same_width = keys.itemsize == u.dtype.itemsize
-    return keys.view(u.dtype) if same_width else keys.astype(u.dtype), cols, counts
+    cols = _low(keys, shift, v.dtype)
+    return _high(keys, shift, u.dtype), cols, counts
 
 
 def sort_edges(
@@ -184,5 +173,18 @@ def sort_edges(
             f"is 'numpy'"
         )
     check_same_length("u", u, "v", v)
-    order = pair_order(u, v) if by_end_vertex else _stable_order(u)
-    return u[order], v[order]
+    if by_end_vertex:
+        # Equal (u, v) keys are identical pairs: a value sort is lexsort.
+        packed = _sorted_pairs(u, v)
+        if packed is None:
+            order = pair_order(u, v)
+            return u[order], v[order]
+        sv = _low(*packed, v.dtype)
+        return _high(*packed, u.dtype), sv
+    # (u, position) keys are distinct: a value sort is the stable order.
+    packed = _sorted_pairs(u, np.arange(len(u)))
+    if packed is None:
+        order = np.argsort(u, kind="stable")
+        return u[order], v[order]
+    sv = v[_low(*packed, np.intp)]
+    return _high(*packed, u.dtype), sv

@@ -68,14 +68,67 @@ class TestSortProperties:
         assert np.array_equal(sv, v[order])
 
 
+@st.composite
+def wide_edges(draw):
+    """Edges whose packed keys sit on either side of the two switches:
+    ``uint32`` -> ``uint64`` (32/33 bits) and ``uint64`` -> numpy's
+    reference call (64/65 bits).  By start vertex the key is ``bits(u) +
+    bits(m - 1)`` wide, by ``(u, v)`` ``bits(u) + bits(v)``, and
+    ``pair_order``'s keys add ``bits(m - 1)`` to ``v`` or to both."""
+    m = draw(st.integers(1, 40))
+    dtype = draw(st.sampled_from((np.int64, np.uint64)))
+    max_bits = np.iinfo(dtype).bits - (dtype == np.int64)
+    pos_bits = (m - 1).bit_length()
+
+    def bits(width, taken):
+        return min(max(0, width - taken), max_bits)
+
+    u_bits = bits(draw(st.sampled_from((32, 33, 64, 65))), pos_bits)
+    # v's width completes the (u, v) key, the (v, position) key, or
+    # pair_order's one-pass ((u, v), position) key.
+    v_width, v_taken = draw(st.sampled_from(
+        [(w, taken) for w in (32, 33, 64, 65)
+         for taken in (u_bits, pos_bits, u_bits + pos_bits)]
+    ))
+    v_bits = bits(v_width, v_taken)
+
+    def labels(nbits):
+        top = (1 << nbits) - 1
+        near = st.integers(max(0, top - 2), top)  # a window: duplicates
+        drawn = draw(st.lists(near | st.integers(0, top),
+                              min_size=m - 1, max_size=m - 1))
+        values = np.array([top] + drawn, dtype=dtype)
+        return values[draw(st.permutations(range(m)))]
+
+    return labels(u_bits), labels(v_bits)
+
+
+class TestKeyWidthProperty:
+    @settings(max_examples=300)
+    @given(edges=wide_edges())
+    def test_every_entry_point_equals_numpy(self, edges):
+        u, v = edges
+        order = np.argsort(u, kind="stable")
+        su, sv = sort_edges(u, v)
+        assert np.array_equal(su, u[order]) and np.array_equal(sv, v[order])
+        lex = np.lexsort((v, u))
+        su, sv = sort_edges(u, v, by_end_vertex=True)
+        assert np.array_equal(su, u[lex]) and np.array_equal(sv, v[lex])
+        assert su.dtype == u.dtype and sv.dtype == v.dtype
+        assert np.array_equal(pair_order(u, v), lex)
+
+
 class TestExternalSortProperty:
+    @pytest.mark.parametrize("by_end_vertex", [False, True], ids=["by_u", "by_uv"])
     @settings(max_examples=25)
     @given(
         edges=edge_lists(max_edges=500),
         batch=st.integers(min_value=7, max_value=100),
         shards=st.integers(min_value=1, max_value=5),
     )
-    def test_external_equals_in_memory(self, tmp_path_factory, edges, batch, shards):
+    def test_external_equals_in_memory(self, tmp_path_factory, by_end_vertex,
+                                       edges, batch, shards):
+        # Byte for byte: ties in u leave the merge in input order.
         from repro.edgeio.dataset import EdgeDataset
         from repro.sort.external import ExternalSortConfig, external_sort_dataset
 
@@ -84,20 +137,22 @@ class TestExternalSortProperty:
         ds = EdgeDataset.write(base / "in", u, v, num_vertices=N_MAX,
                                num_shards=shards)
         out = external_sort_dataset(
-            ds, base / "out",
+            ds, base / "out", by_end_vertex=by_end_vertex,
             config=ExternalSortConfig(batch_edges=batch, fan_in=3,
                                       merge_block_edges=16),
         )
         su, sv = out.read_all()
-        ref_u, _ = sort_edges(u, v)
+        ref_u, ref_v = sort_edges(u, v, by_end_vertex=by_end_vertex)
         assert np.array_equal(su, ref_u)
-        assert np.array_equal(np.sort(su * N_MAX + sv),
-                              np.sort(u * N_MAX + v))
+        assert np.array_equal(sv, ref_v)
 
 
-# Key ranges around the digit-pass boundaries of the pair-ordering
-# primitive: one pass (< 2**16), two passes (< 2**32), lexsort fallback.
-_TOPS = (3, 2**16 - 1, 2**16, 2**16 + 9, 2**32 - 1, 2**32, 2**40)
+# Label ranges whose packed keys straddle the switches of the
+# pair-ordering primitive: with up to 200 positions (at most 8 bits),
+# (label, position) and ((u, v), position) keys near 32 bits (uint32 ->
+# uint64) or near 64 bits (one pass -> two passes -> np.lexsort).
+_TOPS = (3, 2**23 - 1, 2**24 - 1, 2**24, 2**32 - 1, 2**32,
+         2**55 - 1, 2**56 - 1, 2**56, 2**62)
 
 
 @st.composite

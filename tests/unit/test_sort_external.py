@@ -7,6 +7,7 @@ import pytest
 
 from repro.edgeio.dataset import EdgeDataset
 from repro.sort.external import ExternalSortConfig, external_sort_dataset
+from repro.sort.inmemory import sort_edges
 
 
 def _write_random_dataset(tmp_path, rng, m=2000, n=128, shards=4):
@@ -40,14 +41,40 @@ class TestExternalSort:
         assert np.all(np.diff(su) >= 0)
         assert len(su) == ds.num_edges
 
-    def test_matches_in_memory_sort(self, tmp_path, rng):
+    @pytest.mark.parametrize("block", [5, 16, 37])
+    @pytest.mark.parametrize("by_end_vertex", [False, True], ids=["by_u", "by_uv"])
+    def test_matches_in_memory_sort(self, tmp_path, rng, by_end_vertex, block):
+        # The same bytes at any block size: a tie in u that spans a
+        # merge block still leaves in input order.
         ds, u, v = _write_random_dataset(tmp_path, rng, m=777, n=32)
         out = external_sort_dataset(
-            ds, tmp_path / "out",
-            config=ExternalSortConfig(batch_edges=100, merge_block_edges=37),
+            ds, tmp_path / "out", by_end_vertex=by_end_vertex,
+            config=ExternalSortConfig(batch_edges=100, fan_in=3,
+                                      merge_block_edges=block),
         )
-        su, _ = out.read_all()
-        assert np.array_equal(su, np.sort(u))
+        su, sv = out.read_all()
+        ref_u, ref_v = sort_edges(u, v, by_end_vertex=by_end_vertex)
+        assert np.array_equal(su, ref_u)
+        assert np.array_equal(sv, ref_v)
+
+    def test_labels_beyond_two_to_the_31(self, tmp_path, rng):
+        # No composite key caps the vertex count: 34-bit labels, whose
+        # (u, v) pairs no 64-bit key holds, sort as in memory.
+        n = 2**33
+        u = rng.integers(2**31, n, size=300).astype(np.int64)
+        v = rng.integers(2**31, n, size=300).astype(np.int64)
+        u[::3] = u[0]  # ties in u, ordered by v
+        ds = EdgeDataset.write(tmp_path / "in", u, v, num_vertices=n,
+                               num_shards=3)
+        out = external_sort_dataset(
+            ds, tmp_path / "out", by_end_vertex=True,
+            config=ExternalSortConfig(batch_edges=40, fan_in=3,
+                                      merge_block_edges=16),
+        )
+        su, sv = out.read_all()
+        ref_u, ref_v = sort_edges(u, v, by_end_vertex=True)
+        assert np.array_equal(su, ref_u)
+        assert np.array_equal(sv, ref_v)
 
     def test_by_end_vertex(self, tmp_path, rng):
         ds, u, v = _write_random_dataset(tmp_path, rng, m=900, n=16)

@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sort.inmemory import is_sorted_by_pair, is_sorted_by_start, sort_edges
+from repro.sort.inmemory import (
+    _pack_pairs,
+    is_sorted_by_pair,
+    is_sorted_by_start,
+    pair_order,
+    sort_edges,
+)
 
 
 def _random_edges(rng, m=500, n=64):
@@ -108,26 +114,51 @@ def _assert_matches_stable_argsort(u, v):
     assert np.array_equal(sv, v[order])
 
 
-class TestNumpySortDigitPasses:
-    """The 16-bit-digit passes must reproduce numpy's own stable
-    argsort exactly at every key-width switch."""
+def _key_dtype(width):
+    """The packed key a ``width``-bit key takes; ``None``: the fallback."""
+    if width <= 32:
+        return np.uint32
+    return np.uint64 if width <= 64 else None
 
-    @pytest.mark.parametrize("top", [
-        1, 2**16 - 1, 2**16, 2**16 + 1, 2**18, 2**32 - 1, 2**32, 2**32 + 1,
-        2**40, 2**62,
-    ])
-    def test_key_width_boundaries(self, top):
-        rng = np.random.default_rng(top % 1000)
-        u = rng.integers(0, top, size=4000, endpoint=True, dtype=np.int64)
-        u[::97] = top  # the width-deciding key is present
+
+def _labels(rng, bits, m):
+    """``m`` labels below ``2**bits``, its top present, with duplicates."""
+    top = (1 << bits) - 1
+    pool = rng.integers(0, top, size=max(1, m // 50), endpoint=True,
+                        dtype=np.uint64).astype(np.int64)
+    pool[0] = top
+    return pool[rng.integers(0, len(pool), size=m)]
+
+
+def _assert_key(a, b, width):
+    packed = _pack_pairs(a, b)
+    want = _key_dtype(width)
+    assert (packed is None) if want is None else packed[0].dtype == want
+
+
+# Key widths either side of the two switches: uint32 -> uint64 and
+# uint64 -> numpy's reference call.
+_WIDTHS = [32, 33, 64, 65]
+_M = 4000  # positions take bits(_M - 1) = 12 bits
+
+
+class TestStartVertexKeyWidths:
+    """By start vertex the key is ``(u, position)``, ``bits(u) +
+    bits(m - 1)`` wide; the sort must equal numpy's stable argsort
+    exactly on either side of every switch."""
+
+    @pytest.mark.parametrize("width", _WIDTHS)
+    def test_key_width_switches(self, width):
+        u = _labels(np.random.default_rng(width), width - 12, _M)
         v = np.arange(len(u), dtype=np.int64)
+        _assert_key(u, v, width)
         _assert_matches_stable_argsort(u, v)
 
-    def test_high_digit_only_keys(self):
-        # Keys that differ only above bit 16: the low pass is a no-op
-        # and the order rests on the high pass alone.
-        u = (np.arange(3000, dtype=np.int64) * 7919 % 40) << 16
-        _assert_matches_stable_argsort(u, np.arange(len(u), dtype=np.int64))
+    @pytest.mark.parametrize("m", [1, 2, 3, 2**16 + 1])
+    def test_position_bits(self, rng, m):
+        # A wide key from many positions over few labels.
+        u = rng.integers(0, 3, size=m).astype(np.int64)
+        _assert_matches_stable_argsort(u, rng.integers(0, 9, size=m))
 
     def test_heavy_duplicates(self, rng):
         u = rng.integers(0, 3, size=5000).astype(np.int64) * 70000
@@ -153,6 +184,10 @@ class TestNumpySortDigitPasses:
         u = rng.integers(0, 2**31 - 1, size=3000).astype(dtype)
         _assert_matches_stable_argsort(u, np.arange(len(u), dtype=np.int64))
 
+    def test_non_integer_keys(self):
+        u = np.array([0.5, 0.25, 0.5, 0.25])
+        _assert_matches_stable_argsort(u, np.arange(4, dtype=np.int64))
+
     def test_single_and_empty(self):
         empty = np.array([], dtype=np.int64)
         _assert_matches_stable_argsort(empty, empty.copy())
@@ -160,29 +195,22 @@ class TestNumpySortDigitPasses:
         _assert_matches_stable_argsort(one, one.copy())
 
 
-class TestPairModeDigitPasses:
-    """With ``by_end_vertex`` the digit passes run over ``v`` and then
-    ``u``; the result must be ``np.lexsort((v, u))`` exactly whichever
-    of the two keys crosses a width switch."""
+class TestPairKeyWidths:
+    """With ``by_end_vertex`` the key is ``(u, v)``, ``bits(u) +
+    bits(v)`` wide; the result must be ``np.lexsort((v, u))`` exactly on
+    either side of every switch, whichever label is the wide one."""
 
-    @staticmethod
-    def _keys(rng, top, m=4000, distinct=60):
-        # Few distinct values reaching ``top``: many ties, so the order
-        # within a start vertex rests on the end vertices.
-        pool = rng.integers(0, top, size=distinct, endpoint=True, dtype=np.int64)
-        pool[0] = top
-        return pool[rng.integers(0, distinct, size=m)]
-
-    @pytest.mark.parametrize("top", [
-        1, 2**16 - 1, 2**16, 2**16 + 1, 2**32 - 1, 2**32, 2**40,
-    ])
+    @pytest.mark.parametrize("width", _WIDTHS)
     @pytest.mark.parametrize("wide", ["u", "v"])
-    def test_key_width_boundaries(self, top, wide):
-        rng = np.random.default_rng(top % 1000)
-        u = self._keys(rng, top if wide == "u" else 100)
-        v = self._keys(rng, top if wide == "v" else 100)
+    def test_key_width_switches(self, width, wide):
+        rng = np.random.default_rng(width)
+        narrow = 7
+        u = _labels(rng, width - narrow if wide == "u" else narrow, _M)
+        v = _labels(rng, width - narrow if wide == "v" else narrow, _M)
+        _assert_key(u, v, width)
         su, sv = sort_edges(u, v, by_end_vertex=True)
         ref_u, ref_v = _reference(u, v, True)
+        assert su.dtype == u.dtype and sv.dtype == v.dtype
         assert np.array_equal(su, ref_u)
         assert np.array_equal(sv, ref_v)
 
@@ -194,6 +222,45 @@ class TestPairModeDigitPasses:
         ref_u, ref_v = _reference(u, v, True)
         assert np.array_equal(su, ref_u)
         assert np.array_equal(sv, ref_v)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.uint64])
+    def test_other_integer_dtypes(self, dtype):
+        rng = np.random.default_rng(13)
+        u = rng.integers(0, 2**12, size=3000).astype(dtype)
+        v = rng.integers(0, 2**31 - 1, size=3000).astype(dtype)
+        su, sv = sort_edges(u, v, by_end_vertex=True)
+        ref_u, ref_v = _reference(u, v, True)
+        assert su.dtype == sv.dtype == dtype
+        assert np.array_equal(su, ref_u)
+        assert np.array_equal(sv, ref_v)
+
+    def test_single_edge(self):
+        one = np.array([2**40], dtype=np.int64)
+        su, sv = sort_edges(one, one.copy(), by_end_vertex=True)
+        assert su.tolist() == sv.tolist() == [2**40]
+
+
+class TestPairOrderKeyWidths:
+    """``pair_order`` is one packed pass over ``((u, v), position)``
+    when that fits 64 bits, else a pass over ``(v, position)`` and one
+    over ``(u[order], position)``; every route must give
+    ``np.lexsort((v, u))`` exactly on either side of its switches."""
+
+    @pytest.mark.parametrize("u_bits,v_bits", [
+        (7, 13), (7, 14), (20, 0), (7, 45),  # one pass: 32, 33, 32, 64 bits
+        (7, 46), (7, 52), (52, 7),  # two passes, one of them 58 or 64 bits
+        (7, 53), (53, 7),  # a 65-bit pass: np.lexsort
+    ])
+    def test_key_width_switches(self, u_bits, v_bits):
+        rng = np.random.default_rng(u_bits * 64 + v_bits)
+        u, v = _labels(rng, u_bits, _M), _labels(rng, v_bits, _M)
+        positions = np.arange(_M)
+        _assert_key(_pack_pairs(u, v)[0], positions, u_bits + v_bits + 12)
+        _assert_key(v, positions, v_bits + 12)
+        _assert_key(u, positions, u_bits + 12)
+        order = pair_order(u, v)
+        assert order.dtype == np.intp
+        assert np.array_equal(order, np.lexsort((v, u)))
 
 
 class TestValidation:
