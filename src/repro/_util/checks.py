@@ -48,13 +48,14 @@ def check_same_length(name_a: str, a: Sized, name_b: str, b: Sized) -> None:
 
 
 def check_dtype(name: str, array: np.ndarray, kind: str) -> np.ndarray:
-    """Validate that ``array`` has dtype kind ``kind`` (e.g. 'i', 'f').
+    """Validate that ``array``'s dtype kind is one of ``kind`` (e.g. 'i',
+    'f', or 'iu' for any integer).
 
     Returns the array unchanged so the call can be inlined in expressions.
     """
     if not isinstance(array, np.ndarray):
         raise TypeError(f"{name} must be a numpy array, got {type(array).__name__}")
-    if array.dtype.kind != kind:
+    if array.dtype.kind not in kind:
         raise ValueError(
             f"{name} must have dtype kind {kind!r}, got {array.dtype} "
             f"(kind {array.dtype.kind!r})"

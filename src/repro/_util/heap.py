@@ -51,7 +51,8 @@ _M_MMAP_MAX = -4
 _M_ARENA_MAX = -8
 
 #: 1 GiB: above the largest single array of a scale-22 run (the paper's
-#: largest; 67 M int64 edge labels are 537 MB).
+#: largest: 67 M edges, whose 64-bit sort keys are 537 MB and each
+#: ``uint32`` label array 268 MB).
 MMAP_THRESHOLD = 1 << 30
 #: The largest value ``mallopt``'s ``int`` argument takes (2 GiB - 1).
 #: Freed memory is kept up to the largest heap any run of the process

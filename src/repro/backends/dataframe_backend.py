@@ -59,6 +59,7 @@ class DataframeBackend(Backend):
         # order the serial Kernel 2's key-groupby produces, so Kernel
         # 3's per-edge contribution sums see an identical ordering.
         coo = matrix.tocsr().tocoo()
+        # int64 indices, as the serial build's ``keys // n`` makes them.
         edges = Frame({
             "u": coo.row.astype(np.int64),
             "v": coo.col.astype(np.int64),
@@ -81,7 +82,9 @@ class DataframeBackend(Backend):
             edges = Frame({"u": u, "v": v})
             # Duplicate accumulation: count rows per (u, v) pair via a
             # composite key groupby — the dataframe idiom for sparse().
-            key = edges.column("u") * n + edges.column("v")
+            # The composite key needs 2 * scale bits: int64, whatever
+            # the labels' dtype (a uint32 product would wrap).
+            key = edges.column("u").astype(np.int64) * n + edges.column("v")
             grouped = Frame({"key": key}).groupby_size("key")
             keys = grouped.column("key")
             weights = grouped.column("size").astype(np.float64)

@@ -55,6 +55,7 @@ class GraphBlasBackend(Backend):
         # scipy CSR and repro.grb.Matrix share the same storage layout,
         # so adoption is a zero-copy re-wrap of the three arrays.
         csr = matrix.tocsr()
+        # The grb container's int64 index layout (see Matrix.build).
         adopted = Matrix(
             csr.shape[0],
             csr.shape[1],

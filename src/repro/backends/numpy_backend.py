@@ -33,8 +33,11 @@ class CooAdjacency(AdjacencyHandle):
         pre_filter_total: float,
     ) -> None:
         self._n = num_vertices
-        self.rows = rows
-        self.cols = cols
+        # Index arrays, not labels: Kernel 3 gathers and scatters by them
+        # every iteration, and numpy converts any other index dtype to
+        # intp on each use.
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.cols = np.asarray(cols, dtype=np.intp)
         self.vals = vals
         self._pre_filter_total = float(pre_filter_total)
 
@@ -69,10 +72,7 @@ class NumpyBackend(Backend):
         # (a CSC matrix is made CSR first for the same reason).
         coo = matrix.tocsr().tocoo()
         return CooAdjacency(
-            matrix.shape[0],
-            coo.row.astype(np.int64),
-            coo.col.astype(np.int64),
-            coo.data.astype(np.float64),
+            matrix.shape[0], coo.row, coo.col, coo.data.astype(np.float64),
             pre_filter_total,
         )
 

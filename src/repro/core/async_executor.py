@@ -469,8 +469,6 @@ class AsyncExecutor(Executor):
         def generate(results: Dict[str, object]):
             u, v = ctx.backend.generate_edges(config)
             out_dir.mkdir(parents=True, exist_ok=True)
-            u = np.asarray(u, dtype=np.int64)
-            v = np.asarray(v, dtype=np.int64)
             if route.payload_via == "shm":
                 # One segment for the whole stage output; every shard
                 # write ships only (name, start, end) over its pipe.
@@ -601,9 +599,9 @@ class AsyncExecutor(Executor):
                     )
                 target = dict(directory=str(out_dir), index=index, **codec)
                 if route.payload_via == "shm" and isinstance(source, ShmEdgePair):
-                    # 16 bytes/edge (two int64s) that would have been
+                    # The slice's label bytes that would have been
                     # pickled over the worker pipe.
-                    route.add_saved((end - start) * 16)
+                    route.add_saved((end - start) * (u.itemsize + v.itemsize))
                     return LaneTask("encode-shard-shm", dict(
                         shm=source.buffer.name, start=start, end=end, **target
                     ))

@@ -27,7 +27,7 @@ The contract is deliberately narrow:
   failure path drains the graph.
 
 When offload pays: a lane ships the payload over the pipe (a pickled
-int64 array copy, ~GB/s) to buy back the codec's GIL time (tens of
+label array copy, ~GB/s) to buy back the codec's GIL time (tens of
 MB/s even vectorized).  That trade wins exactly when the op's compute
 cost per byte exceeds the pipe's transfer cost per byte — true for TSV
 encode/decode, false for ``npy`` shards (a raw buffer write), which is

@@ -9,8 +9,9 @@ substrate that removes those copies:
 * :class:`ShardBuffer` — an edge-pair array in a
   :class:`multiprocessing.shared_memory.SharedMemory` segment, with a
   small fixed header (magic, layout version, generation counter, array
-  lengths) ahead of the payload.  A lane worker and the parent map the
-  same physical pages; only the segment *name* crosses the pipe.
+  lengths, label width) ahead of the payload.  A lane worker and the
+  parent map the same physical pages; only the segment *name* crosses
+  the pipe.
 * an **owner registry** with an ``atexit``/SIGTERM sweep — every
   segment created (or adopted) by this process is tracked until
   released, so a crash cannot strand ``psm_repro_*`` segments in
@@ -56,15 +57,21 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from repro.core import trace
+from repro.labels import NARROW, WIDE, edge_dtype
 
 #: Shard hand-off planes selectable by config (``shard_plane``).
 SHARD_PLANES = ("pipe", "shm")
 
-#: Header layout: 5 little-endian int64 slots ahead of the payload.
-_HEADER_SLOTS = 5
+#: Header layout: 6 little-endian int64 slots ahead of the payload —
+#: magic, layout version, generation, ``len(u)``, ``len(v)`` and the
+#: payload's label itemsize (a key of :data:`_PAYLOAD_DTYPES`).
+_HEADER_SLOTS = 6
 HEADER_BYTES = _HEADER_SLOTS * 8
 _MAGIC = 0x5250_5348_4D31  # "RPSHM1"
-_LAYOUT_VERSION = 1
+#: 2: the label dtype joined the header (1 was int64 payloads only).
+_LAYOUT_VERSION = 2
+#: Payload label dtype by itemsize: the two dtypes of :mod:`repro.labels`.
+_PAYLOAD_DTYPES = {NARROW.itemsize: NARROW, WIDE.itemsize: WIDE}
 
 #: Segment-name prefix.  Deliberately under ``psm_`` (the stdlib's own
 #: prefix) so a leak check over ``psm_*`` covers both default-named
@@ -291,11 +298,12 @@ class ShardBuffer:
     """An ``(u, v)`` edge-pair in a named shared-memory segment.
 
     Layout: :data:`HEADER_BYTES` of int64 header — magic, layout
-    version, generation, ``len(u)``, ``len(v)`` — then the two int64
-    payload arrays back to back.  The generation slot lets an owner
-    signal "superseded" to attached readers without invalidating their
-    mapping (POSIX keeps pages alive until the last map closes, even
-    after unlink).
+    version, generation, ``len(u)``, ``len(v)``, label itemsize — then
+    the two payload arrays back to back, in the label dtype (``uint32``
+    when both given arrays are, else ``int64``).  The generation slot
+    lets an owner signal "superseded" to attached readers without
+    invalidating their mapping (POSIX keeps pages alive until the last
+    map closes, even after unlink).
 
     Use the classmethods; the constructor is internal.
     """
@@ -317,8 +325,9 @@ class ShardBuffer:
         from multiprocessing import shared_memory
 
         with trace.span("shm:create", cat="shm") as sp:
-            u = np.ascontiguousarray(u, dtype=np.int64)
-            v = np.ascontiguousarray(v, dtype=np.int64)
+            dtype = edge_dtype(np.asarray(u), np.asarray(v))
+            u = np.ascontiguousarray(u, dtype=dtype)
+            v = np.ascontiguousarray(v, dtype=dtype)
             size = HEADER_BYTES + u.nbytes + v.nbytes
             shm = shared_memory.SharedMemory(
                 create=True, size=max(size, 1), name=_next_name()
@@ -330,6 +339,7 @@ class ShardBuffer:
             header[2] = 1  # generation
             header[3] = len(u)
             header[4] = len(v)
+            header[5] = dtype.itemsize
             pu, pv = buffer._payload_views(writable=True)
             pu[:] = u
             pv[:] = v
@@ -351,7 +361,8 @@ class ShardBuffer:
         Raises
         ------
         ShmPlaneError
-            On a header that is not a version-1 shard segment or
+            On a header that is not a shard segment of this layout version,
+            an unknown label width, or
             lengths inconsistent with the segment size.
         FileNotFoundError
             When no segment of that name exists (already unlinked).
@@ -383,7 +394,9 @@ class ShardBuffer:
             _untrack(name)
         buffer = cls(shm, owner=owner)
         header = buffer._header_view()
-        magic, version, _gen, u_len, v_len = (int(x) for x in header[:5])
+        magic, version, _gen, u_len, v_len, width = (
+            int(x) for x in header[:_HEADER_SLOTS]
+        )
         del header
         if magic != _MAGIC or version != _LAYOUT_VERSION:
             if owner:
@@ -393,14 +406,14 @@ class ShardBuffer:
                 f"segment {name!r} is not a shard buffer "
                 f"(magic={magic:#x}, version={version})"
             )
-        if HEADER_BYTES + (u_len + v_len) * 8 > shm.size or u_len < 0 \
-                or v_len < 0:
+        if width not in _PAYLOAD_DTYPES or u_len < 0 or v_len < 0 \
+                or HEADER_BYTES + (u_len + v_len) * width > shm.size:
             if owner:
                 _untrack(name)
             buffer.close()
             raise ShmPlaneError(
-                f"segment {name!r} declares {u_len}+{v_len} edges but is "
-                f"only {shm.size} bytes"
+                f"segment {name!r} declares {u_len}+{v_len} edges of "
+                f"{width} bytes but is only {shm.size} bytes"
             )
         if owner:
             _register(buffer)
@@ -416,7 +429,7 @@ class ShardBuffer:
     def nbytes(self) -> int:
         """Payload bytes (header excluded) — the pipe traffic avoided."""
         header = self._header_view()
-        n = int(header[3] + header[4]) * 8
+        n = int(header[3] + header[4]) * int(header[5])
         del header
         return n
 
@@ -440,7 +453,7 @@ class ShardBuffer:
 
     # -- data ----------------------------------------------------------
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``(u, v)`` payload as **read-only** int64 views.
+        """The ``(u, v)`` payload as **read-only** label-dtype views.
 
         Zero-copy: the arrays alias the segment pages.  Mutating
         consumers must ``.copy()`` first — the read-only flag makes an
@@ -458,14 +471,15 @@ class ShardBuffer:
     def _payload_views(self, *, writable: bool) -> Tuple[np.ndarray, np.ndarray]:
         header = self._header_view()
         u_len, v_len = int(header[3]), int(header[4])
+        dtype = _PAYLOAD_DTYPES[int(header[5])]
         del header
         u = np.frombuffer(
-            self._shm.buf, dtype=np.int64, count=u_len,
+            self._shm.buf, dtype=dtype, count=u_len,
             offset=HEADER_BYTES,
         )
         v = np.frombuffer(
-            self._shm.buf, dtype=np.int64, count=v_len,
-            offset=HEADER_BYTES + u_len * 8,
+            self._shm.buf, dtype=dtype, count=v_len,
+            offset=HEADER_BYTES + u_len * dtype.itemsize,
         )
         if not writable:
             u.flags.writeable = False

@@ -37,6 +37,7 @@ from repro.core import trace
 from repro.core.config import DEFAULT_STREAMING_BATCH_EDGES
 from repro.core.shmplane import mapped_view
 from repro.edgeio.dataset import EdgeDataset
+from repro.labels import NARROW
 from repro.sort.inmemory import collapse_duplicates
 
 
@@ -85,6 +86,8 @@ class StreamingKernel2Result:
 
 #: One spilled triple.  Rows and columns stay integers and counts stay
 #: float64 end to end, so pass 2 reads each field back without a cast.
+#: The record layout is fixed, so rows and columns are int64 whatever
+#: the labels' dtype (the spill is a scratch file, not an artifact).
 _SPILL_DTYPE = np.dtype(
     [("row", np.int64), ("col", np.int64), ("count", np.float64)]
 )
@@ -115,7 +118,7 @@ def _stream_dedup(
     dataset's :meth:`iter_batches` or a hand-off queue fed by a
     background reader thread.
     """
-    carry_u = carry_v = np.empty(0, dtype=np.int64)
+    carry_u = carry_v = np.empty(0, dtype=NARROW)  # never joined while empty
     carry_c = np.empty(0, dtype=np.float64)
     for u, v in batches:
         if len(u) > 1 and np.any(u[1:] < u[:-1]):

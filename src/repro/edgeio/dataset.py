@@ -11,7 +11,7 @@ Key operations::
     ds = EdgeDataset.write(dir, u, v, num_vertices=N, num_shards=4)
     ds = EdgeDataset.publish(dir, shards, ...)  # manifest over written shards
     ds = EdgeDataset.open(dir)              # verify + load manifest
-    u, v = ds.read_all()                    # concatenate every shard
+    u, v = ds.read_all()                    # every shard, in one pair
     for u, v in ds.iter_shards(): ...       # stream shard-at-a-time
     with EdgeDataset.stream_writer(...) as w:
         w.append(u_block, v_block)          # out-of-core producer
@@ -31,6 +31,7 @@ from repro.edgeio.binary import read_binary_shard, write_binary_shard
 from repro.edgeio.errors import CorruptEdgeFileError, DatasetLayoutError
 from repro.edgeio.format import DEFAULT_VERTEX_BASE, decode_edges, encode_edges
 from repro.edgeio.manifest import DatasetManifest, ShardInfo
+from repro.labels import label_dtype
 
 _SHARD_TEMPLATE = "part-{index:05d}.{ext}"
 _EXTENSIONS = {"tsv": "tsv", "npy": "npy", "tsv.gz": "tsv.gz"}
@@ -91,12 +92,11 @@ def write_shard(
     out so shard writes can be scheduled as independent tasks; the
     caller is responsible for eventually handing the ``ShardInfo`` list
     to :meth:`EdgeDataset.publish` (shards without a manifest read as
-    an incomplete dataset, by design).
+    an incomplete dataset, by design).  Labels are written as they are
+    held (``uint32`` or ``int64``); the file's bytes do not depend on it.
     """
     name = shard_file_name(index, fmt)
     path = Path(directory) / name
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
     if fmt in ("tsv", "tsv.gz"):
         payload = encode_edges(u, v, vertex_base=vertex_base)
         if fmt == "tsv.gz":
@@ -137,8 +137,7 @@ def write_shards(
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
+    u, v = np.asarray(u), np.asarray(v)
     return [
         write_shard(
             directory, index, u[start:end], v[start:end],
@@ -402,12 +401,18 @@ class EdgeDataset:
         return u, v
 
     def _check_bounds(self, path: Path, u: np.ndarray, v: np.ndarray) -> None:
-        n = self.manifest.num_vertices
+        """Refuse labels outside ``[0, N)``, naming them as the file
+        writes them (the decoder returns a label below the vertex base
+        as a negative, never as a wrapped ``uint32``)."""
+        n, base = self.manifest.num_vertices, self.manifest.vertex_base
         for name, arr in (("u", u), ("v", v)):
-            if len(arr) and (arr.min() < 0 or arr.max() >= n):
+            if not len(arr):
+                continue
+            lo, hi = int(arr.min()), int(arr.max())
+            if lo < 0 or hi >= n:
                 raise CorruptEdgeFileError(
-                    f"{path}: {name} labels outside [0, {n}): "
-                    f"min={arr.min()}, max={arr.max()}"
+                    f"{path}: {name} labels outside [{base}, {n + base}) "
+                    f"on disk: min={lo + base}, max={hi + base}"
                 )
 
     def iter_shards(self, *, verify_checksum: bool = False) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -443,12 +448,23 @@ class EdgeDataset:
             yield np.concatenate(pending_u), np.concatenate(pending_v)
 
     def read_all(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Concatenate every shard into full ``(u, v)`` arrays."""
-        if self.num_shards == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        parts = list(self.iter_shards())
-        u = np.concatenate([p[0] for p in parts])
-        v = np.concatenate([p[1] for p in parts])
+        """Every shard, in order, as one ``(u, v)`` pair.
+
+        The pair is allocated once from the manifest's per-shard edge
+        counts, in the label dtype of ``num_vertices``, and each shard is
+        copied into its slice after :meth:`read_shard` has checked its
+        count and bounds — so at most one decoded shard is alive beside
+        the result, not every shard plus their concatenation.
+        """
+        sizes = [info.num_edges for info in self.manifest.shards]
+        dtype = label_dtype(self.num_vertices)
+        u = np.empty(sum(sizes), dtype=dtype)
+        v = np.empty(sum(sizes), dtype=dtype)
+        start = 0
+        for index, size in enumerate(sizes):
+            # In bounds, so every label fits the result's dtype.
+            u[start:start + size], v[start:start + size] = self.read_shard(index)
+            start += size
         return u, v
 
 
@@ -504,8 +520,7 @@ class EdgeDatasetWriter:
         """Append an edge block; flushes full shards as needed."""
         if self._closed:
             raise RuntimeError("writer is closed")
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
+        u, v = np.asarray(u), np.asarray(v)
         if len(u) != len(v):
             raise ValueError(f"u and v lengths differ: {len(u)} != {len(v)}")
         self._buffer_u.append(u)
@@ -515,8 +530,9 @@ class EdgeDatasetWriter:
             self._flush_shard(self.edges_per_shard)
 
     def _flush_shard(self, count: int) -> None:
-        cat_u = np.concatenate(self._buffer_u) if self._buffer_u else np.empty(0, np.int64)
-        cat_v = np.concatenate(self._buffer_v) if self._buffer_v else np.empty(0, np.int64)
+        empty = np.empty(0, label_dtype(self.num_vertices))
+        cat_u = np.concatenate(self._buffer_u) if self._buffer_u else empty
+        cat_v = np.concatenate(self._buffer_v) if self._buffer_v else empty
         take_u, rest_u = cat_u[:count], cat_u[count:]
         take_v, rest_v = cat_v[:count], cat_v[count:]
         index = len(self._shards)

@@ -19,9 +19,14 @@ only those bytes are checked to be whitespace, and successive
 differences give every token's end and length (a final token without a
 newline gets a virtual terminator).  Values are accumulated by
 gathering digit place ``k`` of every token right-aligned from a
-zero-padded copy of ``d`` — ``int32`` when no token exceeds 9 digits —
+zero-padded copy of ``d`` — ``uint32`` when no token exceeds 9 digits —
 separately for the even and odd tokens, so ``u`` and ``v`` come out
 contiguous.
+
+Labels travel in the dtype of :mod:`repro.labels`: the encoder reads
+``uint32`` labels as they are (no widening copy), and the decoder's
+accumulator is already ``uint32``, so a decoded edge list is 8 bytes an
+edge whenever every label is below ``2**32``; ``int64`` otherwise.
 
 The string-kernel paths are kept as private functions: they back the
 corruption diagnostics (exact error messages, line numbers via
@@ -43,6 +48,7 @@ import numpy as np
 
 from repro._util import check_nonneg_int, check_same_length
 from repro.edgeio.errors import CorruptEdgeFileError
+from repro.labels import NARROW, fit_labels, shift_labels
 
 #: On-disk vertex labels start at this value by default.
 DEFAULT_VERTEX_BASE = 0
@@ -75,10 +81,12 @@ def encode_edges(
     Parameters
     ----------
     u, v:
-        Integer edge arrays (0-based labels).
+        Integer edge arrays (0-based labels), in any integer dtype;
+        ``uint32`` labels are encoded without a widening copy.
     vertex_base:
         Added to every label on output (0 keeps labels as-is, 1 writes
-        Matlab-style 1-based labels).
+        Matlab-style 1-based labels); label ``2**32 - 1`` becomes
+        ``4294967296``, not ``0``.
 
     Returns
     -------
@@ -95,9 +103,8 @@ def encode_edges(
     check_nonneg_int("vertex_base", vertex_base)
     if len(u) == 0:
         return b""
-    u_out = np.asarray(u, dtype=np.int64) + vertex_base
-    v_out = np.asarray(v, dtype=np.int64) + vertex_base
-    if int(u_out.min()) < 0 or int(v_out.min()) < 0:
+    u_out, v_out = shift_labels(u, v, vertex_base)
+    if any(a.dtype.kind == "i" and int(a.min()) < 0 for a in (u_out, v_out)):
         # Negative labels are legal bytes-wise but rare enough that the
         # fast path does not carry sign logic; the string kernels do.
         return _encode_edges_strings(u_out, v_out)
@@ -175,7 +182,11 @@ def decode_edges(
     vertex_base: int = DEFAULT_VERTEX_BASE,
     strict: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Parse TSV bytes back into ``(u, v)`` int64 arrays.
+    """Parse TSV bytes back into ``(u, v)`` label arrays.
+
+    Both arrays are ``uint32`` when every label (after subtracting
+    ``vertex_base``) is in ``[0, 2**32)``, else ``int64`` — so a label
+    below ``vertex_base`` comes back negative, never wrapped.
 
     Parameters
     ----------
@@ -196,7 +207,7 @@ def decode_edges(
     """
     check_nonneg_int("vertex_base", vertex_base)
     if not payload or not payload.strip():
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=NARROW), np.empty(0, dtype=NARROW)
 
     if strict:
         u_list = []
@@ -207,18 +218,15 @@ def decode_edges(
             a, b = parse_edge_line(raw, lineno=lineno)
             u_list.append(a)
             v_list.append(b)
-        u = np.array(u_list, dtype=np.int64) - vertex_base
-        v = np.array(v_list, dtype=np.int64) - vertex_base
-        return u, v
-
-    decoded = _decode_edges_fast(payload)
-    if decoded is None:
-        decoded = _decode_edges_split(payload)
-    u, v = decoded
-    if vertex_base:
-        u = u - vertex_base
-        v = v - vertex_base
-    return u, v
+        decoded = (np.array(u_list, dtype=np.int64),
+                   np.array(v_list, dtype=np.int64))
+    else:
+        decoded = _decode_edges_fast(payload)
+        if decoded is None:
+            decoded = _decode_edges_split(payload)
+    # Fitted after the shift: a label of 2**32 on disk may be a narrow
+    # one, and the general tokenizers parse wide.
+    return fit_labels(*shift_labels(*decoded, -vertex_base))
 
 
 def _decode_edges_fast(
@@ -233,7 +241,8 @@ def _decode_edges_fast(
     needs the general parser: any byte that is neither a digit nor
     whitespace (signs, letters — the legacy path owns the error
     wording), or a token long enough to overflow the int64 accumulate.
-    The returned arrays are contiguous int64.
+    The returned arrays are contiguous, in the label dtype of their
+    values (:func:`~repro.labels.fit_labels`).
     """
     data = np.frombuffer(payload, dtype=np.uint8)
     size = len(data)
@@ -268,10 +277,9 @@ def _decode_edges_fast(
             f"edge payload has an odd number of tokens ({num_tokens}); "
             "each edge needs exactly two vertex labels"
         )
-    return (
-        np.concatenate(u_parts, dtype=np.int64),
-        np.concatenate(v_parts, dtype=np.int64),
-    )
+    # Parts of 9-digit tokens at most are uint32 already; a wider part
+    # promotes its array to int64, which fit_labels narrows if it can.
+    return fit_labels(np.concatenate(u_parts), np.concatenate(v_parts))
 
 
 def _index_tokens(
@@ -296,7 +304,7 @@ def _index_tokens(
         return None
     if len(sep) == 0 or sep[-1] != len(data) - 1:
         sep = np.append(sep, len(data))  # last token has no terminator
-    lengths = np.empty(len(sep), dtype=np.int64)
+    lengths = np.empty(len(sep), dtype=np.int64)  # byte counts, not labels
     lengths[0] = sep[0]
     np.subtract(sep[1:], sep[:-1], out=lengths[1:])
     lengths[1:] -= 1
@@ -317,11 +325,11 @@ def _gather_values(
 
     Place ``k`` (from the right) of every token is one gather at
     ``stops - 1 - k``, masked to zero where the token is shorter.
-    ``int32`` holds any 9-digit token, which halves the traffic for
-    every graph the benchmark generates.
+    ``uint32`` holds any 9-digit token, which halves the traffic for
+    every graph the benchmark generates and is already the label dtype.
     """
     widest = int(lengths.max(initial=0))
-    dtype = np.int32 if widest <= 9 else np.int64
+    dtype = NARROW.type if widest <= 9 else np.int64
     at = stops - 1
     total = digits[at].astype(dtype)
     scale = 1

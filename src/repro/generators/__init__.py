@@ -8,8 +8,9 @@ Kepner 2012) — both of which are implemented here and, with a uniform
 random multigraph and a deterministic ring, selectable by name through
 :func:`get_generator` (``--generator``).
 
-All generators return edge lists as a pair of ``int64`` arrays ``(u, v)``
-with 0-based vertex labels, matching the library-wide convention.
+All generators return edge lists as a pair of arrays ``(u, v)`` with
+0-based vertex labels in the label dtype of :mod:`repro.labels`
+(``uint32`` up to scale 32), matching the library-wide convention.
 """
 
 from __future__ import annotations

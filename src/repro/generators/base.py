@@ -1,9 +1,10 @@
 """Shared generator types and helpers.
 
 An *edge list* throughout this library is a pair of equal-length
-``int64`` arrays ``(u, v)``: edge ``i`` points from vertex ``u[i]`` to
-vertex ``v[i]``, labels are 0-based and bounded by the generator's vertex
-count ``N``.  Multi-edges and self-loops are permitted (the Kronecker
+integer arrays ``(u, v)`` in the label dtype of :mod:`repro.labels`
+(``uint32`` up to scale 32, else ``int64``): edge ``i`` points from
+vertex ``u[i]`` to vertex ``v[i]``, labels are 0-based and bounded by
+the generator's vertex count ``N``.  Multi-edges and self-loops are permitted (the Kronecker
 generator produces both; Kernel 2 accumulates duplicates into counts).
 """
 
@@ -16,11 +17,13 @@ import numpy as np
 
 from repro._util import check_dtype, check_same_length
 
-#: Edge list type alias: (start vertices, end vertices), both int64.
+#: Edge list type alias: (start vertices, end vertices), both in the
+#: label dtype (:mod:`repro.labels`).
 EdgeList = Tuple[np.ndarray, np.ndarray]
 
 #: Bytes per edge assumed by the paper's Table II memory column
-#: (two 8-byte integers).
+#: (two 8-byte integers; the pipeline itself holds two ``uint32`` labels,
+#: 8 bytes, up to scale 32).
 BYTES_PER_EDGE = 16
 
 
@@ -71,10 +74,11 @@ class GeneratorSpec:
 def validate_edge_list(u: np.ndarray, v: np.ndarray, num_vertices: int) -> None:
     """Raise if ``(u, v)`` is not a well-formed edge list for ``num_vertices``.
 
-    Checks dtype kind, equal lengths, and label bounds ``0 <= label < N``.
+    Checks dtype kind (any integer), equal lengths, and label bounds
+    ``0 <= label < N``.
     """
-    check_dtype("u", u, "i")
-    check_dtype("v", v, "i")
+    check_dtype("u", u, "iu")
+    check_dtype("v", v, "iu")
     check_same_length("u", u, "v", v)
     if len(u) == 0:
         return

@@ -26,6 +26,7 @@ import numpy as np
 from repro._util import check_in_range, resolve_rng
 from repro._util.rng import SeedLike
 from repro.generators.base import EdgeList
+from repro.labels import label_dtype
 from repro.generators.ppl import ppl_degree_sequence
 
 
@@ -98,7 +99,7 @@ def bter_edges(
     Returns
     -------
     (u, v):
-        ``int64`` edge arrays.  The realised edge count is close to
+        Edge arrays in the label dtype.  The realised edge count is close to
         ``degrees.sum()`` (phase-1 edges are sampled per-pair, phase-2
         pairs stubs exactly).
 
@@ -152,6 +153,8 @@ def bter_edges(
         # Sample each ordered pair (i, j), i != j, with probability
         # rho_b.  Blocks are small (size = degree + 1), so materialising
         # the size^2 pair grid is fine at benchmark-scale degree caps.
+        # Positions in the degree order, not labels: ``order`` maps them
+        # to labels at the end.
         local = np.arange(s, e, dtype=np.int64)
         ii, jj = np.meshgrid(local, local, indexing="ij")
         mask = (ii != jj) & (rng.random((size, size)) < rho_b)
@@ -171,12 +174,13 @@ def bter_edges(
             u_parts.append(src.astype(np.int64))
             v_parts.append(dst.astype(np.int64))
 
+    labels = label_dtype(n)
     if not u_parts:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        return (np.empty(0, dtype=labels), np.empty(0, dtype=labels))
 
     u_sorted = np.concatenate(u_parts)
     v_sorted = np.concatenate(v_parts)
     # Undo the degree sort so labels refer to the caller's vertex ids.
     u = order[u_sorted]
     v = order[v_sorted]
-    return u.astype(np.int64), v.astype(np.int64)
+    return u.astype(labels), v.astype(labels)

@@ -31,6 +31,7 @@ import numpy as np
 from repro._util import check_positive_int, resolve_rng
 from repro._util.rng import SeedLike
 from repro.generators.base import EdgeList, GeneratorSpec
+from repro.labels import label_dtype
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,8 @@ def _kronecker_block(
 ) -> EdgeList:
     """Generate ``num_edges`` Kronecker edges without permutations.
 
-    Returns narrow labels (``uint32`` up to scale 32, else ``int64``); the
-    caller widens once, after its gathers.  Leaves ``rng`` exactly
+    Returns labels in :func:`~repro.labels.label_dtype` (``uint32`` up to
+    scale 32, else ``int64``).  Leaves ``rng`` exactly
     ``2 * scale * num_edges`` draws past where it was, cached 32-bit half
     included, as the level-major pass over the whole stream does.
     """
@@ -115,7 +116,7 @@ def _kronecker_block(
     step = _SLICE_EDGES if sliced else num_edges
     entry = bit_generator.state if sliced else None
 
-    dtype = np.uint32 if scale <= 32 else np.int64
+    dtype = label_dtype(1 << scale).type
     u = np.zeros(num_edges, dtype=dtype)
     v = np.zeros(num_edges, dtype=dtype)
     # Every temporary of a slice, allocated once: the variates, the row and
@@ -195,7 +196,9 @@ def kronecker_edges(
     Returns
     -------
     (u, v):
-        ``int64`` arrays of start and end vertices, 0-based.
+        Start and end vertices, 0-based, in
+        :func:`~repro.labels.label_dtype` of ``2**scale``: ``uint32`` up
+        to scale 32, ``int64`` above.
 
     Examples
     --------
@@ -213,6 +216,7 @@ def kronecker_edges(
         order = rng.permutation(m)
         u, v = u[order], v[order]
     if not params.permute_vertices:
-        return u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
-    relabel = rng.permutation(spec.num_vertices).astype(np.int64, copy=False)
+        return u, v
+    # The table holds labels too: its takes come out in the label dtype.
+    relabel = rng.permutation(spec.num_vertices).astype(u.dtype, copy=False)
     return relabel.take(u), relabel.take(v)

@@ -26,6 +26,7 @@ import numpy as np
 from repro._util import check_positive_int, resolve_rng
 from repro._util.rng import SeedLike
 from repro.generators.base import EdgeList
+from repro.labels import label_dtype
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,8 @@ def ppl_edges(
     if (degrees < 0).any():
         raise ValueError("degrees must be non-negative")
 
-    vertices = np.arange(num_vertices, dtype=np.int64)
+    # The shuffle's draws depend on the length only, not the dtype.
+    vertices = np.arange(num_vertices, dtype=label_dtype(num_vertices))
     out_stubs = np.repeat(vertices, degrees)
     in_stubs = np.repeat(vertices, degrees)
     rng.shuffle(in_stubs)

@@ -95,6 +95,8 @@ class Matrix:
         """
         check_positive_int("nrows", nrows)
         check_positive_int("ncols", ncols)
+        # The container's int64 indices, whatever the labels' dtype: its
+        # kernels gather by them on every product.
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         check_same_length("rows", rows, "cols", cols)

@@ -153,7 +153,9 @@ def golden_from_outputs(
     top_k:
         Number of leading vertices to record.
     """
-    u, v = k1_dataset.read_all()
+    # The CRCs cover little-endian int64 labels, the layout every golden
+    # was recorded in, whatever dtype the dataset reads back as.
+    u, v = (np.asarray(labels, dtype="<i8") for labels in k1_dataset.read_all())
     start_crc = zlib.crc32(np.ascontiguousarray(u).tobytes())
     # Canonicalise tie order so the record is implementation-neutral.
     canonical = np.column_stack(sort_edges(u, v, by_end_vertex=True))

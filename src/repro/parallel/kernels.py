@@ -53,7 +53,7 @@ def exchange_edges_by_owner(
     received = comm.alltoall(payloads)
     local_u = np.concatenate([part[0] for part in received]) if received else u[:0]
     local_v = np.concatenate([part[1] for part in received]) if received else v[:0]
-    return local_u.astype(np.int64), local_v.astype(np.int64)
+    return local_u, local_v
 
 
 @dataclass
@@ -134,7 +134,11 @@ def parallel_kernel2(
     inv[nonzero] = 1.0 / dout[nonzero]
     vals = vals * inv[rows - lo]
 
-    matrix = LocalMatrix(partition, comm.rank, rows, cols, vals)
+    # Kernel 3 gathers and scatters by these every iteration, and numpy
+    # converts an index array of any other dtype to intp on each use.
+    matrix = LocalMatrix(
+        partition, comm.rank, rows.astype(np.intp), cols.astype(np.intp), vals
+    )
     details = {
         "pre_filter_entry_total": global_total,
         "eliminated_columns": int(eliminate.sum()),

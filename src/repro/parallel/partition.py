@@ -67,5 +67,6 @@ class RowPartition:
                 f"vertices outside [0, {self.num_vertices}): "
                 f"min={vertices.min()}, max={vertices.max()}"
             )
+        # Block offsets and rank ids, not labels.
         starts = np.array([self.bounds(r)[0] for r in range(self.size)], dtype=np.int64)
         return (np.searchsorted(starts, vertices, side="right") - 1).astype(np.int64)

@@ -32,7 +32,8 @@ from repro.perfmodel.hardware import HardwareModel
 #: Average text bytes per edge in TSV form ("123456\t654321\n" ≈ 14–16
 #: bytes at benchmark scales).
 TEXT_BYTES_PER_EDGE = 15.0
-#: Binary bytes per edge in memory (two int64).
+#: Binary bytes per edge in memory, as the paper models it (two int64;
+#: the pipeline holds two uint32 labels, 8 bytes, up to scale 32).
 MEM_BYTES_PER_EDGE = 16.0
 #: Bytes a CSR/COO SpMV moves per stored entry (value 8B + index 8B +
 #: amortised vector gather/scatter ≈ 8B).

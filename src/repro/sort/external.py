@@ -6,7 +6,8 @@ textbook two-phase external sort with bounded memory:
 
 1. **Run generation** — stream the input dataset in batches of
    ``batch_edges`` edges, sort each batch in memory, spill it as a
-   sorted *run* (raw int64 pairs on disk).
+   sorted *run* (raw label pairs on disk, in the label dtype of the
+   dataset's vertex count: ``uint32`` up to scale 32).
 2. **K-way merge** — merge up to ``fan_in`` runs at a time using a
    vectorised boundary merge: each round reads one block per run, finds
    the smallest per-run block-maximum (the *safe boundary*), takes the
@@ -14,7 +15,7 @@ textbook two-phase external sort with bounded memory:
    sorts them with :func:`~repro.sort.inmemory.sort_edges` and refills.
    More runs than ``fan_in`` triggers multi-pass merging.  The merge is
    stable: the output equals the in-memory ``sort_edges`` byte for byte,
-   for labels up to ``int64``.
+   for labels of either label dtype.
 
 Memory is bounded by ``O(batch_edges + fan_in * merge_block_edges)``
 regardless of dataset size.
@@ -34,6 +35,7 @@ import numpy as np
 from repro._util import check_positive_int
 from repro.core.shmplane import mapped_view
 from repro.edgeio.dataset import EdgeDataset
+from repro.labels import label_dtype
 from repro.sort.inmemory import sort_edges, sorted_by
 
 
@@ -66,23 +68,24 @@ class ExternalSortConfig:
 
 
 class _RunWriter:
-    """Appends sorted edge blocks to a raw int64-pair file."""
+    """Appends sorted edge blocks to a raw ``(u, v)``-pair file of
+    ``dtype`` labels (every label of the dataset fits it)."""
 
-    def __init__(self, path: Path) -> None:
+    def __init__(self, path: Path, dtype: np.dtype) -> None:
         self.path = path
+        self.dtype = dtype
         self._fh = open(path, "wb")
         self.num_edges = 0
 
     def append(self, u: np.ndarray, v: np.ndarray) -> None:
-        stacked = np.column_stack(
-            [np.asarray(u, np.int64), np.asarray(v, np.int64)]
-        )
+        stacked = np.empty((len(u), 2), dtype=self.dtype)
+        stacked[:, 0], stacked[:, 1] = u, v
         stacked.tofile(self._fh)
         self.num_edges += len(u)
 
     def close(self) -> "_Run":
         self._fh.close()
-        return _Run(self.path, self.num_edges)
+        return _Run(self.path, self.num_edges, self.dtype)
 
 
 @dataclass
@@ -91,6 +94,7 @@ class _Run:
 
     path: Path
     num_edges: int
+    dtype: np.dtype
 
     def delete(self) -> None:
         self.path.unlink(missing_ok=True)
@@ -110,13 +114,13 @@ class _RunReader:
         self._stack = contextlib.ExitStack()
         if run.num_edges:
             self._mm = self._stack.enter_context(
-                mapped_view(run.path, np.int64, (run.num_edges, 2))
+                mapped_view(run.path, run.dtype, (run.num_edges, 2))
             )
         else:
-            self._mm = np.empty((0, 2), dtype=np.int64)
+            self._mm = np.empty((0, 2), dtype=run.dtype)
         self._cursor = 0
-        self.buf_u = np.empty(0, dtype=np.int64)
-        self.buf_v = np.empty(0, dtype=np.int64)
+        self.buf_u = np.empty(0, dtype=run.dtype)
+        self.buf_v = np.empty(0, dtype=run.dtype)
 
     def close(self) -> None:
         """Unmap the run file *now* — not at garbage collection.
@@ -126,7 +130,7 @@ class _RunReader:
         mapping is open.  ``refill`` copies every block out of the map,
         so nothing dangles.
         """
-        self._mm = np.empty((0, 2), dtype=np.int64)
+        self._mm = np.empty((0, 2), dtype=self.run.dtype)
         self._stack.close()
 
     def refill(self) -> None:
@@ -205,7 +209,7 @@ def _merge_to_run(
     runs: List[_Run], path: Path, *, block_edges: int, by_end_vertex: bool
 ) -> _Run:
     """Merge ``runs`` into a single new run file."""
-    writer = _RunWriter(path)
+    writer = _RunWriter(path, runs[0].dtype)
     _merge_runs(runs, writer.append, block_edges=block_edges,
                 by_end_vertex=by_end_vertex)
     merged = writer.close()
@@ -259,11 +263,13 @@ def external_sort_dataset(
     tmp_dir.mkdir(parents=True, exist_ok=True)
     run_counter = 0
     runs: List[_Run] = []
+    # iter_batches checks every label is below num_vertices.
+    labels = label_dtype(dataset.num_vertices)
     try:
         # ---- Phase 1: run generation --------------------------------
         for u, v in dataset.iter_batches(config.batch_edges):
             su, sv = sort_edges(u, v, by_end_vertex=by_end_vertex)
-            writer = _RunWriter(tmp_dir / f"run-{run_counter:06d}.bin")
+            writer = _RunWriter(tmp_dir / f"run-{run_counter:06d}.bin", labels)
             writer.append(su, sv)
             runs.append(writer.close())
             run_counter += 1

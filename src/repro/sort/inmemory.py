@@ -18,6 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro._util import check_same_length
+from repro.labels import label_dtype
 
 EdgePair = Tuple[np.ndarray, np.ndarray]
 
@@ -84,10 +85,16 @@ def _high(keys: np.ndarray, shift: int, dtype) -> np.ndarray:
     return keys.view(dtype) if same_width else keys.astype(dtype)
 
 
+def _positions(n: int) -> np.ndarray:
+    """``arange(n)``, the position half of a packed key, in the label
+    rule's dtype: 4 bytes an edge below ``2**32`` edges, not 8."""
+    return np.arange(n, dtype=label_dtype(n))
+
+
 def _stable_order(keys: np.ndarray) -> Optional[np.ndarray]:
     """``np.argsort(keys, kind="stable")`` as a value sort of distinct
     ``(key, position)`` keys; ``None`` when no 64-bit key holds them."""
-    packed = _sorted_pairs(keys, np.arange(len(keys)))
+    packed = _sorted_pairs(keys, _positions(len(keys)))
     return None if packed is None else _low(*packed, np.intp)
 
 
@@ -182,9 +189,9 @@ def sort_edges(
         sv = _low(*packed, v.dtype)
         return _high(*packed, u.dtype), sv
     # (u, position) keys are distinct: a value sort is the stable order.
-    packed = _sorted_pairs(u, np.arange(len(u)))
+    packed = _sorted_pairs(u, _positions(len(u)))
     if packed is None:
         order = np.argsort(u, kind="stable")
         return u[order], v[order]
-    sv = v[_low(*packed, np.intp)]
+    sv = v[_low(*packed, np.intp)]  # numpy gathers by intp indices
     return _high(*packed, u.dtype), sv

@@ -49,13 +49,22 @@ def _reference_edges(scale, edge_factor, *, params, rng, num_edges=None):
     return u, v
 
 
-def _assert_same_edges(got, want):
+def _assert_same_edges(got, want, scale):
+    # Same values as the int64 reference, held in the label dtype:
+    # uint32 up to scale 32, int64 above.
     for g, w in zip(got, want):
-        assert g.dtype == np.int64 and g.flags.c_contiguous
+        assert g.dtype == (np.uint32 if scale <= 32 else np.int64)
+        assert g.flags.c_contiguous
         np.testing.assert_array_equal(g, w)
 
 
-#: sha256 of ``u.tobytes() + v.tobytes()`` for ``kronecker_edges(14, 16, seed=1)``.
+def _as_i8_bytes(labels):
+    """The labels as little-endian int64 bytes, whatever their dtype."""
+    return np.asarray(labels, dtype="<i8").tobytes()
+
+
+#: sha256 of the little-endian int64 bytes of ``u`` then ``v`` for
+#: ``kronecker_edges(14, 16, seed=1)``.
 PINNED_S14_SEED1_SHA256 = (
     "d23ccfcaa27cc9a150571e85a3576ea0b4088db0f5f213e43936ea351fbf12b4"
 )
@@ -106,7 +115,7 @@ class TestStreamIsUnchanged:
         want = _reference_edges(scale, edge_factor, params=params,
                                 rng=np.random.default_rng(seed),
                                 num_edges=num_edges)
-        _assert_same_edges(got, want)
+        _assert_same_edges(got, want, scale)
 
     def test_default_slice_is_crossed_at_benchmark_scale(self):
         # No monkeypatch: scale 13 is 2 * _SLICE_EDGES edges, so the shipped
@@ -115,7 +124,7 @@ class TestStreamIsUnchanged:
         got = kronecker_edges(13, 16, seed=3)
         want = _reference_edges(13, 16, params=KroneckerParams(),
                                 rng=np.random.default_rng(3))
-        _assert_same_edges(got, want)
+        _assert_same_edges(got, want, 13)
 
     def test_wide_scale_accumulates_in_int64(self, monkeypatch):
         # Above scale 32 a label no longer fits the uint32 accumulator.
@@ -124,7 +133,7 @@ class TestStreamIsUnchanged:
         got = kronecker_edges(34, 1, params=params, seed=2, num_edges=50)
         want = _reference_edges(34, 1, params=params,
                                 rng=np.random.default_rng(2), num_edges=50)
-        _assert_same_edges(got, want)
+        _assert_same_edges(got, want, 34)
         assert got[0].max() >= 1 << 32
 
     def test_pinned_digest(self):
@@ -132,7 +141,7 @@ class TestStreamIsUnchanged:
         # ``permutation`` changes every golden and rank digest in the repo;
         # fail here, loudly, rather than there.
         u, v = kronecker_edges(14, 16, seed=1)
-        digest = hashlib.sha256(u.tobytes() + v.tobytes()).hexdigest()
+        digest = hashlib.sha256(_as_i8_bytes(u) + _as_i8_bytes(v)).hexdigest()
         assert digest == PINNED_S14_SEED1_SHA256
 
 
@@ -164,7 +173,7 @@ class TestCallerGenerator:
                                  permute_edges=permute)
         got = kronecker_edges(6, 16, params=params, seed=ours)
         want = _reference_edges(6, 16, params=params, rng=theirs)
-        _assert_same_edges(got, want)
+        _assert_same_edges(got, want, 6)
         np.testing.assert_array_equal(
             ours.integers(0, 1 << 20, size=3, dtype=np.uint32),
             theirs.integers(0, 1 << 20, size=3, dtype=np.uint32),
@@ -219,9 +228,18 @@ class TestKroneckerEdges:
         assert len(u) == len(v) == 16 * 256
         validate_edge_list(u, v, 256)
 
-    def test_dtype_is_int64(self):
+    def test_dtype_is_the_label_dtype(self):
         u, v = kronecker_edges(5, 2, seed=1)
-        assert u.dtype == np.int64 and v.dtype == np.int64
+        assert u.dtype == np.uint32 and v.dtype == np.uint32
+
+    @pytest.mark.parametrize("scale, dtype", [(32, np.uint32), (33, np.int64)])
+    def test_label_dtype_switches_above_scale_32(self, scale, dtype):
+        # Scale 32's labels are below 2**32; scale 33's need int64.  No
+        # vertex relabelling: its table would hold 2**scale labels.
+        params = KroneckerParams(permute_vertices=False)
+        u, v = kronecker_edges(scale, num_edges=64, params=params, seed=4)
+        assert u.dtype == v.dtype == dtype
+        assert int(max(u.max(), v.max())) < 1 << scale
 
     def test_seeded_reproducibility(self):
         a = kronecker_edges(7, 8, seed=99)

@@ -113,7 +113,7 @@ class TestSimpleGenerators:
     def test_erdos_renyi_zero_edges(self):
         u, v = erdos_renyi_edges(5, 0, seed=1)
         assert len(u) == len(v) == 0
-        assert u.dtype == v.dtype == np.int64
+        assert u.dtype == v.dtype == np.uint32  # the label dtype of 5 vertices
 
     @pytest.mark.parametrize("args", [(0, 4), (4, -1)],
                              ids=["no-vertices", "negative-edges"])

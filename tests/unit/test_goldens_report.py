@@ -7,7 +7,11 @@ import pytest
 
 from repro.api import RunSpec, SweepSpec, execute_sweep
 from repro.core.config import PipelineConfig
-from repro.harness.goldens import GoldenRecord, golden_for_config
+from repro.harness.goldens import (
+    GoldenRecord,
+    golden_for_config,
+    golden_from_outputs,
+)
 from repro.harness.report import build_report
 
 
@@ -58,6 +62,35 @@ class TestGoldenRecord:
         tweaked = dataclasses.replace(golden, k2_nnz=golden.k2_nnz + 1)
         diffs = golden.differences(tweaked)
         assert diffs and "k2_nnz" in diffs[0]
+
+    def test_label_dtype_does_not_move_the_record(self, golden, tmp_path):
+        # The CRCs hash little-endian int64 labels, so a K1 dataset read
+        # back as uint32 (the label dtype) and the same edges held as
+        # int64 give one record, equal to the golden cut before.
+        from repro.backends.registry import get_backend
+
+        config = PipelineConfig(scale=6, seed=9, backend="scipy")
+        backend = get_backend("scipy")
+        k0, _ = backend.kernel0(config, tmp_path / "k0")
+        k1, _ = backend.kernel1(config, k0, tmp_path / "k1")
+        handle, details = backend.kernel2(config, k1)
+        rank, _ = backend.kernel3(config, handle)
+
+        class Widened:
+            """The same dataset, its labels handed out as int64."""
+
+            num_edges = k1.num_edges
+
+            @staticmethod
+            def read_all():
+                return tuple(labels.astype(np.int64) for labels in k1.read_all())
+
+        assert k1.read_all()[0].dtype == np.uint32
+        narrow = golden_from_outputs(config, k1, handle, rank,
+                                     k2_details=details)
+        wide = golden_from_outputs(config, Widened, handle, rank,
+                                   k2_details=details)
+        assert narrow == wide == golden
 
     def test_float_tolerance_in_matches(self, golden):
         import dataclasses
