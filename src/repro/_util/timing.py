@@ -99,13 +99,6 @@ class Timings:
         """Sum of all phase durations."""
         return sum(self.entries.values())
 
-    def merged_with(self, other: "Timings") -> "Timings":
-        """Return a new ``Timings`` combining both accumulators."""
-        merged = Timings(dict(self.entries))
-        for name, seconds in other.entries.items():
-            merged.add(name, seconds)
-        return merged
-
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict copy of the phase durations."""
         return dict(self.entries)

@@ -173,26 +173,6 @@ class RunSpec:
             ),
         )
 
-    @classmethod
-    def from_config(cls, config: PipelineConfig, **api_fields: object) -> "RunSpec":
-        """Lift a :class:`PipelineConfig` into a spec.
-
-        ``validate``/``cache_dir`` map onto ``validation``/
-        ``cache_policy``; extra keyword fields (``repeats``, …) pass
-        through to the constructor.
-        """
-        api_fields.setdefault(
-            "validation", "full" if config.validate else "contracts"
-        )
-        api_fields.setdefault(
-            "cache_policy", "shared" if config.cache_dir is not None else "off"
-        )
-        return cls(
-            **{name: getattr(config, name) for name in SHARED_FIELDS},
-            data_dir=str(config.data_dir) if config.data_dir else None,
-            **api_fields,  # type: ignore[arg-type]
-        )
-
     # ------------------------------------------------------------------
     # Serialisation
     # ------------------------------------------------------------------

@@ -44,7 +44,11 @@ from repro.edgeio.dataset import EdgeDataset, write_shards
 from repro.edgeio.manifest import ShardInfo
 from repro.generators.registry import get_generator
 from repro.sort.external import external_sort_dataset
-from repro.sort.inmemory import sort_edges as sort_edge_arrays, sorted_by
+from repro.sort.inmemory import (
+    elimination_masks,
+    sort_edges as sort_edge_arrays,
+    sorted_by,
+)
 
 #: Free-form kernel metrics.
 Details = Dict[str, object]
@@ -286,9 +290,7 @@ class Backend(abc.ABC):
         returns the details too.  ``timings`` gains ``filter``/``normalize``."""
         with timings.measure("filter"):
             din = np.bincount(cols, weights=vals, minlength=n)
-            max_in = din.max() if n else 0.0
-            supernode = (din == max_in) & (max_in > 0)  # no edges, no super-node
-            leaf = din == 1
+            supernode, leaf = elimination_masks(din)
             eliminate = supernode | leaf
             keep = ~eliminate[cols]
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
@@ -299,7 +301,7 @@ class Backend(abc.ABC):
             inv[nonzero] = 1.0 / dout[nonzero]
             vals *= inv[rows]  # in place: the compress above made vals ours
         return rows, cols, vals, {
-            "max_in_degree": float(max_in),
+            "max_in_degree": float(din.max(initial=0.0)),
             "supernode_columns": int(supernode.sum()),
             "leaf_columns": int(leaf.sum()),
             # Not the sum of the two: at max in-degree 1 they are one set.

@@ -33,14 +33,13 @@ from repro.core.executor import (
 from repro.core.pipeline import run_pipeline
 from repro.core.results import KernelResult, PipelineResult
 from repro.core.scheduler import ScheduleResult, SchedulerError, TaskGraph
-from repro.core.stages import Contract, ExecutionPlan, Stage, default_plan
+from repro.core.stages import STAGES, Contract, Stage
 
 __all__ = [
     "ArtifactCache",
     "CacheEntry",
     "Contract",
     "EXECUTION_MODES",
-    "ExecutionPlan",
     "Executor",
     "ExecutorCapabilityError",
     "KernelContractError",
@@ -49,6 +48,7 @@ __all__ = [
     "PipelineConfig",
     "PipelineError",
     "PipelineResult",
+    "STAGES",
     "ScheduleResult",
     "SchedulerError",
     "SerialExecutor",
@@ -57,7 +57,6 @@ __all__ = [
     "StreamingExecutor",
     "TaskGraph",
     "available_executions",
-    "default_plan",
     "get_executor",
     "run_pipeline",
     "run_sizes_table",

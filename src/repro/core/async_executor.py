@@ -1,10 +1,10 @@
-"""The async executor: overlap stage I/O with compute via the stage graph.
+"""The async executor: overlap stage I/O with compute via a task graph.
 
 The pipeline's kernels are alternately I/O-bound (Kernel 0 writes edge
 files, Kernel 1 reads and rewrites them) and compute-bound (Kernel 2
 filters, Kernel 3 iterates).  :class:`AsyncExecutor` decomposes each
-stage of the :class:`~repro.core.stages.ExecutionPlan` into finer tasks
-on a :class:`~repro.core.scheduler.TaskGraph` and overlaps work *across*
+of the four :data:`~repro.core.stages.STAGES` into finer tasks on a
+:class:`~repro.core.scheduler.TaskGraph` and overlaps work *across*
 stage boundaries while keeping each stage's own GIL-bound hot loop
 serial:
 
@@ -49,8 +49,10 @@ The wall-clock the overlap recovered is reported separately:
 the ``dispatch_wait_seconds`` ready tasks spent waiting for a pool
 thread) in the Kernel 3 details, and
 :attr:`~repro.core.results.PipelineResult.wall_seconds` on the result.
-Contracts are enforced exactly as in the other three executors, outside
-all timed regions.
+Contracts are enforced through the same
+:meth:`~repro.core.executor.Executor._check_contract` as in the other
+three executors, inside each stage's artifact task but outside all
+timed regions.
 
 Fidelity note: results are bit-identical to serial execution on every
 backend, because every task is a step of the serial kernels and overlap
@@ -71,7 +73,6 @@ one, its cache entries included.
 from __future__ import annotations
 
 import threading
-import time
 import weakref
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -94,7 +95,7 @@ from repro.core.lanes import DEFAULT_LANE_WORKERS, LaneTask, ProcessLanePool
 from repro.core.results import KernelResult, PipelineResult
 from repro.core.scheduler import ScheduleResult, SchedulerError, TaskGraph
 from repro.core.shmplane import ShardBuffer, resolve_payload_via
-from repro.core.stages import ExecutionPlan, Stage, StageContext
+from repro.core.stages import STAGES, Stage, StageContext
 from repro.edgeio.dataset import (
     read_shard_file,
     shard_file_name,
@@ -176,12 +177,10 @@ class _CodecRoute:
 
 
 class AsyncExecutor(Executor):
-    """Overlapped execution of the stage graph (``execution="async"``).
+    """Overlapped execution of the pipeline (``execution="async"``).
 
     Parameters
     ----------
-    plan:
-        Stage graph to execute (benchmark default when omitted).
     max_workers:
         Thread-pool width override; ``max_workers=1`` degenerates to
         serial scheduling (useful to isolate scheduler bugs from
@@ -191,16 +190,11 @@ class AsyncExecutor(Executor):
     name = "async"
     required_capability = "streaming"
 
-    def __init__(
-        self,
-        plan: Optional[ExecutionPlan] = None,
-        max_workers: Optional[int] = None,
-    ) -> None:
-        super().__init__(plan)
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max_workers
 
     # ------------------------------------------------------------------
-    def _run_plan(
+    def _run_stages(
         self, ctx: StageContext, result: PipelineResult, *, verify: bool
     ) -> None:
         faults = minor_faults()
@@ -338,23 +332,6 @@ class AsyncExecutor(Executor):
             return (anchor,)
         return (anchor, previous)
 
-    def _check_contract(
-        self, stage: Stage, ctx: StageContext, details: Details, verify: bool
-    ) -> None:
-        """Run the stage's contract inside its artifact task.
-
-        Fail-fast parity with the serial loop: a violation aborts the
-        schedule before downstream stages waste work.  The check's
-        duration is recorded (``contract_seconds``) and excluded from
-        the stage's busy attribution — contracts stay outside timed
-        regions, exactly as in the other executors.
-        """
-        if not verify or stage.contract is None:
-            return
-        t0 = time.perf_counter()
-        stage.contract.check(ctx)
-        details["contract_seconds"] = time.perf_counter() - t0
-
     def _pool_width(self, codec_lane: str) -> int:
         if self.max_workers is not None:
             return max(1, self.max_workers)
@@ -371,7 +348,7 @@ class AsyncExecutor(Executor):
     def _build_graph(
         self, ctx: StageContext, verify: bool, fine: bool, route: _CodecRoute,
     ) -> Tuple[TaskGraph, Dict[str, str]]:
-        """Expand the plan's stages into a task graph.
+        """Expand :data:`~repro.core.stages.STAGES` into a task graph.
 
         Returns the graph plus a map from each stage's ``provides`` key
         to the name of its *artifact task* (the task whose result is
@@ -385,6 +362,7 @@ class AsyncExecutor(Executor):
         ``route.payload_via == "shm"`` additionally routes their edge
         arrays through :class:`~repro.core.shmplane.ShardBuffer` segments.
 
+        Each stage's artifact task depends on the previous stage's.
         Kernel 3 runs alone: its task depends on *every* earlier
         artifact task, so no shard write or contract check still runs
         when it starts.  It is the paper's timed kernel, and its
@@ -392,23 +370,21 @@ class AsyncExecutor(Executor):
         path.
 
         Contracts run inside each artifact task; a contract that reads
-        an *earlier* stage's artifact is safe because every artifact
-        task depends (directly or transitively) on the artifact tasks
-        of the stages it requires — the hand-off Kernel 2 depends on the
-        sort instead, and its contract reads only its own matrix.
+        the previous stage's artifact is safe because every artifact
+        task depends (directly or transitively) on the previous one —
+        the hand-off Kernel 2 depends on the sort instead, and its
+        contract reads only its own matrix.
         """
         graph = TaskGraph()
         artifact_tasks: Dict[str, str] = {}
-        # A plan is dependency-closed, so its K1 stage follows the K0
-        # stage that fills this.
         k0_write_tasks: List[str] = []
         k1_sort_task: Optional[str] = None
         own_build = type(ctx.backend).kernel2 is Backend.kernel2
 
-        for stage in self.plan.stages:
-            deps = tuple(artifact_tasks[key] for key in stage.requires)
-            if stage.kernel is KernelName.K3_PAGERANK:
-                deps = tuple(artifact_tasks.values())
+        for stage in STAGES:
+            deps = tuple(artifact_tasks.values())
+            if stage.kernel is not KernelName.K3_PAGERANK:
+                deps = deps[-1:]  # the previous stage's artifact task
             if stage.kernel is KernelName.K0_GENERATE and fine:
                 task, k0_write_tasks = self._expand_generate(
                     graph, ctx, stage, verify, route
@@ -672,7 +648,7 @@ class AsyncExecutor(Executor):
         route: _CodecRoute,
         faults: Optional[int],
     ) -> List[KernelResult]:
-        """Turn the schedule into per-kernel results in plan order.
+        """Turn the schedule into per-kernel results in stage order.
 
         Per-kernel ``seconds`` is the stage's busy time (its tasks'
         summed durations, or the ``measured_seconds`` a cache-missing
@@ -689,7 +665,7 @@ class AsyncExecutor(Executor):
         stage_busy: Dict[str, float] = {}
         stage_details: Dict[str, Details] = {}
         verification_seconds = 0.0
-        for stage in self.plan.stages:
+        for stage in STAGES:
             _, details = schedule.results[artifact_tasks[stage.provides]]
             details = dict(details)
             contract_seconds = float(details.get("contract_seconds", 0.0))
@@ -724,13 +700,12 @@ class AsyncExecutor(Executor):
         overlap_saved = total_busy - schedule.wall_seconds
 
         records: List[KernelResult] = []
-        last = self.plan.stages[-1]
-        for stage in self.plan.stages:
+        for stage in STAGES:
             details = stage_details[stage.provides]
             seconds = stage_busy[stage.kernel.value]
             details["execution"] = "async"
             details["busy_seconds"] = seconds
-            if stage is last:
+            if stage is STAGES[-1]:
                 details["overlap_saved_s"] = overlap_saved
                 details["pipeline_wall_seconds"] = schedule.wall_seconds
                 details["dispatch_wait_seconds"] = (
@@ -756,16 +731,5 @@ class AsyncExecutor(Executor):
                 details["shard_plane"] = config.shard_plane
                 details["handoff_mode"] = route.payload_via
                 details["shm_bytes_saved"] = route.shm_bytes_saved
-            edges = int(
-                details.get("edges_processed", stage.nominal_edges(config))
-            )
-            records.append(
-                KernelResult(
-                    kernel=stage.kernel,
-                    seconds=seconds,
-                    edges_processed=edges,
-                    officially_timed=stage.officially_timed,
-                    details=details,
-                )
-            )
+            records.append(stage.result(config, seconds, details))
         return records

@@ -1,6 +1,6 @@
-"""Pluggable execution strategies over the benchmark's stage graph.
+"""Pluggable execution strategies over the benchmark's pipeline.
 
-One :class:`~repro.core.stages.ExecutionPlan` — four ways to run it:
+One pipeline (:data:`~repro.core.stages.STAGES`) — four ways to run it:
 
 * :class:`SerialExecutor` — every kernel through the backend, fully in
   memory: Kernels 0/1/2 as :class:`~repro.backends.base.Backend` defines
@@ -23,11 +23,13 @@ One :class:`~repro.core.stages.ExecutionPlan` — four ways to run it:
 The base class owns everything strategy-independent: scratch-directory
 lifecycle, per-stage wall-clock timing and minor-fault counts
 (``details["minor_faults"]``), artifact-cache routing for
-Kernels 0/1 (and the Kernel 2 CSR spill), contract enforcement (outside
-timed regions), throughput attribution, and the optional eigenvector
-validation.  A subclass only decides *how* each stage's kernel is
-computed — which is the point: a new scenario (multi-node, a new backend
-family) is a new executor, not a fifth pipeline fork.
+Kernels 0/1 (and the Kernel 2 CSR spill), contract enforcement
+(:meth:`Executor._check_contract`, outside timed regions), the
+per-kernel records (:meth:`~repro.core.stages.Stage.result`), and the
+optional eigenvector validation.  A subclass only decides *how* each
+stage's kernel is computed — which is the point: a new scenario
+(multi-node, a new backend family) is a new executor, not a fifth
+pipeline fork.
 """
 
 from __future__ import annotations
@@ -54,30 +56,22 @@ from repro.core.artifacts import (
 )
 from repro.core.config import EXECUTION_MODES, KernelName, PipelineConfig
 from repro.core.exceptions import ExecutorCapabilityError
-from repro.core.results import KernelResult, PipelineResult
+from repro.core.results import PipelineResult
 from repro.core.stages import (
     ARTIFACT_ADJACENCY,
     ARTIFACT_K0,
     ARTIFACT_K1,
     ARTIFACT_RANK,
-    ExecutionPlan,
+    STAGES,
     Stage,
     StageContext,
-    default_plan,
 )
 
 StageOutput = Tuple[object, Details]
 
 
 class Executor:
-    """Base execution strategy: the shared run loop.
-
-    Parameters
-    ----------
-    plan:
-        Stage graph to execute; the benchmark's canonical four-stage
-        plan when omitted.
-    """
+    """Base execution strategy: the shared run loop."""
 
     #: Registry/config name of the strategy.
     name: str = ""
@@ -87,9 +81,6 @@ class Executor:
     #: cache key — see :func:`repro.core.artifacts.k2_cache_fields`).
     k2_cache_variant: str = "backend-serial"
 
-    def __init__(self, plan: Optional[ExecutionPlan] = None) -> None:
-        self.plan = plan if plan is not None else default_plan()
-
     # ------------------------------------------------------------------
     def execute(
         self,
@@ -98,7 +89,7 @@ class Executor:
         *,
         verify: bool = True,
     ) -> PipelineResult:
-        """Run the plan and return the aggregated result.
+        """Run the four stages and return the aggregated result.
 
         Parameters
         ----------
@@ -129,11 +120,9 @@ class Executor:
                                execution=self.name or type(self).__name__,
                                backend=backend.name, scale=config.scale):
                 wall = StopWatch().start()
-                self._run_plan(ctx, result, verify=verify)
+                self._run_stages(ctx, result, verify=verify)
                 result.wall_seconds = wall.stop()
-                rank = ctx.artifacts.get(ARTIFACT_RANK)
-                if rank is not None:
-                    result.rank = np.asarray(rank)
+                result.rank = np.asarray(ctx.require(ARTIFACT_RANK))
                 if config.validate:
                     with trace.span("validate", cat="verify"):
                         result.validation = self._validate(ctx)
@@ -159,18 +148,20 @@ class Executor:
             )
         return backend
 
-    def _run_plan(
+    def _run_stages(
         self, ctx: StageContext, result: PipelineResult, *, verify: bool
     ) -> None:
-        """Run every stage in plan order, timing each from outside.
+        """Run every stage of :data:`~repro.core.stages.STAGES` in order,
+        timing each from outside.
 
         The async executor overrides this with a task-graph run; it must
         honour the same obligations — artifacts stored under each
-        stage's ``provides`` key, one :class:`KernelResult` per stage in
-        plan order, contracts checked outside timed regions when
-        ``verify`` is set.
+        stage's ``provides`` key, one
+        :class:`~repro.core.results.KernelResult` per stage in order,
+        each built by :meth:`~repro.core.stages.Stage.result`, contracts
+        checked through :meth:`_check_contract`.
         """
-        for stage in self.plan.stages:
+        for stage in STAGES:
             with trace.span(f"stage:{stage.kernel.value}", cat="stage") as sp:
                 faults = minor_faults()
                 watch = StopWatch().start()
@@ -188,22 +179,27 @@ class Executor:
                 sp.set(seconds=seconds,
                        officially_timed=stage.officially_timed)
             ctx.artifacts[stage.provides] = output
-            edges = int(
-                details.get("edges_processed", stage.nominal_edges(ctx.config))
-            )
-            result.kernels.append(
-                KernelResult(
-                    kernel=stage.kernel,
-                    seconds=seconds,
-                    edges_processed=edges,
-                    officially_timed=stage.officially_timed,
-                    details=details,
-                )
-            )
-            if verify and stage.contract is not None:
-                with trace.span(f"contract:{stage.kernel.value}",
-                                cat="verify"):
-                    stage.contract.check(ctx)
+            self._check_contract(stage, ctx, details, verify)
+            result.kernels.append(stage.result(ctx.config, seconds, details))
+
+    @staticmethod
+    def _check_contract(
+        stage: Stage, ctx: StageContext, details: Details, verify: bool
+    ) -> None:
+        """Check the stage's contract once its artifact is stored.
+
+        Every executor calls this right after a stage completes, so a
+        violation aborts the run before downstream stages waste work.
+        The check runs outside the stage's timed region, under a
+        ``contract:<kernel>`` span, and its duration is recorded as
+        ``details["contract_seconds"]``.
+        """
+        if not verify:
+            return
+        with trace.span(f"contract:{stage.kernel.value}", cat="verify"):
+            watch = StopWatch().start()
+            stage.contract.check(ctx)
+            details["contract_seconds"] = watch.stop()
 
     # ------------------------------------------------------------------
     def _run_stage(self, stage: Stage, ctx: StageContext) -> StageOutput:
@@ -214,13 +210,7 @@ class Executor:
             KernelName.K2_FILTER: self._run_filter,
             KernelName.K3_PAGERANK: self._run_pagerank,
         }
-        try:
-            handler = handlers[stage.kernel]
-        except KeyError:
-            raise KeyError(
-                f"{type(self).__name__} has no handler for {stage.kernel.value}"
-            ) from None
-        return handler(ctx)
+        return handlers[stage.kernel](ctx)
 
     def _validate(self, ctx: StageContext) -> Dict[str, object]:
         """The Section IV.D eigenvector cross-check (small scales)."""
@@ -535,7 +525,7 @@ def available_executions() -> Tuple[str, ...]:
     return tuple(_EXECUTORS)
 
 
-def get_executor(name: str, plan: Optional[ExecutionPlan] = None) -> Executor:
+def get_executor(name: str) -> Executor:
     """Instantiate an execution strategy by name.
 
     Raises
@@ -556,4 +546,4 @@ def get_executor(name: str, plan: Optional[ExecutionPlan] = None) -> Executor:
         module_name, _, attr = cls.partition(":")
         cls = getattr(importlib.import_module(module_name), attr)
         _EXECUTORS[name] = cls  # resolve once
-    return cls(plan)
+    return cls()

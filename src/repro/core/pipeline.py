@@ -1,8 +1,8 @@
 """Run one configured benchmark pipeline.
 
-:func:`run_pipeline` builds the benchmark's default
-:class:`~repro.core.stages.ExecutionPlan` and hands it to the execution
-strategy named by ``config.execution`` (serial / streaming / parallel /
+:func:`run_pipeline` runs the benchmark's four kernels
+(:data:`~repro.core.stages.STAGES`) through the execution strategy
+named by ``config.execution`` (serial / streaming / parallel /
 async — see :mod:`repro.core.executor` and
 :mod:`repro.core.async_executor`).  It is the engine under
 :func:`repro.api.execute_spec`; describe work as a
@@ -10,7 +10,7 @@ async — see :mod:`repro.core.executor` and
 
 Sequencing ("each kernel in the pipeline must be fully completed before
 the next kernel can begin"), per-kernel timing, and the four
-inter-kernel contracts all live in the plan and executors, so every
+inter-kernel contracts all live in the stages and executors, so every
 strategy enforces them identically:
 
 * K0 → K1: edge counts match; K1 output is sorted by start vertex;
@@ -31,7 +31,6 @@ from repro.backends.base import Backend
 from repro.core.config import PipelineConfig
 from repro.core.executor import get_executor
 from repro.core.results import PipelineResult
-from repro.core.stages import ExecutionPlan
 
 
 def run_pipeline(
@@ -39,7 +38,6 @@ def run_pipeline(
     *,
     backend: Optional[Backend] = None,
     verify: bool = True,
-    plan: Optional[ExecutionPlan] = None,
 ) -> PipelineResult:
     """Execute Kernels 0–3 and return the aggregated result.
 
@@ -54,9 +52,6 @@ def run_pipeline(
         Run the inter-kernel contract checks (recommended; disable
         only inside tight benchmark loops where the checks' extra
         file reads would perturb I/O caches).
-    plan:
-        Stage graph override (defaults to the benchmark's four-stage
-        plan with all contracts attached).
 
     Examples
     --------
@@ -67,9 +62,9 @@ def run_pipeline(
     """
     # First, before any kernel allocates: the allocator policy every
     # run is measured under (repro._util.heap), reported with the last
-    # stage (Kernel 3; a plan has at least one stage).
+    # stage (Kernel 3).
     heap_policy = keep_heap()
-    executor = get_executor(config.execution, plan)
+    executor = get_executor(config.execution)
     result = executor.execute(config, backend, verify=verify)
     result.kernels[-1].details["heap_policy"] = heap_policy
     return result

@@ -119,10 +119,13 @@ class PipelineResult:
     def kernel(self, name: KernelName) -> KernelResult:
         """Fetch one kernel's result.
 
+        A result an executor returns holds all four kernels; this
+        raises only on one assembled by hand.
+
         Raises
         ------
         KeyError
-            If the kernel did not run.
+            If no result was recorded for ``name``.
         """
         for result in self.kernels:
             if result.kernel is name:

@@ -1,7 +1,7 @@
 """Dependency-aware task scheduler behind the async executor.
 
-The pipeline's stage graph (:class:`~repro.core.stages.ExecutionPlan`)
-says *what* must precede what; this module supplies the machinery that
+The pipeline's stages (:data:`~repro.core.stages.STAGES`) say *what*
+must precede what; this module supplies the machinery that
 exploits the freedom left over: a :class:`TaskGraph` of named tasks with
 explicit dependencies, run on a thread pool so that independent I/O and
 compute overlap (K0 shard-writes against K1 shard-reads, K1 shard-writes

@@ -1,4 +1,4 @@
-"""The stage graph: kernels as composable, contract-checked nodes.
+"""The pipeline's stages: the four kernels with their contracts.
 
 The paper describes *one* pipeline whose kernels stress different system
 axes, but an implementation can run that pipeline many ways — serially
@@ -8,16 +8,19 @@ the *protocol* out of any single execution strategy:
 * :class:`Contract` — a named post-condition verified after a stage
   (the four inter-kernel checks of Sections IV.A–D), enforced
   identically by every executor and always *outside* the timed region;
-* :class:`Stage` — one kernel as a graph node: what it provides, what
-  artifacts it consumes, whether its time counts toward the benchmark;
-* :class:`ExecutionPlan` — an ordered, dependency-validated sequence of
-  stages (the benchmark's "each kernel ... must be fully completed
-  before the next kernel can begin");
+* :class:`Stage` — one kernel: the artifact it provides, its contract,
+  whether its time counts toward the benchmark;
+* :data:`STAGES` — the four stages in order (the benchmark's "each
+  kernel ... must be fully completed before the next kernel can
+  begin");
 * :class:`StageContext` — the artifact store threaded through a run.
 
 Executors (:mod:`repro.core.executor`) decide *how* each stage's kernel
-is computed; the plan decides *what* must happen and *what must hold*
-afterwards.
+is computed; :data:`STAGES` fixes *what* must happen and *what must
+hold* afterwards.
+
+>>> [stage.kernel.value for stage in STAGES]
+['k0-generate', 'k1-sort', 'k2-filter', 'k3-pagerank']
 """
 
 from __future__ import annotations
@@ -25,18 +28,19 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.config import KernelName, PipelineConfig
 from repro.core.exceptions import KernelContractError
+from repro.core.results import KernelResult
 from repro.sort.inmemory import is_sorted_by_pair, is_sorted_by_start
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.backends.base import Backend
 
-#: Artifact keys produced by the default plan, in order.
+#: Artifact keys the stages provide, in order.
 ARTIFACT_K0 = "k0_dataset"
 ARTIFACT_K1 = "k1_dataset"
 ARTIFACT_ADJACENCY = "adjacency"
@@ -207,22 +211,21 @@ class RankContract(Contract):
 
 @dataclass(frozen=True)
 class Stage:
-    """One kernel as a node of the execution graph.
+    """One kernel of the pipeline.
 
     Attributes
     ----------
     kernel:
         Which benchmark kernel this stage executes.
     provides:
-        Artifact key this stage stores its output under.
-    requires:
-        Artifact keys that must exist before the stage may run.
-    officially_timed:
-        False for Kernel 0 (paper: "performance is not part of the
-        benchmark" but still reported for Figure 4).
+        Artifact key this stage stores its output under; each stage
+        reads the one before it.
     contract:
         Post-condition verified (outside the timed region) when the
         executor runs with ``verify=True``.
+    officially_timed:
+        False for Kernel 0 (paper: "performance is not part of the
+        benchmark" but still reported for Figure 4).
     iterations_scaled:
         Whether throughput counts ``iterations * M`` edge operations
         (Kernel 3) instead of ``M``.
@@ -230,101 +233,43 @@ class Stage:
 
     kernel: KernelName
     provides: str
-    requires: Tuple[str, ...] = ()
+    contract: Contract
     officially_timed: bool = True
-    contract: Optional[Contract] = None
     iterations_scaled: bool = False
 
     def nominal_edges(self, config: PipelineConfig) -> int:
-        """Edge operations attributed to this stage by the spec.
-
-        Executors prefer a kernel-reported ``details["edges_processed"]``
-        when present (e.g. the streaming Kernel 2 reports what it
-        actually ingested); this is the fallback.
-        """
+        """Edge operations attributed to this stage by the spec."""
         if self.iterations_scaled:
             return config.iterations * config.num_edges
         return config.num_edges
 
+    def result(
+        self, config: PipelineConfig, seconds: float, details: Dict[str, object]
+    ) -> KernelResult:
+        """This stage's :class:`~repro.core.results.KernelResult`.
 
-@dataclass(frozen=True)
-class ExecutionPlan:
-    """A validated, ordered stage graph.
-
-    The constructor verifies the dependency closure: every ``requires``
-    key must be provided by an *earlier* stage, and no two stages may
-    provide the same artifact.  This is what lets executors be dumb
-    loops — sequencing correctness is a property of the plan.
-
-    Examples
-    --------
-    >>> plan = default_plan()
-    >>> [stage.kernel.value for stage in plan.stages]
-    ['k0-generate', 'k1-sort', 'k2-filter', 'k3-pagerank']
-    """
-
-    stages: Tuple[Stage, ...]
-
-    def __post_init__(self) -> None:
-        if not self.stages:
-            raise ValueError("ExecutionPlan needs at least one stage")
-        provided: set = set()
-        for stage in self.stages:
-            missing = [key for key in stage.requires if key not in provided]
-            if missing:
-                raise ValueError(
-                    f"stage {stage.kernel.value} requires {missing} which no "
-                    f"earlier stage provides"
-                )
-            if stage.provides in provided:
-                raise ValueError(
-                    f"artifact {stage.provides!r} provided by more than one "
-                    f"stage"
-                )
-            provided.add(stage.provides)
-
-    def stage(self, kernel: KernelName) -> Stage:
-        """Fetch the stage executing ``kernel``.
-
-        Raises
-        ------
-        KeyError
-            When the plan has no stage for that kernel.
+        The edge count is the kernel-reported
+        ``details["edges_processed"]`` when present (e.g. the streaming
+        Kernel 2 reports what it actually ingested), else
+        :meth:`nominal_edges`.
         """
-        for stage in self.stages:
-            if stage.kernel is kernel:
-                return stage
-        raise KeyError(f"plan has no stage for {kernel.value}")
-
-
-def default_plan() -> ExecutionPlan:
-    """The benchmark's canonical four-stage plan with all contracts."""
-    return ExecutionPlan(
-        stages=(
-            Stage(
-                kernel=KernelName.K0_GENERATE,
-                provides=ARTIFACT_K0,
-                officially_timed=False,
-                contract=GenerateContract(),
-            ),
-            Stage(
-                kernel=KernelName.K1_SORT,
-                provides=ARTIFACT_K1,
-                requires=(ARTIFACT_K0,),
-                contract=SortContract(),
-            ),
-            Stage(
-                kernel=KernelName.K2_FILTER,
-                provides=ARTIFACT_ADJACENCY,
-                requires=(ARTIFACT_K1,),
-                contract=FilterContract(),
-            ),
-            Stage(
-                kernel=KernelName.K3_PAGERANK,
-                provides=ARTIFACT_RANK,
-                requires=(ARTIFACT_ADJACENCY,),
-                contract=RankContract(),
-                iterations_scaled=True,
-            ),
+        edges = int(details.get("edges_processed", self.nominal_edges(config)))
+        return KernelResult(
+            kernel=self.kernel,
+            seconds=seconds,
+            edges_processed=edges,
+            officially_timed=self.officially_timed,
+            details=details,
         )
-    )
+
+
+#: The benchmark's pipeline: the four kernels in order, each "fully
+#: completed before the next kernel can begin".
+STAGES: Tuple[Stage, ...] = (
+    Stage(KernelName.K0_GENERATE, ARTIFACT_K0, GenerateContract(),
+          officially_timed=False),
+    Stage(KernelName.K1_SORT, ARTIFACT_K1, SortContract()),
+    Stage(KernelName.K2_FILTER, ARTIFACT_ADJACENCY, FilterContract()),
+    Stage(KernelName.K3_PAGERANK, ARTIFACT_RANK, RankContract(),
+          iterations_scaled=True),
+)

@@ -38,7 +38,7 @@ from repro.core.config import DEFAULT_STREAMING_BATCH_EDGES
 from repro.core.shmplane import mapped_view
 from repro.edgeio.dataset import EdgeDataset
 from repro.labels import NARROW
-from repro.sort.inmemory import collapse_duplicates
+from repro.sort.inmemory import collapse_duplicates, elimination_masks
 
 
 @dataclass(frozen=True)
@@ -417,11 +417,8 @@ def streaming_kernel2(
 
         # ---- decide elimination -------------------------------------
         with phases.measure("decide"):
-            max_in = din.max() if n else 0.0
-            if max_in > 0:
-                eliminate = (din == max_in) | (din == 1)
-            else:
-                eliminate = np.zeros(n, dtype=bool)
+            supernode, leaf = elimination_masks(din)
+            eliminate = supernode | leaf
 
         # ---- pass 2: filter + assemble CSR --------------------------
         indptr = np.zeros(n + 1, dtype=np.int64)

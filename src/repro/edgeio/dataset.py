@@ -424,28 +424,42 @@ class EdgeDataset:
         """Yield fixed-size ``(u, v)`` batches spanning shard boundaries.
 
         The final batch may be short.  Useful for out-of-core consumers
-        (external sort run generation) that want memory bounded by
-        ``batch_edges`` regardless of shard layout.
+        (external sort run generation, streaming Kernel 2's pass 1) that
+        want memory bounded by ``batch_edges`` regardless of shard
+        layout.
+
+        Batches inside a shard are slices of it, so each edge is copied
+        at most once: only a batch that straddles a shard boundary is
+        joined, from the previous shards' short tail and the next
+        shard's head.  Batches may therefore be views of the shard
+        arrays (read-only when memory-mapped); consumers only read them.
         """
         check_positive_int("batch_edges", batch_edges)
-        pending_u: List[np.ndarray] = []
-        pending_v: List[np.ndarray] = []
-        pending = 0
+        # The tail of earlier shards that did not fill a batch: slices of
+        # the shard arrays themselves, so joining keeps their label dtype.
+        carry_u: List[np.ndarray] = []
+        carry_v: List[np.ndarray] = []
+        carried = 0
         for u, v in self.iter_shards():
-            pending_u.append(u)
-            pending_v.append(v)
-            pending += len(u)
-            while pending >= batch_edges:
-                cat_u = np.concatenate(pending_u)
-                cat_v = np.concatenate(pending_v)
-                yield cat_u[:batch_edges], cat_v[:batch_edges]
-                cat_u = cat_u[batch_edges:]
-                cat_v = cat_v[batch_edges:]
-                pending_u = [cat_u]
-                pending_v = [cat_v]
-                pending = len(cat_u)
-        if pending:
-            yield np.concatenate(pending_u), np.concatenate(pending_v)
+            start = 0
+            if carried:
+                start = min(batch_edges - carried, len(u))
+                carry_u.append(u[:start])
+                carry_v.append(v[:start])
+                carried += start
+                if carried < batch_edges:
+                    continue
+                yield np.concatenate(carry_u), np.concatenate(carry_v)
+                carry_u, carry_v, carried = [], [], 0
+            stop = start + (len(u) - start) // batch_edges * batch_edges
+            for offset in range(start, stop, batch_edges):
+                end = offset + batch_edges
+                yield u[offset:end], v[offset:end]
+            if stop < len(u):
+                carry_u, carry_v = [u[stop:]], [v[stop:]]
+                carried = len(u) - stop
+        if carried:
+            yield np.concatenate(carry_u), np.concatenate(carry_v)
 
     def read_all(self) -> Tuple[np.ndarray, np.ndarray]:
         """Every shard, in order, as one ``(u, v)`` pair.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -140,17 +140,6 @@ class Frame:
         """Keep only the named columns, in the given order."""
         return Frame({n: self._col_view(n) for n in names})
 
-    def concat(self, other: "Frame") -> "Frame":
-        """Stack another frame with identical columns below this one."""
-        if set(other.column_names) != set(self._columns):
-            raise ValueError(
-                f"column mismatch: {self.column_names} vs {other.column_names}"
-            )
-        return Frame({
-            n: np.concatenate([c, other._col_view(n)])
-            for n, c in self._columns.items()
-        })
-
     # ------------------------------------------------------------------
     # Grouped aggregation
     # ------------------------------------------------------------------
@@ -174,25 +163,6 @@ class Frame:
         uniq, inverse = np.unique(keys, return_inverse=True)
         sums = np.bincount(inverse, weights=vals, minlength=len(uniq))
         return Frame({key: uniq, f"{value}_sum": sums})
-
-    def groupby_apply_scalar(
-        self, key: str, fn: Callable[["Frame"], float]
-    ) -> "Frame":
-        """Apply ``fn`` to each key's sub-frame, returning scalars.
-
-        Slow (Python loop over groups); provided for expressiveness in
-        examples, not used by the benchmark kernels.
-        """
-        keys = self._col_view(key)
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        results = np.empty(len(uniq), dtype=np.float64)
-        order = np.argsort(inverse, kind="stable")
-        boundaries = np.searchsorted(inverse[order], np.arange(len(uniq)))
-        boundaries = np.r_[boundaries, len(inverse)]
-        for g in range(len(uniq)):
-            rows = order[boundaries[g]:boundaries[g + 1]]
-            results[g] = fn(self.take(rows))
-        return Frame({key: uniq, "result": results})
 
     # ------------------------------------------------------------------
     # Joins (hash join on a single key)

@@ -93,10 +93,6 @@ class Vector:
         """Reduce all entries with ``monoid`` (default: sum)."""
         return monoid.reduce(self._data)
 
-    def norm1(self) -> float:
-        """1-norm (sum of absolute values) — used to normalise ``r``."""
-        return float(np.abs(self._data).sum())
-
     def apply(self, fn: Callable[[np.ndarray], np.ndarray]) -> "Vector":
         """Return a new vector with ``fn`` applied to the dense data."""
         out = np.asarray(fn(self._data.copy()), dtype=np.float64)
@@ -114,11 +110,6 @@ class Vector:
         """Element-wise sum with another vector of equal size."""
         self._check_size(other)
         return Vector(self._data + other._data)
-
-    def ewise_mult(self, other: "Vector") -> "Vector":
-        """Element-wise (Hadamard) product."""
-        self._check_size(other)
-        return Vector(self._data * other._data)
 
     def isclose(self, other: "Vector", *, rtol: float = 1e-9, atol: float = 1e-12) -> bool:
         """Element-wise approximate equality."""

@@ -12,7 +12,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List
 
-from repro.core.config import KernelName
 from repro.core.results import PipelineResult
 
 
@@ -154,17 +153,3 @@ def load_records(path: Path) -> List[MeasurementRecord]:
         )
     return records
 
-
-def kernel_records(
-    records: List[MeasurementRecord], kernel: KernelName
-) -> List[MeasurementRecord]:
-    """Filter records to one kernel."""
-    return [r for r in records if r.kernel == kernel.value]
-
-
-def by_backend(records: List[MeasurementRecord]) -> Dict[str, List[MeasurementRecord]]:
-    """Group records per backend, preserving order."""
-    out: Dict[str, List[MeasurementRecord]] = {}
-    for record in records:
-        out.setdefault(record.backend, []).append(record)
-    return out

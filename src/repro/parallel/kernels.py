@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.parallel.comm import Communicator
 from repro.parallel.partition import RowPartition
-from repro.sort.inmemory import collapse_duplicates
+from repro.sort.inmemory import collapse_duplicates, elimination_masks
 
 EdgePair = Tuple[np.ndarray, np.ndarray]
 
@@ -113,11 +113,8 @@ def parallel_kernel2(
 
     # Rank 0 selects the eliminated vertices and broadcasts the mask.
     if comm.rank == 0:
-        max_in = din.max() if n else 0.0
-        if max_in > 0:
-            eliminate = (din == max_in) | (din == 1)
-        else:
-            eliminate = np.zeros(n, dtype=bool)
+        supernode, leaf = elimination_masks(din)
+        eliminate = supernode | leaf
     else:
         eliminate = None
     eliminate = comm.bcast(eliminate, root=0)

@@ -50,11 +50,6 @@ class RowPartition:
         size = base + (1 if rank < remainder else 0)
         return start, start + size
 
-    def local_count(self, rank: int) -> int:
-        """Number of rows owned by ``rank``."""
-        start, end = self.bounds(rank)
-        return end - start
-
     def owner_of(self, vertices: np.ndarray) -> np.ndarray:
         """Owning rank of each vertex (vectorised).
 

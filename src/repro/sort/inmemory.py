@@ -147,6 +147,21 @@ def collapse_duplicates(
     return _high(keys, shift, u.dtype), cols, counts
 
 
+def elimination_masks(din: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Kernel 2's eliminated columns for the in-degrees ``din``.
+
+    Returns the super-node mask (in-degree equal to the maximum, when
+    that is positive: no edges, no super-node) and the leaf mask
+    (in-degree 1); Kernel 2 drops the columns of their union.
+
+    >>> supernode, leaf = elimination_masks(np.array([0.0, 1.0, 3.0, 3.0]))
+    >>> supernode.tolist(), leaf.tolist()
+    ([False, False, True, True], [False, True, False, False])
+    """
+    max_in = din.max(initial=0.0)
+    return (din == max_in) & (max_in > 0), din == 1
+
+
 def sort_edges(
     u: np.ndarray,
     v: np.ndarray,

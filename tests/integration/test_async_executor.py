@@ -18,7 +18,7 @@ from repro.core.config import KernelName, PipelineConfig
 from repro.core.exceptions import KernelContractError
 from repro.core.pipeline import run_pipeline
 from repro.core.scheduler import SchedulerError
-from repro.core.stages import Contract, Stage, default_plan, ExecutionPlan
+from repro.core.stages import GenerateContract
 
 
 #: The backends whose Kernel 2 is a build step async schedules.
@@ -107,26 +107,15 @@ class TestTimingAttribution:
             details["pipeline_busy_seconds"] - details["pipeline_wall_seconds"]
         )
 
-    def test_contract_violation_fails_fast(self):
+    def test_contract_violation_fails_fast(self, monkeypatch):
         # A violated stage contract must abort the schedule before the
         # terminal stage runs — parity with the serial loop's per-stage
         # checks, not an end-of-run afterthought.
-        class TracksK3(Contract):
-            name = "never-reached"
+        def stop_here(self, ctx):
+            raise KernelContractError("stop here")
 
-            def check(self, ctx):
-                raise KernelContractError("stop here")
-
+        monkeypatch.setattr(GenerateContract, "check", stop_here)
         ran_k3 = []
-
-        stages = list(default_plan().stages)
-        stages[0] = Stage(
-            kernel=stages[0].kernel,
-            provides=stages[0].provides,
-            officially_timed=False,
-            contract=TracksK3(),
-        )
-        plan = ExecutionPlan(stages=tuple(stages))
 
         class Spy(AsyncExecutor):
             def _run_pagerank(self, ctx):
@@ -134,7 +123,7 @@ class TestTimingAttribution:
                 return super()._run_pagerank(ctx)
 
         with pytest.raises(KernelContractError, match="stop here"):
-            Spy(plan).execute(_config("scipy", "async"))
+            Spy().execute(_config("scipy", "async"))
         assert ran_k3 == []
 
     def test_wall_seconds_recorded_on_result(self):
@@ -172,7 +161,7 @@ class TestTimingAttribution:
         # stages overlap, so it counts minor faults once, with Kernel 3.
         serial = run_pipeline(_config(backend, "serial")).kernel(kernel)
         overlapped = run_pipeline(_config(backend, "async")).kernel(kernel)
-        async_only = {"execution", "busy_seconds", "contract_seconds"}
+        async_only = {"execution", "busy_seconds"}
         assert (set(overlapped.details) - async_only
                 == set(serial.details) - {"minor_faults"})
         assert (set(overlapped.details["phases"])
@@ -201,8 +190,7 @@ class TestTimingAttribution:
             KernelName.K2_FILTER)
         overlapped = run_pipeline(_config(backend, "async")).kernel(
             KernelName.K2_FILTER)
-        async_only = {"execution", "busy_seconds", "contract_seconds",
-                      "ingest_source"}
+        async_only = {"execution", "busy_seconds", "ingest_source"}
         assert (set(overlapped.details) - async_only
                 == set(serial.details) - {"minor_faults"})
         assert overlapped.details["ingest_source"] == "k1-handoff"
@@ -233,25 +221,15 @@ class TestTimingAttribution:
 
 
 class TestContractsAndFailures:
-    def test_contracts_enforced(self):
-        class Impossible(Contract):
-            name = "impossible"
+    def test_contracts_enforced(self, monkeypatch):
+        def impossible(self, ctx):
+            raise KernelContractError("injected violation")
 
-            def check(self, ctx):
-                raise KernelContractError("injected violation")
-
-        stages = list(default_plan().stages)
-        stages[0] = Stage(
-            kernel=stages[0].kernel,
-            provides=stages[0].provides,
-            officially_timed=False,
-            contract=Impossible(),
-        )
-        plan = ExecutionPlan(stages=tuple(stages))
+        monkeypatch.setattr(GenerateContract, "check", impossible)
         with pytest.raises(KernelContractError, match="injected"):
-            AsyncExecutor(plan).execute(_config("scipy", "async"))
+            AsyncExecutor().execute(_config("scipy", "async"))
         # verify=False must skip the same contract.
-        result = AsyncExecutor(plan).execute(
+        result = AsyncExecutor().execute(
             _config("scipy", "async"), verify=False
         )
         assert result.rank is not None
@@ -267,12 +245,6 @@ class TestContractsAndFailures:
         monkeypatch.setattr(ScipyBackend, "generate_edges", broken)
         with pytest.raises(SchedulerError, match="k0:generate"):
             run_pipeline(_config("scipy", "async"))
-
-    def test_partial_plan_runs(self):
-        plan = ExecutionPlan(stages=(default_plan().stages[0],))
-        result = AsyncExecutor(plan).execute(_config("scipy", "async"))
-        assert [k.kernel for k in result.kernels] == [KernelName.K0_GENERATE]
-        assert result.rank is None
 
 
 class TestBackendOwnsKernels:

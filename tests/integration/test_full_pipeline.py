@@ -147,10 +147,3 @@ class TestRunPipelineArguments:
         result = run_pipeline(PipelineConfig(scale=6, seed=1), verify=False)
         assert len(result.kernels) == 4
 
-    def test_explicit_plan(self):
-        from repro.core.stages import ExecutionPlan, default_plan
-
-        plan = ExecutionPlan(stages=default_plan().stages[:2])
-        result = run_pipeline(PipelineConfig(scale=6, seed=1), plan=plan)
-        assert [k.kernel for k in result.kernels] == [
-            KernelName.K0_GENERATE, KernelName.K1_SORT]

@@ -73,7 +73,3 @@ class TestFilterTakeProperties:
         kept = f.filter(mask)
         dropped = f.filter(~mask)
         assert kept.num_rows + dropped.num_rows == f.num_rows
-
-    @given(f=frames())
-    def test_concat_preserves_rows(self, f):
-        assert f.concat(f).num_rows == 2 * f.num_rows

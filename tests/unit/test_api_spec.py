@@ -126,7 +126,8 @@ class TestSharedFieldTable:
         spec = RunSpec(**{"scale": 6, name: value})
         config = spec.to_config()
         assert getattr(config, name) == value
-        assert RunSpec.from_config(config, cache_policy="shared") == spec
+        for shared in SHARED_FIELDS:
+            assert getattr(config, shared) == getattr(spec, shared)
         assert RunSpec.from_dict(json.loads(spec.to_json())) == spec
 
     def test_api_fields_round_trip_through_json(self):
@@ -197,15 +198,16 @@ class TestConfigBridge:
         assert off.to_config(tmp_path).cache_dir is None
         assert shared.to_config(None).cache_dir is None
 
-    def test_from_config_round_trip(self, tmp_path):
-        config = PipelineConfig(
-            scale=7, backend="numpy", validate=True,
-            cache_dir=tmp_path, parallel_executor="mp",
+    def test_to_config_field_by_field(self, tmp_path):
+        spec = RunSpec(scale=7, backend="numpy", validation="full",
+                       parallel_executor="mp", data_dir=tmp_path / "d")
+        config = spec.to_config(tmp_path)
+        assert config == PipelineConfig(
+            scale=7, backend="numpy", validate=True, cache_dir=tmp_path,
+            parallel_executor="mp", data_dir=tmp_path / "d",
         )
-        spec = RunSpec.from_config(config)
-        assert spec.validation == "full"
-        assert spec.cache_policy == "shared"
-        assert spec.to_config(tmp_path) == config
+        for name in SHARED_FIELDS:
+            assert getattr(config, name) == getattr(spec, name)
 
     def test_data_dir_serialises_as_string(self, tmp_path):
         spec = RunSpec(scale=6, data_dir=tmp_path)

@@ -76,15 +76,48 @@ class TestWriteOpenRead:
         ru, rv = ds.read_all()
         assert len(ru) == 0
 
-    def test_iter_batches_spans_shards(self, tmp_path, small_edges):
+    @pytest.mark.parametrize("fmt", ["tsv", "npy"])
+    @pytest.mark.parametrize("num_shards,batch", [(5, 100), (1, 7), (9, 64),
+                                                  (3, 5000)])
+    def test_iter_batches_spans_shards(self, tmp_path, small_edges, fmt,
+                                       num_shards, batch):
         u, v = small_edges
         ds = EdgeDataset.write(tmp_path / "d", u, v, num_vertices=64,
-                               num_shards=5)
-        batches = list(ds.iter_batches(100))
+                               num_shards=num_shards, fmt=fmt)
+        ru, rv = ds.read_all()
+        batches = list(ds.iter_batches(batch))
         assert sum(len(b[0]) for b in batches) == len(u)
-        assert all(len(b[0]) == 100 for b in batches[:-1])
-        cat_u = np.concatenate([b[0] for b in batches])
-        assert np.array_equal(cat_u, u)
+        assert all(len(b[0]) == batch for b in batches[:-1])
+        # A batch joined across a shard boundary keeps the label dtype.
+        assert all(b[0].dtype == ru.dtype and b[1].dtype == rv.dtype
+                   for b in batches)
+        assert np.array_equal(np.concatenate([b[0] for b in batches]), u)
+        assert np.array_equal(np.concatenate([b[1] for b in batches]), v)
+
+    def test_iter_batches_copies_each_edge_at_most_once(
+            self, tmp_path, monkeypatch):
+        # Batches inside a shard are slices: reading one shard in many
+        # batches must not re-copy the shard's remainder per batch.
+        rng = np.random.default_rng(3)
+        u = rng.integers(0, 64, size=4096)
+        v = rng.integers(0, 64, size=4096)
+        ds = EdgeDataset.write(tmp_path / "d", u, v, num_vertices=64,
+                               fmt="npy")
+        copied = []
+        concatenate = np.concatenate
+
+        def counting(arrays, *args, **kwargs):
+            arrays = list(arrays)
+            copied.append(sum(len(a) for a in arrays))
+            return concatenate(arrays, *args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", counting)
+        batches = list(ds.iter_batches(200))
+        monkeypatch.undo()
+        assert len(batches) >= 16
+        assert sum(copied) <= 2 * len(u)
+        assert np.array_equal(np.concatenate([b[0] for b in batches]), u)
+        assert np.array_equal(np.concatenate([b[1] for b in batches]), v)
 
     def test_invalid_format_rejected(self, tmp_path, small_edges):
         u, v = small_edges

@@ -1,4 +1,4 @@
-"""Unit tests for the stage graph, executors, and artifact cache."""
+"""Unit tests for the stage table, executors, and artifact cache."""
 
 from __future__ import annotations
 
@@ -26,50 +26,54 @@ from repro.core.executor import (
 from repro.core.stages import (
     ARTIFACT_K0,
     ARTIFACT_RANK,
-    ExecutionPlan,
+    STAGES,
     RankContract,
-    Stage,
     StageContext,
-    default_plan,
 )
 
 
-class TestExecutionPlan:
-    def test_default_plan_shape(self):
-        plan = default_plan()
-        assert [s.kernel for s in plan.stages] == list(KernelName)
-        assert plan.stages[0].officially_timed is False
-        assert all(s.officially_timed for s in plan.stages[1:])
-        assert all(s.contract is not None for s in plan.stages)
-        assert plan.stages[-1].iterations_scaled is True
-
-    def test_stage_lookup(self):
-        plan = default_plan()
-        assert plan.stage(KernelName.K2_FILTER).provides == "adjacency"
-        with pytest.raises(KeyError):
-            ExecutionPlan(stages=plan.stages[:2]).stage(KernelName.K3_PAGERANK)
-
-    def test_rejects_unsatisfied_dependency(self):
-        orphan = Stage(kernel=KernelName.K1_SORT, provides="out",
-                       requires=("never_made",))
-        with pytest.raises(ValueError, match="no earlier stage provides"):
-            ExecutionPlan(stages=(orphan,))
-
-    def test_rejects_duplicate_provides(self):
-        a = Stage(kernel=KernelName.K0_GENERATE, provides="x")
-        b = Stage(kernel=KernelName.K1_SORT, provides="x")
-        with pytest.raises(ValueError, match="more than one"):
-            ExecutionPlan(stages=(a, b))
-
-    def test_rejects_empty_plan(self):
-        with pytest.raises(ValueError, match="at least one"):
-            ExecutionPlan(stages=())
+class TestStages:
+    def test_stages_shape(self):
+        assert [s.kernel for s in STAGES] == list(KernelName)
+        assert [s.provides for s in STAGES] == [
+            "k0_dataset", "k1_dataset", "adjacency", "rank"]
+        assert STAGES[0].officially_timed is False
+        assert all(s.officially_timed for s in STAGES[1:])
+        assert all(s.contract is not None for s in STAGES)
+        assert [s.iterations_scaled for s in STAGES] == [
+            False, False, False, True]
 
     def test_nominal_edges(self):
         config = PipelineConfig(scale=6, iterations=5)
-        plan = default_plan()
-        assert plan.stage(KernelName.K1_SORT).nominal_edges(config) == 1024
-        assert plan.stage(KernelName.K3_PAGERANK).nominal_edges(config) == 5120
+        assert STAGES[1].nominal_edges(config) == 1024
+        assert STAGES[3].nominal_edges(config) == 5120
+
+
+class TestContractRunner:
+    """Every executor checks, times and spans contracts the same way."""
+
+    @pytest.mark.parametrize("execution", available_executions())
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_contract_seconds_on_every_kernel(self, execution, verify):
+        result = get_executor(execution).execute(
+            PipelineConfig(scale=6, seed=1, execution=execution),
+            verify=verify,
+        )
+        timed = ["contract_seconds" in k.details for k in result.kernels]
+        assert timed == [verify] * 4
+        if verify:
+            assert all(k.details["contract_seconds"] >= 0.0
+                       for k in result.kernels)
+
+    @pytest.mark.parametrize("execution", ["serial", "async"])
+    def test_contract_spans_traced(self, execution):
+        result = get_executor(execution).execute(
+            PipelineConfig(scale=6, seed=1, execution=execution, trace=True)
+        )
+        spans = [s["name"] for s in result.trace["spans"]
+                 if s["cat"] == "verify"]
+        assert sorted(spans) == sorted(
+            f"contract:{kernel.value}" for kernel in KernelName)
 
 
 class TestContracts:
@@ -150,13 +154,6 @@ class TestExecutorRegistry:
     def test_unknown_raises_keyerror_listing_valid(self):
         with pytest.raises(KeyError, match="serial, streaming, parallel, async"):
             get_executor("quantum")
-
-    def test_custom_plan_is_honoured(self):
-        # A one-stage plan runs only K0 (no contract dependencies broken).
-        plan = ExecutionPlan(stages=(default_plan().stages[0],))
-        result = SerialExecutor(plan).execute(PipelineConfig(scale=6, seed=1))
-        assert [k.kernel for k in result.kernels] == [KernelName.K0_GENERATE]
-        assert result.rank is None
 
 
 class TestConfigExecutionFields:

@@ -75,14 +75,6 @@ class TestRowOps:
         assert out.column_names == ["w"]
         assert out.column("w").tolist() == [4, 0, 2, 0]
 
-    def test_concat(self, f):
-        doubled = f.concat(f)
-        assert doubled.num_rows == 8
-
-    def test_concat_column_mismatch(self, f):
-        with pytest.raises(ValueError, match="column mismatch"):
-            f.concat(Frame({"x": [1]}))
-
     def test_head(self, f):
         assert f.head(2).num_rows == 2
         assert f.head(100).num_rows == 4
@@ -99,11 +91,6 @@ class TestGroupBy:
         f = Frame({"k": [1, 2, 1], "x": [1.0, 10.0, 2.0]})
         out = f.groupby_sum("k", "x")
         assert out.column("x_sum").tolist() == [3.0, 10.0]
-
-    def test_groupby_apply_scalar(self):
-        f = Frame({"k": [0, 0, 1], "x": [1.0, 3.0, 5.0]})
-        out = f.groupby_apply_scalar("k", lambda g: float(g.column("x").max()))
-        assert out.column("result").tolist() == [3.0, 5.0]
 
 
 class TestMerge:

@@ -12,8 +12,6 @@ from repro.harness.experiments import available_experiments, run_experiment
 from repro.harness.figures import build_figure_series, render_figure
 from repro.harness.records import (
     MeasurementRecord,
-    by_backend,
-    kernel_records,
     load_records,
     save_records,
 )
@@ -111,13 +109,6 @@ class TestRecords:
         records = self._records()
         save_records(records, tmp_path / "r.csv")
         assert load_records(tmp_path / "r.csv") == records
-
-    def test_filters(self):
-        records = self._records()
-        k3 = kernel_records(records, KernelName.K3_PAGERANK)
-        assert len(k3) == 1
-        grouped = by_backend(records)
-        assert set(grouped) == {"numpy"}
 
 
 def _measurement_sweep(scales, backends, *, repeats=1, seed=1):

@@ -37,7 +37,7 @@ class TestPartition:
 
     def test_balanced_within_one(self):
         p = RowPartition(num_vertices=10, size=3)
-        sizes = [p.local_count(r) for r in range(3)]
+        sizes = [hi - lo for lo, hi in map(p.bounds, range(3))]
         assert max(sizes) - min(sizes) <= 1
 
     def test_owner_of_matches_bounds(self):
@@ -59,7 +59,7 @@ class TestPartition:
 
     def test_more_ranks_than_rows(self):
         p = RowPartition(num_vertices=2, size=4)
-        sizes = [p.local_count(r) for r in range(4)]
+        sizes = [hi - lo for lo, hi in map(p.bounds, range(4))]
         assert sum(sizes) == 2
 
 

@@ -85,14 +85,6 @@ class TestTimings:
                 raise RuntimeError("boom")
         assert "failing" in timings.entries
 
-    def test_merged_with(self):
-        a = Timings({"x": 1.0})
-        b = Timings({"x": 2.0, "y": 3.0})
-        merged = a.merged_with(b)
-        assert merged.entries == {"x": 3.0, "y": 3.0}
-        # Originals untouched.
-        assert a.entries == {"x": 1.0}
-
     def test_as_dict_is_a_copy(self):
         timings = Timings({"x": 1.0})
         copy = timings.as_dict()
