@@ -35,9 +35,10 @@ from repro.backends.base import (
 from repro.core.config import PipelineConfig
 from repro.edgeio.dataset import (
     EdgeDataset,
+    read_shard_bytes,
     shard_file_name,
     shard_slices,
-    store_text_shard,
+    store_shard,
 )
 from repro.edgeio.manifest import ShardInfo
 
@@ -168,7 +169,7 @@ class PythonBackend(Backend):
             ]
             payload = "".join(lines).encode("ascii")
             path = out_dir / shard_file_name(index, "tsv")
-            shards.append(store_text_shard(path, payload, end - start))
+            shards.append(store_shard(path, payload, end - start))
         return EdgeDataset.publish(
             out_dir, shards, num_vertices=config.num_vertices,
             vertex_base=base, fmt="tsv", extra=extra,
@@ -179,13 +180,12 @@ class PythonBackend(Backend):
         """Line-by-line parse of every shard (pure-python path)."""
         base = source.manifest.vertex_base
         edges: List[Tuple[int, int]] = []
-        for path in source.shard_paths():
-            with open(path, "rb") as fh:
-                for raw in fh:
-                    if not raw.strip():
-                        continue
-                    left, right = raw.split(b"\t")
-                    edges.append((int(left) - base, int(right) - base))
+        for path, info in zip(source.shard_paths(), source.manifest.shards):
+            for raw in read_shard_bytes(path, info).splitlines():
+                if not raw.strip():
+                    continue
+                left, right = raw.split(b"\t")
+                edges.append((int(left) - base, int(right) - base))
         return edges
 
     # ------------------------------------------------------------------

@@ -19,7 +19,9 @@ last, atomic rename), so concurrent runs sharing one cache root never
 observe a half-written entry, and read one way
 (:meth:`ArtifactCache._read`), under one corruption rule
 (:data:`CORRUPTION`): a torn entry reads as a miss and is purged, a
-transient ``OSError`` propagates and purges nothing.
+transient ``OSError`` propagates and purges nothing.  A k0/k1 hit checks
+shard sizes; their CRC32s (in the manifest) are checked when a kernel
+reads them, and a mismatch then raises: an error, not a miss.
 
 Eviction (``repro cache prune`` / :meth:`ArtifactCache.prune`) is made
 safe against concurrent readers by per-entry advisory lock files
@@ -637,10 +639,10 @@ class ArtifactCache:
         Extraction is defensive — only regular files, entry-relative
         paths (no absolute members, no ``..`` traversal, no symlinks).
         The archive's marker must parse and its fields must hash to
-        ``key``; the files are then published through the same path a
-        producer uses, losing the rename race counting as success (the
-        winner's bytes are equivalent by content addressing).  Returns
-        ``False`` for a malformed, unsafe or mis-keyed archive.
+        ``key``, and its files must read as a hit reads them; they are
+        then published the way a producer's are, losing the rename race
+        counting as success (the winner's bytes are equivalent by content
+        addressing).  Returns ``False`` for any other archive.
         """
         _check_kind(kind)
         if self.published(kind, key):
@@ -670,10 +672,16 @@ class ArtifactCache:
                             shutil.copyfileobj(
                                 archive.extractfile(member), sink
                             )
+                    # Read the staged entry as a hit would: torn → refused.
+                    if kind == "k2":
+                        _load_matrix(staging)
+                    else:
+                        for _ in _open_dataset(staging).iter_shards():
+                            pass
 
                 self._publish(kind, fields, unpack)
             return True
-        except (tarfile.TarError, ValueError, OSError):
+        except (tarfile.TarError, OSError, *CORRUPTION):
             return False
 
     def remove(self, key: str, kind: Optional[str] = None) -> List[CacheEntry]:

@@ -96,12 +96,7 @@ from repro.core.results import KernelResult, PipelineResult
 from repro.core.scheduler import ScheduleResult, SchedulerError, TaskGraph
 from repro.core.shmplane import ShardBuffer, resolve_payload_via
 from repro.core.stages import STAGES, Stage, StageContext
-from repro.edgeio.dataset import (
-    read_shard_file,
-    shard_file_name,
-    shard_slices,
-    write_shard,
-)
+from repro.edgeio.dataset import read_shard_file, shard_slices, write_shard
 from repro.edgeio.manifest import ShardInfo
 
 #: Scheduler pool width: one lane per concurrently-active role (the K0
@@ -486,10 +481,14 @@ class AsyncExecutor(Executor):
         read_tasks: List[str] = []
         previous: Optional[str] = None
         for index, write_task in enumerate(k0_write_tasks):
-            def read(results: Dict[str, object], index: int = index):
-                path = src_dir / shard_file_name(index, config.file_format)
+            def read(results: Dict[str, object], write_task: str = write_task):
+                # Checked against the ShardInfo the write task returned.
+                info = results[write_task]
+                path = src_dir / info.name
+                checked = dict(info=info, num_vertices=config.num_vertices,
+                               **codec)
                 if route.lane != "process":
-                    return read_shard_file(path, **codec)
+                    return read_shard_file(path, **checked)
                 if route.payload_via == "shm":
                     # The worker decodes into a fresh segment and
                     # exports it; only the name crosses the pipe back,
@@ -497,10 +496,12 @@ class AsyncExecutor(Executor):
                     # (the scheduler frees the result → the segment
                     # unlinks).
                     return LaneTask(
-                        "decode-shard-shm", dict(path=str(path), **codec),
+                        "decode-shard-shm", dict(path=str(path), **checked),
                         post=lambda name: ShmEdgePair.adopt(name, route),
                     )
-                return LaneTask("decode-shard", dict(path=str(path), **codec))
+                return LaneTask(
+                    "decode-shard", dict(path=str(path), **checked)
+                )
 
             previous = graph.add(
                 f"k1:read:{index}", read,

@@ -66,13 +66,15 @@ def _op_encode_shard(payload: Mapping[str, object]):
 
 
 def _op_decode_shard(payload: Mapping[str, object]):
-    """Read one shard file and decode it; returns ``(u, v)`` arrays."""
+    """Read, check (against the write's ShardInfo) and decode a shard."""
     from repro.edgeio.dataset import read_shard_file
 
     return read_shard_file(
         Path(payload["path"]),
+        payload["info"],
         fmt=payload["fmt"],
         vertex_base=payload["vertex_base"],
+        num_vertices=payload["num_vertices"],
     )
 
 
@@ -110,14 +112,8 @@ def _op_decode_shard_shm(payload: Mapping[str, object]):
     to the attaching parent via
     :meth:`~repro.core.shmplane.ShardBuffer.export`)."""
     from repro.core.shmplane import ShardBuffer
-    from repro.edgeio.dataset import read_shard_file
 
-    u, v = read_shard_file(
-        Path(payload["path"]),
-        fmt=payload["fmt"],
-        vertex_base=payload["vertex_base"],
-    )
-    return ShardBuffer.create(u, v).export()
+    return ShardBuffer.create(*_op_decode_shard(payload)).export()
 
 
 #: Operations a lane worker can execute.  Module-level (not captured

@@ -7,12 +7,13 @@ Kernels 0 and 1 exchange data through files of tab-separated vertex pairs
   TSV byte format, including the 0-based/1-based vertex label option;
 * :mod:`repro.edgeio.dataset` — :class:`EdgeDataset`, a sharded directory
   of edge files with a JSON manifest ("the number of files is a free
-  parameter to be set by the implementer");
+  parameter to be set by the implementer"), with the one shard writer
+  and the one shard reader;
 * :mod:`repro.edgeio.binary` — an optional ``.npy`` twin format used by
   ablation benchmarks to isolate string-parsing cost.
 
-Writes are atomic (temp file + rename) so a crashed run never leaves a
-half-written shard that a later kernel would silently truncate on.
+Every shard is written atomically (temp file + rename) with the CRC32 of
+its bytes, which every read checks: no torn or changed shard passes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.edgeio.format import (
 )
 from repro.edgeio.dataset import EdgeDataset, shard_slices
 from repro.edgeio.manifest import DatasetManifest, ShardInfo
-from repro.edgeio.binary import read_binary_shard, write_binary_shard
+from repro.edgeio.binary import decode_binary_shard, encode_binary_shard
 from repro.edgeio.errors import CorruptEdgeFileError, DatasetLayoutError
 
 __all__ = [
@@ -35,10 +36,10 @@ __all__ = [
     "DEFAULT_VERTEX_BASE",
     "EdgeDataset",
     "ShardInfo",
+    "decode_binary_shard",
     "decode_edges",
+    "encode_binary_shard",
     "encode_edges",
     "parse_edge_line",
-    "read_binary_shard",
     "shard_slices",
-    "write_binary_shard",
 ]

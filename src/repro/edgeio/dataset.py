@@ -19,6 +19,7 @@ Key operations::
 
 from __future__ import annotations
 
+import gzip
 import zlib
 from pathlib import Path
 from types import TracebackType
@@ -27,7 +28,7 @@ from typing import Iterator, List, Optional, Tuple, Type
 import numpy as np
 
 from repro._util import check_nonneg_int, check_positive_int
-from repro.edgeio.binary import read_binary_shard, write_binary_shard
+from repro.edgeio.binary import decode_binary_shard, encode_binary_shard
 from repro.edgeio.errors import CorruptEdgeFileError, DatasetLayoutError
 from repro.edgeio.format import DEFAULT_VERTEX_BASE, decode_edges, encode_edges
 from repro.edgeio.manifest import DatasetManifest, ShardInfo
@@ -86,7 +87,7 @@ def write_shard(
     fmt: str = "tsv",
     vertex_base: int = DEFAULT_VERTEX_BASE,
 ) -> ShardInfo:
-    """Write one shard file (atomically) and return its manifest entry.
+    """Encode and store one shard file; return its manifest entry.
 
     This is the single-shard core of :meth:`EdgeDataset.write`, split
     out so shard writes can be scheduled as independent tasks; the
@@ -95,22 +96,20 @@ def write_shard(
     an incomplete dataset, by design).  Labels are written as they are
     held (``uint32`` or ``int64``); the file's bytes do not depend on it.
     """
-    name = shard_file_name(index, fmt)
-    path = Path(directory) / name
-    if fmt in ("tsv", "tsv.gz"):
+    path = Path(directory) / shard_file_name(index, fmt)
+    if fmt == "npy":
+        payload = encode_binary_shard(u, v)
+    else:
         payload = encode_edges(u, v, vertex_base=vertex_base)
         if fmt == "tsv.gz":
-            import gzip
-
             payload = gzip.compress(payload, compresslevel=6)
-        return store_text_shard(path, payload, len(u))
-    nbytes = write_binary_shard(path, u, v)
-    return ShardInfo(name=name, num_edges=len(u), crc32=None, num_bytes=nbytes)
+    return store_shard(path, payload, len(u))
 
 
-def store_text_shard(path: Path, payload: bytes, num_edges: int) -> ShardInfo:
-    """Atomically store an encoded text shard; return its manifest entry
-    (with the payload's CRC32)."""
+def store_shard(path: Path, payload: bytes, num_edges: int) -> ShardInfo:
+    """Atomically store an encoded shard; return its manifest entry,
+    with the CRC32 every :func:`read_shard_file` checks.  The one shard
+    writer, whatever the format and whoever encoded the payload."""
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(payload)
     tmp.replace(path)
@@ -149,39 +148,71 @@ def write_shards(
 
 def read_shard_file(
     path: Path,
+    info: ShardInfo,
     *,
-    fmt: str = "tsv",
-    vertex_base: int = DEFAULT_VERTEX_BASE,
+    fmt: str,
+    vertex_base: int,
+    num_vertices: int,
+    mmap: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Read one shard file back into ``(u, v)`` (0-based labels).
 
-    The manifest-free counterpart of :meth:`EdgeDataset.read_shard`, for
-    consumers that overlap shard reads with the producer still writing
-    later shards (no count/bound verification — the producing task
-    already holds the arrays, and contracts re-verify the published
-    dataset).
+    The one shard reader: it checks the file's CRC32 against ``info``
+    (what :func:`store_shard` returned), decodes, then checks the edge
+    count against ``info`` and the labels against ``[0, num_vertices)``,
+    raising :class:`CorruptEdgeFileError` naming the file.  With ``mmap``
+    an ``npy`` shard is checked and decoded over a read-only mapping.
     """
     _check_fmt(fmt)
-    path = Path(path)
-    if fmt in ("tsv", "tsv.gz"):
-        return _decode_text_shard(path, path.read_bytes(), fmt, vertex_base)
-    return read_binary_shard(path)
-
-
-def _decode_text_shard(
-    path: Path, payload: bytes, fmt: str, vertex_base: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Decode a ``tsv``/``tsv.gz`` shard's file bytes into ``(u, v)``."""
-    if fmt == "tsv.gz":
-        import gzip
-
-        try:
-            payload = gzip.decompress(payload)
-        except (OSError, EOFError, zlib.error) as exc:
+    mapped = mmap and fmt == "npy"
+    payload = read_shard_bytes(path, info, mapped=mapped)
+    try:
+        if fmt == "npy":
+            u, v = decode_binary_shard(payload, mapped=mapped)
+        else:
+            if fmt == "tsv.gz":
+                payload = gzip.decompress(payload)
+            u, v = decode_edges(payload, vertex_base=vertex_base)
+    except (OSError, EOFError, zlib.error) as exc:  # from gzip
+        raise CorruptEdgeFileError(
+            f"{path}: gzip decompression failed: {exc}"
+        ) from exc
+    except CorruptEdgeFileError as exc:
+        raise CorruptEdgeFileError(f"{path}: {exc}") from exc
+    if len(u) != info.num_edges:
+        raise CorruptEdgeFileError(
+            f"{path}: decoded {len(u)} edges, manifest says {info.num_edges}"
+        )
+    for name, arr in (("u", u), ("v", v)):
+        # Named as on disk; a label below the base decodes negative.
+        if not len(arr):
+            continue
+        lo, hi = int(arr.min()), int(arr.max())
+        if lo < 0 or hi >= num_vertices:
             raise CorruptEdgeFileError(
-                f"{path}: gzip decompression failed: {exc}"
-            ) from exc
-    return decode_edges(payload, vertex_base=vertex_base)
+                f"{path}: {name} labels outside [{vertex_base}, "
+                f"{num_vertices + vertex_base}) on disk: "
+                f"min={lo + vertex_base}, max={hi + vertex_base}"
+            )
+    return u, v
+
+
+def read_shard_bytes(path: Path, info: ShardInfo, *, mapped: bool = False):
+    """A shard file's bytes (or, ``mapped``, a read-only ``uint8``
+    mapping of them) once their CRC32 matches ``info``: the check half
+    of :func:`read_shard_file`, for a consumer with its own decoder."""
+    path = Path(path)
+    if mapped:  # an npy file is never empty, so it always maps
+        payload = np.memmap(path, dtype=np.uint8, mode="r")
+    else:
+        payload = path.read_bytes()
+    actual = zlib.crc32(payload)
+    if actual != info.crc32:
+        raise CorruptEdgeFileError(
+            f"{path}: CRC mismatch (recorded {info.crc32:#x}, "
+            f"file {actual:#x})"
+        )
+    return payload
 
 
 class EdgeDataset:
@@ -346,79 +377,38 @@ class EdgeDataset:
     # Reading
     # ------------------------------------------------------------------
     @classmethod
-    def open(
-        cls, directory: Path, *, verify: bool = True, mmap: bool = False
-    ) -> "EdgeDataset":
-        """Open an existing dataset.
+    def open(cls, directory: Path, *, mmap: bool = False) -> "EdgeDataset":
+        """Open an existing dataset: load its manifest and check that
+        every shard exists with its recorded byte size.
 
         Parameters
         ----------
         directory:
             Dataset directory containing ``manifest.json``.
-        verify:
-            Check shard existence and byte sizes against the manifest.
         mmap:
             Serve ``npy`` shard payloads as read-only memory-mapped
-            views (see :func:`repro.edgeio.binary.read_binary_shard`);
-            ignored for text formats.
+            views (see :func:`read_shard_file`); ignored for text
+            formats.
         """
         directory = Path(directory)
         manifest = DatasetManifest.load(directory)
-        if verify:
-            manifest.verify_against(directory)
+        manifest.verify_against(directory)
         return cls(directory, manifest, mmap=mmap)
 
-    def read_shard(self, index: int, *, verify_checksum: bool = False) -> Tuple[np.ndarray, np.ndarray]:
-        """Read one shard into ``(u, v)`` (0-based labels).
-
-        Raises
-        ------
-        CorruptEdgeFileError
-            On parse failures, checksum mismatches, or labels outside
-            the declared vertex bound.
-        """
+    def read_shard(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Read one shard into ``(u, v)`` (0-based labels), checked
+        against its manifest entry by :func:`read_shard_file`."""
         info = self.manifest.shards[index]
-        path = self.directory / info.name
-        if self.fmt in ("tsv", "tsv.gz"):
-            payload = path.read_bytes()
-            if verify_checksum and info.crc32 is not None:
-                actual = zlib.crc32(payload)
-                if actual != info.crc32:
-                    raise CorruptEdgeFileError(
-                        f"{path}: CRC mismatch (manifest {info.crc32:#x}, "
-                        f"file {actual:#x})"
-                    )
-            u, v = _decode_text_shard(
-                path, payload, self.fmt, self.manifest.vertex_base
-            )
-        else:
-            u, v = read_binary_shard(path, mmap=self.mmap)
-        if len(u) != info.num_edges:
-            raise CorruptEdgeFileError(
-                f"{path}: decoded {len(u)} edges, manifest says {info.num_edges}"
-            )
-        self._check_bounds(path, u, v)
-        return u, v
+        return read_shard_file(
+            self.directory / info.name, info, fmt=self.fmt,
+            vertex_base=self.manifest.vertex_base,
+            num_vertices=self.num_vertices, mmap=self.mmap,
+        )
 
-    def _check_bounds(self, path: Path, u: np.ndarray, v: np.ndarray) -> None:
-        """Refuse labels outside ``[0, N)``, naming them as the file
-        writes them (the decoder returns a label below the vertex base
-        as a negative, never as a wrapped ``uint32``)."""
-        n, base = self.manifest.num_vertices, self.manifest.vertex_base
-        for name, arr in (("u", u), ("v", v)):
-            if not len(arr):
-                continue
-            lo, hi = int(arr.min()), int(arr.max())
-            if lo < 0 or hi >= n:
-                raise CorruptEdgeFileError(
-                    f"{path}: {name} labels outside [{base}, {n + base}) "
-                    f"on disk: min={lo + base}, max={hi + base}"
-                )
-
-    def iter_shards(self, *, verify_checksum: bool = False) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    def iter_shards(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Yield ``(u, v)`` per shard, in shard order."""
         for index in range(self.num_shards):
-            yield self.read_shard(index, verify_checksum=verify_checksum)
+            yield self.read_shard(index)
 
     def iter_batches(self, batch_edges: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Yield fixed-size ``(u, v)`` batches spanning shard boundaries.
@@ -467,8 +457,8 @@ class EdgeDataset:
         The pair is allocated once from the manifest's per-shard edge
         counts, in the label dtype of ``num_vertices``, and each shard is
         copied into its slice after :meth:`read_shard` has checked its
-        count and bounds — so at most one decoded shard is alive beside
-        the result, not every shard plus their concatenation.
+        CRC32, count and bounds — so at most one decoded shard is alive
+        beside the result, not every shard plus their concatenation.
         """
         sizes = [info.num_edges for info in self.manifest.shards]
         dtype = label_dtype(self.num_vertices)

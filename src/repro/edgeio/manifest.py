@@ -4,8 +4,9 @@ Every :class:`repro.edgeio.dataset.EdgeDataset` write drops a
 ``manifest.json`` next to the shards recording the shard names, per-shard
 edge counts, CRC32 checksums, total edge count, vertex count, and the
 on-disk vertex base.  Readers use it to (a) avoid re-counting edges,
-(b) detect missing/truncated shards before a kernel starts, and (c) keep
-0-based/1-based bookkeeping honest across kernels.
+(b) detect missing/truncated shards before a kernel starts, (c) check
+every read of a shard against its CRC32, and (d) keep 0-based/1-based
+bookkeeping honest across kernels.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.edgeio.errors import DatasetLayoutError
 
@@ -32,14 +33,14 @@ class ShardInfo:
     num_edges:
         Edge (line) count in the shard.
     crc32:
-        CRC32 of the file bytes (text shards); ``None`` for binary ones.
+        CRC32 of the file's bytes, checked by every shard read.
     num_bytes:
         File size in bytes at write time.
     """
 
     name: str
     num_edges: int
-    crc32: Optional[int] = None
+    crc32: int
     num_bytes: int = 0
 
 
@@ -100,6 +101,8 @@ class DatasetManifest:
             )
         try:
             shards = [ShardInfo(**s) for s in doc.get("shards", [])]
+            if any(type(s.crc32) is not int for s in shards):
+                raise ValueError("a shard entry has no integer crc32")
             return cls(
                 num_vertices=int(doc["num_vertices"]),
                 num_edges=int(doc["num_edges"]),

@@ -80,7 +80,7 @@ class TestCorruptFilesMidPipeline:
         manifest_path.write_text(manifest_path.read_text().replace(
             '"num_edges": 1024', '"num_edges": 999'
         ))
-        reopened = EdgeDataset.open(tmp_path / "k0", verify=False)
+        reopened = EdgeDataset.open(tmp_path / "k0")  # sizes still match
         with pytest.raises(CorruptEdgeFileError, match="manifest says"):
             reopened.read_shard(0)
 

@@ -25,7 +25,7 @@ import pytest
 import repro
 from repro.api import RunSpec, execute_spec
 from repro.core.artifacts import (
-    MARKER, ArtifactCache, cache_key, k0_cache_fields,
+    ArtifactCache, cache_key, k0_cache_fields,
 )
 from repro.service import BenchmarkService, WorkerAgent, serve_in_thread
 from repro.service.jobs import load_events
@@ -264,25 +264,19 @@ class TestArtifactSync:
 
     def test_export_import_round_trip_and_safety(self, tmp_path):
         """The tar transplant primitive underneath GET/PUT /artifacts."""
-        config = SPEC.to_config(None)
+        # A really produced entry: a run's Kernel 0 dataset.
+        execute_spec(SPEC, cache_dir=tmp_path / "a")
         cache_a = ArtifactCache(tmp_path / "a")
-        fields = k0_cache_fields(config)
-        key = cache_key(fields)
-        entry = cache_a.entry_dir("k0", key)
-        entry.mkdir(parents=True)
-        (entry / "edges.tsv").write_text("1\t2\n")
-        (entry / "manifest.json").write_text(
-            json.dumps({"schema": 1, "shards": []})
-        )
-        # What makes the entry published (see ArtifactCache._publish).
-        (entry / MARKER).write_text(json.dumps(fields))
+        key = cache_key(k0_cache_fields(SPEC.to_config(None)))
+        assert cache_a.published("k0", key)
         data = cache_a.export_entry("k0", key)
         assert data is not None
 
         cache_b = ArtifactCache(tmp_path / "b")
         assert cache_b.import_entry("k0", key, data)
-        entry = cache_b.entry_dir("k0", key)
-        assert (entry / "edges.tsv").read_text() == "1\t2\n"
+        for path in cache_a.entry_dir("k0", key).iterdir():
+            twin = cache_b.entry_dir("k0", key) / path.name
+            assert twin.read_bytes() == path.read_bytes()
         # Re-import of a warm entry is a cheap success (rename race).
         assert cache_b.import_entry("k0", key, data)
 

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import io
+import json
+import zlib
+
 import numpy as np
 import pytest
 
-from repro.edgeio.binary import read_binary_shard, write_binary_shard
-from repro.edgeio.dataset import EdgeDataset, shard_slices
+from repro.edgeio.binary import decode_binary_shard, encode_binary_shard
+from repro.edgeio.dataset import EdgeDataset, shard_slices, store_shard
 from repro.edgeio.errors import CorruptEdgeFileError, DatasetLayoutError
 from repro.edgeio.manifest import DatasetManifest, ShardInfo
 
@@ -126,9 +130,17 @@ class TestWriteOpenRead:
                               fmt="parquet")
 
     def test_checksum_verification(self, tmp_path, small_edges):
+        # Every format records the CRC32 of its file's bytes, and every
+        # read (private or mapped) checks it.
         u, v = small_edges
-        ds = EdgeDataset.write(tmp_path / "d", u, v, num_vertices=64)
-        ds.read_shard(0, verify_checksum=True)  # passes
+        for fmt in ("tsv", "tsv.gz", "npy"):
+            ds = EdgeDataset.write(tmp_path / fmt, u, v, num_vertices=64,
+                                   num_shards=3, fmt=fmt)
+            for info, path in zip(ds.manifest.shards, ds.shard_paths()):
+                assert info.crc32 == zlib.crc32(path.read_bytes())
+            for mmap in (False, True):
+                ru, rv = EdgeDataset.open(tmp_path / fmt, mmap=mmap).read_all()
+                assert np.array_equal(ru, u) and np.array_equal(rv, v)
 
     def test_extra_metadata_persisted(self, tmp_path, small_edges):
         u, v = small_edges
@@ -167,21 +179,37 @@ class TestFailureModes:
         payload[0:1] = b"9" if payload[0:1] != b"9" else b"8"
         shard.write_bytes(bytes(payload))
         ds = EdgeDataset.open(tmp_path / "d")  # sizes still match
-        with pytest.raises(CorruptEdgeFileError, match="CRC"):
-            ds.read_shard(0, verify_checksum=True)
+        with pytest.raises(CorruptEdgeFileError, match="CRC mismatch"):
+            ds.read_shard(0)
 
     def test_out_of_bounds_labels_detected(self, tmp_path):
+        # A producer's mistake, not a changed byte: the shard goes
+        # through the one writer, so its CRC matches and the bound
+        # check is what refuses it.
         u = np.array([0, 1], dtype=np.int64)
         v = np.array([1, 0], dtype=np.int64)
         EdgeDataset.write(tmp_path / "d", u, v, num_vertices=2)
-        shard = tmp_path / "d" / "part-00000.tsv"
-        original = shard.read_bytes()
-        shard.write_bytes(b"0\t9\n1\t0\n")
-        if len(b"0\t9\n1\t0\n") != len(original):
-            pytest.skip("byte-size guard fires before label check")
+        info = store_shard(tmp_path / "d" / "part-00000.tsv",
+                           b"0\t9\n1\t0\n", 2)
+        EdgeDataset.publish(tmp_path / "d", [info], num_vertices=2,
+                            vertex_base=0, fmt="tsv", extra=None)
         ds = EdgeDataset.open(tmp_path / "d")
         with pytest.raises(CorruptEdgeFileError, match="outside"):
             ds.read_shard(0)
+
+    def test_shard_entry_without_crc_is_a_malformed_manifest(
+        self, tmp_path, small_edges
+    ):
+        # What a manifest written before every format recorded a CRC32
+        # looks like (npy shards had ``"crc32": null``).
+        u, v = small_edges
+        EdgeDataset.write(tmp_path / "d", u, v, num_vertices=64, fmt="npy")
+        manifest = tmp_path / "d" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["shards"][0]["crc32"] = None
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(DatasetLayoutError, match="crc32"):
+            EdgeDataset.open(tmp_path / "d")
 
     def test_manifest_schema_violation(self, tmp_path):
         (tmp_path / "d").mkdir()
@@ -236,29 +264,47 @@ class TestStreamWriter:
                 writer.append(np.array([1]), np.array([1, 2]))
 
 
+def _npy_bytes(array):
+    sink = io.BytesIO()
+    np.save(sink, array)
+    return sink.getvalue()
+
+
 class TestBinaryShards:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         u = np.array([1, 2, 3], dtype=np.int64)
         v = np.array([4, 5, 6], dtype=np.int64)
-        nbytes = write_binary_shard(tmp_path / "s.npy", u, v)
-        assert nbytes > 0
-        ru, rv = read_binary_shard(tmp_path / "s.npy")
+        payload = encode_binary_shard(u, v)
+        assert payload == _npy_bytes(np.stack([u, v], axis=1))
+        ru, rv = decode_binary_shard(payload)
         assert np.array_equal(u, ru) and np.array_equal(v, rv)
+        assert ru.flags.writeable and ru.flags.c_contiguous
 
-    def test_rejects_garbage(self, tmp_path):
-        (tmp_path / "bad.npy").write_bytes(b"not an npy file")
+    def test_mapped_decode_hands_out_views_of_the_mapping(self, tmp_path):
+        u = np.arange(5, dtype=np.uint32)
+        (tmp_path / "s.npy").write_bytes(encode_binary_shard(u, u[::-1]))
+        mapping = np.memmap(tmp_path / "s.npy", dtype=np.uint8, mode="r")
+        ru, rv = decode_binary_shard(mapping, mapped=True)
+        assert ru.dtype == np.int64 and not ru.flags.writeable
+        assert np.shares_memory(ru, mapping)
+        assert ru.tolist() == u.tolist() and rv.tolist() == u[::-1].tolist()
+
+    def test_rejects_garbage(self):
         with pytest.raises(CorruptEdgeFileError):
-            read_binary_shard(tmp_path / "bad.npy")
+            decode_binary_shard(b"not an npy file")
 
-    def test_rejects_wrong_shape(self, tmp_path):
-        np.save(tmp_path / "bad.npy", np.zeros((3, 3), dtype=np.int64))
+    def test_rejects_wrong_shape(self):
         with pytest.raises(CorruptEdgeFileError, match="shape"):
-            read_binary_shard(tmp_path / "bad.npy")
+            decode_binary_shard(_npy_bytes(np.zeros((3, 3), dtype=np.int64)))
 
-    def test_rejects_float_dtype(self, tmp_path):
-        np.save(tmp_path / "bad.npy", np.zeros((3, 2), dtype=np.float64))
+    def test_rejects_float_dtype(self):
         with pytest.raises(CorruptEdgeFileError, match="dtype"):
-            read_binary_shard(tmp_path / "bad.npy")
+            decode_binary_shard(_npy_bytes(np.zeros((3, 2))))
+
+    def test_rejects_truncated_payload(self):
+        payload = _npy_bytes(np.zeros((3, 2), dtype=np.int64))
+        with pytest.raises(CorruptEdgeFileError, match="payload bytes"):
+            decode_binary_shard(payload[:-8])
 
 
 class TestManifest:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.shmplane import ShardBuffer, shm_available
-from repro.edgeio.dataset import EdgeDataset
+from repro.edgeio.dataset import EdgeDataset, store_shard
 from repro.edgeio.errors import CorruptEdgeFileError
 from repro.edgeio.format import _encode_edges_strings, decode_edges, encode_edges
 from repro.labels import (
@@ -140,7 +140,10 @@ class TestDatasetLabels:
                           vertex_base=1)
         shard = tmp_path / "d" / "part-00000.tsv"
         assert shard.read_bytes() == b"1\t2\n2\t1\n"
-        shard.write_bytes(b"0\t2\n2\t1\n")  # same size: only the label check
+        # Through the one writer, so the CRC matches: only the label check.
+        info = store_shard(shard, b"0\t2\n2\t1\n", 2)
+        EdgeDataset.publish(tmp_path / "d", [info], num_vertices=4,
+                            vertex_base=1, fmt="tsv", extra=None)
         dataset = EdgeDataset.open(tmp_path / "d")
         with pytest.raises(CorruptEdgeFileError) as caught:
             dataset.read_shard(0)
@@ -167,13 +170,21 @@ class TestDatasetLabels:
 
     def test_read_all_checks_each_shard_before_copying(self, tmp_path):
         u = np.arange(8, dtype=np.uint32)
-        EdgeDataset.write(tmp_path / "d", u, u, num_vertices=8, num_shards=2)
-        (tmp_path / "d" / "part-00001.tsv").write_bytes(b"4\t4\n5\t5\n6\t6\n9\t9\n")
-        with pytest.raises(CorruptEdgeFileError, match="outside"):
-            EdgeDataset.open(tmp_path / "d", verify=False).read_all()
-        (tmp_path / "d" / "part-00001.tsv").write_bytes(b"4\t4\n")
-        with pytest.raises(CorruptEdgeFileError, match="manifest says 4"):
-            EdgeDataset.open(tmp_path / "d", verify=False).read_all()
+        shards = EdgeDataset.write(tmp_path / "d", u, u, num_vertices=8,
+                                   num_shards=2).manifest.shards
+        # Bad shards a producer could write, through the one writer (so
+        # their CRCs match): the bound and count checks refuse them.
+        for payload, claimed, error in (
+            (b"4\t4\n5\t5\n6\t6\n9\t9\n", 4, "outside"),
+            (b"4\t4\n", 4, "manifest says 4"),
+        ):
+            bad = store_shard(tmp_path / "d" / "part-00001.tsv", payload,
+                              claimed)
+            EdgeDataset.publish(tmp_path / "d", [shards[0], bad],
+                                num_vertices=8, vertex_base=0, fmt="tsv",
+                                extra=None)
+            with pytest.raises(CorruptEdgeFileError, match=error):
+                EdgeDataset.open(tmp_path / "d").read_all()
 
     def test_read_all_holds_one_shard_beside_the_result(self, tmp_path):
         # Concatenating would hold every decoded shard plus their

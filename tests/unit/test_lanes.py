@@ -23,6 +23,7 @@ from repro.core.lanes import (
 from repro.core.procpool import RemoteOpError
 from repro.core.shmplane import ShardBuffer, shm_available
 from repro.edgeio.dataset import read_shard_file, write_shard
+from repro.edgeio.manifest import ShardInfo
 
 needs_shm = pytest.mark.skipif(
     not shm_available(),
@@ -43,6 +44,13 @@ def _encode_payload(directory, index, u, v, fmt="tsv"):
         directory=str(directory), index=index, u=u, v=v,
         fmt=fmt, vertex_base=0,
     )
+
+
+def _decode_payload(path, info):
+    """A decode op's payload: the file, and the ShardInfo its write
+    returned (what the read is checked against)."""
+    return dict(path=str(path), info=info, fmt="tsv", vertex_base=0,
+                num_vertices=1 << 12)
 
 
 @pytest.fixture(scope="module")
@@ -76,12 +84,12 @@ class TestLaneOps:
 
     def test_decode_op_matches_read_shard_file(self, tmp_path):
         u, v = _edges()
-        run_lane_op("encode-shard", _encode_payload(tmp_path, 0, u, v))
+        info = run_lane_op("encode-shard", _encode_payload(tmp_path, 0, u, v))
         path = tmp_path / "part-00000.tsv"
-        lane_u, lane_v = run_lane_op(
-            "decode-shard", dict(path=str(path), fmt="tsv", vertex_base=0)
-        )
-        ref_u, ref_v = read_shard_file(path, fmt="tsv", vertex_base=0)
+        lane_u, lane_v = run_lane_op("decode-shard",
+                                     _decode_payload(path, info))
+        ref_u, ref_v = read_shard_file(path, info, fmt="tsv", vertex_base=0,
+                                       num_vertices=1 << 12)
         assert np.array_equal(lane_u, ref_u)
         assert np.array_equal(lane_v, ref_v)
 
@@ -137,10 +145,9 @@ class TestShmLaneOps:
 
     def test_decode_shm_round_trip(self, tmp_path):
         u, v = _edges(seed=13)
-        run_lane_op("encode-shard", _encode_payload(tmp_path, 0, u, v))
-        name = run_lane_op("decode-shard-shm", dict(
-            path=str(tmp_path / "part-00000.tsv"),
-            fmt="tsv", vertex_base=0,
+        info = run_lane_op("encode-shard", _encode_payload(tmp_path, 0, u, v))
+        name = run_lane_op("decode-shard-shm", _decode_payload(
+            tmp_path / "part-00000.tsv", info,
         ))
         assert isinstance(name, str)  # only the name crosses the pipe
         adopted = ShardBuffer.attach(name, owner=True)
@@ -162,8 +169,8 @@ class TestShmLaneOps:
                 fmt="tsv", vertex_base=0,
             ))
             assert info.num_edges == len(u)
-            name = pool.run("decode-shard-shm", dict(
-                path=str(tmp_path / info.name), fmt="tsv", vertex_base=0,
+            name = pool.run("decode-shard-shm", _decode_payload(
+                tmp_path / info.name, info,
             ))
             adopted = ShardBuffer.attach(name, owner=True)
             try:
@@ -190,8 +197,7 @@ class TestProcessLanePool:
             == (tmp_path / "ref" / reference.name).read_bytes()
         )
         lane_u, lane_v = pool.run(
-            "decode-shard",
-            dict(path=str(tmp_path / info.name), fmt="tsv", vertex_base=0),
+            "decode-shard", _decode_payload(tmp_path / info.name, info),
         )
         assert np.array_equal(lane_u, u) and np.array_equal(lane_v, v)
 
@@ -206,11 +212,9 @@ class TestProcessLanePool:
         self, pool, tmp_path
     ):
         with pytest.raises(RemoteOpError, match="^FileNotFoundError: "):
-            pool.run_task(LaneTask(
-                "decode-shard",
-                dict(path=str(tmp_path / "missing.tsv"),
-                     fmt="tsv", vertex_base=0),
-            ))
+            pool.run_task(LaneTask("decode-shard", _decode_payload(
+                tmp_path / "missing.tsv", ShardInfo("missing.tsv", 0, 0),
+            )))
 
     def test_run_task_timed_reports_queue_wait(self, pool, tmp_path):
         result, queue_wait = pool.run_task_timed(
