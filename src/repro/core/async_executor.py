@@ -8,6 +8,14 @@ of the four :data:`~repro.core.stages.STAGES` into finer tasks on a
 stage boundaries while keeping each stage's own GIL-bound hot loop
 serial:
 
+* Kernel 0's Kronecker block runs on every core: from two slices up
+  (scale 13 at edge factor 16) its slice ranges are concurrent tasks,
+  one per core the process may run on and at most one per slice, each
+  drawing its slices by PCG64 jump-ahead
+  (:class:`~repro.generators.kronecker.KroneckerTasks`); then one
+  permute task draws the edge order and relabelling table, and one
+  gather per endpoint array applies them — the same edge list as the
+  serial pass, which stays one thread;
 * Kernel 0's shard writes run as a sequential chain (TSV encoding is
   CPU-bound — parallel encodes would fight over the GIL, not overlap),
   but Kernel 1's read of shard *i* starts the moment shard *i* is on
@@ -40,6 +48,9 @@ serial:
 is its *busy* time — the sum of time its tasks actually spent working,
 with time spent blocked on upstream stages excluded — so Kernel 0/1/3
 throughput (edges/second) remains comparable to the serial baseline.
+A phase is summed busy time too: Kernel 0's ``generate`` adds up its
+concurrent block tasks, as ``write`` adds up its shard writes, so it
+can exceed the wall-clock its window took.
 Kernel 2 is the deliberate exception: the hand-off feeds it the sorted
 arrays in memory, so its busy time omits the dataset read/decode the
 file-fed Kernel 2s pay; its details carry ``ingest_source:
@@ -72,6 +83,7 @@ one, its cache entries included.
 
 from __future__ import annotations
 
+import os
 import threading
 import weakref
 from pathlib import Path
@@ -98,10 +110,14 @@ from repro.core.shmplane import ShardBuffer, resolve_payload_via
 from repro.core.stages import STAGES, Stage, StageContext
 from repro.edgeio.dataset import read_shard_file, shard_slices, write_shard
 from repro.edgeio.manifest import ShardInfo
+from repro.generators.kronecker import KroneckerTasks
 
 #: Scheduler pool width: one lane per concurrently-active role (the K0
 #: write chain, the K1 read chain, the K1 write chain and the K2 build)
-#: — more threads would only add GIL contention.
+#: — more threads would only add GIL contention.  Kernel 0's block tasks
+#: (one per core, at most one per slice) run before any of those roles
+#: and share the same threads, so this also caps how many of them run
+#: at once.
 DEFAULT_MAX_WORKERS = 4
 
 
@@ -315,17 +331,17 @@ class AsyncExecutor(Executor):
 
     @staticmethod
     def _chain_deps(
-        codec_lane: str, anchor: str, previous: Optional[str]
+        codec_lane: str, anchors: Tuple[str, ...], previous: Optional[str]
     ) -> Tuple[str, ...]:
         """Dependencies for the next codec task in a per-stage series.
 
         Thread lane: chain onto the previous task — GIL-bound codecs
         would contend, not overlap.  Process lane: only the data/order
-        anchor — independent lane workers run shards concurrently.
+        anchors — independent lane workers run shards concurrently.
         """
         if codec_lane == "process" or previous is None:
-            return (anchor,)
-        return (anchor, previous)
+            return anchors
+        return anchors + (previous,)
 
     def _pool_width(self, codec_lane: str) -> int:
         if self.max_workers is not None:
@@ -427,6 +443,13 @@ class AsyncExecutor(Executor):
     ) -> Tuple[str, List[str]]:
         """Kernel 0 as generate → shard writes → publish.
 
+        Generate is one ``k0:generate`` task, or the Kronecker block's
+        slice tasks (:meth:`_add_kronecker`) where the backend runs the
+        base generate step on that generator.  Nothing else runs while
+        they do — every later task depends on them — so the stage's
+        details carry the process's ``minor_faults`` over that window,
+        first generate task start to last generate task end.
+
         On the thread lane, writes chain (encode is GIL-bound; parallel
         encodes would contend, not overlap) and the overlap comes from
         Kernel 1 reading finished shards while the chain is still
@@ -436,21 +459,104 @@ class AsyncExecutor(Executor):
         """
         config = ctx.config
         out_dir = ctx.base_dir / "k0"
+        group = stage.kernel.value
+        faults: List[Optional[int]] = []
 
-        def generate(results: Dict[str, object]):
-            u, v = ctx.backend.generate_edges(config)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            if route.payload_via == "shm":
-                # One segment for the whole stage output; every shard
-                # write ships only (name, start, end) over its pipe.
-                return ShmEdgePair.wrap(u, v)
-            return u, v
+        def add(name: str, fn: Callable, deps: Tuple[str, ...] = ()) -> str:
+            def counted(results: Dict[str, object]):
+                faults.append(minor_faults())
+                value = fn(results)
+                faults.append(minor_faults())
+                return value
 
-        gen_task = graph.add("k0:generate", generate, group=stage.kernel.value)
+            return graph.add(name, counted, deps=deps, group=group)
+
+        tasks = self._kronecker_tasks(ctx)
+        if tasks is not None:
+            sources = self._add_kronecker(add, tasks, route, out_dir)
+        else:
+            def generate(results: Dict[str, object]):
+                u, v = ctx.backend.generate_edges(config)
+                out_dir.mkdir(parents=True, exist_ok=True)
+                if route.payload_via == "shm":
+                    # One segment for the whole stage output; every shard
+                    # write ships only (name, start, end) over its pipe.
+                    return ShmEdgePair.wrap(u, v)
+                return u, v
+
+            sources = (add("k0:generate", generate),)
+
+        def publish(shards: List[ShardInfo]) -> StageOutput:
+            dataset, details = publish_kernel0(config, out_dir, shards)
+            if faults[0] is not None:
+                details = {**details, "minor_faults": max(faults) - min(faults)}
+            return dataset, details
+
         return self._write_and_publish(
-            graph, ctx, stage, verify, route, out_dir, gen_task, (),
-            lambda shards: publish_kernel0(config, out_dir, shards),
+            graph, ctx, stage, verify, route, out_dir, sources, (), publish
         )
+
+    @staticmethod
+    def _kronecker_tasks(ctx: StageContext) -> Optional[KroneckerTasks]:
+        """Kernel 0's generate step as :class:`KroneckerTasks`, where the
+        backend runs the base step on the Kronecker generator and the
+        block has more than one slice; otherwise ``None`` (one task)."""
+        config = ctx.config
+        if (
+            type(ctx.backend).generate_edges is not Backend.generate_edges
+            or config.generator != "kronecker"
+        ):
+            return None
+        # The base step's call: generators.registry's "kronecker" entry.
+        return KroneckerTasks.split(
+            config.scale, config.edge_factor, seed=config.seed
+        )
+
+    @staticmethod
+    def _add_kronecker(
+        add: Callable, tasks: KroneckerTasks, route: _CodecRoute, out_dir: Path,
+    ) -> Tuple[str, ...]:
+        """The Kronecker block as ``k0:generate:<j>`` slice-range tasks,
+        one per core (at most one per slice), then
+        ``k0:generate:permute``, then one reorder-and-relabel gather per
+        endpoint array, ``k0:generate:u`` and ``k0:generate:v``.  The
+        block tasks run concurrently, and so do the gathers on the pipe
+        plane: the draws, ufuncs and fancy indexing release the GIL.
+        Returns the tasks whose results are the edge arrays."""
+        affinity = getattr(os, "sched_getaffinity", None)
+        cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+        width = min(tasks.slices, cores)
+        bounds = [j * tasks.slices // width for j in range(width + 1)]
+        blocks = tuple(
+            add(f"k0:generate:{j}",
+                lambda results, first=first, last=last: tasks.fill(first, last))
+            for j, (first, last) in enumerate(zip(bounds, bounds[1:]))
+        )
+
+        def permute(results: Dict[str, object]):
+            out_dir.mkdir(parents=True, exist_ok=True)
+            return tasks.permute()
+
+        permute_task = add("k0:generate:permute", permute, blocks)
+
+        def gather(results: Dict[str, object], index: int) -> np.ndarray:
+            block, order, relabel = results[permute_task]
+            return tasks.place(block[index], order, relabel)
+
+        u_task = add("k0:generate:u", lambda results: gather(results, 0),
+                     (permute_task,))
+        if route.payload_via != "shm":
+            return u_task, add(
+                "k0:generate:v", lambda results: gather(results, 1),
+                (permute_task,),
+            )
+        # One segment holds the pair every shard write ships by name, so
+        # the v gather waits for u and copies both in.
+        return (add(
+            "k0:generate:v",
+            lambda results: ShmEdgePair.wrap(results[u_task], gather(results, 1)),
+            (permute_task, u_task),
+        ),)
 
     def _expand_sort(
         self,
@@ -505,7 +611,7 @@ class AsyncExecutor(Executor):
 
             previous = graph.add(
                 f"k1:read:{index}", read,
-                deps=self._chain_deps(route.lane, write_task, previous),
+                deps=self._chain_deps(route.lane, (write_task,), previous),
                 group=group, lane=route.lane,
             )
             read_tasks.append(previous)
@@ -527,7 +633,7 @@ class AsyncExecutor(Executor):
         # artifact_deps (the K0 dataset task) is an ordering dependency:
         # the sort contract re-reads the K0 artifact from ctx.
         publish_task, _ = self._write_and_publish(
-            graph, ctx, stage, verify, route, out_dir, sort_task,
+            graph, ctx, stage, verify, route, out_dir, (sort_task,),
             artifact_deps,
             lambda shards: publish_kernel1(
                 ctx.backend, config, out_dir, shards
@@ -543,13 +649,14 @@ class AsyncExecutor(Executor):
         verify: bool,
         route: _CodecRoute,
         out_dir: Path,
-        source_task: str,
+        sources: Tuple[str, ...],
         order_deps: Tuple[str, ...],
         publish: Callable[[List[ShardInfo]], StageOutput],
     ) -> Tuple[str, List[str]]:
-        """The tail Kernels 0 and 1 share: ``source_task``'s ``(u, v)``
-        → one ``write_shard`` task per shard → the publishing artifact
-        task.  Returns the artifact task and the write tasks.
+        """The tail Kernels 0 and 1 share: the ``(u, v)`` of ``sources``
+        (one task's pair, or one task per array) → one ``write_shard``
+        task per shard → the publishing artifact task.  Returns the
+        artifact task and the write tasks.
 
         The write body is the single source of truth for the codec
         write: slice the source arrays to this shard, then either write
@@ -567,7 +674,10 @@ class AsyncExecutor(Executor):
         previous: Optional[str] = None
         for index in range(config.num_files):
             def write(results: Dict[str, object], index: int = index):
-                source = results[source_task]
+                if len(sources) == 1:
+                    source = results[sources[0]]
+                else:
+                    source = tuple(results[name] for name in sources)
                 u, v = source
                 start, end = shard_slices(len(u), config.num_files)[index]
                 if route.lane != "process":
@@ -586,12 +696,12 @@ class AsyncExecutor(Executor):
                     u=u[start:end], v=v[start:end], **target
                 ))
 
-            # The source task is the data-dependency anchor (its arrays
-            # must stay alive); on the thread lane the previous write
-            # rides along as an ordering-only chain link.
+            # The source tasks are the data-dependency anchors (their
+            # arrays must stay alive); on the thread lane the previous
+            # write rides along as an ordering-only chain link.
             previous = graph.add(
                 f"{prefix}:write:{index}", write,
-                deps=self._chain_deps(route.lane, source_task, previous),
+                deps=self._chain_deps(route.lane, sources, previous),
                 group=group, lane=route.lane,
             )
             write_tasks.append(previous)

@@ -19,12 +19,21 @@ slices of ``_SLICE_EDGES`` edges positioned by PCG64 jump-ahead (see the
 constant), so the temporaries of a slice stay cache-resident whatever ``M``
 is and the output is bit-for-bit what a single unsliced pass over the
 stream produces.
+
+A slice depends only on the stream's entry state and its own bounds, so
+one function, :func:`_kronecker_slices`, generates any contiguous range
+of slices on a bit generator of its own.  :func:`kronecker_edges` calls
+it once over every slice, on the caller's thread.
+:class:`KroneckerTasks` hands the same steps to a task graph: the async
+executor runs disjoint slice ranges as concurrent tasks, then the
+permutation draws, then one reorder-and-relabel gather per endpoint
+array, and gets the same edge list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -94,31 +103,45 @@ _SLICE_EDGES = 1 << 16
 _JUMP_AHEAD = (np.random.PCG64, np.random.PCG64DXSM)
 
 
-def _kronecker_block(
-    scale: int,
-    num_edges: int,
-    params: KroneckerParams,
-    rng: np.random.Generator,
-) -> EdgeList:
-    """Generate ``num_edges`` Kronecker edges without permutations.
+def _slice_edges(num_edges: int, kind: type) -> int:
+    """Edges per slice of a block of ``num_edges`` draws from a ``kind``
+    bit generator: the whole block unless the generator can jump."""
+    if num_edges > _SLICE_EDGES and issubclass(kind, _JUMP_AHEAD):
+        return _SLICE_EDGES
+    return num_edges
 
-    Returns labels in :func:`~repro.labels.label_dtype` (``uint32`` up to
-    scale 32, else ``int64``).  Leaves ``rng`` exactly
-    ``2 * scale * num_edges`` draws past where it was, cached 32-bit half
-    included, as the level-major pass over the whole stream does.
+
+def _kronecker_slices(
+    scale: int,
+    params: KroneckerParams,
+    kind: type,
+    entry: dict,
+    first: int,
+    last: int,
+    u: np.ndarray,
+    v: np.ndarray,
+) -> dict:
+    """OR the bits of slices ``first .. last - 1`` into ``u`` and ``v``.
+
+    The block is ``len(u)`` edges drawn from a ``kind`` bit generator
+    that starts in state ``entry``, cut into :func:`_slice_edges` slices.
+    The draws come from a fresh ``kind`` instance with its own scratch
+    buffers, so disjoint ranges may run in any order or on concurrent
+    threads (numpy releases the GIL in the draws and the ufuncs).
+    Returns that instance's final state: the block's end state when the
+    range is a one-slice block.
     """
     ab = params.a + params.b
     c_norm = params.c / (1.0 - ab)
     a_norm = params.a / ab
 
-    bit_generator = rng.bit_generator
-    sliced = num_edges > _SLICE_EDGES and isinstance(bit_generator, _JUMP_AHEAD)
-    step = _SLICE_EDGES if sliced else num_edges
-    entry = bit_generator.state if sliced else None
-
-    dtype = label_dtype(1 << scale).type
-    u = np.zeros(num_edges, dtype=dtype)
-    v = np.zeros(num_edges, dtype=dtype)
+    num_edges = len(u)
+    step = _slice_edges(num_edges, kind)
+    sliced = step < num_edges
+    bit_generator = kind()
+    bit_generator.state = entry
+    rng = np.random.Generator(bit_generator)
+    dtype = u.dtype.type
     # Every temporary of a slice, allocated once: the variates, the row and
     # column bits, a boolean scratch and the shifted bits.
     buffers = (
@@ -128,7 +151,7 @@ def _kronecker_block(
         np.empty(step, dtype=np.bool_),
         np.empty(step, dtype=dtype),
     )
-    for start in range(0, num_edges, step):
+    for start in range(first * step, min(last * step, num_edges), step):
         n = min(step, num_edges - start)
         skip = num_edges - n
         u_bits, v_bits = u[start:start + n], v[start:start + n]
@@ -157,15 +180,125 @@ def _kronecker_block(
             for bit, bits in ((ii_bit, u_bits), (jj_bit, v_bits)):
                 np.left_shift(bit, place, out=shift, dtype=dtype)
                 np.bitwise_or(bits, shift, out=bits)
-    if sliced:
-        # ``advance`` drops a cached 32-bit half-draw; a caller's generator
-        # must keep it, the permutations that follow may consume it.
-        bit_generator.state = entry
-        bit_generator.advance(2 * scale * num_edges)
-        end = bit_generator.state
-        end["has_uint32"], end["uinteger"] = entry["has_uint32"], entry["uinteger"]
+    return bit_generator.state
+
+
+def _skip_block(bit_generator: np.random.BitGenerator, draws: int) -> None:
+    """Move a jump-capable ``bit_generator`` ``draws`` float64 variates on,
+    as drawing them would.  ``advance`` drops a cached 32-bit half-draw;
+    drawing keeps it, and the permutations that follow may consume it."""
+    entry = bit_generator.state
+    bit_generator.advance(draws)
+    end = bit_generator.state
+    end["has_uint32"], end["uinteger"] = entry["has_uint32"], entry["uinteger"]
+    bit_generator.state = end
+
+
+def _zero_labels(scale: int, num_edges: int) -> EdgeList:
+    dtype = label_dtype(1 << scale)
+    return np.zeros(num_edges, dtype=dtype), np.zeros(num_edges, dtype=dtype)
+
+
+def _kronecker_block(
+    scale: int,
+    num_edges: int,
+    params: KroneckerParams,
+    rng: np.random.Generator,
+) -> EdgeList:
+    """Generate ``num_edges`` Kronecker edges without permutations.
+
+    Returns labels in :func:`~repro.labels.label_dtype` (``uint32`` up to
+    scale 32, else ``int64``).  Leaves ``rng`` exactly
+    ``2 * scale * num_edges`` draws past where it was, cached 32-bit half
+    included, as the level-major pass over the whole stream does.  One
+    call of :func:`_kronecker_slices` over every slice, on this thread.
+    """
+    bit_generator = rng.bit_generator
+    kind, entry = type(bit_generator), bit_generator.state
+    u, v = _zero_labels(scale, num_edges)
+    slices = -(-num_edges // _slice_edges(num_edges, kind))
+    end = _kronecker_slices(scale, params, kind, entry, 0, slices, u, v)
+    if slices > 1:
+        _skip_block(bit_generator, 2 * scale * num_edges)
+    else:
         bit_generator.state = end
     return u, v
+
+
+class KroneckerTasks:
+    """:func:`kronecker_edges` cut into steps a task graph can place.
+
+    Takes :func:`kronecker_edges`'s arguments; build it with
+    :meth:`split`.  Run :meth:`fill` over disjoint slice ranges that
+    cover ``range(slices)``, in any order or on concurrent threads; then
+    :meth:`permute`, once; then :meth:`place` on each array it hands
+    over, concurrently if wanted.  The arrays are
+    :func:`kronecker_edges`'s bit for bit, and a caller's generator ends
+    where :func:`kronecker_edges` leaves it.
+    """
+
+    def __init__(
+        self,
+        scale: int,
+        edge_factor: int = 16,
+        *,
+        params: Optional[KroneckerParams] = None,
+        seed: SeedLike = None,
+        num_edges: Optional[int] = None,
+    ) -> None:
+        spec = GeneratorSpec(scale=scale, edge_factor=edge_factor)
+        self.scale, self.num_vertices = scale, spec.num_vertices
+        self.params = params or DEFAULT_PARAMS
+        self.rng = resolve_rng(seed)
+        m = spec.num_edges if num_edges is None else check_positive_int("num_edges", num_edges)
+        bit_generator = self.rng.bit_generator
+        self.kind, self.entry = type(bit_generator), bit_generator.state
+        #: Slices in the block: the ranges :meth:`fill` takes partition
+        #: ``range(slices)``.
+        self.slices = -(-m // _slice_edges(m, self.kind))
+        self._block: Optional[EdgeList] = _zero_labels(scale, m)
+
+    @classmethod
+    def split(cls, *args, **kwargs) -> Optional["KroneckerTasks"]:
+        """The steps, or ``None`` where the block is one slice (too few
+        edges, or a bit generator that cannot jump): nothing to split."""
+        tasks = cls(*args, **kwargs)
+        return tasks if tasks.slices > 1 else None
+
+    def fill(self, first: int, last: int) -> None:
+        """Generate slices ``first .. last - 1`` of the block."""
+        u, v = self._block
+        _kronecker_slices(self.scale, self.params, self.kind, self.entry,
+                          first, last, u, v)
+
+    def permute(self) -> Tuple[EdgeList, Optional[np.ndarray], Optional[np.ndarray]]:
+        """Move the generator past the block and draw the edge order, then
+        the relabelling table, as :func:`kronecker_edges` does; ``None``
+        for each the params switch off.
+
+        Hands the block over and keeps no reference to it: returns
+        ``((u, v), order, relabel)`` for :meth:`place`.
+        """
+        (u, v), self._block = self._block, None
+        _skip_block(self.rng.bit_generator, 2 * self.scale * len(u))
+        order = relabel = None
+        if self.params.permute_edges:
+            order = self.rng.permutation(len(u))
+        if self.params.permute_vertices:
+            relabel = self.rng.permutation(self.num_vertices).astype(
+                u.dtype, copy=False)
+        return (u, v), order, relabel
+
+    @staticmethod
+    def place(
+        labels: np.ndarray,
+        order: Optional[np.ndarray],
+        relabel: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """One endpoint array of the block, reordered and relabelled."""
+        if order is not None:
+            labels = labels[order]
+        return labels if relabel is None else relabel.take(labels)
 
 
 def kronecker_edges(
@@ -212,6 +345,10 @@ def kronecker_edges(
     m = spec.num_edges if num_edges is None else check_positive_int("num_edges", num_edges)
 
     u, v = _kronecker_block(scale, m, params, rng)
+    # Draw and gather in this order: the heap blocks freed here are the
+    # ones Kernel 0's shard writes reuse.  Drawing the table before the
+    # gathers leaves them unusable: 13 k more minor faults in a scale-18
+    # serial write.
     if params.permute_edges:
         order = rng.permutation(m)
         u, v = u[order], v[order]

@@ -9,6 +9,8 @@ executors.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -157,13 +159,17 @@ class TestTimingAttribution:
     @pytest.mark.parametrize("backend", ["scipy", "dataframe"])
     def test_k0_k1_details_keys_match_serial(self, backend, kernel):
         # Serial and async build these records from the same helpers, so
-        # the only keys async may add are its own attribution; its
-        # stages overlap, so it counts minor faults once, with Kernel 3.
+        # the only keys async may add are its own attribution.  Its
+        # stages overlap, so it counts minor faults for the run, with
+        # Kernel 3, and for Kernel 0's generate window, which nothing
+        # else overlaps; Kernel 1 has none.
         serial = run_pipeline(_config(backend, "serial")).kernel(kernel)
         overlapped = run_pipeline(_config(backend, "async")).kernel(kernel)
         async_only = {"execution", "busy_seconds"}
+        counted = {KernelName.K0_GENERATE: {"minor_faults"},
+                   KernelName.K1_SORT: set()}[kernel]
         assert (set(overlapped.details) - async_only
-                == set(serial.details) - {"minor_faults"})
+                == set(serial.details) - {"minor_faults"} | counted)
         assert (set(overlapped.details["phases"])
                 == set(serial.details["phases"]))
 
@@ -245,6 +251,108 @@ class TestContractsAndFailures:
         monkeypatch.setattr(ScipyBackend, "generate_edges", broken)
         with pytest.raises(SchedulerError, match="k0:generate"):
             run_pipeline(_config("scipy", "async"))
+
+
+def _task_spans(result):
+    return {s["name"].split("task:", 1)[1]: s for s in result.trace["spans"]
+            if s["cat"] == "task"}
+
+
+def _cores():
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+#: The bench graph's rank digest: RunSpec(scale=14, seed=1, num_files=4).
+SCALE14_DIGEST = "38544e32d943"
+
+
+class TestKroneckerTasks:
+    """From scale 13 the Kronecker block is two or more slices, and
+    Kernel 0's generate step runs as slice-range tasks, a permute task
+    and one gather per endpoint array; the edge list stays the same."""
+
+    def _run(self, **overrides):
+        fields = {"scale": 13, "num_files": 4, "trace": True, **overrides}
+        return run_pipeline(_config("scipy", "async", **fields))
+
+    def test_generate_tasks_replace_the_one_task(self):
+        result = self._run()
+        spans = _task_spans(result)
+        blocks = [f"k0:generate:{j}" for j in range(min(2, _cores()))]
+        generate = blocks + ["k0:generate:permute", "k0:generate:u",
+                             "k0:generate:v"]
+        shards = range(4)
+        # Every other task is the one-task graph's.
+        assert set(spans) == set(generate) | {
+            *(f"k0:write:{i}" for i in shards), "k0:dataset",
+            *(f"k1:read:{i}" for i in shards), "k1:sort",
+            *(f"k1:write:{i}" for i in shards), "k1:dataset",
+            "k2-filter", "k3-pagerank",
+        }
+
+        def end(name):
+            return spans[name]["start"] + spans[name]["dur"]
+
+        permute = spans["k0:generate:permute"]
+        assert permute["start"] >= max(end(name) for name in blocks)
+        for name in ("k0:generate:u", "k0:generate:v"):
+            assert spans[name]["start"] >= end("k0:generate:permute")
+        assert spans["k0:write:0"]["start"] >= max(
+            end("k0:generate:u"), end("k0:generate:v"))
+        # Every generate task is phase "generate", and only they are.
+        k0 = result.kernel(KernelName.K0_GENERATE)
+        busy = sum(spans[name]["dur"] for name in generate)
+        assert k0.details["phases"]["generate"] == pytest.approx(busy)
+        assert k0.details["minor_faults"] >= 0
+        serial = run_pipeline(_config("scipy", "serial", scale=13,
+                                      num_files=4))
+        np.testing.assert_array_equal(result.rank, serial.rank)
+
+    def test_replaced_generate_step_runs_as_one_task(self, monkeypatch):
+        from repro.backends.base import Backend
+        from repro.backends.scipy_backend import ScipyBackend
+
+        def own_step(self, config):
+            return Backend.generate_edges(self, config)
+
+        monkeypatch.setattr(ScipyBackend, "generate_edges", own_step)
+        result = self._run()
+        generate = {name for name in _task_spans(result)
+                    if name.startswith("k0:generate")}
+        assert generate == {"k0:generate"}
+        assert result.kernel(KernelName.K0_GENERATE).details[
+            "minor_faults"] >= 0
+        np.testing.assert_array_equal(result.rank, self._run().rank)
+
+    @pytest.mark.parametrize("overrides", [
+        {"generator": "erdos-renyi"}, {"scale": 12},
+    ], ids=["other-generator", "one-slice"])
+    def test_other_cases_keep_one_task(self, overrides):
+        generate = {name for name in _task_spans(self._run(**overrides))
+                    if name.startswith("k0:generate")}
+        assert generate == {"k0:generate"}
+
+    @pytest.mark.parametrize("lanes", [
+        {}, {"async_lanes": "process"},
+        {"async_lanes": "process", "shard_plane": "shm"},
+    ], ids=["thread", "process-pipe", "process-shm"])
+    @pytest.mark.parametrize("backend", ["scipy", "numpy"])
+    def test_bench_digest_on_every_lane(self, backend, lanes, tmp_path):
+        from repro.api import RunSpec, execute_spec
+
+        spec = RunSpec(scale=14, seed=1, num_files=4, backend=backend,
+                       execution="async", data_dir=str(tmp_path / "async"),
+                       **lanes)
+        assert execute_spec(spec).rank_digest[:12] == SCALE14_DIGEST
+        # Kernel 0's shards are serial's, byte for byte.
+        execute_spec(RunSpec(scale=14, seed=1, num_files=4, backend=backend,
+                             data_dir=str(tmp_path / "serial")))
+        shards = sorted((tmp_path / "serial" / "k0").glob("part-*"))
+        assert len(shards) == 4
+        for shard in shards:
+            assert shard.read_bytes() == (
+                tmp_path / "async" / "k0" / shard.name).read_bytes()
 
 
 class TestBackendOwnsKernels:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -179,6 +181,107 @@ class TestCallerGenerator:
             theirs.integers(0, 1 << 20, size=3, dtype=np.uint32),
         )
         np.testing.assert_array_equal(ours.random(8), theirs.random(8))
+
+
+_JUMPING = [np.random.PCG64, np.random.PCG64DXSM]
+
+
+def _run_ranges(fill, ranges, threaded):
+    """``fill`` every ``(first, last)`` range in the given order, or all at
+    once from threads, with the interpreter switching threads as often as
+    it can so that interleavings vary."""
+    if not threaded:
+        for first, last in ranges:
+            fill(first, last)
+        return
+    threads = [threading.Thread(target=fill, args=r) for r in ranges]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+class TestSliceRanges:
+    """Any partition of the slices into contiguous ranges, generated in
+    any order or concurrently, is the reference block."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scale=st.integers(1, 12),
+        seed=st.integers(0, 2**32),
+        num_edges=st.integers(2, 3000),
+        full_slices=st.sampled_from([2, 3, 5, 8]),
+        tail=_TAIL,
+        kind=st.sampled_from(_JUMPING),
+        threaded=st.booleans(),
+        data=st.data(),
+    )
+    def test_any_partition_equals_reference(
+        self, scale, seed, num_edges, full_slices, tail, kind, threaded, data
+    ):
+        params = KroneckerParams()
+        with _sliced(num_edges, full_slices, tail):
+            step = kronecker._slice_edges(num_edges, kind)
+            slices = -(-num_edges // step)
+            cuts = data.draw(st.lists(st.integers(1, slices - 1),
+                                      unique=True, max_size=slices - 1))
+            bounds = [0, *sorted(cuts), slices]
+            ranges = data.draw(st.permutations(list(zip(bounds, bounds[1:]))))
+            entry = kind(seed).state
+            u, v = kronecker._zero_labels(scale, num_edges)
+
+            def fill(first, last):
+                kronecker._kronecker_slices(scale, params, kind, entry,
+                                            first, last, u, v)
+
+            _run_ranges(fill, ranges, threaded)
+        want = _reference_block(scale, num_edges, params,
+                                np.random.Generator(kind(seed)))
+        _assert_same_edges((u, v), want, scale)
+
+    @pytest.mark.parametrize("kind", _JUMPING)
+    @pytest.mark.parametrize("cached_half_draw", [False, True])
+    @pytest.mark.parametrize("permute", [False, True])
+    def test_tasks_equal_kronecker_edges_and_its_end_state(
+        self, monkeypatch, kind, cached_half_draw, permute
+    ):
+        monkeypatch.setattr(kronecker, "_SLICE_EDGES", 100)
+        ours = np.random.Generator(kind(42))
+        theirs = np.random.Generator(kind(42))
+        if cached_half_draw:
+            for rng in (ours, theirs):
+                rng.integers(0, 1 << 20, dtype=np.uint32)
+        params = KroneckerParams(permute_vertices=permute,
+                                 permute_edges=permute)
+        tasks = kronecker.KroneckerTasks.split(6, 16, params=params, seed=ours)
+        assert tasks.slices == 11
+        _run_ranges(tasks.fill, [(5, 11), (0, 2), (2, 5)], threaded=True)
+        (u, v), order, relabel = tasks.permute()
+        got = tasks.place(u, order, relabel), tasks.place(v, order, relabel)
+        want = kronecker_edges(6, 16, params=params, seed=theirs)
+        _assert_same_edges(got, want, 6)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        np.testing.assert_array_equal(
+            ours.integers(0, 1 << 20, size=3, dtype=np.uint32),
+            theirs.integers(0, 1 << 20, size=3, dtype=np.uint32),
+        )
+
+    @pytest.mark.parametrize("kind", [np.random.Philox, np.random.MT19937,
+                                      np.random.SFC64])
+    def test_no_split_without_jump_ahead(self, kind):
+        rng = np.random.Generator(kind(3))
+        assert kronecker.KroneckerTasks.split(13, 16, seed=rng) is None
+
+    def test_no_split_of_one_slice(self):
+        assert 16 << 12 == kronecker._SLICE_EDGES
+        assert kronecker.KroneckerTasks.split(12, 16, seed=1) is None
+        assert kronecker.KroneckerTasks.split(13, 16, seed=1).slices == 2
 
 
 class TestGeneratorSpec:
