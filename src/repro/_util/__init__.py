@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from repro._util.timing import StopWatch, Timings, timed
 from repro._util.checks import (
+    check_bool,
     check_dtype,
     check_in_range,
     check_nonneg_int,
@@ -21,6 +22,7 @@ __all__ = [
     "StopWatch",
     "Timings",
     "timed",
+    "check_bool",
     "check_dtype",
     "check_in_range",
     "check_nonneg_int",

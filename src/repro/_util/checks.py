@@ -7,6 +7,7 @@ close to the caller's mistake rather than deep inside numpy.
 
 from __future__ import annotations
 
+import numbers
 from typing import Any, Sized
 
 import numpy as np
@@ -30,8 +31,18 @@ def check_nonneg_int(name: str, value: Any) -> int:
     return int(value)
 
 
+def check_bool(name: str, value: Any) -> bool:
+    """Validate that ``value`` is a ``bool`` (not merely truthy) and return it."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{name} must be a bool, got {type(value).__name__}")
+    return value
+
+
 def check_in_range(name: str, value: float, lo: float, hi: float) -> float:
-    """Validate ``lo <= value <= hi`` and return ``value`` as ``float``."""
+    """Validate that ``value`` is a real number (not a ``bool`` or ``str``)
+    with ``lo <= value <= hi`` and return it as ``float``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
     out = float(value)
     if not lo <= out <= hi:
         raise ValueError(f"{name} must be within [{lo}, {hi}], got {out}")

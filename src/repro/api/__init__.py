@@ -18,13 +18,7 @@ callers that already hold a :class:`~repro.core.config.PipelineConfig`.
 
 from __future__ import annotations
 
-from repro.api.spec import (
-    CACHE_POLICIES,
-    SPEC_VERSION,
-    VALIDATION_MODES,
-    RunSpec,
-    SweepSpec,
-)
+from repro.api.spec import CACHE_POLICIES, SPEC_VERSION, RunSpec, SweepSpec
 from repro.api.scenarios import (
     BUILTIN_SCENARIOS,
     PAPER_SCALES,
@@ -41,6 +35,7 @@ from repro.api.runner import (
     rank_sha256,
     sweep_cells,
 )
+from repro.core.config import VALIDATION_MODES
 
 __all__ = [
     "BUILTIN_SCENARIOS",

@@ -112,7 +112,7 @@ def execute_spec(
     for repeat in range(spec.repeats):
         if progress is not None:
             progress(config, repeat)
-        results.append(run_pipeline(config, verify=spec.verify))
+        results.append(run_pipeline(config))
     records = best_records(
         MeasurementRecord.from_result(result) for result in results
     )

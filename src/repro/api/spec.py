@@ -35,6 +35,7 @@ from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro._util import check_positive_int
 from repro.core.config import (
     DEFAULT_DAMPING,
     DEFAULT_ITERATIONS,
@@ -48,15 +49,6 @@ SPEC_VERSION = 7
 
 #: How a run may interact with the environment's artifact cache.
 CACHE_POLICIES = ("shared", "off")
-
-#: What correctness machinery runs: ``off`` (nothing — tight benchmark
-#: loops), ``contracts`` (the four inter-kernel contracts), ``full``
-#: (contracts + the Section IV.D eigenvector cross-check), and
-#: ``validate-only`` (the eigenvector check without contracts — the
-#: CLI's ``--validate --no-verify``, useful when the contracts' extra
-#: file reads would perturb I/O caches but the endpoint check is
-#: still wanted).
-VALIDATION_MODES = ("off", "contracts", "full", "validate-only")
 
 
 @dataclass(frozen=True)
@@ -78,8 +70,9 @@ class RunSpec:
         ``"shared"`` — the run may read/write the executing
         environment's artifact cache; ``"off"`` — always regenerate.
     validation:
-        ``"off"`` / ``"contracts"`` / ``"full"`` (see
-        :data:`VALIDATION_MODES`).
+        ``"off"`` / ``"contracts"`` / ``"full"`` / ``"validate-only"``
+        (see :data:`~repro.core.config.VALIDATION_MODES`); a pipeline
+        field, copied to the config like the others.
     data_dir:
         Keep kernel files in this directory instead of a temp dir
         (serialised as a string for JSON friendliness).
@@ -127,17 +120,11 @@ class RunSpec:
                 f"RunSpec is version {SPEC_VERSION}; got spec_version="
                 f"{self.spec_version}"
             )
-        if not isinstance(self.repeats, int) or self.repeats < 1:
-            raise ValueError(f"repeats must be an int >= 1, got {self.repeats!r}")
+        check_positive_int("repeats", self.repeats)
         if self.cache_policy not in CACHE_POLICIES:
             raise ValueError(
                 f"cache_policy must be one of {CACHE_POLICIES}, "
                 f"got {self.cache_policy!r}"
-            )
-        if self.validation not in VALIDATION_MODES:
-            raise ValueError(
-                f"validation must be one of {VALIDATION_MODES}, "
-                f"got {self.validation!r}"
             )
         if self.data_dir is not None:
             object.__setattr__(self, "data_dir", str(self.data_dir))
@@ -148,11 +135,6 @@ class RunSpec:
     # ------------------------------------------------------------------
     # Bridges
     # ------------------------------------------------------------------
-    @property
-    def verify(self) -> bool:
-        """Whether the inter-kernel contracts run for this spec."""
-        return self.validation in ("contracts", "full")
-
     def to_config(self, cache_dir: Optional[Path] = None) -> PipelineConfig:
         """Materialise the executable config for one environment.
 
@@ -165,7 +147,6 @@ class RunSpec:
         return PipelineConfig(
             **{name: getattr(self, name) for name in SHARED_FIELDS},
             data_dir=Path(self.data_dir) if self.data_dir else None,
-            validate=self.validation in ("full", "validate-only"),
             cache_dir=(
                 cache_dir
                 if cache_dir is not None and self.cache_policy == "shared"
@@ -294,14 +275,24 @@ class SweepSpec:
     repeats: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scales", tuple(int(s) for s in self.scales))
-        object.__setattr__(self, "backends", tuple(str(b) for b in self.backends))
-        if not self.scales:
-            raise ValueError("SweepSpec needs at least one scale")
-        if not self.backends:
-            raise ValueError("SweepSpec needs at least one backend")
-        if not isinstance(self.repeats, int) or self.repeats < 1:
-            raise ValueError(f"repeats must be an int >= 1, got {self.repeats!r}")
+        # Checked, never coerced: RunSpec refuses scale=6.5, and so does
+        # the grid ("68" is not the scales 6 and 8).
+        for axis, kind in (("scales", int), ("backends", str)):
+            values = getattr(self, axis)
+            if not isinstance(values, (list, tuple)):
+                raise TypeError(
+                    f"{axis} must be a list, got {type(values).__name__}"
+                )
+            for value in values:
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise TypeError(
+                        f"{axis} entries must be {kind.__name__}, got "
+                        f"{value!r}"
+                    )
+            if not values:
+                raise ValueError(f"SweepSpec needs at least one {axis[:-1]}")
+            object.__setattr__(self, axis, tuple(values))
+        check_positive_int("repeats", self.repeats)
         if self.base.repeats != 1:
             raise ValueError(
                 "SweepSpec.base.repeats must be 1; use SweepSpec.repeats "
@@ -348,9 +339,9 @@ class SweepSpec:
             )
         return cls(
             base=RunSpec.from_dict(base_doc),
-            scales=tuple(doc.get("scales", ())),
-            backends=tuple(doc.get("backends", ())),
-            repeats=int(doc.get("repeats", 1)),
+            scales=doc.get("scales", ()),
+            backends=doc.get("backends", ()),
+            repeats=doc.get("repeats", 1),
         )
 
     def spec_hash(self) -> str:

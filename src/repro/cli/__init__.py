@@ -6,7 +6,6 @@ Subcommands::
     repro-pipeline sweep     # (backend x scale) measurement grid
     repro-pipeline figures   # paper figures 4-7, or the K2+K3 ranks table
     repro-pipeline tables    # regenerate paper tables I / II
-    repro-pipeline validate  # eigenvector cross-check of Kernel 3
     repro-pipeline info      # list backends / generators / experiments
 """
 

@@ -99,27 +99,6 @@ def _print_kernel_report(result) -> None:
 DEFAULT_RUN_SCALE = 12
 
 
-def _validation_mode(args: argparse.Namespace, base: str) -> str:
-    """Compose the two independent flag pairs over a base mode.
-
-    ``--validate``/``--no-validate`` toggle the eigenvector check and
-    ``--no-verify`` drops the contracts — each flag moves only its own
-    axis, so ``--no-verify`` on a scenario with full validation yields
-    ``validate-only``, not ``off``.
-    """
-    validate = base in ("full", "validate-only")
-    contracts = base in ("full", "contracts")
-    if args.validate:
-        validate = True
-    if args.no_validate:
-        validate = False
-    if args.no_verify:
-        contracts = False
-    if validate:
-        return "full" if contracts else "validate-only"
-    return "contracts" if contracts else "off"
-
-
 def run_spec_from_args(args: argparse.Namespace) -> RunSpec:
     """Build the job spec the ``run`` command submits.
 
@@ -139,12 +118,8 @@ def run_spec_from_args(args: argparse.Namespace) -> RunSpec:
     if args.trace_path is not None:
         typed["trace"] = True
     if args.scenario is None:
-        spec = RunSpec(**{"scale": DEFAULT_RUN_SCALE, **typed})
-    else:
-        spec = get_scenario(args.scenario, **typed)
-    return spec.with_overrides(
-        validation=_validation_mode(args, base=spec.validation)
-    )
+        return RunSpec(**{"scale": DEFAULT_RUN_SCALE, **typed})
+    return get_scenario(args.scenario, **typed)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -204,7 +179,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(
             f"validation: {status} "
             f"(l1={result.validation['l1_distance']:.4f}, "
-            f"cosine={result.validation['cosine_similarity']:.6f})"
+            f"cosine={result.validation['cosine_similarity']:.6f}, "
+            f"eigenvalue={result.validation['eigenvalue']:.6f}, "
+            f"tolerance={result.validation['tolerance']})"
         )
     return 1 if failed else 0
 
@@ -278,25 +255,6 @@ def cmd_tables(args: argparse.Namespace) -> int:
     output = run_experiment(args.experiment_id, scales=args.scales)
     print(output.text)
     return 0
-
-
-def cmd_validate(args: argparse.Namespace) -> int:
-    """Run the pipeline and the Section IV.D eigenvector check."""
-    spec = RunSpec(
-        scale=args.scale, seed=args.seed, backend=args.backend,
-        validation="full",
-    )
-    result = execute_spec(spec).result
-    report = result.validation
-    assert report is not None
-    status = "PASS" if report["passed"] else "FAIL"
-    print(
-        f"{status}: l1={report['l1_distance']:.6f} "
-        f"cosine={report['cosine_similarity']:.8f} "
-        f"eigenvalue={report['eigenvalue']:.6f} "
-        f"tolerance={report['tolerance']}"
-    )
-    return 0 if report["passed"] else 1
 
 
 def cmd_golden(args: argparse.Namespace) -> int:

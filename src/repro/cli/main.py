@@ -142,20 +142,16 @@ def build_parser() -> argparse.ArgumentParser:
                    "report handoff_mode and shm_bytes_saved")
     spec_flag("--repeats", type=int,
               help="repeat the run; per-kernel records keep the best time")
+    spec_flag("--validation",
+              help="correctness checks: off, contracts (the four "
+                   "inter-kernel contracts, the default), full (contracts "
+                   "plus the eigenvector cross-check after kernel 3; exit "
+                   "1 on FAIL), or validate-only (the cross-check alone)")
     run.add_argument("--cache-dir", default=None,
                      help="reuse kernel 0/1 outputs from this artifact "
                           "cache (created on first use); the cached "
                           "kernel files then live under the cache, not "
                           "--data-dir")
-    run.add_argument("--validate", action="store_true",
-                     help="run the eigenvector cross-check after kernel 3")
-    run.add_argument("--no-validate", action="store_true",
-                     help="skip the eigenvector cross-check even if "
-                          "--validate was given (overrides it)")
-    run.add_argument("--no-verify", action="store_true",
-                     help="skip the inter-kernel contract checks "
-                          "(benchmark loops only; validation is separate, "
-                          "see --no-validate)")
     run.add_argument("--trace", dest="trace_path", metavar="PATH",
                      default=None,
                      help="record a span trace of the run (executor "
@@ -199,14 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["table1", "table2"])
     tables.add_argument("--scales", type=_csv_ints, default=None)
     tables.set_defaults(func=commands.cmd_tables)
-
-    validate = sub.add_parser(
-        "validate", help="eigenvector cross-check of a pipeline run"
-    )
-    validate.add_argument("--scale", type=int, default=10)
-    validate.add_argument("--backend", default="scipy")
-    validate.add_argument("--seed", type=int, default=1)
-    validate.set_defaults(func=commands.cmd_validate)
 
     golden = sub.add_parser(
         "golden",

@@ -205,9 +205,7 @@ class AsyncExecutor(Executor):
         self.max_workers = max_workers
 
     # ------------------------------------------------------------------
-    def _run_stages(
-        self, ctx: StageContext, result: PipelineResult, *, verify: bool
-    ) -> None:
+    def _run_stages(self, ctx: StageContext, result: PipelineResult) -> None:
         faults = minor_faults()
         fine = self._fine_grained(ctx)
         codec_lane = self._codec_lane(ctx.config, fine)
@@ -219,7 +217,7 @@ class AsyncExecutor(Executor):
             resolve_payload_via(ctx.config.shard_plane)
             if codec_lane == "process" else "pipe",
         )
-        graph, artifact_tasks = self._build_graph(ctx, verify, fine, route)
+        graph, artifact_tasks = self._build_graph(ctx, fine, route)
         lane_pool = (
             ProcessLanePool(DEFAULT_LANE_WORKERS)
             if codec_lane == "process" else None
@@ -357,7 +355,7 @@ class AsyncExecutor(Executor):
     # Graph construction
     # ------------------------------------------------------------------
     def _build_graph(
-        self, ctx: StageContext, verify: bool, fine: bool, route: _CodecRoute,
+        self, ctx: StageContext, fine: bool, route: _CodecRoute,
     ) -> Tuple[TaskGraph, Dict[str, str]]:
         """Expand :data:`~repro.core.stages.STAGES` into a task graph.
 
@@ -398,20 +396,18 @@ class AsyncExecutor(Executor):
                 deps = deps[-1:]  # the previous stage's artifact task
             if stage.kernel is KernelName.K0_GENERATE and fine:
                 task, k0_write_tasks = self._expand_generate(
-                    graph, ctx, stage, verify, route
+                    graph, ctx, stage, route
                 )
             elif stage.kernel is KernelName.K1_SORT and fine:
                 task, k1_sort_task = self._expand_sort(
-                    graph, ctx, stage, k0_write_tasks, deps, verify, route
+                    graph, ctx, stage, k0_write_tasks, deps, route
                 )
             elif (stage.kernel is KernelName.K2_FILTER and own_build
                   and k1_sort_task is not None):
-                task = self._expand_filter(
-                    graph, ctx, stage, k1_sort_task, verify
-                )
+                task = self._expand_filter(graph, ctx, stage, k1_sort_task)
             else:
                 task = self._stage_task(
-                    graph, ctx, stage, deps, verify,
+                    graph, ctx, stage, deps,
                     lambda results, stage=stage: self._run_stage(stage, ctx),
                 )
             artifact_tasks[stage.provides] = task
@@ -419,7 +415,7 @@ class AsyncExecutor(Executor):
 
     def _stage_task(
         self, graph: TaskGraph, ctx: StageContext, stage: Stage, deps,
-        verify: bool, compute: Callable[[Dict[str, object]], StageOutput],
+        compute: Callable[[Dict[str, object]], StageOutput],
     ) -> str:
         """One stage as one task: ``compute`` (for a coarse stage, the
         base handlers, which include the artifact-cache paths), then the
@@ -429,7 +425,7 @@ class AsyncExecutor(Executor):
             output, details = compute(results)
             details = dict(details)
             ctx.artifacts[stage.provides] = output
-            self._check_contract(stage, ctx, details, verify)
+            self._check_contract(stage, ctx, details)
             return output, details
 
         return graph.add(
@@ -438,7 +434,7 @@ class AsyncExecutor(Executor):
         )
 
     def _expand_generate(
-        self, graph: TaskGraph, ctx: StageContext, stage: Stage, verify: bool,
+        self, graph: TaskGraph, ctx: StageContext, stage: Stage,
         route: _CodecRoute,
     ) -> Tuple[str, List[str]]:
         """Kernel 0 as generate → shard writes → publish.
@@ -493,7 +489,7 @@ class AsyncExecutor(Executor):
             return dataset, details
 
         return self._write_and_publish(
-            graph, ctx, stage, verify, route, out_dir, sources, (), publish
+            graph, ctx, stage, route, out_dir, sources, (), publish
         )
 
     @staticmethod
@@ -565,7 +561,6 @@ class AsyncExecutor(Executor):
         stage: Stage,
         k0_write_tasks: List[str],
         artifact_deps: Tuple[str, ...],
-        verify: bool,
         route: _CodecRoute,
     ) -> Tuple[str, str]:
         """Kernel 1 as shard reads → sort → shard writes → publish.
@@ -633,7 +628,7 @@ class AsyncExecutor(Executor):
         # artifact_deps (the K0 dataset task) is an ordering dependency:
         # the sort contract re-reads the K0 artifact from ctx.
         publish_task, _ = self._write_and_publish(
-            graph, ctx, stage, verify, route, out_dir, (sort_task,),
+            graph, ctx, stage, route, out_dir, (sort_task,),
             artifact_deps,
             lambda shards: publish_kernel1(
                 ctx.backend, config, out_dir, shards
@@ -646,7 +641,6 @@ class AsyncExecutor(Executor):
         graph: TaskGraph,
         ctx: StageContext,
         stage: Stage,
-        verify: bool,
         route: _CodecRoute,
         out_dir: Path,
         sources: Tuple[str, ...],
@@ -711,7 +705,7 @@ class AsyncExecutor(Executor):
                 [results[name] for name in write_tasks]
             )
             ctx.artifacts[stage.provides] = dataset
-            self._check_contract(stage, ctx, details, verify)
+            self._check_contract(stage, ctx, details)
             return dataset, details
 
         publish_task = graph.add(
@@ -722,7 +716,7 @@ class AsyncExecutor(Executor):
 
     def _expand_filter(
         self, graph: TaskGraph, ctx: StageContext, stage: Stage,
-        k1_sort_task: str, verify: bool,
+        k1_sort_task: str,
     ) -> str:
         """Kernel 2 as the backend's build step on the sort hand-off.
 
@@ -744,9 +738,7 @@ class AsyncExecutor(Executor):
             )
             return handle, {**details, "ingest_source": "k1-handoff"}
 
-        return self._stage_task(
-            graph, ctx, stage, (k1_sort_task,), verify, build
-        )
+        return self._stage_task(graph, ctx, stage, (k1_sort_task,), build)
 
     # ------------------------------------------------------------------
     # Result assembly

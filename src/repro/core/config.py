@@ -17,7 +17,12 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro._util import check_in_range, check_nonneg_int, check_positive_int
+from repro._util import (
+    check_bool,
+    check_in_range,
+    check_nonneg_int,
+    check_positive_int,
+)
 from repro.core.shmplane import SHARD_PLANES
 from repro.generators.base import BYTES_PER_EDGE, GeneratorSpec
 
@@ -47,6 +52,13 @@ DEFAULT_PARALLEL_RANKS = 4
 #: Default pass-1 batch size for the "streaming" strategy (config and
 #: :func:`repro.core.streaming.streaming_kernel2`).
 DEFAULT_STREAMING_BATCH_EDGES = 1 << 18
+#: What correctness machinery runs: ``off`` (nothing — tight benchmark
+#: loops), ``contracts`` (the four inter-kernel contracts), ``full``
+#: (contracts + the Section IV.D eigenvector cross-check), and
+#: ``validate-only`` (the eigenvector check without contracts, for when
+#: the contracts' extra file reads would perturb I/O caches but the
+#: endpoint check is still wanted).
+VALIDATION_MODES = ("off", "contracts", "full", "validate-only")
 #: Enum-valued fields and their legal values: the one table
 #: :class:`PipelineConfig` validates against and the CLI reads for
 #: ``choices=``.  (``SHARD_PLANES`` lives in :mod:`repro.core.shmplane`,
@@ -54,6 +66,7 @@ DEFAULT_STREAMING_BATCH_EDGES = 1 << 18
 FIELD_CHOICES = {
     "file_format": ("tsv", "npy", "tsv.gz"),
     "formula": ("appendix", "paper-body"),
+    "validation": VALIDATION_MODES,
     "execution": EXECUTION_MODES,
     "parallel_executor": ("sim", "mp"),
     "async_lanes": ("thread", "process"),
@@ -91,7 +104,8 @@ class PipelineConfig:
     vertex_base:
         On-disk vertex label base (0, or 1 for Matlab convention).
     file_format:
-        ``"tsv"`` (paper) or ``"npy"`` (binary ablation).
+        ``"tsv"`` (paper), ``"tsv.gz"`` (the same text, gzip-compressed)
+        or ``"npy"`` (binary ablation).
     sort_by_end_vertex:
         Also order ties by end vertex (paper's open question).  Kernel 1
         has one in-memory sort, :func:`repro.sort.inmemory.sort_edges`:
@@ -105,8 +119,11 @@ class PipelineConfig:
         Kernel 3 update form: ``"appendix"`` (with ``/N``, the correct
         PageRank) or ``"paper-body"`` (the body text's typo, kept for
         documentation of the divergence).
-    validate:
-        Run the eigenvector cross-check after Kernel 3 (small scales).
+    validation:
+        Which correctness checks run (:data:`VALIDATION_MODES`): the
+        inter-kernel contracts (:attr:`verify`), the eigenvector
+        cross-check after Kernel 3 (:attr:`validate`, small scales),
+        both, or neither.
     execution:
         Execution strategy: ``"serial"`` (in-memory, the default),
         ``"streaming"`` (out-of-core Kernel 2), ``"parallel"``
@@ -163,7 +180,7 @@ class PipelineConfig:
     sort_by_end_vertex: bool = False
     external_sort: bool = False
     formula: str = "appendix"
-    validate: bool = False
+    validation: str = "contracts"
     execution: str = "serial"
     cache_dir: Optional[Path] = None
     parallel_ranks: int = DEFAULT_PARALLEL_RANKS
@@ -178,6 +195,10 @@ class PipelineConfig:
         check_positive_int("edge_factor", self.edge_factor)
         check_nonneg_int("seed", self.seed)
         check_positive_int("num_files", self.num_files)
+        for name in ("backend", "generator"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise TypeError(f"{name} must be a str, got {type(value).__name__}")
         check_in_range("damping", self.damping, 0.0, 1.0)
         check_positive_int("iterations", self.iterations)
         check_nonneg_int("vertex_base", self.vertex_base)
@@ -191,10 +212,23 @@ class PipelineConfig:
                 )
         check_positive_int("parallel_ranks", self.parallel_ranks)
         check_positive_int("streaming_batch_edges", self.streaming_batch_edges)
+        for name in ("sort_by_end_vertex", "external_sort", "trace"):
+            check_bool(name, getattr(self, name))
         if self.data_dir is not None:
             object.__setattr__(self, "data_dir", Path(self.data_dir))
         if self.cache_dir is not None:
             object.__setattr__(self, "cache_dir", Path(self.cache_dir))
+
+    @property
+    def verify(self) -> bool:
+        """Whether the inter-kernel contracts run (``contracts``, ``full``)."""
+        return self.validation in ("contracts", "full")
+
+    @property
+    def validate(self) -> bool:
+        """Whether the eigenvector cross-check runs (``full``,
+        ``validate-only``)."""
+        return self.validation in ("full", "validate-only")
 
     # ------------------------------------------------------------------
     # Derived sizes (paper Section IV.A / Table II)

@@ -86,8 +86,6 @@ class Executor:
         self,
         config: PipelineConfig,
         backend: Optional[Backend] = None,
-        *,
-        verify: bool = True,
     ) -> PipelineResult:
         """Run the four stages and return the aggregated result.
 
@@ -96,12 +94,12 @@ class Executor:
         config:
             The run configuration (``config.execution`` is *not*
             consulted here — calling an executor runs that executor).
+            ``config.verify`` enforces each stage's
+            :class:`~repro.core.stages.Contract` (outside the timed
+            regions); ``config.validate`` adds the eigenvector check.
         backend:
             Backend instance; resolved from ``config.backend`` when
             omitted.
-        verify:
-            Enforce each stage's :class:`~repro.core.stages.Contract`
-            (outside the timed regions).
         """
         backend = self._resolve_backend(config, backend)
         own_dir = config.data_dir is None
@@ -120,7 +118,7 @@ class Executor:
                                execution=self.name or type(self).__name__,
                                backend=backend.name, scale=config.scale):
                 wall = StopWatch().start()
-                self._run_stages(ctx, result, verify=verify)
+                self._run_stages(ctx, result)
                 result.wall_seconds = wall.stop()
                 result.rank = np.asarray(ctx.require(ARTIFACT_RANK))
                 if config.validate:
@@ -148,9 +146,7 @@ class Executor:
             )
         return backend
 
-    def _run_stages(
-        self, ctx: StageContext, result: PipelineResult, *, verify: bool
-    ) -> None:
+    def _run_stages(self, ctx: StageContext, result: PipelineResult) -> None:
         """Run every stage of :data:`~repro.core.stages.STAGES` in order,
         timing each from outside.
 
@@ -179,22 +175,21 @@ class Executor:
                 sp.set(seconds=seconds,
                        officially_timed=stage.officially_timed)
             ctx.artifacts[stage.provides] = output
-            self._check_contract(stage, ctx, details, verify)
+            self._check_contract(stage, ctx, details)
             result.kernels.append(stage.result(ctx.config, seconds, details))
 
     @staticmethod
-    def _check_contract(
-        stage: Stage, ctx: StageContext, details: Details, verify: bool
-    ) -> None:
+    def _check_contract(stage: Stage, ctx: StageContext, details: Details) -> None:
         """Check the stage's contract once its artifact is stored.
 
         Every executor calls this right after a stage completes, so a
         violation aborts the run before downstream stages waste work.
         The check runs outside the stage's timed region, under a
         ``contract:<kernel>`` span, and its duration is recorded as
-        ``details["contract_seconds"]``.
+        ``details["contract_seconds"]``.  Nothing runs unless
+        ``ctx.config.verify``.
         """
-        if not verify:
+        if not ctx.config.verify:
             return
         with trace.span(f"contract:{stage.kernel.value}", cat="verify"):
             watch = StopWatch().start()

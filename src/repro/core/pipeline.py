@@ -37,7 +37,6 @@ def run_pipeline(
     config: PipelineConfig,
     *,
     backend: Optional[Backend] = None,
-    verify: bool = True,
 ) -> PipelineResult:
     """Execute Kernels 0–3 and return the aggregated result.
 
@@ -45,13 +44,12 @@ def run_pipeline(
     ----------
     config:
         The run configuration; ``config.execution`` selects the
-        strategy.
+        strategy and ``config.validation`` the checks (the default,
+        ``"contracts"``, runs the inter-kernel contracts; ``"off"``
+        belongs inside tight benchmark loops, where the checks' extra
+        file reads would perturb I/O caches).
     backend:
         Backend instance; resolved from ``config.backend`` when omitted.
-    verify:
-        Run the inter-kernel contract checks (recommended; disable
-        only inside tight benchmark loops where the checks' extra
-        file reads would perturb I/O caches).
 
     Examples
     --------
@@ -65,6 +63,6 @@ def run_pipeline(
     # stage (Kernel 3).
     heap_policy = keep_heap()
     executor = get_executor(config.execution)
-    result = executor.execute(config, backend, verify=verify)
+    result = executor.execute(config, backend)
     result.kernels[-1].details["heap_policy"] = heap_policy
     return result

@@ -95,7 +95,8 @@ class PipelineResult:
     rank:
         Final PageRank vector (length ``N``).
     validation:
-        Eigenvector cross-check output when ``config.validate`` was set.
+        Eigenvector cross-check output when ``config.validation`` asked
+        for it (``full`` or ``validate-only``).
     wall_seconds:
         Measured end-to-end wall-clock of the whole run (set by the
         executors).  Equals roughly :attr:`total_seconds` for serial

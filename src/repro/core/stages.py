@@ -222,7 +222,8 @@ class Stage:
         reads the one before it.
     contract:
         Post-condition verified (outside the timed region) when the
-        executor runs with ``verify=True``.
+        run's ``config.verify`` holds (``validation`` is ``contracts``
+        or ``full``).
     officially_timed:
         False for Kernel 0 (paper: "performance is not part of the
         benchmark" but still reported for Figure 4).

@@ -253,7 +253,7 @@ class EdgeDataset:
 
     @property
     def fmt(self) -> str:
-        """Payload format, ``"tsv"`` or ``"npy"``."""
+        """Payload format: ``"tsv"``, ``"tsv.gz"`` or ``"npy"``."""
         return self.manifest.fmt
 
     def shard_paths(self) -> List[Path]:
@@ -302,7 +302,7 @@ class EdgeDataset:
         vertex_base:
             On-disk label base.
         fmt:
-            ``"tsv"`` (paper format) or ``"npy"``.
+            ``"tsv"`` (paper format), ``"tsv.gz"`` or ``"npy"``.
         extra:
             Free-form metadata stored in the manifest.
         """

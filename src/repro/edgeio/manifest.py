@@ -59,7 +59,7 @@ class DatasetManifest:
     shards:
         Per-shard info, in shard order.
     fmt:
-        Payload format: ``"tsv"`` or ``"npy"``.
+        Payload format: ``"tsv"``, ``"tsv.gz"`` or ``"npy"``.
     extra:
         Free-form metadata (e.g. generating kernel, config echo).
     """

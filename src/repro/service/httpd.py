@@ -426,9 +426,9 @@ class BenchmarkRequestHandler(BaseHTTPRequestHandler):
         # grid can sweep one axis and inherit the other.
         return SweepSpec(
             base=base,
-            scales=tuple(sweep_doc.get("scales", (base.scale,))),
-            backends=tuple(sweep_doc.get("backends", (base.backend,))),
-            repeats=int(sweep_doc.get("repeats", resolved.repeats)),
+            scales=sweep_doc.get("scales", (base.scale,)),
+            backends=sweep_doc.get("backends", (base.backend,)),
+            repeats=sweep_doc.get("repeats", resolved.repeats),
         )
 
     def do_DELETE(self) -> None:  # noqa: N802

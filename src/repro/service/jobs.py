@@ -149,8 +149,8 @@ class Job:
         For run jobs this carries the per-kernel records, the bit-exact
         rank digest (:func:`repro.api.runner.rank_sha256`), and — when
         the spec asked for it — the eigenvector validation verdicts, so
-        a remote client sees exactly what ``repro run --validate``
-        would.  For sweep parents it carries the assembled sweep table
+        a remote client sees exactly what ``repro run --validation
+        full`` would.  For sweep parents it carries the assembled sweep table
         (per-cell documents plus the flattened grid-ordered records).
         """
         doc = self.view()

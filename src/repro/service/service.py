@@ -491,7 +491,7 @@ class BenchmarkService:
             error = f"{type(exc).__name__}: {exc}"
         if error is None:
             # A run whose eigenvector validation FAILed is a benchmark
-            # failure, mirroring `repro run --validate`'s exit 1; the
+            # failure, mirroring `repro run --validation full`'s exit 1; the
             # payload is kept so result_doc still shows the verdict.
             failed = [
                 verdict for verdict in (payload.get("validation") or [])

@@ -79,7 +79,7 @@ class TestResultParity:
         np.testing.assert_array_equal(concurrent.rank, serialised.rank)
 
     def test_validation_runs_under_async(self):
-        result = run_pipeline(_config("scipy", "async", validate=True))
+        result = run_pipeline(_config("scipy", "async", validation="full"))
         assert result.validation is not None
         assert result.validation["passed"]
 
@@ -234,9 +234,9 @@ class TestContractsAndFailures:
         monkeypatch.setattr(GenerateContract, "check", impossible)
         with pytest.raises(KernelContractError, match="injected"):
             AsyncExecutor().execute(_config("scipy", "async"))
-        # verify=False must skip the same contract.
+        # validation="off" must skip the same contract.
         result = AsyncExecutor().execute(
-            _config("scipy", "async"), verify=False
+            _config("scipy", "async", validation="off")
         )
         assert result.rank is not None
 
@@ -526,7 +526,8 @@ class TestProcessLanes:
 
     def test_validation_runs_with_process_lanes(self):
         result = run_pipeline(
-            _config("scipy", "async", async_lanes="process", validate=True)
+            _config("scipy", "async", async_lanes="process",
+                    validation="full")
         )
         assert result.validation is not None
         assert result.validation["passed"]

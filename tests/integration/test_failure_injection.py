@@ -44,10 +44,10 @@ class TestContractEnforcement:
         with pytest.raises(KernelContractError, match="non-finite"):
             run_pipeline(self.CONFIG, backend=_NaNK3())
 
-    def test_verify_false_does_not_hide_k3_shape_errors(self):
-        # verify=False skips checks entirely — document that trade-off.
-        result = run_pipeline(self.CONFIG, backend=_UnsortedK1(),
-                              verify=False)  # no error, caller opted out
+    def test_validation_off_does_not_hide_k3_shape_errors(self):
+        # validation="off" skips checks entirely — document that trade-off.
+        result = run_pipeline(self.CONFIG.with_overrides(validation="off"),
+                              backend=_UnsortedK1())  # no error, caller opted out
         assert result.rank is not None
 
 

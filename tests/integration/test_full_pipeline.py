@@ -15,7 +15,7 @@ ALL_BACKENDS = ["python", "numpy", "scipy", "dataframe", "graphblas"]
 class TestEveryBackendEndToEnd:
     def test_full_run_with_contracts_and_validation(self, backend):
         config = PipelineConfig(scale=7, seed=5, backend=backend,
-                                num_files=3, validate=True)
+                                num_files=3, validation="full")
         result = run_pipeline(config)
         assert len(result.kernels) == 4
         assert result.rank is not None and len(result.rank) == 128
@@ -61,9 +61,10 @@ class TestConfigurations:
     def test_alternative_generators(self, generator):
         # Alternative generators do not guarantee M = 16N (BTER/PPL hit
         # the budget approximately), so contract checks on edge counts
-        # are skipped via verify=False; the pipeline itself must run.
-        config = PipelineConfig(scale=6, seed=3, generator=generator)
-        result = run_pipeline(config, verify=False)
+        # are skipped via validation="off"; the pipeline itself must run.
+        config = PipelineConfig(scale=6, seed=3, generator=generator,
+                                validation="off")
+        result = run_pipeline(config)
         assert result.rank is not None
         assert np.isfinite(result.rank).all()
 
@@ -72,8 +73,8 @@ class TestConfigurations:
         # eliminates *all* columns (every din == 1 == max) — an edge
         # case the paper's leaf rule implies.
         config = PipelineConfig(scale=5, seed=1, generator="ring",
-                                edge_factor=1)
-        result = run_pipeline(config, verify=False)
+                                edge_factor=1, validation="off")
+        result = run_pipeline(config)
         n = config.num_vertices
         k2 = result.kernel(KernelName.K2_FILTER)
         assert k2.details["nnz"] == 0  # every column was max-degree & leaf
@@ -142,8 +143,8 @@ class TestRunPipelineArguments:
                               backend=ScipyBackend())
         assert result.rank is not None
 
-    def test_verify_false_skips_checks(self):
+    def test_validation_off_skips_checks(self):
         # Still runs fine; just no re-reading of K1 output.
-        result = run_pipeline(PipelineConfig(scale=6, seed=1), verify=False)
+        result = run_pipeline(PipelineConfig(scale=6, seed=1, validation="off"))
         assert len(result.kernels) == 4
 

@@ -111,6 +111,20 @@ class TestHTTPService:
                 _post(f"{served}/jobs", body)
             assert excinfo.value.code == 400
 
+    def test_mistyped_fields_are_400_and_queue_nothing(self, served):
+        # Checked, never coerced: "no" is not a bool, "68" is not the
+        # scales 6 and 8.
+        for body in (
+            {"scenario": "smoke", "overrides": {"external_sort": "no"}},
+            {"sweep": {"base": RunSpec(scale=6).to_dict(),
+                       "scales": "68", "backends": ["numpy"]}},
+            {"scenario": "smoke", "sweep": {"scales": "68"}},
+        ):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(f"{served}/jobs", body)
+            assert excinfo.value.code == 400, body
+        assert _get(f"{served}/jobs")[1]["jobs"] == []
+
     def test_unknown_job_is_404(self, served):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{served}/jobs/job-99999", timeout=30)

@@ -165,9 +165,10 @@ class TestAsyncHandOff:
             return info
 
         monkeypatch.setattr(async_executor, "write_shard", write_then_change)
-        config = PipelineConfig(**self.CONFIG, data_dir=tmp_path)
+        config = PipelineConfig(**self.CONFIG, data_dir=tmp_path,
+                                validation="off")
         with pytest.raises(SchedulerError, match=_K1_READ_CRC):
-            run_pipeline(config, verify=False)
+            run_pipeline(config)
 
     @pytest.mark.parametrize("plane", [
         "pipe",
@@ -190,10 +191,10 @@ class TestAsyncHandOff:
         )
         config = PipelineConfig(
             **self.CONFIG, data_dir=tmp_path, async_lanes="process",
-            shard_plane=plane,
+            shard_plane=plane, validation="off",
         )
         with pytest.raises(SchedulerError, match=_K1_READ_CRC):
-            run_pipeline(config, verify=False)
+            run_pipeline(config)
 
 
 class TestImportEntry:

@@ -7,11 +7,11 @@ import json
 
 import pytest
 
+from repro.api import VALIDATION_MODES
 from repro.api.spec import (
     CACHE_POLICIES,
     SHARED_FIELDS,
     SPEC_VERSION,
-    VALIDATION_MODES,
     RunSpec,
     SweepSpec,
 )
@@ -112,7 +112,7 @@ class TestSharedFieldTable:
         assert set(SHARED_FIELDS) == common - {"data_dir"}
         # What the config has and the spec spells differently.
         assert set(PipelineConfig.__dataclass_fields__) - common == {
-            "validate", "cache_dir"}
+            "cache_dir"}
 
     @pytest.mark.parametrize("name", SHARED_FIELDS)
     def test_defaults_agree(self, name):
@@ -156,6 +156,22 @@ class TestRunSpecValidation:
         with pytest.raises(ValueError):
             RunSpec(scale=6, **{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("sort_by_end_vertex", 1),
+        ("external_sort", "no"),
+        ("trace", "yes"),
+        ("backend", 5),
+        ("generator", ["x"]),
+        ("damping", "0.85"),
+        ("damping", True),
+        ("repeats", True),
+        ("repeats", 2.0),
+        ("scale", 6.5),
+    ])
+    def test_wrong_types_are_refused_not_coerced(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            RunSpec(scale=6, **{field: value})
+
     def test_mode_tables_are_exposed(self):
         assert "shared" in CACHE_POLICIES
         assert {"off", "contracts", "full"} <= set(VALIDATION_MODES)
@@ -174,22 +190,22 @@ class TestRunSpecHash:
 
 
 class TestConfigBridge:
-    def test_to_config_maps_validation_modes(self):
-        assert RunSpec(scale=6, validation="off").to_config().validate is False
-        assert RunSpec(scale=6, validation="full").to_config().validate is True
-        assert RunSpec(
-            scale=6, validation="validate-only"
-        ).to_config().validate is True
+    @pytest.mark.parametrize("mode,verify,validate", [
+        ("off", False, False),
+        ("contracts", True, False),
+        ("full", True, True),
+        ("validate-only", False, True),
+    ])
+    def test_validation_is_copied_and_mapped_by_the_config(
+            self, mode, verify, validate):
+        config = RunSpec(scale=6, validation=mode).to_config()
+        assert config.validation == mode
+        assert (config.verify, config.validate) == (verify, validate)
+        assert not hasattr(RunSpec(scale=6), "verify")
 
     def test_invalid_shard_plane_rejected(self):
         with pytest.raises(ValueError, match="shard_plane"):
             RunSpec(scale=6, shard_plane="udp")
-
-    def test_verify_property(self):
-        assert RunSpec(scale=6, validation="contracts").verify
-        assert RunSpec(scale=6, validation="full").verify
-        assert not RunSpec(scale=6, validation="off").verify
-        assert not RunSpec(scale=6, validation="validate-only").verify
 
     def test_cache_policy_gates_cache_dir(self, tmp_path):
         shared = RunSpec(scale=6, cache_policy="shared")
@@ -203,7 +219,7 @@ class TestConfigBridge:
                        parallel_executor="mp", data_dir=tmp_path / "d")
         config = spec.to_config(tmp_path)
         assert config == PipelineConfig(
-            scale=7, backend="numpy", validate=True, cache_dir=tmp_path,
+            scale=7, backend="numpy", validation="full", cache_dir=tmp_path,
             parallel_executor="mp", data_dir=tmp_path / "d",
         )
         for name in SHARED_FIELDS:
@@ -251,6 +267,22 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="repeats"):
             SweepSpec(base=RunSpec(scale=1), scales=(6,),
                       backends=("scipy",), repeats=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("scales", "68"),
+        ("scales", [6.9, 7]),
+        ("scales", [6, "7"]),
+        ("scales", [True]),
+        ("backends", "numpy"),
+        ("backends", ["scipy", 5]),
+        ("repeats", 2.7),
+        ("repeats", True),
+    ])
+    def test_axes_are_checked_not_coerced(self, field, value):
+        doc = {"base": {"scale": 6}, "scales": [6], "backends": ["scipy"],
+               field: value}
+        with pytest.raises(TypeError, match=field):
+            SweepSpec.from_dict(doc)
 
     def test_base_repeats_must_be_one(self):
         with pytest.raises(ValueError, match="base.repeats"):

@@ -47,7 +47,7 @@ class TestParser:
             "--ranks", "3", "--parallel-executor", "mp",
             "--batch-edges", "1024", "--async-lanes", "process",
             "--shard-plane", "shm", "--repeats", "2",
-            "--validate", "--trace", "/tmp/t.json",
+            "--validation", "full", "--trace", "/tmp/t.json",
         )
         assert spec == RunSpec(
             scale=7, edge_factor=8, backend="numpy", generator="ring",
@@ -120,13 +120,22 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "--sort-algorithm" in capsys.readouterr().err
 
-    def test_run_verify_and_validate_flags_are_independent(self):
-        args = build_parser().parse_args(
-            ["run", "--validate", "--no-validate", "--no-verify"]
-        )
-        assert args.validate and args.no_validate and args.no_verify
-        defaults = build_parser().parse_args(["run"])
-        assert not defaults.no_validate and not defaults.no_verify
+    def test_validation_is_one_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        help_text = capsys.readouterr().out
+        assert "--validation" in help_text
+        for flag in ("--validate", "--no-validate", "--no-verify"):
+            assert flag not in help_text
+            with pytest.raises(SystemExit) as exit_info:
+                main(["run", flag])
+            assert exit_info.value.code == 2
+
+    def test_validate_command_is_gone(self):
+        # `repro run --validation full` is the eigenvector check.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["validate", "--scale", "6"])
+        assert exit_info.value.code == 2
 
 
 class TestCommands:
@@ -156,24 +165,31 @@ class TestCommands:
         assert len(doc["kernels"]) == 4
 
     def test_run_with_validation(self, capsys):
-        code = main(["run", "--scale", "6", "--validate"])
+        code = main(["run", "--scale", "6", "--validation", "full"])
         out = capsys.readouterr().out
         assert code == 0
         assert "validation: PASS" in out
+        assert "eigenvalue=" in out and "tolerance=" in out
 
-    def test_no_validate_skips_only_validation(self, capsys):
+    def test_validation_contracts_skips_only_the_eigenvector_check(
+            self, capsys):
         # Contracts still run (and pass); the eigenvector check is off.
-        code = main(["run", "--scale", "6", "--validate", "--no-validate"])
-        out = capsys.readouterr().out
+        code = main(["run", "--scale", "6", "--validation", "contracts",
+                     "--json"])
+        doc = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert "validation:" not in out
-        assert "k3-pagerank" in out
+        assert "validation" not in doc
+        assert doc["config"]["validation"] == "contracts"
+        assert all("contract_seconds" in k["details"] for k in doc["kernels"])
 
-    def test_no_verify_skips_contracts_but_not_validation(self, capsys):
-        code = main(["run", "--scale", "6", "--validate", "--no-verify"])
-        out = capsys.readouterr().out
+    @pytest.mark.parametrize("mode", ["validate-only", "off"])
+    def test_validation_without_contracts(self, mode, capsys):
+        code = main(["run", "--scale", "6", "--validation", mode, "--json"])
+        doc = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert "validation: PASS" in out
+        assert ("validation" in doc) == (mode == "validate-only")
+        assert not any("contract_seconds" in k["details"]
+                       for k in doc["kernels"])
 
     def test_run_streaming_execution(self, capsys):
         assert main(["run", "--scale", "6", "--execution", "streaming",
@@ -310,18 +326,6 @@ class TestCommands:
         assert main(["run", "--scale", "6", "--data-dir", str(tmp_path)]) == 0
         assert (tmp_path / "k0" / "manifest.json").exists()
         assert (tmp_path / "k1" / "manifest.json").exists()
-
-    def test_validate_command(self, capsys):
-        assert main(["validate", "--scale", "6", "--backend", "scipy"]) == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_validate_has_no_tolerance_flag(self, capsys):
-        # The check's tolerance is a constant; a flag that parsed a
-        # value and then ignored it is gone, so typing it is misuse.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["validate", "--scale", "6", "--tolerance", "0.5"])
-        assert excinfo.value.code == 2
-        assert "--tolerance" in capsys.readouterr().err
 
     @pytest.mark.parametrize("executor", ["sim", "mp"])
     def test_run_parallel_prints_traffic(self, executor, capsys):
@@ -464,7 +468,8 @@ class TestExitCodeDiscipline:
         # still land on stdout with the diagnostic on stderr.
         code = main(["run", "--scale", "6", "--seed", "1",
                      "--iterations", "2", "--damping", "0.99",
-                     "--formula", "paper-body", "--validate", "--json"])
+                     "--formula", "paper-body", "--validation", "full",
+                     "--json"])
         captured = capsys.readouterr()
         doc = json.loads(captured.out)  # stdout is pure JSON
         if doc["validation"]["passed"]:
@@ -475,7 +480,7 @@ class TestExitCodeDiscipline:
     def test_validation_failure_without_json_exits_1(self, capsys):
         code = main(["run", "--scale", "6", "--iterations", "2",
                      "--damping", "0.99", "--formula", "paper-body",
-                     "--validate"])
+                     "--validation", "full"])
         captured = capsys.readouterr()
         if "validation: FAIL" not in captured.out:
             pytest.skip("validation unexpectedly passed at this config")
@@ -518,13 +523,13 @@ class TestExitCodeDiscipline:
         err = capsys.readouterr().err
         assert "no --cache-dir" in err
 
-    def test_scenario_no_verify_keeps_scenario_validation(self):
-        # --no-verify drops only the contracts: a scenario with full
-        # validation degrades to validate-only, never silently to off.
+    def test_validation_overlays_a_scenario(self):
+        # Like any spec flag: typed, it replaces the scenario's mode;
+        # omitted, the scenario's own mode stands.
         assert _run_spec("--scenario", "validated",
-                         "--no-verify").validation == "validate-only"
-        assert _run_spec("--scenario", "validated",
-                         "--no-validate").validation == "contracts"
+                         "--validation", "validate-only"
+                         ).validation == "validate-only"
+        assert _run_spec("--scenario", "validated").validation == "full"
 
     def test_cache_rm_distinguishes_busy_from_absent(self, tmp_path, capsys):
         from repro.core.artifacts import ArtifactCache

@@ -14,7 +14,7 @@ from repro.core.artifacts import (
     k0_cache_fields,
     k1_cache_fields,
 )
-from repro.core.config import KernelName, PipelineConfig
+from repro.core.config import VALIDATION_MODES, KernelName, PipelineConfig
 from repro.core.exceptions import KernelContractError
 from repro.core.executor import (
     SerialExecutor,
@@ -50,30 +50,31 @@ class TestStages:
 
 
 class TestContractRunner:
-    """Every executor checks, times and spans contracts the same way."""
+    """Every executor checks, times and spans contracts the same way, and
+    runs exactly the checks ``config.validation`` names."""
 
     @pytest.mark.parametrize("execution", available_executions())
-    @pytest.mark.parametrize("verify", [True, False])
-    def test_contract_seconds_on_every_kernel(self, execution, verify):
-        result = get_executor(execution).execute(
-            PipelineConfig(scale=6, seed=1, execution=execution),
-            verify=verify,
-        )
+    @pytest.mark.parametrize("validation", VALIDATION_MODES)
+    def test_validation_mode_selects_the_checks(self, execution, validation):
+        result = get_executor(execution).execute(PipelineConfig(
+            scale=6, seed=1, execution=execution, validation=validation,
+            trace=True,
+        ))
+        contracts = validation in ("contracts", "full")
+        eigenvector = validation in ("full", "validate-only")
         timed = ["contract_seconds" in k.details for k in result.kernels]
-        assert timed == [verify] * 4
-        if verify:
-            assert all(k.details["contract_seconds"] >= 0.0
-                       for k in result.kernels)
-
-    @pytest.mark.parametrize("execution", ["serial", "async"])
-    def test_contract_spans_traced(self, execution):
-        result = get_executor(execution).execute(
-            PipelineConfig(scale=6, seed=1, execution=execution, trace=True)
-        )
+        assert timed == [contracts] * 4
+        assert all(k.details.get("contract_seconds", 0.0) >= 0.0
+                   for k in result.kernels)
         spans = [s["name"] for s in result.trace["spans"]
                  if s["cat"] == "verify"]
+        expected = [f"contract:{kernel.value}" for kernel in KernelName
+                    ] if contracts else []
         assert sorted(spans) == sorted(
-            f"contract:{kernel.value}" for kernel in KernelName)
+            expected + (["validate"] if eigenvector else []))
+        assert (result.validation is not None) == eigenvector
+        if eigenvector:
+            assert result.validation["passed"]
 
 
 class TestContracts:
@@ -188,7 +189,7 @@ class TestSweepCachePreference:
 
         calls = {"n": 0}
 
-        def fake_run_pipeline(config, verify=False):
+        def fake_run_pipeline(config):
             # First repeat: real (slow) K0/K1; later repeats: cache
             # hits that are much faster but meaningless as throughput.
             calls["n"] += 1
@@ -225,7 +226,7 @@ class TestSweepCachePreference:
         from repro.api import execute_sweep, runner
         from repro.core.results import KernelResult, PipelineResult
 
-        def fake_run_pipeline(config, verify=False):
+        def fake_run_pipeline(config):
             result = PipelineResult(config=config)
             for kernel in KernelName:
                 cached = kernel in (KernelName.K0_GENERATE,

@@ -111,7 +111,7 @@ def test_second_run_takes_almost_no_minor_faults():
         import json
         from repro.core.config import PipelineConfig
         from repro.core.pipeline import run_pipeline
-        config = PipelineConfig(scale=12, seed=1, validate=False)
+        config = PipelineConfig(scale=12, seed=1)
         run_pipeline(config)  # warm-up: the heap grows to the run's peak
         second = run_pipeline(config)
         print(json.dumps({

@@ -259,14 +259,15 @@ class TestEliminatedColumnsWhenMaxInDegreeIsOne:
         _FixedScipy, _FixedNumpy, _FixedGraphblas, _FixedDataframe, _FixedPython,
     ])
     def test_serial_miss_hit_and_streaming_agree(self, tmp_path, backend):
-        config = PipelineConfig(scale=2, cache_dir=tmp_path / "cache")
+        config = PipelineConfig(scale=2, cache_dir=tmp_path / "cache",
+                                validation="off")
         executors = (SerialExecutor(), SerialExecutor(), StreamingExecutor())
         states = ["miss", "hit", "miss"]
         if "streaming" not in backend.capabilities:
             # Serial only, and the K2 cache needs the streaming capability.
             executors, states = executors[:1], [None]
         runs = [
-            executor.execute(config, backend(), verify=False)
+            executor.execute(config, backend())
             for executor in executors
         ]
         k2 = [run.kernels[2].details for run in runs]

@@ -16,8 +16,8 @@ from repro.perfmodel.compare import (
 
 @pytest.fixture(scope="module")
 def measured_run():
-    return run_pipeline(PipelineConfig(scale=7, seed=2, backend="scipy"),
-                        verify=False)
+    return run_pipeline(PipelineConfig(scale=7, seed=2, backend="scipy",
+                                       validation="off"))
 
 
 class TestCompareRun:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro._util.checks import (
+    check_bool,
     check_dtype,
     check_in_range,
     check_nonneg_int,
@@ -45,6 +46,17 @@ class TestNonnegInt:
             check_nonneg_int("n", -1)
 
 
+class TestBool:
+    def test_accepts_bools(self):
+        assert check_bool("flag", True) is True
+        assert check_bool("flag", False) is False
+
+    @pytest.mark.parametrize("value", [0, 1, "no", "yes", None, 1.0])
+    def test_rejects_truthy_non_bools(self, value):
+        with pytest.raises(TypeError, match="flag must be a bool"):
+            check_bool("flag", value)
+
+
 class TestInRange:
     def test_bounds_inclusive(self):
         assert check_in_range("x", 1.0, 1.0, 2.0) == 1.0
@@ -69,9 +81,10 @@ class TestInRange:
         with pytest.raises(ValueError, match="damping"):
             check_in_range("damping", float("nan"), 0.0, 1.0)
 
-    def test_rejects_non_numeric(self):
-        with pytest.raises(TypeError):
-            check_in_range("damping", None, 0.0, 1.0)
+    @pytest.mark.parametrize("value", [None, "0.85", True])
+    def test_rejects_non_numeric(self, value):
+        with pytest.raises(TypeError, match="damping must be a real number"):
+            check_in_range("damping", value, 0.0, 1.0)
 
 
 class TestSameLength:
