@@ -29,7 +29,7 @@ the public entry point; `run_pipeline` is the engine underneath it.
 The subpackages (`repro.generators`,
 `repro.edgeio`, `repro.sort`, `repro.grb`, `repro.frame`,
 `repro.backends`, `repro.pagerank`, `repro.parallel`,
-`repro.perfmodel`, `repro.harness`) expose the full substrate APIs.
+`repro.harness`) expose the full substrate APIs.
 """
 
 from __future__ import annotations

@@ -299,30 +299,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    """Calibrate the hardware model and compare against measurements."""
-    from repro.perfmodel.compare import extrapolation_study, render_comparison
-
-    study = extrapolation_study(
-        calibration_scale=args.calibration_scale,
-        predicted_scales=args.scales,
-        backend=args.backend,
-        seed=args.seed,
-    )
-    print(f"calibrated on scale {study.calibration_scale} "
-          f"({args.backend} backend); model rates:")
-    hw = study.hardware
-    print(f"  memory bandwidth : {hw.mem_bw_bytes_per_s:,.0f} B/s")
-    print(f"  storage write    : {hw.storage_write_bytes_per_s:,.0f} B/s")
-    print(f"  storage read     : {hw.storage_read_bytes_per_s:,.0f} B/s")
-    print(f"  scalar op rate   : {hw.scalar_ops_per_s:,.0f} ops/s")
-    for scale, comparisons in sorted(study.comparisons.items()):
-        print(f"\nscale {scale} (N={1 << scale:,}, M={16 << scale:,}):")
-        print(render_comparison(comparisons))
-    print(f"\nworst error factor: {study.worst_error():.2f}x")
-    return 0
-
-
 def _human_bytes(num_bytes: float) -> str:
     """Render a byte count with a binary-unit suffix."""
     value = float(num_bytes)

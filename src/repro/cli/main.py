@@ -219,18 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the markdown report here (stdout otherwise)")
     report.set_defaults(func=commands.cmd_report)
 
-    predict = sub.add_parser(
-        "predict",
-        help="calibrate the hardware model on one scale and compare "
-             "predictions against measurements at others (paper Section V)",
-    )
-    predict.add_argument("--calibration-scale", type=int, default=10)
-    predict.add_argument("--scales", type=_csv_ints, default=None,
-                         help="scales to predict (default: calibration+2)")
-    predict.add_argument("--backend", default="scipy")
-    predict.add_argument("--seed", type=int, default=1)
-    predict.set_defaults(func=commands.cmd_predict)
-
     cache = sub.add_parser(
         "cache",
         help="inspect and prune the kernel artifact cache "

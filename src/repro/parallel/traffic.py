@@ -2,10 +2,10 @@
 
 Every collective or point-to-point operation on a communicator logs a
 :class:`TrafficRecord`.  The log is the bridge between the parallel
-implementation and the performance models: the paper claims Kernel 3's
-parallel form is network-dominated, and the traffic log supplies the
-measured byte counts that the alpha-beta model turns into predicted
-time.
+implementation and the paper's claim that Kernel 3's parallel form is
+network-dominated: the log supplies the measured byte counts that
+``figures --id ranks`` sets beside
+:func:`repro.harness.figures.allreduce_closed_form`.
 """
 
 from __future__ import annotations

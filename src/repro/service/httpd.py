@@ -50,7 +50,11 @@ Routes::
                                  had trace off; 409 while in flight)
     DELETE /jobs/<id>            cancel (only a PENDING job can be)
 
-Errors are JSON too: ``{"error": "..."}`` with a 4xx status.  The
+Errors are JSON too: ``{"error": "..."}`` with a 4xx status.  A POST
+body over 1 MiB or an artifact PUT over 512 MiB is a 413, and a
+``Content-Length`` that is not a non-negative integer a 400, both
+before any body byte is read.  A submitted spec or sweep base that sets
+``data_dir`` is a 400: paths on the server host are the host's.  The
 server never imports beyond the stdlib — the paper's "holistic system
 benchmark" framing means the harness must not drag in a web stack the
 platforms under test would not share.
@@ -75,6 +79,9 @@ _SWEEP_GRID_KEYS = {"scales", "backends", "repeats"}
 #: PUT /artifacts body cap — far above any real K0/K1 entry at service
 #: scales, small enough that a hostile upload cannot balloon memory.
 _MAX_ARTIFACT_BYTES = 512 * 1024 * 1024
+
+#: POST /jobs body cap — ample for any spec or sweep document.
+_MAX_BODY_BYTES = 1024 * 1024
 
 logger = logging.getLogger("repro.service.http")
 
@@ -126,8 +133,33 @@ class BenchmarkRequestHandler(BaseHTTPRequestHandler):
     def _error(self, status: int, message: str) -> None:
         self._reply(status, {"error": message})
 
-    def _read_body(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _content_length(self, limit: int) -> Optional[int]:
+        """The declared body length, or ``None`` once refused.
+
+        A missing header reads as 0.  A malformed or negative one is a
+        400 and one over ``limit`` a 413, both answered before any body
+        byte is read.
+        """
+        header = self.headers.get("Content-Length") or "0"
+        if not (header.isascii() and header.isdigit()):
+            self._error(
+                400, f"Content-Length must be a non-negative integer, "
+                     f"got {header!r}"
+            )
+            return None
+        length = int(header)
+        if length > limit:
+            self._error(
+                413, f"body of {length} bytes exceeds the {limit}-byte limit"
+            )
+            return None
+        return length
+
+    def _read_body(self) -> Optional[Dict[str, object]]:
+        """The POST body as a JSON object, or ``None`` once refused."""
+        length = self._content_length(_MAX_BODY_BYTES)
+        if length is None:
+            return None
         raw = self.rfile.read(length) if length else b"{}"
         doc = json.loads(raw.decode("utf-8"))
         if not isinstance(doc, dict):
@@ -289,16 +321,12 @@ class BenchmarkRequestHandler(BaseHTTPRequestHandler):
         except ValueError as exc:
             self._error(400, str(exc))
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            self._error(400, "PUT /artifacts requires a tar body")
-            return
-        if length > _MAX_ARTIFACT_BYTES:
+        length = self._content_length(_MAX_ARTIFACT_BYTES)
+        if length is None:
             service.metrics.record_artifact_sync("put", "rejected")
-            self._error(
-                413, f"artifact body of {length} bytes exceeds the "
-                     f"{_MAX_ARTIFACT_BYTES}-byte limit"
-            )
+            return
+        if length == 0:
+            self._error(400, "PUT /artifacts requires a tar body")
             return
         data = self.rfile.read(length)
         if cache.import_entry(kind, key, data):
@@ -321,6 +349,8 @@ class BenchmarkRequestHandler(BaseHTTPRequestHandler):
         except (ValueError, json.JSONDecodeError) as exc:
             self._error(400, f"bad request body: {exc}")
             return
+        if body is None:
+            return
         spec = sweep = None
         try:
             if "sweep" in body:
@@ -337,6 +367,12 @@ class BenchmarkRequestHandler(BaseHTTPRequestHandler):
                     "'scenario' (+ optional 'overrides'), or 'sweep' "
                     "(a SweepSpec document, or a grid object next to "
                     "'scenario')"
+                )
+            base = sweep.base if sweep is not None else spec
+            if base.data_dir is not None:
+                raise ValueError(
+                    "'data_dir' names a path on the server; a submitted "
+                    "spec may not set it"
                 )
         except (KeyError, ValueError, TypeError) as exc:
             self._error(400, str(exc.args[0] if exc.args else exc))

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -43,6 +45,25 @@ def _post(url: str, doc):
     )
     with urllib.request.urlopen(request, timeout=30) as response:
         return response.status, json.loads(response.read().decode("utf-8"))
+
+
+def _raw_request(base: str, method: str, path: str, length, body=b""):
+    """Send ``body`` (none by default) under a declared
+    ``Content-Length: length`` (no header for ``None``); return the
+    status and error document.  The short timeout turns a handler that
+    waits for body bytes into a failure instead of a hang."""
+    url = urllib.parse.urlsplit(base)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+    try:
+        conn.putrequest(method, path)
+        conn.putheader("Content-Type", "application/json")
+        if length is not None:
+            conn.putheader("Content-Length", length)
+        conn.endheaders(body or None)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read().decode("utf-8"))
+    finally:
+        conn.close()
 
 
 def _poll_terminal(base: str, job_id: str, timeout: float = 120.0):
@@ -125,6 +146,49 @@ class TestHTTPService:
             assert excinfo.value.code == 400, body
         assert _get(f"{served}/jobs")[1]["jobs"] == []
 
+    @pytest.mark.parametrize("shape", ["spec", "overrides", "sweep", "grid"])
+    def test_data_dir_is_400_and_queues_nothing(self, served, tmp_path, shape):
+        # A path on the server host is the host's to choose, through
+        # every body shape that builds a spec or a sweep base.
+        target = tmp_path / "elsewhere"
+        body = {
+            "spec": {"spec": {"scale": 6, "data_dir": str(target)}},
+            "overrides": {"scenario": "smoke",
+                          "overrides": {"data_dir": str(target)}},
+            "sweep": {"sweep": {
+                "base": RunSpec(scale=6, data_dir=str(target)).to_dict(),
+                "scales": [6], "backends": ["numpy"]}},
+            "grid": {"scenario": "smoke",
+                     "overrides": {"data_dir": str(target)},
+                     "sweep": {"scales": [6]}},
+        }[shape]
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(f"{served}/jobs", body)
+        assert excinfo.value.code == 400
+        assert "data_dir" in json.loads(excinfo.value.read())["error"]
+        assert _get(f"{served}/jobs")[1]["jobs"] == []
+        assert not target.exists()
+
+    def test_null_data_dir_is_accepted(self, served):
+        # The refusal is of a path, not of the key: null is the default.
+        status, doc = _post(
+            f"{served}/jobs", {"spec": {"scale": 6, "data_dir": None}}
+        )
+        assert status == 202
+        assert _poll_terminal(served, doc["job_id"])["state"] == "succeeded"
+
+    def test_in_process_submit_keeps_data_dir(self, tmp_path):
+        # Only the HTTP front end refuses the field; a caller in the
+        # server's own process chooses its own paths.
+        target = tmp_path / "kept"
+        service = BenchmarkService(workers=1)
+        try:
+            job_id = service.submit(RunSpec(scale=6, data_dir=str(target)))
+            service.result(job_id, timeout=120)
+        finally:
+            service.close()
+        assert (target / "k0" / "manifest.json").is_file()
+
     def test_unknown_job_is_404(self, served):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{served}/jobs/job-99999", timeout=30)
@@ -141,6 +205,57 @@ class TestHTTPService:
         status, listing = _get(f"{served}/jobs")
         assert status == 200
         assert any(j["job_id"] == doc["job_id"] for j in listing["jobs"])
+
+
+class TestHTTPBodyLength:
+    """Every refusal below is answered before the body is sent."""
+
+    def test_negative_post_length_is_400(self, served):
+        status, doc = _raw_request(served, "POST", "/jobs", "-1")
+        assert status == 400
+        assert "Content-Length" in doc["error"]
+
+    def test_oversize_post_length_is_413(self, served):
+        status, _ = _raw_request(
+            served, "POST", "/jobs", str(1024 * 1024 + 1)
+        )
+        assert status == 413
+        assert _get(f"{served}/jobs")[1]["jobs"] == []
+
+    def test_missing_post_length_reads_as_an_empty_body(self, served):
+        status, doc = _raw_request(served, "POST", "/jobs", None)
+        assert status == 400
+        assert "body must carry" in doc["error"]
+
+    def test_post_of_exactly_the_limit_is_read(self, served):
+        # The limit is inclusive: a 1 MiB body is parsed, so the refusal
+        # is the empty document's, not the length's.
+        body = b"{}".ljust(1024 * 1024)
+        status, doc = _raw_request(
+            served, "POST", "/jobs", str(len(body)), body
+        )
+        assert status == 400
+        assert "body must carry" in doc["error"]
+
+    @pytest.mark.parametrize("length, status", [
+        ("-1", 400), ("abc", 400), (str(512 * 1024 * 1024 + 1), 413),
+    ], ids=["negative", "word", "oversize"])
+    def test_refused_put_length_counts_as_rejected(self, served, length,
+                                                   status):
+        replied, _ = _raw_request(
+            served, "PUT", "/artifacts/k0/" + "0" * 16, length
+        )
+        assert replied == status
+        with urllib.request.urlopen(f"{served}/metrics", timeout=30) as r:
+            text = r.read().decode("utf-8")
+        assert 'repro_artifact_sync_total{op="put",outcome="rejected"} 1' in text
+
+    def test_non_integer_put_length_is_400(self, served):
+        status, doc = _raw_request(
+            served, "PUT", "/artifacts/k0/" + "0" * 16, "abc"
+        )
+        assert status == 400
+        assert "Content-Length" in doc["error"]
 
 
 class TestHTTPArtifacts:

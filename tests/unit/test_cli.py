@@ -138,6 +138,12 @@ class TestParser:
         assert exit_info.value.code == 2
 
 
+    def test_predict_command_is_gone(self):
+        # The Section V hardware model was deleted, command and all.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["predict", "--calibration-scale", "6", "--scales", "6"])
+        assert exit_info.value.code == 2
+
 class TestCommands:
     def test_info(self, capsys):
         assert main(["info"]) == 0
@@ -405,14 +411,6 @@ class TestCommands:
         assert code == 0
         document = out_file.read_text()
         assert "Figure 7" in document and "Table II" in document
-
-    def test_predict_command(self, capsys):
-        code = main(["predict", "--calibration-scale", "6",
-                     "--scales", "6"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "worst error factor" in out
-        assert "k3-pagerank" in out
 
 
 class TestScenarioAndSpecSurface:
