@@ -34,18 +34,24 @@ The subpackages (`repro.generators`,
 
 from __future__ import annotations
 
+from repro._util.lazy import lazy_exports
 from repro.api import (
     RunSpec,
     SweepSpec,
-    execute_spec,
-    execute_sweep,
     get_scenario,
     scenario_names,
 )
-from repro.core.config import KernelName, PipelineConfig
-from repro.core.pipeline import run_pipeline
-from repro.core.results import KernelResult, PipelineResult
 from repro.backends.registry import available_backends, get_backend
+from repro.core.config import KernelName, PipelineConfig
+
+# The engine's names import numpy and scipy on first use.
+__getattr__ = lazy_exports(__name__, {
+    "execute_spec": "repro.api.runner",
+    "execute_sweep": "repro.api.runner",
+    "run_pipeline": "repro.core.pipeline",
+    "KernelResult": "repro.core.results",
+    "PipelineResult": "repro.core.results",
+})
 
 __version__ = "1.0.0"
 

@@ -16,7 +16,13 @@ from repro._util.checks import (
     check_positive_int,
     check_same_length,
 )
-from repro._util.rng import derive_seed, resolve_rng
+from repro._util.lazy import lazy_exports
+
+# The RNG helpers import numpy; the rest of this package does not.
+__getattr__ = lazy_exports(__name__, {
+    "derive_seed": "repro._util.rng",
+    "resolve_rng": "repro._util.rng",
+})
 
 __all__ = [
     "StopWatch",

@@ -8,14 +8,15 @@ close to the caller's mistake rather than deep inside numpy.
 from __future__ import annotations
 
 import numbers
-from typing import Any, Sized
+from typing import TYPE_CHECKING, Any, Sized
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def check_positive_int(name: str, value: Any) -> int:
     """Validate that ``value`` is an integer >= 1 and return it as ``int``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
@@ -24,7 +25,7 @@ def check_positive_int(name: str, value: Any) -> int:
 
 def check_nonneg_int(name: str, value: Any) -> int:
     """Validate that ``value`` is an integer >= 0 and return it as ``int``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
@@ -64,6 +65,8 @@ def check_dtype(name: str, array: np.ndarray, kind: str) -> np.ndarray:
 
     Returns the array unchanged so the call can be inlined in expressions.
     """
+    import numpy as np
+
     if not isinstance(array, np.ndarray):
         raise TypeError(f"{name} must be a numpy array, got {type(array).__name__}")
     if array.dtype.kind not in kind:

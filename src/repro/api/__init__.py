@@ -9,8 +9,8 @@ One way in for every kind of work:
 * :func:`execute_spec` / :func:`execute_sweep` — run them
   (:mod:`repro.api.runner`);
 * :class:`repro.service.BenchmarkService` — submit them to a long-lived
-  concurrent job service (re-exported here lazily to avoid an import
-  cycle; ``from repro.api import BenchmarkService`` works).
+  concurrent job service (``from repro.api import BenchmarkService``
+  works).
 
 :func:`repro.core.pipeline.run_pipeline` is the engine underneath, for
 callers that already hold a :class:`~repro.core.config.PipelineConfig`.
@@ -18,7 +18,14 @@ callers that already hold a :class:`~repro.core.config.PipelineConfig`.
 
 from __future__ import annotations
 
-from repro.api.spec import CACHE_POLICIES, SPEC_VERSION, RunSpec, SweepSpec
+from repro._util.lazy import lazy_exports
+from repro.api.spec import (
+    CACHE_POLICIES,
+    SPEC_VERSION,
+    RunSpec,
+    SweepSpec,
+    sweep_cells,
+)
 from repro.api.scenarios import (
     BUILTIN_SCENARIOS,
     PAPER_SCALES,
@@ -27,13 +34,6 @@ from repro.api.scenarios import (
     default_registry,
     get_scenario,
     scenario_names,
-)
-from repro.api.runner import (
-    RunOutcome,
-    execute_spec,
-    execute_sweep,
-    rank_sha256,
-    sweep_cells,
 )
 from repro.core.config import VALIDATION_MODES
 
@@ -58,12 +58,13 @@ __all__ = [
     "sweep_cells",
 ]
 
-
-def __getattr__(name: str):
-    # Lazy re-export: repro.service imports repro.api.spec, so a direct
-    # import here would be a cycle.
-    if name == "BenchmarkService":
-        from repro.service import BenchmarkService
-
-        return BenchmarkService
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# The runner imports the engine (numpy, scipy): loaded on first use, so
+# building, hashing and lowering specs needs neither.  repro.service
+# imports repro.api.spec, so it is lazy here as well.
+__getattr__ = lazy_exports(__name__, {
+    "RunOutcome": "repro.api.runner",
+    "execute_spec": "repro.api.runner",
+    "execute_sweep": "repro.api.runner",
+    "rank_sha256": "repro.api.runner",
+    "BenchmarkService": "repro.service",
+})

@@ -18,11 +18,11 @@ import hashlib
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.api.spec import RunSpec, SweepSpec
+from repro.api.spec import RunSpec, SweepSpec, sweep_cells
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import run_pipeline
 from repro.core.results import PipelineResult
@@ -141,49 +141,6 @@ def spec_cache_fields(spec: RunSpec):
         "k0": k0_cache_fields(config),
         "k1": k1_cache_fields(config),
     }
-
-
-def sweep_cells(
-    sweep: SweepSpec,
-) -> List[Tuple[str, int, Optional[RunSpec]]]:
-    """Lower a sweep grid to per-cell RunSpecs.
-
-    Returns ``(backend, scale, spec)`` triples, backend-major then
-    scale order — exactly the cells :func:`execute_sweep` runs.
-    Cells whose backend lacks the execution strategy's capability get
-    ``spec=None`` (e.g. ``python`` under ``execution="streaming"``), so
-    the default backend grid still works with non-serial strategies
-    and the service can record the skip in its sweep table.  The
-    sweep-level ``repeats`` moves onto each cell spec, where
-    :func:`execute_spec`'s repeat loop keeps the best time per kernel.
-
-    Raises
-    ------
-    ValueError
-        When no backend in the grid supports the execution strategy.
-    """
-    from repro.backends.registry import get_backend
-    from repro.core.executor import get_executor
-
-    needed = get_executor(sweep.base.execution).required_capability
-    cells: List[Tuple[str, int, Optional[RunSpec]]] = []
-    supported = False
-    for backend in sweep.backends:
-        capable = needed in get_backend(backend).capabilities
-        for scale in sweep.scales:
-            if capable:
-                cells.append((backend, scale, sweep.base.with_overrides(
-                    backend=backend, scale=scale, repeats=sweep.repeats,
-                )))
-                supported = True
-            else:
-                cells.append((backend, scale, None))
-    if not supported:
-        raise ValueError(
-            f"no backend in {list(sweep.backends)} supports execution="
-            f"{sweep.base.execution!r}"
-        )
-    return cells
 
 
 def execute_sweep(

@@ -41,6 +41,7 @@ from repro.core.config import (
     DEFAULT_ITERATIONS,
     DEFAULT_PARALLEL_RANKS,
     DEFAULT_STREAMING_BATCH_EDGES,
+    REQUIRED_CAPABILITY,
     PipelineConfig,
 )
 
@@ -349,3 +350,47 @@ class SweepSpec:
         from repro.core.artifacts import cache_key
 
         return cache_key(self.to_dict())
+
+
+def sweep_cells(
+    sweep: SweepSpec,
+) -> List[Tuple[str, int, Optional[RunSpec]]]:
+    """Lower a sweep grid to per-cell RunSpecs.
+
+    Returns ``(backend, scale, spec)`` triples, backend-major then
+    scale order — exactly the cells
+    :func:`~repro.api.runner.execute_sweep` runs.  Cells whose backend
+    lacks the execution strategy's capability get ``spec=None`` (e.g.
+    ``python`` under ``execution="streaming"``), so the default backend
+    grid still works with non-serial strategies and the service can
+    record the skip in its sweep table.  The sweep-level ``repeats``
+    moves onto each cell spec, where
+    :func:`~repro.api.runner.execute_spec`'s repeat loop keeps the best
+    time per kernel.  Imports no backend.
+
+    Raises
+    ------
+    ValueError
+        When no backend in the grid supports the execution strategy.
+    """
+    from repro.backends.registry import backend_capabilities
+
+    needed = REQUIRED_CAPABILITY[sweep.base.execution]
+    cells: List[Tuple[str, int, Optional[RunSpec]]] = []
+    supported = False
+    for backend in sweep.backends:
+        capable = needed in backend_capabilities(backend)
+        for scale in sweep.scales:
+            if capable:
+                cells.append((backend, scale, sweep.base.with_overrides(
+                    backend=backend, scale=scale, repeats=sweep.repeats,
+                )))
+                supported = True
+            else:
+                cells.append((backend, scale, None))
+    if not supported:
+        raise ValueError(
+            f"no backend in {list(sweep.backends)} supports execution="
+            f"{sweep.base.execution!r}"
+        )
+    return cells

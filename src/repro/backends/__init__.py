@@ -24,8 +24,14 @@ integration tests.
 
 from __future__ import annotations
 
-from repro.backends.base import AdjacencyHandle, Backend, KernelOutput
+from repro._util.lazy import lazy_exports
 from repro.backends.registry import available_backends, get_backend, register_backend
+
+__getattr__ = lazy_exports(__name__, {
+    "AdjacencyHandle": "repro.backends.base",
+    "Backend": "repro.backends.base",
+    "KernelOutput": "repro.backends.base",
+})
 
 __all__ = [
     "AdjacencyHandle",

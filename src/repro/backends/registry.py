@@ -1,18 +1,37 @@
 """Backend registry: name-based lookup and registration.
 
-The built-in backends register at import; downstream users can add their
+The built-in backends register on first lookup; downstream users can add their
 own with :func:`register_backend` (e.g. a Dask or Ray implementation)
 and the harness, CLI, and benchmarks pick them up by name.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Type
+import importlib
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Type
 
-from repro.backends.base import Backend
+if TYPE_CHECKING:
+    from repro.backends.base import Backend
 
 
 _REGISTRY: Dict[str, Type[Backend]] = {}
+
+#: The built-in backends: name -> (module, class, capabilities).  The
+#: capabilities are repeated here so that sweep lowering can read them
+#: without importing numpy; :func:`_ensure_builtins` refuses a row that
+#: disagrees with its class.
+_BUILTINS = {
+    "python": ("python_backend", "PythonBackend", {"serial"}),
+    "numpy": ("numpy_backend", "NumpyBackend",
+              {"serial", "streaming", "parallel"}),
+    "scipy": ("scipy_backend", "ScipyBackend",
+              {"serial", "streaming", "parallel"}),
+    "dataframe": ("dataframe_backend", "DataframeBackend",
+                  {"serial", "streaming"}),
+    "graphblas": ("graphblas_backend", "GraphBlasBackend",
+                  {"serial", "streaming"}),
+}
+_builtins_loaded = False
 
 
 def register_backend(cls: Type[Backend], *, replace: bool = False) -> Type[Backend]:
@@ -31,18 +50,26 @@ def register_backend(cls: Type[Backend], *, replace: bool = False) -> Type[Backe
 
 def _ensure_builtins() -> None:
     """Import built-in backends lazily to avoid import cycles."""
-    if _REGISTRY:
+    global _builtins_loaded
+    if _builtins_loaded:
         return
-    from repro.backends.dataframe_backend import DataframeBackend
-    from repro.backends.graphblas_backend import GraphBlasBackend
-    from repro.backends.numpy_backend import NumpyBackend
-    from repro.backends.python_backend import PythonBackend
-    from repro.backends.scipy_backend import ScipyBackend
+    for name, (module, class_name, capabilities) in _BUILTINS.items():
+        cls = getattr(importlib.import_module(f"repro.backends.{module}"),
+                      class_name)
+        if cls.capabilities != capabilities:  # pragma: no cover
+            raise RuntimeError(
+                f"backend {name!r} declares {sorted(cls.capabilities)}, "
+                f"the registry {sorted(capabilities)}")
+        _REGISTRY.setdefault(name, cls)
+    _builtins_loaded = True
 
-    for cls in (PythonBackend, NumpyBackend, ScipyBackend, DataframeBackend,
-                GraphBlasBackend):
-        if cls.name not in _REGISTRY:
-            _REGISTRY[cls.name] = cls
+
+def backend_capabilities(name: str) -> FrozenSet[str]:
+    """What backend ``name`` can run (a built-in's row is read without
+    importing it).  Raises ``KeyError`` like :func:`get_backend`."""
+    if name in _BUILTINS and name not in _REGISTRY:
+        return frozenset(_BUILTINS[name][2])
+    return get_backend(name).capabilities
 
 
 def available_backends() -> List[str]:

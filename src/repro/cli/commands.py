@@ -7,7 +7,9 @@ no command plumbs config fields into the executors directly.  Output
 discipline: requested payloads (``--json``, tables, reports) go to
 **stdout**; progress and diagnostics go to **stderr**; exit codes are
 0 success, 1 benchmark-level failure (contract violation, validation
-mismatch), 2 usage error.
+mismatch), 2 usage error.  Commands that run the pipeline import the
+engine (numpy, scipy) in their bodies, so the parser and ``--help``
+load neither.
 """
 
 from __future__ import annotations
@@ -20,15 +22,11 @@ from pathlib import Path
 from repro.api import (
     RunSpec,
     SweepSpec,
-    execute_spec,
-    execute_sweep,
     get_scenario,
     BUILTIN_SCENARIOS,
 )
 from repro.backends.registry import available_backends
-from repro.generators.registry import available_generators
 from repro.harness.experiments import available_experiments, run_experiment
-from repro.harness.records import save_records
 from repro.harness.tables import render_table
 
 
@@ -124,6 +122,8 @@ def run_spec_from_args(args: argparse.Namespace) -> RunSpec:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """One pipeline job, declaratively specified, run via the API."""
+    from repro.api.runner import execute_spec
+
     spec = run_spec_from_args(args)
     if spec.repeats > 1 and spec.cache_policy == "shared" \
             and not args.cache_dir:
@@ -213,6 +213,9 @@ def _sweep_progress(config, repeat) -> None:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Backend x scale sweep with a summary table."""
+    from repro.api.runner import execute_sweep
+    from repro.harness.records import save_records
+
     records = execute_sweep(
         sweep_spec_from_args(args),
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
@@ -233,6 +236,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_figures(args: argparse.Namespace) -> int:
     """Regenerate one of the paper's figures (or the ranks table)."""
+    from repro.harness.records import save_records
+
     output = run_experiment(
         args.experiment_id,
         scales=args.scales,
@@ -283,6 +288,7 @@ def cmd_golden(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Run sweeps and emit a paper-vs-measured markdown report."""
+    from repro.api.runner import execute_sweep
     from repro.harness.report import build_report
 
     records = execute_sweep(
@@ -424,6 +430,8 @@ def cmd_worker(args: argparse.Namespace) -> int:
 
 def cmd_info(args: argparse.Namespace) -> int:
     """List registered backends, generators, scenarios, experiments."""
+    from repro.generators.registry import available_generators
+
     del args
     print("backends:")
     for name in available_backends():

@@ -10,7 +10,7 @@ is swappable.
 
 from __future__ import annotations
 
-from repro.core.artifacts import ArtifactCache, CacheEntry
+from repro._util.lazy import lazy_exports
 from repro.core.config import (
     EXECUTION_MODES,
     KernelName,
@@ -22,18 +22,28 @@ from repro.core.exceptions import (
     KernelContractError,
     PipelineError,
 )
-from repro.core.executor import (
-    Executor,
-    SerialExecutor,
-    ShardParallelExecutor,
-    StreamingExecutor,
-    available_executions,
-    get_executor,
-)
-from repro.core.pipeline import run_pipeline
-from repro.core.results import KernelResult, PipelineResult
-from repro.core.scheduler import ScheduleResult, SchedulerError, TaskGraph
-from repro.core.stages import STAGES, Contract, Stage
+
+# The engine imports numpy and scipy: loaded on first use, so that the
+# spec layer reads the config without them.
+__getattr__ = lazy_exports(__name__, {
+    "ArtifactCache": "repro.core.artifacts",
+    "CacheEntry": "repro.core.artifacts",
+    "Executor": "repro.core.executor",
+    "SerialExecutor": "repro.core.executor",
+    "ShardParallelExecutor": "repro.core.executor",
+    "StreamingExecutor": "repro.core.executor",
+    "available_executions": "repro.core.executor",
+    "get_executor": "repro.core.executor",
+    "run_pipeline": "repro.core.pipeline",
+    "KernelResult": "repro.core.results",
+    "PipelineResult": "repro.core.results",
+    "ScheduleResult": "repro.core.scheduler",
+    "SchedulerError": "repro.core.scheduler",
+    "TaskGraph": "repro.core.scheduler",
+    "STAGES": "repro.core.stages",
+    "Contract": "repro.core.stages",
+    "Stage": "repro.core.stages",
+})
 
 __all__ = [
     "ArtifactCache",

@@ -46,24 +46,27 @@ import tempfile
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, TypeVar,
+)
 
 try:  # POSIX advisory locks; the lock degrades to a no-op elsewhere
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-import numpy as np
-import scipy.sparse as sp
-
-from repro.backends.base import Details
 from repro.core import trace
 from repro.core.config import PipelineConfig
-from repro.edgeio.dataset import EdgeDataset
 from repro.edgeio.errors import EdgeIOError
 
+if TYPE_CHECKING:  # the readers import numpy/scipy when they run
+    import scipy.sparse as sp
+
+    from repro.backends.base import Details
+    from repro.edgeio.dataset import EdgeDataset
+
 #: Producer callback: given the entry directory, build the dataset there.
-DatasetProducer = Callable[[Path], Tuple[EdgeDataset, Details]]
+DatasetProducer = Callable[[Path], Tuple["EdgeDataset", "Details"]]
 
 T = TypeVar("T")
 
@@ -340,14 +343,21 @@ class ArtifactCache:
                 "num_edges": dataset.num_edges,
                 "num_shards": dataset.num_shards,
             }
-        details = dict(self._publish(
-            kind, fields, lambda staging: producer(staging)[1]
-        ))
+        # A shared lock from before the rename until the reopen holds
+        # its own: a prune in between cannot evict what we publish.
+        lock = self.entry_lock(kind, key)
+        lock.acquire(shared=True)
+        try:
+            details = dict(self._publish(
+                kind, fields, lambda staging: producer(staging)[1]
+            ))
+            # Reopen what was published (ours, or a racing winner's): the
+            # returned dataset must live in the entry, under the lock.
+            dataset = self._read(kind, key, _open_dataset, hold=hold)
+        finally:
+            lock.release()
         details["artifact_cache"] = "miss"
         details["artifact_cache_key"] = key
-        # Reopen what was published (ours, or a racing winner's): the
-        # returned dataset must live in the entry, under the lock.
-        dataset = self._read(kind, key, _open_dataset, hold=hold)
         if dataset is None:
             raise RuntimeError(
                 f"{kind} cache entry {key} was not readable right after "
@@ -383,6 +393,8 @@ class ArtifactCache:
             matrix = matrix.tocsr()
 
         def write(staging: Path) -> None:
+            import numpy as np
+
             # The layout marker is a member's name: nothing to read, and
             # an entry without it is CSR.
             marker = {"csc": np.empty(0)} if matrix.format == "csc" else {}
@@ -731,11 +743,16 @@ def _check_kind(kind: str) -> None:
 
 def _open_dataset(entry: Path) -> EdgeDataset:
     """Read half of a k0/k1 entry: the verified, memory-mapped dataset."""
+    from repro.edgeio.dataset import EdgeDataset
+
     return EdgeDataset.open(entry, mmap=True)
 
 
 def _load_matrix(entry: Path) -> Tuple[sp.spmatrix, Dict[str, object]]:
     """Read half of a k2 entry: ``(matrix, meta)`` fully in memory."""
+    import numpy as np
+    import scipy.sparse as sp
+
     meta = json.loads((entry / "meta.json").read_text(encoding="utf-8"))
     with np.load(entry / "csr.npz") as archive:
         shape = tuple(int(x) for x in archive["shape"])

@@ -199,7 +199,6 @@ class AsyncExecutor(Executor):
     """
 
     name = "async"
-    required_capability = "streaming"
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max_workers

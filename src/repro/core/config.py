@@ -23,7 +23,6 @@ from repro._util import (
     check_nonneg_int,
     check_positive_int,
 )
-from repro.core.shmplane import SHARD_PLANES
 from repro.generators.base import BYTES_PER_EDGE, GeneratorSpec
 
 
@@ -45,8 +44,17 @@ class KernelName(str, enum.Enum):
 DEFAULT_DAMPING = 0.85
 #: PageRank iteration count fixed by the paper.
 DEFAULT_ITERATIONS = 20
-#: Execution strategies understood by :mod:`repro.core.executor`.
-EXECUTION_MODES = ("serial", "streaming", "parallel", "async")
+#: Execution strategies understood by :mod:`repro.core.executor`, each
+#: with the backend capability it requires (each executor's
+#: ``required_capability``; sweep lowering reads it without importing
+#: the executors).
+REQUIRED_CAPABILITY = {
+    "serial": "serial",
+    "streaming": "streaming",
+    "parallel": "parallel",
+    "async": "streaming",
+}
+EXECUTION_MODES = tuple(REQUIRED_CAPABILITY)
 #: Default rank count for the "parallel" strategy.
 DEFAULT_PARALLEL_RANKS = 4
 #: Default pass-1 batch size for the "streaming" strategy (config and
@@ -59,10 +67,12 @@ DEFAULT_STREAMING_BATCH_EDGES = 1 << 18
 #: the contracts' extra file reads would perturb I/O caches but the
 #: endpoint check is still wanted).
 VALIDATION_MODES = ("off", "contracts", "full", "validate-only")
+#: Shard hand-off planes (``shard_plane``; :mod:`repro.core.shmplane`
+#: negotiates the plane).
+SHARD_PLANES = ("pipe", "shm")
 #: Enum-valued fields and their legal values: the one table
 #: :class:`PipelineConfig` validates against and the CLI reads for
-#: ``choices=``.  (``SHARD_PLANES`` lives in :mod:`repro.core.shmplane`,
-#: which also negotiates the plane.)
+#: ``choices=``.
 FIELD_CHOICES = {
     "file_format": ("tsv", "npy", "tsv.gz"),
     "formula": ("appendix", "paper-body"),

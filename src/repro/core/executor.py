@@ -54,7 +54,12 @@ from repro.core.artifacts import (
     k1_cache_fields,
     k2_cache_fields,
 )
-from repro.core.config import EXECUTION_MODES, KernelName, PipelineConfig
+from repro.core.config import (
+    EXECUTION_MODES,
+    REQUIRED_CAPABILITY,
+    KernelName,
+    PipelineConfig,
+)
 from repro.core.exceptions import ExecutorCapabilityError
 from repro.core.results import PipelineResult
 from repro.core.stages import (
@@ -75,11 +80,14 @@ class Executor:
 
     #: Registry/config name of the strategy.
     name: str = ""
-    #: Capability a backend must declare for this strategy.
-    required_capability: str = "serial"
     #: Arithmetic path of this strategy's Kernel 2 (part of the K2
     #: cache key — see :func:`repro.core.artifacts.k2_cache_fields`).
     k2_cache_variant: str = "backend-serial"
+
+    @property
+    def required_capability(self) -> str:
+        """Capability a backend must declare for this strategy."""
+        return REQUIRED_CAPABILITY.get(self.name, "serial")
 
     # ------------------------------------------------------------------
     def execute(
@@ -374,7 +382,6 @@ class StreamingExecutor(Executor):
     """
 
     name = "streaming"
-    required_capability = "streaming"
     k2_cache_variant = "streaming-csr"
 
     def _compute_filter(self, ctx: StageContext) -> StageOutput:
@@ -433,7 +440,6 @@ class ShardParallelExecutor(Executor):
     """
 
     name = "parallel"
-    required_capability = "parallel"
 
     def _run_filter(self, ctx: StageContext) -> StageOutput:
         from repro.parallel.driver import run_parallel_pipeline

@@ -82,6 +82,11 @@ def serve(conn, ops: OpTable, warm: Sequence[str], name: str) -> None:
     the worker instead of being marshalled — work interrupted by
     shutdown must never be recorded as if its own code raised.  A dead
     parent reads as EOF, so workers cannot outlive it.
+
+    Before it answers anything the worker imports ``warm``: every module
+    its ops load on first use, not only those unpickling ``ops`` loads
+    (an op table's module may keep its heavy imports inside the op, so
+    that the parent holding it stays light).
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -93,6 +98,8 @@ def serve(conn, ops: OpTable, warm: Sequence[str], name: str) -> None:
     # Warm the ops' import graph before serving: a fresh interpreter
     # would otherwise pay it inside the first op, whose time the caller
     # attributes to that op.  The start-up ping blocks until this is done.
+    # Only what ``warm`` names is warmed, so it must cover the ops' lazy
+    # imports too.
     for module in warm:
         importlib.import_module(module)
     while True:

@@ -57,10 +57,8 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from repro.core import trace
+from repro.core.config import SHARD_PLANES
 from repro.labels import NARROW, WIDE, edge_dtype
-
-#: Shard hand-off planes selectable by config (``shard_plane``).
-SHARD_PLANES = ("pipe", "shm")
 
 #: Header layout: 6 little-endian int64 slots ahead of the payload —
 #: magic, layout version, generation, ``len(u)``, ``len(v)`` and the

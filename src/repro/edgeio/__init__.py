@@ -18,16 +18,23 @@ its bytes, which every read checks: no torn or changed shard passes.
 
 from __future__ import annotations
 
-from repro.edgeio.format import (
-    DEFAULT_VERTEX_BASE,
-    decode_edges,
-    encode_edges,
-    parse_edge_line,
-)
-from repro.edgeio.dataset import EdgeDataset, shard_slices
-from repro.edgeio.manifest import DatasetManifest, ShardInfo
-from repro.edgeio.binary import decode_binary_shard, encode_binary_shard
+from repro._util.lazy import lazy_exports
 from repro.edgeio.errors import CorruptEdgeFileError, DatasetLayoutError
+
+# The codecs and the dataset import numpy; the errors do not (the
+# artifact cache's corruption rule names them at import).
+__getattr__ = lazy_exports(__name__, {
+    "DEFAULT_VERTEX_BASE": "repro.edgeio.format",
+    "decode_edges": "repro.edgeio.format",
+    "encode_edges": "repro.edgeio.format",
+    "parse_edge_line": "repro.edgeio.format",
+    "EdgeDataset": "repro.edgeio.dataset",
+    "shard_slices": "repro.edgeio.dataset",
+    "DatasetManifest": "repro.edgeio.manifest",
+    "ShardInfo": "repro.edgeio.manifest",
+    "decode_binary_shard": "repro.edgeio.binary",
+    "encode_binary_shard": "repro.edgeio.binary",
+})
 
 __all__ = [
     "CorruptEdgeFileError",

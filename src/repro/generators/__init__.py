@@ -15,12 +15,24 @@ All generators return edge lists as a pair of arrays ``(u, v)`` with
 
 from __future__ import annotations
 
+from repro._util.lazy import lazy_exports
 from repro.generators.base import EdgeList, GeneratorSpec
-from repro.generators.kronecker import KroneckerParams, kronecker_edges
-from repro.generators.bter import BTERParams, bter_edges
-from repro.generators.ppl import PPLParams, ppl_degree_sequence, ppl_edges
-from repro.generators.simple import erdos_renyi_edges, ring_graph_edges
-from repro.generators.registry import available_generators, get_generator
+
+# The generators themselves import numpy: loaded on first use, so the
+# config layer can read GeneratorSpec without them.
+__getattr__ = lazy_exports(__name__, {
+    "KroneckerParams": "repro.generators.kronecker",
+    "kronecker_edges": "repro.generators.kronecker",
+    "BTERParams": "repro.generators.bter",
+    "bter_edges": "repro.generators.bter",
+    "PPLParams": "repro.generators.ppl",
+    "ppl_degree_sequence": "repro.generators.ppl",
+    "ppl_edges": "repro.generators.ppl",
+    "erdos_renyi_edges": "repro.generators.simple",
+    "ring_graph_edges": "repro.generators.simple",
+    "available_generators": "repro.generators.registry",
+    "get_generator": "repro.generators.registry",
+})
 
 __all__ = [
     "BTERParams",

@@ -11,15 +11,16 @@ generator produces both; Kernel 2 accumulates duplicates into counts).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from repro._util import check_dtype, check_same_length
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: Edge list type alias: (start vertices, end vertices), both in the
 #: label dtype (:mod:`repro.labels`).
-EdgeList = Tuple[np.ndarray, np.ndarray]
+EdgeList = Tuple["np.ndarray", "np.ndarray"]
 
 #: Bytes per edge assumed by the paper's Table II memory column
 #: (two 8-byte integers; the pipeline itself holds two ``uint32`` labels,

@@ -15,13 +15,23 @@ Everything needed to regenerate the paper's evaluation artifacts:
 
 from __future__ import annotations
 
-from repro.harness.records import MeasurementRecord, load_records, save_records
+from repro._util.lazy import lazy_exports
 from repro.harness.sloc import backend_sloc_table, count_sloc
 from repro.harness.tables import render_table, run_sizes_rows, sloc_rows
 from repro.harness.figures import FigureSeries, build_figure_series, render_figure
 from repro.harness.experiments import available_experiments, run_experiment
-from repro.harness.goldens import GoldenRecord, golden_for_config, golden_from_outputs
-from repro.harness.report import build_report
+
+# Records, goldens and reports import numpy: loaded on first use, so the
+# CLI's parser reads the experiment registry without it.
+__getattr__ = lazy_exports(__name__, {
+    "MeasurementRecord": "repro.harness.records",
+    "load_records": "repro.harness.records",
+    "save_records": "repro.harness.records",
+    "GoldenRecord": "repro.harness.goldens",
+    "golden_for_config": "repro.harness.goldens",
+    "golden_from_outputs": "repro.harness.goldens",
+    "build_report": "repro.harness.report",
+})
 
 __all__ = [
     "FigureSeries",

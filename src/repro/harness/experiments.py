@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.harness.figures import (
     FIGURE_KERNELS,
@@ -18,8 +18,10 @@ from repro.harness.figures import (
     render_figure,
     render_ranks,
 )
-from repro.harness.records import MeasurementRecord
 from repro.harness.tables import render_run_sizes, render_sloc
+
+if TYPE_CHECKING:
+    from repro.harness.records import MeasurementRecord
 
 #: Scales used by default for figure sweeps — small enough for a laptop,
 #: large enough to show the curves' shape (the paper used 16–22 on a
@@ -98,8 +100,8 @@ def _run_ranks(scales: Optional[List[int]], backends: Optional[List[str]],
     """K2+K3 strong scaling: every parallel-capable (backend, scale)
     cell at each rank count, 1 rank (the speedup baseline) included."""
     del execution  # always the parallel strategy
-    from repro.api.runner import execute_spec, sweep_cells
-    from repro.api.spec import RunSpec, SweepSpec
+    from repro.api.runner import execute_spec
+    from repro.api.spec import RunSpec, SweepSpec, sweep_cells
 
     scales = scales or DEFAULT_FIGURE_SCALES
     counts = sorted(set(ranks or DEFAULT_RANKS) | {1})

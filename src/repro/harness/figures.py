@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.core.config import KernelName
-from repro.harness.records import MeasurementRecord
+
+if TYPE_CHECKING:
+    from repro.harness.records import MeasurementRecord
 
 #: Paper figure id -> kernel measured in it.
 FIGURE_KERNELS = {
@@ -150,6 +150,8 @@ def render_figure(
         by_m = dict(points)
         slope = "-"  # d log10(edges/s) / d log10 M; ~0 is a flat curve
         if len(points) >= 2:
+            import numpy as np
+
             xs, ys = np.log10(np.maximum(points, 1e-12)).T
             slope = f"{np.polyfit(xs, ys, 1)[0]:+.3f}"
         cells = [backend] + [

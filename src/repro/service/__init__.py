@@ -18,29 +18,35 @@ serve``) lets many remote clients drive one service.
 
 from __future__ import annotations
 
-from repro.core.procpool import RemoteOpError, WorkerCrashError
-from repro.service.agent import WorkerAgent, run_worker
-from repro.service.framing import FrameChannel, FrameError
-from repro.service.jobs import Job, JobState, JobStore, load_events
-from repro.service.pool import (
-    WORKER_KINDS,
-    ProcessWorkerPool,
-    ThreadWorkerPool,
-)
-from repro.service.remote import RemoteWorkerPool
-from repro.service.service import (
-    BenchmarkService,
-    JobCancelledError,
-    JobError,
-    JobFailedError,
-    UnknownJobError,
-)
-from repro.service.httpd import (
-    BenchmarkHTTPServer,
-    make_server,
-    run_server,
-    serve_in_thread,
-)
+from repro._util.lazy import lazy_exports
+
+# Loaded on first use: the CLI parser reads WORKER_KINDS without the
+# HTTP server, the TCP plane or the service machinery.
+__getattr__ = lazy_exports(__name__, {
+    "RemoteOpError": "repro.core.procpool",
+    "WorkerCrashError": "repro.core.procpool",
+    "WorkerAgent": "repro.service.agent",
+    "run_worker": "repro.service.agent",
+    "FrameChannel": "repro.service.framing",
+    "FrameError": "repro.service.framing",
+    "Job": "repro.service.jobs",
+    "JobState": "repro.service.jobs",
+    "JobStore": "repro.service.jobs",
+    "load_events": "repro.service.jobs",
+    "WORKER_KINDS": "repro.service.pool",
+    "ProcessWorkerPool": "repro.service.pool",
+    "ThreadWorkerPool": "repro.service.pool",
+    "RemoteWorkerPool": "repro.service.remote",
+    "BenchmarkService": "repro.service.service",
+    "JobCancelledError": "repro.service.service",
+    "JobError": "repro.service.service",
+    "JobFailedError": "repro.service.service",
+    "UnknownJobError": "repro.service.service",
+    "BenchmarkHTTPServer": "repro.service.httpd",
+    "make_server": "repro.service.httpd",
+    "run_server": "repro.service.httpd",
+    "serve_in_thread": "repro.service.httpd",
+})
 
 __all__ = [
     "BenchmarkHTTPServer",

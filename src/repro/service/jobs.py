@@ -28,10 +28,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
-from repro.api.runner import RunOutcome
 from repro.api.spec import RunSpec, SweepSpec
+
+if TYPE_CHECKING:
+    from repro.api.runner import RunOutcome
 
 
 class JobState(str, enum.Enum):

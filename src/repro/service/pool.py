@@ -16,6 +16,10 @@ implement that contract:
   one ``run-spec`` op.  Workers are spawned lazily on first use and
   reused across jobs; a worker that dies mid-job is replaced and the
   job fails with :class:`~repro.core.procpool.WorkerCrashError`.
+  Each worker imports the whole execution stack
+  (:data:`~repro.service.worker.WORKER_WARM`) before it answers its
+  start-up ping; the serving process itself never imports numpy or
+  scipy for a process pool.
   ``terminate()`` kills every child immediately — the ``^C`` path, so
   in-flight jobs fail fast instead of outliving the service as zombies.
 
@@ -34,11 +38,17 @@ thread-pooled one — asserted by ``tests/unit/test_worker_pool.py``
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.api.runner import RunOutcome
 from repro.core.procpool import ProcessPool
-from repro.service.worker import WORKER_OPS, run_spec_job_with_outcome
+from repro.service.worker import (
+    WORKER_OPS,
+    WORKER_WARM,
+    run_spec_job_with_outcome,
+)
+
+if TYPE_CHECKING:
+    from repro.api.runner import RunOutcome
 
 #: Accepted ``worker_kind`` values for the service/CLI.  ``"remote"``
 #: dispatches over TCP to ``repro worker --connect`` agents (see
@@ -97,7 +107,8 @@ class ProcessWorkerPool(ProcessPool):
     transport = "pipe"
 
     def __init__(self, workers: int) -> None:
-        super().__init__(workers, WORKER_OPS, name="worker", daemon=False)
+        super().__init__(workers, WORKER_OPS, name="worker", daemon=False,
+                         warm=WORKER_WARM)
 
     def workers_view(self) -> List[Dict[str, object]]:
         """No per-worker health rows: pipe workers have no heartbeat

@@ -50,10 +50,9 @@ import time
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
 
-from repro.api.runner import RunOutcome, sweep_cells
-from repro.api.spec import RunSpec, SweepSpec
+from repro.api.spec import RunSpec, SweepSpec, sweep_cells
 from repro.core.procpool import RemoteOpError, WorkerCrashError
 from repro.service.jobs import (
     Job,
@@ -66,6 +65,9 @@ from repro.service.jobs import (
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.pool import make_worker_pool
+
+if TYPE_CHECKING:
+    from repro.api.runner import RunOutcome
 
 logger = logging.getLogger("repro.service")
 

@@ -10,16 +10,19 @@ produces byte-for-byte the result documents a thread-pooled one does.
 
 :data:`WORKER_OPS` is the op table process workers serve through the
 shared runtime in :mod:`repro.core.procpool`: one ``run-spec`` op over
-that same body.
+that same body, with :data:`WORKER_WARM` imported before the worker
+answers its start-up ping.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.api.runner import RunOutcome, execute_spec
 from repro.api.spec import RunSpec
+
+if TYPE_CHECKING:
+    from repro.api.runner import RunOutcome
 
 
 def outcome_payload(outcome: RunOutcome) -> Dict[str, object]:
@@ -101,6 +104,8 @@ def run_spec_job_with_outcome(
     """As :func:`run_spec_job`, also returning the live outcome."""
     from pathlib import Path
 
+    from repro.api.runner import execute_spec
+
     spec = RunSpec.from_dict(spec_doc)
     outcome = execute_spec(
         spec, cache_dir=Path(cache_dir) if cache_dir else None
@@ -115,3 +120,17 @@ def _op_run_spec(payload) -> Dict[str, object]:
 
 #: The op table of a service process worker.
 WORKER_OPS = {"run-spec": _op_run_spec}
+
+#: What a process worker imports before its start-up ping: the execution
+#: body and the built-in backends a job's first backend lookup loads
+#: (with them repro.grb and repro.frame), so that no job pays for
+#: imports.  This module itself imports neither, so the serving process
+#: can hand :data:`WORKER_OPS` to a pool without loading numpy.
+WORKER_WARM = (
+    "repro.api.runner",
+    "repro.backends.python_backend",
+    "repro.backends.numpy_backend",
+    "repro.backends.scipy_backend",
+    "repro.backends.dataframe_backend",
+    "repro.backends.graphblas_backend",
+)

@@ -190,8 +190,6 @@ class TestCsrArtifacts:
             self, tmp_path, monkeypatch):
         import errno
 
-        from repro.core import artifacts
-
         cache = ArtifactCache(tmp_path / "c")
         fields = {"kernel": "k2"}
         key = cache.store_csr("k2", fields, self._matrix(), {})
@@ -200,7 +198,8 @@ class TestCsrArtifacts:
             raise OSError(errno.EMFILE, "Too many open files")
 
         with monkeypatch.context() as patch:
-            patch.setattr(artifacts.np, "load", out_of_descriptors)
+            # The k2 reader imports numpy when it runs: patch the module.
+            patch.setattr(np, "load", out_of_descriptors)
             with pytest.raises(OSError) as excinfo:
                 cache.load_csr("k2", fields)
         assert excinfo.value.errno == errno.EMFILE

@@ -94,6 +94,30 @@ class TestCacheEvictionRespectsLocks:
         assert details["artifact_cache"] == "miss"
         assert dataset.num_edges == N_EDGES
 
+    def test_prune_right_after_publish_cannot_fail_the_miss(
+            self, tmp_path, monkeypatch):
+        # The window the stress test below hits by chance: a prune that
+        # lands between the miss path's publish and its reopen.
+        cache = ArtifactCache(tmp_path)
+        publish = cache._publish
+
+        def publish_then_prune(*args, **kwargs):
+            result = publish(*args, **kwargs)
+            cache.prune(0)
+            return result
+
+        monkeypatch.setattr(cache, "_publish", publish_then_prune)
+        held = []
+        dataset, details = cache.dataset("k0", FIELDS, _producer, hold=held)
+        try:
+            assert details["artifact_cache"] == "miss"
+            expected, _ = _producer(tmp_path / "reference")
+            for got, want in zip(dataset.read_all(), expected.read_all()):
+                np.testing.assert_array_equal(got, want)
+        finally:
+            while held:
+                held.pop().release()
+
     def test_lock_files_not_listed_as_entries(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.dataset("k0", FIELDS, _producer)

@@ -43,6 +43,25 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             register_backend(Dup)
 
+    def test_builtins_load_after_an_earlier_registration(self, monkeypatch):
+        from repro.backends import registry
+
+        class Custom(Backend):
+            name = "custom"
+
+            def kernel0(self, *a): ...
+            def kernel1(self, *a): ...
+            def kernel2(self, *a): ...
+            def kernel3(self, *a): ...
+
+        # A registry nobody has looked anything up in yet.
+        monkeypatch.setattr(registry, "_REGISTRY", {})
+        monkeypatch.setattr(registry, "_builtins_loaded", False,
+                            raising=False)
+        register_backend(Custom)
+        assert available_backends() == sorted(ALL_BACKENDS + ["custom"])
+        assert registry.backend_capabilities("custom") == {"serial"}
+
     def test_register_requires_name(self):
         class NoName(Backend):
             name = ""
