@@ -32,6 +32,7 @@ JSON-safe dict of free-form metrics folded into the
 from __future__ import annotations
 
 import abc
+import time
 from pathlib import Path
 from typing import Dict, List, Tuple, TypeVar
 
@@ -314,20 +315,36 @@ class Backend(abc.ABC):
     ) -> KernelOutput[np.ndarray]:
         """Kernel 3 around a backend's ``r*A`` product: ``timings`` gains
         the initial rank under ``setup`` (beside whatever the operand
-        cost) and the ``r <- c*product(r) + teleport`` steps as ``iterate``."""
+        cost) and the ``r <- c*product(r) + teleport`` steps as ``iterate``;
+        ``iteration_seconds`` lists each step's share of ``iterate``.
+
+        ``product(r)`` must return a vector that is not ``r`` and that
+        nothing else holds: it is scaled and shifted in place, the same
+        two operations in the same order as ``c * y + teleport``, so the
+        bits are those of the out-of-place step.  A vector of another
+        dtype (an empty graph's ``bincount`` is int64) is made float64
+        first, as the out-of-place step's scaling made it.
+        """
         with timings.measure("setup"):
             n, c = config.num_vertices, config.damping
             r = self.initial_rank(config)
             scale_by_n = config.formula == "appendix"
+            iteration_seconds = []
         with timings.measure("iterate"):
             for _ in range(config.iterations):
+                started = time.perf_counter()
                 teleport = (1.0 - c) * r.sum()
                 if scale_by_n:
                     teleport /= n
-                r = c * product(r) + teleport
+                y = np.asarray(product(r), dtype=np.float64)
+                np.multiply(y, c, out=y)
+                np.add(y, teleport, out=y)
+                r = y
+                iteration_seconds.append(time.perf_counter() - started)
         return r, {
             "phases": timings.as_dict(),
             "iterations": config.iterations,
+            "iteration_seconds": iteration_seconds,
             "damping": c,
             "rank_sum": float(r.sum()),
         }

@@ -15,22 +15,27 @@ paper (Matlab)                    here
 ``dout = sum(A,2)``               ``np.bincount(rows, weights=vals)``
 ``A(i,:) = A(i,:) ./ dout(i)``    ``vals * inv[rows]``, then
                                   ``sp.csc_matrix((vals, rows, indptr))``
-``r = c*(r*A) + (1-c)*sum(r)/N``  ``c * (A.T @ r) + teleport``, ``A.T`` a view
+``r = c*(r*A) + (1-c)*sum(r)/N``  ``A.T @ r`` into a buffer, scaled and
+                                  shifted there; ``A.T`` a view
 ================================  ==========================================
 
 Matlab's ``sparse`` is compressed-column, so ``r*A`` walks the matrix as
 stored and Kernel 3 is only the products.  CSC is the faithful layout:
 its arrays are byte for byte the CSR arrays of ``Aᵀ``, so ``A.T`` is a
 view and ``A.T @ r`` one ``csr_matvec`` over what Kernel 2 built (a CSR
-``A`` needs a transposed copy per run).  Counts are exact integers and
-each value is the one product ``count * (1/dout[row])``: bit for bit the
-literal scipy transcription (``tests/unit/test_kernel2_oracle.py``).
+``A`` needs a transposed copy per run).  Kernel 3 calls that
+``csr_matvec`` itself, into one of two vectors allocated once, so an
+iteration allocates no N-vector and the bits are those of ``A.T @ r``.
+Counts are exact integers and each value is the one product
+``count * (1/dout[row])``: bit for bit the literal scipy transcription
+(``tests/unit/test_kernel2_oracle.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from repro._util import Timings
 from repro.backends.base import AdjacencyHandle, Backend, Details, KernelOutput
@@ -115,4 +120,27 @@ class ScipyBackend(Backend):
         timings = Timings()
         with timings.measure("setup"):
             at = matrix.matrix.T  # CSC of A read as CSR of Aᵀ: a view
-        return self.fixed_iterations(config, timings, at.__matmul__)
+            product = matvec_product(at)
+        return self.fixed_iterations(config, timings, product)
+
+
+def matvec_product(at: sp.csr_matrix):
+    """``r -> at @ r`` for :meth:`Backend.fixed_iterations`, without the
+    per-call allocation: the ``csr_matvec`` that ``@`` calls, into a
+    vector zeroed first, as ``@`` zeroes its own (the routine adds into
+    its output).  The product alternates between two vectors allocated
+    here, so it never writes the ``r`` it reads, and each result is
+    free to be scaled in place until the call after next."""
+    m, n = at.shape
+    buffers = [np.empty(m), np.empty(m)]
+
+    def product(r: np.ndarray) -> np.ndarray:
+        if r.shape != (n,):  # csr_matvec reads n values, unchecked
+            raise ValueError(f"r has shape {r.shape}, the matrix ({m}, {n})")
+        y = buffers[0]
+        buffers.reverse()
+        y.fill(0.0)
+        _sparsetools.csr_matvec(m, n, at.indptr, at.indices, at.data, r, y)
+        return y
+
+    return product

@@ -10,13 +10,12 @@ from typing import List, Optional
 
 from repro.cli import commands
 from repro.core.artifacts import ArtifactCache
-from repro.core.config import FIELD_CHOICES
+from repro.core.config import FIELD_CHOICES, WORKER_KINDS
 from repro.core.exceptions import ExecutorCapabilityError, PipelineError
 from repro.harness.experiments import (
     DEFAULT_FIGURE_BACKENDS,
     DEFAULT_FIGURE_SCALES,
 )
-from repro.service.pool import WORKER_KINDS
 
 
 def _csv_ints(text: str) -> List[int]:

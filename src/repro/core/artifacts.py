@@ -21,7 +21,9 @@ observe a half-written entry, and read one way
 (:data:`CORRUPTION`): a torn entry reads as a miss and is purged, a
 transient ``OSError`` propagates and purges nothing.  A k0/k1 hit checks
 shard sizes; their CRC32s (in the manifest) are checked when a kernel
-reads them, and a mismatch then raises: an error, not a miss.
+reads them, and a mismatch then raises: an error, not a miss.  A k2
+hit reads its arrays whole and checks their CRC32s (in ``matrix.json``)
+at once, so a mismatch there is a miss.
 
 Eviction (``repro cache prune`` / :meth:`ArtifactCache.prune`) is made
 safe against concurrent readers by per-entry advisory lock files
@@ -43,7 +45,7 @@ import os
 import shutil
 import tarfile
 import tempfile
-import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -75,14 +77,14 @@ T = TypeVar("T")
 MARKER = "cache-entry.json"
 
 #: The one corruption rule: what reading a published entry raises when
-#: its files are torn or malformed — a format error (bad manifest, shard
-#: or archive) or a missing member or file.  Such an entry reads as a
-#: miss and is purged.  Every other ``OSError`` (``EMFILE``, ``EACCES``,
-#: ``EIO``, …) is no verdict on the entry: it propagates, and the entry
-#: stays for the next reader.
+#: its files are torn or malformed — a format error (a bad manifest,
+#: shard or matrix index, a k2 array file of the wrong size or CRC32) or
+#: a missing key or file.  Such an entry reads as a miss and is purged.
+#: Every other ``OSError`` (``EMFILE``, ``EACCES``, ``EIO``, …) is no
+#: verdict on the entry: it propagates, and the entry stays for the next
+#: reader.
 CORRUPTION = (
-    EdgeIOError, ValueError, KeyError, EOFError, zipfile.BadZipFile,
-    FileNotFoundError,
+    EdgeIOError, ValueError, KeyError, EOFError, FileNotFoundError,
 )
 
 #: On-disk layout version of each artifact kind, hashed into that kind's
@@ -92,8 +94,15 @@ CORRUPTION = (
 #: program reading another layout *misses* the entry instead of misreading
 #: it (a wrong rank with no error).  Only the changed kind is bumped; the
 #: fields of k1 and k2 build on k0's, but each carries its own number.
-#: k2 is at 2: its ``csr.npz`` became the CSC that Kernel 3 multiplies by.
-LAYOUT_VERSIONS: Dict[str, int] = {"k0": 1, "k1": 1, "k2": 2}
+#: k2 is at 3: its matrix became the CSC that Kernel 3 multiplies by (2),
+#: then three raw array files under a ``matrix.json`` of CRC32s (3).
+LAYOUT_VERSIONS: Dict[str, int] = {"k0": 1, "k1": 1, "k2": 3}
+
+#: A k2 entry's array files, one per compressed-matrix array, and the
+#: JSON recording the layout, the shape and each file's dtype, length
+#: and CRC32 (written with the arrays, checked on every read).
+MATRIX_ARRAYS = ("indptr", "indices", "data")
+MATRIX_INDEX = "matrix.json"
 
 
 def k0_cache_fields(
@@ -264,7 +273,12 @@ class ArtifactCache:
 
         <root>/k0/<key>/manifest.json + shards + cache-entry.json
         <root>/k1/<key>/...
-        <root>/k2/<key>/csr.npz (CSR or CSC) + meta.json + cache-entry.json
+        <root>/k2/<key>/indptr.bin + indices.bin + data.bin
+                        + matrix.json + meta.json + cache-entry.json
+
+    A k2 entry's ``*.bin`` files are the matrix's arrays, raw;
+    ``matrix.json`` records its layout (CSR or CSC, as stored), shape,
+    and each array's dtype, length and CRC32.
 
     ``cache-entry.json`` (:data:`MARKER`) records the key's input fields;
     written last, it marks the entry published, and :meth:`import_entry`
@@ -393,19 +407,7 @@ class ArtifactCache:
             matrix = matrix.tocsr()
 
         def write(staging: Path) -> None:
-            import numpy as np
-
-            # The layout marker is a member's name: nothing to read, and
-            # an entry without it is CSR.
-            marker = {"csc": np.empty(0)} if matrix.format == "csc" else {}
-            np.savez(
-                staging / "csr.npz",
-                indptr=matrix.indptr,
-                indices=matrix.indices,
-                data=matrix.data,
-                shape=np.asarray(matrix.shape, dtype=np.int64),
-                **marker,
-            )
+            _store_matrix(staging, matrix)
             (staging / "meta.json").write_text(
                 json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8"
             )
@@ -748,20 +750,64 @@ def _open_dataset(entry: Path) -> EdgeDataset:
     return EdgeDataset.open(entry, mmap=True)
 
 
-def _load_matrix(entry: Path) -> Tuple[sp.spmatrix, Dict[str, object]]:
-    """Read half of a k2 entry: ``(matrix, meta)`` fully in memory."""
+def _store_matrix(staging: Path, matrix: sp.spmatrix) -> None:
+    """Write half of a k2 entry's matrix: each array raw, then
+    :data:`MATRIX_INDEX` with the CRC32 of what was written."""
     import numpy as np
+
+    arrays = {}
+    for name in MATRIX_ARRAYS:
+        raw = np.ascontiguousarray(getattr(matrix, name))
+        (staging / f"{name}.bin").write_bytes(raw.view(np.uint8))
+        arrays[name] = {"dtype": raw.dtype.str, "length": len(raw),
+                        "crc32": zlib.crc32(raw.view(np.uint8))}
+    index = {"format": matrix.format,
+             "shape": [int(x) for x in matrix.shape], "arrays": arrays}
+    (staging / MATRIX_INDEX).write_text(json.dumps(index), encoding="utf-8")
+
+
+def _load_matrix(entry: Path) -> Tuple[sp.spmatrix, Dict[str, object]]:
+    """Read half of a k2 entry: ``(matrix, meta)`` fully in memory.
+
+    Each array is checked against its :data:`MATRIX_INDEX` record before
+    the matrix is built; a malformed index, a file of the wrong size or
+    a CRC mismatch raises ``ValueError`` (:data:`CORRUPTION`).
+    """
     import scipy.sparse as sp
 
     meta = json.loads((entry / "meta.json").read_text(encoding="utf-8"))
-    with np.load(entry / "csr.npz") as archive:
-        shape = tuple(int(x) for x in archive["shape"])
-        csc = "csc" in archive.files
-        matrix = (sp.csc_matrix if csc else sp.csr_matrix)(
-            (archive["data"], archive["indices"], archive["indptr"]),
-            shape=shape,
-        )
-    return matrix, meta
+    index = json.loads((entry / MATRIX_INDEX).read_text(encoding="utf-8"))
+    try:  # outside input on import: a field of the wrong type is corrupt
+        build = {"csr": sp.csr_matrix, "csc": sp.csc_matrix}[index["format"]]
+        data, indices, indptr = (
+            _read_array(entry / f"{name}.bin", index["arrays"][name])
+            for name in ("data", "indices", "indptr"))
+        return build((data, indices, indptr),
+                     shape=tuple(index["shape"])), meta
+    except TypeError as exc:
+        raise ValueError(f"{entry / MATRIX_INDEX}: {exc}") from exc
+
+
+def _read_array(path: Path, record: Dict[str, object]):
+    """One k2 array file, read with one ``readinto`` into its recorded
+    dtype once its size matches ``record``, then checked against the
+    recorded CRC32.  Only integer and float dtypes are read, and the
+    size is checked before anything is allocated."""
+    import numpy as np
+
+    dtype, length = np.dtype(record["dtype"]), record["length"]
+    if dtype.kind not in "iuf" or type(length) is not int:
+        raise ValueError(f"{path}: refusing {length!r} of {dtype}")
+    with open(path, "rb") as source:
+        size = os.fstat(source.fileno()).st_size
+        if size != length * dtype.itemsize:
+            raise ValueError(f"{path}: {size} bytes, not {length} of {dtype}")
+        raw = np.empty(length, dtype=dtype).view(np.uint8)
+        if source.readinto(raw) != size:
+            raise ValueError(f"{path}: short read")
+    if zlib.crc32(raw) != record["crc32"]:
+        raise ValueError(f"{path}: CRC mismatch")
+    return raw.view(dtype)
 
 
 def _pack(entry: Path) -> bytes:

@@ -453,7 +453,7 @@ class AsyncExecutor(Executor):
         *i+1*'s encode overlaps shard *i*'s write as well.
         """
         config = ctx.config
-        out_dir = ctx.base_dir / "k0"
+        out_dir = ctx.run_dir() / "k0"
         group = stage.kernel.value
         faults: List[Optional[int]] = []
 
@@ -573,8 +573,8 @@ class AsyncExecutor(Executor):
         are lane-pool tasks and the encode chain is dropped.
         """
         config = ctx.config
-        src_dir = ctx.base_dir / "k0"
-        out_dir = ctx.base_dir / "k1"
+        src_dir = ctx.run_dir() / "k0"
+        out_dir = ctx.run_dir() / "k1"
         group = stage.kernel.value
         codec = dict(fmt=config.file_format, vertex_base=config.vertex_base)
 

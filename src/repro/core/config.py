@@ -70,6 +70,10 @@ VALIDATION_MODES = ("off", "contracts", "full", "validate-only")
 #: Shard hand-off planes (``shard_plane``; :mod:`repro.core.shmplane`
 #: negotiates the plane).
 SHARD_PLANES = ("pipe", "shm")
+#: Accepted ``worker_kind`` values for the service/CLI.  ``"remote"``
+#: dispatches over TCP to ``repro worker --connect`` agents (see
+#: :mod:`repro.service.remote`).
+WORKER_KINDS = ("thread", "process", "remote")
 #: Enum-valued fields and their legal values: the one table
 #: :class:`PipelineConfig` validates against and the CLI reads for
 #: ``choices=``.

@@ -35,7 +35,6 @@ pipeline fork.
 from __future__ import annotations
 
 import shutil
-import tempfile
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Type, Union
 
@@ -111,12 +110,9 @@ class Executor:
         """
         backend = self._resolve_backend(config, backend)
         own_dir = config.data_dir is None
-        base_dir = (
-            Path(tempfile.mkdtemp(prefix="repro-pipeline-"))
-            if own_dir
-            else Path(config.data_dir)
-        )
-        base_dir.mkdir(parents=True, exist_ok=True)
+        base_dir = None if own_dir else Path(config.data_dir)
+        if base_dir is not None:
+            base_dir.mkdir(parents=True, exist_ok=True)
         ctx = StageContext(config=config, backend=backend, base_dir=base_dir)
         result = PipelineResult(config=config)
         collector = trace.TraceCollector() if config.trace else None
@@ -137,8 +133,8 @@ class Executor:
             return result
         finally:
             ctx.release_locks()
-            if own_dir:
-                shutil.rmtree(base_dir, ignore_errors=True)
+            if own_dir and ctx.base_dir is not None:
+                shutil.rmtree(ctx.base_dir, ignore_errors=True)
 
     def _resolve_backend(
         self, config: PipelineConfig, backend: Optional[Backend]
@@ -239,7 +235,7 @@ class Executor:
         if ctx.config.cache_dir is not None:
             cache = ArtifactCache(ctx.config.cache_dir)
             return cache.dataset(kind, fields, producer, hold=ctx.held_locks)
-        return producer(ctx.base_dir / kind)
+        return producer(ctx.run_dir() / kind)
 
     def _run_generate(self, ctx: StageContext) -> StageOutput:
         config = ctx.config
@@ -343,7 +339,7 @@ def stream_filter(ctx: StageContext) -> StageOutput:
     streamed = streaming_kernel2(
         ctx.require(ARTIFACT_K1),
         batch_edges=batch_edges,
-        scratch_dir=ctx.base_dir / "k2-scratch",
+        scratch_dir=ctx.run_dir() / "k2-scratch",
     )
     handle = ctx.backend.adjacency_from_csr(
         streamed.matrix, streamed.pre_filter_entry_total

@@ -26,9 +26,10 @@ hold* afterwards.
 from __future__ import annotations
 
 import abc
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -58,7 +59,10 @@ class StageContext:
     backend:
         The backend computing (some of) the kernels.
     base_dir:
-        Scratch/file directory for this run.
+        Scratch/file directory for this run; ``None`` until
+        :meth:`run_dir` first needs one, when the executor owns it (a
+        run whose kernels all hit the artifact cache writes no file and
+        makes no directory).
     artifacts:
         Stage outputs keyed by :attr:`Stage.provides`.
     scratch:
@@ -72,10 +76,16 @@ class StageContext:
 
     config: PipelineConfig
     backend: "Backend"
-    base_dir: Path
+    base_dir: Optional[Path] = None
     artifacts: Dict[str, object] = field(default_factory=dict)
     scratch: Dict[str, object] = field(default_factory=dict)
     held_locks: List[object] = field(default_factory=list)
+
+    def run_dir(self) -> Path:
+        """:attr:`base_dir`, made on first use when none was given."""
+        if self.base_dir is None:
+            self.base_dir = Path(tempfile.mkdtemp(prefix="repro-pipeline-"))
+        return self.base_dir
 
     def release_locks(self) -> None:
         """Release every held cache-entry lock (idempotent)."""

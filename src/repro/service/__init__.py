@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from repro._util.lazy import lazy_exports
 
-# Loaded on first use: the CLI parser reads WORKER_KINDS without the
-# HTTP server, the TCP plane or the service machinery.
+# Loaded on first use: importing the package loads neither the HTTP
+# server, the TCP plane nor the service machinery.
 __getattr__ = lazy_exports(__name__, {
     "RemoteOpError": "repro.core.procpool",
     "WorkerCrashError": "repro.core.procpool",
@@ -33,7 +33,7 @@ __getattr__ = lazy_exports(__name__, {
     "JobState": "repro.service.jobs",
     "JobStore": "repro.service.jobs",
     "load_events": "repro.service.jobs",
-    "WORKER_KINDS": "repro.service.pool",
+    "WORKER_KINDS": "repro.core.config",
     "ProcessWorkerPool": "repro.service.pool",
     "ThreadWorkerPool": "repro.service.pool",
     "RemoteWorkerPool": "repro.service.remote",

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.core.config import WORKER_KINDS
 from repro.core.procpool import ProcessPool
 from repro.service.worker import (
     WORKER_OPS,
@@ -49,11 +50,6 @@ from repro.service.worker import (
 
 if TYPE_CHECKING:
     from repro.api.runner import RunOutcome
-
-#: Accepted ``worker_kind`` values for the service/CLI.  ``"remote"``
-#: dispatches over TCP to ``repro worker --connect`` agents (see
-#: :mod:`repro.service.remote`).
-WORKER_KINDS = ("thread", "process", "remote")
 
 
 class ThreadWorkerPool:

@@ -6,8 +6,9 @@ Kernel 1 reading the shard its Kernel 0 task just wrote (thread and
 process lanes, pipe and shared-memory hand-off), and by ``import_entry``
 before it publishes a synced entry.  A changed byte that still parses
 is an error naming the file, never a different graph.  A k2 entry's
-``csr.npz`` is covered by its zip members' CRC32s instead: a changed
-byte there is a miss, purged and rebuilt with the same digest.
+array files are read whole and checked against the CRC32s in its
+``matrix.json`` at once: a changed byte there is a miss, purged and
+rebuilt with the same digest.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import pytest
 
 from repro.api import RunSpec, execute_spec
 from repro.core import async_executor
-from repro.core.artifacts import ArtifactCache
+from repro.core.artifacts import MATRIX_ARRAYS, ArtifactCache
 from repro.core.config import PipelineConfig
 from repro.core.lanes import ProcessLanePool
 from repro.core.pipeline import run_pipeline
@@ -117,7 +118,7 @@ class TestCachedShards:
         cache = tmp_path / "cache"
         digest = execute_spec(SPEC, cache_dir=cache).rank_digest
         entry = _entry(cache, "k2")
-        _flip_matrix_byte(entry / "csr.npz")
+        _flip_matrix_byte(entry / "data.bin")
         outcome = execute_spec(SPEC, cache_dir=cache)
         assert outcome.rank_digest == digest
         details = outcome.result.kernel(KernelName.K2_FILTER).details
@@ -130,14 +131,11 @@ class TestCachedShards:
 
 
 def _flip_matrix_byte(path: Path) -> None:
-    """Flip one byte inside the stored ``data.npy`` member: the zip's
-    member CRC32 no longer matches."""
-    with np.load(path) as archive:
-        values = archive["data"].tobytes()
+    """Flip one byte of a k2 array file, keeping its size: only the
+    recorded CRC32 can tell."""
     payload = bytearray(path.read_bytes())
-    at = bytes(payload).find(values)
-    assert at > 0 and len(values) > 8
-    payload[at + 8] ^= 0x01
+    assert len(payload) > 8
+    payload[len(payload) // 2] ^= 0x01
     path.write_bytes(bytes(payload))
 
 
@@ -234,18 +232,20 @@ class TestImportEntry:
         assert not target.published("k1", key)
         assert not list((tmp_path / "b" / "k1").glob("*.tmp-*"))
 
-    def test_changed_matrix_byte_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("name", MATRIX_ARRAYS)
+    def test_changed_matrix_byte_is_refused(self, tmp_path, name):
         key, data = self._exported(tmp_path, "k2")
         target = ArtifactCache(tmp_path / "b")
 
         def change(payload):
-            npz = tmp_path / "csr.npz"
-            npz.write_bytes(payload)
-            _flip_matrix_byte(npz)
-            return npz.read_bytes()
+            array = tmp_path / f"{name}.bin"
+            array.write_bytes(payload)
+            _flip_matrix_byte(array)
+            return array.read_bytes()
 
-        changed = self._retar(data, "csr.npz", change)
+        changed = self._retar(data, f"{name}.bin", change)
         assert changed != data
         assert not target.import_entry("k2", key, changed)
         assert not target.published("k2", key)
+        assert not list((tmp_path / "b" / "k2").glob("*.tmp-*"))
         assert target.import_entry("k2", key, data)

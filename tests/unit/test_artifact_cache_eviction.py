@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core import artifacts
 from repro.core.artifacts import (
     LAYOUT_VERSIONS,
     MARKER,
+    MATRIX_ARRAYS,
+    MATRIX_INDEX,
     ArtifactCache,
     cache_key,
     k0_cache_fields,
@@ -147,19 +150,43 @@ class TestCsrArtifacts:
         assert matrix.format == "csr"
         np.testing.assert_array_equal(matrix.toarray(), self._matrix().toarray())
 
-    def test_entry_without_a_layout_marker_is_csr(self, tmp_path):
-        # What store_csr wrote before entries carried a marker.
+    def test_entry_is_raw_arrays_under_an_index(self, tmp_path):
         cache = ArtifactCache(tmp_path / "c")
-        fields = {"kernel": "k2"}
-        key = cache.store_csr("k2", fields, self._matrix(), {"m": 1})
+        stored = self._matrix().tocsc()
+        key = cache.store_csr("k2", {"kernel": "k2"}, stored, {})
+        entry = cache.entry_dir("k2", key)
+        index = json.loads((entry / MATRIX_INDEX).read_text())
+        assert index["format"] == "csc" and index["shape"] == [3, 3]
+        for name in MATRIX_ARRAYS:
+            array = getattr(stored, name)
+            record = index["arrays"][name]
+            assert record["dtype"] == array.dtype.str
+            assert record["length"] == len(array)
+            assert (entry / f"{name}.bin").read_bytes() == array.tobytes()
+        assert not list(entry.glob("*.npz"))
+
+    def test_layout_2_entry_is_never_read(self, tmp_path):
+        # What store_csr wrote at layout 2: one csr.npz.  Its key holds
+        # the old number, so a run at today's layout neither reads nor
+        # purges it: it misses and publishes its own entry.
+        config = PipelineConfig(scale=6, seed=2, cache_dir=tmp_path / "c")
+        cache = ArtifactCache(config.cache_dir)
+        fields = k2_cache_fields(config, variant="backend-serial")
+        old = dict(fields, layout=2)
         reference = self._matrix()
-        np.savez(cache.entry_dir("k2", key) / "csr.npz",
-                 indptr=reference.indptr, indices=reference.indices,
-                 data=reference.data,
-                 shape=np.asarray(reference.shape, dtype=np.int64))
-        matrix, meta = cache.load_csr("k2", fields)
-        assert matrix.format == "csr" and meta == {"m": 1}
-        np.testing.assert_array_equal(matrix.toarray(), reference.toarray())
+
+        def write_npz(staging):
+            np.savez(staging / "csr.npz", indptr=reference.indptr,
+                     indices=reference.indices, data=reference.data,
+                     shape=np.asarray(reference.shape, dtype=np.int64))
+            (staging / "meta.json").write_text("{}")
+
+        cache._publish("k2", old, write_npz)
+        result = run_pipeline(config)
+        assert (result.kernel(KernelName.K2_FILTER)
+                .details["artifact_cache"] == "miss")
+        assert (cache.entry_dir("k2", cache_key(old)) / "csr.npz").is_file()
+        assert cache.published("k2", cache_key(fields))
 
     def test_load_missing_is_none(self, tmp_path):
         cache = ArtifactCache(tmp_path / "c")
@@ -169,17 +196,52 @@ class TestCsrArtifacts:
         cache = ArtifactCache(tmp_path / "c")
         fields = {"kernel": "k2"}
         key = cache.store_csr("k2", fields, self._matrix(), {})
-        (cache.entry_dir("k2", key) / "csr.npz").write_bytes(b"garbage")
+        (cache.entry_dir("k2", key) / MATRIX_INDEX).write_bytes(b"garbage")
         assert cache.load_csr("k2", fields) is None
         assert not cache.entry_dir("k2", key).exists()
 
-    @pytest.mark.parametrize("member", ["csr.npz", "meta.json", MARKER])
+    @pytest.mark.parametrize("damage", ["flip", "truncate", "delete"])
+    @pytest.mark.parametrize("name", MATRIX_ARRAYS)
+    def test_damaged_array_file_is_purged(self, tmp_path, name, damage):
+        cache = ArtifactCache(tmp_path / "c")
+        fields = {"kernel": "k2"}
+        key = cache.store_csr("k2", fields, self._matrix(), {"m": 1})
+        path = cache.entry_dir("k2", key) / f"{name}.bin"
+        payload = bytearray(path.read_bytes())
+        if damage == "flip":  # same size: only the CRC32 can tell
+            payload[len(payload) // 2] ^= 0x01
+            path.write_bytes(bytes(payload))
+        elif damage == "truncate":
+            path.write_bytes(bytes(payload[: len(payload) // 2]))
+        else:
+            path.unlink()
+        assert cache.load_csr("k2", fields) is None
+        assert not cache.entry_dir("k2", key).exists()
+
+    @pytest.mark.parametrize("record", [
+        {"dtype": "|O", "length": 4},      # pointers read from a file
+        {"dtype": "not-a-dtype", "length": 4},
+        {"dtype": "<i4", "length": 1 << 60},  # refused before allocating
+        {"dtype": "<i4", "length": -1},
+    ])
+    def test_malformed_index_record_is_purged(self, tmp_path, record):
+        cache = ArtifactCache(tmp_path / "c")
+        fields = {"kernel": "k2"}
+        key = cache.store_csr("k2", fields, self._matrix(), {})
+        path = cache.entry_dir("k2", key) / MATRIX_INDEX
+        index = json.loads(path.read_text())
+        index["arrays"]["indices"].update(record)
+        path.write_text(json.dumps(index))
+        assert cache.load_csr("k2", fields) is None
+        assert not cache.entry_dir("k2", key).exists()
+
+    @pytest.mark.parametrize("member", [MATRIX_INDEX, "meta.json", MARKER])
     def test_truncated_or_missing_member_is_purged(self, tmp_path, member):
         cache = ArtifactCache(tmp_path / "c")
         fields = {"kernel": "k2"}
         key = cache.store_csr("k2", fields, self._matrix(), {"m": 1})
         path = cache.entry_dir("k2", key) / member
-        if member == "csr.npz":
+        if member == MATRIX_INDEX:
             path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         else:
             path.unlink()
@@ -194,12 +256,15 @@ class TestCsrArtifacts:
         fields = {"kernel": "k2"}
         key = cache.store_csr("k2", fields, self._matrix(), {})
 
-        def out_of_descriptors(*args, **kwargs):
-            raise OSError(errno.EMFILE, "Too many open files")
+        def out_of_descriptors(path, *args, **kwargs):
+            if str(path).endswith(".bin"):
+                raise OSError(errno.EMFILE, "Too many open files")
+            return open(path, *args, **kwargs)
 
         with monkeypatch.context() as patch:
-            # The k2 reader imports numpy when it runs: patch the module.
-            patch.setattr(np, "load", out_of_descriptors)
+            # Opening an array file fails; the lock and JSON files open.
+            patch.setattr(artifacts, "open", out_of_descriptors,
+                          raising=False)
             with pytest.raises(OSError) as excinfo:
                 cache.load_csr("k2", fields)
         assert excinfo.value.errno == errno.EMFILE
@@ -378,7 +443,7 @@ class TestK2WarmRuns:
 
     def test_torn_k2_entry_reads_as_a_miss_with_the_same_digest(
             self, tmp_path):
-        # A half-written csr.npz (a torn disk, a killed copy) must not
+        # A half-written array file (a torn disk, a killed copy) must not
         # break later runs: it is purged, rebuilt, and the rank digest
         # is the one the intact entry gave.
         from repro.api import RunSpec, execute_spec
@@ -386,7 +451,7 @@ class TestK2WarmRuns:
         spec = RunSpec(scale=8, seed=1, backend="scipy")
         cache_dir = tmp_path / "c"
         cold = execute_spec(spec, cache_dir=cache_dir)
-        [payload] = (cache_dir / "k2").glob("*/csr.npz")
+        [payload] = (cache_dir / "k2").glob("*/data.bin")
         size = payload.stat().st_size
         payload.write_bytes(payload.read_bytes()[: size // 2])
 

@@ -134,6 +134,47 @@ class TestContracts:
             SortContract().check(self._ctx(config=pairs, **artifacts))
 
 
+class TestRunDirectory:
+    """The run's own file directory is made when a kernel first writes a
+    file, and always removed: a warm run whose kernels all hit the
+    artifact cache makes none."""
+
+    @staticmethod
+    def _made(monkeypatch, config):
+        import tempfile
+
+        from repro.core import stages
+
+        made = []
+        real = tempfile.mkdtemp
+
+        def spy(*args, **kwargs):
+            made.append(Path(real(*args, **kwargs)))
+            return str(made[-1])
+
+        with monkeypatch.context() as patch:
+            # The module is shared: cache staging directories pass too.
+            patch.setattr(stages.tempfile, "mkdtemp", spy)
+            SerialExecutor().execute(config)
+        return [path for path in made
+                if path.name.startswith("repro-pipeline-")]
+
+    def test_cold_run_makes_and_removes_one(self, monkeypatch):
+        made = self._made(monkeypatch, PipelineConfig(scale=6, seed=1))
+        assert len(made) == 1 and not made[0].exists()
+
+    def test_cached_runs_make_none(self, monkeypatch, tmp_path):
+        # K0 and K1 write into cache entries even on a miss.
+        config = PipelineConfig(scale=6, seed=1, cache_dir=tmp_path / "c")
+        assert self._made(monkeypatch, config) == []
+        assert self._made(monkeypatch, config) == []
+
+    def test_given_directory_is_kept(self, monkeypatch, tmp_path):
+        config = PipelineConfig(scale=6, seed=1, data_dir=tmp_path / "d")
+        assert self._made(monkeypatch, config) == []
+        assert (tmp_path / "d" / "k0").is_dir()
+
+
 class TestExecutorRegistry:
     def test_available(self):
         assert available_executions() == (

@@ -84,6 +84,19 @@ def test_spec_surface_and_cli_parser_load_no_numerical_stack():
     assert loaded == []
 
 
+def test_cli_parser_loads_no_process_runtime():
+    # The parser's worker-kind choices live in core.config, beside the
+    # other enum fields: reading them starts no process machinery.
+    loaded = _child("""
+        import json, sys
+        import repro.cli.main
+        print(json.dumps(sorted(
+            name for name in ("multiprocessing", "repro.core.procpool")
+            if name in sys.modules)))
+    """)
+    assert loaded == []
+
+
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
 def test_every_lazy_name_resolves(package):
     loaded_on_import, missing = _child(f"""
