@@ -8,8 +8,8 @@ gating, and cache routing cannot drift between surfaces.
 
 :func:`execute_sweep` is that function looped over
 :func:`sweep_cells` — the lowering the service's sweep fan-out uses too
-— so a CLI ``sweep``/``figures``/``report`` and a service sweep share
-one skip rule and one repeat discipline.
+— so the CLI's ``report`` and a service sweep share one skip rule and
+one repeat discipline.
 """
 
 from __future__ import annotations

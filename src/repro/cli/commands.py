@@ -15,18 +15,20 @@ load neither.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import List
 
 from repro.api import (
     RunSpec,
     SweepSpec,
     get_scenario,
+    sweep_cells,
     BUILTIN_SCENARIOS,
 )
 from repro.backends.registry import available_backends
-from repro.harness.experiments import available_experiments, run_experiment
 from repro.harness.tables import render_table
 
 
@@ -187,7 +189,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
-    """Build the grid spec behind ``sweep``/``report``.
+    """Build the grid spec behind ``report``.
 
     Measurement sweeps run with contracts off (their extra file reads
     would perturb I/O caching between kernels).
@@ -211,55 +213,26 @@ def _sweep_progress(config, repeat) -> None:
     _diag(f"... backend={config.backend} scale={config.scale} repeat={repeat}")
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    """Backend x scale sweep with a summary table."""
-    from repro.api.runner import execute_sweep
-    from repro.harness.records import save_records
+def rank_cells(sweep: SweepSpec, ranks: List[int],
+               parallel_executor: str) -> List[List[RunSpec]]:
+    """The Section IV.D strong-scaling runs for ``sweep``'s grid: each
+    parallel-capable (backend, scale) cell once per rank count, in
+    ascending order, 1 (the speedup baseline) included.
 
-    records = execute_sweep(
-        sweep_spec_from_args(args),
-        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-        progress=_sweep_progress,
-    )
-    rows = [
-        [r.backend, r.scale, r.kernel, f"{r.seconds:.4f}",
-         # A cache read's speed is not the kernel's throughput.
-         "-" if r.cached else f"{r.edges_per_second:,.0f}"]
-        for r in records
+    Raises
+    ------
+    ValueError
+        For a rank count below 1, or a grid with no parallel-capable
+        backend — before anything runs.
+    """
+    parallel = dataclasses.replace(sweep, base=sweep.base.with_overrides(
+        execution="parallel", parallel_executor=parallel_executor))
+    counts = sorted(set(ranks) | {1})
+    return [
+        [spec.with_overrides(parallel_ranks=count) for count in counts]
+        for _, _, spec in sweep_cells(parallel)
+        if spec is not None  # backend without the parallel capability
     ]
-    print(render_table(["backend", "scale", "kernel", "seconds", "edges/s"], rows))
-    if args.output:
-        save_records(records, Path(args.output))
-        print(f"records written to {args.output}")
-    return 0
-
-
-def cmd_figures(args: argparse.Namespace) -> int:
-    """Regenerate one of the paper's figures (or the ranks table)."""
-    from repro.harness.records import save_records
-
-    output = run_experiment(
-        args.experiment_id,
-        scales=args.scales,
-        backends=args.backends,
-        repeats=args.repeats,
-        execution=args.execution,
-        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-        ranks=args.ranks,
-        parallel_executor=args.parallel_executor,
-    )
-    print(output.text)
-    if args.output:
-        save_records(output.records, Path(args.output))
-        print(f"records written to {args.output}")
-    return 0
-
-
-def cmd_tables(args: argparse.Namespace) -> int:
-    """Regenerate one of the paper's tables."""
-    output = run_experiment(args.experiment_id, scales=args.scales)
-    print(output.text)
-    return 0
 
 
 def cmd_golden(args: argparse.Namespace) -> int:
@@ -287,16 +260,36 @@ def cmd_golden(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    """Run sweeps and emit a paper-vs-measured markdown report."""
-    from repro.api.runner import execute_sweep
+    """Run the grid (and the ranks runs) and emit the paper-vs-measured
+    markdown report."""
+    from repro.api.runner import execute_spec, execute_sweep
+    from repro.harness.figures import render_ranks
+    from repro.harness.records import save_records
     from repro.harness.report import build_report
 
-    records = execute_sweep(
-        sweep_spec_from_args(args),
-        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-        progress=_sweep_progress,
-    )
+    cache_dir = Path(args.cache_dir) if args.cache_dir else None
+    sweep = sweep_spec_from_args(args)
+    cells = rank_cells(sweep, args.ranks, args.parallel_executor) \
+        if args.ranks else []
+    records = execute_sweep(sweep, cache_dir=cache_dir,
+                            progress=_sweep_progress)
     document = build_report(records)
+    if cells:
+        tables = []
+        for specs in cells:
+            outcomes = []
+            for spec in specs:
+                _diag(f"... backend={spec.backend} scale={spec.scale} "
+                      f"ranks={spec.parallel_ranks}")
+                outcomes.append(execute_spec(spec, cache_dir=cache_dir))
+            tables.append(render_ranks(outcomes))
+        document += "\n".join([
+            "", "## Section IV.D — K2+K3 over ranks", "",
+            "\n\n".join(tables), "",
+        ])
+    if args.records:
+        save_records(records, Path(args.records))
+        _diag(f"records written to {args.records}")
     if args.output:
         Path(args.output).write_text(document, encoding="utf-8")
         print(f"report written to {args.output}")
@@ -429,7 +422,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    """List registered backends, generators, scenarios, experiments."""
+    """List registered backends, generators and scenarios."""
     from repro.generators.registry import available_generators
 
     del args
@@ -442,7 +435,4 @@ def cmd_info(args: argparse.Namespace) -> int:
     print("scenarios:")
     for name, description in BUILTIN_SCENARIOS.describe():
         print(f"  {name:18s} {description}")
-    print("experiments:")
-    for name, description in available_experiments().items():
-        print(f"  {name:8s} {description}")
     return 0

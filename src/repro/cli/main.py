@@ -12,17 +12,21 @@ from repro.cli import commands
 from repro.core.artifacts import ArtifactCache
 from repro.core.config import FIELD_CHOICES, WORKER_KINDS
 from repro.core.exceptions import ExecutorCapabilityError, PipelineError
-from repro.harness.experiments import (
-    DEFAULT_FIGURE_BACKENDS,
-    DEFAULT_FIGURE_SCALES,
-)
+
+#: ``report``'s default grid: small enough for a laptop, wide enough to
+#: show each figure's slope (the paper swept scales 16-22 on a server).
+DEFAULT_REPORT_SCALES = [10, 12]
+DEFAULT_REPORT_BACKENDS = ["python", "numpy", "scipy", "dataframe", "graphblas"]
 
 
 def _csv_ints(text: str) -> List[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints: {exc}")
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one int")
+    return values
 
 
 def _csv_strs(text: str) -> List[str]:
@@ -66,26 +70,13 @@ def _spec_flag(run: argparse.ArgumentParser, flag: str,
     run.add_argument(flag, dest=dest, default=argparse.SUPPRESS, **kwargs)
 
 
-def _grid_flags(parser: argparse.ArgumentParser, scales: List[int]) -> None:
-    """The (backend x scale) grid block ``sweep``/``figures``/``report``
-    share."""
-    parser.add_argument("--scales", type=_csv_ints, default=scales)
-    parser.add_argument("--backends", type=_csv_strs,
-                        default=DEFAULT_FIGURE_BACKENDS)
-    parser.add_argument("--repeats", type=int, default=1)
-    parser.add_argument("--execution", default="serial",
-                        choices=FIELD_CHOICES["execution"])
-    parser.add_argument("--cache-dir", default=None,
-                        help="reuse kernel 0/1 outputs across cells/repeats")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the full argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
         prog="repro-pipeline",
         description=(
             "PageRank Pipeline Benchmark (Dreher et al. 2016) — run the "
-            "four-kernel pipeline, sweeps, and the paper's tables/figures."
+            "four-kernel pipeline and report the paper's tables/figures."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -162,39 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "go to stderr)")
     run.set_defaults(func=commands.cmd_run)
 
-    sweep = sub.add_parser("sweep", help="run a (backend x scale) grid")
-    _grid_flags(sweep, DEFAULT_FIGURE_SCALES)
-    sweep.add_argument("--seed", type=int, default=1)
-    sweep.add_argument("--output", default=None,
-                       help="write records to this .json/.csv file")
-    sweep.set_defaults(func=commands.cmd_sweep)
-
-    figures = sub.add_parser(
-        "figures",
-        help="regenerate paper figures 4-7 (edges/s vs M, with each "
-             "series' log-log slope) or the K2+K3 ranks table",
-    )
-    figures.add_argument("--id", dest="experiment_id", default="fig7",
-                         choices=["fig4", "fig5", "fig6", "fig7", "ranks"])
-    _grid_flags(figures, DEFAULT_FIGURE_SCALES)
-    figures.add_argument("--ranks", type=_csv_ints, default=None,
-                         help="rank counts for --id ranks (1, the "
-                              "speedup baseline, is always added; "
-                              "default 1,2,4)")
-    figures.add_argument("--parallel-executor", default="sim",
-                         choices=FIELD_CHOICES["parallel_executor"],
-                         help="--id ranks runs ranks as threads (sim) "
-                              "or OS processes (mp)")
-    figures.add_argument("--output", default=None,
-                         help="also write records to this .json/.csv file")
-    figures.set_defaults(func=commands.cmd_figures)
-
-    tables = sub.add_parser("tables", help="regenerate paper tables I / II")
-    tables.add_argument("--id", dest="experiment_id", default="table2",
-                        choices=["table1", "table2"])
-    tables.add_argument("--scales", type=_csv_ints, default=None)
-    tables.set_defaults(func=commands.cmd_tables)
-
     golden = sub.add_parser(
         "golden",
         help="produce or check a golden correctness record "
@@ -210,10 +168,36 @@ def build_parser() -> argparse.ArgumentParser:
     golden.set_defaults(func=commands.cmd_golden)
 
     report = sub.add_parser(
-        "report", help="run sweeps and emit a paper-vs-measured markdown report"
+        "report",
+        help="run a (backend x scale) grid and print the paper-vs-measured "
+             "markdown report: Tables I-II, Figures 4-7 with slopes and "
+             "shape checks, K1+K2+K3 totals, and with --ranks the "
+             "Section IV.D K2+K3 ranks table",
     )
-    _grid_flags(report, [10, 12])
+    report.add_argument("--scales", type=_csv_ints,
+                        default=DEFAULT_REPORT_SCALES)
+    report.add_argument("--backends", type=_csv_strs,
+                        default=DEFAULT_REPORT_BACKENDS)
+    report.add_argument("--repeats", type=int, default=1)
+    report.add_argument("--execution", default="serial",
+                        choices=FIELD_CHOICES["execution"])
     report.add_argument("--seed", type=int, default=1)
+    report.add_argument("--cache-dir", default=None,
+                        help="reuse kernel 0/1/2 outputs across cells and "
+                             "repeats")
+    report.add_argument("--ranks", type=_csv_ints, default=None,
+                        help="also run each parallel-capable cell at these "
+                             "rank counts (1, the speedup baseline, is "
+                             "always added) and append the K2+K3 ranks "
+                             "table")
+    report.add_argument("--parallel-executor", default="sim",
+                        choices=FIELD_CHOICES["parallel_executor"],
+                        help="with --ranks: ranks run as threads (sim) or "
+                             "OS processes (mp)")
+    report.add_argument("--records", default=None,
+                        help="also write the grid's measurement records to "
+                             "this .json/.csv file (the report renders "
+                             "from them)")
     report.add_argument("--output", default=None,
                         help="write the markdown report here (stdout otherwise)")
     report.set_defaults(func=commands.cmd_report)
@@ -333,9 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "job (fault-injection/testing aid)")
     worker.set_defaults(func=commands.cmd_worker)
 
-    info = sub.add_parser(
-        "info", help="list backends/generators/scenarios/experiments"
-    )
+    info = sub.add_parser("info", help="list backends/generators/scenarios")
     info.set_defaults(func=commands.cmd_info)
 
     return parser

@@ -23,7 +23,7 @@ from repro._util import (
     check_nonneg_int,
     check_positive_int,
 )
-from repro.generators.base import BYTES_PER_EDGE, GeneratorSpec
+from repro.generators.base import GeneratorSpec
 
 
 class KernelName(str, enum.Enum):
@@ -257,11 +257,6 @@ class PipelineConfig:
         """``M = edge_factor * N``."""
         return GeneratorSpec(self.scale, self.edge_factor).num_edges
 
-    @property
-    def memory_bytes(self) -> int:
-        """Edge-data footprint at 16 bytes/edge (Table II's column)."""
-        return self.num_edges * BYTES_PER_EDGE
-
     # ------------------------------------------------------------------
     # Serialisation
     # ------------------------------------------------------------------
@@ -292,8 +287,7 @@ class RunSizeRow:
 #: The paper's *text* says "assuming 16 bytes per edge", but its printed
 #: numbers (25MB at scale 16 … 1.6GB at scale 22) only follow from
 #: ~24 bytes/edge (1048576 * 24 = 25.2 MB; 67108864 * 24 = 1.61 GB).
-#: We reproduce the published numbers and document the discrepancy in
-#: EXPERIMENTS.md.
+#: We reproduce the published numbers.
 TABLE2_BYTES_PER_EDGE = 24
 
 

@@ -22,12 +22,6 @@ if TYPE_CHECKING:
 #: label dtype (:mod:`repro.labels`).
 EdgeList = Tuple["np.ndarray", "np.ndarray"]
 
-#: Bytes per edge assumed by the paper's Table II memory column
-#: (two 8-byte integers; the pipeline itself holds two ``uint32`` labels,
-#: 8 bytes, up to scale 32).
-BYTES_PER_EDGE = 16
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Size specification shared by scale-parameterised generators.
@@ -65,11 +59,6 @@ class GeneratorSpec:
     def num_edges(self) -> int:
         """Total edge count ``M = edge_factor * N``."""
         return self.edge_factor * self.num_vertices
-
-    @property
-    def memory_bytes(self) -> int:
-        """Approximate edge-data footprint at 16 bytes/edge (Table II)."""
-        return self.num_edges * BYTES_PER_EDGE
 
 
 def validate_edge_list(u: np.ndarray, v: np.ndarray, num_vertices: int) -> None:

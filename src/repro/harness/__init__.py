@@ -1,4 +1,4 @@
-"""Benchmark harness: records, tables, figures, experiment registry.
+"""Benchmark harness: records, tables, figures, reports.
 
 Everything needed to regenerate the paper's evaluation artifacts:
 
@@ -8,9 +8,8 @@ Everything needed to regenerate the paper's evaluation artifacts:
 * :mod:`repro.harness.tables` — Table I / Table II renderers;
 * :mod:`repro.harness.figures` — Figures 4–7 series builders, ASCII
   log-log charts with per-series slopes, and the K2+K3 ranks table;
-* :mod:`repro.harness.experiments` — the experiment registry keyed by
-  paper artifact id (``table1``, ``table2``, ``fig4`` … ``fig7``,
-  ``ranks``).
+* :mod:`repro.harness.report` — the markdown document ``repro-pipeline
+  report`` prints, rendered from measurement records alone.
 """
 
 from __future__ import annotations
@@ -19,10 +18,9 @@ from repro._util.lazy import lazy_exports
 from repro.harness.sloc import backend_sloc_table, count_sloc
 from repro.harness.tables import render_table, run_sizes_rows, sloc_rows
 from repro.harness.figures import FigureSeries, build_figure_series, render_figure
-from repro.harness.experiments import available_experiments, run_experiment
 
 # Records, goldens and reports import numpy: loaded on first use, so the
-# CLI's parser reads the experiment registry without it.
+# CLI's parser loads this package without it.
 __getattr__ = lazy_exports(__name__, {
     "MeasurementRecord": "repro.harness.records",
     "load_records": "repro.harness.records",
@@ -37,7 +35,6 @@ __all__ = [
     "FigureSeries",
     "GoldenRecord",
     "MeasurementRecord",
-    "available_experiments",
     "backend_sloc_table",
     "build_figure_series",
     "build_report",
@@ -47,7 +44,6 @@ __all__ = [
     "load_records",
     "render_figure",
     "render_table",
-    "run_experiment",
     "run_sizes_rows",
     "save_records",
     "sloc_rows",

@@ -1,13 +1,15 @@
 """Markdown report generation: measured results vs the paper's claims.
 
-``build_report`` turns sweep records into the same paper-vs-measured
-narrative EXPERIMENTS.md carries, so re-running the sweeps on new
-hardware regenerates a complete comparison document:
+``build_report`` turns sweep records into the paper-vs-measured
+document ``repro-pipeline report`` prints.  It reads nothing but the
+records, so the same document renders from a live grid or from a
+records file saved with ``report --records``:
 
 * Tables I and II verbatim;
 * one section per figure with the measured series and automatic *shape
   checks* (the qualitative claims of the paper, evaluated against the
   data at hand);
+* the officially timed K1+K2+K3 totals;
 * a machine summary header.
 """
 

@@ -1,7 +1,7 @@
 """Table rendering: the paper's Tables I and II plus generic grids.
 
 Rendering is plain monospace text (also valid Markdown) so tables print
-cleanly from the CLI and paste into EXPERIMENTS.md.
+cleanly from the CLI and paste into a markdown report.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Every collective or point-to-point operation on a communicator logs a
 :class:`TrafficRecord`.  The log is the bridge between the parallel
 implementation and the paper's claim that Kernel 3's parallel form is
-network-dominated: the log supplies the measured byte counts that
-``figures --id ranks`` sets beside
+network-dominated: the log supplies the measured byte counts that the
+ranks table of ``report --ranks`` sets beside
 :func:`repro.harness.figures.allreduce_closed_form`.
 """
 

@@ -3,26 +3,40 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import RunSpec
-from repro.cli.commands import run_spec_from_args
+from repro.cli.commands import rank_cells, run_spec_from_args, \
+    sweep_spec_from_args
 from repro.cli.main import build_parser, main
 from repro.core.config import FIELD_CHOICES
+from repro.harness.records import load_records
+from repro.harness.report import build_report
 
 
 def _run_spec(*argv):
     return run_spec_from_args(build_parser().parse_args(["run", *argv]))
 
 
-def _sweep_rows(table):
-    """Rows of a one-cell ``sweep`` table, keyed by kernel."""
+def _table_rows(text):
+    """Rows of the markdown tables in ``text``, as header -> cell dicts."""
     lines = [[cell.strip() for cell in line.strip("|").split("|")]
-             for line in table.splitlines() if line.startswith("|")]
+             for line in text.splitlines() if line.startswith("|")]
     header = lines[0]
-    return {row[header.index("kernel")]: dict(zip(header, row))
-            for row in lines[2:]}
+    return [dict(zip(header, row)) for row in lines[2:]]
+
+
+def _section(document, heading):
+    """The part of a report from ``heading`` to the next ``## `` heading."""
+    start = document.index(heading)
+    end = document.find("\n## ", start + 1)
+    return document[start:] if end < 0 else document[start:end]
 
 
 class TestParser:
@@ -69,20 +83,44 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", flag, "bogus"])
 
-    def test_sweep_csv_parsing(self):
+    def test_report_csv_parsing(self):
         args = build_parser().parse_args(
-            ["sweep", "--scales", "6,8", "--backends", "scipy,numpy"]
+            ["report", "--scales", "6,8", "--backends", "scipy,numpy",
+             "--ranks", "4,2"]
         )
         assert args.scales == [6, 8]
         assert args.backends == ["scipy", "numpy"]
+        assert args.ranks == [4, 2]
 
     def test_bad_scales_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "--scales", "a,b"])
+            build_parser().parse_args(["report", "--scales", "a,b"])
 
-    def test_figures_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["figures", "--id", "fig9"])
+    @pytest.mark.parametrize("flag", ["--scales", "--ranks"])
+    @pytest.mark.parametrize("value", ["", ","])
+    def test_empty_int_list_is_usage_error(self, flag, value, capsys):
+        # No scale is no grid and no rank count is no ranks table: a
+        # usage error naming the flag, not a crash or a silent default.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", flag, value, "--backends", "numpy"])
+        assert exit_info.value.code == 2
+        assert (f"argument {flag}: expected at least one int"
+                in capsys.readouterr().err)
+
+    def test_python_m_entry_point_runs_once_and_quietly(self):
+        # The package must not import its own __main__ module first:
+        # runpy would warn on stderr and the module would run twice.
+        env = dict(os.environ)
+        package_root = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli.main", "--help"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "report" in proc.stdout
 
     def test_run_execution_choices(self):
         args = build_parser().parse_args(["run", "--execution", "streaming"])
@@ -149,15 +187,7 @@ class TestCommands:
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "backends:" in out and "kronecker" in out
-
-    def test_tables_table2(self, capsys):
-        assert main(["tables", "--id", "table2", "--scales", "16"]) == 0
-        out = capsys.readouterr().out
-        assert "65K" in out
-
-    def test_tables_table1(self, capsys):
-        assert main(["tables", "--id", "table1"]) == 0
-        assert "graphblas" in capsys.readouterr().out
+        assert "experiments:" not in out
 
     def test_run_small(self, capsys):
         assert main(["run", "--scale", "6", "--backend", "numpy"]) == 0
@@ -305,28 +335,34 @@ class TestCommands:
         assert "k2-filter (cache hit)" in out
         assert "k3-pagerank (cache hit)" not in out
 
-    def test_sweep_default_backends_with_streaming(self, capsys):
+    def test_report_default_backends_with_streaming(self, capsys):
         # The default backend list includes serial-only backends; the
-        # sweep must skip them rather than abort.
-        assert main(["sweep", "--scales", "6",
+        # grid must skip them rather than abort.
+        assert main(["report", "--scales", "6",
                      "--execution", "streaming"]) == 0
         out = capsys.readouterr().out
-        assert "scipy" in out and "numpy" in out
+        grid = next(line for line in out.splitlines()
+                    if line.startswith("Grid:"))
+        assert "'scipy'" in grid and "'numpy'" in grid
+        assert "'python'" not in grid
 
-    def test_sweep_dashes_out_cache_read_speed(self, tmp_path, capsys):
-        # Warm cache: K0-K2 of the second sweep are cache reads in every
-        # repeat, so their kept records are `cached` and the table shows
-        # no throughput for them — the same rule `run` applies.
-        argv = ["sweep", "--scales", "6", "--backends", "scipy",
+    def test_report_figures_leave_out_cache_hits(self, tmp_path, capsys):
+        # Warm cache: K0-K2 of the second grid are cache reads, so
+        # Figures 4-6 plot nothing for them — the same rule `run`
+        # applies to its edges/s column — and the total is marked.
+        argv = ["report", "--scales", "6", "--backends", "scipy",
                 "--cache-dir", str(tmp_path / "c")]
         assert main(argv) == 0
-        cold = _sweep_rows(capsys.readouterr().out)
-        assert all(row["edges/s"] != "-" for row in cold.values())
+        cold = capsys.readouterr().out
         assert main(argv) == 0
-        warm = _sweep_rows(capsys.readouterr().out)
-        for kernel in ("k0-generate", "k1-sort", "k2-filter"):
-            assert warm[kernel]["edges/s"] == "-"
-        assert warm["k3-pagerank"]["edges/s"] != "-"
+        warm = capsys.readouterr().out
+        for heading in ("## Figure 4", "## Figure 5", "## Figure 6"):
+            assert "legend: o=scipy" in _section(cold, heading)
+            assert "(no data)" in _section(warm, heading)
+        assert "legend: o=scipy" in _section(warm, "## Figure 7")
+        totals = _table_rows(_section(warm, "## Officially timed totals"))
+        assert totals[0]["total seconds"].endswith(" *")
+        assert "served from the artifact cache" in warm
 
     def test_run_keeps_files_in_data_dir(self, tmp_path, capsys):
         assert main(["run", "--scale", "6", "--data-dir", str(tmp_path)]) == 0
@@ -343,41 +379,40 @@ class TestCommands:
         assert "per-rank nnz" in out
 
     def test_removed_subcommands_are_usage_errors(self, capsys):
-        for argv in (["parallel"], ["scaling"]):
+        # `report` is the one results command.
+        for argv in (["parallel"], ["scaling"],
+                     ["sweep", "--scales", "6"],
+                     ["figures", "--id", "fig7"],
+                     ["tables", "--id", "table2"]):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
-    def test_figures_ranks_command(self, capsys):
-        assert main(["figures", "--id", "ranks", "--scales", "6",
-                     "--backends", "numpy", "--ranks", "2",
-                     "--parallel-executor", "mp"]) == 0
-        out = capsys.readouterr().out
-        assert "executor=mp" in out and "allreduce bytes" in out
+    def test_report_ranks_section_on_process_ranks(self, capsys):
+        assert main(["report", "--scales", "6", "--backends", "numpy",
+                     "--ranks", "2", "--parallel-executor", "mp"]) == 0
+        section = _section(capsys.readouterr().out, "## Section IV.D")
+        assert "executor=mp" in section and "allreduce bytes" in section
 
-    def test_figures_ranks_zero_is_usage_error(self, capsys):
-        assert main(["figures", "--id", "ranks", "--scales", "6",
-                     "--backends", "numpy", "--ranks", "0"]) == 2
-        assert "error" in capsys.readouterr().err
+    def test_report_ranks_zero_is_usage_error(self, capsys):
+        assert main(["report", "--scales", "6", "--backends", "numpy",
+                     "--ranks", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "error" in captured.err
+        assert "... backend" not in captured.err  # refused before any run
 
-    def test_figures_command_small(self, capsys, tmp_path):
-        out_file = tmp_path / "records.json"
-        code = main([
-            "figures", "--id", "fig6", "--scales", "6",
-            "--backends", "scipy", "--output", str(out_file),
-        ])
-        assert code == 0
-        assert out_file.exists()
-        assert "Figure 6" in capsys.readouterr().out
-
-    def test_sweep_command_small(self, capsys, tmp_path):
-        out_file = tmp_path / "sweep.csv"
-        code = main([
-            "sweep", "--scales", "6", "--backends", "numpy",
-            "--output", str(out_file),
-        ])
-        assert code == 0
-        assert out_file.exists()
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    def test_report_records_render_the_same_report(
+            self, suffix, capsys, tmp_path):
+        path = tmp_path / f"records{suffix}"
+        assert main(["report", "--scales", "6", "--backends", "numpy",
+                     "--records", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert f"records written to {path}" in captured.err
+        records = load_records(path)
+        assert len(records) == 4
+        assert captured.out == build_report(records) + "\n"
 
     def test_unknown_backend_exits_2(self, capsys):
         assert main(["run", "--scale", "6", "--backend", "fortran"]) == 2
@@ -410,7 +445,11 @@ class TestCommands:
                      "--output", str(out_file)])
         assert code == 0
         document = out_file.read_text()
-        assert "Figure 7" in document and "Table II" in document
+        for heading in ("Figure 4", "Figure 5", "Figure 6", "Figure 7"):
+            assert heading in document
+        assert "graphblas" in _section(document, "## Table I ")
+        assert "65K" in _section(document, "## Table II")
+        assert "Section IV.D" not in document  # no --ranks, no ranks table
 
 
 class TestScenarioAndSpecSurface:
@@ -553,12 +592,14 @@ class TestExitCodeDiscipline:
         assert main(["run", "--scale", "6", "--backend", "python",
                      "--execution", "streaming"]) == 2
 
-    def test_sweep_progress_lines_go_to_stderr(self, capsys):
-        assert main(["sweep", "--scales", "6", "--backends", "numpy"]) == 0
+    def test_report_progress_lines_go_to_stderr(self, capsys):
+        assert main(["report", "--scales", "6", "--backends", "numpy",
+                     "--ranks", "2"]) == 0
         captured = capsys.readouterr()
-        assert "... backend=numpy" in captured.err
-        assert "... backend=numpy" not in captured.out
-        assert "k3-pagerank" in captured.out  # the table is the payload
+        assert "... backend=numpy scale=6 repeat=0" in captured.err
+        assert "... backend=numpy scale=6 ranks=2" in captured.err
+        assert "... backend" not in captured.out
+        assert "Figure 7" in captured.out  # the report is the payload
 
 
 class TestTraceFlag:
@@ -603,3 +644,49 @@ class TestTraceFlag:
     def test_untraced_run_writes_nothing(self, tmp_path, capsys):
         assert main(["run", "--scale", "6", "--backend", "numpy"]) == 0
         assert "trace written" not in capsys.readouterr().err
+
+
+class TestReportRanksSection:
+    """The Section IV.D K2+K3 strong-scaling table ``report --ranks``
+    appends."""
+
+    ARGV = ["report", "--scales", "7", "--backends", "python,numpy",
+            "--ranks", "4,2"]
+
+    @pytest.fixture(scope="class")
+    def rows(self, tmp_path_factory):
+        # 1 is missing on purpose; the serial-only python backend is
+        # skipped, not an error.
+        path = tmp_path_factory.mktemp("ranks") / "report.md"
+        assert main([*self.ARGV, "--output", str(path)]) == 0
+        section = _section(path.read_text(), "## Section IV.D")
+        assert "backend=numpy" in section
+        assert "python" not in section
+        return _table_rows(section)
+
+    def test_adds_one_rank_baseline(self, rows):
+        assert [row["ranks"] for row in rows] == ["1", "2", "4"]
+
+    def test_one_rank_speedup_is_one(self, rows):
+        assert rows[0]["speedup"] == "1.00"
+        assert rows[0]["efficiency"] == "1.00"
+
+    def test_nnz_sum_independent_of_ranks(self, rows):
+        sums = {sum(int(n) for n in row["local nnz"].strip("[]").split(","))
+                for row in rows}
+        assert len(sums) == 1
+
+    def test_allreduce_matches_closed_form(self, rows):
+        for row in rows:
+            assert row["allreduce bytes"] == row["closed form"]
+
+    def test_one_parallel_run_per_rank_count(self, rows):
+        # Each row is one run's K2 and K3 records.
+        for row in rows:
+            assert float(row["K2 s"]) >= 0 and float(row["K3 s"]) >= 0
+        args = build_parser().parse_args(self.ARGV)
+        [specs] = rank_cells(sweep_spec_from_args(args), args.ranks,
+                             args.parallel_executor)
+        assert [spec.parallel_ranks for spec in specs] == [1, 2, 4]
+        assert {(spec.backend, spec.execution) for spec in specs} == \
+            {("numpy", "parallel")}

@@ -25,7 +25,6 @@ class TestPipelineConfig:
         config = PipelineConfig(scale=16)
         assert config.num_vertices == 65536
         assert config.num_edges == 16 * 65536
-        assert config.memory_bytes == config.num_edges * 16
 
     def test_defaults_match_paper(self):
         config = PipelineConfig(scale=10)

@@ -289,7 +289,6 @@ class TestGeneratorSpec:
         spec = GeneratorSpec(scale=16, edge_factor=16)
         assert spec.num_vertices == 65536          # N = 2^S
         assert spec.num_edges == 16 * 65536        # M = k*N
-        assert spec.memory_bytes == spec.num_edges * 16
 
     def test_scale_30_matches_paper_example(self):
         # "for a value of S = 30, N = 1,073,741,824, M = 17,179,869,184"

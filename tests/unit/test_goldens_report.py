@@ -130,6 +130,24 @@ class TestReport:
         assert "Table II" not in document
         assert "Figure 7" in document
 
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    def test_renders_the_same_from_stored_records(
+            self, records, suffix, tmp_path):
+        # With a cache read among them: its figure point is left out and
+        # its cell's total marked incomplete, from a file as in memory.
+        from dataclasses import replace
+
+        from repro.harness.records import load_records, save_records
+
+        stored = [replace(r, cached=True)
+                  if (r.backend, r.kernel) == ("scipy", "k2-filter") else r
+                  for r in records]
+        document = build_report(stored)
+        assert "| scipy | 6 |" in document and " * |" in document
+        path = tmp_path / f"records{suffix}"
+        save_records(stored, path)
+        assert build_report(load_records(path)) == document
+
     def test_claims_fail_detection(self):
         # Synthetic records where python is *fastest* must FAIL the
         # "interpreted at the bottom" claim.

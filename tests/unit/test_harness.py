@@ -8,7 +8,6 @@ import pytest
 from repro.api import RunSpec, SweepSpec, execute_sweep
 from repro.core.config import KernelName, PipelineConfig
 from repro.core.pipeline import run_pipeline
-from repro.harness.experiments import available_experiments, run_experiment
 from repro.harness.figures import build_figure_series, render_figure
 from repro.harness.records import (
     MeasurementRecord,
@@ -112,7 +111,7 @@ class TestRecords:
 
 
 def _measurement_sweep(scales, backends, *, repeats=1, seed=1):
-    """A contracts-off grid, as the CLI's ``sweep`` builds it."""
+    """A contracts-off grid, as the CLI's ``report`` builds it."""
     return SweepSpec(
         base=RunSpec(scale=scales[0], seed=seed, validation="off"),
         scales=scales, backends=backends, repeats=repeats,
@@ -186,61 +185,3 @@ class TestFigures:
         records = execute_sweep(_measurement_sweep([6], ["numpy"], seed=2))
         figure = build_figure_series("fig7", records)
         assert self._slope_cells(render_figure(figure)) == {"numpy": "-"}
-
-
-class TestExperiments:
-    def test_registry_lists_all_paper_artifacts(self):
-        ids = set(available_experiments())
-        assert ids == {"table1", "table2", "fig4", "fig5", "fig6", "fig7",
-                       "ranks"}
-
-    def test_table_experiments_run(self):
-        assert "Table II" in run_experiment("table2").text
-        assert "Source Lines" in run_experiment("table1").text
-
-    def test_figure_experiment_runs_small(self):
-        output = run_experiment("fig7", scales=[6], backends=["scipy"])
-        assert "Figure 7" in output.text
-        assert len(output.records) == 4
-
-    def test_unknown_experiment(self):
-        with pytest.raises(KeyError, match="available"):
-            run_experiment("fig99")
-
-
-class TestRanksExperiment:
-    @pytest.fixture(scope="class")
-    def output(self):
-        # 1 is missing on purpose; the serial-only python backend is
-        # skipped, not an error.
-        return run_experiment("ranks", scales=[7], backends=["python", "numpy"],
-                              ranks=[4, 2])
-
-    @staticmethod
-    def _rows(text):
-        lines = [[cell.strip() for cell in line.strip("|").split("|")]
-                 for line in text.splitlines() if line.startswith("|")]
-        header = lines[0]
-        return [dict(zip(header, row)) for row in lines[2:]]
-
-    def test_adds_one_rank_baseline(self, output):
-        assert [row["ranks"] for row in self._rows(output.text)] == \
-            ["1", "2", "4"]
-        assert "backend=numpy" in output.text
-        assert "python" not in output.text
-
-    def test_one_rank_speedup_is_one(self, output):
-        first = self._rows(output.text)[0]
-        assert first["speedup"] == "1.00" and first["efficiency"] == "1.00"
-
-    def test_nnz_sum_independent_of_ranks(self, output):
-        sums = {sum(int(n) for n in row["local nnz"].strip("[]").split(","))
-                for row in self._rows(output.text)}
-        assert len(sums) == 1
-
-    def test_allreduce_matches_closed_form(self, output):
-        for row in self._rows(output.text):
-            assert row["allreduce bytes"] == row["closed form"]
-
-    def test_records_cover_every_rank_count(self, output):
-        assert len(output.records) == 3 * 4  # rank counts x kernels

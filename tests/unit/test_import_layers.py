@@ -35,6 +35,7 @@ print(json.dumps(sorted(
 LAZY_PACKAGES = (
     "repro", "repro.api", "repro.core", "repro._util", "repro.backends",
     "repro.edgeio", "repro.generators", "repro.harness", "repro.service",
+    "repro.cli",
 )
 
 
@@ -128,7 +129,7 @@ def test_from_import_statements_resolve_lazy_names():
         from repro.generators import kronecker_edges, get_generator
         from repro.edgeio import EdgeDataset, DatasetLayoutError
         from repro.backends import Backend, get_backend
-        from repro.harness import save_records, run_experiment
+        from repro.harness import save_records, build_report
         from repro._util import resolve_rng, check_positive_int
         print(json.dumps([ArtifactCache is Defined, sweep_cells is lowered,
                           callable(execute_spec)]))
