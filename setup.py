@@ -6,27 +6,16 @@ in setup.py and omitting ``[build-system]``/pyproject lets
 ``pip install -e .`` use the legacy ``setup.py develop`` path, which
 works without wheel.
 
-Only numpy and scipy are hard requirements (the ``scipy`` backend is the
-default and the contract/validation layer uses ``scipy.sparse``).
-Everything else is an extra:
-
-* ``pandas`` — accelerates the dataframe backend (a pure-python frame
-  fallback ships in :mod:`repro.frame`);
-* ``graphblas`` — real SuiteSparse bindings for the graphblas backend
-  (a pure-python semiring shim ships in :mod:`repro.grb`);
-* ``test`` — the tier-1 test toolchain (pytest + hypothesis).
+Only numpy and scipy are requirements (the ``scipy`` backend is the
+default and the contract/validation layer uses ``scipy.sparse``); the
+dataframe and graphblas backends run on :mod:`repro.frame` and
+:mod:`repro.grb`, which ship here.  The one extra, ``test``, is the
+tier-1 test toolchain (pytest + hypothesis).
 """
 
 from setuptools import find_packages, setup
 
-EXTRAS = {
-    "pandas": ["pandas>=1.3"],
-    "graphblas": ["python-graphblas>=2023.1"],
-    "test": ["pytest>=7.0", "hypothesis>=6.0"],
-}
-#: "all" covers feature extras only; "dev" adds the test tooling.
-EXTRAS["all"] = sorted(EXTRAS["pandas"] + EXTRAS["graphblas"])
-EXTRAS["dev"] = sorted({dep for deps in EXTRAS.values() for dep in deps})
+EXTRAS = {"test": ["pytest>=7.0", "hypothesis>=6.0"]}
 
 setup(
     name="repro-pagerank-pipeline",

@@ -170,8 +170,8 @@ def default_registry() -> ScenarioRegistry:
     )
     registry.register(
         "streaming-bounded",
-        "out-of-core Kernel 2 at scale 14 with a small pass-1 batch "
-        "(memory bounded by O(batch + N))",
+        "out-of-core Kernels 1 and 2 at scale 14 with small sort runs "
+        "and pass-1 batches (memory bounded by O(batch + N))",
         scale=14, backend="scipy", execution="streaming",
         streaming_batch_edges=1 << 16,
     )

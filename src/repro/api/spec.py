@@ -46,7 +46,7 @@ from repro.core.config import (
 )
 
 #: The one serialisation version :meth:`RunSpec.from_dict` reads.
-SPEC_VERSION = 7
+SPEC_VERSION = 8
 
 #: How a run may interact with the environment's artifact cache.
 CACHE_POLICIES = ("shared", "off")
@@ -71,7 +71,7 @@ class RunSpec:
         ``"shared"`` — the run may read/write the executing
         environment's artifact cache; ``"off"`` — always regenerate.
     validation:
-        ``"off"`` / ``"contracts"`` / ``"full"`` / ``"validate-only"``
+        ``"off"`` / ``"contracts"`` / ``"full"``
         (see :data:`~repro.core.config.VALIDATION_MODES`); a pipeline
         field, copied to the config like the others.
     data_dir:
@@ -100,7 +100,6 @@ class RunSpec:
     vertex_base: int = 0
     file_format: str = "tsv"
     sort_by_end_vertex: bool = False
-    external_sort: bool = False
     formula: str = "appendix"
     execution: str = "serial"
     parallel_ranks: int = DEFAULT_PARALLEL_RANKS

@@ -22,7 +22,8 @@ sorted ``(u, v)``).  The serial executors run the steps in order
 functions* as tasks, its Kernel 2 building from the Kernel 1 sort's
 arrays instead of the ``read``.  A backend that replaces a whole kernel
 instead (the stdlib ``python`` backend replaces all three) is run
-through its own kernel by every executor.
+through its own kernel by those executors.  The streaming executor runs
+Kernels 1 and 2 out of core instead, whatever the backend.
 
 Every kernel method returns ``(output, details)`` where ``details`` is a
 JSON-safe dict of free-form metrics folded into the
@@ -44,7 +45,6 @@ from repro.core.config import PipelineConfig
 from repro.edgeio.dataset import EdgeDataset, write_shards
 from repro.edgeio.manifest import ShardInfo
 from repro.generators.registry import get_generator
-from repro.sort.external import external_sort_dataset
 from repro.sort.inmemory import (
     elimination_masks,
     sort_edges as sort_edge_arrays,
@@ -159,34 +159,15 @@ class Backend(abc.ABC):
         self, config: PipelineConfig, source: EdgeDataset, out_dir: Path
     ) -> KernelOutput[EdgeDataset]:
         """Read ``source`` edge files, sort by start vertex, write the
-        sorted dataset to ``out_dir`` in the same format.
-
-        With ``config.external_sort`` the whole kernel is the
-        out-of-core merge sort instead (no in-memory steps to schedule,
-        so the async executor runs it as one task too).
-        """
+        sorted dataset to ``out_dir`` in the same format."""
         timings = Timings()
-        if config.external_sort:
-            with timings.measure("external_sort"):
-                dataset = external_sort_dataset(
-                    source,
-                    out_dir,
-                    num_shards=config.num_files,
-                    by_end_vertex=config.sort_by_end_vertex,
-                )
-            details: Details = {
-                "algorithm": "external", "num_shards": dataset.num_shards,
-            }
-        else:
-            with timings.measure("read"):
-                u, v = source.read_all()
-            with timings.measure("sort"):
-                u, v = self.sort_edges(config, u, v)
-            with timings.measure("write"):
-                shards = _write_run_shards(config, out_dir, u, v)
-                dataset, details = publish_kernel1(
-                    self, config, out_dir, shards
-                )
+        with timings.measure("read"):
+            u, v = source.read_all()
+        with timings.measure("sort"):
+            u, v = self.sort_edges(config, u, v)
+        with timings.measure("write"):
+            shards = _write_run_shards(config, out_dir, u, v)
+            dataset, details = publish_kernel1(self, config, out_dir, shards)
         return dataset, {"phases": timings.as_dict(), **details}
 
     # ------------------------------------------------------------------

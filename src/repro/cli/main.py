@@ -97,8 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
               help="shard count for kernel 0/1 output files")
     spec_flag("--iterations", type=int)
     spec_flag("--damping", type=float)
-    spec_flag("--external-sort", action="store_true",
-              help="force the out-of-core sort path in kernel 1")
     spec_flag("--file-format")
     spec_flag("--formula",
               help="kernel 3 update form (paper-body documents the body "
@@ -107,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
               help="keep kernel files here instead of a temp dir")
     spec_flag("--execution",
               help="execution strategy: serial (in-memory), streaming "
-                   "(out-of-core kernel 2), parallel (sharded kernels "
-                   "2+3), or async (overlap stage I/O with compute; "
+                   "(out-of-core kernels 1 and 2), parallel (sharded "
+                   "kernels 2+3), or async (overlap stage I/O with compute; "
                    "per-kernel times report busy time and the recovered "
                    "wall-clock is reported as overlap_saved_s)")
     spec_flag("--ranks", dest="parallel_ranks", type=int,
@@ -117,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
               help="ranks for --execution parallel run as threads (sim) "
                    "or OS processes (mp); same digest and traffic log")
     spec_flag("--batch-edges", dest="streaming_batch_edges", type=int,
-              help="pass-1 batch size for --execution streaming")
+              help="edges per sorted run (kernel 1) and per batch "
+                   "(kernel 2) for --execution streaming")
     spec_flag("--async-lanes",
               help="for --execution async: run the GIL-bound TSV codec "
                    "tasks on scheduler threads (thread) or offload them "
@@ -136,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
               help="correctness checks: off, contracts (the four "
                    "inter-kernel contracts, the default), full (contracts "
                    "plus the eigenvector cross-check after kernel 3; exit "
-                   "1 on FAIL), or validate-only (the cross-check alone)")
+                   "1 on FAIL)")
     run.add_argument("--cache-dir", default=None,
                      help="reuse kernel 0/1 outputs from this artifact "
                           "cache (created on first use); the cached "

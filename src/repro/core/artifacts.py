@@ -140,7 +140,6 @@ def k1_cache_fields(
             "kernel": "k1",
             "layout": LAYOUT_VERSIONS["k1"],
             "sort_by_end_vertex": config.sort_by_end_vertex,
-            "external_sort": config.external_sort,
         }
     )
     return fields

@@ -293,17 +293,16 @@ class AsyncExecutor(Executor):
     def _fine_grained(ctx: StageContext) -> bool:
         """Whether Kernels 0/1 expand into per-shard tasks for this run.
 
-        Only when nothing reroutes their I/O (artifact cache, external
-        sort) and the backend runs the shared kernels: the tasks are the
-        steps of :meth:`Backend.kernel0`/:meth:`Backend.kernel1`, so a
-        backend that replaced either kernel gets its own kernel, coarse.
+        Only when the artifact cache does not reroute their I/O and the
+        backend runs the shared kernels: the tasks are the steps of
+        :meth:`Backend.kernel0`/:meth:`Backend.kernel1`, so a backend
+        that replaced either kernel gets its own kernel, coarse.
         The one predicate behind both the graph's shape and the codec
         lane, so the two cannot disagree.
         """
-        config, backend_type = ctx.config, type(ctx.backend)
+        backend_type = type(ctx.backend)
         return (
-            config.cache_dir is None
-            and not config.external_sort
+            ctx.config.cache_dir is None
             and backend_type.kernel0 is Backend.kernel0
             and backend_type.kernel1 is Backend.kernel1
         )

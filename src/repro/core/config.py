@@ -57,16 +57,13 @@ REQUIRED_CAPABILITY = {
 EXECUTION_MODES = tuple(REQUIRED_CAPABILITY)
 #: Default rank count for the "parallel" strategy.
 DEFAULT_PARALLEL_RANKS = 4
-#: Default pass-1 batch size for the "streaming" strategy (config and
-#: :func:`repro.core.streaming.streaming_kernel2`).
+#: Default run and batch size of the "streaming" strategy's Kernels 1
+#: and 2 (config and :func:`repro.core.streaming.streaming_kernel2`).
 DEFAULT_STREAMING_BATCH_EDGES = 1 << 18
 #: What correctness machinery runs: ``off`` (nothing — tight benchmark
-#: loops), ``contracts`` (the four inter-kernel contracts), ``full``
-#: (contracts + the Section IV.D eigenvector cross-check), and
-#: ``validate-only`` (the eigenvector check without contracts, for when
-#: the contracts' extra file reads would perturb I/O caches but the
-#: endpoint check is still wanted).
-VALIDATION_MODES = ("off", "contracts", "full", "validate-only")
+#: loops), ``contracts`` (the four inter-kernel contracts), or ``full``
+#: (contracts + the Section IV.D eigenvector cross-check).
+VALIDATION_MODES = ("off", "contracts", "full")
 #: Shard hand-off planes (``shard_plane``; :mod:`repro.core.shmplane`
 #: negotiates the plane).
 SHARD_PLANES = ("pipe", "shm")
@@ -124,23 +121,21 @@ class PipelineConfig:
         Also order ties by end vertex (paper's open question).  Kernel 1
         has one in-memory sort, :func:`repro.sort.inmemory.sort_edges`:
         a value sort of packed ``(u, position)`` keys (stable), or of
-        ``(u, v)`` keys with this flag.  The out-of-core path forms its
-        runs and orders its merged batches with it, so both give the
-        same bytes.
-    external_sort:
-        Force the out-of-core sort path in Kernel 1 regardless of size.
+        ``(u, v)`` keys with this flag.  The out-of-core path (the
+        ``"streaming"`` strategy's Kernel 1) forms its runs and orders
+        its merged batches with it, so both give the same bytes.
     formula:
         Kernel 3 update form: ``"appendix"`` (with ``/N``, the correct
         PageRank) or ``"paper-body"`` (the body text's typo, kept for
         documentation of the divergence).
     validation:
         Which correctness checks run (:data:`VALIDATION_MODES`): the
-        inter-kernel contracts (:attr:`verify`), the eigenvector
-        cross-check after Kernel 3 (:attr:`validate`, small scales),
-        both, or neither.
+        inter-kernel contracts (:attr:`verify`), those plus the
+        eigenvector cross-check after Kernel 3 (:attr:`validate`, small
+        scales), or neither.
     execution:
         Execution strategy: ``"serial"`` (in-memory, the default),
-        ``"streaming"`` (out-of-core Kernel 2), ``"parallel"``
+        ``"streaming"`` (out-of-core Kernels 1 and 2), ``"parallel"``
         (sharded distributed Kernels 2+3), or ``"async"`` (overlapped
         stage I/O and compute via the task scheduler).  See
         :mod:`repro.core.executor`.
@@ -155,8 +150,8 @@ class PipelineConfig:
         (threads) or ``"mp"`` (OS processes, true process parallelism).
         Same communicator, rank digest and traffic log either way.
     streaming_batch_edges:
-        Pass-1 batch size (the memory knob) for the ``"streaming"``
-        strategy.
+        The ``"streaming"`` strategy's one memory knob: the edges per
+        sorted run of its Kernel 1 and per pass-1 batch of its Kernel 2.
     async_lanes:
         Where the ``"async"`` strategy runs its GIL-bound TSV codec
         tasks: ``"thread"`` (scheduler thread pool, the default) or
@@ -192,7 +187,6 @@ class PipelineConfig:
     vertex_base: int = 0
     file_format: str = "tsv"
     sort_by_end_vertex: bool = False
-    external_sort: bool = False
     formula: str = "appendix"
     validation: str = "contracts"
     execution: str = "serial"
@@ -226,7 +220,7 @@ class PipelineConfig:
                 )
         check_positive_int("parallel_ranks", self.parallel_ranks)
         check_positive_int("streaming_batch_edges", self.streaming_batch_edges)
-        for name in ("sort_by_end_vertex", "external_sort", "trace"):
+        for name in ("sort_by_end_vertex", "trace"):
             check_bool(name, getattr(self, name))
         if self.data_dir is not None:
             object.__setattr__(self, "data_dir", Path(self.data_dir))
@@ -240,9 +234,8 @@ class PipelineConfig:
 
     @property
     def validate(self) -> bool:
-        """Whether the eigenvector cross-check runs (``full``,
-        ``validate-only``)."""
-        return self.validation in ("full", "validate-only")
+        """Whether the eigenvector cross-check runs (``full``)."""
+        return self.validation == "full"
 
     # ------------------------------------------------------------------
     # Derived sizes (paper Section IV.A / Table II)

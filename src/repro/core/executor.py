@@ -6,9 +6,10 @@ One pipeline (:data:`~repro.core.stages.STAGES`) — four ways to run it:
   memory: Kernels 0/1/2 as :class:`~repro.backends.base.Backend` defines
   them (their steps run in order, Kernel 2's build the backend's own),
   Kernel 3 as the backend implements it;
-* :class:`StreamingExecutor` — Kernel 2 through the out-of-core
-  :func:`repro.core.streaming.streaming_kernel2` (:func:`stream_filter`),
-  memory bounded by ``O(batch + N)``;
+* :class:`StreamingExecutor` — Kernel 1 through the out-of-core
+  :func:`repro.sort.external.external_sort_dataset` (:func:`stream_sort`)
+  and Kernel 2 through :func:`repro.core.streaming.streaming_kernel2`
+  (:func:`stream_filter`), both sized by ``streaming_batch_edges``;
 * :class:`ShardParallelExecutor` — Kernels 2+3 through the distributed
   :func:`repro.parallel.driver.run_parallel_pipeline`, with the
   communication :class:`~repro.parallel.traffic.TrafficLog` merged into
@@ -41,10 +42,15 @@ from typing import Callable, Dict, Optional, Tuple, Type, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro._util import StopWatch
+from repro._util import StopWatch, Timings
 from repro._util.heap import minor_faults
 from repro.core import trace
-from repro.backends.base import AdjacencyHandle, Backend, Details
+from repro.backends.base import (
+    AdjacencyHandle,
+    Backend,
+    Details,
+    kernel1_manifest,
+)
 from repro.backends.registry import get_backend
 from repro.core.artifacts import (
     ArtifactCache,
@@ -70,6 +76,7 @@ from repro.core.stages import (
     Stage,
     StageContext,
 )
+from repro.sort.external import ExternalSortConfig, external_sort_dataset
 
 StageOutput = Tuple[object, Details]
 
@@ -247,14 +254,17 @@ class Executor:
         )
 
     def _run_sort(self, ctx: StageContext) -> StageOutput:
-        config = ctx.config
-        source = ctx.require(ARTIFACT_K0)
         return self._maybe_cached(
             ctx,
             "k1",
-            k1_cache_fields(config, ctx.backend.name),
-            lambda out_dir: ctx.backend.kernel1(config, source, out_dir),
+            k1_cache_fields(ctx.config, ctx.backend.name),
+            lambda out_dir: self._compute_sort(ctx, out_dir),
         )
+
+    def _compute_sort(self, ctx: StageContext, out_dir: Path) -> StageOutput:
+        """Actually sort Kernel 0's dataset into ``out_dir``
+        (strategy-specific)."""
+        return ctx.backend.kernel1(ctx.config, ctx.require(ARTIFACT_K0), out_dir)
 
     def _run_filter(self, ctx: StageContext) -> StageOutput:
         return self._filter_with_cache(ctx, self._compute_filter)
@@ -330,6 +340,33 @@ class Executor:
         return ctx.backend.kernel3(ctx.config, ctx.require(ARTIFACT_ADJACENCY))
 
 
+def stream_sort(ctx: StageContext, out_dir: Path) -> StageOutput:
+    """Out-of-core Kernel 1: the run/merge sort of the Kernel 0 dataset
+    in runs of ``streaming_batch_edges`` edges, written in the shard
+    layout and manifest of the in-memory sort (the same files, so both
+    share a cache entry): the streaming executor's Kernel 1."""
+    config = ctx.config
+    timings = Timings()
+    dataset = external_sort_dataset(
+        ctx.require(ARTIFACT_K0),
+        out_dir,
+        config=ExternalSortConfig(batch_edges=config.streaming_batch_edges,
+                                  tmp_dir=ctx.run_dir() / "k1-scratch"),
+        num_shards=config.num_files,
+        by_end_vertex=config.sort_by_end_vertex,
+        extra=kernel1_manifest(config),
+        timings=timings,
+    )
+    details: Details = {
+        "phases": timings.as_dict(),
+        "algorithm": "external",
+        "batch_edges": config.streaming_batch_edges,
+        "num_shards": dataset.num_shards,
+        "execution": "streaming",
+    }
+    return dataset, details
+
+
 def stream_filter(ctx: StageContext) -> StageOutput:
     """Out-of-core Kernel 2 over the Kernel 1 dataset, adopted into the
     backend's adjacency handle: the streaming executor's Kernel 2."""
@@ -368,17 +405,22 @@ class SerialExecutor(Executor):
 
 
 class StreamingExecutor(Executor):
-    """Out-of-core Kernel 2; everything else serial.
+    """Out-of-core Kernels 1 and 2; Kernels 0 and 3 serial.
 
-    Kernel 2 streams the sorted Kernel 1 dataset in
-    ``config.streaming_batch_edges``-sized batches (peak memory
-    ``O(batch + N)`` instead of ``O(M + N)``) and hands the resulting
-    CSR matrix back to the backend via
+    ``config.streaming_batch_edges`` is the one memory knob: Kernel 1
+    sorts runs of that many edges and merges them (:func:`stream_sort`),
+    whatever the backend's own sort; Kernel 2 streams the sorted
+    dataset in batches of that size (peak memory ``O(batch + N)``
+    instead of ``O(M + N)``) and hands the resulting CSR matrix back to
+    the backend via
     :meth:`~repro.backends.base.Backend.adjacency_from_csr`.
     """
 
     name = "streaming"
     k2_cache_variant = "streaming-csr"
+
+    def _compute_sort(self, ctx: StageContext, out_dir: Path) -> StageOutput:
+        return stream_sort(ctx, out_dir)
 
     def _compute_filter(self, ctx: StageContext) -> StageOutput:
         return stream_filter(ctx)

@@ -96,7 +96,7 @@ class PipelineResult:
         Final PageRank vector (length ``N``).
     validation:
         Eigenvector cross-check output when ``config.validation`` asked
-        for it (``full`` or ``validate-only``).
+        for it (``full``).
     wall_seconds:
         Measured end-to-end wall-clock of the whole run (set by the
         executors).  Equals roughly :attr:`total_seconds` for serial

@@ -13,8 +13,6 @@ Key operations::
     ds = EdgeDataset.open(dir)              # verify + load manifest
     u, v = ds.read_all()                    # every shard, in one pair
     for u, v in ds.iter_shards(): ...       # stream shard-at-a-time
-    with EdgeDataset.stream_writer(...) as w:
-        w.append(u_block, v_block)          # out-of-core producer
 """
 
 from __future__ import annotations
@@ -22,8 +20,7 @@ from __future__ import annotations
 import gzip
 import zlib
 from pathlib import Path
-from types import TracebackType
-from typing import Iterator, List, Optional, Tuple, Type
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -219,7 +216,7 @@ class EdgeDataset:
     """A verified, sharded, on-disk edge list.
 
     Instances are handles over a directory; the constructor does not touch
-    the filesystem.  Use :meth:`write`, :meth:`stream_writer`, or
+    the filesystem.  Use :meth:`write`, :meth:`publish`, or
     :meth:`open` to produce one.
     """
 
@@ -332,7 +329,7 @@ class EdgeDataset:
 
         Writes the manifest that makes ``directory`` openable — the one
         place a :class:`DatasetManifest` is assembled, whoever wrote the
-        shards (:meth:`write`, the streaming writer, the pure-python
+        shards (:meth:`write`, the external sort, the pure-python
         backend, the async executor's per-shard tasks).  ``shards`` are
         the :func:`write_shard` results in shard order.
         """
@@ -347,31 +344,6 @@ class EdgeDataset:
         )
         manifest.save(directory)
         return cls(directory, manifest)
-
-    @classmethod
-    def stream_writer(
-        cls,
-        directory: Path,
-        *,
-        num_vertices: int,
-        vertex_base: int = DEFAULT_VERTEX_BASE,
-        fmt: str = "tsv",
-        edges_per_shard: int = 1 << 20,
-        extra: Optional[dict] = None,
-    ) -> "EdgeDatasetWriter":
-        """Open a streaming writer that rolls shards every
-        ``edges_per_shard`` appended edges.
-
-        Use as a context manager; the manifest is written on clean exit.
-        """
-        return EdgeDatasetWriter(
-            Path(directory),
-            num_vertices=num_vertices,
-            vertex_base=vertex_base,
-            fmt=fmt,
-            edges_per_shard=edges_per_shard,
-            extra=extra,
-        )
 
     # ------------------------------------------------------------------
     # Reading
@@ -470,101 +442,3 @@ class EdgeDataset:
             u[start:start + size], v[start:start + size] = self.read_shard(index)
             start += size
         return u, v
-
-
-class EdgeDatasetWriter:
-    """Streaming producer for :class:`EdgeDataset` (context manager).
-
-    Appended blocks are buffered and flushed into shard files of
-    ``edges_per_shard`` edges.  On clean ``__exit__`` the manifest is
-    written; on exception the partial shards are left behind *without* a
-    manifest so :meth:`EdgeDataset.open` refuses the directory — a crashed
-    producer cannot masquerade as a complete dataset.
-    """
-
-    def __init__(
-        self,
-        directory: Path,
-        *,
-        num_vertices: int,
-        vertex_base: int,
-        fmt: str,
-        edges_per_shard: int,
-        extra: Optional[dict],
-    ) -> None:
-        _check_fmt(fmt)
-        check_positive_int("num_vertices", num_vertices)
-        check_positive_int("edges_per_shard", edges_per_shard)
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.num_vertices = num_vertices
-        self.vertex_base = vertex_base
-        self.fmt = fmt
-        self.edges_per_shard = edges_per_shard
-        self.extra = dict(extra or {})
-        self._buffer_u: List[np.ndarray] = []
-        self._buffer_v: List[np.ndarray] = []
-        self._buffered = 0
-        self._shards: List[ShardInfo] = []
-        self._closed = False
-
-    def __enter__(self) -> "EdgeDatasetWriter":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        if exc_type is None:
-            self.close()
-
-    def append(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Append an edge block; flushes full shards as needed."""
-        if self._closed:
-            raise RuntimeError("writer is closed")
-        u, v = np.asarray(u), np.asarray(v)
-        if len(u) != len(v):
-            raise ValueError(f"u and v lengths differ: {len(u)} != {len(v)}")
-        self._buffer_u.append(u)
-        self._buffer_v.append(v)
-        self._buffered += len(u)
-        while self._buffered >= self.edges_per_shard:
-            self._flush_shard(self.edges_per_shard)
-
-    def _flush_shard(self, count: int) -> None:
-        empty = np.empty(0, label_dtype(self.num_vertices))
-        cat_u = np.concatenate(self._buffer_u) if self._buffer_u else empty
-        cat_v = np.concatenate(self._buffer_v) if self._buffer_v else empty
-        take_u, rest_u = cat_u[:count], cat_u[count:]
-        take_v, rest_v = cat_v[:count], cat_v[count:]
-        index = len(self._shards)
-        info = write_shard(
-            self.directory, index, take_u, take_v,
-            fmt=self.fmt, vertex_base=self.vertex_base,
-        )
-        self._shards.append(info)
-        self._buffer_u = [rest_u]
-        self._buffer_v = [rest_v]
-        self._buffered = len(rest_u)
-
-    def close(self) -> EdgeDataset:
-        """Flush remaining edges, write the manifest, return the dataset."""
-        if self._closed:
-            return self._result
-        if self._buffered or not self._shards:
-            self._flush_shard(self._buffered)
-        self._result = EdgeDataset.publish(
-            self.directory, self._shards, num_vertices=self.num_vertices,
-            vertex_base=self.vertex_base, fmt=self.fmt, extra=self.extra,
-        )
-        self._closed = True
-        return self._result
-
-    @property
-    def result(self) -> EdgeDataset:
-        """The dataset handle; only valid after :meth:`close`."""
-        if not self._closed:
-            raise RuntimeError("writer not closed yet")
-        return self._result

@@ -67,7 +67,7 @@ import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.api.scenarios import BUILTIN_SCENARIOS, ScenarioRegistry
 from repro.api.spec import RunSpec, SweepSpec
@@ -133,15 +133,19 @@ class BenchmarkRequestHandler(BaseHTTPRequestHandler):
     def _error(self, status: int, message: str) -> None:
         self._reply(status, {"error": message})
 
-    def _content_length(self, limit: int) -> Optional[int]:
+    def _content_length(
+        self, limit: int, refused: Callable[[], None] = lambda: None
+    ) -> Optional[int]:
         """The declared body length, or ``None`` once refused.
 
         A missing header reads as 0.  A malformed or negative one is a
         400 and one over ``limit`` a 413, both answered before any body
-        byte is read.
+        byte is read.  ``refused`` runs before the answer, so a client
+        that has it also sees what the refusal recorded.
         """
         header = self.headers.get("Content-Length") or "0"
         if not (header.isascii() and header.isdigit()):
+            refused()
             self._error(
                 400, f"Content-Length must be a non-negative integer, "
                      f"got {header!r}"
@@ -149,6 +153,7 @@ class BenchmarkRequestHandler(BaseHTTPRequestHandler):
             return None
         length = int(header)
         if length > limit:
+            refused()
             self._error(
                 413, f"body of {length} bytes exceeds the {limit}-byte limit"
             )
@@ -321,9 +326,11 @@ class BenchmarkRequestHandler(BaseHTTPRequestHandler):
         except ValueError as exc:
             self._error(400, str(exc))
             return
-        length = self._content_length(_MAX_ARTIFACT_BYTES)
+        length = self._content_length(
+            _MAX_ARTIFACT_BYTES,
+            lambda: service.metrics.record_artifact_sync("put", "rejected"),
+        )
         if length is None:
-            service.metrics.record_artifact_sync("put", "rejected")
             return
         if length == 0:
             self._error(400, "PUT /artifacts requires a tar body")

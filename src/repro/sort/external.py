@@ -18,7 +18,10 @@ textbook two-phase external sort with bounded memory:
    for labels of either label dtype.
 
 Memory is bounded by ``O(batch_edges + fan_in * merge_block_edges)``
-regardless of dataset size.
+plus the output shard being filled.  The output's shards are cut and
+written as :meth:`EdgeDataset.write` writes them.  The ``streaming``
+execution strategy runs Kernel 1 as this sort
+(:func:`repro.core.executor.stream_sort`).
 """
 
 from __future__ import annotations
@@ -26,15 +29,15 @@ from __future__ import annotations
 import contextlib
 import shutil
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro._util import check_positive_int
-from repro.core.shmplane import mapped_view
-from repro.edgeio.dataset import EdgeDataset
+from repro._util import Timings, check_positive_int
+from repro.edgeio.dataset import EdgeDataset, shard_slices, write_shard
 from repro.labels import label_dtype
 from repro.sort.inmemory import sort_edges, sorted_by
 
@@ -101,8 +104,10 @@ class _Run:
 
 
 class _RunReader:
-    """Buffered block reader over a run file (memory-mapped).
+    """Buffered block reader over a run file.
 
+    Blocks are read, not mapped: a merge that maps its runs holds every
+    page it touched in the process's resident set until it unmaps.
     The run is sorted by ``u``, or by ``(u, v)`` when ``by_end_vertex``;
     :meth:`top` and :meth:`take` compare keys of that form.
     """
@@ -111,35 +116,25 @@ class _RunReader:
         self.run = run
         self.block_edges = block_edges
         self.by_end_vertex = by_end_vertex
-        self._stack = contextlib.ExitStack()
-        if run.num_edges:
-            self._mm = self._stack.enter_context(
-                mapped_view(run.path, run.dtype, (run.num_edges, 2))
-            )
-        else:
-            self._mm = np.empty((0, 2), dtype=run.dtype)
-        self._cursor = 0
+        self._fh = open(run.path, "rb")
+        self._unread = run.num_edges
         self.buf_u = np.empty(0, dtype=run.dtype)
         self.buf_v = np.empty(0, dtype=run.dtype)
 
     def close(self) -> None:
-        """Unmap the run file *now* — not at garbage collection.
-
-        The merge deletes run files as soon as it finishes with them;
-        under Windows-style strict unlink semantics that fails while a
-        mapping is open.  ``refill`` copies every block out of the map,
-        so nothing dangles.
-        """
-        self._mm = np.empty((0, 2), dtype=self.run.dtype)
-        self._stack.close()
+        """Close the run file *now* — not at garbage collection: the
+        merge deletes run files as soon as it finishes with them, which
+        strict-unlink filesystems refuse while a file is open."""
+        self._fh.close()
 
     def refill(self) -> None:
         """Top the buffer up with the next file block, if any."""
-        if len(self.buf_u) > 0 or self._cursor >= self.run.num_edges:
+        if len(self.buf_u) > 0 or not self._unread:
             return
-        end = min(self._cursor + self.block_edges, self.run.num_edges)
-        block = np.asarray(self._mm[self._cursor:end])
-        self._cursor = end
+        count = min(self.block_edges, self._unread)
+        block = np.fromfile(self._fh, dtype=self.run.dtype, count=2 * count)
+        self._unread -= count
+        block = block.reshape(count, 2)
         self.buf_u = block[:, 0].copy()
         self.buf_v = block[:, 1].copy()
 
@@ -166,12 +161,12 @@ class _RunReader:
 
 def _merge_runs(
     runs: List[_Run],
-    emit,
     *,
     block_edges: int,
     by_end_vertex: bool,
-) -> None:
-    """Merge sorted runs, calling ``emit(u, v)`` with ordered batches.
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Merge sorted runs, yielding ordered ``(u, v)`` batches; close the
+    generator before deleting the runs.
 
     Each round's boundary is the smallest buffered maximum.  Every edge
     below it is buffered; more edges *at* it may follow in a later block
@@ -197,10 +192,10 @@ def _merge_runs(
                      for i, reader in enumerate(active)]
             cat_u = np.concatenate([pu for pu, _ in parts])
             cat_v = np.concatenate([pv for _, pv in parts])
-            emit(*sort_edges(cat_u, cat_v, by_end_vertex=by_end_vertex))
+            yield sort_edges(cat_u, cat_v, by_end_vertex=by_end_vertex)
     finally:
-        # Unmap before the caller deletes the run files (strict-unlink
-        # filesystems refuse to remove a mapped file).
+        # Close before the caller deletes the run files (strict-unlink
+        # filesystems refuse to remove an open file).
         for reader in readers:
             reader.close()
 
@@ -210,12 +205,36 @@ def _merge_to_run(
 ) -> _Run:
     """Merge ``runs`` into a single new run file."""
     writer = _RunWriter(path, runs[0].dtype)
-    _merge_runs(runs, writer.append, block_edges=block_edges,
-                by_end_vertex=by_end_vertex)
+    batches = _merge_runs(runs, block_edges=block_edges,
+                          by_end_vertex=by_end_vertex)
+    with contextlib.closing(batches):
+        for u, v in batches:
+            writer.append(u, v)
     merged = writer.close()
     for run in runs:
         run.delete()
     return merged
+
+
+def _regroup(
+    batches: Iterator[Tuple[np.ndarray, np.ndarray]],
+    sizes: List[int],
+    dtype: np.dtype,
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Re-cut a stream of ``(u, v)`` batches into blocks of ``sizes``,
+    each filled into its own allocation (no concatenated copy)."""
+    u = v = np.empty(0, dtype)  # what the last batch has left
+    for size in sizes:
+        block_u, block_v = np.empty(size, dtype), np.empty(size, dtype)
+        filled = 0
+        while filled < size:
+            if not len(u):
+                u, v = next(batches)
+            take = min(size - filled, len(u))
+            block_u[filled:filled + take] = u[:take]
+            block_v[filled:filled + take] = v[:take]
+            u, v, filled = u[take:], v[take:], filled + take
+        yield block_u, block_v
 
 
 def external_sort_dataset(
@@ -225,6 +244,8 @@ def external_sort_dataset(
     config: Optional[ExternalSortConfig] = None,
     num_shards: Optional[int] = None,
     by_end_vertex: bool = False,
+    extra: Optional[Dict[str, object]] = None,
+    timings: Optional[Timings] = None,
 ) -> EdgeDataset:
     """Sort a dataset by start vertex without holding it in memory.
 
@@ -237,9 +258,18 @@ def external_sort_dataset(
     config:
         :class:`ExternalSortConfig`; defaults used when omitted.
     num_shards:
-        Output shard count; defaults to the input's shard count.
+        Output shard count; defaults to the input's shard count.  The
+        shards are cut as :meth:`EdgeDataset.write` cuts them, so the
+        output's files equal those of the in-memory sort.
     by_end_vertex:
         Sort lexicographically by ``(u, v)`` instead of ``u`` only.
+    extra:
+        The output manifest's free-form fields; defaults to its order
+        (``sorted_by``).
+    timings:
+        Gains ``run_formation`` (reading the input and spilling sorted
+        runs), ``write`` (the output shard writes) and ``merge`` (every
+        merge pass, less those writes).
 
     Returns
     -------
@@ -253,6 +283,7 @@ def external_sort_dataset(
     sort never yields a dataset that opens successfully.
     """
     config = config or ExternalSortConfig()
+    timings = timings if timings is not None else Timings()
     num_shards = num_shards if num_shards is not None else dataset.num_shards
     check_positive_int("num_shards", num_shards)
 
@@ -267,14 +298,16 @@ def external_sort_dataset(
     labels = label_dtype(dataset.num_vertices)
     try:
         # ---- Phase 1: run generation --------------------------------
-        for u, v in dataset.iter_batches(config.batch_edges):
-            su, sv = sort_edges(u, v, by_end_vertex=by_end_vertex)
-            writer = _RunWriter(tmp_dir / f"run-{run_counter:06d}.bin", labels)
-            writer.append(su, sv)
-            runs.append(writer.close())
-            run_counter += 1
+        with timings.measure("run_formation"):
+            for u, v in dataset.iter_batches(config.batch_edges):
+                su, sv = sort_edges(u, v, by_end_vertex=by_end_vertex)
+                writer = _RunWriter(tmp_dir / f"run-{run_counter:06d}.bin", labels)
+                writer.append(su, sv)
+                runs.append(writer.close())
+                run_counter += 1
 
         # ---- Phase 2: (multi-pass) k-way merge -----------------------
+        merge_started = time.perf_counter()
         while len(runs) > config.fan_in:
             next_runs: List[_Run] = []
             for group_start in range(0, len(runs), config.fan_in):
@@ -292,26 +325,30 @@ def external_sort_dataset(
                 run_counter += 1
             runs = next_runs
 
-        # ---- Final merge streamed into the output dataset ------------
-        total = dataset.num_edges
-        edges_per_shard = max(1, -(-total // num_shards)) if total else 1
-        with EdgeDataset.stream_writer(
-            out_dir,
-            num_vertices=dataset.num_vertices,
-            vertex_base=dataset.manifest.vertex_base,
-            fmt=dataset.fmt,
-            edges_per_shard=edges_per_shard,
-            extra={"sorted_by": sorted_by(by_end_vertex),
-                   "source": str(dataset.directory)},
-        ) as writer:
-            if runs:
-                _merge_runs(
-                    runs,
-                    writer.append,
-                    block_edges=config.merge_block_edges,
-                    by_end_vertex=by_end_vertex,
-                )
-        return writer.result
+        # ---- Final merge, cut as EdgeDataset.write cuts shards ------
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        sizes = [end - start
+                 for start, end in shard_slices(dataset.num_edges, num_shards)]
+        writes = Timings()
+        shards = []
+        batches = _merge_runs(runs, block_edges=config.merge_block_edges,
+                              by_end_vertex=by_end_vertex)
+        with contextlib.closing(batches):
+            for index, (u, v) in enumerate(_regroup(batches, sizes, labels)):
+                with writes.measure("write"):
+                    shards.append(write_shard(
+                        out_dir, index, u, v, fmt=dataset.fmt,
+                        vertex_base=dataset.manifest.vertex_base))
+        timings.add("write", writes.total)
+        merged_for = time.perf_counter() - merge_started
+        timings.add("merge", max(0.0, merged_for - writes.total))
+        return EdgeDataset.publish(
+            out_dir, shards, num_vertices=dataset.num_vertices,
+            vertex_base=dataset.manifest.vertex_base, fmt=dataset.fmt,
+            extra=extra if extra is not None else {
+                "sorted_by": sorted_by(by_end_vertex)},
+        )
     finally:
         for run in runs:
             run.delete()

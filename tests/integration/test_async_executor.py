@@ -433,12 +433,12 @@ class TestCacheFallback:
                 .details["artifact_cache"] == "hit")
         np.testing.assert_array_equal(overlapped.rank, serial.rank)
 
-    def test_external_sort_falls_back_to_backend_kernels(self):
-        result = run_pipeline(_config("scipy", "async", external_sort=True))
-        reference = run_pipeline(_config("scipy", "serial", external_sort=True))
-        np.testing.assert_array_equal(result.rank, reference.rank)
-        k1 = result.kernel(KernelName.K1_SORT)
-        assert k1.details["algorithm"] == "external"
+    def test_kernel1_sorts_in_memory_fine_or_coarse(self, tmp_path):
+        # Only the streaming strategy sorts out of core.
+        for changes in ({}, {"cache_dir": tmp_path / "c"}):
+            result = run_pipeline(_config("scipy", "async", **changes))
+            k1 = result.kernel(KernelName.K1_SORT)
+            assert k1.details["algorithm"] == "numpy"
 
 
 class TestProcessLanes:

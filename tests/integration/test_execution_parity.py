@@ -99,7 +99,9 @@ class TestContractParityAcrossExecutors:
         with pytest.raises(KernelContractError, match="spec requires"):
             run_pipeline(config, backend=BrokenK0())
 
-    @pytest.mark.parametrize("execution", available_executions())
+    # The streaming executor sorts out of core whatever the backend, so
+    # a broken backend sort has nothing to break there.
+    @pytest.mark.parametrize("execution", ["serial", "parallel", "async"])
     def test_k1_unsorted_caught(self, execution):
         from broken_backends import UnsortedK1
 
@@ -110,7 +112,7 @@ class TestContractParityAcrossExecutors:
             # either way the violation surfaces loudly.
             run_pipeline(config, backend=UnsortedK1())
 
-    @pytest.mark.parametrize("execution", available_executions())
+    @pytest.mark.parametrize("execution", ["serial", "parallel", "async"])
     def test_k1_end_vertex_order_checked(self, execution):
         from broken_backends import StartOnlyK1
 
@@ -130,13 +132,13 @@ class TestSortByEndVertex:
     PATHS = {
         "serial": {},
         "async": {"execution": "async"},
-        "external_sort": {"external_sort": True},
+        "streaming": {"execution": "streaming"},
         "dataframe": {"backend": "dataframe"},
         "python": {"backend": "python"},
     }
     #: The paths whose Kernels 2 and 3 are the scipy serial arithmetic
     #: or the CSR assembly it is bit-identical to.
-    SAME_RANK_BITS = ("serial", "async", "external_sort")
+    SAME_RANK_BITS = ("serial", "async", "streaming")
 
     def test_every_path_writes_and_records_pair_order(self, tmp_path):
         from repro.api import execute_spec
@@ -163,6 +165,42 @@ class TestSortByEndVertex:
         default = execute_spec(RunSpec(scale=6, seed=1, num_files=2))
         np.testing.assert_allclose(outcomes["serial"].rank, default.rank,
                                    rtol=1e-12, atol=1e-15)
+
+
+class TestStreamingKernel1:
+    """The streaming strategy's Kernel 1 is the out-of-core sort, and it
+    writes the files and manifest of the in-memory sort."""
+
+    @pytest.mark.parametrize("num_files,scale", [(1, 6), (3, 10), (5, 8),
+                                                 (64, 1)])
+    def test_same_dataset_as_serial(self, tmp_path, num_files, scale):
+        from repro.edgeio.dataset import EdgeDataset
+
+        manifests = {}
+        for execution in ("serial", "streaming"):
+            config = _config("scipy", execution, scale=scale).with_overrides(
+                num_files=num_files, data_dir=tmp_path / execution)
+            result = run_pipeline(config)
+            details = result.kernel(KernelName.K1_SORT).details
+            assert (details["algorithm"] == "external") == (
+                execution == "streaming")
+            manifests[execution] = EdgeDataset.open(
+                tmp_path / execution / "k1").manifest
+        serial, streamed = manifests["serial"], manifests["streaming"]
+        assert [(s.num_edges, s.crc32) for s in streamed.shards] == [
+            (s.num_edges, s.crc32) for s in serial.shards]
+        assert len(streamed.shards) == num_files
+        assert streamed.extra == serial.extra == {
+            "kernel": "k1", "sorted_by": "u"}
+
+    def test_phases_split_the_kernel(self):
+        result = run_pipeline(_config("scipy", "streaming", scale=10))
+        k1 = result.kernel(KernelName.K1_SORT)
+        phases = k1.details["phases"]
+        assert set(phases) == {"run_formation", "merge", "write"}
+        assert all(seconds > 0.0 for seconds in phases.values())
+        assert sum(phases.values()) <= k1.seconds
+        assert k1.details["batch_edges"] == 512
 
 
 class TestCapabilityGating:

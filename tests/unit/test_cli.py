@@ -55,7 +55,7 @@ class TestParser:
         spec = _run_spec(
             "--scale", "7", "--edge-factor", "8", "--backend", "numpy",
             "--generator", "ring", "--seed", "3", "--num-files", "2",
-            "--iterations", "5", "--damping", "0.5", "--external-sort",
+            "--iterations", "5", "--damping", "0.5",
             "--file-format", "npy", "--formula", "paper-body",
             "--data-dir", "/tmp/d", "--execution", "parallel",
             "--ranks", "3", "--parallel-executor", "mp",
@@ -66,7 +66,7 @@ class TestParser:
         assert spec == RunSpec(
             scale=7, edge_factor=8, backend="numpy", generator="ring",
             seed=3, num_files=2, iterations=5, damping=0.5,
-            external_sort=True, file_format="npy",
+            file_format="npy",
             formula="paper-body", data_dir="/tmp/d", execution="parallel",
             parallel_ranks=3, parallel_executor="mp",
             streaming_batch_edges=1024, async_lanes="process",
@@ -218,20 +218,28 @@ class TestCommands:
         assert doc["config"]["validation"] == "contracts"
         assert all("contract_seconds" in k["details"] for k in doc["kernels"])
 
-    @pytest.mark.parametrize("mode", ["validate-only", "off"])
-    def test_validation_without_contracts(self, mode, capsys):
-        code = main(["run", "--scale", "6", "--validation", mode, "--json"])
+    def test_validation_off_runs_no_check(self, capsys):
+        code = main(["run", "--scale", "6", "--validation", "off", "--json"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert ("validation" in doc) == (mode == "validate-only")
+        assert "validation" not in doc
         assert not any("contract_seconds" in k["details"]
                        for k in doc["kernels"])
+
+    @pytest.mark.parametrize("argv", [
+        ["--external-sort"], ["--validation", "validate-only"]])
+    def test_removed_run_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["run", *argv])
+        assert excinfo.value.code == 2
 
     def test_run_streaming_execution(self, capsys):
         assert main(["run", "--scale", "6", "--execution", "streaming",
                      "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        k2 = [k for k in doc["kernels"] if k["kernel"] == "k2-filter"][0]
+        k1, k2 = [k for k in doc["kernels"]
+                  if k["kernel"] in ("k1-sort", "k2-filter")]
+        assert k1["details"]["algorithm"] == "external"
         assert k2["details"]["execution"] == "streaming"
 
     def test_run_parallel_execution(self, capsys):
@@ -534,9 +542,9 @@ class TestExitCodeDiscipline:
         assert spec.repeats == 3 and spec.scale == 10
 
     @pytest.mark.parametrize("argv,field,value", [
-        # An int, a choice and a store_true flag, each typed with a
-        # value equal to what used to be the parser default, in the two
-        # spellings a scan of argv for the literal flag token missed.
+        # Ints and choices, each typed with a value equal to what used to
+        # be the parser default, in the two spellings a scan of argv for
+        # the literal flag token missed.
         (["--scenario", "smoke", "--scal", "12"], "scale", 12),
         (["--scenario", "smoke", "--sca=12"], "scale", 12),
         (["--scenario", "async-overlap-proc", "--async-lane", "thread"],
@@ -544,7 +552,8 @@ class TestExitCodeDiscipline:
         (["--scenario", "async-overlap-proc", "--async-lanes=thread"],
          "async_lanes", "thread"),
         (["--scenario", "parallel-mp", "--rank", "4"], "parallel_ranks", 4),
-        (["--scenario", "smoke", "--external-sor"], "external_sort", True),
+        (["--scenario", "streaming-bounded", "--executio", "serial"],
+         "execution", "serial"),
     ])
     def test_abbreviated_and_joined_flags_override_scenario(
             self, argv, field, value):
@@ -564,8 +573,7 @@ class TestExitCodeDiscipline:
         # Like any spec flag: typed, it replaces the scenario's mode;
         # omitted, the scenario's own mode stands.
         assert _run_spec("--scenario", "validated",
-                         "--validation", "validate-only"
-                         ).validation == "validate-only"
+                         "--validation", "off").validation == "off"
         assert _run_spec("--scenario", "validated").validation == "full"
 
     def test_cache_rm_distinguishes_busy_from_absent(self, tmp_path, capsys):

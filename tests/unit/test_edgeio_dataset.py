@@ -224,46 +224,6 @@ class TestFailureModes:
             EdgeDataset.open(tmp_path / "d")
 
 
-class TestStreamWriter:
-    def test_rolls_shards(self, tmp_path, small_edges):
-        u, v = small_edges
-        with EdgeDataset.stream_writer(tmp_path / "d", num_vertices=64,
-                                       edges_per_shard=50) as writer:
-            for start in range(0, len(u), 30):
-                writer.append(u[start:start + 30], v[start:start + 30])
-        ds = writer.result
-        assert ds.num_edges == len(u)
-        assert ds.num_shards == -(-len(u) // 50)
-        ru, rv = ds.read_all()
-        assert np.array_equal(ru, u) and np.array_equal(rv, v)
-
-    def test_no_manifest_on_exception(self, tmp_path):
-        with pytest.raises(RuntimeError):
-            with EdgeDataset.stream_writer(tmp_path / "d", num_vertices=4,
-                                           edges_per_shard=10) as writer:
-                writer.append(np.array([1]), np.array([2]))
-                raise RuntimeError("producer crashed")
-        with pytest.raises(DatasetLayoutError):
-            EdgeDataset.open(tmp_path / "d")
-
-    def test_empty_stream_creates_valid_dataset(self, tmp_path):
-        with EdgeDataset.stream_writer(tmp_path / "d", num_vertices=4) as writer:
-            pass
-        assert writer.result.num_edges == 0
-        EdgeDataset.open(tmp_path / "d")
-
-    def test_append_after_close_rejected(self, tmp_path):
-        with EdgeDataset.stream_writer(tmp_path / "d", num_vertices=4) as writer:
-            pass
-        with pytest.raises(RuntimeError, match="closed"):
-            writer.append(np.array([1]), np.array([1]))
-
-    def test_mismatched_lengths_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            with EdgeDataset.stream_writer(tmp_path / "d", num_vertices=4) as writer:
-                writer.append(np.array([1]), np.array([1, 2]))
-
-
 def _npy_bytes(array):
     sink = io.BytesIO()
     np.save(sink, array)

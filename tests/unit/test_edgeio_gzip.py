@@ -63,15 +63,19 @@ class TestGzipFormat:
         )
         ds.read_shard(0)  # must pass
 
-    def test_stream_writer_gzip(self, tmp_path, small_edges):
+    def test_external_sort_keeps_gzip(self, tmp_path, small_edges):
+        from repro.sort.external import ExternalSortConfig, external_sort_dataset
+        from repro.sort.inmemory import sort_edges
+
         u, v = small_edges
-        with EdgeDataset.stream_writer(tmp_path / "d", num_vertices=64,
-                                       fmt="tsv.gz",
-                                       edges_per_shard=100) as writer:
-            writer.append(u, v)
-        ds = writer.result
-        ru, rv = ds.read_all()
-        assert np.array_equal(u, ru) and np.array_equal(v, rv)
+        ds = EdgeDataset.write(tmp_path / "in", u, v, num_vertices=64,
+                               num_shards=2, fmt="tsv.gz")
+        out = external_sort_dataset(ds, tmp_path / "out", num_shards=3,
+                                    config=ExternalSortConfig(batch_edges=50))
+        assert out.fmt == "tsv.gz"
+        ru, rv = out.read_all()
+        su, sv = sort_edges(u, v)
+        assert np.array_equal(su, ru) and np.array_equal(sv, rv)
 
     def test_pipeline_end_to_end(self):
         from repro.core.pipeline import run_pipeline

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.edgeio.dataset import EdgeDataset
+from repro.edgeio.dataset import EdgeDataset, write_shard
 from repro.sort.external import ExternalSortConfig, external_sort_dataset
 from repro.sort.inmemory import sort_edges
 
@@ -101,12 +101,67 @@ class TestExternalSort:
         out = external_sort_dataset(ds, tmp_path / "out", num_shards=6)
         assert out.num_shards == 6
 
+    @pytest.mark.parametrize("num_shards", [1, 3, 5, 64])
+    def test_shards_and_manifest_match_the_in_memory_write(
+            self, tmp_path, rng, num_shards):
+        ds, u, v = _write_random_dataset(tmp_path, rng, m=1000)
+        out = external_sort_dataset(
+            ds, tmp_path / "out", num_shards=num_shards,
+            config=ExternalSortConfig(batch_edges=64, fan_in=3,
+                                      merge_block_edges=32),
+        )
+        ref_u, ref_v = sort_edges(u, v)
+        ref = EdgeDataset.write(tmp_path / "ref", ref_u, ref_v,
+                                num_vertices=128, num_shards=num_shards)
+        assert out.manifest.shards == ref.manifest.shards
+        # No path of the input (gone once a run ends) enters the output.
+        assert out.manifest.extra == {"sorted_by": "u"}
+
+    def test_phases_are_reported(self, tmp_path, rng):
+        from repro._util import Timings
+
+        ds, _, _ = _write_random_dataset(tmp_path, rng)
+        timings = Timings()
+        external_sort_dataset(
+            ds, tmp_path / "out", timings=timings, extra={"kernel": "k1"},
+            config=ExternalSortConfig(batch_edges=64, fan_in=3),
+        )
+        assert set(timings.entries) == {"run_formation", "merge", "write"}
+        assert EdgeDataset.open(tmp_path / "out").manifest.extra == {
+            "kernel": "k1"}
+
     def test_empty_dataset(self, tmp_path):
         empty = np.empty(0, dtype=np.int64)
         ds = EdgeDataset.write(tmp_path / "in", empty, empty, num_vertices=4)
         out = external_sort_dataset(ds, tmp_path / "out")
         assert out.num_edges == 0
         EdgeDataset.open(tmp_path / "out")  # valid dataset with manifest
+
+    def test_no_manifest_when_a_shard_write_fails(self, tmp_path, rng,
+                                                  monkeypatch):
+        import repro.sort.external as external
+        from repro.edgeio.errors import DatasetLayoutError
+
+        written = []
+
+        def failing_write_shard(*args, **kwargs):
+            if written:
+                raise OSError("disk full")
+            written.append(write_shard(*args, **kwargs))
+            return written[-1]
+
+        ds, _, _ = _write_random_dataset(tmp_path, rng, m=500)
+        spill = tmp_path / "spill"
+        monkeypatch.setattr(external, "write_shard", failing_write_shard)
+        with pytest.raises(OSError, match="disk full"):
+            external_sort_dataset(
+                ds, tmp_path / "out", num_shards=3,
+                config=ExternalSortConfig(batch_edges=64, tmp_dir=spill),
+            )
+        # A crashed sort leaves no openable dataset and no run behind.
+        with pytest.raises(DatasetLayoutError):
+            EdgeDataset.open(tmp_path / "out")
+        assert list(spill.glob("*.bin")) == []
 
     def test_spill_dir_cleaned_up(self, tmp_path, rng):
         import os
