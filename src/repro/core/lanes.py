@@ -15,7 +15,7 @@ The contract is deliberately narrow:
 * **Tasks are descriptors, not closures.**  A process-lane task's body
   returns a :class:`LaneTask` — an operation name from
   :data:`LANE_OPS` plus a payload dict — because a closure over live
-  pipeline state cannot cross a ``spawn``/``forkserver`` boundary.  The
+  pipeline state cannot cross into a worker interpreter.  The
   ops themselves are tiny named wrappers over :mod:`repro.edgeio`
   (encode-and-write a shard, read-and-decode a shard), so a lane worker
   produces byte-identical files and arrays to in-process execution.
@@ -117,7 +117,7 @@ def _op_decode_shard_shm(payload: Mapping[str, object]):
 
 
 #: Operations a lane worker can execute.  Module-level (not captured
-#: closures) so ``spawn``-started workers resolve them by name.
+#: closures) so a worker unpickles them by reference.
 LANE_OPS: Dict[str, Callable[[Mapping[str, object]], object]] = {
     "encode-shard": _op_encode_shard,
     "decode-shard": _op_decode_shard,
@@ -154,17 +154,16 @@ def run_lane_op(op: str, payload: Mapping[str, object]) -> object:
 class ProcessLanePool(ProcessPool):
     """:class:`~repro.core.procpool.ProcessPool` serving :data:`LANE_OPS`.
 
-    Daemonic: lane ops never start processes of their own, so the
-    workers can be guaranteed to die with a parent that never reached
-    ``shutdown``.  They import numpy, the edgeio stack and the shm
-    plane before serving, so no op's busy time — which the scheduler
-    attributes to a kernel — includes that start-up; the async executor
-    hides it behind the K0 generate task with ``prestart(block=False)``.
+    The workers import numpy, the edgeio stack and the shm plane before
+    serving, so no op's busy time — which the scheduler attributes to a
+    kernel — includes that start-up; the async executor hides it behind
+    the K0 generate task with ``prestart(block=False)``.  A worker whose
+    parent died without ``shutdown`` reads EOF on its pipe and exits.
     """
 
     def __init__(self, workers: int = DEFAULT_LANE_WORKERS) -> None:
         super().__init__(
-            workers, LANE_OPS, name="lane", daemon=True,
+            workers, LANE_OPS, name="lane",
             warm=("repro.core.shmplane", "repro.edgeio.dataset"),
         )
 

@@ -3,8 +3,15 @@
 Process lanes (:class:`repro.core.lanes.ProcessLanePool`) and service
 process workers (:class:`repro.service.pool.ProcessWorkerPool`) are two
 configurations of the one :class:`ProcessPool` here; they differ only
-in op table, daemon flag, warm imports and name.
+in op table, warm imports and name.
 
+* **Launch.**  Each worker is a plain ``python -c`` subprocess holding
+  one end of a ``socketpair``; the parent wraps the other end in a
+  :class:`multiprocessing.connection.Connection`.  The child adopts the
+  parent's ``sys.path`` and unpickles its op table by reference from
+  the first message — no ``__main__`` is re-imported, so any host
+  (a ``-c`` program, a script without a ``__main__`` guard) can own a
+  pool, and no forkserver or resource tracker is started for it.
 * **Protocol.**  The parent sends ``("run", op, payload, want_trace)``,
   ``("ping",)`` or ``("shutdown",)``; the worker (:func:`serve`)
   replies ``("ok", result, span_docs)``, ``("ok", "pong", clock)`` or
@@ -27,20 +34,31 @@ in op table, daemon flag, warm imports and name.
 from __future__ import annotations
 
 import importlib
-import multiprocessing
 import queue
 import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from multiprocessing.connection import Connection
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro._util.heap import keep_heap
 from repro.core import trace
 
 #: An op table: name -> ``fn(payload)``.  The functions must be
-#: module-level so a ``spawn``-started worker resolves them by name.
+#: module-level: the table is pickled by reference, and the worker
+#: imports each function's module to unpickle it.
 OpTable = Mapping[str, Callable[[object], object]]
+
+#: A worker's whole ``-c`` program: adopt the parent's import path (as
+#: ``spawn`` does), then serve on the inherited socket ``fd``.
+_BOOT = (
+    "import sys; sys.path[:] = {path!r}; "
+    "from repro.core.procpool import worker_main; worker_main({fd})"
+)
 
 
 class WorkerCrashError(RuntimeError):
@@ -72,7 +90,19 @@ def run_op(ops: OpTable, op: str, payload: object) -> object:
     return fn(payload)
 
 
-def serve(conn, ops: OpTable, warm: Sequence[str], name: str) -> None:
+def worker_main(fd: int) -> None:
+    """A worker interpreter's entry point: read ``(ops, warm, name,
+    label)`` from the parent, then :func:`serve`."""
+    conn = Connection(fd)
+    try:
+        ops, warm, name, label = conn.recv()
+    except (EOFError, OSError):
+        return  # the parent gave up before the worker started
+    serve(conn, ops, warm, name, label)
+
+
+def serve(conn, ops: OpTable, warm: Sequence[str], name: str,
+          label: str) -> None:
     """Worker process loop: serve requests until shutdown or EOF.
 
     SIGINT is ignored: a terminal ``^C`` signals the whole foreground
@@ -119,8 +149,7 @@ def serve(conn, ops: OpTable, warm: Sequence[str], name: str) -> None:
                 # Raw-clock spans; the parent re-anchors them.  Without
                 # a collector the span below is the shared no-op.
                 collector = trace.TraceCollector(
-                    label=multiprocessing.current_process().name,
-                    raw_clock=True,
+                    label=label, raw_clock=True,
                 ) if want_trace else None
                 with trace.activate(collector), \
                         trace.span(f"{name}-op:{op}", cat=name):
@@ -142,23 +171,44 @@ def serve(conn, ops: OpTable, warm: Sequence[str], name: str) -> None:
 
 
 class WorkerHandle:
-    """One long-lived worker process plus the parent end of its pipe."""
+    """One long-lived worker process plus the parent end of its socket.
 
-    def __init__(self, ctx, name: str, index: int, ops: OpTable,
-                 warm: Sequence[str], daemon: bool) -> None:
+    ``process`` is the worker's :class:`subprocess.Popen`; ``name``
+    (``repro-<pool name>-<index>``) labels it in errors and spans.
+    """
+
+    def __init__(self, name: str, index: int, ops: OpTable,
+                 warm: Sequence[str]) -> None:
         #: Worker perf_counter → parent perf_counter correction, from
         #: the :meth:`ping` handshake.  On Linux both clocks read the
         #: same CLOCK_MONOTONIC, so this is ~the pipe transit error.
         self.clock_offset = 0.0
-        self.conn, child_conn = ctx.Pipe()
-        self.process = ctx.Process(
-            target=serve,
-            args=(child_conn, ops, warm, name),
-            name=f"repro-{name}-{index}",
-            daemon=daemon,
-        )
-        self.process.start()
-        child_conn.close()  # the parent keeps only its own end
+        self.name = f"repro-{name}-{index}"
+        parent_end, child_end = socket.socketpair()
+        with child_end:  # the parent keeps only its own end
+            fd = child_end.fileno()
+            try:
+                # The interpreter flags are the ones multiprocessing's
+                # own spawn passes on; stdin is closed, as spawn does.
+                self.process = subprocess.Popen(
+                    [sys.executable,
+                     *subprocess._args_from_interpreter_flags(),
+                     "-c", _BOOT.format(path=sys.path, fd=fd)],
+                    pass_fds=(fd,), stdin=subprocess.DEVNULL,
+                )
+            except BaseException:
+                parent_end.close()
+                raise
+        self.conn = Connection(parent_end.detach())
+        try:
+            # Buffered by the socket until the worker's worker_main reads it.
+            self.conn.send((ops, tuple(warm), name, self.name))
+        except BaseException:
+            self.kill()
+            raise
+
+    def alive(self) -> bool:
+        return self.process.poll() is None
 
     def _exchange(self, message: tuple, during: str) -> tuple:
         try:
@@ -166,7 +216,7 @@ class WorkerHandle:
             return self.conn.recv()
         except (EOFError, BrokenPipeError, OSError) as exc:
             raise WorkerCrashError(
-                f"worker {self.process.name} (pid {self.process.pid}) "
+                f"worker {self.name} (pid {self.process.pid}) "
                 f"died {during}: {type(exc).__name__}"
             ) from None
 
@@ -204,17 +254,21 @@ class WorkerHandle:
             self.conn.send(("shutdown",))
         except (BrokenPipeError, OSError):
             pass
-        self.process.join(timeout=timeout)
-        if self.process.is_alive():
+        try:
+            self.process.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
             self.process.terminate()
-            self.process.join(timeout=timeout)
+            try:
+                self.process.wait(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                pass
         try:
             self.conn.close()
         except OSError:
             pass
 
     def kill(self) -> None:
-        if self.process.is_alive():
+        if self.alive():
             self.process.terminate()
 
 
@@ -229,34 +283,28 @@ class ProcessPool:
     ops:
         The op table the workers serve.
     name:
-        Names the processes (``repro-<name>-<n>``) and the trace spans
-        (``<name>-dispatch:<op>`` here, ``<name>-op:<op>`` in the worker).
-    daemon:
-        Daemonic workers are cleaned up even if the parent dies without
-        running :meth:`shutdown`, but may not start processes of their
-        own.
+        Labels the workers (``repro-<name>-<n>``) and names the trace
+        spans (``<name>-dispatch:<op>`` here, ``<name>-op:<op>`` in the
+        worker).
     warm:
         Modules each worker imports before it answers its first ping.
 
-    Workers start with ``forkserver`` where available, else ``spawn`` —
-    never plain ``fork``: every caller runs threads (scheduler, HTTP),
-    and forking a threaded process is undefined behaviour waiting to
-    happen.  Both methods re-import the caller's ``__main__`` in the
-    worker, so embedding scripts need the ``if __name__ == "__main__":``
-    guard.  Interpreter start-up is paid once per worker, not per op.
+    Workers are fresh interpreters started with :mod:`subprocess` —
+    never ``fork``: every caller runs threads (scheduler, HTTP), and
+    forking a threaded process is undefined behaviour waiting to
+    happen.  Interpreter start-up is paid once per worker, not per op.
+    A worker may start processes of its own (``parallel_executor="mp"``
+    ranks), and one whose parent died without :meth:`shutdown` reads
+    EOF and exits.
     """
 
     def __init__(self, workers: int, ops: OpTable, *, name: str,
-                 daemon: bool, warm: Sequence[str] = ()) -> None:
+                 warm: Sequence[str] = ()) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.name = name
-        self._spawn_args = (ops, tuple(warm), daemon)
-        try:
-            self._ctx = multiprocessing.get_context("forkserver")
-        except ValueError:  # platform without forkserver
-            self._ctx = multiprocessing.get_context("spawn")
+        self._spawn_args = (ops, tuple(warm))
         self._lock = threading.Lock()
         self._handles: List[WorkerHandle] = []
         self._next_index = 0
@@ -285,7 +333,7 @@ class ProcessPool:
                 self._idle.put(handle)
                 raise WorkerCrashError("worker pool is terminated")
             if handle is not None:
-                if handle.process.is_alive():
+                if handle.alive():
                     return handle
                 self._cull(handle)  # died idle
             index = self._next_index
@@ -294,13 +342,11 @@ class ProcessPool:
         # milliseconds and must neither serialize concurrent first uses
         # nor block terminate().
         try:
-            fresh = WorkerHandle(self._ctx, self.name, index,
-                                 *self._spawn_args)
+            fresh = WorkerHandle(self.name, index, *self._spawn_args)
         except Exception as exc:
-            # Spawning can fail when the multiprocessing machinery
-            # itself is dying (e.g. the forkserver caught the terminal's
-            # ^C): a worker-infrastructure death, retryable, not an op
-            # failure.
+            # Spawning can fail when the host is short of processes or
+            # memory: a worker-infrastructure death, retryable, not an
+            # op failure.
             self._idle.put(None)
             raise WorkerCrashError(
                 f"could not start a worker process: "
@@ -355,7 +401,7 @@ class ProcessPool:
         queue_wait = time.perf_counter() - waited_from
         dispatch = trace.span(
             f"{self.name}-dispatch:{op}", cat=self.name,
-            worker=handle.process.name, queue_wait=queue_wait,
+            worker=handle.name, queue_wait=queue_wait,
         )
         try:
             with dispatch:
@@ -381,7 +427,7 @@ class ProcessPool:
             collector.merge(
                 span_docs,
                 offset=handle.clock_offset - collector.t0,
-                proc=handle.process.name,
+                proc=handle.name,
                 parent_id=dispatch.span_id,
             )
         return result, queue_wait
@@ -436,8 +482,7 @@ class ProcessPool:
 
         A background ``prestart(block=False)`` is joined before a polite
         stop: its pings drive the same pipes ``stop()`` sends the
-        shutdown message on, and ``multiprocessing`` connections are not
-        thread-safe.  The join is bounded — a hung spawn degrades to
+        shutdown message on, and a connection is not thread-safe.  The join is bounded — a hung spawn degrades to
         ``kill()``, which never touches a connection.
         """
         thread = self._prestart_thread

@@ -115,15 +115,18 @@ def _untrack(name: str) -> None:
 def _tracker_is_inherited() -> bool:
     """Whether this process shares its parent's resource tracker.
 
-    spawn/forkserver children receive the parent's tracker *fd* but
-    never spawn the tracker themselves, so their local handle has a fd
-    and no pid.  The distinction decides the bpo-39959 fix-up: with a
-    shared tracker its name cache is one set across processes, a
-    reader's unregister would erase the *owner's* entry, and the
-    duplicate registration a reader's attach performs is a harmless
-    set-add — so nothing must be untracked.  Only a process with its
-    own private tracker (which really would unlink attached segments
-    at exit) needs to unregister after attach.
+    Children that multiprocessing starts with ``spawn``/``forkserver``
+    receive the parent's tracker *fd* but never spawn the tracker
+    themselves, so their local handle has a fd and no pid.  The
+    distinction decides the bpo-39959 fix-up: with a shared tracker its
+    name cache is one set across processes, a reader's unregister would
+    erase the *owner's* entry, and the duplicate registration a reader's
+    attach performs is a harmless set-add — so nothing must be
+    untracked.  Only a process with its own private tracker (which
+    really would unlink attached segments at exit) needs to unregister
+    after attach.  Process-pool workers (:mod:`repro.core.procpool`)
+    are plain subprocesses that start a private tracker on their first
+    segment, so this is False in them.
     """
     try:
         from multiprocessing import resource_tracker

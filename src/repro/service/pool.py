@@ -16,6 +16,9 @@ implement that contract:
   one ``run-spec`` op.  Workers are spawned lazily on first use and
   reused across jobs; a worker that dies mid-job is replaced and the
   job fails with :class:`~repro.core.procpool.WorkerCrashError`.
+  Workers are plain subprocesses, so the serving process starts no
+  multiprocessing helper (forkserver, resource tracker) for them, and
+  a worker may start ``parallel_executor="mp"`` rank processes.
   Each worker imports the whole execution stack
   (:data:`~repro.service.worker.WORKER_WARM`) before it answers its
   start-up ping; the serving process itself never imports numpy or
@@ -91,19 +94,15 @@ class ThreadWorkerPool:
 class ProcessWorkerPool(ProcessPool):
     """:class:`~repro.core.procpool.ProcessPool` serving ``run-spec``.
 
-    NOT daemonic: a spec selecting ``parallel_executor="mp"`` spawns
-    rank processes *inside* the worker, which multiprocessing forbids
-    for daemonic processes — ``daemon=True`` would break the
-    thread/process parity contract for those specs.  Orphan safety
-    comes from the pipe instead: when the service process dies, the
-    worker's ``recv()`` sees EOF and its loop exits.
+    When the service process dies, a worker's ``recv()`` sees EOF and
+    its loop exits.
     """
 
     kind = "process"
     transport = "pipe"
 
     def __init__(self, workers: int) -> None:
-        super().__init__(workers, WORKER_OPS, name="worker", daemon=False,
+        super().__init__(workers, WORKER_OPS, name="worker",
                          warm=WORKER_WARM)
 
     def workers_view(self) -> List[Dict[str, object]]:

@@ -458,7 +458,7 @@ class TestRequeue:
             def kill_when_running():
                 deadline = time.monotonic() + 30
                 while time.monotonic() < deadline:
-                    if victim.process.is_alive() and any(
+                    if victim.alive() and any(
                         service._running_jobs.values()
                     ):
                         victim.process.kill()

@@ -258,8 +258,8 @@ class TestProcessWorkers:
 
     def test_process_worker_can_nest_mp_rank_processes(self):
         """A spec selecting parallel_executor="mp" spawns rank
-        processes *inside* the worker — workers must not be daemonic,
-        or this valid spec fails only on process pools."""
+        processes *inside* the worker — a worker must be able to start
+        processes, or this valid spec fails only on process pools."""
         spec = RunSpec(
             scale=6, backend="numpy", execution="parallel",
             parallel_ranks=2, parallel_executor="mp",

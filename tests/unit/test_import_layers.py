@@ -168,7 +168,7 @@ if __name__ == "__main__":
 
 
 def test_process_service_front_end_loads_no_numerical_stack(tmp_path):
-    # A process pool's host must be a file with a __main__ guard.
+    # The serving process loads no numerical stack; only its workers do.
     script = tmp_path / "serve_jobs.py"
     script.write_text(SERVICE_SCRIPT, encoding="utf-8")
     result = _run([str(script)])
@@ -189,7 +189,7 @@ def test_warm_process_worker_imports_nothing_inside_its_first_job():
         from repro.service.pool import ProcessWorkerPool
         from repro.service.worker import run_spec_job
 
-        ops, warm, daemon = ProcessWorkerPool(1)._spawn_args
+        ops, warm = ProcessWorkerPool(1)._spawn_args
         for module in warm:
             importlib.import_module(module)
         before = set(sys.modules)

@@ -10,8 +10,14 @@ prestart, shutdown, span merging) is covered once in
 
 from __future__ import annotations
 
+import signal
+import subprocess
+import textwrap
+import time
+
 import numpy as np
 import pytest
+from procpool_ops import HAS_PROC, TEST_OPS, children, gone, host
 
 from repro.core.lanes import (
     DEFAULT_LANE_WORKERS,
@@ -20,7 +26,7 @@ from repro.core.lanes import (
     ProcessLanePool,
     run_lane_op,
 )
-from repro.core.procpool import RemoteOpError
+from repro.core.procpool import ProcessPool, RemoteOpError
 from repro.core.shmplane import ShardBuffer, shm_available
 from repro.edgeio.dataset import read_shard_file, write_shard
 from repro.edgeio.manifest import ShardInfo
@@ -29,6 +35,14 @@ needs_shm = pytest.mark.skipif(
     not shm_available(),
     reason="host cannot create shared-memory segments",
 )
+needs_proc = pytest.mark.skipif(not HAS_PROC, reason="no /proc")
+
+
+def _wait_gone(pids, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not all(gone(pid) for pid in pids):
+        assert time.monotonic() < deadline, f"still running: {pids}"
+        time.sleep(0.05)
 
 
 def _edges(n=200, seed=3):
@@ -181,6 +195,44 @@ class TestShmLaneOps:
         finally:
             buffer.release()
 
+    @needs_proc
+    def test_exported_segment_outlives_its_worker(self, tmp_path):
+        # The worker creates the segment, exports it and exits (its own
+        # resource tracker with it); the segment survives until the
+        # adopting parent unlinks it, and is then gone.
+        u, v = _edges(seed=19)
+        info = run_lane_op("encode-shard", _encode_payload(tmp_path, 0, u, v))
+        single = ProcessLanePool(1)
+        try:
+            name = single.run("decode-shard-shm", _decode_payload(
+                tmp_path / info.name, info,
+            ))
+            worker = single._handles[0].process.pid
+            helpers = children(worker)  # the worker's resource tracker
+        finally:
+            single.shutdown()
+        _wait_gone([worker, *helpers])
+        adopted = ShardBuffer.attach(name, owner=True)
+        du, dv = adopted.arrays()
+        assert np.array_equal(du, u) and np.array_equal(dv, v)
+        del du, dv
+        adopted.release()
+        with pytest.raises(FileNotFoundError):
+            ShardBuffer.attach(name)
+
+    def test_workers_start_their_own_tracker(self):
+        # A parent whose resource tracker runs (it made a segment)
+        # passes nothing of it to a worker: the worker is a fresh
+        # interpreter, so an attach there must drop its own duplicate
+        # registration (bpo-39959).
+        buffer = ShardBuffer.create(*_edges(n=4))
+        single = ProcessPool(1, TEST_OPS, name="lane")
+        try:
+            assert single.run("tracker-inherited", None) is False
+        finally:
+            single.shutdown()
+            buffer.release()
+
 
 class TestProcessLanePool:
     def test_round_trip_bit_identical(self, pool, tmp_path):
@@ -223,13 +275,30 @@ class TestProcessLanePool:
         assert result.num_edges == 200
         assert queue_wait >= 0.0
 
-    def test_workers_are_daemonic(self, pool):
-        # Lane ops never start processes, so the workers may (and do)
-        # die with a parent that never reached shutdown().
-        pool.prestart()
-        assert pool.workers == 2 == len(pool._handles)
-        assert all(h.process.daemon for h in pool._handles)
-        assert DEFAULT_LANE_WORKERS >= 1
+    @needs_proc
+    def test_workers_exit_with_a_killed_host(self):
+        # SIGKILL runs no shutdown(): each worker must read EOF on its
+        # pipe and exit on its own.
+        program = textwrap.dedent("""
+            import sys
+            from repro.core.lanes import ProcessLanePool
+            pool = ProcessLanePool()
+            pool.prestart()
+            print(*(h.process.pid for h in pool._handles), flush=True)
+            sys.stdin.read()
+        """)
+        parent = host(["-c", program], stdin=subprocess.PIPE,
+                      stdout=subprocess.PIPE)
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(pids) == DEFAULT_LANE_WORKERS >= 1
+            assert not any(gone(pid) for pid in pids)
+        finally:
+            parent.send_signal(signal.SIGKILL)
+            parent.wait(timeout=10)
+            parent.stdin.close()
+            parent.stdout.close()
+        _wait_gone(pids)
 
     def test_traced_dispatch_uses_the_lane_span_names(self, pool, tmp_path):
         from repro.core import trace

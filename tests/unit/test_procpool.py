@@ -25,7 +25,7 @@ from repro.core.procpool import (
 
 
 def make_pool(workers=1):
-    return ProcessPool(workers, TEST_OPS, name="test", daemon=True)
+    return ProcessPool(workers, TEST_OPS, name="test")
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +106,7 @@ class TestCrashAndReplace:
         try:
             victim = single.run("pid", None)
             os.kill(victim, signal.SIGKILL)
-            single._handles[0].process.join(timeout=10)
+            single._handles[0].process.wait(timeout=10)
             assert single.run("pid", None) != victim
             assert single.stats() == {
                 "workers_spawned": 2, "workers_crashed": 1,
@@ -213,7 +213,7 @@ class TestStartUp:
             shared.prestart()
             pids = _live_pids(shared)
             assert len(pids) == 2
-            assert all(h.process.is_alive() for h in shared._handles)
+            assert all(h.alive() for h in shared._handles)
             assert shared.run("pid", None) in pids  # reused, not respawned
             assert shared.stats()["workers_spawned"] == 2
         finally:
@@ -262,8 +262,8 @@ class TestLifecycle:
             single.run("echo", 2)
         assert single._idle.qsize() == 1  # token back even when refused
         for handle in handles:
-            handle.process.join(timeout=10)
-            assert not handle.process.is_alive()
+            handle.process.wait(timeout=10)
+            assert not handle.alive()
 
     def test_shutdown_stops_worker_processes(self):
         shared = make_pool(2)
@@ -272,7 +272,7 @@ class TestLifecycle:
         assert len(handles) == 2
         shared.shutdown()
         for handle in handles:
-            assert not handle.process.is_alive()
+            assert not handle.alive()
 
 
 class TestTracedDispatch:

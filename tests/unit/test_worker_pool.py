@@ -6,7 +6,12 @@ terminate, shutdown) is the shared one, covered in ``test_procpool.py``.
 
 from __future__ import annotations
 
+import json
+import subprocess
+import textwrap
+
 import pytest
+from procpool_ops import HAS_PROC, host
 
 from repro.api import RunSpec
 from repro.core.procpool import RemoteOpError
@@ -89,6 +94,67 @@ class TestProcessWorkerPool:
             }
         finally:
             pool.shutdown()
+
+
+#: Runs one job through a process pool at module level: no
+#: ``if __name__ == "__main__":`` guard, as in a ``-c`` program.
+UNGUARDED_HOST = textwrap.dedent("""
+    from repro.api import RunSpec
+    from repro.service.pool import ProcessWorkerPool
+
+    pool = ProcessWorkerPool(1)
+    payload, _ = pool.run_spec(RunSpec(scale=6, backend="numpy").to_dict(),
+                               None)
+    pool.shutdown()
+    print(payload["rank_sha256"])
+""")
+
+#: Runs one job through a process-worker service, then reports the
+#: host's child processes, the pool's workers and the host's resource
+#: tracker pid.
+SERVICE_CHILDREN = textwrap.dedent("""
+    import json, os
+    from multiprocessing import resource_tracker
+    from procpool_ops import children
+    from repro.api import RunSpec
+    from repro.service import BenchmarkService
+
+    with BenchmarkService(worker_kind="process", workers=2) as service:
+        service.result(service.submit(RunSpec(scale=6, backend="numpy")),
+                       timeout=240)
+        found = children(os.getpid())
+        workers = [h.process.pid for h in service._workers._handles]
+    print(json.dumps({
+        "children": sorted(found), "workers": sorted(workers),
+        "tracker": resource_tracker._resource_tracker._pid,
+    }))
+""")
+
+
+def _last_line(args) -> str:
+    proc = host(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err[-2000:]
+    return out.splitlines()[-1]
+
+
+class TestProcessHosts:
+    """Any interpreter can host a process pool, and hosting one starts
+    nothing but the workers."""
+
+    def test_hosts_without_a_main_guard(self, tmp_path):
+        expected = run_spec_job(SPEC.to_dict(), None)["rank_sha256"]
+        assert _last_line(["-c", UNGUARDED_HOST]) == expected
+        script = tmp_path / "unguarded.py"
+        script.write_text(UNGUARDED_HOST, encoding="utf-8")
+        assert _last_line([str(script)]) == expected
+
+    @pytest.mark.skipif(not HAS_PROC, reason="no /proc")
+    def test_service_starts_nothing_but_workers(self):
+        found = json.loads(_last_line(["-c", SERVICE_CHILDREN]))
+        assert len(found["workers"]) == 1  # one job, one lazy spawn
+        assert found["children"] == found["workers"]
+        assert found["tracker"] is None
 
 
 class TestFactory:
