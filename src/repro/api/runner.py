@@ -119,30 +119,6 @@ def execute_spec(
     return RunOutcome(spec=spec, results=results, records=records)
 
 
-def spec_cache_fields(spec: RunSpec):
-    """The content-addressing fields a spec's K0/K1 artifacts key on.
-
-    The bridge between the declarative layer and the artifact cache's
-    addressing: a remote worker agent uses it to compute the *same*
-    ``cache_key`` the executing pipeline will, so it can prefetch warm
-    entries from the service (``GET /artifacts``) before running and
-    publish fresh ones after (``PUT /artifacts``).  Returns
-    ``{"k0": fields, "k1": fields}``; an empty dict when the spec's
-    ``cache_policy`` disables caching (nothing would be read or
-    written).  K2 entries are deliberately excluded: they are
-    execution-variant-specific and cheap to rebuild from a warm K1.
-    """
-    from repro.core.artifacts import k0_cache_fields, k1_cache_fields
-
-    if spec.cache_policy != "shared":
-        return {}
-    config = spec.to_config(None)
-    return {
-        "k0": k0_cache_fields(config),
-        "k1": k1_cache_fields(config),
-    }
-
-
 def execute_sweep(
     sweep: SweepSpec,
     *,

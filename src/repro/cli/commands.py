@@ -416,7 +416,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
         heartbeat_interval=args.heartbeat_interval,
         reconnect_delay=args.reconnect_delay,
         max_reconnects=args.max_reconnects,
-        artifact_sync=not args.no_artifact_sync,
         job_delay=args.job_delay,
     )
 

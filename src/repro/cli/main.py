@@ -292,10 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="the service's worker-listen address (a "
                              "bare port means 127.0.0.1)")
     worker.add_argument("--cache-dir", default=None,
-                        help="this host's artifact cache; warm K0/K1 "
-                             "entries sync to/from the service over "
-                             "GET/PUT /artifacts so hits survive host "
-                             "boundaries")
+                        help="this host's artifact cache root; agents "
+                             "on one host may share one (entries never "
+                             "travel between hosts)")
     worker.add_argument("--worker-id", default=None,
                         help="name announced at registration (default: "
                              "hostname-pid)")
@@ -308,9 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--max-reconnects", type=int, default=None,
                         help="give up after this many consecutive "
                              "failed dials (default: retry forever)")
-    worker.add_argument("--no-artifact-sync", action="store_true",
-                        help="skip the cross-host artifact sync even "
-                             "when --cache-dir is set")
     worker.add_argument("--job-delay", type=float, default=0.0,
                         help="sleep this long before executing each "
                              "job (fault-injection/testing aid)")

@@ -628,8 +628,8 @@ class ArtifactCache:
                     shutil.rmtree(path, ignore_errors=True)
 
     # ------------------------------------------------------------------
-    # Cross-host entry transport (the distributed worker plane's
-    # GET/PUT /artifacts sync endpoint packs entries with these)
+    # Entry transport: pack one entry as a tar, unpack one safely (no
+    # program path ships entries; the benchmark probes these two)
     # ------------------------------------------------------------------
     def export_entry(self, kind: str, key: str) -> Optional[bytes]:
         """Pack one published entry as an uncompressed tar archive.

@@ -99,7 +99,8 @@ class PipelineConfig:
         Root RNG seed; child streams are derived deterministically.
     num_files:
         Shard count for Kernels 0 and 1 output ("a free parameter to be
-        set by the implementer or the user").
+        set by the implementer or the user"), at most ``M`` (one edge
+        per file).
     backend:
         Registered backend name (see :func:`repro.backends.registry`).
     generator:
@@ -203,6 +204,12 @@ class PipelineConfig:
         check_positive_int("edge_factor", self.edge_factor)
         check_nonneg_int("seed", self.seed)
         check_positive_int("num_files", self.num_files)
+        if self.num_files > self.num_edges:
+            raise ValueError(
+                f"num_files must be at most M = {self.num_edges} (the "
+                f"edge count at scale {self.scale}, edge_factor "
+                f"{self.edge_factor}), got {self.num_files}"
+            )
         for name in ("backend", "generator"):
             value = getattr(self, name)
             if not isinstance(value, str):

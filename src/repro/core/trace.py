@@ -470,8 +470,7 @@ def task_busy_seconds(span_docs: Sequence[Dict[str, object]],
 
 # -- Chrome/Perfetto export --------------------------------------------
 
-def chrome_trace(*docs: Dict[str, object],
-                 labels: Optional[Sequence[str]] = None) -> Dict[str, object]:
+def chrome_trace(*docs: Dict[str, object]) -> Dict[str, object]:
     """Render run-trace documents as one Chrome Trace Event JSON doc.
 
     Multiple documents (service-side lifecycle + pipeline run) align on
@@ -481,7 +480,6 @@ def chrome_trace(*docs: Dict[str, object],
     first) with ``process_name``/``thread_name`` metadata events, so
     Perfetto shows one track per worker/lane identity.
     """
-    del labels  # reserved; proc labels ride on the spans themselves
     present = [doc for doc in docs if doc and doc.get("spans")]
     if not present:
         return {"traceEvents": [], "displayTimeUnit": "ms"}

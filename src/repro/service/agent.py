@@ -19,11 +19,11 @@ Around that shared body the agent owns the *distributed* concerns:
 * **Reconnect** — a lost connection (service restart, network blip,
   server-side deadline) drops the session and re-dials with a delay;
   the pool accepts the re-registration as a fresh worker session.
-* **Per-host artifact sync** — the agent keeps its *own* cache root
-  and, when the pool advertises an ``artifact_base``, pulls warm K0/K1
-  entries for each spec before running (``GET /artifacts``) and pushes
-  fresh ones after (``PUT /artifacts``); content-addressed keys make
-  the transplants exact.  Sync failures degrade to a cold cache.
+
+The wire carries jobs, not files: an agent's cache root (``cache_dir``)
+is its host's, and agents on one host can share one (the cache is
+flock-safe).  A ``registered`` reply from an older service may still
+carry ``artifact_base``; it is ignored.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from repro.service.worker import run_spec_job
 #: Grafted worker-side span ids (negative: clear of collector ids, and
 #: below the service's -1..-9 block).
 _SPAN_WORKER_JOB = -20
-_SPAN_ARTIFACT_SYNC = -21
 
 
 class WorkerAgent:
@@ -53,8 +52,8 @@ class WorkerAgent:
     host / port:
         The service's ``--listen-workers`` address.
     cache_dir:
-        This host's artifact-cache root (``None`` disables caching and
-        artifact sync for this worker).
+        This host's artifact-cache root (``None`` disables caching for
+        this worker).
     worker_id:
         Stable identity in logs//healthz; defaults to ``<hostname>-<pid>``.
     heartbeat_interval:
@@ -65,8 +64,6 @@ class WorkerAgent:
     max_reconnects:
         Give up after this many consecutive failed/lost connections
         (``None``: keep trying until :meth:`stop`).
-    artifact_sync:
-        Master switch for the GET/PUT cache sync.
     job_delay:
         Test/chaos hook: sleep this long before executing each job —
         makes "SIGKILL mid-job" and "slow but alive" scenarios
@@ -83,7 +80,6 @@ class WorkerAgent:
         heartbeat_interval: Optional[float] = None,
         reconnect_delay: float = 1.0,
         max_reconnects: Optional[int] = None,
-        artifact_sync: bool = True,
         job_delay: float = 0.0,
         quiet: bool = False,
     ) -> None:
@@ -94,7 +90,6 @@ class WorkerAgent:
         self.heartbeat_override = heartbeat_interval
         self.reconnect_delay = float(reconnect_delay)
         self.max_reconnects = max_reconnects
-        self.artifact_sync = bool(artifact_sync)
         self.job_delay = float(job_delay)
         self.quiet = quiet
         self.jobs_completed = 0
@@ -102,9 +97,6 @@ class WorkerAgent:
         self._stop = threading.Event()
         self._channel: Optional[FrameChannel] = None
         self._busy = False
-        #: The current session's artifact-sync base URL (from its
-        #: ``registered`` frame); ``None`` until one arrives.
-        self._artifact_base: Optional[str] = None
 
     # ------------------------------------------------------------------
     def _log(self, message: str) -> None:
@@ -175,9 +167,6 @@ class WorkerAgent:
         """One connection's lifetime; returns why it ended."""
         channel = FrameChannel(sock)
         self._channel = channel
-        # A reconnect must not sync against the previous service's base
-        # before the new ``registered`` frame names this one's.
-        self._artifact_base = None
         session_live = threading.Event()
         session_live.set()
         try:
@@ -199,10 +188,6 @@ class WorkerAgent:
                 kind = doc.get("type")
                 if kind == "registered":
                     self._start_heartbeats(channel, session_live, doc)
-                    self._artifact_base = (
-                        doc.get("artifact_base")
-                        if self.artifact_sync else None
-                    )
                     self._log(
                         f"registered as {doc.get('worker_id')} "
                         f"(heartbeat every "
@@ -267,7 +252,10 @@ class WorkerAgent:
         try:
             if self.job_delay:
                 time.sleep(self.job_delay)
-            payload = self._execute(spec_doc)
+            payload = run_spec_job(
+                spec_doc,
+                str(self.cache_dir) if self.cache_dir is not None else None,
+            )
         except (KeyboardInterrupt, SystemExit):
             raise
         except BaseException as exc:  # noqa: BLE001 - marshalled to pool
@@ -287,56 +275,13 @@ class WorkerAgent:
             self._busy = False
         channel.send(reply)
 
-    def _execute(self, spec_doc) -> Dict[str, object]:
-        """The shared worker body, bracketed by artifact sync."""
-        from repro.api.spec import RunSpec
-
-        sync_summary = None
-        base = self._artifact_base
-        spec: Optional[RunSpec] = None
-        if base and self.cache_dir is not None:
-            from repro.core.artifacts import ArtifactCache
-            from repro.service.artifact_sync import sync_before_run
-
-            try:
-                spec = RunSpec.from_dict(spec_doc)
-                t_sync = time.time()
-                sync_summary = sync_before_run(
-                    ArtifactCache(self.cache_dir), base, spec
-                )
-                sync_summary["seconds"] = time.time() - t_sync
-            except Exception:
-                sync_summary = None  # sync must never fail the job
-        payload = run_spec_job(
-            spec_doc,
-            str(self.cache_dir) if self.cache_dir is not None else None,
-        )
-        if sync_summary is not None and spec is not None:
-            from repro.core.artifacts import ArtifactCache
-            from repro.service.artifact_sync import sync_after_run
-
-            try:
-                pushed = sync_after_run(
-                    ArtifactCache(self.cache_dir), base, spec,
-                    sync_summary,
-                )
-            except Exception:
-                pushed = []
-            payload["artifact_sync"] = {
-                "fetched": sync_summary.get("fetched", []),
-                "local": sync_summary.get("local", []),
-                "pushed": pushed,
-                "seconds": sync_summary.get("seconds", 0.0),
-            }
-        return payload
-
     def _graft_worker_spans(
         self,
         payload: Dict[str, object],
         t_received: float,
         job_id: Optional[str],
     ) -> None:
-        """Worker-side intervals onto the run trace (when one exists)."""
+        """The worker-side job span onto the run trace (when one exists)."""
         trace_doc = payload.get("trace")
         if not isinstance(trace_doc, dict):
             return
@@ -347,19 +292,6 @@ class WorkerAgent:
             cat="worker", proc=proc, thread="agent",
             args={"job_id": job_id, "worker_id": self.worker_id},
         )
-        sync = payload.get("artifact_sync")
-        if isinstance(sync, dict) and sync.get("seconds"):
-            graft_span(
-                trace_doc, name="worker:artifact-sync",
-                span_id=_SPAN_ARTIFACT_SYNC, parent_id=_SPAN_WORKER_JOB,
-                begin_epoch=t_received,
-                end_epoch=t_received + float(sync["seconds"]),
-                cat="worker", proc=proc, thread="agent",
-                args={
-                    "fetched": len(sync.get("fetched", [])),
-                    "pushed": len(sync.get("pushed", [])),
-                },
-            )
 
 
 def run_worker(
@@ -370,7 +302,6 @@ def run_worker(
     heartbeat_interval: Optional[float] = None,
     reconnect_delay: float = 1.0,
     max_reconnects: Optional[int] = None,
-    artifact_sync: bool = True,
     job_delay: float = 0.0,
 ) -> int:
     """``repro worker`` body: parse HOST:PORT, serve until shutdown.
@@ -397,7 +328,6 @@ def run_worker(
         heartbeat_interval=heartbeat_interval,
         reconnect_delay=reconnect_delay,
         max_reconnects=max_reconnects,
-        artifact_sync=artifact_sync,
         job_delay=job_delay,
     )
 

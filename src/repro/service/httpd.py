@@ -14,19 +14,8 @@ Routes::
                                  in-flight job id)
     GET    /metrics              Prometheus text exposition (job counts,
                                  queue depth, worker churn + heartbeat
-                                 ages, cache hit ratio, artifact-sync
-                                 transfers, shm savings, kernel
-                                 histograms)
-    GET    /artifacts            index of published artifact-cache
-                                 entries (the cross-host sync surface)
-    GET    /artifacts/<kind>/<key>
-                                 one cache entry as an uncompressed tar
-                                 (404 on a miss — the worker generates
-                                 locally instead)
-    PUT    /artifacts/<kind>/<key>
-                                 publish one entry tar (workers push
-                                 fresh K0/K1 artifacts so later workers
-                                 on other hosts hit)
+                                 ages, cache hit ratio, shm savings,
+                                 kernel histograms)
     GET    /scenarios            registered scenario names/descriptions
     GET    /jobs                 all job status snapshots
     POST   /jobs                 submit: {"spec": {...}} or
@@ -51,13 +40,15 @@ Routes::
     DELETE /jobs/<id>            cancel (only a PENDING job can be)
 
 Errors are JSON too: ``{"error": "..."}`` with a 4xx status.  A POST
-body over 1 MiB or an artifact PUT over 512 MiB is a 413, and a
-``Content-Length`` that is not a non-negative integer a 400, both
-before any body byte is read.  A submitted spec or sweep base that sets
-``data_dir`` is a 400: paths on the server host are the host's.  The
-server never imports beyond the stdlib — the paper's "holistic system
-benchmark" framing means the harness must not drag in a web stack the
-platforms under test would not share.
+body over 1 MiB is a 413, and a ``Content-Length`` that is not a
+non-negative integer a 400, both before any body byte is read.  The
+wire carries jobs, never files: there is no upload route (a verb with
+no handler, such as PUT, gets the stdlib's 501), and cache entries stay
+on the host whose workers wrote them.  A submitted spec or sweep base
+that sets ``data_dir`` is a 400: paths on the server host are the
+host's.  The server never imports beyond the stdlib — the paper's
+"holistic system benchmark" framing means the harness must not drag in
+a web stack the platforms under test would not share.
 """
 
 from __future__ import annotations
@@ -67,7 +58,7 @@ import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.api.scenarios import BUILTIN_SCENARIOS, ScenarioRegistry
 from repro.api.spec import RunSpec, SweepSpec
@@ -75,10 +66,6 @@ from repro.service.service import BenchmarkService, UnknownJobError
 
 #: Keys a ``{"scenario": ..., "sweep": {...}}`` grid object may carry.
 _SWEEP_GRID_KEYS = {"scales", "backends", "repeats"}
-
-#: PUT /artifacts body cap — far above any real K0/K1 entry at service
-#: scales, small enough that a hostile upload cannot balloon memory.
-_MAX_ARTIFACT_BYTES = 512 * 1024 * 1024
 
 #: POST /jobs body cap — ample for any spec or sweep document.
 _MAX_BODY_BYTES = 1024 * 1024
@@ -133,36 +120,32 @@ class BenchmarkRequestHandler(BaseHTTPRequestHandler):
     def _error(self, status: int, message: str) -> None:
         self._reply(status, {"error": message})
 
-    def _content_length(
-        self, limit: int, refused: Callable[[], None] = lambda: None
-    ) -> Optional[int]:
+    def _content_length(self) -> Optional[int]:
         """The declared body length, or ``None`` once refused.
 
         A missing header reads as 0.  A malformed or negative one is a
-        400 and one over ``limit`` a 413, both answered before any body
-        byte is read.  ``refused`` runs before the answer, so a client
-        that has it also sees what the refusal recorded.
+        400 and one over ``_MAX_BODY_BYTES`` a 413, both answered before
+        any body byte is read.
         """
         header = self.headers.get("Content-Length") or "0"
         if not (header.isascii() and header.isdigit()):
-            refused()
             self._error(
                 400, f"Content-Length must be a non-negative integer, "
                      f"got {header!r}"
             )
             return None
         length = int(header)
-        if length > limit:
-            refused()
+        if length > _MAX_BODY_BYTES:
             self._error(
-                413, f"body of {length} bytes exceeds the {limit}-byte limit"
+                413, f"body of {length} bytes exceeds the "
+                     f"{_MAX_BODY_BYTES}-byte limit"
             )
             return None
         return length
 
     def _read_body(self) -> Optional[Dict[str, object]]:
         """The POST body as a JSON object, or ``None`` once refused."""
-        length = self._content_length(_MAX_BODY_BYTES)
+        length = self._content_length()
         if length is None:
             return None
         raw = self.rfile.read(length) if length else b"{}"
@@ -204,8 +187,6 @@ class BenchmarkRequestHandler(BaseHTTPRequestHandler):
                     200, service.metrics_text(),
                     "text/plain; version=0.0.4; charset=utf-8",
                 )
-            elif parts and parts[0] == "artifacts":
-                self._get_artifacts(parts[1:])
             elif parts == ["scenarios"]:
                 self._reply(200, {
                     "scenarios": [
@@ -246,106 +227,6 @@ class BenchmarkRequestHandler(BaseHTTPRequestHandler):
                 self._error(404, f"no route for GET {self.path}")
         except UnknownJobError as exc:
             self._error(404, str(exc.args[0] if exc.args else exc))
-
-    # -- cross-host artifact sync --------------------------------------
-    def _artifact_cache(self):
-        """The service's shared cache, or ``None`` (no ``cache_dir``)."""
-        from repro.core.artifacts import ArtifactCache
-
-        cache_dir = self.server.service.cache_dir
-        if cache_dir is None:
-            return None
-        return ArtifactCache(cache_dir)
-
-    def _artifact_target(self, parts):
-        """Validate ``/artifacts/<kind>/<key>`` path parts."""
-        from repro.core.artifacts import ArtifactCache
-
-        if len(parts) != 2:
-            raise ValueError(
-                "artifact routes are GET /artifacts or "
-                "GET|PUT /artifacts/<kind>/<key>"
-            )
-        kind, key = parts
-        if kind not in ArtifactCache.KINDS:
-            raise ValueError(
-                f"kind must be one of {ArtifactCache.KINDS}, got {kind!r}"
-            )
-        if not key or not all(c in "0123456789abcdef" for c in key):
-            raise ValueError(f"key must be lowercase hex, got {key!r}")
-        return kind, key
-
-    def _get_artifacts(self, parts) -> None:
-        service = self.server.service
-        cache = self._artifact_cache()
-        if cache is None:
-            self._error(
-                404, "no artifact cache configured (serve with "
-                     "--cache-dir to enable cross-host sync)"
-            )
-            return
-        if not parts:
-            self._reply(200, {"entries": [
-                {"kind": entry.kind, "key": entry.key,
-                 "num_bytes": entry.num_bytes}
-                for entry in cache.entries()
-            ]})
-            return
-        try:
-            kind, key = self._artifact_target(parts)
-        except ValueError as exc:
-            self._error(400, str(exc))
-            return
-        data = cache.export_entry(kind, key)
-        if data is None:
-            service.metrics.record_artifact_sync("get", "miss")
-            self._error(404, f"no {kind} entry with key {key}")
-            return
-        service.metrics.record_artifact_sync("get", "hit")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-tar")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def do_PUT(self) -> None:  # noqa: N802
-        service = self.server.service
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
-        if not parts or parts[0] != "artifacts":
-            self._error(404, f"no route for PUT {self.path}")
-            return
-        cache = self._artifact_cache()
-        if cache is None:
-            self._error(
-                404, "no artifact cache configured (serve with "
-                     "--cache-dir to enable cross-host sync)"
-            )
-            return
-        try:
-            kind, key = self._artifact_target(parts[1:])
-        except ValueError as exc:
-            self._error(400, str(exc))
-            return
-        length = self._content_length(
-            _MAX_ARTIFACT_BYTES,
-            lambda: service.metrics.record_artifact_sync("put", "rejected"),
-        )
-        if length is None:
-            return
-        if length == 0:
-            self._error(400, "PUT /artifacts requires a tar body")
-            return
-        data = self.rfile.read(length)
-        if cache.import_entry(kind, key, data):
-            service.metrics.record_artifact_sync("put", "stored")
-            self._reply(200, {"stored": True, "kind": kind, "key": key})
-        else:
-            service.metrics.record_artifact_sync("put", "rejected")
-            self._error(
-                400, "artifact archive was malformed or unsafe "
-                     "(must be a tar of regular entry-relative files "
-                     "whose cache-entry marker hashes to the key)"
-            )
 
     def do_POST(self) -> None:  # noqa: N802
         if [p for p in self.path.split("?")[0].split("/") if p] != ["jobs"]:
@@ -536,8 +417,7 @@ def run_server(
     scripts using ``--port 0`` can discover the ephemeral port.  With
     ``worker_kind="remote"`` a second line (``workers on HOST:PORT``)
     announces the TCP port ``repro-pipeline worker --connect`` agents
-    should dial, and the HTTP address is advertised to them as the
-    artifact-sync base.
+    should dial.
 
     With a ``store_path``, startup replays the store (finished jobs
     come back verbatim; interrupted ones re-queue) and ``compact=True``
@@ -561,11 +441,6 @@ def run_server(
     worker_bind = service.worker_address
     if worker_bind is not None:
         print(f"workers on {worker_bind[0]}:{worker_bind[1]}", flush=True)
-        # Registering agents learn the artifact-sync base in their
-        # `registered` reply; only useful when a cache_dir exists, but
-        # advertising it unconditionally is harmless (agents without a
-        # local cache ignore it).
-        service.set_artifact_base(f"http://{bound_host}:{bound_port}")
     # SIGTERM (what `kill`, systemd, and container runtimes send) must
     # take the same graceful path as ^C — otherwise worker processes
     # leak and RUNNING jobs are left in the store for the next replay

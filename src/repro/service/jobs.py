@@ -82,6 +82,8 @@ def retryable(terminal: Mapping[str, object], requeues: int) -> bool:
 #: The JSON-safe result-payload keys a terminal event may carry (the
 #: subset of a result document that is *result*, not status) — used to
 #: split a replayed terminal event back into view vs. payload.
+#: ``artifact_sync`` is no longer written; it stays so stores whose
+#: remote jobs carried it replay to the same result document.
 PAYLOAD_KEYS = (
     "records", "rank_sha256", "rank_summary", "wall_seconds",
     "validation", "cells", "trace", "observability", "remote",

@@ -19,12 +19,6 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Mapping, Optional, Sequence
 
-#: ``repro_artifact_sync_total`` label pairs always emitted (zeroed),
-#: so scrapers and smoke checks see the family before the first sync.
-ARTIFACT_SYNC_SERIES = (
-    ("get", "hit"), ("get", "miss"), ("put", "stored"), ("put", "rejected"),
-)
-
 #: Per-kernel wall-seconds histogram bucket upper bounds.  Static —
 #: Prometheus buckets must never change between scrapes — and spanning
 #: the repo's realistic kernel range (sub-10ms cache reads to
@@ -74,20 +68,11 @@ class ServiceMetrics:
         self._shm_bytes_saved = 0
         self._kernel_seconds: Dict[str, _Histogram] = {}
         self._requeues = 0
-        self._artifact_sync: Dict[tuple, int] = {
-            pair: 0 for pair in ARTIFACT_SYNC_SERIES
-        }
 
     def record_requeue(self) -> None:
         """One in-flight job requeued after its worker was lost."""
         with self._lock:
             self._requeues += 1
-
-    def record_artifact_sync(self, op: str, outcome: str) -> None:
-        """One ``GET/PUT /artifacts`` transfer served, by outcome."""
-        with self._lock:
-            key = (op, outcome)
-            self._artifact_sync[key] = self._artifact_sync.get(key, 0) + 1
 
     def record_job(
         self, state: str, payload: Optional[Mapping[str, object]]
@@ -218,15 +203,6 @@ class ServiceMetrics:
                             f"repro_worker_heartbeat_age_seconds"
                             f'{{worker="{row.get("worker")}"}} {age}'
                         )
-            header("repro_artifact_sync_total", "counter",
-                   "Cross-host artifact-cache sync transfers served "
-                   "over GET/PUT /artifacts, by operation and outcome.")
-            for (op, outcome) in sorted(self._artifact_sync):
-                lines.append(
-                    f'repro_artifact_sync_total{{op="{op}",'
-                    f'outcome="{outcome}"}} '
-                    f"{self._artifact_sync[(op, outcome)]}"
-                )
             header("repro_artifact_cache_probes_total", "counter",
                    "Artifact-cache probes by finished jobs, by outcome.")
             lines.append(

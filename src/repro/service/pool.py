@@ -128,7 +128,7 @@ def make_worker_pool(kind: str, workers: int, **remote_options):
     """Build the pool for a ``worker_kind`` value (with a clear error).
 
     ``remote_options`` (``host``/``port``/``heartbeat_timeout``/
-    ``heartbeat_interval``/``register_timeout``/``artifact_base``) are
+    ``heartbeat_interval``/``register_timeout``) are
     forwarded to :class:`~repro.service.remote.RemoteWorkerPool` and
     refused for the local kinds, where they could only be silently
     ignored configuration.

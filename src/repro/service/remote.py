@@ -10,7 +10,7 @@ Wire protocol (every message is one frame; ``type`` discriminates)::
 
     worker -> pool   {"type": "register", "worker_id", "host", "pid"}
     pool -> worker   {"type": "registered", "worker_id",
-                      "heartbeat_interval", "artifact_base"}
+                      "heartbeat_interval", "heartbeat_timeout"}
     worker -> pool   {"type": "heartbeat", "busy": bool}       (periodic)
     pool -> worker   {"type": "run", "seq", "job_id", "spec",
                       "cache_dir"}
@@ -141,10 +141,6 @@ class RemoteWorkerPool:
         How long :meth:`run_spec` waits for *any* worker to be
         available before failing the dispatch with
         :class:`WorkerCrashError` (which the requeue path retries).
-    artifact_base:
-        Base URL of the service's HTTP front end, advertised to agents
-        for ``GET/PUT /artifacts`` cache sync; settable after the HTTP
-        server binds (see :attr:`artifact_base`).
     """
 
     kind = "remote"
@@ -159,7 +155,6 @@ class RemoteWorkerPool:
         heartbeat_timeout: float = 10.0,
         heartbeat_interval: Optional[float] = None,
         register_timeout: float = 60.0,
-        artifact_base: Optional[str] = None,
     ) -> None:
         if heartbeat_timeout <= 0:
             raise ValueError(
@@ -173,7 +168,6 @@ class RemoteWorkerPool:
             else max(0.05, heartbeat_timeout / 4.0)
         )
         self.register_timeout = float(register_timeout)
-        self.artifact_base = artifact_base
         self._lock = threading.Lock()
         self._handles: List[_RemoteHandle] = []
         self._idle: "queue.Queue[_RemoteHandle]" = queue.Queue()
@@ -240,7 +234,6 @@ class RemoteWorkerPool:
                 "worker_id": name,
                 "heartbeat_interval": self.heartbeat_interval,
                 "heartbeat_timeout": self.heartbeat_timeout,
-                "artifact_base": self.artifact_base,
             })
         except OSError:
             self._mark_lost(handle, "connection closed during registration")

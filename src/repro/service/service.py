@@ -851,13 +851,6 @@ class BenchmarkService:
         worker kinds)."""
         return getattr(self._workers, "address", None)
 
-    def set_artifact_base(self, base_url: Optional[str]) -> None:
-        """Advertise the HTTP front end's base URL to remote workers
-        (they fetch/push artifact-cache entries against it).  No-op
-        for local worker kinds."""
-        if hasattr(self._workers, "artifact_base"):
-            self._workers.artifact_base = base_url
-
     def workers_health(self) -> Dict[str, Dict[str, object]]:
         """Per-worker health rows for ``/healthz``.
 

@@ -21,6 +21,7 @@ from repro.core.exceptions import KernelContractError
 from repro.core.pipeline import run_pipeline
 from repro.core.scheduler import SchedulerError
 from repro.core.stages import GenerateContract
+from tests.integration.test_rank_digests import DIGESTS
 
 
 #: The backends whose Kernel 2 is a build step async schedules.
@@ -264,7 +265,7 @@ def _cores():
 
 
 #: The bench graph's rank digest: RunSpec(scale=14, seed=1, num_files=4).
-SCALE14_DIGEST = "38544e32d943"
+SCALE14_DIGEST = DIGESTS[14, "serial"]
 
 
 class TestKroneckerTasks:

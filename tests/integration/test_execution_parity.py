@@ -171,8 +171,10 @@ class TestStreamingKernel1:
     """The streaming strategy's Kernel 1 is the out-of-core sort, and it
     writes the files and manifest of the in-memory sort."""
 
+    # (32, 1): one edge per file, the most shards a run may ask for
+    # (M = 32 at scale 1).
     @pytest.mark.parametrize("num_files,scale", [(1, 6), (3, 10), (5, 8),
-                                                 (64, 1)])
+                                                 (32, 1)])
     def test_same_dataset_as_serial(self, tmp_path, num_files, scale):
         from repro.edgeio.dataset import EdgeDataset
 

@@ -181,6 +181,27 @@ class TestHTTPService:
         assert _get(f"{served}/jobs")[1]["jobs"] == []
         assert not target.exists()
 
+    @pytest.mark.parametrize("shape", ["spec", "overrides", "sweep", "grid"])
+    def test_num_files_above_m_is_400_and_queues_nothing(self, served, shape):
+        # One shard per edge is the most a run may ask for.  A sweep is
+        # refused as a whole when any cell's scale has fewer edges
+        # (here scale 4, M = 256) than the base asks files of.
+        body = {
+            "spec": {"spec": {"scale": 10, "num_files": 100_000_000}},
+            "overrides": {"scenario": "smoke",
+                          "overrides": {"scale": 4, "num_files": 257}},
+            "sweep": {"sweep": {
+                "base": RunSpec(scale=10, num_files=300).to_dict(),
+                "scales": [10, 4], "backends": ["numpy"]}},
+            "grid": {"scenario": "smoke", "overrides": {"num_files": 300},
+                     "sweep": {"scales": [4]}},
+        }[shape]
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(f"{served}/jobs", body)
+        assert excinfo.value.code == 400
+        assert "num_files" in json.loads(excinfo.value.read())["error"]
+        assert _get(f"{served}/jobs")[1]["jobs"] == []
+
     def test_null_data_dir_is_accepted(self, served):
         # The refusal is of a path, not of the key: null is the default.
         status, doc = _post(
@@ -249,43 +270,56 @@ class TestHTTPBodyLength:
         assert status == 400
         assert "body must carry" in doc["error"]
 
-    @pytest.mark.parametrize("length, status", [
-        ("-1", 400), ("abc", 400), (str(512 * 1024 * 1024 + 1), 413),
-    ], ids=["negative", "word", "oversize"])
-    def test_refused_put_length_counts_as_rejected(self, served, length,
-                                                   status):
-        replied, _ = _raw_request(
-            served, "PUT", "/artifacts/k0/" + "0" * 16, length
-        )
-        assert replied == status
-        with urllib.request.urlopen(f"{served}/metrics", timeout=30) as r:
-            text = r.read().decode("utf-8")
-        assert 'repro_artifact_sync_total{op="put",outcome="rejected"} 1' in text
 
-    def test_non_integer_put_length_is_400(self, served):
-        status, doc = _raw_request(
-            served, "PUT", "/artifacts/k0/" + "0" * 16, "abc"
-        )
-        assert status == 400
-        assert "Content-Length" in doc["error"]
+class TestNoArtifactRoutes:
+    """The wire carries jobs, not files: no cache entry is listed,
+    served or accepted over HTTP, even with a populated cache root."""
 
+    def test_artifact_routes_answer_nothing_and_store_nothing(
+        self, served, tmp_path
+    ):
+        from repro.core.artifacts import ArtifactCache
 
-class TestHTTPArtifacts:
-    def test_every_indexed_entry_answers_get(self, served):
-        # A local scipy run publishes k0, k1 and a k2 matrix entry; the
-        # index lists all three and each one exports.
         spec = RunSpec(scale=6, seed=2, backend="scipy")
         _, doc = _post(f"{served}/jobs", {"spec": spec.to_dict()})
         assert _poll_terminal(served, doc["job_id"])["state"] == "succeeded"
-        status, index = _get(f"{served}/artifacts")
-        assert status == 200
-        entries = index["entries"]
-        assert {entry["kind"] for entry in entries} == {"k0", "k1", "k2"}
-        for entry in entries:
-            url = f"{served}/artifacts/{entry['kind']}/{entry['key']}"
-            with urllib.request.urlopen(url, timeout=30) as response:
-                assert response.status == 200
-                assert len(response.read()) >= entry["num_bytes"]
+        cache = ArtifactCache(tmp_path / "cache")
+        [k0] = [entry for entry in cache.entries() if entry.kind == "k0"]
+        # A well-formed entry archive the service does not hold yet.
+        execute_spec(RunSpec(scale=6, seed=3, backend="scipy"),
+                     cache_dir=tmp_path / "elsewhere")
+        other = ArtifactCache(tmp_path / "elsewhere")
+        [foreign] = [e for e in other.entries() if e.kind == "k0"]
+        archive = other.export_entry("k0", foreign.key)
+        assert archive
+
+        def files():
+            return sorted(
+                str(path.relative_to(tmp_path / "cache"))
+                for path in (tmp_path / "cache").rglob("*")
+            )
+
+        def metrics():
+            with urllib.request.urlopen(f"{served}/metrics", timeout=30) as r:
+                return r.read().decode("utf-8")
+
+        before = (files(), _get(f"{served}/jobs")[1], metrics())
+        for path in ("/artifacts", f"/artifacts/k0/{k0.key}"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(f"{served}{path}", timeout=30)
+            assert excinfo.value.code == 404, path
+        url = urllib.parse.urlsplit(served)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+        try:
+            conn.request("PUT", f"/artifacts/k0/{foreign.key}", archive,
+                         {"Content-Type": "application/x-tar"})
+            status = conn.getresponse().status
+        finally:
+            conn.close()
+        assert status >= 400
+        assert not cache.published("k0", foreign.key)
+        assert (files(), _get(f"{served}/jobs")[1], metrics()) == before
+        assert "artifact_sync" not in before[2]
 
 
 class TestHTTPSweeps:

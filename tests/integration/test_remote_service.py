@@ -1,6 +1,5 @@
 """The distributed worker plane end-to-end: a remote-kind service with
-real TCP agents, cross-host artifact sync, requeue on worker death, and
-observability parity.
+real TCP agents, requeue on worker death, and observability parity.
 
 Most tests embed agents as threads (the TCP stack is real; only the
 process boundary is elided).  The SIGKILL scenario uses real
@@ -83,7 +82,6 @@ class _RemoteRig:
         self.server, _ = serve_in_thread(self.service, port=0)
         host, port = self.server.server_address[:2]
         self.base = f"http://{host}:{port}"
-        self.service.set_artifact_base(self.base)
         whost, wport = self.service.worker_address
         self.agents = []
         self.threads = []
@@ -204,66 +202,10 @@ class TestRemoteParity:
         assert any(n.startswith("job:remote-dispatch:") for n in names)
 
 
-class TestArtifactSync:
-    def test_warm_entries_cross_the_host_boundary(self, tmp_path):
-        """Agent 0 runs cold, pushes K0/K1 to the service; agent 1 —
-        with its own empty cache root — fetches them instead of
-        regenerating, and /metrics records the transfers."""
-        rig = _RemoteRig(tmp_path, agents=1)
-        try:
-            _, doc = _post(f"{rig.base}/jobs", {"spec": SPEC.to_dict()})
-            final = _poll_terminal(rig.base, doc["job_id"])
-            assert final["state"] == "succeeded", final["error"]
-            _, result = _get(f"{rig.base}/jobs/{doc['job_id']}/result")
-            sync = result["artifact_sync"]
-            assert set(sync["pushed"]) and not sync["fetched"]
-
-            # A second worker on a "different host": fresh cache root.
-            whost, wport = rig.service.worker_address
-            agent2 = WorkerAgent(
-                whost, wport, cache_dir=tmp_path / "host2-cache",
-                worker_id="host2", quiet=True,
-            )
-            t2 = threading.Thread(target=agent2.run, daemon=True)
-            t2.start()
-            # Stop agent 0 so the dispatch can only go to host2.
-            rig.agents[0].stop()
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline:
-                view = rig.service._workers.workers_view()
-                if [r["worker"] for r in view] == ["host2"]:
-                    break
-                time.sleep(0.02)
-            spec2 = SPEC.with_overrides(iterations=21)  # same K0/K1 keys
-            _, doc2 = _post(f"{rig.base}/jobs", {"spec": spec2.to_dict()})
-            final2 = _poll_terminal(rig.base, doc2["job_id"])
-            assert final2["state"] == "succeeded", final2["error"]
-            _, result2 = _get(f"{rig.base}/jobs/{doc2['job_id']}/result")
-            sync2 = result2["artifact_sync"]
-            assert set(sync2["fetched"]) == set(sync["pushed"])
-            assert not sync2["pushed"]  # nothing new to publish
-
-            with urllib.request.urlopen(
-                f"{rig.base}/metrics", timeout=30
-            ) as response:
-                text = response.read().decode("utf-8")
-            assert (
-                'repro_artifact_sync_total{op="put",outcome="stored"} 2'
-                in text
-            )
-            hits = [
-                line for line in text.splitlines()
-                if line.startswith(
-                    'repro_artifact_sync_total{op="get",outcome="hit"}'
-                )
-            ]
-            assert hits and int(hits[0].rsplit(" ", 1)[1]) == 2
-            t2.join(timeout=1)  # still serving; just probe liveness
-        finally:
-            rig.close()
-
+class TestEntryTransport:
     def test_export_import_round_trip_and_safety(self, tmp_path):
-        """The tar transplant primitive underneath GET/PUT /artifacts."""
+        """The tar entry transport: a faithful round trip, and unsafe
+        archives refused."""
         # A really produced entry: a run's Kernel 0 dataset.
         execute_spec(SPEC, cache_dir=tmp_path / "a")
         cache_a = ArtifactCache(tmp_path / "a")
@@ -306,32 +248,6 @@ class TestArtifactSync:
         )
         assert not cache_b.import_entry("k0", bad_key, b"not a tar")
         assert cache_b.export_entry("k0", bad_key) is None
-
-    def test_artifact_endpoints_over_http(self, rig):
-        _, doc = _post(f"{rig.base}/jobs", {"spec": SPEC.to_dict()})
-        _poll_terminal(rig.base, doc["job_id"])
-        status, index = _get(f"{rig.base}/artifacts")
-        assert status == 200
-        kinds = {e["kind"] for e in index["entries"]}
-        assert {"k0", "k1"} <= kinds
-        entry = index["entries"][0]
-        url = f"{rig.base}/artifacts/{entry['kind']}/{entry['key']}"
-        with urllib.request.urlopen(url, timeout=30) as response:
-            assert response.status == 200
-            assert response.headers["Content-Type"] == "application/x-tar"
-            assert len(response.read()) > 0
-
-    def test_bad_artifact_requests_are_4xx(self, rig):
-        import urllib.error
-
-        for path, code in (
-            ("/artifacts/k9/abcdef", 400),   # unknown kind
-            ("/artifacts/k0/NOT-HEX", 400),  # non-hex key
-            ("/artifacts/k0/" + "0" * 24, 404),  # well-formed miss
-        ):
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(f"{rig.base}{path}", timeout=30)
-            assert excinfo.value.code == code, path
 
 
 class TestObservability:
@@ -500,7 +416,6 @@ class TestSubprocessAgents:
         server, _ = serve_in_thread(service, port=0)
         host, port = server.server_address[:2]
         base = f"http://{host}:{port}"
-        service.set_artifact_base(base)
         whost, wport = service.worker_address
         procs = []
         try:

@@ -169,6 +169,22 @@ class TestParser:
                 main(["run", flag])
             assert exit_info.value.code == 2
 
+    def test_num_files_above_m_is_a_usage_error(self, capsys, tmp_path):
+        # M = 256 at scale 4: refused before anything is written.
+        assert main(["run", "--scale", "4", "--num-files", "257",
+                     "--data-dir", str(tmp_path / "out")]) == 2
+        assert "num_files must be at most M = 256" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_worker_artifact_sync_flag_is_gone(self, capsys):
+        # Cache entries no longer travel between hosts; the switch that
+        # turned their sync off is refused before anything dials.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["worker", "--connect", "127.0.0.1:1",
+                  "--max-reconnects", "0", "--no-artifact-sync"])
+        assert exit_info.value.code == 2
+        assert "--no-artifact-sync" in capsys.readouterr().err
+
     def test_validate_command_is_gone(self):
         # `repro run --validation full` is the eigenvector check.
         with pytest.raises(SystemExit) as exit_info:

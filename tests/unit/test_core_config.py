@@ -46,6 +46,15 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(scale=4, num_files=0)
 
+    def test_num_files_is_at_most_the_edge_count(self):
+        # M = 16 * 2**4 = 256: one edge per file is the most shards a
+        # run may ask for; checked at construction, before any file.
+        assert PipelineConfig(scale=4, num_files=256).num_files == 256
+        with pytest.raises(ValueError, match="num_files must be at most M"):
+            PipelineConfig(scale=4, num_files=257)
+        with pytest.raises(ValueError, match="at most M = 32"):
+            PipelineConfig(scale=4, edge_factor=2, num_files=33)
+
     # Spelled in two parts so that a search for the removed names turns
     # up no leftover use of them.
     @pytest.mark.parametrize("field", ["keep" "_files", "sort" "_algorithm"])

@@ -20,6 +20,7 @@ import pytest
 
 import repro
 from repro._util import heap
+from tests.integration.test_rank_digests import DIGESTS
 
 #: Minor faults a second scale-12 serial run may take.  The parent of the
 #: policy took ~4 200 on that run (2-core x86-64 guest, glibc 2.36);
@@ -27,7 +28,7 @@ from repro._util import heap
 SECOND_RUN_FAULTS = 100
 
 #: The bench graph's rank digest (scale 14, seed 1, 4 TSV shards, scipy).
-SCALE14_DIGEST = "38544e32d943"
+SCALE14_DIGEST = DIGESTS[14, "serial"]
 
 
 def _glibc() -> bool:

@@ -1,10 +1,11 @@
 """``Content-Length`` handling of the HTTP front end, without a socket.
 
-POST bodies and artifact PUTs read their declared length through one
-helper, ``BenchmarkRequestHandler._content_length``.  The headers below
-are parsed as the server parses them (``http.client.parse_headers``,
-latin-1), so every case is a header a client can really send.  A
-refusal must come back before any body byte is read.
+POST bodies read their declared length through one helper,
+``BenchmarkRequestHandler._content_length``, against ``_MAX_BODY_BYTES``.
+The headers below are parsed as the server parses them
+(``http.client.parse_headers``, latin-1), so every case is a header a
+client can really send.  A refusal must come back before any body byte
+is read.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import io
 
 import pytest
 
-from repro.service.httpd import BenchmarkRequestHandler
+from repro.service.httpd import _MAX_BODY_BYTES, BenchmarkRequestHandler
 
-LIMIT = 100
+LIMIT = _MAX_BODY_BYTES
 
 
 class _Unread:
@@ -53,7 +54,7 @@ class _Handler(BenchmarkRequestHandler):
 ], ids=["absent", "empty", "zero", "plain", "leading-zeros", "at-limit"])
 def test_accepted_lengths(header, length):
     handler = _Handler(header)
-    assert handler._content_length(LIMIT) == length
+    assert handler._content_length() == length
     assert handler.replies == []
 
 
@@ -73,8 +74,8 @@ def test_accepted_lengths(header, length):
         "exponent", "hex", "list", "superscript"])
 def test_refused_lengths(header, status):
     handler = _Handler(header)
-    assert handler._content_length(LIMIT) is None
+    assert handler._content_length() is None
     [(replied, doc)] = handler.replies
     assert replied == status
-    expected = "exceeds the 100-byte limit" if status == 413 else "Content-Length"
+    expected = f"exceeds the {LIMIT}-byte limit" if status == 413 else "Content-Length"
     assert expected in doc["error"]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +62,28 @@ class TestReplayTerminal:
                 original["rank_sha256"]
         # Restoring a terminal job appends nothing and re-runs nothing.
         assert load_events(store) == events_before
+
+    def test_store_with_an_artifact_sync_payload_replays_unchanged(
+        self, tmp_path
+    ):
+        """A store whose remote job carried the ``artifact_sync``
+        summary agents once attached (cross-host cache sync, since
+        removed) replays to the same result document as it did under
+        the service that wrote it."""
+        recorded = json.loads(
+            (Path(__file__).parents[1] / "data"
+             / "store_with_artifact_sync.json").read_text(encoding="utf-8")
+        )
+        store = tmp_path / "jobs.jsonl"
+        store.write_text(
+            "".join(json.dumps(e, sort_keys=True) + "\n"
+                    for e in recorded["events"]),
+            encoding="utf-8",
+        )
+        expected = recorded["result_doc"]
+        with _service(store) as replayed:
+            assert replayed.result_doc(expected["job_id"]) == expected
+        assert expected["artifact_sync"]["pushed"]
 
     def test_replayed_ids_do_not_collide(self, tmp_path):
         store = tmp_path / "jobs.jsonl"

@@ -244,28 +244,52 @@ class TestLifecycle:
         thread.join(timeout=10)
         assert exit_code == [0]  # shutdown frame, not a torn connection
 
-    def test_new_session_forgets_the_previous_artifact_base(self):
-        """A reconnect must not sync against the previous service's
-        base: until this session's ``registered`` frame arrives, a
-        ``run`` frame sees no artifact base at all."""
+    def test_an_older_services_artifact_base_fetches_nothing(self, tmp_path):
+        """A ``registered`` reply from a service that still advertises
+        ``artifact_base``: the agent runs its job against its own cache
+        root and sends no request to that base."""
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        from repro.core.artifacts import ArtifactCache
         from repro.service.framing import FrameChannel
 
-        agent = WorkerAgent("127.0.0.1", 1, quiet=True)
-        assert agent._artifact_base is None
-        agent._artifact_base = "http://previous-service"
-        seen = []
-        agent._serve_job = lambda channel, doc: seen.append(
-            agent._artifact_base
-        )
+        requests = []
+
+        class Counting(BaseHTTPRequestHandler):
+            def do_GET(self):  # noqa: N802
+                requests.append(self.path)
+                self.send_error(404)
+
+            do_PUT = do_GET
+            log_message = lambda *args: None  # noqa: E731
+
+        http = ThreadingHTTPServer(("127.0.0.1", 0), Counting)
+        threading.Thread(target=http.serve_forever, daemon=True).start()
+        spec = RunSpec(scale=6, backend="numpy", cache_policy="shared")
+        agent = WorkerAgent("127.0.0.1", 1, cache_dir=tmp_path, quiet=True)
         ours, theirs = socket.socketpair()
         service_end = FrameChannel(theirs)
         try:
-            service_end.send({"type": "run", "seq": 1, "spec": {}})
+            service_end.send({
+                "type": "registered", "worker_id": "old",
+                "heartbeat_interval": 3600.0,
+                "artifact_base": f"http://127.0.0.1:{http.server_port}",
+            })
+            service_end.send({"type": "run", "seq": 1, "job_id": "j",
+                              "spec": spec.to_dict()})
             service_end.send({"type": "shutdown"})
             assert agent._session(ours) == "shutdown"
+            assert service_end.recv()["type"] == "register"
+            reply = service_end.recv()
         finally:
             service_end.close()
-        assert seen == [None]
+            http.shutdown()
+            http.server_close()
+        assert reply["type"] == "result" and reply["ok"], reply
+        assert "artifact_sync" not in reply["payload"]
+        assert requests == []
+        kinds = {entry.kind for entry in ArtifactCache(tmp_path).entries()}
+        assert {"k0", "k1"} <= kinds  # its own root is where it cached
 
     def test_reconnect_after_service_restart(self):
         """An agent outlives the pool: when a new pool binds, the agent

@@ -117,6 +117,17 @@ class TestExternalSort:
         # No path of the input (gone once a run ends) enters the output.
         assert out.manifest.extra == {"sorted_by": "u"}
 
+    def test_more_shards_than_edges_leaves_empty_shards(self, tmp_path, rng):
+        # A pipeline asks for at most M files; the sort itself still cuts
+        # any count the way EdgeDataset.write does, empty shards included.
+        ds, u, v = _write_random_dataset(tmp_path, rng, m=10, shards=2)
+        out = external_sort_dataset(ds, tmp_path / "out", num_shards=16)
+        ref_u, ref_v = sort_edges(u, v)
+        ref = EdgeDataset.write(tmp_path / "ref", ref_u, ref_v,
+                                num_vertices=128, num_shards=16)
+        assert out.manifest.shards == ref.manifest.shards
+        assert [s.num_edges for s in out.manifest.shards].count(0) == 6
+
     def test_phases_are_reported(self, tmp_path, rng):
         from repro._util import Timings
 

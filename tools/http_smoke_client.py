@@ -21,7 +21,7 @@ pipeline/stage/job lifecycle span names), then scrapes ``GET /metrics``
 ``/healthz`` reports queue depth and per-worker in-flight maps.
 Against a ``--worker-kind remote`` service it additionally requires
 the remote families (connected-worker gauge, per-worker info/heartbeat
-series, requeue and artifact-sync counters) and per-worker health rows
+series, requeue counter) and per-worker health rows
 carrying kind/transport/heartbeat age.
 
 Exits nonzero (via assertion) if the job fails, is cancelled, or does
@@ -56,7 +56,6 @@ REQUIRED_METRICS = (
     "repro_workers_spawned_total",
     "repro_jobs_requeued_total",
     "repro_artifact_cache_probes_total",
-    "repro_artifact_sync_total",
     "repro_shm_bytes_saved_total",
     "repro_kernel_seconds_bucket",
 )
